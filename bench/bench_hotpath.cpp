@@ -4,6 +4,11 @@
 //
 //   sweep        cells/sec of the Dijkstra growth sweep, fast (precomputed
 //                travel-time tables) vs reference (behavior + trig per pop);
+//   dem sweep    the same on the hills DEM workload at 64 and 96 cells:
+//                continuation sweeps seeded from a ground-truth fire line
+//                (the pipeline's shape), fast (spread base once per fuel
+//                model, terrain trig once per environment) vs reference;
+//                popped cells/sec, the firelib.cells_per_s of the trace;
 //   fitness      Eq. (3) evaluations/sec through SimulationService
 //                fitness_batch — the OS hot loop — new kernels (fast sweep +
 //                fused jaccard + scenario cache) vs the pre-PR reference
@@ -142,6 +147,61 @@ int main(int argc, char** argv) {
               sweep.reference_seconds, sweep.fast_seconds, sweep.speedup(),
               sweep_cells_per_sec);
 
+  // --- DEM sweep: fast vs reference on hills terrain. ----------------------
+  struct DemTiming {
+    int grid = 0;
+    KernelTiming timing;
+    std::uint64_t popped = 0;  // cells popped by one timed pass of each path
+  };
+  const auto popped_per_sec = [](const DemTiming& dem, double seconds) {
+    return seconds > 0.0 ? static_cast<double>(dem.popped) / seconds : 0.0;
+  };
+  std::vector<DemTiming> dem_sweeps;
+  {
+    const std::size_t dem_scenarios = quick ? 12 : 24;
+    const int dem_rounds = quick ? 4 : 24;
+    obs::Counter& popped_counter = metrics.counter("sweep.cells_popped");
+    for (const int dem_grid : {64, 96}) {
+      const synth::Workload hills = synth::make_hills(dem_grid);
+      Rng hills_rng(5);
+      const synth::GroundTruth hills_truth = synth::generate_ground_truth(
+          hills.environment, hills.truth_config, hills_rng);
+      const firelib::IgnitionMap& rfl = hills_truth.fire_lines[1];
+      const double dem_horizon = hills_truth.time_of(2);
+      DemTiming dem;
+      dem.grid = dem_grid;
+      for (std::size_t i = 0; i < dem_scenarios; ++i) {
+        const auto& got = fast_propagator.propagate(
+            hills.environment, batch[i], rfl, dem_horizon, fast_ws);
+        const auto& want = reference_propagator.propagate(
+            hills.environment, batch[i], rfl, dem_horizon, reference_ws);
+        if (!(got == want)) all_identical = false;
+      }
+      const std::uint64_t popped_before = popped_counter.value();
+      Stopwatch watch;
+      for (int round = 0; round < dem_rounds; ++round)
+        for (std::size_t i = 0; i < dem_scenarios; ++i)
+          fast_propagator.propagate(hills.environment, batch[i], rfl,
+                                    dem_horizon, fast_ws);
+      dem.timing.fast_seconds = watch.elapsed_seconds();
+      dem.popped = popped_counter.value() - popped_before;
+      watch.reset();
+      for (int round = 0; round < dem_rounds; ++round)
+        for (std::size_t i = 0; i < dem_scenarios; ++i)
+          reference_propagator.propagate(hills.environment, batch[i], rfl,
+                                         dem_horizon, reference_ws);
+      dem.timing.reference_seconds = watch.elapsed_seconds();
+      std::printf(
+          "  dem%-3d   %8.3fs ref  %8.3fs fast  %5.2fx  (%.3g popped "
+          "cells/sec fast, %.3g ref)\n",
+          dem_grid, dem.timing.reference_seconds, dem.timing.fast_seconds,
+          dem.timing.speedup(),
+          popped_per_sec(dem, dem.timing.fast_seconds),
+          popped_per_sec(dem, dem.timing.reference_seconds));
+      dem_sweeps.push_back(dem);
+    }
+  }
+
   // --- Fitness batch: new kernels + cache vs pre-PR kernels. ---------------
   KernelTiming fitness;
   KernelTiming fitness_kernel;  // cache off: pure sweep + jaccard speedup
@@ -262,6 +322,21 @@ int main(int argc, char** argv) {
                "%.6f, \"speedup\": %.4f, \"cells_per_second\": %.1f},\n",
                sweep.reference_seconds, sweep.fast_seconds, sweep.speedup(),
                sweep_cells_per_sec);
+  std::fprintf(out, "  \"dem_sweep\": [");
+  for (std::size_t i = 0; i < dem_sweeps.size(); ++i) {
+    const DemTiming& dem = dem_sweeps[i];
+    std::fprintf(out,
+                 "%s\n    {\"grid\": %d, \"reference_seconds\": %.6f, "
+                 "\"fast_seconds\": %.6f, \"speedup\": %.4f, "
+                 "\"cells_popped\": %llu, \"cells_per_second\": %.1f, "
+                 "\"reference_cells_per_second\": %.1f}",
+                 i == 0 ? "" : ",", dem.grid, dem.timing.reference_seconds,
+                 dem.timing.fast_seconds, dem.timing.speedup(),
+                 static_cast<unsigned long long>(dem.popped),
+                 popped_per_sec(dem, dem.timing.fast_seconds),
+                 popped_per_sec(dem, dem.timing.reference_seconds));
+  }
+  std::fprintf(out, "\n  ],\n");
   std::fprintf(
       out,
       "  \"fitness_batch\": {\"reference_seconds\": %.6f, \"fast_seconds\": "

@@ -3,7 +3,7 @@
 // sweep, single threaded, on the grid shapes that exercise both fast paths:
 //
 //   uniform   plains (travel-time-table inner loop, scenario-uniform fuels);
-//   dem       hills (per-cell behavior field + fuel mosaic).
+//   dem       hills (per-cell wind/slope composition + fuel mosaic).
 //
 // Every timed pair is first checked for bit-identical ignition maps —
 // heap-vs-dial AND scalar-vs-simd — and the whole default campaign catalog

@@ -90,8 +90,11 @@ std::vector<IgnitionMap> BatchSweep::sweep(
   ESSNS_REQUIRE(horizon_min >= 0.0, "horizon must be non-negative");
   ESSNS_REQUIRE(start.rows() == env.rows() && start.cols() == env.cols(),
                 "initial map dimensions must match environment");
-  for (const Scenario* scenario : scenarios)
+  for (const Scenario* scenario : scenarios) {
     ESSNS_REQUIRE(scenario != nullptr, "batch scenario must be set");
+    ESSNS_REQUIRE(model_->catalog().contains(scenario->model),
+                  "scenario fuel model out of catalog range");
+  }
 
   last_table_groups_ = 0;
   last_table_rows_built_ = 0;
@@ -103,7 +106,7 @@ std::vector<IgnitionMap> BatchSweep::sweep(
 
   const std::size_t cells = start.size();
   // The batched drain covers the uniform-topography fast path (the paper's
-  // Table-I scenarios). DEM terrains need per-cell behavior fields, and maps
+  // Table-I scenarios). DEM terrains need per-cell wind/slope behavior, and maps
   // beyond the dial arena's int32 indexing cannot use bucket chains; both
   // take the per-scenario scalar propagator instead — a pure function of the
   // same inputs, so the bit-identity contract holds on every input.

@@ -1,8 +1,15 @@
 #include "firelib/environment.hpp"
 
+#include <atomic>
+
 #include "common/error.hpp"
 
 namespace essns::firelib {
+namespace {
+
+std::atomic<std::uint64_t> next_topography_id{1};
+
+}  // namespace
 
 FireEnvironment::FireEnvironment(int rows, int cols, double cell_size_ft)
     : rows_(rows), cols_(cols), cell_size_ft_(cell_size_ft) {
@@ -28,6 +35,7 @@ void FireEnvironment::set_topography(Grid<double> slope_deg,
                 "topography dimensions must match environment");
   slope_ = std::move(slope_deg);
   aspect_ = std::move(aspect_deg);
+  topography_id_ = next_topography_id.fetch_add(1, std::memory_order_relaxed);
 }
 
 }  // namespace essns::firelib

@@ -9,6 +9,7 @@
 // search the 9-parameter scenario space.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 
 #include "common/grid.hpp"
@@ -25,6 +26,7 @@ class FireEnvironment {
   void set_fuel_map(Grid<std::uint8_t> fuel);
 
   /// Per-cell topography overriding the scenario's slope/aspect (degrees).
+  /// Each call draws a fresh topography_id().
   void set_topography(Grid<double> slope_deg, Grid<double> aspect_deg);
 
   int rows() const { return rows_; }
@@ -33,6 +35,13 @@ class FireEnvironment {
 
   bool has_fuel_map() const { return fuel_.has_value(); }
   bool has_topography() const { return slope_.has_value(); }
+
+  /// Process-unique identity of the topography grids: 0 without topography,
+  /// otherwise a value no other set_topography call in this process returns.
+  /// Copies share it (they hold the same grids), so a sweep may key derived
+  /// per-cell terrain fields on it — unlike an address, it cannot be reused
+  /// by a later environment allocated where a freed one lived.
+  std::uint64_t topography_id() const { return topography_id_; }
 
   /// Catalog number at (r, c) given the active scenario.
   int fuel_model_at(int r, int c, const Scenario& scenario) const {
@@ -60,6 +69,7 @@ class FireEnvironment {
   std::optional<Grid<std::uint8_t>> fuel_;
   std::optional<Grid<double>> slope_;
   std::optional<Grid<double>> aspect_;
+  std::uint64_t topography_id_ = 0;
 };
 
 }  // namespace essns::firelib

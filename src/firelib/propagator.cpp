@@ -283,8 +283,10 @@ void PropagationWorkspace::prefault(int rows, int cols) {
   else
     times_.fill(kNeverIgnited);
   cell_epoch_.assign(cells, 0);
-  cell_behavior_.assign(cells, FireBehavior{});
-  cell_behavior_ready_.assign(cells, 0);
+  // Terrain slabs: committed here, refilled by the first DEM sweep.
+  slope_ratio_.assign(cells, 0.0);
+  upslope_deg_.assign(cells, 0.0);
+  terrain_id_ = 0;
 
   // Queue storage. The heap and dial arenas are capacity-only in steady
   // state, so commit their pages with a throwaway fill, then clear — the
@@ -378,6 +380,10 @@ void FirePropagator::run_sweep(const FireEnvironment& env,
                                const Scenario& scenario, double horizon_min,
                                PropagationWorkspace& workspace) const {
   ESSNS_REQUIRE(horizon_min >= 0.0, "horizon must be non-negative");
+  // Every path indexes 14-entry per-model tables by the scenario model when
+  // there is no fuel map.
+  ESSNS_REQUIRE(model_->catalog().contains(scenario.model),
+                "scenario fuel model out of catalog range");
 
   obs::SpanTimer sweep_timer("sweep");
   SweepCounters counters;
@@ -593,35 +599,55 @@ void FirePropagator::run_sweep(const FireEnvironment& env,
       }
     });
   } else {
-    // Fast path, per-cell topography: behavior may differ per cell, so it is
-    // computed at most once per cell per sweep into the workspace's per-cell
-    // field; fuel probes read the flat SoA slab directly.
-    if (workspace.cell_behavior_.size() != cells)
-      workspace.cell_behavior_.resize(cells);
-    workspace.cell_behavior_ready_.assign(cells, 0);
-    FireBehavior* cell_behavior = workspace.cell_behavior_.data();
-    std::uint8_t* behavior_ready = workspace.cell_behavior_ready_.data();
+    // Fast path, per-cell topography. A cell is popped at most once per
+    // sweep, so per-cell behavior is not cached; instead its two expensive
+    // inputs are hoisted: the spread base (moisture, I_R, R0, phi_w) is a
+    // function of the fuel model alone within a sweep and is built lazily
+    // once per model, and the terrain terms (tan of slope, upslope azimuth)
+    // are a function of the environment alone and live in workspace slabs
+    // filled once per topography. Per pop only apply_wind_slope runs — the
+    // same operands in the same order as behavior(), so bit-identical.
+    if (workspace.terrain_id_ != env.topography_id() ||
+        workspace.slope_ratio_.size() != cells) {
+      workspace.slope_ratio_.resize(cells);
+      workspace.upslope_deg_.resize(cells);
+      for (int r = 0; r < rows; ++r) {
+        for (int c = 0; c < cols; ++c) {
+          const std::size_t idx = times.index_of(r, c);
+          workspace.slope_ratio_[idx] =
+              units::slope_degrees_to_ratio(env.slope_deg_at(r, c, scenario));
+          workspace.upslope_deg_[idx] =
+              std::fmod(env.aspect_deg_at(r, c, scenario) + 180.0, 360.0);
+        }
+      }
+      workspace.terrain_id_ = env.topography_id();
+    }
+    const double* slope_ratio = workspace.slope_ratio_.data();
+    const double* upslope_deg = workspace.upslope_deg_.data();
+
+    std::array<SpreadBase, 14> base_by_model;
+    std::array<bool, 14> base_ready{};
+    auto base_of = [&](int cell_fuel) -> const SpreadBase& {
+      const auto idx = static_cast<std::size_t>(cell_fuel);
+      if (!base_ready[idx]) {
+        base_by_model[idx] = model_->spread_base(cell_fuel, moisture, wind_fpm);
+        base_ready[idx] = true;
+      }
+      return base_by_model[idx];
+    };
 
     sweep_with([&](double time, std::size_t cell_idx, auto& queue) {
-      const int r = static_cast<int>(cell_idx / static_cast<std::size_t>(cols));
-      const int c = static_cast<int>(cell_idx % static_cast<std::size_t>(cols));
-      if (!behavior_ready[cell_idx]) {
-        const int cell_fuel =
-            fuel ? static_cast<int>(fuel[cell_idx]) : scenario.model;
-        if (cell_fuel <= 0) {
-          cell_behavior[cell_idx] = FireBehavior{};  // unburnable
-        } else {
-          WindSlope ws{
-              wind_fpm, scenario.wind_dir,
-              units::slope_degrees_to_ratio(env.slope_deg_at(r, c, scenario)),
-              std::fmod(env.aspect_deg_at(r, c, scenario) + 180.0, 360.0)};
-          cell_behavior[cell_idx] = model_->behavior(cell_fuel, moisture, ws);
-        }
-        behavior_ready[cell_idx] = 1;
-      }
-      const FireBehavior& behavior = cell_behavior[cell_idx];
+      const int cell_fuel =
+          fuel ? static_cast<int>(fuel[cell_idx]) : scenario.model;
+      if (cell_fuel <= 0) return;  // unburnable
+      const FireBehavior behavior = apply_wind_slope(
+          model_->fuel_bed(cell_fuel), base_of(cell_fuel),
+          WindSlope{wind_fpm, scenario.wind_dir, slope_ratio[cell_idx],
+                    upslope_deg[cell_idx]});
       if (behavior.spread_rate_max <= 0.0) return;
 
+      const int r = static_cast<int>(cell_idx / static_cast<std::size_t>(cols));
+      const int c = static_cast<int>(cell_idx % static_cast<std::size_t>(cols));
       for (std::size_t k = 0; k < kEightNeighbours.size(); ++k) {
         const int nr = r + kEightNeighbours[k].row;
         const int nc = c + kEightNeighbours[k].col;
@@ -629,7 +655,10 @@ void FirePropagator::run_sweep(const FireEnvironment& env,
         const std::size_t nidx = static_cast<std::size_t>(nr) *
                                      static_cast<std::size_t>(cols) +
                                  static_cast<std::size_t>(nc);
-        if (fuel ? fuel[nidx] == 0 : scenario.model <= 0) continue;
+        // Without a fuel map every cell shares the popped cell's burnable
+        // model. A neighbour already at or before `time` cannot improve
+        // (arrival >= time), so skip it before paying for the trig.
+        if ((fuel && fuel[nidx] == 0) || t[nidx] <= time) continue;
         const double rate = behavior.spread_rate_at(kNeighbourAzimuth[k]);
         if (rate <= 0.0) continue;
         const double arrival = time + step_ft[k] / rate;

@@ -42,19 +42,20 @@ std::size_t burned_count(const IgnitionMap& map, double time_min);
 enum class SweepQueue { kHeap, kDial };
 
 /// Reusable per-thread propagation state: the working ignition-time map, the
-/// sweep queue storage (binary heap and dial buckets), and the per-sweep
-/// precomputed spread-rate fields. A workspace amortizes all per-call
-/// allocations across simulations — each worker of the batched
-/// SimulationService owns one and reuses it for every simulation it runs.
-/// Results are bit-identical to workspace-free calls; a workspace carries no
-/// state between calls other than capacity.
+/// sweep queue storage (binary heap and dial buckets), and precomputed
+/// spread-rate inputs. A workspace amortizes all per-call allocations across
+/// simulations — each worker of the batched SimulationService owns one and
+/// reuses it for every simulation it runs. Results are bit-identical to
+/// workspace-free calls; the only state carried between calls is capacity
+/// and two memos of pure functions of their exact keys (the uniform
+/// travel-time table and the DEM terrain fields below).
 ///
 /// Hot per-cell state is kept in cache-line-aligned structure-of-arrays
 /// slabs (AlignedVector) so the uniform and DEM fast paths walk contiguous
 /// aligned memory:
 ///  - cell_epoch_: per-cell push epoch, the dial queue's staleness check;
-///  - cell_behavior_ / cell_behavior_ready_: DEM runs' lazily-filled
-///    per-cell FireBehavior field;
+///  - slope_ratio_ / upslope_deg_: DEM runs' per-cell slope ratio (tan) and
+///    upslope azimuth, filled once per environment topography;
 ///  - travel_time_: 14x8 per-model directional travel times for uniform
 ///    topography (arrival = top.time + travel_time_[fuel][k]).
 /// Fuel codes are read as a flat slab too, straight from the environment's
@@ -74,7 +75,7 @@ class PropagationWorkspace {
   const IgnitionMap& last_map() const { return times_; }
 
   /// Size and write through every slab a rows x cols sweep will touch
-  /// (times, epochs, dial buckets and arena, heap, DEM behavior fields), so
+  /// (times, epochs, dial buckets and arena, heap, DEM terrain fields), so
   /// the backing pages are committed from the calling thread. NUMA-aware
   /// placement calls this from the pinned owning worker at startup: under
   /// Linux's default first-touch policy all hot memory then lives on the
@@ -136,9 +137,13 @@ class PropagationWorkspace {
   /// aligned loads (relax_kernel.hpp relies on this).
   alignas(kCacheLineBytes) std::array<std::array<double, 8>, 14>
       travel_time_{};
-  /// DEM runs: per-cell behavior cache, valid where cell_behavior_ready_.
-  AlignedVector<FireBehavior> cell_behavior_;
-  AlignedVector<std::uint8_t> cell_behavior_ready_;
+  /// DEM runs: per-cell slope ratio and upslope azimuth (the WindSlope
+  /// terrain inputs), valid for the environment whose topography_id() is
+  /// terrain_id_ (0 = not filled). Topography never changes under an id, so
+  /// the slabs are filled once per environment, not once per sweep.
+  AlignedVector<double> slope_ratio_;
+  AlignedVector<double> upslope_deg_;
+  std::uint64_t terrain_id_ = 0;
 };
 
 class FirePropagator {

@@ -122,6 +122,8 @@ FuelBedIntermediates compute_fuel_bed(const FuelModel& model) {
   bed.wind_c = 7.47 * std::exp(-0.133 * std::pow(sigma, 0.55));
   bed.wind_e = 0.715 * std::exp(-3.59e-4 * sigma);
   bed.slope_k = 5.275 * std::pow(beta, -0.3);
+  bed.ratio_pow_e = std::pow(ratio, bed.wind_e);
+  bed.ratio_pow_neg_e = std::pow(ratio, -bed.wind_e);
   bed.dead_net_load = dead.net_load;
   bed.live_net_load = live.net_load;
   // Mineral damping eta_s = 0.174 * Se^-0.19, capped at 1.
@@ -138,21 +140,19 @@ FuelBedIntermediates compute_fuel_bed(const FuelModel& model) {
   return bed;
 }
 
-FireBehavior compute_fire_behavior(const FuelModel& model,
-                                   const FuelBedIntermediates& bed,
-                                   const MoistureSet& moisture,
-                                   const WindSlope& ws) {
-  FireBehavior out;
+SpreadBase compute_spread_base(const FuelModel& model,
+                               const FuelBedIntermediates& bed,
+                               const MoistureSet& moisture,
+                               double wind_speed_fpm) {
+  SpreadBase out;
   if (!bed.burnable) return out;
 
   ESSNS_REQUIRE(moisture.m1 >= 0 && moisture.m10 >= 0 && moisture.m100 >= 0 &&
                     moisture.mherb >= 0 && moisture.mwood >= 0,
                 "moistures must be non-negative fractions");
-  ESSNS_REQUIRE(ws.wind_speed_fpm >= 0.0, "wind speed must be non-negative");
-  ESSNS_REQUIRE(ws.slope_ratio >= 0.0, "slope ratio must be non-negative");
+  ESSNS_REQUIRE(wind_speed_fpm >= 0.0, "wind speed must be non-negative");
 
   // --- Category moistures (surface-area weighted within category). ---
-  CategoryAccum dummy;
   double dead_area = 0.0, live_area = 0.0;
   double dead_moisture = 0.0, live_moisture = 0.0;
   double fine_dead_moisture_load = 0.0, fine_dead_load = 0.0;
@@ -177,7 +177,6 @@ FireBehavior compute_fire_behavior(const FuelModel& model,
       live_moisture += area * m;
     }
   }
-  (void)dummy;
   if (dead_area > kSmidgen) dead_moisture /= dead_area;
   if (live_area > kSmidgen) live_moisture /= live_area;
 
@@ -245,14 +244,33 @@ FireBehavior compute_fire_behavior(const FuelModel& model,
     return out;  // fuel too wet to carry fire
   }
 
-  const double r0 = reaction_intensity * bed.xi / heat_sink;
+  out.carries = true;
+  out.reaction_intensity = reaction_intensity;
+  out.spread_rate_no_wind = reaction_intensity * bed.xi / heat_sink;
+  out.phi_w = wind_speed_fpm > kSmidgen
+                  ? bed.wind_c * std::pow(wind_speed_fpm, bed.wind_b) *
+                        bed.ratio_pow_neg_e
+                  : 0.0;
+  return out;
+}
+
+FireBehavior apply_wind_slope(const FuelBedIntermediates& bed,
+                              const SpreadBase& base, const WindSlope& ws) {
+  FireBehavior out;
+  if (!bed.burnable) return out;
+
+  ESSNS_REQUIRE(ws.slope_ratio >= 0.0, "slope ratio must be non-negative");
+
+  if (!base.carries) {
+    out.reaction_intensity = base.reaction_intensity;
+    return out;  // fuel too wet to carry fire
+  }
+
+  const double reaction_intensity = base.reaction_intensity;
+  const double r0 = base.spread_rate_no_wind;
 
   // --- Wind and slope factors combined vectorially (fireLib). ---
-  const double phi_w =
-      ws.wind_speed_fpm > kSmidgen
-          ? bed.wind_c * std::pow(ws.wind_speed_fpm, bed.wind_b) *
-                std::pow(bed.beta_ratio, -bed.wind_e)
-          : 0.0;
+  const double phi_w = base.phi_w;
   const double phi_s =
       ws.slope_ratio > kSmidgen ? bed.slope_k * ws.slope_ratio * ws.slope_ratio
                                 : 0.0;
@@ -279,9 +297,8 @@ FireBehavior compute_fire_behavior(const FuelModel& model,
   // Effective wind speed that would alone produce phi_ew.
   double eff_wind = 0.0;
   if (phi_ew > kSmidgen && bed.wind_b > kSmidgen) {
-    eff_wind = std::pow(phi_ew * std::pow(bed.beta_ratio, bed.wind_e) /
-                            bed.wind_c,
-                        1.0 / bed.wind_b);
+    eff_wind =
+        std::pow(phi_ew * bed.ratio_pow_e / bed.wind_c, 1.0 / bed.wind_b);
   }
 
   // Rothermel's wind limit: effective wind capped at 0.9 * I_R.
@@ -290,10 +307,9 @@ FireBehavior compute_fire_behavior(const FuelModel& model,
   if (eff_wind > max_wind) {
     limit_hit = true;
     eff_wind = max_wind;
-    phi_ew = eff_wind > kSmidgen
-                 ? bed.wind_c * std::pow(eff_wind, bed.wind_b) *
-                       std::pow(bed.beta_ratio, -bed.wind_e)
-                 : 0.0;
+    phi_ew = eff_wind > kSmidgen ? bed.wind_c * std::pow(eff_wind, bed.wind_b) *
+                                       bed.ratio_pow_neg_e
+                                 : 0.0;
     rmax = r0 * (1.0 + phi_ew);
   }
 
@@ -324,10 +340,21 @@ FireSpreadModel::FireSpreadModel(const FuelCatalog& catalog)
 
 FireBehavior FireSpreadModel::behavior(int number, const MoistureSet& moisture,
                                        const WindSlope& ws) const {
+  return apply_wind_slope(fuel_bed(number),
+                          spread_base(number, moisture, ws.wind_speed_fpm),
+                          ws);
+}
+
+SpreadBase FireSpreadModel::spread_base(int number,
+                                        const MoistureSet& moisture,
+                                        double wind_speed_fpm) const {
+  return compute_spread_base(catalog_->model(number), fuel_bed(number),
+                             moisture, wind_speed_fpm);
+}
+
+const FuelBedIntermediates& FireSpreadModel::fuel_bed(int number) const {
   ESSNS_REQUIRE(catalog_->contains(number), "unknown fuel model number");
-  return compute_fire_behavior(catalog_->model(number),
-                               beds_[static_cast<std::size_t>(number)],
-                               moisture, ws);
+  return beds_[static_cast<std::size_t>(number)];
 }
 
 }  // namespace essns::firelib

@@ -1,12 +1,19 @@
 // Rothermel (1972) surface fire spread model with the BEHAVE/fireLib wind and
 // slope extensions and elliptical fire-shape geometry (Anderson 1983).
 //
-// The kernel is split in two phases exactly as in fireLib:
+// The kernel runs in three phases, the first two exactly as in fireLib:
 //   1. fuel-bed intermediates that depend only on the fuel model
 //      (FuelBedIntermediates, computed once per model and cached);
-//   2. the environment-dependent computation (moistures, wind, slope) that
-//      produces a FireBehavior: maximum spread rate + direction, reaction
-//      intensity and the eccentricity of the elliptical spread figure.
+//   2. the spread base (SpreadBase): moisture damping, reaction intensity,
+//      heat sink, the no-wind/no-slope rate R0 and the wind factor phi_w —
+//      a function of the fuel bed, the moistures and the wind speed only;
+//   3. the wind/slope composition (apply_wind_slope): slope factor, vector
+//      sum, effective wind, wind limit and eccentricity, producing a
+//      FireBehavior (maximum spread rate + direction, reaction intensity and
+//      the eccentricity of the elliptical spread figure).
+// Phases 2+3 compose to the classic single-shot computation bit for bit;
+// the split lets a sweep over per-cell terrain run phase 2 once per fuel
+// model and only phase 3 per cell.
 //
 // Units are English throughout (ft, min, lb, Btu), like fireLib; use
 // essns::units to convert Table I inputs.
@@ -47,12 +54,23 @@ struct FuelBedIntermediates {
   double wind_c = 0.0;         ///< C coefficient of phi_w
   double wind_e = 0.0;         ///< E exponent of phi_w
   double slope_k = 0.0;        ///< 5.275 * beta^-0.3
+  double ratio_pow_e = 0.0;      ///< (beta/beta_op)^E
+  double ratio_pow_neg_e = 0.0;  ///< (beta/beta_op)^-E
   double dead_net_load = 0.0;  ///< net loading of dead category (lb/ft^2)
   double live_net_load = 0.0;  ///< net loading of live category (lb/ft^2)
   double dead_eta_s = 0.0;     ///< mineral damping, dead
   double live_eta_s = 0.0;     ///< mineral damping, live
   double live_mext_factor = 0.0;  ///< W' factor for live extinction moisture
   double fine_dead_ratio = 0.0;   ///< fine dead load weighting for live Mx
+};
+
+/// Phase-2 result: everything the fire behavior needs that does not depend on
+/// slope, aspect or wind direction.
+struct SpreadBase {
+  bool carries = false;              ///< burnable and dry enough to spread
+  double reaction_intensity = 0.0;   ///< I_R (Btu/ft^2/min), clamped at 0
+  double spread_rate_no_wind = 0.0;  ///< R0 (ft/min), 0 unless `carries`
+  double phi_w = 0.0;                ///< wind factor, 0 unless `carries`
 };
 
 /// Environment-dependent fire behavior at a point.
@@ -87,11 +105,19 @@ struct FireBehavior {
 /// but FireSpreadModel caches one per catalog entry.
 FuelBedIntermediates compute_fuel_bed(const FuelModel& model);
 
-/// Phase 2: full fire behavior for a fuel bed under an environment.
-FireBehavior compute_fire_behavior(const FuelModel& model,
-                                   const FuelBedIntermediates& bed,
-                                   const MoistureSet& moisture,
-                                   const WindSlope& ws);
+/// Phase 2: spread base of a fuel bed under moistures and a midflame wind
+/// speed. Throws InvalidArgument on negative moistures or wind speed (only
+/// for a burnable bed, like the full computation).
+SpreadBase compute_spread_base(const FuelModel& model,
+                               const FuelBedIntermediates& bed,
+                               const MoistureSet& moisture,
+                               double wind_speed_fpm);
+
+/// Phase 3: fire behavior of `base` (computed for the same bed and for
+/// ws.wind_speed_fpm) under the wind direction and terrain of `ws`. Throws
+/// InvalidArgument on a negative slope ratio (only for a burnable bed).
+FireBehavior apply_wind_slope(const FuelBedIntermediates& bed,
+                              const SpreadBase& base, const WindSlope& ws);
 
 /// Convenience facade that caches intermediates for the standard catalog.
 class FireSpreadModel {
@@ -101,6 +127,14 @@ class FireSpreadModel {
   /// Behavior of catalog model `number` under the given environment.
   FireBehavior behavior(int number, const MoistureSet& moisture,
                         const WindSlope& ws) const;
+
+  /// Phase 2 for catalog model `number`; pair with apply_wind_slope and
+  /// fuel_bed(number) to get behavior() one terrain at a time.
+  SpreadBase spread_base(int number, const MoistureSet& moisture,
+                         double wind_speed_fpm) const;
+
+  /// Cached phase-1 intermediates of catalog model `number`.
+  const FuelBedIntermediates& fuel_bed(int number) const;
 
   const FuelCatalog& catalog() const { return *catalog_; }
 

@@ -3,7 +3,7 @@
 //
 // Multi-socket hosts bounce ignition maps across the interconnect when the
 // scheduler migrates sweep workers between nodes: every PropagationWorkspace
-// slab (times, epochs, buckets, behavior fields) is allocated — and
+// slab (times, epochs, buckets, terrain fields) is allocated — and
 // therefore first-touched — by its owning worker thread, so the pages land
 // on whichever node that thread happened to run on, and a later migration
 // turns every slab access into a remote read. Pinning each worker to one

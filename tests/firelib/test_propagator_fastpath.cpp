@@ -1,11 +1,12 @@
 // Equivalence property tests for the precomputed-field sweep fast paths:
-// uniform-topography travel-time tables and the DEM per-cell behavior field
-// must reproduce the reference (per-pop behavior + trig) sweep bit for bit,
+// uniform-topography travel-time tables and the DEM path (spread base per
+// fuel model, terrain slabs per environment) must reproduce the reference (per-pop behavior + trig) sweep bit for bit,
 // over randomized scenarios, terrains and horizons.
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "firelib/batch_sweep.hpp"
 #include "firelib/environment.hpp"
 #include "firelib/propagator.hpp"
 #include "firelib/scenario.hpp"
@@ -119,6 +120,40 @@ TEST(PropagatorFastPathTest, RejectsOutOfCatalogFuelCodes) {
   Grid<std::uint8_t> fuel(8, 8, 1);
   fuel(3, 3) = 14;
   EXPECT_THROW(env.set_fuel_map(std::move(fuel)), InvalidArgument);
+}
+
+TEST(PropagatorFastPathTest, RejectsOutOfCatalogScenarioModel) {
+  // Without a fuel map the scenario model indexes the sweep's 14-entry
+  // per-model tables directly; an out-of-catalog model must throw on every
+  // path instead of reading past them.
+  const FireSpreadModel model;
+  FirePropagator fast(model);
+  FirePropagator reference(model);
+  reference.set_reference_sweep(true);
+  BatchSweep batched(model);
+  const FireEnvironment uniform = uniform_env(12);
+  const FireEnvironment dem = dem_env(12, /*with_fuel=*/false);
+  const IgnitionMap start =
+      fast.propagate(uniform, Scenario{}, {{6, 6}}, 10.0);
+  // Warm workspaces: the tables past index 13 then hold live bytes, so an
+  // unchecked read would not happen to see "not ready" and bail out.
+  PropagationWorkspace fast_ws, reference_ws;
+  for (const int bad : {14, 15, 200}) {
+    Scenario s;
+    s.model = bad;
+    for (const FireEnvironment* env : {&uniform, &dem}) {
+      fast.propagate(*env, Scenario{}, start, 60.0, fast_ws);
+      reference.propagate(*env, Scenario{}, start, 60.0, reference_ws);
+      EXPECT_THROW(fast.propagate(*env, s, start, 60.0, fast_ws),
+                   InvalidArgument)
+          << "model " << bad;
+      EXPECT_THROW(reference.propagate(*env, s, start, 60.0, reference_ws),
+                   InvalidArgument)
+          << "model " << bad;
+      EXPECT_THROW(batched.sweep(*env, {&s}, start, 60.0), InvalidArgument)
+          << "model " << bad;
+    }
+  }
 }
 
 TEST(PropagatorFastPathTest, ZeroHorizonMatchesReference) {

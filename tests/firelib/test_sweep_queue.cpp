@@ -1,7 +1,7 @@
 // Equivalence property tests for the sweep-queue disciplines: the bucketed
 // dial/calendar queue must reproduce the retained binary-heap sweep bit for
 // bit on every path (reference / uniform travel-time tables / DEM per-cell
-// behavior field), over randomized scenarios, terrains, horizons and
+// wind/slope composition), over randomized scenarios, terrains, horizons and
 // continuation maps — and across the whole default campaign catalog. Also
 // pins the horizon-clamp contract for pre-seeded initial maps, identically
 // for every queue x path combination.
