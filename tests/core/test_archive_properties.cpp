@@ -1,16 +1,29 @@
 // Parameterized invariants that every archive policy must satisfy.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "core/archive.hpp"
 
 namespace essns::core {
 namespace {
 
+// gtest prints this struct's raw bytes into the test name ctest registers, so
+// it must hold no padding: `reserved` fills the gap after the 4-byte enum and
+// is always zero, keeping the name the same from run to run.
 struct PolicyCase {
+  PolicyCase(ArchivePolicy p, std::size_t cap, const char* n)
+      : policy(p), capacity(cap), name(n) {}
+
   ArchivePolicy policy;
+  std::uint32_t reserved = 0;
   std::size_t capacity;
   const char* name;
 };
+static_assert(sizeof(PolicyCase) == sizeof(ArchivePolicy) +
+                                        sizeof(std::uint32_t) +
+                                        sizeof(std::size_t) + sizeof(char*),
+              "PolicyCase must have no padding bytes");
 
 class ArchivePolicySweep : public ::testing::TestWithParam<PolicyCase> {
  protected:

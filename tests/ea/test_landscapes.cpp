@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "common/error.hpp"
 #include "common/rng.hpp"
 
@@ -95,22 +97,34 @@ TEST(CountingBatchTest, CountsEvaluations) {
   EXPECT_EQ(counter, 4u);
 }
 
-class LandscapeBounds : public ::testing::TestWithParam<double (*)(const Genome&)> {};
+struct Landscape {
+  const char* name;
+  double (*fn)(const Genome&);
+};
+
+// gtest prints the parameter into the test name ctest registers; print the
+// landscape's name, not its function address, which moves from run to run.
+void PrintTo(const Landscape& l, std::ostream* os) { *os << l.name; }
+
+class LandscapeBounds : public ::testing::TestWithParam<Landscape> {};
 
 TEST_P(LandscapeBounds, ValuesStayInUnitInterval) {
   Rng rng(99);
   for (int i = 0; i < 2000; ++i) {
     Genome g(6);
     for (double& x : g) x = rng.uniform();
-    const double v = GetParam()(g);
+    const double v = GetParam().fn(g);
     EXPECT_GE(v, 0.0 - 1e-9);
     EXPECT_LE(v, 1.0 + 1e-9);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllLandscapes, LandscapeBounds,
-                         ::testing::Values(&sphere, &rastrigin,
-                                           &deceptive_trap, &two_peaks));
+                         ::testing::Values(Landscape{"sphere", &sphere},
+                                           Landscape{"rastrigin", &rastrigin},
+                                           Landscape{"deceptive_trap",
+                                                     &deceptive_trap},
+                                           Landscape{"two_peaks", &two_peaks}));
 
 }  // namespace
 }  // namespace essns::ea::landscapes
