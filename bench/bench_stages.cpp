@@ -34,12 +34,29 @@ std::vector<firelib::IgnitionMap> synthetic_maps(int count, int size,
   return maps;
 }
 
+// The burned-cell records of `maps` at `time_min`, as the OS's fitness
+// simulations hand them to the Statistical Stage.
+std::vector<ess::BurnedCells> synthetic_records(
+    const std::vector<firelib::IgnitionMap>& maps, double time_min) {
+  std::vector<ess::BurnedCells> records;
+  for (const auto& map : maps)
+    records.push_back(ess::pack_burned(map, time_min));
+  return records;
+}
+
+Grid<double> aggregate(const std::vector<ess::BurnedCells>& records) {
+  std::vector<const ess::BurnedCells*> pointers;
+  for (const auto& record : records) pointers.push_back(&record);
+  return ess::aggregate_burned(pointers);
+}
+
 void BM_StatisticalStageAggregate(benchmark::State& state) {
   Rng rng(1);
-  const auto maps = synthetic_maps(static_cast<int>(state.range(0)),
-                                   static_cast<int>(state.range(1)), rng);
+  const int size = static_cast<int>(state.range(1));
+  const auto records = synthetic_records(
+      synthetic_maps(static_cast<int>(state.range(0)), size, rng), 60.0);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ess::aggregate_probability(maps, 60.0));
+    benchmark::DoNotOptimize(aggregate(records));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
@@ -51,7 +68,7 @@ BENCHMARK(BM_StatisticalStageAggregate)
 void BM_KignSearch(benchmark::State& state) {
   Rng rng(2);
   const auto maps = synthetic_maps(16, 64, rng);
-  const auto probability = ess::aggregate_probability(maps, 60.0);
+  const auto probability = aggregate(synthetic_records(maps, 60.0));
   const auto real = firelib::burned_mask(maps.front(), 60.0);
   const Grid<std::uint8_t> preburned(64, 64, 0);
   const int candidates = static_cast<int>(state.range(0));

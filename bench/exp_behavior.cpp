@@ -130,22 +130,17 @@ int main() {
         auto outcome =
             optimizer.optimize(firelib::kParamCount, batch, {15, 0.95}, rng);
 
-        std::vector<firelib::IgnitionMap> maps;
         std::vector<firelib::Scenario> scenarios;
-        for (const auto& ind : outcome.solutions) {
+        for (const auto& ind : outcome.solutions)
           scenarios.push_back(space.decode(ind.genome));
-          maps.push_back(evaluator.simulate(scenarios.back(),
-                                            truth.fire_lines[un - 1], t_now));
-        }
-        const auto probability = ess::aggregate_probability(maps, t_now);
+        const auto probability = evaluator.burn_probability(
+            scenarios, truth.fire_lines[un - 1], t_now);
         const auto kign = ess::search_kign(
             probability, firelib::burned_mask(truth.fire_lines[un], t_now),
             firelib::burned_mask(truth.fire_lines[un - 1], t_prev), 100);
 
-        std::vector<firelib::IgnitionMap> forward;
-        for (const auto& s : scenarios)
-          forward.push_back(evaluator.simulate(s, truth.fire_lines[un], t_next));
-        const auto prob_next = ess::aggregate_probability(forward, t_next);
+        const auto prob_next =
+            evaluator.burn_probability(scenarios, truth.fire_lines[un], t_next);
         const auto predicted = ess::apply_kign(prob_next, kign.kign);
         qualities.push_back(ess::jaccard(
             firelib::burned_mask(truth.fire_lines[un + 1], t_next), predicted,

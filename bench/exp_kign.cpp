@@ -39,12 +39,8 @@ int main() {
   }
   for (int i = 0; i < 8; ++i) scenarios.push_back(space.sample(rng));
 
-  std::vector<firelib::IgnitionMap> maps;
-  for (const auto& s : scenarios)
-    maps.push_back(
-        evaluator.simulate(s, truth.fire_lines[0], truth.step_minutes));
-  const Grid<double> probability =
-      ess::aggregate_probability(maps, truth.step_minutes);
+  const Grid<double> probability = evaluator.burn_probability(
+      scenarios, truth.fire_lines[0], truth.step_minutes);
 
   const auto real = firelib::burned_mask(truth.fire_lines[1],
                                          truth.step_minutes);

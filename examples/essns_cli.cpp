@@ -181,7 +181,7 @@ std::uint64_t require_uint64(const char* flag, const std::string& value) {
 double require_double(const char* flag, const std::string& value) {
   const auto v = parse_double(value);
   if (!v) {
-    std::fprintf(stderr, "%s expects a number, got '%s'\n", flag,
+    std::fprintf(stderr, "%s expects a finite number, got '%s'\n", flag,
                  value.c_str());
     std::exit(1);
   }

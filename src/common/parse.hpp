@@ -6,11 +6,13 @@
 // family does. These helpers parse the *whole* string or return nullopt —
 // leading whitespace (which std::stoi/stod/stoull silently skip before the
 // consumed-character count starts), trailing junk, overflow, hex-float
-// spellings, and (for the unsigned parser) sign prefixes all fail — leaving
-// the caller to pick its error channel (throw vs exit).
+// spellings, non-finite reals ("nan", "inf"), and (for the unsigned parser)
+// sign prefixes all fail — leaving the caller to pick its error channel
+// (throw vs exit).
 #pragma once
 
 #include <cctype>
+#include <cmath>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -41,9 +43,12 @@ inline std::optional<int> parse_int(const std::string& text) {
   return v;
 }
 
-/// Whole-string double, via std::stod; nullopt on junk, whitespace or
-/// overflow. Hex-float spellings ("0x10", "+0X1p4") are rejected even though
-/// std::stod accepts them — no config surface means base-16 reals.
+/// Whole-string finite double, via std::stod; nullopt on junk, whitespace
+/// or overflow. Hex-float spellings ("0x10", "+0X1p4") and the non-finite
+/// spellings ("nan", "inf", "infinity", any case or sign) are rejected even
+/// though std::stod accepts them — no config surface means base-16 reals,
+/// and a NaN threshold or step length silently disables the comparisons
+/// that use it.
 inline std::optional<double> parse_double(const std::string& text) {
   if (text.empty() || detail::has_leading_space(text)) return std::nullopt;
   for (const char ch : text)
@@ -55,7 +60,7 @@ inline std::optional<double> parse_double(const std::string& text) {
   } catch (const std::exception&) {
     return std::nullopt;
   }
-  if (used != text.size()) return std::nullopt;
+  if (used != text.size() || !std::isfinite(v)) return std::nullopt;
   return v;
 }
 

@@ -1,8 +1,9 @@
 #include "ess/calibration.hpp"
 
+#include <algorithm>
+#include <vector>
+
 #include "common/error.hpp"
-#include "ess/fitness.hpp"
-#include "ess/statistical.hpp"
 
 namespace essns::ess {
 
@@ -11,12 +12,47 @@ KignSearchResult search_kign(const Grid<double>& probability,
                              const Grid<std::uint8_t>& preburned,
                              int candidates) {
   ESSNS_REQUIRE(candidates >= 1, "need at least one threshold candidate");
+  ESSNS_REQUIRE(probability.rows() == real_burned.rows() &&
+                    probability.cols() == real_burned.cols() &&
+                    probability.rows() == preburned.rows() &&
+                    probability.cols() == preburned.cols(),
+                "jaccard masks must share dimensions");
+  // Thresholding at K predicts exactly the cells with p >= K, so Eq. (3)'s
+  // counts at K are: intersection = real cells with p >= K, union = every
+  // real cell plus the other cells with p >= K (preburned cells excluded
+  // throughout). One pass splits the probabilities, a sort makes each count
+  // a binary search, and the integer counts — hence the quotients — equal
+  // those of thresholding the grid and calling jaccard() per candidate.
+  std::vector<double> real;
+  std::vector<double> other;
+  std::size_t real_count = 0;
+  const std::size_t n = probability.size();
+  const double* p = probability.data();
+  const std::uint8_t* in_real = real_burned.data();
+  const std::uint8_t* pre = preburned.data();
+  for (std::size_t i = 0; i < n; ++i) {
+    if (pre[i]) continue;
+    if (in_real[i]) ++real_count;
+    // A NaN probability is below every threshold (p >= K is false).
+    if (p[i] != p[i]) continue;
+    (in_real[i] ? real : other).push_back(p[i]);
+  }
+  std::sort(real.begin(), real.end());
+  std::sort(other.begin(), other.end());
+  const auto at_least = [](const std::vector<double>& sorted, double k) {
+    return static_cast<std::size_t>(
+        sorted.end() - std::lower_bound(sorted.begin(), sorted.end(), k));
+  };
+
   KignSearchResult best;
   best.fitness = -1.0;
   for (int i = 1; i <= candidates; ++i) {
     const double k = static_cast<double>(i) / static_cast<double>(candidates);
-    const Grid<std::uint8_t> predicted = apply_kign(probability, k);
-    const double fit = jaccard(real_burned, predicted, preburned);
+    const std::size_t intersection = at_least(real, k);
+    const std::size_t set_union = real_count + at_least(other, k);
+    const double fit = set_union == 0 ? 1.0
+                                      : static_cast<double>(intersection) /
+                                            static_cast<double>(set_union);
     if (fit > best.fitness) {
       best.fitness = fit;
       best.kign = k;

@@ -74,7 +74,8 @@ RunSpec parse_run_spec(std::istream& in) {
     auto as_double = [&] {
       const auto v = parse_double(value);
       ESSNS_REQUIRE(v.has_value(),
-                    "bad number for config key '" + key + "': " + value);
+                    "bad finite number for config key '" + key + "': " +
+                        value);
       return *v;
     };
 

@@ -73,9 +73,8 @@ EssimResult EssimSystem::run(Rng& rng) {
       state.scenarios.reserve(outcome.solutions.size());
       for (const auto& ind : outcome.solutions)
         state.scenarios.push_back(space.decode(ind.genome));
-      const std::vector<firelib::IgnitionMap> maps =
-          evaluator.simulate_batch(state.scenarios, lines[un - 1], t_now);
-      const Grid<double> probability = aggregate_probability(maps, t_now);
+      const Grid<double> probability =
+          evaluator.burn_probability(state.scenarios, lines[un - 1], t_now);
       state.kign = search_kign(probability, real_now, preburned_now,
                                config_.kign_candidates);
       report.islands.push_back(
@@ -94,10 +93,8 @@ EssimResult EssimSystem::run(Rng& rng) {
 
     // --- Monitor produces the current step prediction (PS), batched over
     // the same worker pool as the OS (see evaluator.hpp). ---
-    const std::vector<firelib::IgnitionMap> forward = evaluator.simulate_batch(
+    const Grid<double> probability_next = evaluator.burn_probability(
         islands[static_cast<std::size_t>(best)].scenarios, lines[un], t_next);
-    const Grid<double> probability_next =
-        aggregate_probability(forward, t_next);
     const auto predicted = apply_kign(probability_next, report.kign);
 
     const auto real_next = firelib::burned_mask(lines[un + 1], t_next);

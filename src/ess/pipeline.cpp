@@ -113,9 +113,9 @@ PipelineResult PredictionPipeline::run(Optimizer& optimizer, Rng& rng) {
     const std::size_t dedup_before = evaluator.batch_dedup_hits();
     std::size_t cache_peak_entries = 0;
     std::size_t cache_peak_bytes = 0;
-    // Sampled after every simulating stage: the step cache is wiped by the
-    // SS/PS context change mid-step, so only a per-stage max sees the OS
-    // working set.
+    // Sampled after every simulating stage: the step cache is wiped by a
+    // map batch's context change (the PS's) mid-step, so only a per-stage
+    // max sees the OS working set.
     const auto sample_cache = [&] {
       cache_peak_entries =
           std::max(cache_peak_entries, evaluator.cache_entries());
@@ -144,17 +144,15 @@ PipelineResult PredictionPipeline::run(Optimizer& optimizer, Rng& rng) {
     if (outcome.solutions.size() > config_.max_solution_maps)
       outcome.solutions.resize(config_.max_solution_maps);
 
-    // --- Statistical Stage (calibration side): maps over [t_{n-1}, t_n],
-    // batched over the shared worker pool. ---
+    // --- Statistical Stage (calibration side): burned cells over
+    // [t_{n-1}, t_n], counted from the OS's own fitness simulations. ---
     obs::SpanTimer ss_timer("pipeline.ss");
     std::vector<firelib::Scenario> scenarios;
     scenarios.reserve(outcome.solutions.size());
     for (const auto& ind : outcome.solutions)
       scenarios.push_back(space.decode(ind.genome));
-    const std::vector<firelib::IgnitionMap> calibration_maps =
-        evaluator.simulate_batch(scenarios, lines[un - 1], t_now);
     const Grid<double> probability_now =
-        aggregate_probability(calibration_maps, t_now);
+        evaluator.burn_probability(scenarios, lines[un - 1], t_now);
     sample_cache();
     const double ss_seconds = ss_timer.stop();
 
@@ -167,11 +165,10 @@ PipelineResult PredictionPipeline::run(Optimizer& optimizer, Rng& rng) {
                     config_.kign_candidates);
     const double cs_seconds = cs_timer.stop();
 
-    // --- Prediction Stage for t_{n+1} using Kign_n (same batch path). ---
+    // --- Prediction Stage for t_{n+1} using Kign_n: a new interval, so
+    // every map is simulated, batched over the shared worker pool. ---
     obs::SpanTimer ps_timer("pipeline.ps");
-    const std::vector<firelib::IgnitionMap> prediction_maps =
-        evaluator.simulate_batch(scenarios, lines[un], t_next);
-    last_probability_ = aggregate_probability(prediction_maps, t_next);
+    last_probability_ = evaluator.burn_probability(scenarios, lines[un], t_next);
     last_prediction_ = apply_kign(last_probability_, kign.kign);
     sample_cache();
     const double ps_seconds = ps_timer.stop();

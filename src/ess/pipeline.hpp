@@ -3,18 +3,20 @@
 // Per prediction step n (n = 1 .. T-1), with fire lines RFL at instants t_i:
 //   OS : search scenarios over [t_{n-1}, t_n]; fitness of a scenario is
 //        Eq. (3) between its simulated map at t_n and RFL_n;
-//   SS : re-simulate the optimizer's solution set over the same interval and
-//        aggregate into the probability-of-ignition matrix;
-//        NOTE: unlike the paper — which scopes parallelism to the OS alone
-//        ("parallelism will only be implemented in the evaluation of the
-//        scenarios", §III-B) — the SS and PS re-simulations here go through
-//        ScenarioEvaluator::simulate_batch and share the OS Master/Worker
-//        pool, so every stage that simulates scales with config.workers;
+//   SS : aggregate the optimizer's solution set over the same interval into
+//        the probability-of-ignition matrix. The OS already simulated every
+//        member over exactly this interval, so ScenarioEvaluator::
+//        burn_probability counts the burned cells its fitness simulations
+//        recorded instead of re-simulating them;
 //   CS : S_Kign — search the threshold that best reproduces RFL_n (this is
 //        where Kign_n is born; Fig. 2 left box);
 //   PS : simulate the solution set forward from RFL_n to t_{n+1}, aggregate,
 //        threshold with Kign_n -> predicted fire line PFL_{n+1} (Fig. 2
-//        right box), scored against RFL_{n+1}.
+//        right box), scored against RFL_{n+1}. NOTE: unlike the paper —
+//        which scopes parallelism to the OS alone ("parallelism will only be
+//        implemented in the evaluation of the scenarios", §III-B) — these
+//        simulations share the OS Master/Worker pool, so every stage that
+//        simulates scales with config.workers.
 //
 // "The prediction cannot start at the first time instant" (§II-A): the first
 // usable prediction is for t_2, produced while calibrating on [t_0, t_1].
@@ -72,7 +74,7 @@ struct StepReport {
   // Per-stage wall-clock breakdown of elapsed_seconds (bench_stages uses
   // these to report per-stage speedup across worker counts).
   double os_seconds = 0.0;  ///< Optimization Stage (search + fitness batches)
-  double ss_seconds = 0.0;  ///< Statistical Stage (batch re-simulation + aggregation)
+  double ss_seconds = 0.0;  ///< Statistical Stage (aggregation of the OS's burned-cell records)
   double cs_seconds = 0.0;  ///< Calibration Stage (S_Kign threshold search)
   double ps_seconds = 0.0;  ///< Prediction Stage (forward batch + threshold)
 
@@ -80,8 +82,8 @@ struct StepReport {
   // Deterministic across worker counts under the step policy; hits are
   // simulations avoided. Evictions/rejections are per-step deltas.
   // entries/bytes are the step's PEAK, sampled at every stage boundary —
-  // under the step policy the SS/PS context change wipes the cache
-  // mid-step, so an end-of-step snapshot would hide the OS working set;
+  // under the step policy a map batch's context change (the PS's) wipes
+  // the cache mid-step, so an end-of-step snapshot would hide the OS working set;
   // under the shared policy they reflect the whole (possibly cross-job)
   // cache as this pipeline saw it.
   std::size_t cache_hits = 0;

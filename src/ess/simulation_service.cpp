@@ -158,6 +158,7 @@ SimulationResult SimulationService::run_one(unsigned worker_id,
             ? jaccard_at_reference(*req.target, simulated, req.end_time,
                                    req.start_time)
             : jaccard_at(*req.target, simulated, req.end_time, req.start_time);
+    result.burned = pack_burned(simulated, req.end_time);
   }
   if (req.keep_map) result.map = simulated;
   result.sim_seconds = sim_timer.stop();
@@ -227,6 +228,7 @@ std::vector<SimulationResult> SimulationService::run_batch_batched(
               ? jaccard_at_reference(*req.target, maps[i], req.end_time,
                                      req.start_time)
               : jaccard_at(*req.target, maps[i], req.end_time, req.start_time);
+      results[i].burned = pack_burned(maps[i], req.end_time);
     }
     if (req.keep_map) results[i].map = std::move(maps[i]);
     results[i].sim_seconds = per_sim_seconds;
@@ -340,7 +342,10 @@ std::vector<SimulationResult> SimulationService::run_batch_step(
     if (slot_of[i] == kFromCache) continue;
     const SimulationRequest& req = requests[i];
     const SimulationResult& sim = simulated[slot_of[i]];
-    if (req.target) results[i].fitness = sim.fitness;
+    if (req.target) {
+      results[i].fitness = sim.fitness;
+      results[i].burned = sim.burned;
+    }
     if (req.keep_map) results[i].map = sim.map;
   }
   for (std::size_t slot = 0; slot < scheduled.size(); ++slot) {
@@ -377,8 +382,9 @@ std::vector<SimulationResult> SimulationService::run_batch_shared(
 
   // Keys carry the *simulation* context (start map, end time) only; the
   // scoring target lives in per-entry fitness records. So unlike kStep a
-  // context change invalidates nothing, and the SS/PS map passes hit the
-  // entries the OS fitness pass just filled for the same interval.
+  // context change invalidates nothing: a PS map pass fills the entries the
+  // next step's OS scores against its new target, and a later job or serve
+  // refresh over the same interval finds both maps and scores.
   if (!env_fingerprint_)
     env_fingerprint_ = cache::environment_fingerprint(*env_);
   const SimulationRequest& first = requests.front();
@@ -450,9 +456,9 @@ std::vector<SimulationResult> SimulationService::run_batch_shared(
     slot_of[i] = scheduled.size();
     scheduled.push_back(req);
     // Always keep the map on a shared-mode miss: a fitness-only request
-    // costs one extra map copy now, but the map is exactly what the same
-    // step's SS/PS pass (or a later target) would otherwise re-simulate.
-    // The byte budget absorbs the footprint.
+    // costs one extra map copy now, but the map is exactly what a later
+    // job's SS pass over the same interval (or a later target) would
+    // otherwise re-simulate. The byte budget absorbs the footprint.
     scheduled.back().keep_map = true;
     scheduled_keys.push_back(key);
     ++cache_misses_;
@@ -467,7 +473,10 @@ std::vector<SimulationResult> SimulationService::run_batch_shared(
     if (slot_of[i] == kFromCache) continue;
     const SimulationRequest& req = requests[i];
     const SimulationResult& sim = simulated[slot_of[i]];
-    if (req.target) results[i].fitness = sim.fitness;
+    if (req.target) {
+      results[i].fitness = sim.fitness;
+      results[i].burned = sim.burned;
+    }
     if (req.keep_map) results[i].map = sim.map;
   }
   for (std::size_t slot = 0; slot < scheduled.size(); ++slot) {
@@ -506,7 +515,7 @@ std::vector<firelib::IgnitionMap> SimulationService::simulate_batch(
   return maps;
 }
 
-std::vector<double> SimulationService::fitness_batch(
+std::vector<SimulationRequest> fitness_requests(
     const std::vector<firelib::Scenario>& scenarios,
     const firelib::IgnitionMap& start, const firelib::IgnitionMap& target,
     double start_time, double end_time) {
@@ -519,7 +528,15 @@ std::vector<double> SimulationService::fitness_batch(
     requests[i].target = &target;
     requests[i].keep_map = false;
   }
-  std::vector<SimulationResult> results = run_batch(requests);
+  return requests;
+}
+
+std::vector<double> SimulationService::fitness_batch(
+    const std::vector<firelib::Scenario>& scenarios,
+    const firelib::IgnitionMap& start, const firelib::IgnitionMap& target,
+    double start_time, double end_time) {
+  const std::vector<SimulationResult> results = run_batch(
+      fitness_requests(scenarios, start, target, start_time, end_time));
   std::vector<double> fitness;
   fitness.reserve(results.size());
   for (const SimulationResult& result : results)

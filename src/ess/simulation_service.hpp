@@ -5,8 +5,9 @@
 // be implemented in the evaluation of the scenarios", §III-B) and leaves the
 // Statistical and Prediction stages serial. This service supersedes that
 // scoping: one persistent Master/Worker pool (Fig. 1/3) serves fitness
-// batches for the OS *and* map batches for the SS/PS, so every stage that
-// simulates scales with the worker count. Each worker owns a
+// batches for the OS *and* map batches for the PS (and for SS solutions no
+// fitness batch recorded), so every stage that simulates scales with the
+// worker count. Each worker owns a
 // firelib::PropagationWorkspace, so steady-state simulations run without
 // per-call allocations regardless of which stage issued them.
 //
@@ -42,6 +43,7 @@
 #include <vector>
 
 #include "cache/scenario_cache.hpp"
+#include "ess/statistical.hpp"
 #include "firelib/batch_sweep.hpp"
 #include "firelib/environment.hpp"
 #include "firelib/propagator.hpp"
@@ -64,9 +66,22 @@ struct SimulationRequest {
   bool keep_map = true;
 };
 
+/// The requests of a fitness batch: each scenario over [start_time,
+/// end_time] from `start`, scored against `target`, map dropped. The pointers
+/// refer into the arguments, which must outlive the requests.
+std::vector<SimulationRequest> fitness_requests(
+    const std::vector<firelib::Scenario>& scenarios,
+    const firelib::IgnitionMap& start, const firelib::IgnitionMap& target,
+    double start_time, double end_time);
+
 struct SimulationResult {
   firelib::IgnitionMap map;  ///< empty when the request had keep_map = false
   double fitness = 0.0;      ///< 0 when the request had no target
+  /// Requests with a target: the cells the simulated map burned by
+  /// end_time, the record the Statistical Stage aggregates instead of
+  /// re-simulating. Empty when no simulation ran for this request in this
+  /// batch (a cache hit).
+  BurnedCells burned;
   /// Wall-clock of the simulation that produced this result (0 for cache
   /// hits); the shared cache weights eviction by it.
   double sim_seconds = 0.0;

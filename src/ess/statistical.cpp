@@ -1,22 +1,51 @@
 #include "ess/statistical.hpp"
 
+#include <algorithm>
+#include <bit>
+
 #include "common/error.hpp"
 
 namespace essns::ess {
+namespace {
 
-Grid<double> aggregate_probability(std::span<const firelib::IgnitionMap> maps,
-                                   double time_min) {
-  ESSNS_REQUIRE(!maps.empty(), "cannot aggregate zero maps");
-  Grid<double> probability(maps.front().rows(), maps.front().cols(), 0.0);
-  for (const auto& map : maps) {
-    ESSNS_REQUIRE(map.rows() == probability.rows() &&
-                      map.cols() == probability.cols(),
-                  "aggregated maps must share dimensions");
-    for (int r = 0; r < map.rows(); ++r)
-      for (int c = 0; c < map.cols(); ++c)
-        if (map(r, c) <= time_min) probability(r, c) += 1.0;
+std::size_t words_for(std::size_t cells) { return (cells + 63) / 64; }
+
+}  // namespace
+
+BurnedCells pack_burned(const firelib::IgnitionMap& map, double time_min) {
+  const std::size_t n = map.size();
+  BurnedCells burned{map.rows(), map.cols(),
+                     std::vector<std::uint64_t>(words_for(n), 0)};
+  const double* times = map.data();
+  for (std::size_t w = 0; w < burned.words.size(); ++w) {
+    const std::size_t base = w * 64;
+    const std::size_t end = std::min<std::size_t>(64, n - base);
+    std::uint64_t word = 0;
+    for (std::size_t j = 0; j < end; ++j)
+      word |= static_cast<std::uint64_t>(times[base + j] <= time_min) << j;
+    burned.words[w] = word;
   }
-  const double inv = 1.0 / static_cast<double>(maps.size());
+  return burned;
+}
+
+Grid<double> aggregate_burned(std::span<const BurnedCells* const> records) {
+  ESSNS_REQUIRE(!records.empty() && records.front(),
+                "cannot aggregate zero maps");
+  Grid<double> probability(records.front()->rows, records.front()->cols, 0.0);
+  const std::size_t words = words_for(probability.size());
+  double* cells = probability.data();
+  for (const BurnedCells* record : records) {
+    ESSNS_REQUIRE(record && record->rows == probability.rows() &&
+                      record->cols == probability.cols() &&
+                      record->words.size() == words,
+                  "aggregated maps must share dimensions");
+    for (std::size_t w = 0; w < words; ++w) {
+      for (std::uint64_t bits = record->words[w]; bits != 0; bits &= bits - 1)
+        cells[w * 64 + static_cast<std::size_t>(std::countr_zero(bits))] +=
+            1.0;
+    }
+  }
+  const double inv = 1.0 / static_cast<double>(records.size());
   for (double& p : probability) p *= inv;
   return probability;
 }

@@ -38,7 +38,7 @@ double require_double(const std::string& key, const std::string& value) {
   const auto v = parse_double(value);
   if (!v)
     throw InvalidArgument("bad value for '" + key + "': " + value +
-                          " (number)");
+                          " (finite number)");
   return *v;
 }
 

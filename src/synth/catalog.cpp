@@ -267,7 +267,8 @@ CatalogSpec parse_catalog_spec(std::istream& in) {
     auto as_double = [&] {
       const auto v = essns::parse_double(value);
       ESSNS_REQUIRE(v.has_value(),
-                    "bad number for catalog key '" + key + "': " + value);
+                    "bad finite number for catalog key '" + key +
+                        "': " + value);
       return *v;
     };
 

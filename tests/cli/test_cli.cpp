@@ -12,6 +12,7 @@
 #include <string>
 #include <sys/wait.h>
 #include <thread>
+#include <utility>
 #include <unistd.h>
 #include <vector>
 
@@ -146,6 +147,31 @@ TEST(CliFlags, ValuedFlagWithoutValueFails) {
   EXPECT_EQ(serve.exit_code, 1);
   EXPECT_NE(serve.err.find("--port expects a value"), std::string::npos)
       << serve.err;
+}
+
+TEST(CliFlags, NonFiniteNumbersAreRejected) {
+  // Single run: the key=value arguments go through parse_run_spec.
+  const RunResult single = run_cli({"fitness_threshold=nan"});
+  EXPECT_EQ(single.exit_code, 1);
+  EXPECT_NE(single.err.find("fitness_threshold"), std::string::npos)
+      << single.err;
+
+  const RunResult campaign = run_cli({"campaign", "fitness_threshold=nan"});
+  EXPECT_EQ(campaign.exit_code, 1);
+  EXPECT_NE(campaign.err.find("fitness_threshold expects a finite number"),
+            std::string::npos)
+      << campaign.err;
+
+  for (const auto& [key, value] :
+       {std::pair{"fitness_threshold", "-inf"}, std::pair{"step_minutes", "inf"},
+        std::pair{"noise", "nan"}}) {
+    const RunResult serve =
+        run_cli({"serve", std::string(key) + "=" + value});
+    EXPECT_EQ(serve.exit_code, 1) << key;
+    EXPECT_NE(serve.err.find(std::string(key) + " expects a finite number"),
+              std::string::npos)
+        << serve.err;
+  }
 }
 
 TEST(CliFlags, HelpCoversEveryMode) {

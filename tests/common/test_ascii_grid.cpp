@@ -89,6 +89,21 @@ TEST(AsciiGridTest, ReadRejectsBareSignDataValue) {
   EXPECT_THROW(read_ascii_grid(buffer), IoError);
 }
 
+TEST(AsciiGridTest, ReadRejectsNonFiniteValues) {
+  for (const char* value : {"nan", "-nan", "inf", "-inf", "Infinity"}) {
+    std::stringstream cell(
+        std::string("ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\n"
+                    "cellsize 1\nNODATA_value -9999\n1 2 ") +
+        value + " 4");
+    EXPECT_THROW(read_ascii_grid(cell), IoError) << value;
+    std::stringstream header(
+        std::string("ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\n"
+                    "cellsize ") +
+        value + "\nNODATA_value -9999\n1 2 3 4");
+    EXPECT_THROW(read_ascii_grid(header), IoError) << value;
+  }
+}
+
 TEST(AsciiGridTest, ReadRejectsTrailingData) {
   std::stringstream buffer(
       "ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 1\n"

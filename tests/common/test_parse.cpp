@@ -66,6 +66,17 @@ TEST(ParseDoubleTest, RejectsJunk) {
   EXPECT_FALSE(parse_double("1.2.3").has_value());
 }
 
+TEST(ParseDoubleTest, RejectsNonFinite) {
+  // std::stod accepts every one of these; a NaN threshold compares false
+  // against everything and silently disables the check it feeds.
+  for (const char* text : {"nan", "NaN", "NAN", "-nan", "+nan", "nan(1)",
+                           "inf", "-inf", "+inf", "INF", "Infinity",
+                           "-infinity", "1e999", "-1e999"})
+    EXPECT_FALSE(parse_double(text).has_value()) << text;
+  EXPECT_EQ(parse_double("1.7976931348623157e308"), 1.7976931348623157e308);
+  EXPECT_EQ(parse_double("-1e-300"), -1e-300);
+}
+
 TEST(ParseUint64Test, ParsesFullRange) {
   EXPECT_EQ(parse_uint64("0"), 0u);
   EXPECT_EQ(parse_uint64("18446744073709551615"),

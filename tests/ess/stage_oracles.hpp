@@ -1,0 +1,58 @@
+// Test oracles for the Statistical and Calibration stages: verbatim copies
+// of the straightforward per-map aggregation and per-candidate S_Kign loop
+// the production kernels replaced. The production code must match them bit
+// for bit.
+#pragma once
+
+#include <span>
+
+#include "common/error.hpp"
+#include "common/grid.hpp"
+#include "ess/calibration.hpp"
+#include "ess/fitness.hpp"
+#include "ess/statistical.hpp"
+#include "firelib/propagator.hpp"
+
+namespace essns::ess::oracle {
+
+/// Probability-of-ignition matrix: fraction of maps in which each cell is
+/// burned by `time_min`. All maps must share dimensions.
+inline Grid<double> aggregate_probability(
+    std::span<const firelib::IgnitionMap> maps, double time_min) {
+  ESSNS_REQUIRE(!maps.empty(), "cannot aggregate zero maps");
+  Grid<double> probability(maps.front().rows(), maps.front().cols(), 0.0);
+  for (const auto& map : maps) {
+    ESSNS_REQUIRE(map.rows() == probability.rows() &&
+                      map.cols() == probability.cols(),
+                  "aggregated maps must share dimensions");
+    for (int r = 0; r < map.rows(); ++r)
+      for (int c = 0; c < map.cols(); ++c)
+        if (map(r, c) <= time_min) probability(r, c) += 1.0;
+  }
+  const double inv = 1.0 / static_cast<double>(maps.size());
+  for (double& p : probability) p *= inv;
+  return probability;
+}
+
+/// S_Kign as one threshold-and-score pass per candidate.
+inline KignSearchResult search_kign(const Grid<double>& probability,
+                                    const Grid<std::uint8_t>& real_burned,
+                                    const Grid<std::uint8_t>& preburned,
+                                    int candidates = 100) {
+  ESSNS_REQUIRE(candidates >= 1, "need at least one threshold candidate");
+  KignSearchResult best;
+  best.fitness = -1.0;
+  for (int i = 1; i <= candidates; ++i) {
+    const double k = static_cast<double>(i) / static_cast<double>(candidates);
+    const Grid<std::uint8_t> predicted = apply_kign(probability, k);
+    const double fit = jaccard(real_burned, predicted, preburned);
+    if (fit > best.fitness) {
+      best.fitness = fit;
+      best.kign = k;
+    }
+    ++best.evaluated;
+  }
+  return best;
+}
+
+}  // namespace essns::ess::oracle

@@ -1,0 +1,400 @@
+// The Statistical Stage counts the burned cells the OS's fitness
+// simulations recorded instead of re-simulating the solution set:
+// ScenarioEvaluator::burn_probability must run no simulation for scenarios
+// the current step evaluated, simulate everything else, and stay bit for bit
+// equal to aggregating freshly simulated maps (stage_oracles.hpp).
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <ostream>
+#include <unordered_set>
+
+#include "ess/evaluator.hpp"
+#include "ess/optimizer.hpp"
+#include "ess/pipeline.hpp"
+#include "stage_oracles.hpp"
+#include "synth/ground_truth.hpp"
+#include "synth/workloads.hpp"
+
+namespace essns::ess {
+namespace {
+
+using cache::CachePolicy;
+using firelib::SweepBackend;
+
+void expect_bitwise_equal(const Grid<double>& got, const Grid<double>& want) {
+  ASSERT_EQ(got.rows(), want.rows());
+  ASSERT_EQ(got.cols(), want.cols());
+  for (std::size_t i = 0; i < want.size(); ++i)
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got.data()[i]),
+              std::bit_cast<std::uint64_t>(want.data()[i]))
+        << "cell " << i;
+}
+
+class BurnProbabilityTest : public ::testing::Test {
+ protected:
+  BurnProbabilityTest() : workload_(synth::make_hills(32)) {
+    Rng rng(5);
+    truth_ = synth::generate_ground_truth(workload_.environment,
+                                          workload_.truth_config, rng);
+  }
+
+  const firelib::IgnitionMap& line(int i) const {
+    return truth_.fire_lines[static_cast<std::size_t>(i)];
+  }
+
+  StepContext step(int n) const {
+    return {&line(n - 1), &line(n), truth_.time_of(n - 1), truth_.time_of(n)};
+  }
+
+  /// The pre-reuse Statistical Stage: simulate every map on an uncached
+  /// service, aggregate the maps.
+  Grid<double> oracle_probability(const std::vector<firelib::Scenario>& set,
+                                  const firelib::IgnitionMap& start,
+                                  double end_time) const {
+    SimulationService service(workload_.environment);
+    service.set_cache_policy(CachePolicy::kOff);
+    return oracle::aggregate_probability(
+        service.simulate_batch(set, start, end_time), end_time);
+  }
+
+  std::vector<firelib::Scenario> sample(int count, Rng& rng) const {
+    const auto& space = firelib::ScenarioSpace::table1();
+    std::vector<firelib::Scenario> set;
+    for (int i = 0; i < count; ++i) set.push_back(space.sample(rng));
+    return set;
+  }
+
+  static std::vector<ea::Genome> encode(
+      const std::vector<firelib::Scenario>& set) {
+    std::vector<ea::Genome> genomes;
+    for (const auto& s : set)
+      genomes.push_back(firelib::ScenarioSpace::table1().encode(s));
+    return genomes;
+  }
+
+  synth::Workload workload_;
+  synth::GroundTruth truth_;
+};
+
+TEST_F(BurnProbabilityTest, MatchesMapOracleWithAllSomeOrNoneRecorded) {
+  Rng rng(17);
+  const std::vector<firelib::Scenario> evaluated = sample(6, rng);
+  const std::vector<firelib::Scenario> fresh = sample(4, rng);
+  // Decoding an encoded scenario is what the OS evaluates; record those.
+  std::vector<firelib::Scenario> recorded;
+  for (const auto& g : encode(evaluated))
+    recorded.push_back(firelib::ScenarioSpace::table1().decode(g));
+  std::vector<firelib::Scenario> some(recorded.begin(), recorded.begin() + 3);
+  some.insert(some.end(), fresh.begin(), fresh.end());
+  some.push_back(recorded.front());  // a duplicate of a recorded member
+
+  for (const CachePolicy policy :
+       {CachePolicy::kOff, CachePolicy::kStep, CachePolicy::kShared}) {
+    SCOPED_TRACE(cache::to_string(policy));
+    ScenarioEvaluator evaluator(workload_.environment);
+    evaluator.set_cache_policy(policy);
+    evaluator.set_step(step(1));
+    evaluator.batch_evaluator()(encode(evaluated));
+    const double t1 = truth_.time_of(1);
+
+    std::size_t before = evaluator.simulations_run();
+    expect_bitwise_equal(evaluator.burn_probability(recorded, line(0), t1),
+                         oracle_probability(recorded, line(0), t1));
+    EXPECT_EQ(evaluator.simulations_run(), before) << "all recorded";
+
+    before = evaluator.simulations_run();
+    expect_bitwise_equal(evaluator.burn_probability(some, line(0), t1),
+                         oracle_probability(some, line(0), t1));
+    EXPECT_EQ(evaluator.simulations_run() - before, fresh.size())
+        << "only the unrecorded scenarios simulate";
+
+    const std::vector<firelib::Scenario> none = sample(5, rng);
+    before = evaluator.simulations_run();
+    expect_bitwise_equal(evaluator.burn_probability(none, line(0), t1),
+                         oracle_probability(none, line(0), t1));
+    EXPECT_EQ(evaluator.simulations_run() - before, none.size());
+  }
+}
+
+TEST_F(BurnProbabilityTest, ForeignStartOrHorizonSimulates) {
+  Rng rng(23);
+  std::vector<firelib::Scenario> set;
+  for (const auto& g : encode(sample(5, rng)))
+    set.push_back(firelib::ScenarioSpace::table1().decode(g));
+  const double t1 = truth_.time_of(1);
+  const firelib::IgnitionMap same_content = line(0);  // another address
+
+  ScenarioEvaluator evaluator(workload_.environment);
+  evaluator.set_cache_policy(CachePolicy::kOff);
+  evaluator.set_step(step(1));
+  evaluator.batch_evaluator()(encode(set));
+
+  std::size_t before = evaluator.simulations_run();
+  expect_bitwise_equal(evaluator.burn_probability(set, same_content, t1),
+                       oracle_probability(set, same_content, t1));
+  EXPECT_EQ(evaluator.simulations_run() - before, set.size())
+      << "a foreign start pointer";
+
+  const double later = t1 + 7.5;
+  before = evaluator.simulations_run();
+  expect_bitwise_equal(evaluator.burn_probability(set, line(0), later),
+                       oracle_probability(set, line(0), later));
+  EXPECT_EQ(evaluator.simulations_run() - before, set.size())
+      << "a different end time";
+
+  // set_step drops the records, even for an identical context.
+  evaluator.set_step(step(1));
+  before = evaluator.simulations_run();
+  expect_bitwise_equal(evaluator.burn_probability(set, line(0), t1),
+                       oracle_probability(set, line(0), t1));
+  EXPECT_EQ(evaluator.simulations_run() - before, set.size())
+      << "records of a previous set_step";
+}
+
+TEST_F(BurnProbabilityTest, FitnessBatchesReturnBurnedCellsOfSimulatedRequests) {
+  // Every path that simulates a fitness request hands back its burned
+  // cells: the scalar and batched sweeps, the step and shared cache paths,
+  // and in-batch duplicates served by one scheduled simulation. Requests a
+  // cache served without simulating carry none.
+  Rng rng(41);
+  std::vector<firelib::Scenario> batch = sample(5, rng);
+  batch.push_back(batch[1]);
+  batch.push_back(batch[3]);
+  const double t1 = truth_.time_of(1);
+  SimulationService oracle_service(workload_.environment);
+  oracle_service.set_cache_policy(CachePolicy::kOff);
+  const std::vector<firelib::IgnitionMap> maps =
+      oracle_service.simulate_batch(batch, line(0), t1);
+
+  for (const CachePolicy policy :
+       {CachePolicy::kOff, CachePolicy::kStep, CachePolicy::kShared}) {
+    for (const SweepBackend backend :
+         {SweepBackend::kScalar, SweepBackend::kBatched}) {
+      for (const unsigned workers : {1u, 4u}) {
+        SCOPED_TRACE(testing::Message()
+                     << cache::to_string(policy) << " "
+                     << firelib::to_string(backend) << " w" << workers);
+        SimulationService service(workload_.environment, workers);
+        service.set_cache_policy(policy);
+        service.set_backend(backend);
+        const std::vector<SimulationRequest> requests =
+            fitness_requests(batch, line(0), line(1), 0.0, t1);
+        std::vector<SimulationResult> results = service.run_batch(requests);
+        ASSERT_EQ(results.size(), batch.size());
+        for (std::size_t i = 0; i < batch.size(); ++i)
+          EXPECT_EQ(results[i].burned, pack_burned(maps[i], t1)) << i;
+
+        results = service.run_batch(requests);
+        ASSERT_EQ(results.size(), batch.size());
+        for (std::size_t i = 0; i < batch.size(); ++i) {
+          if (policy == CachePolicy::kOff)
+            EXPECT_EQ(results[i].burned, pack_burned(maps[i], t1)) << i;
+          else
+            EXPECT_TRUE(results[i].burned.empty()) << "cache hit " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST_F(BurnProbabilityTest, RecordsStopAtTheBackstopAndTheRestSimulate) {
+  Rng rng(43);
+  std::vector<firelib::Scenario> set;
+  for (const auto& g : encode(sample(9, rng)))
+    set.push_back(firelib::ScenarioSpace::table1().decode(g));
+  const double t1 = truth_.time_of(1);
+
+  ScenarioEvaluator evaluator(workload_.environment);
+  evaluator.set_cache_policy(CachePolicy::kOff);
+  evaluator.set_burned_memo_capacity(4);
+  evaluator.set_step(step(1));
+  const std::vector<ea::Genome> genomes = encode(set);
+  evaluator.batch_evaluator()({genomes.begin(), genomes.begin() + 3});
+  evaluator.batch_evaluator()({genomes.begin() + 3, genomes.end()});
+
+  // The first four evaluated scenarios keep their records; the other five
+  // were evaluated past the backstop and simulate again.
+  const std::size_t before = evaluator.simulations_run();
+  expect_bitwise_equal(evaluator.burn_probability(set, line(0), t1),
+                       oracle_probability(set, line(0), t1));
+  EXPECT_EQ(evaluator.simulations_run() - before, set.size() - 4);
+}
+
+TEST_F(BurnProbabilityTest, EmptySetThrows) {
+  ScenarioEvaluator evaluator(workload_.environment);
+  evaluator.set_step(step(1));
+  EXPECT_THROW(evaluator.burn_probability({}, line(0), truth_.time_of(1)),
+               InvalidArgument);
+}
+
+struct ReuseCase {
+  const char* name;
+  CachePolicy policy;
+  unsigned workers;
+  SweepBackend backend;
+};
+
+// gtest prints the parameter into the test name ctest registers.
+void PrintTo(const ReuseCase& c, std::ostream* os) { *os << c.name; }
+
+class StatisticalStageReuse : public BurnProbabilityTest,
+                              public ::testing::WithParamInterface<ReuseCase> {
+};
+
+TEST_P(StatisticalStageReuse, RunsNoSimulationsForTheStepsOwnSolutions) {
+  const ReuseCase& c = GetParam();
+  ScenarioEvaluator evaluator(workload_.environment, c.workers);
+  evaluator.set_cache_policy(c.policy);
+  evaluator.set_backend(c.backend);
+  const auto& space = firelib::ScenarioSpace::table1();
+  core::NsGaConfig ns;
+  ns.population_size = 8;
+  ns.offspring_count = 8;
+  Rng rng(31);
+
+  // Two pipeline steps, stage by stage as PredictionPipeline runs them.
+  for (int n = 1; n <= 2; ++n) {
+    SCOPED_TRACE(n);
+    evaluator.set_step(step(n));
+    std::unordered_set<cache::ScenarioKey, cache::ScenarioKeyHash> evaluated;
+    auto inner = evaluator.batch_evaluator();
+    const ea::BatchEvaluator batch =
+        [&](const std::vector<ea::Genome>& genomes) {
+          for (const auto& g : genomes)
+            evaluated.insert(cache::make_scenario_key(space.decode(g)));
+          return inner(genomes);
+        };
+    NsGaOptimizer optimizer(ns);
+    const OptimizationOutcome outcome =
+        optimizer.optimize(firelib::kParamCount, batch, {4, 0.95}, rng);
+    std::vector<firelib::Scenario> solutions;
+    for (const auto& ind : outcome.solutions) {
+      solutions.push_back(space.decode(ind.genome));
+      ASSERT_TRUE(evaluated.count(cache::make_scenario_key(solutions.back())))
+          << "every solution was evaluated in this step";
+    }
+    ASSERT_FALSE(solutions.empty());
+
+    const double t_now = truth_.time_of(n);
+    const std::size_t before = evaluator.simulations_run();
+    const Grid<double> probability =
+        evaluator.burn_probability(solutions, line(n - 1), t_now);
+    EXPECT_EQ(evaluator.simulations_run(), before);
+    expect_bitwise_equal(probability,
+                         oracle_probability(solutions, line(n - 1), t_now));
+
+    // The PS's forward interval has no records; it still matches.
+    const double t_next = truth_.time_of(n + 1);
+    expect_bitwise_equal(evaluator.burn_probability(solutions, line(n), t_next),
+                         oracle_probability(solutions, line(n), t_next));
+  }
+}
+
+// Stage-by-stage replica of the pre-reuse pipeline: the same OS, then the
+// Statistical Stage over re-simulated maps and the per-candidate S_Kign.
+std::vector<StepReport> replica_pipeline(const firelib::FireEnvironment& env,
+                                         const synth::GroundTruth& truth,
+                                         const core::NsGaConfig& ns,
+                                         const ea::StopCondition& stop,
+                                         std::uint64_t seed) {
+  ScenarioEvaluator evaluator(env);
+  evaluator.set_cache_policy(CachePolicy::kOff);
+  SimulationService maps(env);
+  maps.set_cache_policy(CachePolicy::kOff);
+  NsGaOptimizer optimizer(ns);
+  Rng rng(seed);
+  const auto& space = firelib::ScenarioSpace::table1();
+  const auto& lines = truth.fire_lines;
+  std::vector<StepReport> reports;
+  for (int n = 1; n + 1 <= truth.steps(); ++n) {
+    const auto un = static_cast<std::size_t>(n);
+    const double t_prev = truth.time_of(n - 1);
+    const double t_now = truth.time_of(n);
+    const double t_next = truth.time_of(n + 1);
+    evaluator.set_step({&lines[un - 1], &lines[un], t_prev, t_now});
+    OptimizationOutcome outcome = optimizer.optimize(
+        firelib::kParamCount, evaluator.batch_evaluator(), stop, rng);
+    std::sort(outcome.solutions.begin(), outcome.solutions.end(),
+              [](const auto& a, const auto& b) { return a.fitness > b.fitness; });
+    std::vector<firelib::Scenario> scenarios;
+    for (const auto& ind : outcome.solutions)
+      scenarios.push_back(space.decode(ind.genome));
+    const KignSearchResult kign = oracle::search_kign(
+        oracle::aggregate_probability(
+            maps.simulate_batch(scenarios, lines[un - 1], t_now), t_now),
+        firelib::burned_mask(lines[un], t_now),
+        firelib::burned_mask(lines[un - 1], t_prev), 100);
+    const Grid<double> next = oracle::aggregate_probability(
+        maps.simulate_batch(scenarios, lines[un], t_next), t_next);
+    StepReport report;
+    report.kign = kign.kign;
+    report.calibration_fitness = kign.fitness;
+    report.prediction_quality =
+        jaccard(firelib::burned_mask(lines[un + 1], t_next),
+                apply_kign(next, kign.kign),
+                firelib::burned_mask(lines[un], t_now));
+    reports.push_back(report);
+  }
+  return reports;
+}
+
+TEST_P(StatisticalStageReuse, PipelineMatchesPreReuseStages) {
+  const ReuseCase& c = GetParam();
+  core::NsGaConfig ns;
+  ns.population_size = 8;
+  ns.offspring_count = 8;
+  PipelineConfig config;
+  config.stop = {4, 0.95};
+  config.cache_policy = c.policy;
+  config.workers = c.workers;
+  config.backend = c.backend;
+  PredictionPipeline pipeline(workload_.environment, truth_, config);
+  NsGaOptimizer optimizer(ns);
+  Rng rng(37);
+  const PipelineResult result = pipeline.run(optimizer, rng);
+
+  const std::vector<StepReport> want = replica_pipeline(
+      workload_.environment, truth_, ns, config.stop, 37);
+  ASSERT_EQ(result.steps.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(result.steps[i].kign),
+              std::bit_cast<std::uint64_t>(want[i].kign));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(result.steps[i].calibration_fitness),
+              std::bit_cast<std::uint64_t>(want[i].calibration_fitness));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(result.steps[i].prediction_quality),
+              std::bit_cast<std::uint64_t>(want[i].prediction_quality));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PoliciesWorkersBackends, StatisticalStageReuse,
+    ::testing::Values(
+        ReuseCase{"off_w1_scalar", CachePolicy::kOff, 1, SweepBackend::kScalar},
+        ReuseCase{"off_w4_scalar", CachePolicy::kOff, 4, SweepBackend::kScalar},
+        ReuseCase{"off_w1_batched", CachePolicy::kOff, 1,
+                  SweepBackend::kBatched},
+        ReuseCase{"off_w4_batched", CachePolicy::kOff, 4,
+                  SweepBackend::kBatched},
+        ReuseCase{"step_w1_scalar", CachePolicy::kStep, 1,
+                  SweepBackend::kScalar},
+        ReuseCase{"step_w4_scalar", CachePolicy::kStep, 4,
+                  SweepBackend::kScalar},
+        ReuseCase{"step_w1_batched", CachePolicy::kStep, 1,
+                  SweepBackend::kBatched},
+        ReuseCase{"step_w4_batched", CachePolicy::kStep, 4,
+                  SweepBackend::kBatched},
+        ReuseCase{"shared_w1_scalar", CachePolicy::kShared, 1,
+                  SweepBackend::kScalar},
+        ReuseCase{"shared_w4_scalar", CachePolicy::kShared, 4,
+                  SweepBackend::kScalar},
+        ReuseCase{"shared_w1_batched", CachePolicy::kShared, 1,
+                  SweepBackend::kBatched},
+        ReuseCase{"shared_w4_batched", CachePolicy::kShared, 4,
+                  SweepBackend::kBatched}));
+
+}  // namespace
+}  // namespace essns::ess

@@ -103,6 +103,17 @@ TEST(RunSpecTest, RejectsStrtolLeniencies) {
             12);
 }
 
+TEST(RunSpecTest, RejectsNonFiniteNumbers) {
+  for (const char* value : {"nan", "-nan", "inf", "-inf", "Infinity"}) {
+    EXPECT_THROW(parse_run_spec(std::string("fitness_threshold=") + value),
+                 InvalidArgument)
+        << value;
+    EXPECT_THROW(parse_run_spec(std::string("seed=") + value),
+                 InvalidArgument)
+        << value;
+  }
+}
+
 TEST(RunSpecTest, KnownMethodsListMatchesFactory) {
   for (const auto& method : RunSpec::known_methods()) {
     RunSpec spec;

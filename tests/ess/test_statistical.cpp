@@ -2,13 +2,32 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <span>
+#include <utility>
+#include <vector>
+
 #include "common/error.hpp"
+#include "stage_oracles.hpp"
 
 namespace essns::ess {
 namespace {
 
 using firelib::IgnitionMap;
 using firelib::kNeverIgnited;
+
+// The Statistical Stage's path: pack each map's burned cells, aggregate the
+// records.
+Grid<double> aggregate_probability(std::span<const IgnitionMap> maps,
+                                   double time_min) {
+  std::vector<BurnedCells> packed;
+  for (const IgnitionMap& map : maps)
+    packed.push_back(pack_burned(map, time_min));
+  std::vector<const BurnedCells*> records;
+  for (const BurnedCells& cells : packed) records.push_back(&cells);
+  return aggregate_burned(records);
+}
 
 TEST(AggregateTest, SingleMapGivesBinaryProbabilities) {
   IgnitionMap map(2, 2, kNeverIgnited);
@@ -54,6 +73,56 @@ TEST(AggregateTest, MismatchedDimensionsThrow) {
   maps.emplace_back(2, 2, kNeverIgnited);
   maps.emplace_back(2, 3, kNeverIgnited);
   EXPECT_THROW(aggregate_probability(maps, 10.0), InvalidArgument);
+}
+
+TEST(AggregateTest, RecordOfAnotherShapeThrows) {
+  // 100 and 121 cells both pack into two words; the shape still differs.
+  const BurnedCells small = pack_burned(IgnitionMap(10, 10, 0.0), 1.0);
+  const BurnedCells large = pack_burned(IgnitionMap(11, 11, 0.0), 1.0);
+  using Records = std::vector<const BurnedCells*>;
+  EXPECT_THROW(aggregate_burned(Records{&small, &large}), InvalidArgument);
+  BurnedCells truncated = small;
+  truncated.words.pop_back();
+  EXPECT_THROW(aggregate_burned(Records{&small, &truncated}), InvalidArgument);
+}
+
+TEST(AggregateTest, PackedBitsFollowRowMajorCells) {
+  IgnitionMap map(3, 30, kNeverIgnited);  // 90 cells: two words
+  map(0, 0) = 1.0;
+  map(2, 3) = 10.0;                       // cell 63: top bit of word 0
+  map(2, 4) = 10.0;                       // cell 64: bit 0 of word 1
+  map(2, 29) = 10.5;                      // after the horizon
+  const BurnedCells burned = pack_burned(map, 10.0);
+  EXPECT_EQ(burned.rows, 3);
+  EXPECT_EQ(burned.cols, 30);
+  ASSERT_EQ(burned.words.size(), 2u);
+  EXPECT_EQ(burned.words[0], (std::uint64_t{1} << 63) | 1u);
+  EXPECT_EQ(burned.words[1], 1u);
+}
+
+TEST(AggregateTest, PackedRecordsMatchMapOracleBitwise) {
+  Rng rng(11);
+  for (const auto& [rows, cols] : {std::pair{1, 1}, std::pair{7, 9},
+                                  std::pair{8, 8}, std::pair{64, 64},
+                                  std::pair{96, 96}}) {
+    for (const int count : {1, 3, 64}) {
+      std::vector<IgnitionMap> maps;
+      for (int m = 0; m < count; ++m) {
+        IgnitionMap map(rows, cols, kNeverIgnited);
+        for (auto& t : map)
+          if (rng.bernoulli(0.5)) t = rng.uniform(0.0, 100.0);
+        maps.push_back(std::move(map));
+      }
+      const Grid<double> want = oracle::aggregate_probability(maps, 50.0);
+      const Grid<double> got = aggregate_probability(maps, 50.0);
+      ASSERT_EQ(got.rows(), want.rows());
+      ASSERT_EQ(got.cols(), want.cols());
+      for (std::size_t i = 0; i < want.size(); ++i)
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got.data()[i]),
+                  std::bit_cast<std::uint64_t>(want.data()[i]))
+            << rows << "x" << cols << " maps=" << count << " cell " << i;
+    }
+  }
 }
 
 TEST(AggregateMasksTest, MatchesMapAggregation) {

@@ -77,6 +77,19 @@ TEST(ServeProtocol, RejectsMalformedRequests) {
   EXPECT_THROW(parse_request("predict id="), InvalidArgument);
 }
 
+TEST(ServeProtocol, RejectsNonFiniteNumbers) {
+  // fitness_threshold=nan used to be accepted and switched off early
+  // stopping; every real-valued key is finite-only.
+  for (const char* key : {"fitness_threshold", "step_minutes", "noise"})
+    for (const char* value : {"nan", "-nan", "inf", "-inf", "infinity"}) {
+      const std::string line =
+          std::string("predict id=f1 ") + key + "=" + value;
+      EXPECT_THROW(parse_request(line), InvalidArgument) << line;
+    }
+  EXPECT_THROW(parse_request("repredict id=f1 fitness_threshold=nan"),
+               InvalidArgument);
+}
+
 TEST(ServeProtocol, ErrorsNameTheOffendingToken) {
   try {
     parse_request("predict id=f1 generations=zero");

@@ -173,6 +173,14 @@ TEST(Catalog, ParseRoundTrip) {
   EXPECT_EQ(generate_catalog(spec).size(), 5u);
 }
 
+TEST(Catalog, ParseRejectsNonFiniteNumbers) {
+  for (const char* key : {"step_minutes", "noise"})
+    for (const char* value : {"nan", "inf", "-inf", "-nan"}) {
+      const std::string text = std::string(key) + "=" + value;
+      EXPECT_THROW(parse_catalog_spec(text), InvalidArgument) << text;
+    }
+}
+
 TEST(Catalog, ParseRejectsBadInput) {
   EXPECT_THROW(parse_catalog_spec("bogus_key=1"), InvalidArgument);
   EXPECT_THROW(parse_catalog_spec("terrains=mars"), InvalidArgument);
