@@ -209,9 +209,9 @@ int main(int argc, char** argv) {
   {
     ess::SimulationService fast_service(workload.environment, 1);
     ess::SimulationService nocache_service(workload.environment, 1);
-    nocache_service.set_cache_enabled(false);
+    nocache_service.set_cache_policy(cache::CachePolicy::kOff);
     ess::SimulationService reference_service(workload.environment, 1);
-    reference_service.set_cache_enabled(false);
+    reference_service.set_cache_policy(cache::CachePolicy::kOff);
     reference_service.set_reference_kernels(true);
     reference_service.set_sweep_queue(firelib::SweepQueue::kHeap);
 

@@ -22,7 +22,6 @@
 #include "service/campaign.hpp"
 #include "service/report.hpp"
 #include "service/signals.hpp"
-#include "shard/runner.hpp"
 #include "synth/catalog.hpp"
 
 namespace {
@@ -54,7 +53,7 @@ void print_help() {
       "                   every policy:\n"
       "                     off     no memoization\n"
       "                     step    per-step cache, wiped every prediction\n"
-      "                             step (default; legacy spelling: on)\n"
+      "                             step (default)\n"
       "                     shared  one byte-bounded cache kept across steps\n"
       "                             and shared by all concurrent jobs\n"
       "    --cache-mem M  shared-cache byte budget in MiB (default 256;\n"
@@ -96,16 +95,6 @@ void print_help() {
       "                   (requires --cache shared) for a later warm start\n"
       "    --catalog F    read a catalog spec (key=value file) instead of\n"
       "                   the built-in default catalog (8 workloads)\n"
-      "    --shards N     fan the catalog out over N worker PROCESSES\n"
-      "                   (round-robin by job index) and merge their frame\n"
-      "                   streams; merged jsonl/csv/summary are\n"
-      "                   byte-identical to the unsharded run at the same\n"
-      "                   seeds (with timings=zero, cache off|step). --jobs\n"
-      "                   stays the campaign-wide concurrency (each worker\n"
-      "                   runs ceil(jobs/shards) slots); a crashed worker\n"
-      "                   only fails its unreported jobs. --trace writes one\n"
-      "                   <file>.shard<k> per worker; --metrics-out writes\n"
-      "                   one merged rollup\n"
       "  campaign keys: method seed generations fitness_threshold population\n"
       "                 offspring novelty_k islands jsonl csv summary\n"
       "                 timings\n"
@@ -242,7 +231,6 @@ int run_campaign(int argc, char** argv) {
   std::string csv_path = "none";
   std::string summary_path = "campaign_summary.json";
   service::ReportOptions report_options;
-  unsigned shards = 0;  // 0 = in-process (unsharded) campaign
   std::string cache_load_path;
   std::string cache_save_path;
 
@@ -256,7 +244,7 @@ int run_campaign(int argc, char** argv) {
         arg == "--cache-mem" || arg == "--cache-load" ||
         arg == "--cache-save" || arg == "--simd" || arg == "--numa" ||
         arg == "--backend" || arg == "--trace" || arg == "--metrics-out" ||
-        arg == "--catalog" || arg == "--shards") {
+        arg == "--catalog") {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "%s expects a value\n", arg.c_str());
         return 1;
@@ -289,9 +277,6 @@ int run_campaign(int argc, char** argv) {
         config.trace_out = std::strcmp(value, "none") == 0 ? "" : value;
       } else if (arg == "--metrics-out") {
         config.metrics_out = std::strcmp(value, "none") == 0 ? "" : value;
-      } else if (arg == "--shards") {
-        shards =
-            static_cast<unsigned>(require_positive_int("--shards", value));
       } else {
         std::ifstream file(value);
         if (!file) {
@@ -358,19 +343,12 @@ int run_campaign(int argc, char** argv) {
     }
   }
 
-  if (!cache_load_path.empty() || !cache_save_path.empty()) {
-    if (config.cache_policy != cache::CachePolicy::kShared) {
-      std::fprintf(stderr,
-                   "--cache-load/--cache-save need --cache shared (the "
-                   "snapshot is the shared cache)\n");
-      return 1;
-    }
-    if (shards > 0) {
-      std::fprintf(stderr,
-                   "--cache-load/--cache-save are incompatible with --shards "
-                   "(worker processes do not share one cache)\n");
-      return 1;
-    }
+  if ((!cache_load_path.empty() || !cache_save_path.empty()) &&
+      config.cache_policy != cache::CachePolicy::kShared) {
+    std::fprintf(stderr,
+                 "--cache-load/--cache-save need --cache shared (the "
+                 "snapshot is the shared cache)\n");
+    return 1;
   }
 
   // Drain instead of die on SIGINT/SIGTERM: in-flight jobs finish, queued
@@ -378,20 +356,13 @@ int run_campaign(int argc, char** argv) {
   service::ScopedSignalDrain drain_on_signal;
 
   try {
-    const std::string catalog_text = catalog_file_text + catalog_inline_text;
-    const synth::CatalogSpec spec = synth::parse_catalog_spec(catalog_text);
+    const synth::CatalogSpec spec =
+        synth::parse_catalog_spec(catalog_file_text + catalog_inline_text);
     const std::vector<synth::Workload> workloads =
         synth::generate_catalog(spec);
-    if (shards > 0)
-      std::printf(
-          "campaign: %zu workloads, %u shard processes, %u concurrent jobs, "
-          "%u workers\n",
-          workloads.size(), shards, config.job_concurrency,
-          config.total_workers);
-    else
-      std::printf("campaign: %zu workloads, %u concurrent jobs, %u workers\n",
-                  workloads.size(), config.job_concurrency,
-                  config.total_workers);
+    std::printf("campaign: %zu workloads, %u concurrent jobs, %u workers\n",
+                workloads.size(), config.job_concurrency,
+                config.total_workers);
 
     const std::size_t total = workloads.size();
     config.on_job_done = [total](const service::JobRecord& job) {
@@ -419,41 +390,10 @@ int run_campaign(int argc, char** argv) {
       config.shared_cache = persistent_cache;
     }
 
-    service::CampaignResult result;
-    std::vector<shard::ShardReport> shard_reports;
-    if (shards > 0) {
-      shard::ShardedCampaignOptions sharded_options;
-      sharded_options.shards = shards;
-      sharded_options.config = config;
-      sharded_options.catalog_text = catalog_text;
-      shard::ShardedCampaignResult sharded =
-          shard::run_sharded_campaign(sharded_options);
-      result = std::move(sharded.campaign);
-      shard_reports = std::move(sharded.shards);
-    } else {
-      service::CampaignScheduler scheduler(config);
-      result = scheduler.run(workloads);
-    }
+    service::CampaignScheduler scheduler(config);
+    const service::CampaignResult result = scheduler.run(workloads);
 
     std::printf("\n");
-    if (!shard_reports.empty()) {
-      TextTable shard_table("shards (" + std::to_string(shards) +
-                            " worker processes)");
-      shard_table.set_header({"shard", "jobs", "recv", "conc", "wall[s]",
-                              "busy[s]", "util%", "status"});
-      for (const auto& report : shard_reports) {
-        shard_table.add_row(
-            {std::to_string(report.shard_index),
-             std::to_string(report.jobs_assigned),
-             std::to_string(report.jobs_received),
-             std::to_string(report.job_concurrency),
-             TextTable::num(report.wall_seconds, 2),
-             TextTable::num(report.busy_seconds, 2),
-             TextTable::num(100.0 * report.utilization(), 1),
-             report.clean ? "clean" : report.error});
-      }
-      shard_table.print();
-    }
     service::campaign_summary_table(result).print();
     std::printf(
         "%zu/%zu jobs succeeded in %.2fs wall (%.3f jobs/sec, mean quality "
@@ -473,8 +413,7 @@ int run_campaign(int argc, char** argv) {
       std::printf("wrote %s\n", csv_path.c_str());
     }
     if (!config.trace_out.empty())
-      std::printf("wrote %s%s\n", config.trace_out.c_str(),
-                  shards > 0 ? ".shard<k> (one per shard)" : "");
+      std::printf("wrote %s\n", config.trace_out.c_str());
     if (!config.metrics_out.empty())
       std::printf("wrote %s\n", config.metrics_out.c_str());
     if (summary_path != "none") {
@@ -768,7 +707,8 @@ int run_single(int argc, char** argv) {
   TextTable table(result.optimizer_name + " on " + spec.workload);
   table.set_header({"predicted", "Kign", "calibration", "quality"});
   for (const auto& step : result.steps) {
-    table.add_row({"t" + std::to_string(step.step), TextTable::num(step.kign, 2),
+    table.add_row({std::string("t").append(std::to_string(step.step)),
+                   TextTable::num(step.kign, 2),
                    TextTable::num(step.calibration_fitness),
                    TextTable::num(step.prediction_quality)});
   }
@@ -784,11 +724,6 @@ int run_single(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Hidden re-invocation mode: `campaign --shards N` fork/execs this same
-  // binary once per shard; the worker talks wire frames on stdin/stdout and
-  // never reaches the normal CLI paths.
-  if (argc > 1 && std::strcmp(argv[1], "--shard-worker") == 0)
-    return essns::shard::shard_worker_main();
   if (argc > 1 && std::strcmp(argv[1], "--help") == 0) {
     print_help();
     return 0;

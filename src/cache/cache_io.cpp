@@ -10,9 +10,8 @@
 namespace essns::cache {
 namespace {
 
-// Dimension cap for decoded maps, matching the shard wire decoder: far
-// beyond any catalog, and cells are re-checked against the remaining
-// payload before the slab is allocated.
+// Dimension cap for decoded maps: far beyond any catalog, and cells are
+// re-checked against the remaining payload before the slab is allocated.
 constexpr std::int32_t kMaxGridDim = 1 << 20;
 
 void encode_entry(BinaryWriter& out, const ExportedEntry& entry) {

@@ -3,8 +3,7 @@
 // differently-budgeted) cache on the next start — the `--cache-save` /
 // `--cache-load` seam that lets a prediction server restart warm.
 //
-// Format (little-endian, common/binary_io.hpp; framing mirrors
-// src/shard/wire.hpp):
+// Format (little-endian, common/binary_io.hpp):
 //
 //   u32 magic      kCacheFileMagic ("CSSE")
 //   u32 version    kCacheFileVersion; any other value is rejected

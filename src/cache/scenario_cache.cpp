@@ -40,9 +40,8 @@ const char* to_string(CachePolicy policy) {
 }
 
 std::optional<CachePolicy> parse_cache_policy(const std::string& text) {
-  if (text == "off" || text == "false" || text == "0") return CachePolicy::kOff;
-  if (text == "step" || text == "on" || text == "true" || text == "1")
-    return CachePolicy::kStep;
+  if (text == "off") return CachePolicy::kOff;
+  if (text == "step") return CachePolicy::kStep;
   if (text == "shared") return CachePolicy::kShared;
   return std::nullopt;
 }

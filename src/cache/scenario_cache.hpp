@@ -53,9 +53,7 @@ enum class CachePolicy { kOff, kStep, kShared };
 
 const char* to_string(CachePolicy policy);
 
-/// Parse "off" | "step" | "shared" (plus the legacy on/true/1 -> kStep and
-/// false/0 -> kOff spellings of the old boolean knob). Empty optional on
-/// anything else.
+/// Parse "off" | "step" | "shared"; empty optional on anything else.
 std::optional<CachePolicy> parse_cache_policy(const std::string& text);
 
 /// Default byte budget of a SharedScenarioCache (256 MiB).

@@ -1,5 +1,5 @@
-// Little-endian binary serialization primitives for the shard wire format
-// (src/shard/wire.hpp) and any future on-disk/off-host encoding.
+// Little-endian binary serialization primitives for the cache snapshot
+// format (src/cache/cache_io.hpp) and any future on-disk encoding.
 //
 // Two rules make the format safe to feed untrusted bytes:
 //   1. every read is bounds-checked against the buffer and throws WireError
@@ -33,7 +33,7 @@ class WireError : public Error {
 };
 
 /// CRC-32 (IEEE 802.3, polynomial 0xEDB88320), the checksum trailing every
-/// wire frame. Table-driven; the table is built at compile time.
+/// cache snapshot frame. Table-driven; the table is built at compile time.
 class Crc32 {
  public:
   static std::uint32_t of(const std::uint8_t* data, std::size_t size) {

@@ -13,8 +13,7 @@
 //   workers    OS worker threads                  (1)
 //   novelty_k  Eq. (1) neighbourhood              (10)
 //   islands    for the essim methods              (3)
-//   cache      off | step | shared — scenario memoization policy (step;
-//              legacy on/off spellings still parse as step/off)
+//   cache      off | step | shared — scenario memoization policy (step)
 //   cache_mem  shared-cache byte budget, MiB      (256)
 //   simd       auto | avx2 | scalar — relax-kernel selection (auto)
 //   numa       off | auto | on — NUMA-aware worker placement (auto)

@@ -43,11 +43,6 @@ void SimulationService::set_cache_policy(cache::CachePolicy policy) {
   clear_step_cache();
 }
 
-void SimulationService::set_cache_enabled(bool enabled) {
-  set_cache_policy(enabled ? cache::CachePolicy::kStep
-                           : cache::CachePolicy::kOff);
-}
-
 void SimulationService::set_shared_cache(
     std::shared_ptr<cache::SharedScenarioCache> cache) {
   shared_cache_ = std::move(cache);

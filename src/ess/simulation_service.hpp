@@ -107,13 +107,6 @@ class SimulationService {
   void set_cache_policy(cache::CachePolicy policy);
   cache::CachePolicy cache_policy() const { return cache_policy_; }
 
-  /// Legacy boolean knob: on -> kStep (the historical behavior), off ->
-  /// kOff. Prefer set_cache_policy.
-  void set_cache_enabled(bool enabled);
-  bool cache_enabled() const {
-    return cache_policy_ != cache::CachePolicy::kOff;
-  }
-
   /// The cross-step / cross-job cache used when the policy is kShared. A
   /// campaign installs one cache into every job's service; when none is
   /// installed the service lazily creates a private one sized

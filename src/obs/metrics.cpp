@@ -158,29 +158,6 @@ double HistogramSnapshot::quantile(double q) const {
   return Histogram::bucket_lower_bound(Histogram::kBucketCount - 1);
 }
 
-void HistogramSnapshot::merge(const HistogramSnapshot& other) {
-  if (other.count == 0) return;
-  if (count == 0) {
-    min = other.min;
-    max = other.max;
-  } else {
-    min = std::min(min, other.min);
-    max = std::max(max, other.max);
-  }
-  count += other.count;
-  sum += other.sum;
-  if (buckets.size() < other.buckets.size())
-    buckets.resize(other.buckets.size(), 0);
-  for (std::size_t i = 0; i < other.buckets.size(); ++i)
-    buckets[i] += other.buckets[i];
-}
-
-void MetricsSnapshot::merge(const MetricsSnapshot& other) {
-  for (const auto& [name, value] : other.counters) counters[name] += value;
-  for (const auto& [name, histogram] : other.histograms)
-    histograms[name].merge(histogram);
-}
-
 std::string MetricsSnapshot::json() const {
   std::string out = "{\n  \"counters\": {";
   bool first = true;
@@ -221,13 +198,6 @@ std::string MetricsSnapshot::json() const {
   }
   out += first ? "}\n}\n" : "\n  }\n}\n";
   return out;
-}
-
-void MetricsSnapshot::write_json(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) throw IoError("cannot write metrics file " + path);
-  out << json();
-  if (!out) throw IoError("failed writing metrics file " + path);
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {

@@ -135,11 +135,7 @@ class Histogram {
 };
 
 /// Plain-data copy of one histogram's state: bucket counts plus the exact
-/// aggregates. Snapshots are what crosses process boundaries — a shard
-/// worker scrapes its registry into a snapshot, ships it over the wire, and
-/// the campaign parent merges the shards into one rollup (bucket-wise adds
-/// are lossless, so the merged p50/p90/p99 are exactly what one process-wide
-/// histogram would have reported).
+/// aggregates.
 struct HistogramSnapshot {
   std::uint64_t count = 0;
   double sum = 0.0;
@@ -151,22 +147,15 @@ struct HistogramSnapshot {
 
   /// Same contract as Histogram::quantile, over the snapshotted buckets.
   double quantile(double q) const;
-  void merge(const HistogramSnapshot& other);
 };
 
-/// Point-in-time copy of a whole registry, mergeable across processes and
-/// serializable (shard::encode_metrics_snapshot). json() emits exactly the
-/// document MetricsRegistry::json() would for the same state, so a merged
-/// rollup is indistinguishable from a single-process scrape.
+/// Point-in-time copy of a whole registry. MetricsRegistry::json() renders
+/// one, so every scrape goes through the same json() document.
 struct MetricsSnapshot {
   std::map<std::string, std::uint64_t> counters;
   std::map<std::string, HistogramSnapshot> histograms;
 
-  bool empty() const { return counters.empty() && histograms.empty(); }
-  void merge(const MetricsSnapshot& other);
   std::string json() const;
-  /// json() to a file; throws IoError when the file cannot be written.
-  void write_json(const std::string& path) const;
 };
 
 /// Name -> metric map. Lookup takes a shared lock (creation an exclusive
@@ -180,7 +169,7 @@ class MetricsRegistry {
 
   bool empty() const;
 
-  /// Mergeable copy of the current state (totals exact, instant racy —
+  /// Plain-data copy of the current state (totals exact, instant racy —
   /// scrape after the recording threads have quiesced for exact numbers).
   MetricsSnapshot snapshot() const;
 

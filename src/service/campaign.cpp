@@ -118,7 +118,6 @@ CampaignScheduler::CampaignScheduler(CampaignConfig config)
   ESSNS_REQUIRE(config_.job_concurrency >= 1, "job_concurrency >= 1");
   ESSNS_REQUIRE(config_.total_workers >= 1, "total_workers >= 1");
   ESSNS_REQUIRE(config_.generations >= 1, "generations >= 1");
-  ESSNS_REQUIRE(config_.job_index_stride >= 1, "job_index_stride >= 1");
   // Fail fast on methods the job runner cannot build (e.g. essim-monitor).
   (void)ess::make_optimizer(to_run_spec(config_));
 }
@@ -139,7 +138,6 @@ JobSpec CampaignScheduler::job_spec() const {
 }
 
 unsigned CampaignScheduler::workers_per_job(std::size_t job_count) const {
-  if (config_.forced_workers_per_job > 0) return config_.forced_workers_per_job;
   const unsigned in_flight = static_cast<unsigned>(
       std::min<std::size_t>(config_.job_concurrency,
                             std::max<std::size_t>(job_count, 1)));
@@ -236,9 +234,6 @@ CampaignResult CampaignScheduler::run(
 
   obs::SpanTimer wall("campaign");
 
-  // Global job index of the i-th submitted workload: the identity mapping
-  // for whole-catalog runs, a round-robin slice's own positions in sharded
-  // ones (the seed and every report field derive from it).
   const JobSpec spec = job_spec();
   std::vector<std::future<JobRecord>> records;
   records.reserve(workloads.size());
@@ -247,7 +242,7 @@ CampaignResult CampaignScheduler::run(
     // Alias into the caller's vector — run() outlives every future.
     request.workload = std::shared_ptr<const synth::Workload>(
         std::shared_ptr<const synth::Workload>{}, &workloads[i]);
-    request.index = config_.job_index_offset + i * config_.job_index_stride;
+    request.index = i;
     request.campaign_seed = config_.seed;
     request.workers = result.workers_per_job;
     request.spec = spec;
@@ -299,16 +294,10 @@ CampaignResult CampaignScheduler::run_reference(
 
   const unsigned concurrency = static_cast<unsigned>(
       std::min<std::size_t>(config_.job_concurrency, workloads.size()));
-  // Global job index of the i-th submitted workload: the identity mapping
-  // for whole-catalog runs, a round-robin slice's own positions in sharded
-  // ones (the seed and every report field derive from it).
-  const auto global_index = [this](std::size_t i) {
-    return config_.job_index_offset + i * config_.job_index_stride;
-  };
   if (concurrency <= 1) {
     for (std::size_t i = 0; i < workloads.size(); ++i) {
       result.jobs[i] =
-          run_job(workloads[i], global_index(i), per_job, shared_cache);
+          run_job(workloads[i], i, per_job, shared_cache);
       if (config_.on_job_done) config_.on_job_done(result.jobs[i]);
     }
   } else {
@@ -318,10 +307,9 @@ CampaignResult CampaignScheduler::run_reference(
     pending.reserve(workloads.size());
     for (std::size_t i = 0; i < workloads.size(); ++i) {
       pending.push_back(pool.submit([this, &workloads, &result, &done_mutex,
-                                     &shared_cache, &global_index, per_job,
-                                     i] {
+                                     &shared_cache, per_job, i] {
         result.jobs[i] =
-            run_job(workloads[i], global_index(i), per_job, shared_cache);
+            run_job(workloads[i], i, per_job, shared_cache);
         if (config_.on_job_done) {
           std::lock_guard lock(done_mutex);
           config_.on_job_done(result.jobs[i]);

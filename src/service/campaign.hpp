@@ -75,21 +75,6 @@ struct CampaignConfig {
   /// setting; kBatched runs homogeneous batches as one BatchSweep launch).
   firelib::SweepBackend backend = firelib::SweepBackend::kScalar;
 
-  // Sharded campaigns (src/shard/): a worker process running one round-robin
-  // slice of a larger catalog reports each job under its GLOBAL index —
-  // job i of the submitted slice gets index offset + i * stride, and the
-  // job seed derives from that global index, so the slice's records are
-  // byte-identical to the same jobs in a single-process run of the whole
-  // catalog. The defaults (0, 1) are the unsharded identity mapping.
-  std::size_t job_index_offset = 0;
-  std::size_t job_index_stride = 1;
-  /// Nonzero pins workers_per_job() instead of the total_workers/
-  /// in-flight-jobs split. Shard workers use this so every job reports the
-  /// same worker count the whole-campaign split would have produced
-  /// (results are bit-identical at any worker count; the JSONL field must
-  /// match too).
-  unsigned forced_workers_per_job = 0;
-
   /// Chrome trace-event JSON output path ("" or "none" = tracing off).
   /// When set, run() records spans campaign-wide — jobs x pipeline stages x
   /// pool/sim workers — and writes the timeline before returning.
@@ -122,8 +107,8 @@ struct CampaignResult {
 
   std::size_t succeeded() const;
   std::size_t failed() const;
-  /// ALL jobs (including failed ones) over campaign wall-clock. A crashed
-  /// shard or throwing pipeline inflates this — it measures how fast jobs
+  /// ALL jobs (including failed ones) over campaign wall-clock. A throwing
+  /// or cancelled pipeline inflates this — it measures how fast jobs
   /// were disposed of, not how fast predictions were produced.
   double jobs_per_second() const;
   /// Succeeded jobs over campaign wall-clock: the throughput that actually

@@ -58,11 +58,9 @@ enum class JobStatus { kSucceeded, kFailed };
 const char* to_string(JobStatus status);
 
 /// The effective seed of job `index` in a campaign: a pure function of
-/// (campaign seed, workload seed, global job index), independent of
-/// scheduling, job concurrency and sharding — the reason per-job results
-/// are reproducible at any parallelism level. Exposed so the shard launcher
-/// can synthesize correctly-seeded failure records for jobs a crashed
-/// worker never reported, and so serve oracles can recompute a request's
+/// (campaign seed, workload seed, job index), independent of scheduling and
+/// job concurrency — the reason per-job results are reproducible at any
+/// parallelism level. Exposed so serve oracles can recompute a request's
 /// seed from its parameters alone.
 std::uint64_t campaign_job_seed(std::uint64_t campaign_seed,
                                 std::uint64_t workload_seed,
@@ -111,7 +109,7 @@ struct JobRequest {
   /// the caller's workload vector; the caller keeps it alive until the
   /// job's future resolves.
   std::shared_ptr<const synth::Workload> workload;
-  std::size_t index = 0;          ///< global job index (seed + report field)
+  std::size_t index = 0;          ///< job index (seed + report field)
   std::uint64_t campaign_seed = 2022;
   /// Simulation workers for this job; 0 = the engine's default split
   /// (total_workers / job_slots, min 1).

@@ -227,7 +227,7 @@ TextTable campaign_summary_table(const CampaignResult& result,
   // Campaign-wide rollup so catalog runs show the cross-job sharing benefit
   // (under kShared `cache[KiB]` is the shared cache's live footprint).
   // jobs/s counts every disposed job; ok/s only the ones that delivered a
-  // prediction — the two diverge when shards crash or pipelines throw.
+  // prediction — the two diverge when pipelines throw or are cancelled.
   table.add_row({"all", "campaign", std::to_string(result.succeeded()) + " ok",
                  "-", TextTable::num(result.mean_quality()),
                  TextTable::num(result.wall_seconds, 2),

@@ -22,9 +22,9 @@ struct ReportOptions {
   /// Write every wall-clock-derived field (per-job and per-stage seconds,
   /// campaign wall_seconds, jobs_per_second, succeeded_per_second) as 0,
   /// leaving only the deterministic fields. This is the canonical form the
-  /// determinism checks byte-compare: a sharded campaign's merged reports
-  /// must equal the single-process run's at the same seeds, and timings are
-  /// the one thing that legitimately differs run to run.
+  /// determinism checks byte-compare: a campaign's reports must be equal at
+  /// any job concurrency and worker count for the same seeds, and timings
+  /// are the one thing that legitimately differs run to run.
   bool zero_timings = false;
 };
 

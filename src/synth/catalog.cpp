@@ -313,18 +313,4 @@ CatalogSpec parse_catalog_spec(const std::string& text) {
   return parse_catalog_spec(in);
 }
 
-std::vector<std::size_t> shard_slice_indices(std::size_t workload_count,
-                                             std::size_t shard_index,
-                                             std::size_t shard_count) {
-  ESSNS_REQUIRE(shard_count >= 1, "shard_count >= 1");
-  ESSNS_REQUIRE(shard_index < shard_count, "shard_index < shard_count");
-  std::vector<std::size_t> indices;
-  if (workload_count > shard_index)
-    indices.reserve((workload_count - shard_index + shard_count - 1) /
-                    shard_count);
-  for (std::size_t i = shard_index; i < workload_count; i += shard_count)
-    indices.push_back(i);
-  return indices;
-}
-
 }  // namespace essns::synth

@@ -89,18 +89,6 @@ std::vector<Workload> generate_catalog(const CatalogSpec& spec);
 /// The outbreak cell a pattern maps to on a size x size grid.
 CellIndex ignition_cell(IgnitionPattern pattern, int size);
 
-/// Round-robin shard partition of an expanded catalog: shard k of N owns
-/// global workload indices k, k + N, k + 2N, ... — a pure function of
-/// (workload_count, shard_index, shard_count), so a shard worker and the
-/// launching parent compute identical slices from the catalog spec alone,
-/// with nothing to communicate and no partition file to drift. Round-robin
-/// (not contiguous blocks) keeps the per-shard mix of sizes/terrains even
-/// when the catalog enumerates small maps before large ones.
-/// Throws InvalidArgument unless shard_index < shard_count.
-std::vector<std::size_t> shard_slice_indices(std::size_t workload_count,
-                                             std::size_t shard_index,
-                                             std::size_t shard_count);
-
 /// Parse "key=value" lines (comma-separated lists for the set-valued keys):
 ///   terrains   plains,hills,rugged        sizes     32,48
 ///   weather    steady,wind_shift,diurnal  ignitions center,offset,edge,corner

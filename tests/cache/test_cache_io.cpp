@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -143,6 +144,37 @@ TEST(CacheIo, TrailingGarbageAfterEndFrameIsRejected) {
   snapshot += '\0';
   SharedScenarioCache target(1 << 20);
   EXPECT_THROW(deserialize(target, snapshot), WireError);
+}
+
+TEST(CacheIo, OversizedGridDimensionsRejectedBeforeAllocation) {
+  // A CRC-valid entry frame whose map claims 2^30 x 2^30 cells (or a
+  // negative edge): the decoder must throw on the dimensions, not try to
+  // allocate exabytes.
+  for (const std::int32_t edge : {std::int32_t{1} << 30, std::int32_t{-1}}) {
+    std::vector<std::uint8_t> payload;
+    BinaryWriter entry(payload);
+    entry.u64(0x1000);  // key.context
+    for (std::size_t p = 0; p < ScenarioKey{}.params.size(); ++p) entry.u64(p);
+    entry.f64(0.01);  // cost_seconds
+    entry.u8(1);      // map present
+    entry.i32(edge);  // rows
+    entry.i32(edge);  // cols
+
+    std::vector<std::uint8_t> bytes;
+    BinaryWriter out(bytes);
+    out.u32(kCacheFileMagic);
+    out.u32(kCacheFileVersion);
+    out.u32(kEntryFrame);
+    out.u64(payload.size());
+    out.bytes(payload.data(), payload.size());
+    out.u32(Crc32::of(payload));
+
+    SharedScenarioCache target(1 << 20);
+    EXPECT_THROW(deserialize(target, std::string(bytes.begin(), bytes.end())),
+                 WireError)
+        << edge;
+    EXPECT_EQ(target.stats().entries, 0u);
+  }
 }
 
 TEST(CacheIo, MissingFileThrowsIoError) {

@@ -35,12 +35,9 @@ TEST(CachePolicy, RoundTripsThroughStrings) {
   for (const CachePolicy policy :
        {CachePolicy::kOff, CachePolicy::kStep, CachePolicy::kShared})
     EXPECT_EQ(parse_cache_policy(to_string(policy)), policy);
-  // Legacy boolean spellings of the old knob.
-  EXPECT_EQ(parse_cache_policy("on"), CachePolicy::kStep);
-  EXPECT_EQ(parse_cache_policy("true"), CachePolicy::kStep);
-  EXPECT_EQ(parse_cache_policy("1"), CachePolicy::kStep);
-  EXPECT_EQ(parse_cache_policy("false"), CachePolicy::kOff);
-  EXPECT_EQ(parse_cache_policy("0"), CachePolicy::kOff);
+  // Boolean spellings are not policies.
+  for (const char* legacy : {"on", "true", "1", "false", "0"})
+    EXPECT_FALSE(parse_cache_policy(legacy).has_value()) << legacy;
   EXPECT_FALSE(parse_cache_policy("maybe").has_value());
   EXPECT_FALSE(parse_cache_policy("").has_value());
 }

@@ -135,6 +135,17 @@ TEST(CliFlags, UnknownFlagFailsWithClearMessageInEveryMode) {
   EXPECT_EQ(serve.exit_code, 1);
   EXPECT_NE(serve.err.find("unknown flag '--frobnicate'"), std::string::npos)
       << serve.err;
+
+  const RunResult shards = run_cli({"campaign", "--shards", "2"});
+  EXPECT_EQ(shards.exit_code, 1);
+  EXPECT_NE(shards.err.find("unknown flag '--shards'"), std::string::npos)
+      << shards.err;
+
+  const RunResult shard_worker = run_cli({"--shard-worker"});
+  EXPECT_EQ(shard_worker.exit_code, 1);
+  EXPECT_NE(shard_worker.err.find("unknown flag '--shard-worker'"),
+            std::string::npos)
+      << shard_worker.err;
 }
 
 TEST(CliFlags, ValuedFlagWithoutValueFails) {

@@ -93,7 +93,9 @@ TEST(MapElitesTest, CellEliteOnlyImproves) {
   for (const auto& e : short_run.elites) short_cells[cell_key(e)] = e.fitness;
   for (const auto& e : long_run.elites) {
     auto it = short_cells.find(cell_key(e));
-    if (it != short_cells.end()) EXPECT_GE(e.fitness, it->second - 1e-12);
+    if (it != short_cells.end()) {
+      EXPECT_GE(e.fitness, it->second - 1e-12);
+    }
   }
 }
 

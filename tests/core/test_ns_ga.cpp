@@ -29,7 +29,9 @@ TEST(NsGaTest, BestSetSortedAndEvaluated) {
                                  {15, 2.0}, rng);
   for (std::size_t i = 0; i < r.best_set.size(); ++i) {
     EXPECT_TRUE(r.best_set[i].evaluated());
-    if (i) EXPECT_GE(r.best_set[i - 1].fitness, r.best_set[i].fitness);
+    if (i) {
+      EXPECT_GE(r.best_set[i - 1].fitness, r.best_set[i].fitness);
+    }
   }
   EXPECT_DOUBLE_EQ(r.max_fitness, r.best_set.front().fitness);
 }

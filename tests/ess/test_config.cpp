@@ -45,20 +45,27 @@ TEST(RunSpecTest, ParsesAllKeys) {
 }
 
 TEST(RunSpecTest, CacheKeyParsesPolicies) {
-  // Default step; legacy boolean spellings keep parsing.
+  // Default step; only off|step|shared parse.
   EXPECT_EQ(parse_run_spec("").cache_policy, cache::CachePolicy::kStep);
   EXPECT_EQ(parse_run_spec("cache=step\n").cache_policy,
-            cache::CachePolicy::kStep);
-  EXPECT_EQ(parse_run_spec("cache=on\n").cache_policy,
-            cache::CachePolicy::kStep);
-  EXPECT_EQ(parse_run_spec("cache=1\n").cache_policy,
             cache::CachePolicy::kStep);
   EXPECT_EQ(parse_run_spec("cache=shared\n").cache_policy,
             cache::CachePolicy::kShared);
   EXPECT_EQ(parse_run_spec("cache=off\n").cache_policy,
             cache::CachePolicy::kOff);
-  EXPECT_EQ(parse_run_spec("cache=false\n").cache_policy,
-            cache::CachePolicy::kOff);
+  // Boolean spellings fail like any unknown policy, naming the key and the
+  // accepted values.
+  for (const char* legacy : {"on", "1", "false"}) {
+    try {
+      (void)parse_run_spec(std::string("cache=") + legacy + "\n");
+      ADD_FAILURE() << "cache=" << legacy << " parsed";
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "config key 'cache' expects off|step|shared"),
+                std::string::npos)
+          << e.what();
+    }
+  }
   EXPECT_THROW(parse_run_spec("cache=maybe\n"), InvalidArgument);
 }
 

@@ -108,7 +108,7 @@ TEST_F(SimulationServiceTest, CachedFitnessBatchMatchesUncachedBitwise) {
     for (const auto& scenario : scenarios_) batch.push_back(scenario);
 
   SimulationService uncached(workload_.environment, 1);
-  uncached.set_cache_enabled(false);
+  uncached.set_cache_policy(cache::CachePolicy::kOff);
   const auto expected = uncached.fitness_batch(
       batch, truth_.fire_lines[0], truth_.fire_lines[1], 0.0,
       truth_.step_minutes);
@@ -119,7 +119,7 @@ TEST_F(SimulationServiceTest, CachedFitnessBatchMatchesUncachedBitwise) {
   for (unsigned workers : {1u, 4u}) {
     SCOPED_TRACE(workers);
     SimulationService service(workload_.environment, workers);
-    ASSERT_TRUE(service.cache_enabled());
+    ASSERT_EQ(service.cache_policy(), cache::CachePolicy::kStep);
     const auto fitness = service.fitness_batch(
         batch, truth_.fire_lines[0], truth_.fire_lines[1], 0.0,
         truth_.step_minutes);
@@ -158,7 +158,7 @@ TEST_F(SimulationServiceTest, CachedSimulateBatchKeepsMapsBitwise) {
   batch.push_back(scenarios_[3]);
 
   SimulationService uncached(workload_.environment, 1);
-  uncached.set_cache_enabled(false);
+  uncached.set_cache_policy(cache::CachePolicy::kOff);
   const auto expected = uncached.simulate_batch(batch, truth_.fire_lines[0],
                                                 truth_.step_minutes);
   SimulationService service(workload_.environment, 1);
@@ -301,9 +301,9 @@ TEST_F(SimulationServiceTest, StepCacheSaturationIsObservable) {
 
 TEST_F(SimulationServiceTest, ReferenceKernelsMatchFastKernels) {
   SimulationService fast(workload_.environment, 1);
-  fast.set_cache_enabled(false);
+  fast.set_cache_policy(cache::CachePolicy::kOff);
   SimulationService reference(workload_.environment, 1);
-  reference.set_cache_enabled(false);
+  reference.set_cache_policy(cache::CachePolicy::kOff);
   reference.set_reference_kernels(true);
   const auto got = fast.fitness_batch(scenarios_, truth_.fire_lines[0],
                                       truth_.fire_lines[1], 0.0,

@@ -80,8 +80,12 @@ TEST(FuelCatalogTest, SlashModelsCarryHeaviestLoads) {
 TEST(FuelCatalogTest, TimelagClassesUseStandardSavr) {
   for (int n = 1; n <= 13; ++n) {
     for (const auto& p : FuelCatalog::standard().model(n).particles) {
-      if (p.cls == ParticleClass::kDead10Hr) EXPECT_DOUBLE_EQ(p.savr, 109.0);
-      if (p.cls == ParticleClass::kDead100Hr) EXPECT_DOUBLE_EQ(p.savr, 30.0);
+      if (p.cls == ParticleClass::kDead10Hr) {
+        EXPECT_DOUBLE_EQ(p.savr, 109.0);
+      }
+      if (p.cls == ParticleClass::kDead100Hr) {
+        EXPECT_DOUBLE_EQ(p.savr, 30.0);
+      }
     }
   }
 }

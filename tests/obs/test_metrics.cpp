@@ -227,9 +227,8 @@ TEST(MetricsRegistryTest, WriteJsonProducesReadableFile) {
 }
 
 TEST(MetricsSnapshotTest, SnapshotJsonMatchesRegistryJson) {
-  // The merged-rollup contract: a snapshot's json() must be byte-identical
-  // to the live registry's, so a cross-process merge is indistinguishable
-  // from a single-process scrape.
+  // A snapshot's json() must be byte-identical to the live registry's:
+  // MetricsRegistry::json() is defined as snapshot().json().
   MetricsRegistry registry;
   registry.counter("jobs").add(7);
   Histogram& h = registry.histogram("latency");
@@ -238,7 +237,8 @@ TEST(MetricsSnapshotTest, SnapshotJsonMatchesRegistryJson) {
   EXPECT_EQ(registry.snapshot().json(), registry.json());
 
   MetricsRegistry empty;
-  EXPECT_TRUE(empty.snapshot().empty());
+  EXPECT_TRUE(empty.snapshot().counters.empty());
+  EXPECT_TRUE(empty.snapshot().histograms.empty());
   EXPECT_EQ(empty.snapshot().json(), empty.json());
 }
 
@@ -259,74 +259,6 @@ TEST(MetricsSnapshotTest, SnapshotCarriesExactAggregates) {
   // Quantile parity with the live histogram at every decile.
   for (int q = 0; q <= 10; ++q)
     EXPECT_EQ(latency.quantile(q / 10.0), h.quantile(q / 10.0)) << q;
-}
-
-TEST(MetricsSnapshotTest, HistogramMergeIsLossless) {
-  // Merging two shards' snapshots must equal one histogram that saw both
-  // shards' recordings — count, sum, min/max, buckets and quantiles.
-  Histogram both;
-  MetricsRegistry shard_a, shard_b;
-  for (const double value : {0.25, 1.0, 1.0}) {
-    shard_a.histogram("h").record(value);
-    both.record(value);
-  }
-  for (const double value : {16.0, 1024.0}) {
-    shard_b.histogram("h").record(value);
-    both.record(value);
-  }
-  HistogramSnapshot merged = shard_a.snapshot().histograms.at("h");
-  merged.merge(shard_b.snapshot().histograms.at("h"));
-  EXPECT_EQ(merged.count, both.count());
-  EXPECT_EQ(merged.sum, both.sum());
-  EXPECT_EQ(merged.min, both.min());
-  EXPECT_EQ(merged.max, both.max());
-  for (const double q : {0.0, 0.2, 0.5, 0.8, 1.0})
-    EXPECT_EQ(merged.quantile(q), both.quantile(q)) << q;
-
-  // Merging an empty snapshot changes nothing — in particular min/max must
-  // not be dragged to the empty side's zeros.
-  const HistogramSnapshot before = merged;
-  merged.merge(HistogramSnapshot{});
-  EXPECT_EQ(merged.count, before.count);
-  EXPECT_EQ(merged.min, before.min);
-  EXPECT_EQ(merged.max, before.max);
-
-  // And merging INTO an empty snapshot adopts the other side wholesale.
-  HistogramSnapshot fresh;
-  fresh.merge(before);
-  EXPECT_EQ(fresh.count, before.count);
-  EXPECT_EQ(fresh.min, before.min);
-  EXPECT_EQ(fresh.quantile(0.5), before.quantile(0.5));
-}
-
-TEST(MetricsSnapshotTest, RegistryMergeSumsCountersAndUnionsNames) {
-  MetricsRegistry shard_a, shard_b;
-  shard_a.counter("campaign.jobs").add(3);
-  shard_a.counter("only_a").add(1);
-  shard_a.histogram("shared.h").record(1.0);
-  shard_b.counter("campaign.jobs").add(5);
-  shard_b.counter("only_b").add(2);
-  shard_b.histogram("shared.h").record(4.0);
-  shard_b.histogram("only_b.h").record(16.0);
-
-  MetricsSnapshot merged = shard_a.snapshot();
-  merged.merge(shard_b.snapshot());
-  EXPECT_EQ(merged.counters.at("campaign.jobs"), 8u);
-  EXPECT_EQ(merged.counters.at("only_a"), 1u);
-  EXPECT_EQ(merged.counters.at("only_b"), 2u);
-  EXPECT_EQ(merged.histograms.at("shared.h").count, 2u);
-  EXPECT_EQ(merged.histograms.at("shared.h").min, 1.0);
-  EXPECT_EQ(merged.histograms.at("shared.h").max, 4.0);
-  EXPECT_EQ(merged.histograms.at("only_b.h").count, 1u);
-
-  // The merged rollup still renders valid, parseable JSON.
-  const testjson::Value root = testjson::parse(merged.json());
-  EXPECT_EQ(root.member("counters").member("campaign.jobs").number_value(),
-            8.0);
-  EXPECT_EQ(
-      root.member("histograms").member("shared.h").member("count")
-          .number_value(),
-      2.0);
 }
 
 TEST(MetricsHelpersTest, NoOpWithoutInstalledRegistry) {

@@ -282,7 +282,7 @@ TEST(CampaignScheduler, BatchedBackendRendersIdenticalCanonicalBytes) {
   // campaign renders byte-for-byte the JSONL and summary a scalar one does.
   // Scoped to cache off|step — under kShared with concurrent jobs the
   // per-step cache_entries/cache_bytes samples are timing-dependent for
-  // EITHER backend (the --shards determinism scope).
+  // EITHER backend.
   const auto workloads = tiny_workloads();
   const ReportOptions zero{/*zero_timings=*/true};
   for (const cache::CachePolicy policy :
@@ -304,59 +304,6 @@ TEST(CampaignScheduler, BatchedBackendRendersIdenticalCanonicalBytes) {
     EXPECT_EQ(scalar.first, batched.first);
     EXPECT_EQ(scalar.second, batched.second);
   }
-}
-
-TEST(CampaignScheduler, IndexOffsetAndStrideDefineGlobalJobIdentity) {
-  // A sharded worker runs a round-robin slice under offset/stride; each
-  // slice job must be bit-identical to the same global index in the full
-  // run — this is the whole determinism story of src/shard/.
-  const auto workloads = tiny_workloads();
-  CampaignConfig config = tiny_config();
-  const CampaignResult full = CampaignScheduler(config).run(workloads);
-
-  const std::size_t shards = 2;
-  for (std::size_t k = 0; k < shards; ++k) {
-    std::vector<synth::Workload> slice;
-    for (std::size_t i = k; i < workloads.size(); i += shards)
-      slice.push_back(workloads[i]);
-    CampaignConfig shard_config = tiny_config();
-    shard_config.job_index_offset = k;
-    shard_config.job_index_stride = shards;
-    const CampaignResult part = CampaignScheduler(shard_config).run(slice);
-    ASSERT_EQ(part.jobs.size(), slice.size());
-    for (std::size_t i = 0; i < part.jobs.size(); ++i) {
-      const JobRecord& a = part.jobs[i];
-      const JobRecord& b = full.jobs[k + i * shards];
-      EXPECT_EQ(a.index, b.index);
-      EXPECT_EQ(a.seed, b.seed);
-      ASSERT_EQ(a.result.steps.size(), b.result.steps.size());
-      for (std::size_t s = 0; s < a.result.steps.size(); ++s) {
-        EXPECT_EQ(a.result.steps[s].prediction_quality,
-                  b.result.steps[s].prediction_quality);
-        EXPECT_EQ(a.result.steps[s].os_evaluations,
-                  b.result.steps[s].os_evaluations);
-      }
-    }
-  }
-}
-
-TEST(CampaignScheduler, ForcedWorkersPerJobOverridesTheSplit) {
-  CampaignConfig config = tiny_config();
-  config.job_concurrency = 2;
-  config.total_workers = 8;
-  EXPECT_EQ(CampaignScheduler(config).workers_per_job(8), 4u);
-  config.forced_workers_per_job = 3;
-  EXPECT_EQ(CampaignScheduler(config).workers_per_job(8), 3u);
-
-  const CampaignResult result =
-      CampaignScheduler(config).run(tiny_workloads());
-  for (const JobRecord& job : result.jobs) EXPECT_EQ(job.workers, 3u);
-}
-
-TEST(CampaignScheduler, RejectsZeroStride) {
-  CampaignConfig config = tiny_config();
-  config.job_index_stride = 0;
-  EXPECT_THROW(CampaignScheduler{config}, InvalidArgument);
 }
 
 TEST(CampaignScheduler, SharedCacheBitIdenticalToOffAcrossConcurrency) {
