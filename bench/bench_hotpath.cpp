@@ -11,8 +11,8 @@
 //                popped cells/sec, the firelib.cells_per_s of the trace;
 //   fitness      Eq. (3) evaluations/sec through SimulationService
 //                fitness_batch — the OS hot loop — new kernels (fast sweep +
-//                fused jaccard + scenario cache) vs the pre-PR reference
-//                (reference sweep + mask-materializing jaccard, no cache),
+//                word-wise Eq. (3) on the sweep's burned cells + scenario
+//                cache) vs the reference sweep without the cache,
 //                on a duplicate-heavy batch shaped like GA populations;
 //                reported twice: cache on (the shipping configuration) and
 //                cache off (isolating the pure kernel speedup);

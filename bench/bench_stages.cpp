@@ -34,13 +34,13 @@ std::vector<firelib::IgnitionMap> synthetic_maps(int count, int size,
   return maps;
 }
 
-// The burned-cell records of `maps` at `time_min`, as the OS's fitness
-// simulations hand them to the Statistical Stage.
+// The burned-cell records of `maps` at `time_min`, as the sweeps of the
+// OS's fitness simulations hand them to the Statistical Stage.
 std::vector<ess::BurnedCells> synthetic_records(
     const std::vector<firelib::IgnitionMap>& maps, double time_min) {
   std::vector<ess::BurnedCells> records;
   for (const auto& map : maps)
-    records.push_back(ess::pack_burned(map, time_min));
+    records.push_back(firelib::burned_cells(map, time_min));
   return records;
 }
 
@@ -91,6 +91,21 @@ void BM_Jaccard(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Jaccard)->Arg(64)->Arg(256);
+
+// Eq. (3) as the OS scores every simulation: the step's packed target
+// against the sweep's burned-cell record.
+void BM_JaccardWords(benchmark::State& state) {
+  Rng rng(3);
+  const int size = static_cast<int>(state.range(0));
+  const auto maps = synthetic_maps(2, size, rng);
+  const ess::ScoringTarget target =
+      ess::make_scoring_target(maps[0], 30.0, 60.0);
+  const ess::BurnedCells simulated = firelib::burned_cells(maps[1], 60.0);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ess::jaccard(target, simulated));
+  }
+}
+BENCHMARK(BM_JaccardWords)->Arg(64)->Arg(256);
 
 void BM_MasterWorkerDispatchOverhead(benchmark::State& state) {
   // Trivial tasks: measures pure scatter/gather cost per item.

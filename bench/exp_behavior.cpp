@@ -103,7 +103,7 @@ int main() {
                     workload.name + "'");
     std::vector<std::string> header{"Behaviour distance"};
     for (int s = 2; s <= truth.steps(); ++s)
-      header.push_back("t" + std::to_string(s));
+      header.push_back(std::string("t").append(std::to_string(s)));
     header.push_back("mean");
     table.set_header(header);
 

@@ -88,7 +88,7 @@ int main() {
       "EXP-D genotypic diversity by generation (plains, one OS step)");
   std::vector<std::string> header{"Method"};
   for (int g = 0; g <= kGenerations; g += kReportEvery)
-    header.push_back("g" + std::to_string(g));
+    header.push_back(std::string("g").append(std::to_string(g)));
   header.push_back("collapse<25%");
   diversity_table.set_header(header);
   for (const auto& run : runs) {
@@ -96,7 +96,9 @@ int main() {
     for (int g = 0; g <= kGenerations; g += kReportEvery)
       row.push_back(
           TextTable::num(run.recorder.rows()[static_cast<size_t>(g)].diversity));
-    row.push_back(run.collapse < 0 ? "never" : "g" + std::to_string(run.collapse));
+    row.push_back(run.collapse < 0
+                      ? "never"
+                      : std::string("g").append(std::to_string(run.collapse)));
     diversity_table.add_row(row);
   }
   diversity_table.print();
@@ -108,7 +110,9 @@ int main() {
     for (int g = 0; g <= kGenerations; g += kReportEvery)
       row.push_back(
           TextTable::num(run.recorder.rows()[static_cast<size_t>(g)].iqr));
-    row.push_back(run.collapse < 0 ? "never" : "g" + std::to_string(run.collapse));
+    row.push_back(run.collapse < 0
+                      ? "never"
+                      : std::string("g").append(std::to_string(run.collapse)));
     iqr_table.add_row(row);
   }
   std::printf("\n");

@@ -75,7 +75,7 @@ int main() {
                     std::to_string(kSeeds) + " runs)");
     std::vector<std::string> header{"Method"};
     for (int s = 2; s <= truth.steps(); ++s)
-      header.push_back("t" + std::to_string(s));
+      header.push_back(std::string("t").append(std::to_string(s)));
     header.push_back("mean");
     header.push_back("time[s]");
     table.set_header(header);

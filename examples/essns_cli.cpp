@@ -57,7 +57,8 @@ void print_help() {
       "                     shared  one byte-bounded cache kept across steps\n"
       "                             and shared by all concurrent jobs\n"
       "    --cache-mem M  shared-cache byte budget in MiB (default 256;\n"
-      "                   entries are charged by stored map bytes and\n"
+      "                   an entry stores one bit per grid cell plus its\n"
+      "                   scores, is charged by those bytes, and is\n"
       "                   evicted cost-aware when the budget is exceeded)\n"
       "    --simd K       relax-kernel selection (also valid in single-run\n"
       "                   mode); results are bit-identical either way:\n"

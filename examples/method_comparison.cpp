@@ -50,7 +50,7 @@ int main() {
   TextTable table("wind_shift case: prediction quality per step");
   std::vector<std::string> header{"Method"};
   for (int s = 2; s <= truth.steps(); ++s)
-    header.push_back("t" + std::to_string(s));
+    header.push_back(std::string("t").append(std::to_string(s)));
   header.push_back("mean");
   table.set_header(header);
 

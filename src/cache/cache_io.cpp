@@ -1,7 +1,8 @@
 #include "cache/cache_io.hpp"
 
+#include <algorithm>
 #include <fstream>
-#include <iterator>
+#include <istream>
 #include <string>
 
 #include "common/binary_io.hpp"
@@ -10,8 +11,8 @@
 namespace essns::cache {
 namespace {
 
-// Dimension cap for decoded maps: far beyond any catalog, and cells are
-// re-checked against the remaining payload before the slab is allocated.
+// Dimension cap for decoded records: far beyond any catalog, and the words
+// are re-checked against the remaining payload before they are allocated.
 constexpr std::int32_t kMaxGridDim = 1 << 20;
 
 void encode_entry(BinaryWriter& out, const ExportedEntry& entry) {
@@ -19,11 +20,11 @@ void encode_entry(BinaryWriter& out, const ExportedEntry& entry) {
   for (std::uint64_t param : entry.key.params) out.u64(param);
   out.f64(entry.cost_seconds);
   const CachedScenario& value = *entry.value;
-  out.u8(value.map.has_value() ? 1 : 0);
-  if (value.map.has_value()) {
-    out.i32(value.map->rows());
-    out.i32(value.map->cols());
-    for (const double cell : *value.map) out.f64(cell);
+  out.u8(value.burned.empty() ? 0 : 1);
+  if (!value.burned.empty()) {
+    out.i32(value.burned.rows);
+    out.i32(value.burned.cols);
+    for (const std::uint64_t word : value.burned.words) out.u64(word);
   }
   out.u64(value.fitnesses.size());
   for (const FitnessRecord& record : value.fitnesses) {
@@ -49,16 +50,25 @@ DecodedEntry decode_entry(BinaryReader& in) {
     const std::int32_t rows = in.i32();
     const std::int32_t cols = in.i32();
     if (rows <= 0 || cols <= 0 || rows > kMaxGridDim || cols > kMaxGridDim)
-      throw WireError("cache entry map dimensions out of range");
+      throw WireError("cache entry grid dimensions out of range");
     const std::uint64_t cells =
         static_cast<std::uint64_t>(rows) * static_cast<std::uint64_t>(cols);
-    in.need(cells * sizeof(double), "cache entry map cells");
-    firelib::IgnitionMap map(rows, cols);
-    for (double& cell : map) cell = in.f64();
-    entry.value.map = std::move(map);
+    const std::size_t words = firelib::burned_words(cells);
+    in.need(words * sizeof(std::uint64_t), "cache entry burned cells");
+    firelib::BurnedCells& burned = entry.value.burned;
+    burned.rows = rows;
+    burned.cols = cols;
+    burned.words.resize(words);
+    for (std::uint64_t& word : burned.words) word = in.u64();
+    // Readers index cells by set bits; one past the grid would be out of
+    // bounds, so padding bits must be clear.
+    if (cells % 64 != 0 && (burned.words.back() >> (cells % 64)) != 0)
+      throw WireError("cache entry burned cells set past the grid");
   }
   const std::uint64_t fitness_count = in.u64();
-  in.need(fitness_count * 24, "cache entry fitness records");
+  if (fitness_count > in.remaining() / 24)
+    throw WireError("binary stream truncated reading cache entry fitness "
+                    "records");
   entry.value.fitnesses.reserve(static_cast<std::size_t>(fitness_count));
   for (std::uint64_t i = 0; i < fitness_count; ++i) {
     FitnessRecord record;
@@ -79,6 +89,24 @@ void write_frame(std::vector<std::uint8_t>& out, std::uint32_t type,
   writer.u64(payload.size());
   if (!payload.empty()) writer.bytes(payload.data(), payload.size());
   writer.u32(Crc32::of(payload));
+}
+
+/// Read up to `size` bytes from `in` into `out` (replacing its contents);
+/// returns how many arrived. The buffer grows a chunk at a time as bytes
+/// arrive, so a corrupted length on a short stream costs no more memory
+/// than the stream holds.
+std::size_t read_up_to(std::istream& in, std::vector<std::uint8_t>& out,
+                       std::uint64_t size) {
+  constexpr std::uint64_t kChunk = std::uint64_t{1} << 20;
+  out.clear();
+  while (out.size() < size && in) {
+    const std::size_t at = out.size();
+    out.resize(at + std::min(kChunk, size - at));
+    in.read(reinterpret_cast<char*>(out.data() + at),
+            static_cast<std::streamsize>(out.size() - at));
+    out.resize(at + static_cast<std::size_t>(in.gcount()));
+  }
+  return out.size();
 }
 
 }  // namespace
@@ -123,34 +151,36 @@ std::size_t save_cache(const SharedScenarioCache& cache,
 }
 
 RestoreStats load_cache(SharedScenarioCache& cache, std::istream& in) {
-  const std::vector<std::uint8_t> data(
-      (std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-  BinaryReader reader(data);
-
-  if (reader.remaining() < 8)
+  std::vector<std::uint8_t> head;
+  if (read_up_to(in, head, 8) < 8)
     throw WireError("cache snapshot truncated before the header");
-  if (reader.u32() != kCacheFileMagic)
+  BinaryReader header(head);
+  if (header.u32() != kCacheFileMagic)
     throw WireError("bad cache snapshot magic");
-  const std::uint32_t version = reader.u32();
+  const std::uint32_t version = header.u32();
   if (version != kCacheFileVersion)
     throw WireError("cache snapshot version mismatch: got " +
                     std::to_string(version) + ", expected " +
                     std::to_string(kCacheFileVersion));
 
   RestoreStats stats;
+  std::vector<std::uint8_t> payload;
   bool saw_end = false;
   while (!saw_end) {
-    if (reader.done())
+    const std::size_t got = read_up_to(in, head, 12);
+    if (got == 0)
       throw WireError("cache snapshot truncated: missing end frame");
-    const std::uint32_t type = reader.u32();
-    const std::uint64_t length = reader.u64();
+    if (got < 12) throw WireError("cache snapshot truncated in a frame header");
+    BinaryReader frame(head);
+    const std::uint32_t type = frame.u32();
+    const std::uint64_t length = frame.u64();
     if (length > kMaxCachePayload)
       throw WireError("cache frame length out of range");
-    reader.need(length, "cache frame payload");
-    std::vector<std::uint8_t> payload(static_cast<std::size_t>(length));
-    if (length > 0) reader.bytes(payload.data(), payload.size());
-    const std::uint32_t expected_crc = reader.u32();
-    if (Crc32::of(payload) != expected_crc)
+    if (read_up_to(in, payload, length) < length)
+      throw WireError("cache snapshot truncated in a frame payload");
+    if (read_up_to(in, head, 4) < 4)
+      throw WireError("cache snapshot truncated before a frame CRC");
+    if (Crc32::of(payload) != BinaryReader(head).u32())
       throw WireError("cache frame CRC mismatch");
 
     BinaryReader body(payload);
@@ -183,7 +213,7 @@ RestoreStats load_cache(SharedScenarioCache& cache, std::istream& in) {
         throw WireError("unknown cache frame type " + std::to_string(type));
     }
   }
-  if (!reader.done())
+  if (in.peek() != std::istream::traits_type::eof())
     throw WireError("trailing bytes after cache snapshot end frame");
   return stats;
 }

@@ -15,10 +15,15 @@
 //     u32 crc      CRC-32 of the payload
 //
 // kEntryFrame payload: the ScenarioKey (context + 9 param words), the
-// accumulated cost_seconds, the optional ignition map (has-flag u8, i32
-// rows/cols, f64 cell bit patterns) and the fitness records. kEndFrame
-// carries the entry count and must be the final frame — truncation anywhere
-// (mid-frame OR between frames) is detected.
+// accumulated cost_seconds, the optional burned-cell record (has-flag u8,
+// i32 rows/cols, then ceil(rows*cols/64) u64 words; bits past the last cell
+// must be zero) and the fitness records. kEndFrame carries the entry count
+// and must be the final frame — truncation anywhere (mid-frame OR between
+// frames) is detected. Version 1 snapshots, which held f64 ignition maps,
+// are rejected with a version-mismatch WireError.
+//
+// Restore decodes frame by frame straight from the stream, so its memory is
+// bounded by one frame, not by the file.
 //
 // Restore goes through SharedScenarioCache::insert(), so every entry is
 // re-accounted against the receiving cache's byte budget: a snapshot from a
@@ -43,12 +48,13 @@
 namespace essns::cache {
 
 inline constexpr std::uint32_t kCacheFileMagic = 0x45535343u;  // "CSSE" LE
-inline constexpr std::uint32_t kCacheFileVersion = 1;
+inline constexpr std::uint32_t kCacheFileVersion = 2;
 inline constexpr std::uint32_t kEntryFrame = 1;
 inline constexpr std::uint32_t kEndFrame = 2;
-/// Per-frame payload bound: one entry (key + one map + fitnesses); 1 GiB
-/// covers maps far beyond any catalog while keeping corrupted lengths
-/// harmless.
+/// Per-frame payload bound: one entry (key + one burned-cell record +
+/// fitnesses); 1 GiB covers grids far beyond any catalog, and a corrupted
+/// length can claim no more than the stream actually holds (payloads are
+/// read in chunks as they arrive).
 inline constexpr std::uint64_t kMaxCachePayload = std::uint64_t{1} << 30;
 
 /// What load_cache() did with the snapshot.

@@ -144,15 +144,14 @@ std::size_t entry_charge(const CachedScenario& value) {
   // on the side of overcounting so small entries cannot blow past it.
   std::size_t bytes = sizeof(ScenarioKey) + sizeof(CachedScenario) + 160 +
                       value.fitnesses.size() * sizeof(FitnessRecord);
-  if (value.map) bytes += value.map->size() * sizeof(double);
-  return bytes;
+  return bytes + value.burned.words.size() * sizeof(std::uint64_t);
 }
 
 ScenarioCacheShard::ScenarioCacheShard(std::size_t max_bytes)
     : max_bytes_(max_bytes) {}
 
 std::shared_ptr<const CachedScenario> ScenarioCacheShard::find(
-    const ScenarioKey& key, bool need_map, const FitnessQuery* fitness) {
+    const ScenarioKey& key, bool need_burned, const FitnessQuery* fitness) {
   std::lock_guard lock(mutex_);
   const auto idx = index_.find(key);
   if (idx == index_.end()) {
@@ -162,14 +161,14 @@ std::shared_ptr<const CachedScenario> ScenarioCacheShard::find(
   }
   IndexSlot& slot = idx->second;
   const Entry& entry = *slot.it;
-  const bool map_ok = !need_map || entry.value->map.has_value();
-  // A fitness query is servable by a matching record or by the stored map
-  // (re-scoring a byte-exact map is far cheaper than re-simulating it).
+  const bool has_burned = !entry.value->burned.empty();
+  // A fitness query is servable by a matching record or by the stored
+  // burned cells (re-scoring them is far cheaper than re-simulating).
   const bool fitness_ok =
-      !fitness || entry.value->map.has_value() ||
+      !fitness || has_burned ||
       entry.value->find_fitness(fitness->target_fingerprint,
                                 fitness->start_time_bits) != nullptr;
-  if (!map_ok || !fitness_ok) {
+  if ((need_burned && !has_burned) || !fitness_ok) {
     // A partial entry cannot satisfy the request; the caller simulates and
     // its insert fills the missing field. Not promoted: only full hits
     // count as reuse.
@@ -250,22 +249,22 @@ InsertOutcome ScenarioCacheShard::insert(const ScenarioKey& key,
     // grow the entry.
     Entry& entry = *idx->second.it;
     entry.cost_seconds += cost_seconds;
-    // Decide whether the merge adds anything BEFORE cloning: entries carry
-    // whole ignition maps, and duplicate inserts (two jobs race-simulating
-    // one key) are common enough that an unconditional deep copy under the
-    // shard mutex would hurt.
-    const bool adds_map = !entry.value->map && value.map;
+    // Decide whether the merge adds anything BEFORE cloning: duplicate
+    // inserts (two jobs race-simulating one key) are common enough that an
+    // unconditional copy under the shard mutex would be waste.
+    const bool adds_burned =
+        entry.value->burned.empty() && !value.burned.empty();
     bool adds_fitness = false;
     for (const FitnessRecord& record : value.fitnesses)
       if (!entry.value->find_fitness(record.target_fingerprint,
                                      record.start_time_bits))
         adds_fitness = true;
-    if (!adds_map && !adds_fitness) return out;
+    if (!adds_burned && !adds_fitness) return out;
     CachedScenario merged = *entry.value;
     for (const FitnessRecord& record : value.fitnesses)
       merged.set_fitness(record.target_fingerprint, record.start_time_bits,
                          record.fitness);
-    if (adds_map) merged.map = std::move(value.map);
+    if (adds_burned) merged.burned = std::move(value.burned);
     const std::size_t new_charge = entry_charge(merged);
     bytes_ += new_charge - entry.charge;
     if (idx->second.in_protected)
@@ -341,8 +340,8 @@ ScenarioCacheShard& SharedScenarioCache::shard_for(const ScenarioKey& key) {
 }
 
 std::shared_ptr<const CachedScenario> SharedScenarioCache::find(
-    const ScenarioKey& key, bool need_map, const FitnessQuery* fitness) {
-  return shard_for(key).find(key, need_map, fitness);
+    const ScenarioKey& key, bool need_burned, const FitnessQuery* fitness) {
+  return shard_for(key).find(key, need_burned, fitness);
 }
 
 InsertOutcome SharedScenarioCache::insert(const ScenarioKey& key,

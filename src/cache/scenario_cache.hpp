@@ -10,19 +10,20 @@
 // entries survive context changes and are shared by every pipeline that
 // holds the same SharedScenarioCache.
 //
-// Determinism: a cached map is a byte-exact pure function of its key
-// (scenario parameter bits + fingerprints of the start map and end time),
-// and every cached fitness is a pure function of (map, target fingerprint,
-// interval start) — so the hit/miss pattern may vary across thread
-// interleavings but every value served is identical to a recompute:
+// Determinism: a cached burned-cell record is a byte-exact pure function of
+// its key (scenario parameter bits + fingerprints of the start map and end
+// time), and every cached fitness is a pure function of (record, target
+// fingerprint, interval start) — so the hit/miss pattern may vary across
+// thread interleavings but every value served is identical to a recompute:
 // results are bit-identical to running with the cache off.
 //
-// Memory: every entry is charged by the bytes it actually stores (dominated
-// by the ignition map) against a fixed byte budget, split evenly over the
-// shards. Eviction is segmented-LRU-style with cost-aware victim selection:
-// entries hit at least twice live in a protected segment, and the victim is
-// the probationary tail entry with the least observed simulation cost per
-// stored byte — cheap-to-recompute bulky maps go first, expensive sweeps
+// Memory: every entry is charged by the bytes it actually stores (a fixed
+// allowance for key and bookkeeping, plus one bit per cell for the record)
+// against a fixed byte budget, split evenly over the shards. Eviction is
+// segmented-LRU-style with cost-aware victim selection: entries hit at
+// least twice live in a protected segment, and the victim is the
+// probationary tail entry with the least observed simulation cost per
+// stored byte — cheap-to-recompute bulky entries go first, expensive sweeps
 // stay.
 #pragma once
 
@@ -61,7 +62,7 @@ inline constexpr std::size_t kDefaultCacheBytes = std::size_t{256} << 20;
 
 /// Context-qualified memoization key: one fingerprint word identifying the
 /// *simulation* context — the (start map, end time) pair that, with the
-/// scenario, fully determines the simulated ignition map — plus the bit
+/// scenario, fully determines the simulation's burned cells — plus the bit
 /// patterns of the nine Table I parameters (negative zeros normalized so
 /// -0.0 and +0.0 share an entry). Scoring inputs (target map, interval
 /// start) are deliberately NOT part of the key: they only affect fitness,
@@ -95,28 +96,28 @@ std::uint64_t environment_fingerprint(const firelib::FireEnvironment& env);
 
 /// Fingerprint of a simulation context: the environment's and start map's
 /// fingerprints and the end time's bit pattern — everything beyond the
-/// scenario that determines the simulated map.
+/// scenario that determines the simulation's burned cells.
 std::uint64_t context_fingerprint(std::uint64_t environment_fingerprint,
                                   std::uint64_t start_fingerprint,
                                   double end_time);
 
-/// One memoized Eq. (3) score: fitness is a pure function of (map, target
-/// map, interval start), so it is cached per (target fingerprint, start-time
-/// bits) alongside the map.
+/// One memoized Eq. (3) score: fitness is a pure function of (burned cells,
+/// target map, interval start), so it is cached per (target fingerprint,
+/// start-time bits) alongside the record.
 struct FitnessRecord {
   std::uint64_t target_fingerprint = 0;
   std::uint64_t start_time_bits = 0;
   double fitness = 0.0;
 };
 
-/// What a cached scenario can answer so far; fields fill in lazily (a
-/// fitness-only request stores its score, a later keep_map miss adds the
-/// map, and new targets append further fitness records). Keyed by
-/// *simulation* identity — (scenario, start map, end time) — so the same
-/// simulation scored against different targets (the OS fitness pass vs the
-/// SS map pass of one prediction step) shares one entry.
+/// What a cached scenario can answer so far: the cells its simulation
+/// burned by the end time (empty until a simulation recorded them — a
+/// re-score against a new target may land first) and its Eq. (3) scores,
+/// one per target. Keyed by *simulation* identity — (scenario, start map,
+/// end time) — so the same simulation scored against different targets
+/// shares one entry.
 struct CachedScenario {
-  std::optional<firelib::IgnitionMap> map;
+  firelib::BurnedCells burned;
   std::vector<FitnessRecord> fitnesses;  ///< usually 0 or 1 records
 
   const double* find_fitness(std::uint64_t target_fingerprint,
@@ -127,14 +128,14 @@ struct CachedScenario {
                    std::uint64_t start_time_bits, double fitness);
 };
 
-/// Which Eq. (3) score a lookup needs (nullptr: the map alone).
+/// Which Eq. (3) score a lookup needs (nullptr: the burned cells alone).
 struct FitnessQuery {
   std::uint64_t target_fingerprint = 0;
   std::uint64_t start_time_bits = 0;
 };
 
 /// Bytes an entry is charged against the budget: key + bookkeeping overhead
-/// plus the stored map's cells. The same accounting is used by the kStep
+/// plus the stored record's words. The same accounting is used by the kStep
 /// cache so `cache_bytes` means one thing across policies.
 std::size_t entry_charge(const CachedScenario& value);
 
@@ -184,13 +185,13 @@ class ScenarioCacheShard {
   ScenarioCacheShard& operator=(const ScenarioCacheShard&) = delete;
 
   /// The cached value iff it can satisfy the request without simulating:
-  /// the map must be present when `need_map`, and a `fitness` query is
-  /// satisfiable by a matching record *or* by a stored map (the caller can
-  /// re-score a byte-exact map far cheaper than re-simulating it). nullptr
-  /// otherwise. A satisfying lookup counts as a hit and promotes the
-  /// entry; anything else counts as a miss.
+  /// the burned cells must be present when `need_burned`, and a `fitness`
+  /// query is satisfiable by a matching record *or* by stored burned cells
+  /// (the caller re-scores them in one pass over words, far cheaper than
+  /// re-simulating). nullptr otherwise. A satisfying lookup counts as a
+  /// hit and promotes the entry; anything else counts as a miss.
   std::shared_ptr<const CachedScenario> find(const ScenarioKey& key,
-                                             bool need_map,
+                                             bool need_burned,
                                              const FitnessQuery* fitness);
 
   /// Merge `value` into the entry for `key` (existing fields win: they are
@@ -254,7 +255,7 @@ class SharedScenarioCache {
   SharedScenarioCache& operator=(const SharedScenarioCache&) = delete;
 
   std::shared_ptr<const CachedScenario> find(const ScenarioKey& key,
-                                             bool need_map,
+                                             bool need_burned,
                                              const FitnessQuery* fitness);
   InsertOutcome insert(const ScenarioKey& key, CachedScenario value,
                        double cost_seconds);

@@ -1,7 +1,6 @@
 #include "ess/evaluator.hpp"
 
 #include "common/error.hpp"
-#include "ess/fitness.hpp"
 
 namespace essns::ess {
 
@@ -15,16 +14,15 @@ void ScenarioEvaluator::set_step(const StepContext& context) {
   ESSNS_REQUIRE(context.end_time > context.start_time,
                 "step interval must have positive length");
   context_ = context;
-  burned_memo_.clear();
+  service_.begin_step(*context.start_map, *context.target_map,
+                      context.start_time, context.end_time);
 }
 
 double ScenarioEvaluator::evaluate_scenario(
     const firelib::Scenario& scenario) {
   ESSNS_REQUIRE(context_.start_map, "set_step must be called before evaluate");
-  const firelib::IgnitionMap simulated =
-      simulate(scenario, *context_.start_map, context_.end_time);
-  return jaccard_at(*context_.target_map, simulated, context_.end_time,
-                    context_.start_time);
+  return service_.score(scenario, *context_.start_map, *context_.target_map,
+                        context_.start_time, context_.end_time);
 }
 
 firelib::IgnitionMap ScenarioEvaluator::simulate(
@@ -36,31 +34,27 @@ firelib::IgnitionMap ScenarioEvaluator::simulate(
 Grid<double> ScenarioEvaluator::burn_probability(
     const std::vector<firelib::Scenario>& scenarios,
     const firelib::IgnitionMap& start, double end_time) {
-  const bool current_step =
-      &start == context_.start_map && end_time == context_.end_time;
-  std::vector<const BurnedCells*> records;
+  // Copy the step's records out first: the batch below may begin a new
+  // context and drop the store they live in.
+  std::vector<BurnedCells> records;
   records.reserve(scenarios.size());
   std::vector<firelib::Scenario> missing;
-  for (const firelib::Scenario& scenario : scenarios) {
-    if (current_step) {
-      const auto it = burned_memo_.find(cache::make_scenario_key(scenario));
-      if (it != burned_memo_.end()) {
-        records.push_back(&it->second);
-        continue;
-      }
-    }
-    missing.push_back(scenario);
+  const std::vector<const BurnedCells*> recorded =
+      service_.step_records(scenarios, start, end_time);
+  for (std::size_t i = 0; i < scenarios.size(); ++i) {
+    if (recorded[i])
+      records.push_back(*recorded[i]);
+    else
+      missing.push_back(scenarios[i]);
   }
-  // Each cell's count is a sum of 1.0s, exact in any order, so records and
-  // freshly simulated maps mix without changing a bit of the result.
-  std::vector<BurnedCells> simulated;
-  simulated.reserve(missing.size());  // records point into it
-  for (const firelib::IgnitionMap& map :
-       service_.simulate_batch(missing, start, end_time)) {
-    simulated.push_back(pack_burned(map, end_time));
-    records.push_back(&simulated.back());
-  }
-  return aggregate_burned(records);
+  // Each cell's count is a sum of 1.0s, exact in any order, so recorded and
+  // freshly simulated cells mix without changing a bit of the result.
+  for (BurnedCells& burned : service_.simulate_batch(missing, start, end_time))
+    records.push_back(std::move(burned));
+  std::vector<const BurnedCells*> pointers;
+  pointers.reserve(records.size());
+  for (const BurnedCells& burned : records) pointers.push_back(&burned);
+  return aggregate_burned(pointers);
 }
 
 std::vector<double> ScenarioEvaluator::evaluate_batch(
@@ -71,21 +65,9 @@ std::vector<double> ScenarioEvaluator::evaluate_batch(
   scenarios.reserve(genomes.size());
   for (const ea::Genome& genome : genomes)
     scenarios.push_back(space.decode(genome));
-  std::vector<SimulationResult> results = service_.run_batch(fitness_requests(
-      scenarios, *context_.start_map, *context_.target_map,
-      context_.start_time, context_.end_time));
-  std::vector<double> fitness;
-  fitness.reserve(results.size());
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    fitness.push_back(results[i].fitness);
-    // Past the backstop a scenario simply has no record, and
-    // burn_probability simulates it.
-    if (!results[i].burned.empty() &&
-        burned_memo_.size() < burned_memo_capacity_)
-      burned_memo_.try_emplace(cache::make_scenario_key(scenarios[i]),
-                               std::move(results[i].burned));
-  }
-  return fitness;
+  return service_.fitness_batch(scenarios, *context_.start_map,
+                               *context_.target_map, context_.start_time,
+                               context_.end_time);
 }
 
 ea::BatchEvaluator ScenarioEvaluator::batch_evaluator() {

@@ -13,14 +13,12 @@
 //
 // The Statistical Stage aggregates the OS's solution set over the interval
 // the OS just searched, and the OS has already simulated every member of it.
-// So each fitness simulation hands back the cells its map burned, the
-// evaluator keeps those records for the current step (keyed by scenario),
-// and burn_probability() counts them instead of simulating again. Scenarios
-// without a record — the PS's forward interval, or shared-cache hits that
-// ran no simulation — still go through the service's map batch.
+// So the service's step store keeps the cells each simulation burned (keyed
+// by scenario), and burn_probability() counts those records instead of
+// simulating again. Scenarios without a record — the PS's forward interval,
+// or shared-cache hits that ran no simulation — still go through the
+// service's burned-cell batch.
 #pragma once
-
-#include <unordered_map>
 
 #include "ea/individual.hpp"
 #include "ess/simulation_service.hpp"
@@ -46,9 +44,10 @@ class ScenarioEvaluator {
   ScenarioEvaluator& operator=(const ScenarioEvaluator&) = delete;
 
   /// Select the interval evaluated by subsequent batch calls. Drops the
-  /// burned-cell records of the previous step. The context's maps are read
-  /// in place by every later call, so they must stay unchanged while the
-  /// step is current; call set_step again after changing them.
+  /// step store (the burned-cell records of the previous step) and packs
+  /// the step's Eq. (3) target once. The context's maps are read in place
+  /// by every later call, so they must stay unchanged while the step is
+  /// current; call set_step again after changing them.
   void set_step(const StepContext& context);
 
   /// BatchEvaluator view bound to this evaluator (valid while alive).
@@ -67,9 +66,9 @@ class ScenarioEvaluator {
   /// (fire state at the interval's start) to `end_time`: the Statistical
   /// Stage. When `start` and `end_time` are the current step's, scenarios
   /// the step's fitness batches simulated are counted from their recorded
-  /// burned cells; the rest are simulated as one map batch over the worker
-  /// pool. Bit-identical to aggregating N simulate() maps at any worker
-  /// count and cache policy.
+  /// burned cells; the rest are simulated as one burned-cell batch over the
+  /// worker pool. Bit-identical to aggregating N simulate() maps at any
+  /// worker count and cache policy.
   Grid<double> burn_probability(const std::vector<firelib::Scenario>& scenarios,
                                 const firelib::IgnitionMap& start,
                                 double end_time);
@@ -116,10 +115,10 @@ class ScenarioEvaluator {
   std::size_t cache_entries() const { return service_.cache_entries(); }
   std::size_t cache_bytes() const { return service_.cache_bytes(); }
 
-  /// Shrink the burned-cell record backstop (default 1<<16 records, the
-  /// step cache's) — exposed so tests can exercise saturation cheaply.
-  void set_burned_memo_capacity(std::size_t capacity) {
-    burned_memo_capacity_ = capacity;
+  /// Shrink the step store's backstop (default 1<<16 records) — exposed so
+  /// tests can exercise saturation cheaply.
+  void set_step_cache_capacity(std::size_t capacity) {
+    service_.set_step_cache_capacity(capacity);
   }
 
  private:
@@ -127,13 +126,6 @@ class ScenarioEvaluator {
 
   SimulationService service_;
   StepContext context_;
-  /// Burned cells of the scenarios the fitness batches simulated since
-  /// set_step, over the step's interval. Insertion stops (records are kept)
-  /// at burned_memo_capacity_: a memory backstop like the step cache's, so
-  /// a request with huge generations x population cannot grow it unbounded.
-  std::unordered_map<cache::ScenarioKey, BurnedCells, cache::ScenarioKeyHash>
-      burned_memo_;
-  std::size_t burned_memo_capacity_ = 1 << 16;
 };
 
 }  // namespace essns::ess

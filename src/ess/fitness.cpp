@@ -1,5 +1,6 @@
 #include "ess/fitness.hpp"
 
+#include <bit>
 #include <cmath>
 
 #include "common/error.hpp"
@@ -31,53 +32,39 @@ double jaccard(const Grid<std::uint8_t>& real_burned,
   return static_cast<double>(intersection) / static_cast<double>(set_union);
 }
 
-double jaccard_at(const firelib::IgnitionMap& real_map,
-                  const firelib::IgnitionMap& simulated_map, double time_min,
-                  double preburned_time) {
-  // Never-ignited cells hold kNeverIgnited (+inf); a non-finite query time
-  // would count them as burned (inf <= inf) and silently skew Eq. (3). Same
-  // contract as burned_mask/burned_count, so the fused kernel and the
-  // mask-materializing reference below agree on every input.
-  ESSNS_REQUIRE(std::isfinite(time_min),
+ScoringTarget make_scoring_target(const firelib::IgnitionMap& real_map,
+                                  double start_time, double end_time) {
+  ESSNS_REQUIRE(std::isfinite(end_time),
                 "jaccard comparison time must be finite");
-  ESSNS_REQUIRE(std::isfinite(preburned_time),
+  ESSNS_REQUIRE(std::isfinite(start_time),
                 "jaccard preburned horizon must be finite");
-  ESSNS_REQUIRE(preburned_time <= time_min,
+  ESSNS_REQUIRE(start_time <= end_time,
                 "preburned horizon must not exceed the comparison time");
-  ESSNS_REQUIRE(real_map.rows() == simulated_map.rows() &&
-                    real_map.cols() == simulated_map.cols(),
+  return {firelib::burned_cells(real_map, end_time),
+          firelib::burned_cells(real_map, start_time)};
+}
+
+double jaccard(const ScoringTarget& target,
+               const firelib::BurnedCells& simulated) {
+  ESSNS_REQUIRE(target.real.rows == simulated.rows &&
+                    target.real.cols == simulated.cols &&
+                    target.real.words.size() == simulated.words.size() &&
+                    target.preburned.words.size() == simulated.words.size(),
                 "jaccard maps must share dimensions");
-  // One pass over the two time maps; membership tests replicate burned_mask
-  // (<= threshold) cell for cell, so counts — and the quotient — are
-  // identical to the mask-materializing reference path.
   std::size_t intersection = 0;
   std::size_t set_union = 0;
-  const std::size_t n = real_map.size();
-  const double* real = real_map.data();
-  const double* simulated = simulated_map.data();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (real[i] <= preburned_time) continue;  // preburned before the interval
-    const bool in_real = real[i] <= time_min;
-    const bool in_simulated = simulated[i] <= time_min;
-    intersection += in_real && in_simulated;
-    set_union += in_real || in_simulated;
+  const std::uint64_t* real = target.real.words.data();
+  const std::uint64_t* pre = target.preburned.words.data();
+  const std::uint64_t* sim = simulated.words.data();
+  for (std::size_t w = 0; w < simulated.words.size(); ++w) {
+    const std::uint64_t live = ~pre[w];
+    intersection +=
+        static_cast<std::size_t>(std::popcount(real[w] & sim[w] & live));
+    set_union +=
+        static_cast<std::size_t>(std::popcount((real[w] | sim[w]) & live));
   }
   if (set_union == 0) return 1.0;
   return static_cast<double>(intersection) / static_cast<double>(set_union);
-}
-
-double jaccard_at_reference(const firelib::IgnitionMap& real_map,
-                            const firelib::IgnitionMap& simulated_map,
-                            double time_min, double preburned_time) {
-  ESSNS_REQUIRE(std::isfinite(time_min),
-                "jaccard comparison time must be finite");
-  ESSNS_REQUIRE(std::isfinite(preburned_time),
-                "jaccard preburned horizon must be finite");
-  ESSNS_REQUIRE(preburned_time <= time_min,
-                "preburned horizon must not exceed the comparison time");
-  return jaccard(firelib::burned_mask(real_map, time_min),
-                 firelib::burned_mask(simulated_map, time_min),
-                 firelib::burned_mask(real_map, preburned_time));
 }
 
 }  // namespace essns::ess

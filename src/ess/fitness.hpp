@@ -19,22 +19,26 @@ double jaccard(const Grid<std::uint8_t>& real_burned,
                const Grid<std::uint8_t>& simulated_burned,
                const Grid<std::uint8_t>& preburned);
 
-/// Convenience for ignition-time maps: compares cells ignited by
-/// `time_min`, excluding cells already ignited by `preburned_time` in the
-/// real map (the fire state when the simulation started).
-///
-/// Fused single-pass kernel: Jaccard is computed directly from the two
-/// ignition-time maps with zero allocations — no intermediate burned-mask
-/// grids. Bit-identical to jaccard_at_reference (tested).
-double jaccard_at(const firelib::IgnitionMap& real_map,
-                  const firelib::IgnitionMap& simulated_map, double time_min,
-                  double preburned_time);
+/// The real-fire side of Eq. (3) over one interval, packed once per
+/// interval: R, the cells the real map burned by the interval's end, and P,
+/// the cells it had burned by the interval's start (excluded as preburned).
+struct ScoringTarget {
+  firelib::BurnedCells real;
+  firelib::BurnedCells preburned;
+};
 
-/// Pre-optimization jaccard_at: materializes the three burned_mask grids and
-/// calls jaccard. Kept as the oracle the fused kernel is tested and
-/// benchmarked against.
-double jaccard_at_reference(const firelib::IgnitionMap& real_map,
-                            const firelib::IgnitionMap& simulated_map,
-                            double time_min, double preburned_time);
+/// Pack R = real_map <= end_time and P = real_map <= start_time. Both times
+/// must be finite (never-ignited cells hold +inf, and inf <= inf would count
+/// them as burned) and start_time must not exceed end_time.
+ScoringTarget make_scoring_target(const firelib::IgnitionMap& real_map,
+                                  double start_time, double end_time);
+
+/// Eq. (3) on words: popcount(R & S & ~P) / popcount((R | S) & ~P), 1.0 on
+/// an empty union. `simulated` is S, the cells a simulation burned by the
+/// interval's end (the sweep's own record). The two counts are the same
+/// integers the cell-by-cell form sums, so the quotient is bit-identical to
+/// it.
+double jaccard(const ScoringTarget& target,
+               const firelib::BurnedCells& simulated);
 
 }  // namespace essns::ess

@@ -114,8 +114,8 @@ PipelineResult PredictionPipeline::run(Optimizer& optimizer, Rng& rng) {
     std::size_t cache_peak_entries = 0;
     std::size_t cache_peak_bytes = 0;
     // Sampled after every simulating stage: the step cache is wiped by a
-    // map batch's context change (the PS's) mid-step, so only a per-stage
-    // max sees the OS working set.
+    // burned-cell batch's context change (the PS's) mid-step, so only a
+    // per-stage max sees the OS working set.
     const auto sample_cache = [&] {
       cache_peak_entries =
           std::max(cache_peak_entries, evaluator.cache_entries());

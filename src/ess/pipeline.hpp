@@ -82,7 +82,7 @@ struct StepReport {
   // Deterministic across worker counts under the step policy; hits are
   // simulations avoided. Evictions/rejections are per-step deltas.
   // entries/bytes are the step's PEAK, sampled at every stage boundary —
-  // under the step policy a map batch's context change (the PS's) wipes
+  // under the step policy a PS batch's context change wipes
   // the cache mid-step, so an end-of-step snapshot would hide the OS working set;
   // under the shared policy they reflect the whole (possibly cross-job)
   // cache as this pipeline saw it.

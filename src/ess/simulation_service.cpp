@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 
 #include "common/error.hpp"
-#include "ess/fitness.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -33,7 +33,7 @@ unsigned SimulationService::workers() const {
 
 void SimulationService::clear_step_cache() {
   step_cache_.clear();
-  cache_context_ = CacheContext{};
+  context_.valid = false;
   step_cache_bytes_ = 0;
 }
 
@@ -70,7 +70,6 @@ std::size_t SimulationService::cache_bytes() const {
 
 void SimulationService::set_reference_kernels(bool reference) {
   propagator_.set_reference_sweep(reference);
-  reference_fitness_ = reference;
 }
 
 void SimulationService::set_sweep_queue(firelib::SweepQueue queue) {
@@ -144,18 +143,13 @@ SimulationResult SimulationService::run_one(unsigned worker_id,
   simulations_.fetch_add(1, std::memory_order_relaxed);
   obs::SpanTimer sim_timer("simulate");
   firelib::PropagationWorkspace& workspace = workspaces_[worker_id];
-  const firelib::IgnitionMap& simulated = propagator_.propagate(
-      *env_, *req.scenario, *req.start, req.end_time, workspace);
+  propagator_.propagate(*env_, *req.scenario, *req.start, req.end_time,
+                        workspace);
   SimulationResult result;
-  if (req.target) {
-    result.fitness =
-        reference_fitness_
-            ? jaccard_at_reference(*req.target, simulated, req.end_time,
-                                   req.start_time)
-            : jaccard_at(*req.target, simulated, req.end_time, req.start_time);
-    result.burned = pack_burned(simulated, req.end_time);
-  }
-  if (req.keep_map) result.map = simulated;
+  result.burned = workspace.last_burned();
+  // A scored request's target is the current context's (every batch runs
+  // in one context).
+  if (req.target) result.fitness = jaccard(context_.scoring, result.burned);
   result.sim_seconds = sim_timer.stop();
   if (obs::metrics_enabled()) {
     obs::add_counter("sim.count", 1);
@@ -170,18 +164,8 @@ std::vector<SimulationResult> SimulationService::run_batch_uncached(
     obs::record_histogram("sweep.batch_size",
                           static_cast<double>(requests.size()));
   if (backend_ == firelib::SweepBackend::kBatched && !requests.empty() &&
-      !propagator_.reference_sweep()) {
-    // The batch engine needs one (start map, horizon) per launch — exactly
-    // what the cache paths and the fitness/map batch builders produce.
-    // Targets and start times may differ per request (scoring is
-    // per-request, after the launch).
-    const SimulationRequest& first = *requests.front();
-    bool launchable = true;
-    for (const SimulationRequest* req : requests)
-      if (req->start != first.start || req->end_time != first.end_time)
-        launchable = false;
-    if (launchable) return run_batch_batched(requests);
-  }
+      !propagator_.reference_sweep())
+    return run_batch_batched(requests);
   if (pool_) return pool_->evaluate(requests);
   std::vector<SimulationResult> results;
   results.reserve(requests.size());
@@ -205,7 +189,7 @@ std::vector<SimulationResult> SimulationService::run_batch_batched(
   for (const SimulationRequest* req : requests)
     scenarios.push_back(req->scenario);
   const SimulationRequest& first = *requests.front();
-  std::vector<firelib::IgnitionMap> maps =
+  const std::vector<firelib::IgnitionMap> maps =
       batch_engine_->sweep(*env_, scenarios, *first.start, first.end_time);
   const double batch_seconds = batch_timer.stop();
   // Cost attribution for the shared cache's eviction weighting: the launch
@@ -216,16 +200,10 @@ std::vector<SimulationResult> SimulationService::run_batch_batched(
 
   std::vector<SimulationResult> results(requests.size());
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    const SimulationRequest& req = *requests[i];
-    if (req.target) {
-      results[i].fitness =
-          reference_fitness_
-              ? jaccard_at_reference(*req.target, maps[i], req.end_time,
-                                     req.start_time)
-              : jaccard_at(*req.target, maps[i], req.end_time, req.start_time);
-      results[i].burned = pack_burned(maps[i], req.end_time);
-    }
-    if (req.keep_map) results[i].map = std::move(maps[i]);
+    // The batch engine emits maps; pack each once at the launch's horizon.
+    results[i].burned = firelib::burned_cells(maps[i], first.end_time);
+    if (first.target)
+      results[i].fitness = jaccard(context_.scoring, results[i].burned);
     results[i].sim_seconds = per_sim_seconds;
   }
   if (obs::metrics_enabled()) {
@@ -236,265 +214,269 @@ std::vector<SimulationResult> SimulationService::run_batch_batched(
   return results;
 }
 
+namespace {
+
+/// Bitwise equality: the context check must see a NaN or a -0.0 written
+/// in place, which `==` on doubles would not.
+bool same_bits(const firelib::IgnitionMap& a, const firelib::IgnitionMap& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+}  // namespace
+
+void SimulationService::enter_context(const SimulationRequest& first) {
+  Context& c = context_;
+  if (c.valid && c.start == first.start && c.target == first.target &&
+      c.start_time == first.start_time && c.end_time == first.end_time &&
+      same_bits(*first.start, c.start_copy) &&
+      (!first.target || same_bits(*first.target, c.target_copy)))
+    return;
+  step_cache_.clear();
+  step_cache_bytes_ = 0;
+  c.valid = false;  // until every derived field is rebuilt
+  c.start = first.start;
+  c.target = first.target;
+  c.start_time = first.start_time;
+  c.end_time = first.end_time;
+  c.start_copy = *first.start;
+  c.scoring = {};
+  if (first.target) {
+    c.target_copy = *first.target;
+    c.scoring = make_scoring_target(*first.target, first.start_time,
+                                    first.end_time);
+  }
+  if (cache_policy_ == cache::CachePolicy::kShared) {
+    c.start_fingerprint = cache::map_fingerprint(*first.start);
+    c.target_fingerprint =
+        first.target ? cache::map_fingerprint(*first.target) : 0;
+  }
+  c.valid = true;
+}
+
+void SimulationService::begin_step(const firelib::IgnitionMap& start,
+                                   const firelib::IgnitionMap& target,
+                                   double start_time, double end_time) {
+  clear_step_cache();
+  SimulationRequest probe;
+  probe.start = &start;
+  probe.target = &target;
+  probe.start_time = start_time;
+  probe.end_time = end_time;
+  enter_context(probe);
+}
+
+double SimulationService::score(const firelib::Scenario& scenario,
+                                const firelib::IgnitionMap& start,
+                                const firelib::IgnitionMap& target,
+                                double start_time, double end_time) {
+  const SimulationRequest req{&scenario, &start, start_time, end_time,
+                              &target};
+  enter_context(req);
+  return run_one(0, req).fitness;
+}
+
+std::vector<const BurnedCells*> SimulationService::step_records(
+    const std::vector<firelib::Scenario>& scenarios,
+    const firelib::IgnitionMap& start, double end_time) const {
+  std::vector<const BurnedCells*> records(scenarios.size(), nullptr);
+  if (!context_.valid || context_.start != &start ||
+      context_.end_time != end_time || !same_bits(start, context_.start_copy))
+    return records;
+  for (std::size_t i = 0; i < scenarios.size(); ++i) {
+    const auto it = step_cache_.find(cache::make_scenario_key(scenarios[i]));
+    if (it != step_cache_.end() && !it->second.burned.empty())
+      records[i] = &it->second.burned;
+  }
+  return records;
+}
+
+void SimulationService::remember(const cache::ScenarioKey& key,
+                                 const SimulationRequest& req,
+                                 const SimulationResult& sim) {
+  const auto found = step_cache_.find(key);
+  const bool known = found != step_cache_.end();
+  if (!known && step_cache_.size() >= step_cache_capacity_) {
+    if (cache_policy_ == cache::CachePolicy::kStep)
+      ++cache_insertions_rejected_;
+    return;
+  }
+  cache::CachedScenario& entry = known ? found->second : step_cache_[key];
+  const std::size_t charge_before = known ? cache::entry_charge(entry) : 0;
+  if (req.target) entry.set_fitness(0, 0, sim.fitness);
+  if (entry.burned.empty()) entry.burned = sim.burned;
+  step_cache_bytes_ += cache::entry_charge(entry) - charge_before;
+}
+
 std::vector<SimulationResult> SimulationService::run_batch(
     const std::vector<SimulationRequest>& requests) {
   if (requests.empty()) return {};
   ESSNS_TRACE_SPAN("sim.batch");
 
-  // The cache applies to homogeneous batches — one (start, target, interval)
-  // shared by every request, which is what fitness_batch / simulate_batch
-  // produce. Mixed batches bypass it.
-  bool homogeneous = cache_policy_ != cache::CachePolicy::kOff;
   const SimulationRequest& first = requests.front();
   for (const SimulationRequest& req : requests) {
     ESSNS_REQUIRE(req.scenario && req.start,
                   "request scenario/start must be set");
-    if (req.start != first.start || req.target != first.target ||
-        req.start_time != first.start_time || req.end_time != first.end_time)
-      homogeneous = false;
+    ESSNS_REQUIRE(req.start == first.start && req.target == first.target &&
+                      req.start_time == first.start_time &&
+                      req.end_time == first.end_time,
+                  "a batch's requests must share one start map, target and "
+                  "interval");
   }
-  if (homogeneous) {
-    return cache_policy_ == cache::CachePolicy::kShared
-               ? run_batch_shared(requests)
-               : run_batch_step(requests);
-  }
+  enter_context(first);
+  if (cache_policy_ != cache::CachePolicy::kOff)
+    return run_batch_cached(requests);
 
+  // No memoization: every request simulates, and the step store keeps the
+  // records for the Statistical Stage.
   std::vector<const SimulationRequest*> tasks;
   tasks.reserve(requests.size());
   for (const SimulationRequest& req : requests) tasks.push_back(&req);
-  return run_batch_uncached(tasks);
+  std::vector<SimulationResult> results = run_batch_uncached(tasks);
+  for (std::size_t i = 0; i < requests.size(); ++i)
+    remember(cache::make_scenario_key(*requests[i].scenario), requests[i],
+             results[i]);
+  return results;
 }
 
-std::vector<SimulationResult> SimulationService::run_batch_step(
+std::vector<SimulationResult> SimulationService::run_batch_cached(
     const std::vector<SimulationRequest>& requests) {
-  // The step cache has no shard underneath to feed the registry (unlike
-  // kShared, whose cache.* counts come from ScenarioCacheShard), so flush
-  // the master-thread bookkeeping deltas once per batch instead.
+  const bool shared = cache_policy_ == cache::CachePolicy::kShared;
+  const SimulationRequest& first = requests.front();
+  // Shared keys carry the *simulation* context (start map, end time) only;
+  // the scoring target lives in per-entry fitness records. So unlike kStep
+  // a context change invalidates nothing: a PS pass fills the entries the
+  // next step's OS scores against its new target, and a later job or serve
+  // refresh over the same interval finds both records and scores.
+  std::uint64_t key_context = 0;
+  cache::FitnessQuery query;
+  if (shared) {
+    if (!shared_cache_)
+      shared_cache_ = std::make_shared<cache::SharedScenarioCache>(
+          cache_mem_bytes_);
+    if (!env_fingerprint_)
+      env_fingerprint_ = cache::environment_fingerprint(*env_);
+    key_context = cache::context_fingerprint(
+        *env_fingerprint_, context_.start_fingerprint, first.end_time);
+    if (first.target)
+      query = {context_.target_fingerprint,
+               std::bit_cast<std::uint64_t>(first.start_time)};
+  }
+  // Serve request `req` from the cache into `out`; false on a miss.
+  const auto serve = [&](const cache::ScenarioKey& key,
+                         const SimulationRequest& req,
+                         SimulationResult& out) {
+    if (!shared) {
+      // Step mode keeps the original behavior bit-for-bit: only an
+      // explicit fitness record satisfies a scored request (no re-scoring).
+      const auto cached = step_cache_.find(key);
+      if (cached == step_cache_.end() ||
+          (req.target && !cached->second.find_fitness(0, 0)))
+        return false;
+      if (req.target)
+        out.fitness = *cached->second.find_fitness(0, 0);
+      else
+        out.burned = cached->second.burned;
+      return true;
+    }
+    const auto cached =
+        shared_cache_->find(key, !req.target, req.target ? &query : nullptr);
+    if (!cached) return false;
+    if (!req.target) {
+      out.burned = cached->burned;
+    } else if (const double* fitness = cached->find_fitness(
+                   query.target_fingerprint, query.start_time_bits)) {
+      out.fitness = *fitness;
+    } else {
+      // New target for a cached record: re-score it (one pass over words)
+      // and record the score for the next asker.
+      out.fitness = jaccard(context_.scoring, cached->burned);
+      cache::CachedScenario scored;
+      scored.set_fitness(query.target_fingerprint, query.start_time_bits,
+                         out.fitness);
+      const cache::InsertOutcome outcome =
+          shared_cache_->insert(key, std::move(scored), 0.0);
+      cache_evictions_ += outcome.evictions;
+      if (outcome.rejected) ++cache_insertions_rejected_;
+    }
+    return true;
+  };
+
+  // Plan the batch on the master thread. In-batch duplicates come first:
+  // the scheduled simulation serves them, so probing the shared cache would
+  // only take the shard mutex to record a phantom miss (skewing the
+  // cache-global hit-rate on exactly the duplicate-heavy batches the cache
+  // targets). Then the cache serves what it can and the rest simulate.
   const std::size_t hits_before = cache_hits_;
   const std::size_t misses_before = cache_misses_;
   const std::size_t rejected_before = cache_insertions_rejected_;
   const std::size_t dedup_before = batch_dedup_hits_;
-  const SimulationRequest& first = requests.front();
-  CacheContext context;
-  context.start = first.start;
-  context.target = first.target;
-  context.start_time = first.start_time;
-  context.end_time = first.end_time;
-  context.start_fingerprint = cache::map_fingerprint(*first.start);
-  context.target_fingerprint =
-      first.target ? cache::map_fingerprint(*first.target) : 0;
-  context.valid = true;
-  if (!(context == cache_context_)) {
-    step_cache_.clear();
-    step_cache_bytes_ = 0;
-    cache_context_ = context;
-  }
-
-  // Plan the batch on the master thread: serve what the cache can, collapse
-  // in-batch duplicates onto one scheduled simulation, simulate the rest.
   constexpr std::size_t kFromCache = static_cast<std::size_t>(-1);
   std::vector<SimulationResult> results(requests.size());
   std::vector<std::size_t> slot_of(requests.size(), kFromCache);
-  std::vector<SimulationRequest> scheduled;
+  std::vector<const SimulationRequest*> scheduled;
   std::vector<cache::ScenarioKey> scheduled_keys;
   std::unordered_map<cache::ScenarioKey, std::size_t, cache::ScenarioKeyHash>
       in_batch;
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    const SimulationRequest& req = requests[i];
-    const cache::ScenarioKey key = cache::make_scenario_key(*req.scenario);
-    const auto cached = step_cache_.find(key);
-    // Step mode keeps the original behavior bit-for-bit: only an explicit
-    // fitness record satisfies a fitness request (no re-scoring from maps).
-    const bool satisfied = cached != step_cache_.end() &&
-                           (!req.target || cached->second.find_fitness(0, 0)) &&
-                           (!req.keep_map || cached->second.map);
-    if (satisfied) {
-      if (req.target) results[i].fitness = *cached->second.find_fitness(0, 0);
-      if (req.keep_map) results[i].map = *cached->second.map;
-      ++cache_hits_;
-      continue;
-    }
-    const auto [it, inserted] = in_batch.try_emplace(key, scheduled.size());
-    if (inserted) {
-      scheduled.push_back(req);
-      scheduled_keys.push_back(key);
-      ++cache_misses_;
-    } else {
-      // A duplicate widens the scheduled request rather than re-simulating.
-      scheduled[it->second].keep_map |= req.keep_map;
-      ++cache_hits_;
-      ++batch_dedup_hits_;
-    }
-    slot_of[i] = it->second;
-  }
-
-  std::vector<const SimulationRequest*> tasks;
-  tasks.reserve(scheduled.size());
-  for (const SimulationRequest& req : scheduled) tasks.push_back(&req);
-  std::vector<SimulationResult> simulated = run_batch_uncached(tasks);
-
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    if (slot_of[i] == kFromCache) continue;
-    const SimulationRequest& req = requests[i];
-    const SimulationResult& sim = simulated[slot_of[i]];
-    if (req.target) {
-      results[i].fitness = sim.fitness;
-      results[i].burned = sim.burned;
-    }
-    if (req.keep_map) results[i].map = sim.map;
-  }
-  for (std::size_t slot = 0; slot < scheduled.size(); ++slot) {
-    const cache::ScenarioKey& key = scheduled_keys[slot];
-    const bool known = step_cache_.count(key) != 0;
-    if (!known && step_cache_.size() >= step_cache_capacity_) {
-      ++cache_insertions_rejected_;
-      continue;
-    }
-    cache::CachedScenario& entry = step_cache_[key];
-    const std::size_t charge_before = known ? cache::entry_charge(entry) : 0;
-    if (scheduled[slot].target)
-      entry.set_fitness(0, 0, simulated[slot].fitness);
-    if (scheduled[slot].keep_map && !entry.map)
-      entry.map = std::move(simulated[slot].map);
-    step_cache_bytes_ += cache::entry_charge(entry) - charge_before;
-  }
-  if (obs::metrics_enabled()) {
-    obs::add_counter("cache.hits", cache_hits_ - hits_before);
-    obs::add_counter("cache.misses", cache_misses_ - misses_before);
-    obs::add_counter("cache.insertions_rejected",
-                     cache_insertions_rejected_ - rejected_before);
-    obs::add_counter("sweep.batch_dedup_hits",
-                     batch_dedup_hits_ - dedup_before);
-  }
-  return results;
-}
-
-std::vector<SimulationResult> SimulationService::run_batch_shared(
-    const std::vector<SimulationRequest>& requests) {
-  if (!shared_cache_)
-    shared_cache_ = std::make_shared<cache::SharedScenarioCache>(
-        cache_mem_bytes_);
-
-  // Keys carry the *simulation* context (start map, end time) only; the
-  // scoring target lives in per-entry fitness records. So unlike kStep a
-  // context change invalidates nothing: a PS map pass fills the entries the
-  // next step's OS scores against its new target, and a later job or serve
-  // refresh over the same interval finds both maps and scores.
-  if (!env_fingerprint_)
-    env_fingerprint_ = cache::environment_fingerprint(*env_);
-  const SimulationRequest& first = requests.front();
-  const std::uint64_t start_fp = cache::map_fingerprint(*first.start);
-  const std::uint64_t context =
-      cache::context_fingerprint(*env_fingerprint_, start_fp, first.end_time);
-  cache::FitnessQuery query;
-  if (first.target) {
-    query.target_fingerprint = cache::map_fingerprint(*first.target);
-    query.start_time_bits = std::bit_cast<std::uint64_t>(first.start_time);
-  }
-
-  constexpr std::size_t kFromCache = static_cast<std::size_t>(-1);
-  std::vector<SimulationResult> results(requests.size());
-  std::vector<std::size_t> slot_of(requests.size(), kFromCache);
-  std::vector<SimulationRequest> scheduled;
-  std::vector<cache::ScenarioKey> scheduled_keys;
-  std::unordered_map<cache::ScenarioKey, std::size_t, cache::ScenarioKeyHash>
-      in_batch;
-  const std::size_t dedup_before = batch_dedup_hits_;
-  // Mirrors run_batch_step's scheduling skeleton on purpose: the step path
-  // is frozen bit-for-bit, so the two evolve independently.
   for (std::size_t i = 0; i < requests.size(); ++i) {
     const SimulationRequest& req = requests[i];
     cache::ScenarioKey key = cache::make_scenario_key(*req.scenario);
-    key.context = context;
-    // In-batch duplicates first: the scheduled simulation will serve them,
-    // so probing the shared cache would only take the shard mutex to record
-    // a phantom miss (skewing the cache-global hit-rate on exactly the
-    // duplicate-heavy batches the cache targets).
+    key.context = key_context;
     if (const auto dup = in_batch.find(key); dup != in_batch.end()) {
       ++cache_hits_;
       ++batch_dedup_hits_;
       slot_of[i] = dup->second;
       continue;
     }
-    const auto cached =
-        shared_cache_->find(key, req.keep_map, req.target ? &query : nullptr);
-    if (cached) {
-      if (req.target) {
-        const double* fitness = cached->find_fitness(
-            query.target_fingerprint, query.start_time_bits);
-        if (fitness) {
-          results[i].fitness = *fitness;
-        } else {
-          // New target for a cached map: re-score the byte-exact map (a
-          // single pass, orders of magnitude cheaper than re-simulating)
-          // and record the score for the next asker.
-          results[i].fitness =
-              reference_fitness_
-                  ? jaccard_at_reference(*req.target, *cached->map,
-                                         req.end_time, req.start_time)
-                  : jaccard_at(*req.target, *cached->map, req.end_time,
-                               req.start_time);
-          cache::CachedScenario scored;
-          scored.set_fitness(query.target_fingerprint, query.start_time_bits,
-                             results[i].fitness);
-          const cache::InsertOutcome outcome =
-              shared_cache_->insert(key, std::move(scored), 0.0);
-          cache_evictions_ += outcome.evictions;
-          if (outcome.rejected) ++cache_insertions_rejected_;
-        }
-      }
-      if (req.keep_map) results[i].map = *cached->map;
+    if (serve(key, req, results[i])) {
       ++cache_hits_;
       continue;
     }
     in_batch.emplace(key, scheduled.size());
     slot_of[i] = scheduled.size();
-    scheduled.push_back(req);
-    // Always keep the map on a shared-mode miss: a fitness-only request
-    // costs one extra map copy now, but the map is exactly what a later
-    // job's SS pass over the same interval (or a later target) would
-    // otherwise re-simulate. The byte budget absorbs the footprint.
-    scheduled.back().keep_map = true;
+    scheduled.push_back(&req);
     scheduled_keys.push_back(key);
     ++cache_misses_;
   }
 
-  std::vector<const SimulationRequest*> tasks;
-  tasks.reserve(scheduled.size());
-  for (const SimulationRequest& req : scheduled) tasks.push_back(&req);
-  std::vector<SimulationResult> simulated = run_batch_uncached(tasks);
-
+  const std::vector<SimulationResult> simulated = run_batch_uncached(scheduled);
   for (std::size_t i = 0; i < requests.size(); ++i) {
     if (slot_of[i] == kFromCache) continue;
-    const SimulationRequest& req = requests[i];
-    const SimulationResult& sim = simulated[slot_of[i]];
-    if (req.target) {
-      results[i].fitness = sim.fitness;
-      results[i].burned = sim.burned;
-    }
-    if (req.keep_map) results[i].map = sim.map;
+    results[i].fitness = simulated[slot_of[i]].fitness;
+    results[i].burned = simulated[slot_of[i]].burned;
   }
   for (std::size_t slot = 0; slot < scheduled.size(); ++slot) {
+    cache::ScenarioKey step_key = scheduled_keys[slot];
+    step_key.context = 0;
+    remember(step_key, *scheduled[slot], simulated[slot]);
+    if (!shared) continue;
     cache::CachedScenario value;
-    if (scheduled[slot].target)
+    if (scheduled[slot]->target)
       value.set_fitness(query.target_fingerprint, query.start_time_bits,
                         simulated[slot].fitness);
-    value.map = std::move(simulated[slot].map);
+    value.burned = simulated[slot].burned;
     const cache::InsertOutcome outcome = shared_cache_->insert(
         scheduled_keys[slot], std::move(value), simulated[slot].sim_seconds);
     cache_evictions_ += outcome.evictions;
     if (outcome.rejected) ++cache_insertions_rejected_;
   }
-  // The shared cache's own shards feed the cache.* registry counts; the
-  // in-batch dedup happens before the cache is touched, so flush it here
-  // (once per batch, master thread).
-  if (obs::metrics_enabled())
+  // Flush the master-thread bookkeeping once per batch. The shared cache's
+  // own shards feed the cache.* counts; the step store has no shard
+  // underneath, and the in-batch dedup happens before either is touched.
+  if (obs::metrics_enabled()) {
+    if (!shared) {
+      obs::add_counter("cache.hits", cache_hits_ - hits_before);
+      obs::add_counter("cache.misses", cache_misses_ - misses_before);
+      obs::add_counter("cache.insertions_rejected",
+                       cache_insertions_rejected_ - rejected_before);
+    }
     obs::add_counter("sweep.batch_dedup_hits",
                      batch_dedup_hits_ - dedup_before);
+  }
   return results;
 }
 
-std::vector<firelib::IgnitionMap> SimulationService::simulate_batch(
+std::vector<BurnedCells> SimulationService::simulate_batch(
     const std::vector<firelib::Scenario>& scenarios,
     const firelib::IgnitionMap& start, double end_time) {
   std::vector<SimulationRequest> requests(scenarios.size());
@@ -504,10 +486,11 @@ std::vector<firelib::IgnitionMap> SimulationService::simulate_batch(
     requests[i].end_time = end_time;
   }
   std::vector<SimulationResult> results = run_batch(requests);
-  std::vector<firelib::IgnitionMap> maps;
-  maps.reserve(results.size());
-  for (SimulationResult& result : results) maps.push_back(std::move(result.map));
-  return maps;
+  std::vector<BurnedCells> records;
+  records.reserve(results.size());
+  for (SimulationResult& result : results)
+    records.push_back(std::move(result.burned));
+  return records;
 }
 
 std::vector<SimulationRequest> fitness_requests(
@@ -521,7 +504,6 @@ std::vector<SimulationRequest> fitness_requests(
     requests[i].start_time = start_time;
     requests[i].end_time = end_time;
     requests[i].target = &target;
-    requests[i].keep_map = false;
   }
   return requests;
 }

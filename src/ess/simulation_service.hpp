@@ -5,9 +5,9 @@
 // be implemented in the evaluation of the scenarios", §III-B) and leaves the
 // Statistical and Prediction stages serial. This service supersedes that
 // scoping: one persistent Master/Worker pool (Fig. 1/3) serves fitness
-// batches for the OS *and* map batches for the PS (and for SS solutions no
-// fitness batch recorded), so every stage that simulates scales with the
-// worker count. Each worker owns a
+// batches for the OS *and* burned-cell batches for the PS (and for SS
+// solutions no fitness batch recorded), so every stage that simulates
+// scales with the worker count. Each worker owns a
 // firelib::PropagationWorkspace, so steady-state simulations run without
 // per-call allocations regardless of which stage issued them.
 //
@@ -16,23 +16,38 @@
 // inputs — so results are bit-identical across worker counts (workers == 1
 // runs inline on the calling thread).
 //
+// What a simulation yields: every Eq. (3) score and Statistical Stage count
+// only asks which cells burned by the end of the interval, so results carry
+// the sweep's burned-cell record (firelib::BurnedCells, one bit per cell),
+// never the f64 ignition map. Each batch runs in a context — (start map,
+// target map, interval) — whose derived data is built once when the context
+// begins: the packed scoring target (ess::ScoringTarget) and, for the
+// shared cache, the maps' fingerprints. Later batches only compare the
+// maps against copies taken then, so a map changed in place behind a
+// reused pointer still starts a new context.
+//
 // Scenario cache: duplicate genomes are common under GA crossover/elitism,
 // and re-simulating a byte-identical scenario over the same interval from
 // the same fire state is pure waste. The service memoizes batch results
 // behind a cache-policy seam (cache::CachePolicy):
 //
-//   kStep   the original behavior, bit-for-bit: a private map keyed by the
-//           scenario's parameter bytes, scoped to one (start map, target
-//           map, interval) context; a context change (e.g. the next
-//           prediction step) clears it. All bookkeeping happens on the
-//           master thread at batch-assembly time, so hit/miss counts and
-//           results are deterministic at every worker count.
+//   kStep   the original behavior, bit-for-bit: the step store, keyed by
+//           the scenario's parameter bytes and scoped to one context; a
+//           context change (e.g. the next prediction step) clears it. All
+//           bookkeeping happens on the master thread at batch-assembly
+//           time, so hit/miss counts and results are deterministic at every
+//           worker count.
 //   kShared a cache::SharedScenarioCache keyed by context-qualified keys,
 //           surviving context changes and shareable across concurrent
 //           services (one per campaign). Hit/miss patterns may vary across
 //           runs, but every served value is a byte-exact pure function of
 //           its key, so results stay bit-identical to kOff.
 //   kOff    no memoization.
+//
+// Under every policy the step store also keeps the burned cells of what the
+// current context simulated: the records the Statistical Stage of the same
+// interval counts instead of re-simulating (step_records). Only kStep
+// serves cache hits from it.
 #pragma once
 
 #include <atomic>
@@ -43,6 +58,7 @@
 #include <vector>
 
 #include "cache/scenario_cache.hpp"
+#include "ess/fitness.hpp"
 #include "ess/statistical.hpp"
 #include "firelib/batch_sweep.hpp"
 #include "firelib/environment.hpp"
@@ -61,26 +77,22 @@ struct SimulationRequest {
   /// When set, the result carries fitness = Eq. (3) vs this map (cells
   /// burned in `target` by start_time are excluded as preburned).
   const firelib::IgnitionMap* target = nullptr;
-  /// When false, the simulated map is dropped after scoring (fitness-only
-  /// requests avoid one map copy per simulation).
-  bool keep_map = true;
 };
 
 /// The requests of a fitness batch: each scenario over [start_time,
-/// end_time] from `start`, scored against `target`, map dropped. The pointers
-/// refer into the arguments, which must outlive the requests.
+/// end_time] from `start`, scored against `target`. The pointers refer into
+/// the arguments, which must outlive the requests.
 std::vector<SimulationRequest> fitness_requests(
     const std::vector<firelib::Scenario>& scenarios,
     const firelib::IgnitionMap& start, const firelib::IgnitionMap& target,
     double start_time, double end_time);
 
 struct SimulationResult {
-  firelib::IgnitionMap map;  ///< empty when the request had keep_map = false
-  double fitness = 0.0;      ///< 0 when the request had no target
-  /// Requests with a target: the cells the simulated map burned by
-  /// end_time, the record the Statistical Stage aggregates instead of
-  /// re-simulating. Empty when no simulation ran for this request in this
-  /// batch (a cache hit).
+  double fitness = 0.0;  ///< 0 when the request had no target
+  /// The cells the simulation burned by end_time. Always set for requests
+  /// without a target (a cache hit serves its record); for scored requests
+  /// only when this batch simulated the scenario — a cache hit answers with
+  /// the score alone.
   BurnedCells burned;
   /// Wall-clock of the simulation that produced this result (0 for cache
   /// hits); the shared cache weights eviction by it.
@@ -134,32 +146,54 @@ class SimulationService {
   std::size_t cache_insertions_rejected() const {
     return cache_insertions_rejected_;
   }
-  /// Entries / charged bytes visible to this service: the step-scoped map
-  /// under kStep, the whole shared cache under kShared, 0 under kOff.
+  /// Entries / charged bytes visible to this service: the step store under
+  /// kStep, the whole shared cache under kShared, 0 under kOff.
   std::size_t cache_entries() const;
   std::size_t cache_bytes() const;
 
-  /// Shrink the kStep insertion backstop (default 1<<16 entries) — exposed
-  /// so tests can exercise the saturation counters cheaply.
+  /// Shrink the step store's insertion backstop (default 1<<16 entries) —
+  /// exposed so tests can exercise the saturation counters cheaply.
   void set_step_cache_capacity(std::size_t capacity) {
     step_cache_capacity_ = capacity;
   }
 
-  /// Run both kernels as before the hot-path overhaul: reference Dijkstra
-  /// sweep (per-pop behavior + trig) and mask-materializing Eq. (3). For
-  /// equivalence tests and bench_hotpath baselines.
+  /// Start a prediction step over [start_time, end_time] from `start`,
+  /// scored against `target`: drop the step store, and build the context
+  /// (copies, fingerprints, packed scoring target) now, once, for the
+  /// step's batches.
+  void begin_step(const firelib::IgnitionMap& start,
+                  const firelib::IgnitionMap& target, double start_time,
+                  double end_time);
+
+  /// Eq. (3) of one scenario over [start_time, end_time] from `start`
+  /// against `target`, simulated on the calling thread without the cache
+  /// (in that context, like a batch).
+  double score(const firelib::Scenario& scenario,
+               const firelib::IgnitionMap& start,
+               const firelib::IgnitionMap& target, double start_time,
+               double end_time);
+
+  /// The current context's recorded burned cells of each scenario, valid
+  /// until the next batch: element i is nullptr where the context has no
+  /// record of scenarios[i], and every element is nullptr unless `start`
+  /// (same address and content) and `end_time` are the context's.
+  std::vector<const BurnedCells*> step_records(
+      const std::vector<firelib::Scenario>& scenarios,
+      const firelib::IgnitionMap& start, double end_time) const;
+
+  /// Run the reference Dijkstra sweep (per-pop behavior + trig) as before
+  /// the hot-path overhaul. For equivalence tests and bench_hotpath
+  /// baselines.
   void set_reference_kernels(bool reference);
 
-  /// Select the sweep backend (default kScalar). kBatched routes homogeneous
-  /// simulation batches — same start map and horizon, which is what every
-  /// cache path and fitness/map batch produces — through one
-  /// firelib::BatchSweep launch on the calling thread: grouped travel-time
-  /// tables built once per batch, per-scenario state striped through one
-  /// super-slab. In-batch duplicates are deduped by ScenarioKey before the
-  /// batch engine runs (the cache paths' scheduling), so GA duplicate-heavy
-  /// batches become smaller launches. Results are bit-identical to kScalar
-  /// at any worker count; heterogeneous batches and reference-kernel runs
-  /// keep the per-scenario path.
+  /// Select the sweep backend (default kScalar). kBatched routes each
+  /// simulation batch (one start map and horizon, like every batch)
+  /// through one firelib::BatchSweep launch on the calling thread: grouped
+  /// travel-time tables built once per batch, per-scenario state striped
+  /// through one super-slab. In-batch duplicates are deduped by ScenarioKey
+  /// before the batch engine runs (the cache paths' scheduling), so GA
+  /// duplicate-heavy batches become smaller launches. Results are bit-identical to kScalar
+  /// at any worker count; reference-kernel runs keep the per-scenario path.
   void set_backend(firelib::SweepBackend backend) { backend_ = backend; }
   firelib::SweepBackend backend() const { return backend_; }
 
@@ -205,12 +239,15 @@ class SimulationService {
                                 double end_time);
 
   /// Scatter `requests` over the pool, gather results in request order.
+  /// The requests must share one context: start map, target (or none),
+  /// start time and end time.
   std::vector<SimulationResult> run_batch(
       const std::vector<SimulationRequest>& requests);
 
-  /// Map batch: simulate every scenario over [*, end_time] from `start`.
-  /// Equivalent to N simulate() calls, bit for bit, at any worker count.
-  std::vector<firelib::IgnitionMap> simulate_batch(
+  /// Burned-cell batch: simulate every scenario over [*, end_time] from
+  /// `start`, returning the cells each burned by end_time. Equal to packing
+  /// N simulate() maps at end_time, bit for bit, at any worker count.
+  std::vector<BurnedCells> simulate_batch(
       const std::vector<firelib::Scenario>& scenarios,
       const firelib::IgnitionMap& start, double end_time);
 
@@ -222,19 +259,22 @@ class SimulationService {
       double start_time, double end_time);
 
  private:
-  /// The interval the kStep cache is currently valid for. Pointer identity
-  /// plus a content fingerprint of both maps, so in-place mutation behind a
-  /// reused pointer invalidates instead of serving stale results.
-  struct CacheContext {
+  /// The context batches run in, with everything derived from
+  /// its maps built once when it begins. The map copies identify it: a batch
+  /// whose maps differ from them in any bit (a map changed in place behind a
+  /// reused pointer) begins a new context.
+  struct Context {
     const firelib::IgnitionMap* start = nullptr;
     const firelib::IgnitionMap* target = nullptr;
     double start_time = 0.0;
     double end_time = 0.0;
+    firelib::IgnitionMap start_copy;
+    firelib::IgnitionMap target_copy;
+    /// Shared-cache key material; filled only under kShared.
     std::uint64_t start_fingerprint = 0;
     std::uint64_t target_fingerprint = 0;
+    ScoringTarget scoring;  ///< empty without a target
     bool valid = false;
-
-    friend bool operator==(const CacheContext&, const CacheContext&) = default;
   };
 
   /// Lazy one-shot placement of workspace slot `worker_id` on its owning
@@ -246,14 +286,20 @@ class SimulationService {
   SimulationResult run_one(unsigned worker_id, const SimulationRequest& req);
   std::vector<SimulationResult> run_batch_uncached(
       const std::vector<const SimulationRequest*>& requests);
-  /// One BatchSweep launch over the (already deduped) requests; requires a
-  /// shared start map and end time across the batch.
+  /// One BatchSweep launch over the (already deduped) requests of one
+  /// context.
   std::vector<SimulationResult> run_batch_batched(
       const std::vector<const SimulationRequest*>& requests);
-  std::vector<SimulationResult> run_batch_step(
+  /// The kStep / kShared batch: dedup, serve hits, simulate the rest.
+  std::vector<SimulationResult> run_batch_cached(
       const std::vector<SimulationRequest>& requests);
-  std::vector<SimulationResult> run_batch_shared(
-      const std::vector<SimulationRequest>& requests);
+  /// Make context_ the batch's (led by `first`); a new context drops the
+  /// step store.
+  void enter_context(const SimulationRequest& first);
+  /// Keep a simulated request's burned cells (and score) in the step store,
+  /// up to its capacity backstop.
+  void remember(const cache::ScenarioKey& key, const SimulationRequest& req,
+                const SimulationResult& sim);
   void clear_step_cache();
 
   const firelib::FireEnvironment* env_;
@@ -274,21 +320,22 @@ class SimulationService {
       pool_;
 
   cache::CachePolicy cache_policy_ = cache::CachePolicy::kStep;
-  bool reference_fitness_ = false;
   firelib::SweepBackend backend_ = firelib::SweepBackend::kScalar;
   /// Lazily created on the first batched launch; master-thread only.
   std::unique_ptr<firelib::BatchSweep> batch_engine_;
   std::size_t batch_dedup_hits_ = 0;
 
-  // kStep state: one context's worth of memoized scenarios.
+  // The step store: one context's worth of simulated scenarios.
   std::unordered_map<cache::ScenarioKey, cache::CachedScenario,
                      cache::ScenarioKeyHash>
       step_cache_;
-  CacheContext cache_context_;
+  Context context_;
   std::size_t step_cache_bytes_ = 0;
-  /// Insertion stops (entries are kept) once the step cache holds this many
+  /// Insertion stops (entries are kept) once the step store holds this many
   /// scenarios; contexts are short-lived, so this is a memory backstop, not
-  /// an eviction policy. Saturation shows up in cache_insertions_rejected.
+  /// an eviction policy. Under kStep saturation shows up in
+  /// cache_insertions_rejected; past it a scenario has no record and the
+  /// Statistical Stage simulates it.
   std::size_t step_cache_capacity_ = 1 << 16;
 
   // kShared state.

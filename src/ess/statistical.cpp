@@ -1,38 +1,16 @@
 #include "ess/statistical.hpp"
 
-#include <algorithm>
 #include <bit>
 
 #include "common/error.hpp"
 
 namespace essns::ess {
-namespace {
-
-std::size_t words_for(std::size_t cells) { return (cells + 63) / 64; }
-
-}  // namespace
-
-BurnedCells pack_burned(const firelib::IgnitionMap& map, double time_min) {
-  const std::size_t n = map.size();
-  BurnedCells burned{map.rows(), map.cols(),
-                     std::vector<std::uint64_t>(words_for(n), 0)};
-  const double* times = map.data();
-  for (std::size_t w = 0; w < burned.words.size(); ++w) {
-    const std::size_t base = w * 64;
-    const std::size_t end = std::min<std::size_t>(64, n - base);
-    std::uint64_t word = 0;
-    for (std::size_t j = 0; j < end; ++j)
-      word |= static_cast<std::uint64_t>(times[base + j] <= time_min) << j;
-    burned.words[w] = word;
-  }
-  return burned;
-}
 
 Grid<double> aggregate_burned(std::span<const BurnedCells* const> records) {
   ESSNS_REQUIRE(!records.empty() && records.front(),
                 "cannot aggregate zero maps");
   Grid<double> probability(records.front()->rows, records.front()->cols, 0.0);
-  const std::size_t words = words_for(probability.size());
+  const std::size_t words = firelib::burned_words(probability.size());
   double* cells = probability.data();
   for (const BurnedCells* record : records) {
     ESSNS_REQUIRE(record && record->rows == probability.rows() &&

@@ -3,9 +3,10 @@
 // uncertainty-reduction core of every DDM-MOS system (Fig. 1 / Fig. 2).
 //
 // The SS aggregates packed burned-cell records rather than whole ignition
-// maps: every fitness simulation of the OS already records which cells its
-// map burned by the end of the interval (SimulationResult::burned), so the
-// SS of the same interval counts those records instead of re-simulating.
+// maps: every simulation's sweep records which cells burned by the end of
+// its interval (SimulationResult::burned), the step cache keeps the OS's,
+// and the SS of the same interval counts those records instead of
+// re-simulating.
 #pragma once
 
 #include <cstdint>
@@ -17,25 +18,13 @@
 
 namespace essns::ess {
 
-/// Cells of one rows x cols ignition map burned by a horizon, packed 64 to a
-/// word in row-major order: bit (i % 64) of word (i / 64) is cell i.
-struct BurnedCells {
-  int rows = 0;
-  int cols = 0;
-  std::vector<std::uint64_t> words;
-
-  bool empty() const { return words.empty(); }
-  friend bool operator==(const BurnedCells&, const BurnedCells&) = default;
-};
-
-/// Record the cells of `map` ignited at or before `time_min` (the same
-/// `<=` test as firelib::burned_mask).
-BurnedCells pack_burned(const firelib::IgnitionMap& map, double time_min);
+/// The per-simulation record the SS aggregates (firelib::BurnedCells).
+using firelib::BurnedCells;
 
 /// Probability-of-ignition matrix: the fraction of `records` in which each
 /// cell burned. All records must share dimensions. Each cell adds 1.0 per
 /// record and is scaled by 1/N once at the end, so the result is
-/// bit-identical to aggregating the maps the records were packed from.
+/// bit-identical to aggregating the maps the records were taken from.
 Grid<double> aggregate_burned(std::span<const BurnedCells* const> records);
 
 /// Same aggregation from precomputed burned masks.

@@ -283,6 +283,8 @@ void PropagationWorkspace::prefault(int rows, int cols) {
   else
     times_.fill(kNeverIgnited);
   cell_epoch_.assign(cells, 0);
+  burned_ = BurnedCells{rows, cols,
+                        std::vector<std::uint64_t>(burned_words(cells), 0)};
   // Terrain slabs: committed here, refilled by the first DEM sweep.
   slope_ratio_.assign(cells, 0.0);
   upslope_deg_.assign(cells, 0.0);
@@ -324,6 +326,25 @@ std::size_t burned_count(const IgnitionMap& map, double time_min) {
   const std::size_t n = map.size();
   for (std::size_t i = 0; i < n; ++i) count += t[i] <= time_min;
   return count;
+}
+
+BurnedCells burned_cells(const IgnitionMap& map, double time_min) {
+  ESSNS_REQUIRE(std::isfinite(time_min),
+                "burned query time must be finite (never-ignited cells hold "
+                "+inf and would count as burned)");
+  const std::size_t n = map.size();
+  BurnedCells burned{map.rows(), map.cols(),
+                     std::vector<std::uint64_t>(burned_words(n), 0)};
+  const double* times = map.data();
+  for (std::size_t w = 0; w < burned.words.size(); ++w) {
+    const std::size_t base = w * 64;
+    const std::size_t end = std::min<std::size_t>(64, n - base);
+    std::uint64_t word = 0;
+    for (std::size_t j = 0; j < end; ++j)
+      word |= static_cast<std::uint64_t>(times[base + j] <= time_min) << j;
+    burned.words[w] = word;
+  }
+  return burned;
 }
 
 FirePropagator::FirePropagator(const FireSpreadModel& model) : model_(&model) {}
@@ -440,18 +461,34 @@ void FirePropagator::run_sweep(const FireEnvironment& env,
   const bool use_dial =
       queue_ == SweepQueue::kDial && cells <= (std::size_t{1} << 30);
 
+  // The burned-cell record is set at each live pop. Every live pop is at or
+  // before the horizon (the dial drops later pushes, the heap stops at the
+  // first), and a cell that ends at or before it is popped live at least
+  // once (its final entry), so the bits are exactly the cells the clamped
+  // map reports burned by horizon_min. A dial re-pop of a cell sets a bit
+  // already set.
+  BurnedCells& burned = workspace.burned_;
+  burned.rows = rows;
+  burned.cols = cols;
+  burned.words.assign(burned_words(cells), 0);
+  std::uint64_t* burned_words_data = burned.words.data();
+
   const auto sweep_with = [&](auto&& relax) {
+    const auto pop = [&](double time, std::size_t cell, auto& queue) {
+      burned_words_data[cell >> 6] |= std::uint64_t{1} << (cell & 63);
+      relax(time, cell, queue);
+    };
     if (use_dial) {
       DialSweepQueue queue(workspace.dial_entries_, workspace.dial_batch_,
                            workspace.bucket_head_, workspace.bucket_bits_,
                            workspace.cell_epoch_, workspace.dial_dirty_,
                            horizon_min, cells, counters);
       seed_into(queue);
-      queue.drain(relax);
+      queue.drain(pop);
     } else {
       HeapSweepQueue queue(workspace.heap_, t, cells, counters);
       seed_into(queue);
-      queue.drain(horizon_min, relax);
+      queue.drain(horizon_min, pop);
     }
   };
 

@@ -33,6 +33,27 @@ Grid<std::uint8_t> burned_mask(const IgnitionMap& map, double time_min);
 /// Number of cells ignited at or before `time_min` (finite, see burned_mask).
 std::size_t burned_count(const IgnitionMap& map, double time_min);
 
+/// Cells of one rows x cols map burned by a horizon, packed 64 to a word in
+/// row-major order: bit (i % 64) of word (i / 64) is cell i, and the bits
+/// past the last cell are zero. This is all Eq. (3) and the Statistical
+/// Stage ever ask of a simulation, at 1/64 of the ignition map's bytes.
+struct BurnedCells {
+  int rows = 0;
+  int cols = 0;
+  std::vector<std::uint64_t> words;
+
+  bool empty() const { return words.empty(); }
+  friend bool operator==(const BurnedCells&, const BurnedCells&) = default;
+};
+
+/// Words a BurnedCells of `cells` cells holds.
+inline std::size_t burned_words(std::size_t cells) { return (cells + 63) / 64; }
+
+/// Pack the cells of `map` ignited at or before `time_min` (the same `<=`
+/// test as burned_mask). The sweep emits its own record at no extra pass;
+/// this builds the real-fire side of Eq. (3) once per interval.
+BurnedCells burned_cells(const IgnitionMap& map, double time_min);
+
 /// Priority-queue discipline of the Dijkstra sweep. Both produce
 /// bit-identical ignition maps (the sweep's fixed point does not depend on
 /// the pop order of equal-time entries); they differ only in cost:
@@ -74,6 +95,11 @@ class PropagationWorkspace {
   /// workspace (valid until the next call).
   const IgnitionMap& last_map() const { return times_; }
 
+  /// Cells the last propagate() call burned by its horizon, recorded by the
+  /// sweep itself as it popped them: equal to
+  /// burned_cells(last_map(), horizon_min), without that pass.
+  const BurnedCells& last_burned() const { return burned_; }
+
   /// Size and write through every slab a rows x cols sweep will touch
   /// (times, epochs, dial buckets and arena, heap, DEM terrain fields), so
   /// the backing pages are committed from the calling thread. NUMA-aware
@@ -104,6 +130,7 @@ class PropagationWorkspace {
   friend class FirePropagator;
 
   IgnitionMap times_;
+  BurnedCells burned_;
   // Binary-heap queue storage (SweepQueue::kHeap).
   std::vector<HeapEntry> heap_;
   // Dial queue storage (SweepQueue::kDial): entry arena, per-bucket chain
@@ -165,8 +192,9 @@ class FirePropagator {
                         const IgnitionMap& initial, double horizon_min) const;
 
   /// Allocation-free variants: compute into `workspace` and return a
-  /// reference to its map (valid until the workspace is reused). Fitness
-  /// evaluation reads the map in place; batch simulation copies it out.
+  /// reference to its map (valid until the workspace is reused). The
+  /// workspace also holds the sweep's burned-cell record (last_burned()),
+  /// which is what batch simulation hands on.
   const IgnitionMap& propagate(const FireEnvironment& env,
                                const Scenario& scenario,
                                const std::vector<CellIndex>& ignitions,

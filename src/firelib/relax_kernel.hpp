@@ -86,8 +86,14 @@ __attribute__((target("avx2,fma"))) inline unsigned relax8_candidates_avx2(
       _mm_loadu_si128(reinterpret_cast<const __m128i*>(offsets.off));
   const __m128i off_hi =
       _mm_loadu_si128(reinterpret_cast<const __m128i*>(offsets.off + 4));
-  const __m256d neigh_lo = _mm256_i32gather_pd(center, off_lo, 8);
-  const __m256d neigh_hi = _mm256_i32gather_pd(center, off_hi, 8);
+  // Masked gathers with an all-ones mask fetch every lane, like the plain
+  // form, but over an explicit zero source: gcc's plain-form wrapper passes
+  // an uninitialized one and warns about it.
+  const __m256d all_lanes = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
+  const __m256d neigh_lo = _mm256_mask_i32gather_pd(
+      _mm256_setzero_pd(), center, off_lo, all_lanes, 8);
+  const __m256d neigh_hi = _mm256_mask_i32gather_pd(
+      _mm256_setzero_pd(), center, off_hi, all_lanes, 8);
 
   const __m256d time_v = _mm256_set1_pd(time);
   const __m256d arr_lo = _mm256_add_pd(time_v, _mm256_load_pd(travel_time));

@@ -191,8 +191,11 @@ std::string MetricsSnapshot::json() const {
       if (bucket_count == 0) continue;
       if (!first_bucket) out += ", ";
       first_bucket = false;
-      out += "[" + json_number(Histogram::bucket_lower_bound(bucket)) + ", " +
-             std::to_string(bucket_count) + "]";
+      out += '[';
+      out += json_number(Histogram::bucket_lower_bound(bucket));
+      out += ", ";
+      out += std::to_string(bucket_count);
+      out += ']';
     }
     out += "]}";
   }

@@ -5,20 +5,22 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/binary_io.hpp"
 #include "common/error.hpp"
+#include "firelib/propagator.hpp"
 #include "service/campaign.hpp"
 #include "synth/catalog.hpp"
 
 namespace essns::cache {
 namespace {
 
-/// Synthetic but structurally complete entries: distinct keys, a map on
-/// most of them, a mix of fitness-record counts, distinct costs.
+/// Synthetic but structurally complete entries: distinct keys, burned cells
+/// on most of them, a mix of fitness-record counts, distinct costs.
 void fill_cache(SharedScenarioCache& cache, std::size_t entries,
-                int map_edge = 4) {
+                int edge = 5) {
   for (std::size_t i = 0; i < entries; ++i) {
     ScenarioKey key;
     key.context = 0x1000 + i;
@@ -27,10 +29,12 @@ void fill_cache(SharedScenarioCache& cache, std::size_t entries,
 
     CachedScenario value;
     if (i % 4 != 3) {  // leave some entries fitness-only
-      firelib::IgnitionMap map(map_edge, map_edge);
-      double cell = static_cast<double>(i);
-      for (double& c : map) c = (cell += 0.25);
-      value.map = std::move(map);
+      const auto cells = static_cast<std::size_t>(edge) * edge;
+      value.burned = {edge, edge,
+                      std::vector<std::uint64_t>(firelib::burned_words(cells))};
+      for (std::size_t c = 0; c < cells; ++c)
+        if ((c + i) % 3 == 0)
+          value.burned.words[c / 64] |= std::uint64_t{1} << (c % 64);
     }
     for (std::size_t f = 0; f < i % 3; ++f) {
       FitnessRecord record;
@@ -70,7 +74,7 @@ TEST(CacheIo, RoundTripIsByteExact) {
 
   // Strongest equality: re-serializing the restored cache reproduces the
   // snapshot byte for byte (same shard assignment, same recency order, same
-  // map cells, costs and fitness records).
+  // burned cells, costs and fitness records).
   EXPECT_EQ(serialize(restored), snapshot);
 }
 
@@ -85,7 +89,7 @@ TEST(CacheIo, EmptyCacheRoundTrips) {
 
 TEST(CacheIo, RestoreReAccountsAgainstSmallerBudget) {
   SharedScenarioCache big(64 << 20);
-  fill_cache(big, 64, /*map_edge=*/48);  // ~18 KiB per map entry
+  fill_cache(big, 64, /*edge=*/96);  // ~1.4 KiB per entry
   const std::size_t saved_entries = big.stats().entries;
   ASSERT_EQ(saved_entries, 64u);
   const std::string snapshot = serialize(big);
@@ -146,34 +150,92 @@ TEST(CacheIo, TrailingGarbageAfterEndFrameIsRejected) {
   EXPECT_THROW(deserialize(target, snapshot), WireError);
 }
 
+/// An entry payload up to its record's shape: key, cost, "record present"
+/// and rows x cols. Callers append the record and the fitness count.
+std::vector<std::uint8_t> entry_head(std::int32_t rows, std::int32_t cols) {
+  std::vector<std::uint8_t> payload;
+  BinaryWriter entry(payload);
+  entry.u64(0x1000);  // key.context
+  for (std::size_t p = 0; p < ScenarioKey{}.params.size(); ++p) entry.u64(p);
+  entry.f64(0.01);  // cost_seconds
+  entry.u8(1);      // record present
+  entry.i32(rows);
+  entry.i32(cols);
+  return payload;
+}
+
+/// A snapshot of `version` holding one CRC-valid entry frame with `payload`
+/// and the end frame.
+std::string snapshot_of(std::uint32_t version,
+                        const std::vector<std::uint8_t>& payload) {
+  std::vector<std::uint8_t> end;
+  BinaryWriter(end).u64(1);
+  std::vector<std::uint8_t> bytes;
+  BinaryWriter out(bytes);
+  out.u32(kCacheFileMagic);
+  out.u32(version);
+  const std::pair<std::uint32_t, const std::vector<std::uint8_t>*> frames[] =
+      {{kEntryFrame, &payload}, {kEndFrame, &end}};
+  for (const auto& [type, body] : frames) {
+    out.u32(type);
+    out.u64(body->size());
+    out.bytes(body->data(), body->size());
+    out.u32(Crc32::of(*body));
+  }
+  return {bytes.begin(), bytes.end()};
+}
+
 TEST(CacheIo, OversizedGridDimensionsRejectedBeforeAllocation) {
-  // A CRC-valid entry frame whose map claims 2^30 x 2^30 cells (or a
+  // A CRC-valid entry frame whose record claims 2^30 x 2^30 cells (or a
   // negative edge): the decoder must throw on the dimensions, not try to
   // allocate exabytes.
   for (const std::int32_t edge : {std::int32_t{1} << 30, std::int32_t{-1}}) {
-    std::vector<std::uint8_t> payload;
-    BinaryWriter entry(payload);
-    entry.u64(0x1000);  // key.context
-    for (std::size_t p = 0; p < ScenarioKey{}.params.size(); ++p) entry.u64(p);
-    entry.f64(0.01);  // cost_seconds
-    entry.u8(1);      // map present
-    entry.i32(edge);  // rows
-    entry.i32(edge);  // cols
-
-    std::vector<std::uint8_t> bytes;
-    BinaryWriter out(bytes);
-    out.u32(kCacheFileMagic);
-    out.u32(kCacheFileVersion);
-    out.u32(kEntryFrame);
-    out.u64(payload.size());
-    out.bytes(payload.data(), payload.size());
-    out.u32(Crc32::of(payload));
-
     SharedScenarioCache target(1 << 20);
-    EXPECT_THROW(deserialize(target, std::string(bytes.begin(), bytes.end())),
-                 WireError)
+    EXPECT_THROW(
+        deserialize(target, snapshot_of(kCacheFileVersion,
+                                         entry_head(edge, edge))),
+        WireError)
         << edge;
     EXPECT_EQ(target.stats().entries, 0u);
+  }
+}
+
+TEST(CacheIo, VersionOneSnapshotRejectedWithVersionMismatch) {
+  // Version 1 stored f64 ignition maps, which cannot be read as burned-cell
+  // records: the whole snapshot is refused up front, by version.
+  std::vector<std::uint8_t> v1_entry = entry_head(2, 2);
+  BinaryWriter entry(v1_entry);
+  for (int c = 0; c < 4; ++c) entry.f64(1.5 * c);  // the map's cells
+  entry.u64(0);                                    // no fitness records
+
+  SharedScenarioCache target(1 << 20);
+  try {
+    deserialize(target, snapshot_of(1, v1_entry));
+    FAIL() << "a version-1 snapshot loaded";
+  } catch (const WireError& error) {
+    EXPECT_NE(std::string(error.what()).find("version mismatch"),
+              std::string::npos)
+        << error.what();
+  }
+  EXPECT_EQ(target.stats().entries, 0u);
+}
+
+TEST(CacheIo, BurnedCellsPastTheGridRejected) {
+  // 3x7 = 21 cells in one word: bit 20 is the last cell, bit 21 lies past
+  // the grid, where a reader indexing cells by set bits would overrun.
+  for (const int bit : {20, 21}) {
+    std::vector<std::uint8_t> payload = entry_head(3, 7);
+    BinaryWriter entry(payload);
+    entry.u64(std::uint64_t{1} << bit);
+    entry.u64(0);  // no fitness records
+    SharedScenarioCache target(1 << 20);
+    const std::string snapshot = snapshot_of(kCacheFileVersion, payload);
+    if (bit == 20) {
+      EXPECT_EQ(deserialize(target, snapshot).restored, 1u);
+    } else {
+      EXPECT_THROW(deserialize(target, snapshot), WireError);
+      EXPECT_EQ(target.stats().entries, 0u);
+    }
   }
 }
 

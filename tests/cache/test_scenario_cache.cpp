@@ -23,11 +23,12 @@ ScenarioKey key_of(std::uint64_t id, std::uint64_t context = 0) {
   return key;
 }
 
-/// A value holding an 8x8 map whose cells encode `id` (so a lookup can be
-/// checked against the key that stored it — the pure-function contract).
-CachedScenario map_value(double id) {
+/// A value holding an 8x8 burned-cell record whose one word is `id` (so a
+/// lookup can be checked against the key that stored it — the
+/// pure-function contract).
+CachedScenario burned_value(std::uint64_t id) {
   CachedScenario value;
-  value.map = firelib::IgnitionMap(8, 8, id);
+  value.burned = firelib::BurnedCells{8, 8, {id}};
   return value;
 }
 
@@ -136,27 +137,28 @@ TEST(ScenarioCacheShard, RoundTripsAndMergesLazily) {
   EXPECT_EQ(*hit->find_fitness(query.target_fingerprint,
                                query.start_time_bits),
             0.25);
-  // Needs the map: a record-only entry cannot satisfy it. And a different
-  // target's score is neither recorded nor computable without the map.
+  // Needs the burned cells: a score-only entry cannot satisfy it. And a
+  // different target's score is neither recorded nor computable without
+  // them.
   EXPECT_EQ(shard.find(key, true, nullptr), nullptr);
   const FitnessQuery other{99, 22};
   EXPECT_EQ(shard.find(key, false, &other), nullptr);
 
-  // A later keep_map miss merges the map in; the record is retained, and
-  // the unseen target is now servable through the map.
-  EXPECT_FALSE(shard.insert(key, map_value(3.0), 0.01).rejected);
+  // A later simulation merges the burned cells in; the score is retained,
+  // and the unseen target is now servable by re-scoring them.
+  EXPECT_FALSE(shard.insert(key, burned_value(3), 0.01).rejected);
   const auto full = shard.find(key, true, &query);
   ASSERT_NE(full, nullptr);
   EXPECT_EQ(*full->find_fitness(query.target_fingerprint,
                                 query.start_time_bits),
             0.25);
-  EXPECT_EQ((*full->map)(0, 0), 3.0);
-  const auto by_map = shard.find(key, false, &other);
-  ASSERT_NE(by_map, nullptr);
-  EXPECT_EQ(by_map->find_fitness(other.target_fingerprint,
-                                 other.start_time_bits),
+  EXPECT_EQ(full->burned.words[0], 3u);
+  const auto by_cells = shard.find(key, false, &other);
+  ASSERT_NE(by_cells, nullptr);
+  EXPECT_EQ(by_cells->find_fitness(other.target_fingerprint,
+                                   other.start_time_bits),
             nullptr)
-      << "caller re-scores from the map";
+      << "caller re-scores from the burned cells";
 
   const CacheStats stats = shard.stats();
   EXPECT_EQ(stats.entries, 1u);
@@ -168,7 +170,7 @@ TEST(ScenarioCacheShard, AccountsBytesExactly) {
   ScenarioCacheShard shard(1 << 20);
   std::size_t expected_bytes = 0;
   for (std::uint64_t i = 0; i < 10; ++i) {
-    const CachedScenario value = map_value(static_cast<double>(i));
+    const CachedScenario value = burned_value(i);
     expected_bytes += entry_charge(value);
     shard.insert(key_of(i), value, 0.01);
   }
@@ -176,26 +178,26 @@ TEST(ScenarioCacheShard, AccountsBytesExactly) {
   EXPECT_EQ(stats.entries, 10u);
   EXPECT_EQ(stats.bytes, expected_bytes);
 
-  // Merging a map into a record-only entry grows the accounting by the
-  // same charge delta.
+  // Merging burned cells into a score-only entry grows the accounting by
+  // the same charge delta.
   CachedScenario fitness_only;
   fitness_only.set_fitness(1, 2, 0.5);
   shard.insert(key_of(100), fitness_only, 0.01);
   const std::size_t slim = shard.stats().bytes;
   CachedScenario merged = fitness_only;
-  merged.map = firelib::IgnitionMap(8, 8, 0.0);
-  shard.insert(key_of(100), map_value(0.0), 0.01);
+  merged.burned = burned_value(0).burned;
+  shard.insert(key_of(100), burned_value(0), 0.01);
   EXPECT_EQ(shard.stats().bytes,
             slim + entry_charge(merged) - entry_charge(fitness_only));
 }
 
 TEST(ScenarioCacheShard, EvictsToStayWithinBudget) {
-  // Budget for roughly four map entries; insert forty. The shard must stay
+  // Budget for four entries; insert forty. The shard must stay
   // within budget at every step and evict the difference.
-  const std::size_t per_entry = entry_charge(map_value(0.0));
+  const std::size_t per_entry = entry_charge(burned_value(0));
   ScenarioCacheShard shard(4 * per_entry);
   for (std::uint64_t i = 0; i < 40; ++i) {
-    shard.insert(key_of(i), map_value(static_cast<double>(i)), 0.01);
+    shard.insert(key_of(i), burned_value(i), 0.01);
     EXPECT_LE(shard.stats().bytes, shard.max_bytes());
   }
   const CacheStats stats = shard.stats();
@@ -208,14 +210,14 @@ TEST(ScenarioCacheShard, EvictsToStayWithinBudget) {
     const auto hit = shard.find(key_of(i), true, nullptr);
     if (!hit) continue;
     ++live;
-    EXPECT_EQ((*hit->map)(0, 0), static_cast<double>(i));
+    EXPECT_EQ(hit->burned.words[0], i);
   }
   EXPECT_EQ(live, 4u);
 }
 
 TEST(ScenarioCacheShard, RejectsEntriesLargerThanBudget) {
-  ScenarioCacheShard shard(256);  // smaller than any 8x8 map entry
-  const InsertOutcome outcome = shard.insert(key_of(1), map_value(1.0), 0.01);
+  ScenarioCacheShard shard(256);  // smaller than any 8x8 entry
+  const InsertOutcome outcome = shard.insert(key_of(1), burned_value(1), 0.01);
   EXPECT_TRUE(outcome.rejected);
   const CacheStats stats = shard.stats();
   EXPECT_EQ(stats.insertions_rejected, 1u);
@@ -226,28 +228,29 @@ TEST(ScenarioCacheShard, RejectsEntriesLargerThanBudget) {
 TEST(ScenarioCacheShard, ProtectedEntriesOutliveProbationChurn) {
   // Segmented LRU: an entry hit twice is promoted and survives a stream of
   // single-use entries that churn the probationary segment.
-  const std::size_t per_entry = entry_charge(map_value(0.0));
+  const std::size_t per_entry = entry_charge(burned_value(0));
   ScenarioCacheShard shard(4 * per_entry);
-  shard.insert(key_of(7), map_value(7.0), 0.01);
+  shard.insert(key_of(7), burned_value(7), 0.01);
   ASSERT_NE(shard.find(key_of(7), true, nullptr), nullptr);  // promote
 
   for (std::uint64_t i = 100; i < 140; ++i)
-    shard.insert(key_of(i), map_value(static_cast<double>(i)), 0.01);
+    shard.insert(key_of(i), burned_value(i), 0.01);
 
   const auto hit = shard.find(key_of(7), true, nullptr);
   ASSERT_NE(hit, nullptr) << "protected entry evicted by one-shot churn";
-  EXPECT_EQ((*hit->map)(0, 0), 7.0);
+  EXPECT_EQ(hit->burned.words[0], 7u);
 }
 
 TEST(ScenarioCacheShard, EvictionPrefersCheapEntries) {
   // Cost-aware victim selection: with equal charges, the entry that was
   // cheap to simulate goes first even when an expensive one is older.
-  const std::size_t per_entry = entry_charge(map_value(0.0));
+  const std::size_t per_entry = entry_charge(burned_value(0));
   ScenarioCacheShard shard(2 * per_entry);
-  shard.insert(key_of(1), map_value(1.0), /*cost_seconds=*/10.0);  // LRU-oldest
-  shard.insert(key_of(2), map_value(2.0), /*cost_seconds=*/0.001);
+  // Key 1 is the LRU-oldest.
+  shard.insert(key_of(1), burned_value(1), /*cost_seconds=*/10.0);
+  shard.insert(key_of(2), burned_value(2), /*cost_seconds=*/0.001);
   // Forces one eviction; plain LRU would drop key 1, cost-aware drops 2.
-  shard.insert(key_of(3), map_value(3.0), /*cost_seconds=*/1.0);
+  shard.insert(key_of(3), burned_value(3), /*cost_seconds=*/1.0);
   EXPECT_NE(shard.find(key_of(1), true, nullptr), nullptr);
   EXPECT_EQ(shard.find(key_of(2), true, nullptr), nullptr);
   EXPECT_NE(shard.find(key_of(3), true, nullptr), nullptr);
@@ -258,7 +261,7 @@ TEST(SharedScenarioCache, AggregatesShardsWithinBudget) {
   EXPECT_EQ(cache.max_bytes(), std::size_t{1} << 20);
   Rng rng(9);
   for (std::uint64_t i = 0; i < 200; ++i)
-    cache.insert(key_of(rng(), i), map_value(1.0), 0.01);
+    cache.insert(key_of(rng(), i), burned_value(1), 0.01);
   const CacheStats stats = cache.stats();
   EXPECT_GT(stats.entries, 0u);
   EXPECT_LE(stats.bytes, cache.max_bytes());
@@ -288,9 +291,9 @@ TEST(SharedScenarioCache, ConcurrentMixedTrafficStaysConsistent) {
         const std::uint64_t id = rng() % kKeys;
         const auto hit = cache.find(key_of(id), true, nullptr);
         if (hit) {
-          if ((*hit->map)(0, 0) != static_cast<double>(id)) std::abort();
+          if (hit->burned.words[0] != id) std::abort();
         } else {
-          cache.insert(key_of(id), map_value(static_cast<double>(id)),
+          cache.insert(key_of(id), burned_value(id),
                        0.001 * static_cast<double>(id + 1));
         }
       }
@@ -303,7 +306,7 @@ TEST(SharedScenarioCache, ConcurrentMixedTrafficStaysConsistent) {
   for (std::uint64_t id = 0; id < kKeys; ++id) {
     const auto hit = cache.find(key_of(id), true, nullptr);
     if (hit) {
-      EXPECT_EQ((*hit->map)(0, 0), static_cast<double>(id));
+      EXPECT_EQ(hit->burned.words[0], id);
     }
   }
 }

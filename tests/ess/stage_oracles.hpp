@@ -1,10 +1,12 @@
-// Test oracles for the Statistical and Calibration stages: verbatim copies
-// of the straightforward per-map aggregation and per-candidate S_Kign loop
-// the production kernels replaced. The production code must match them bit
-// for bit.
+// Test oracles for the fitness, Statistical and Calibration stages: the
+// straightforward per-map Eq. (3), burned-cell packing, aggregation and
+// per-candidate S_Kign loop the production kernels replaced. The
+// production code must match them bit for bit.
 #pragma once
 
+#include <cstdint>
 #include <span>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/grid.hpp"
@@ -14,6 +16,31 @@
 #include "firelib/propagator.hpp"
 
 namespace essns::ess::oracle {
+
+/// The cells of `map` ignited at or before `time_min`, packed cell by cell
+/// from burned_mask.
+inline BurnedCells pack_burned(const firelib::IgnitionMap& map,
+                               double time_min) {
+  const Grid<std::uint8_t> mask = firelib::burned_mask(map, time_min);
+  BurnedCells burned{map.rows(), map.cols(),
+                     std::vector<std::uint64_t>((map.size() + 63) / 64)};
+  for (std::size_t i = 0; i < mask.size(); ++i)
+    burned.words[i / 64] |= std::uint64_t{mask.data()[i]} << (i % 64);
+  return burned;
+}
+
+/// Eq. (3) between two ignition-time maps: materialize the burned_mask
+/// grids of cells ignited by `time_min` and of the real map's cells ignited
+/// by `preburned_time`, then compare mask cell by mask cell.
+inline double jaccard_at(const firelib::IgnitionMap& real_map,
+                         const firelib::IgnitionMap& simulated_map,
+                         double time_min, double preburned_time) {
+  ESSNS_REQUIRE(preburned_time <= time_min,
+                "preburned horizon must not exceed the comparison time");
+  return jaccard(firelib::burned_mask(real_map, time_min),
+                 firelib::burned_mask(simulated_map, time_min),
+                 firelib::burned_mask(real_map, preburned_time));
+}
 
 /// Probability-of-ignition matrix: fraction of maps in which each cell is
 /// burned by `time_min`. All maps must share dimensions.

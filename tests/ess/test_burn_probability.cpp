@@ -24,6 +24,20 @@ namespace {
 using cache::CachePolicy;
 using firelib::SweepBackend;
 
+/// The maps `set` burns from `start` to `end_time`, one simulate() each on an
+/// uncached service.
+std::vector<firelib::IgnitionMap> simulate_maps(
+    const firelib::FireEnvironment& env,
+    const std::vector<firelib::Scenario>& set,
+    const firelib::IgnitionMap& start, double end_time) {
+  SimulationService service(env);
+  service.set_cache_policy(CachePolicy::kOff);
+  std::vector<firelib::IgnitionMap> maps;
+  for (const firelib::Scenario& scenario : set)
+    maps.push_back(service.simulate(scenario, start, end_time));
+  return maps;
+}
+
 void expect_bitwise_equal(const Grid<double>& got, const Grid<double>& want) {
   ASSERT_EQ(got.rows(), want.rows());
   ASSERT_EQ(got.cols(), want.cols());
@@ -54,10 +68,8 @@ class BurnProbabilityTest : public ::testing::Test {
   Grid<double> oracle_probability(const std::vector<firelib::Scenario>& set,
                                   const firelib::IgnitionMap& start,
                                   double end_time) const {
-    SimulationService service(workload_.environment);
-    service.set_cache_policy(CachePolicy::kOff);
     return oracle::aggregate_probability(
-        service.simulate_batch(set, start, end_time), end_time);
+        simulate_maps(workload_.environment, set, start, end_time), end_time);
   }
 
   std::vector<firelib::Scenario> sample(int count, Rng& rng) const {
@@ -132,18 +144,20 @@ TEST_F(BurnProbabilityTest, ForeignStartOrHorizonSimulates) {
   evaluator.set_step(step(1));
   evaluator.batch_evaluator()(encode(set));
 
-  std::size_t before = evaluator.simulations_run();
-  expect_bitwise_equal(evaluator.burn_probability(set, same_content, t1),
-                       oracle_probability(set, same_content, t1));
-  EXPECT_EQ(evaluator.simulations_run() - before, set.size())
-      << "a foreign start pointer";
-
   const double later = t1 + 7.5;
-  before = evaluator.simulations_run();
+  std::size_t before = evaluator.simulations_run();
   expect_bitwise_equal(evaluator.burn_probability(set, line(0), later),
                        oracle_probability(set, line(0), later));
   EXPECT_EQ(evaluator.simulations_run() - before, set.size())
       << "a different end time";
+
+  evaluator.set_step(step(1));
+  evaluator.batch_evaluator()(encode(set));
+  before = evaluator.simulations_run();
+  expect_bitwise_equal(evaluator.burn_probability(set, same_content, t1),
+                       oracle_probability(set, same_content, t1));
+  EXPECT_EQ(evaluator.simulations_run() - before, set.size())
+      << "a foreign start pointer";
 
   // set_step drops the records, even for an identical context.
   evaluator.set_step(step(1));
@@ -164,10 +178,8 @@ TEST_F(BurnProbabilityTest, FitnessBatchesReturnBurnedCellsOfSimulatedRequests) 
   batch.push_back(batch[1]);
   batch.push_back(batch[3]);
   const double t1 = truth_.time_of(1);
-  SimulationService oracle_service(workload_.environment);
-  oracle_service.set_cache_policy(CachePolicy::kOff);
   const std::vector<firelib::IgnitionMap> maps =
-      oracle_service.simulate_batch(batch, line(0), t1);
+      simulate_maps(workload_.environment, batch, line(0), t1);
 
   for (const CachePolicy policy :
        {CachePolicy::kOff, CachePolicy::kStep, CachePolicy::kShared}) {
@@ -185,13 +197,15 @@ TEST_F(BurnProbabilityTest, FitnessBatchesReturnBurnedCellsOfSimulatedRequests) 
         std::vector<SimulationResult> results = service.run_batch(requests);
         ASSERT_EQ(results.size(), batch.size());
         for (std::size_t i = 0; i < batch.size(); ++i)
-          EXPECT_EQ(results[i].burned, pack_burned(maps[i], t1)) << i;
+          EXPECT_EQ(results[i].burned, oracle::pack_burned(maps[i], t1))
+              << i;
 
         results = service.run_batch(requests);
         ASSERT_EQ(results.size(), batch.size());
         for (std::size_t i = 0; i < batch.size(); ++i) {
           if (policy == CachePolicy::kOff)
-            EXPECT_EQ(results[i].burned, pack_burned(maps[i], t1)) << i;
+            EXPECT_EQ(results[i].burned, oracle::pack_burned(maps[i], t1))
+                << i;
           else
             EXPECT_TRUE(results[i].burned.empty()) << "cache hit " << i;
         }
@@ -209,7 +223,7 @@ TEST_F(BurnProbabilityTest, RecordsStopAtTheBackstopAndTheRestSimulate) {
 
   ScenarioEvaluator evaluator(workload_.environment);
   evaluator.set_cache_policy(CachePolicy::kOff);
-  evaluator.set_burned_memo_capacity(4);
+  evaluator.set_step_cache_capacity(4);
   evaluator.set_step(step(1));
   const std::vector<ea::Genome> genomes = encode(set);
   evaluator.batch_evaluator()({genomes.begin(), genomes.begin() + 3});
@@ -302,8 +316,6 @@ std::vector<StepReport> replica_pipeline(const firelib::FireEnvironment& env,
                                          std::uint64_t seed) {
   ScenarioEvaluator evaluator(env);
   evaluator.set_cache_policy(CachePolicy::kOff);
-  SimulationService maps(env);
-  maps.set_cache_policy(CachePolicy::kOff);
   NsGaOptimizer optimizer(ns);
   Rng rng(seed);
   const auto& space = firelib::ScenarioSpace::table1();
@@ -324,11 +336,11 @@ std::vector<StepReport> replica_pipeline(const firelib::FireEnvironment& env,
       scenarios.push_back(space.decode(ind.genome));
     const KignSearchResult kign = oracle::search_kign(
         oracle::aggregate_probability(
-            maps.simulate_batch(scenarios, lines[un - 1], t_now), t_now),
+            simulate_maps(env, scenarios, lines[un - 1], t_now), t_now),
         firelib::burned_mask(lines[un], t_now),
         firelib::burned_mask(lines[un - 1], t_prev), 100);
     const Grid<double> next = oracle::aggregate_probability(
-        maps.simulate_batch(scenarios, lines[un], t_next), t_next);
+        simulate_maps(env, scenarios, lines[un], t_next), t_next);
     StepReport report;
     report.kign = kign.kign;
     report.calibration_fitness = kign.fitness;

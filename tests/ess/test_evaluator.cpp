@@ -57,6 +57,10 @@ TEST_F(EvaluatorTest, BatchMatchesScalarEvaluation) {
 
   const auto batch = evaluator.batch_evaluator()(genomes);
   ASSERT_EQ(batch.size(), genomes.size());
+  // A Prediction Stage pass over the next interval in between must not
+  // change what the step's scalar evaluation scores against.
+  evaluator.burn_probability({space.decode(genomes[0])}, truth_.fire_lines[1],
+                             2 * truth_.step_minutes);
   for (std::size_t i = 0; i < genomes.size(); ++i) {
     const double scalar =
         evaluator.evaluate_scenario(space.decode(genomes[i]));

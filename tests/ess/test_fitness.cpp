@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <utility>
 
 #include "common/error.hpp"
+#include "stage_oracles.hpp"
 
 namespace essns::ess {
 namespace {
@@ -94,6 +98,15 @@ TEST(JaccardTest, DimensionMismatchThrows) {
   EXPECT_THROW(jaccard(a, b, pre), InvalidArgument);
 }
 
+/// Eq. (3) as production computes it: the real map packed into a scoring
+/// target, the simulated map into its burned cells.
+double jaccard_words(const firelib::IgnitionMap& real,
+                     const firelib::IgnitionMap& sim, double time_min,
+                     double preburned_time) {
+  return jaccard(make_scoring_target(real, preburned_time, time_min),
+                 firelib::burned_cells(sim, time_min));
+}
+
 TEST(JaccardAtTest, ComparesIgnitionMapsAtTime) {
   firelib::IgnitionMap real(2, 2, firelib::kNeverIgnited);
   firelib::IgnitionMap sim(2, 2, firelib::kNeverIgnited);
@@ -103,62 +116,71 @@ TEST(JaccardAtTest, ComparesIgnitionMapsAtTime) {
   sim(0, 1) = 25.0;   // simulated also burns it
   sim(1, 0) = 40.0;   // extra simulated cell
   // At t=60, excluding t<=0 preburned: A={0,1}, B={0,1 and 1,0}.
-  EXPECT_NEAR(jaccard_at(real, sim, 60.0, 0.0), 0.5, 1e-12);
+  EXPECT_NEAR(jaccard_words(real, sim, 60.0, 0.0), 0.5, 1e-12);
 }
 
 TEST(JaccardAtTest, RejectsInvertedTimes) {
   firelib::IgnitionMap real(2, 2, firelib::kNeverIgnited);
-  firelib::IgnitionMap sim(2, 2, firelib::kNeverIgnited);
-  EXPECT_THROW(jaccard_at(real, sim, 10.0, 20.0), InvalidArgument);
+  EXPECT_THROW(make_scoring_target(real, 20.0, 10.0), InvalidArgument);
 }
 
 TEST(JaccardAtTest, RejectsNonFiniteTimes) {
-  // At time_min = kNeverIgnited the old kernels counted every never-ignited
-  // cell as burned (inf <= inf) and returned a spuriously perfect score for
-  // two empty maps. Fused and reference kernels now agree: finite times only.
+  // At time_min = kNeverIgnited every never-ignited cell would count as
+  // burned (inf <= inf) and two empty maps would score a spuriously perfect
+  // 1. The scoring target and the oracle take finite times only.
   firelib::IgnitionMap real(2, 2, firelib::kNeverIgnited);
   firelib::IgnitionMap sim(2, 2, firelib::kNeverIgnited);
   real(0, 0) = 1.0;
-  EXPECT_THROW(jaccard_at(real, sim, firelib::kNeverIgnited, 0.0),
+  EXPECT_THROW(make_scoring_target(real, 0.0, firelib::kNeverIgnited),
                InvalidArgument);
-  EXPECT_THROW(jaccard_at_reference(real, sim, firelib::kNeverIgnited, 0.0),
+  EXPECT_THROW(oracle::jaccard_at(real, sim, firelib::kNeverIgnited, 0.0),
                InvalidArgument);
-  EXPECT_THROW(
-      jaccard_at(real, sim, 10.0, -firelib::kNeverIgnited), InvalidArgument);
-  EXPECT_THROW(jaccard_at_reference(real, sim, 10.0, -firelib::kNeverIgnited),
+  EXPECT_THROW(make_scoring_target(real, -firelib::kNeverIgnited, 10.0),
                InvalidArgument);
-  EXPECT_THROW(jaccard_at(real, sim, std::nan(""), 0.0), InvalidArgument);
-  EXPECT_THROW(jaccard_at_reference(real, sim, std::nan(""), 0.0),
-               InvalidArgument);
+  EXPECT_THROW(make_scoring_target(real, 0.0, std::nan("")), InvalidArgument);
 }
 
 TEST(JaccardAtTest, RejectsDimensionMismatch) {
   firelib::IgnitionMap real(2, 2, firelib::kNeverIgnited);
   firelib::IgnitionMap sim(2, 3, firelib::kNeverIgnited);
-  EXPECT_THROW(jaccard_at(real, sim, 10.0, 0.0), InvalidArgument);
-  EXPECT_THROW(jaccard_at_reference(real, sim, 10.0, 0.0), InvalidArgument);
+  EXPECT_THROW(jaccard_words(real, sim, 10.0, 0.0), InvalidArgument);
+  // 8x8 and 4x16 pack into one word each; the shape still differs.
+  EXPECT_THROW(jaccard_words(firelib::IgnitionMap(8, 8, 0.0),
+                             firelib::IgnitionMap(4, 16, 0.0), 10.0, 0.0),
+               InvalidArgument);
 }
 
 TEST(JaccardAtTest, FusedKernelMatchesReferenceBitwise) {
-  // Property: the fused single-pass Eq. (3) kernel equals the
-  // mask-materializing reference on randomized maps, times and preburn
-  // horizons — including never-ignited (infinite) cells and exact-boundary
-  // ignition times.
+  // Property: Eq. (3) on words equals the per-cell oracle bit for bit on
+  // random maps with never-ignited cells, over grids whose cell counts are
+  // and are not multiples of 64, sparse to dense fires, random and
+  // exact-boundary times, and empty unions (every fourth trial burns
+  // nothing, so it must score a vacuous 1).
   Rng rng(99);
-  for (int trial = 0; trial < 200; ++trial) {
-    const int rows = 2 + static_cast<int>(rng.uniform_int(0, 6));
-    const int cols = 2 + static_cast<int>(rng.uniform_int(0, 6));
-    firelib::IgnitionMap real(rows, cols, firelib::kNeverIgnited);
-    firelib::IgnitionMap sim(rows, cols, firelib::kNeverIgnited);
-    for (double& t : real)
-      if (rng.bernoulli(0.6)) t = rng.uniform(0.0, 100.0);
-    for (double& t : sim)
-      if (rng.bernoulli(0.6)) t = rng.uniform(0.0, 100.0);
-    const double preburned = rng.bernoulli(0.3) ? 0.0 : rng.uniform(0.0, 50.0);
-    const double time = preburned + rng.uniform(0.0, 60.0);
-    const double fused = jaccard_at(real, sim, time, preburned);
-    const double reference = jaccard_at_reference(real, sim, time, preburned);
-    ASSERT_EQ(fused, reference) << "trial " << trial;  // bitwise, not approx
+  for (const auto& [rows, cols] :
+       {std::pair{1, 1}, std::pair{2, 7}, std::pair{8, 8}, std::pair{5, 13},
+        std::pair{9, 64}, std::pair{33, 31}, std::pair{96, 96}}) {
+    for (int trial = 0; trial < 40; ++trial) {
+      const double share = trial % 4 == 0 ? 0.0 : rng.uniform(0.0, 1.0);
+      firelib::IgnitionMap real(rows, cols, firelib::kNeverIgnited);
+      firelib::IgnitionMap sim(rows, cols, firelib::kNeverIgnited);
+      for (double& t : real)
+        if (rng.bernoulli(share)) t = rng.uniform(0.0, 100.0);
+      for (double& t : sim)
+        if (rng.bernoulli(share)) t = rng.uniform(0.0, 100.0);
+      double preburned = rng.bernoulli(0.3) ? 0.0 : rng.uniform(0.0, 50.0);
+      if (trial % 3 == 0 && real.data()[0] <= 50.0)
+        preburned = real.data()[0];  // a cell exactly on the boundary
+      const double time = preburned + rng.uniform(0.0, 60.0);
+      const double words = jaccard_words(real, sim, time, preburned);
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(words),
+                std::bit_cast<std::uint64_t>(
+                    oracle::jaccard_at(real, sim, time, preburned)))
+          << rows << "x" << cols << " trial " << trial;
+      if (share == 0.0) {
+        ASSERT_EQ(words, 1.0);
+      }
+    }
   }
 }
 

@@ -82,14 +82,14 @@ TEST_F(ServiceBackendTest, FitnessBitIdenticalAcrossBackendKnobMatrix) {
 
 TEST_F(ServiceBackendTest, SimulateBatchMapsBitIdentical) {
   SimulationService oracle(workload_.environment, 1);
-  const std::vector<firelib::IgnitionMap> expected = oracle.simulate_batch(
+  const std::vector<BurnedCells> expected = oracle.simulate_batch(
       scenarios_, truth_.fire_lines[0], truth_.step_minutes);
 
   for (unsigned workers : {1u, 4u}) {
     SCOPED_TRACE("workers=" + std::to_string(workers));
     SimulationService service(workload_.environment, workers);
     service.set_backend(firelib::SweepBackend::kBatched);
-    const std::vector<firelib::IgnitionMap> maps = service.simulate_batch(
+    const std::vector<BurnedCells> maps = service.simulate_batch(
         scenarios_, truth_.fire_lines[0], truth_.step_minutes);
     ASSERT_EQ(maps.size(), expected.size());
     for (std::size_t i = 0; i < maps.size(); ++i)

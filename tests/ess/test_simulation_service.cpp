@@ -4,6 +4,7 @@
 
 #include "common/error.hpp"
 #include "ess/fitness.hpp"
+#include "stage_oracles.hpp"
 #include "synth/ground_truth.hpp"
 #include "synth/workloads.hpp"
 
@@ -29,12 +30,14 @@ class SimulationServiceTest : public ::testing::Test {
 
 TEST_F(SimulationServiceTest, BatchEqualsSerialAcrossWorkerCounts) {
   // The reproducibility contract: simulate_batch must be bit-identical to
-  // N independent simulate() calls at every worker count.
+  // packing N independent simulate() maps, at every worker count.
   SimulationService reference(workload_.environment, 1);
-  std::vector<firelib::IgnitionMap> expected;
+  std::vector<BurnedCells> expected;
   for (const auto& scenario : scenarios_)
-    expected.push_back(reference.simulate(scenario, truth_.fire_lines[0],
-                                          truth_.step_minutes));
+    expected.push_back(oracle::pack_burned(
+        reference.simulate(scenario, truth_.fire_lines[0],
+                           truth_.step_minutes),
+        truth_.step_minutes));
 
   for (unsigned workers : {1u, 2u, 4u}) {
     SCOPED_TRACE(workers);
@@ -52,8 +55,8 @@ TEST_F(SimulationServiceTest, FitnessBatchMatchesScalarJaccard) {
   for (const auto& scenario : scenarios_) {
     const auto map = reference.simulate(scenario, truth_.fire_lines[0],
                                         truth_.step_minutes);
-    expected.push_back(
-        jaccard_at(truth_.fire_lines[1], map, truth_.step_minutes, 0.0));
+    expected.push_back(oracle::jaccard_at(truth_.fire_lines[1], map,
+                                          truth_.step_minutes, 0.0));
   }
 
   for (unsigned workers : {1u, 2u, 4u}) {
@@ -68,25 +71,66 @@ TEST_F(SimulationServiceTest, FitnessBatchMatchesScalarJaccard) {
   }
 }
 
-TEST_F(SimulationServiceTest, RunBatchScoresAndKeepsMapsPerRequest) {
+TEST_F(SimulationServiceTest, RunBatchScoresAndRecordsBurnedCellsPerRequest) {
+  // Each result carries its score (scored batches only) and the burned
+  // cells its sweep recorded; a batch must keep to one context.
   SimulationService service(workload_.environment, 2);
-  std::vector<SimulationRequest> requests(2);
-  requests[0].scenario = &scenarios_[0];
-  requests[0].start = &truth_.fire_lines[0];
-  requests[0].end_time = truth_.step_minutes;
-  requests[0].target = &truth_.fire_lines[1];
-  requests[0].keep_map = false;
-  requests[1].scenario = &scenarios_[1];
-  requests[1].start = &truth_.fire_lines[0];
-  requests[1].end_time = truth_.step_minutes;
+  service.set_cache_policy(cache::CachePolicy::kOff);
+  const double end = truth_.step_minutes;
+  std::vector<SimulationRequest> scored = fitness_requests(
+      scenarios_, truth_.fire_lines[0], truth_.fire_lines[1], 0.0, end);
+  scored.resize(2);
+  std::vector<SimulationRequest> unscored = scored;
+  for (SimulationRequest& req : unscored) req.target = nullptr;
 
-  const auto results = service.run_batch(requests);
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_TRUE(results[0].map.empty());  // fitness-only request drops the map
-  EXPECT_GE(results[0].fitness, 0.0);
-  EXPECT_LE(results[0].fitness, 1.0);
-  EXPECT_FALSE(results[1].map.empty());
-  EXPECT_EQ(results[1].fitness, 0.0);  // no target -> unscored
+  const auto with_scores = service.run_batch(scored);
+  const auto without = service.run_batch(unscored);
+  ASSERT_EQ(with_scores.size(), 2u);
+  ASSERT_EQ(without.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    const auto map = service.simulate(scenarios_[i], truth_.fire_lines[0], end);
+    EXPECT_EQ(with_scores[i].fitness,
+              oracle::jaccard_at(truth_.fire_lines[1], map, end, 0.0));
+    EXPECT_EQ(with_scores[i].burned, oracle::pack_burned(map, end));
+    EXPECT_EQ(without[i].burned, oracle::pack_burned(map, end));
+    EXPECT_EQ(without[i].fitness, 0.0);  // no target -> unscored
+  }
+  std::vector<SimulationRequest> mixed = scored;
+  mixed[1].target = nullptr;
+  EXPECT_THROW(service.run_batch(mixed), InvalidArgument);
+}
+
+TEST_F(SimulationServiceTest, StepCacheNoticesMapsChangedInPlace) {
+  // The context is identified once per step, not re-fingerprinted per
+  // batch; a start or target map rewritten behind the same pointer must
+  // still begin a new context instead of serving stale records or scores.
+  firelib::IgnitionMap start = truth_.fire_lines[0];
+  firelib::IgnitionMap target = truth_.fire_lines[1];
+  const double end = truth_.step_minutes;
+  SimulationService service(workload_.environment, 1);
+  SimulationService uncached(workload_.environment, 1);
+  uncached.set_cache_policy(cache::CachePolicy::kOff);
+  service.fitness_batch(scenarios_, start, target, 0.0, end);
+  service.fitness_batch(scenarios_, start, target, 0.0, end);
+  EXPECT_EQ(service.cache_misses(), scenarios_.size());
+  EXPECT_EQ(service.cache_hits(), scenarios_.size()) << "unchanged context";
+
+  target = truth_.fire_lines[2];  // same address, new content
+  EXPECT_EQ(service.fitness_batch(scenarios_, start, target, 0.0, end),
+            uncached.fitness_batch(scenarios_, start, target, 0.0, end));
+  EXPECT_EQ(service.cache_misses(), 2 * scenarios_.size());
+
+  start = truth_.fire_lines[1];  // same address, new content
+  EXPECT_EQ(service.fitness_batch(scenarios_, start, target, 0.0, end),
+            uncached.fitness_batch(scenarios_, start, target, 0.0, end));
+  EXPECT_EQ(service.cache_misses(), 3 * scenarios_.size());
+  EXPECT_EQ(service.cache_hits(), scenarios_.size());
+
+  // The Statistical Stage's record lookup checks the start map's content
+  // too: after an in-place change, the context's records are not its.
+  EXPECT_NE(service.step_records(scenarios_, start, end)[0], nullptr);
+  start(0, 0) = start(0, 0) == 0.0 ? 1.0 : 0.0;
+  EXPECT_EQ(service.step_records(scenarios_, start, end)[0], nullptr);
 }
 
 TEST_F(SimulationServiceTest, CountsEverySimulation) {

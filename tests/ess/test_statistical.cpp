@@ -23,7 +23,7 @@ Grid<double> aggregate_probability(std::span<const IgnitionMap> maps,
                                    double time_min) {
   std::vector<BurnedCells> packed;
   for (const IgnitionMap& map : maps)
-    packed.push_back(pack_burned(map, time_min));
+    packed.push_back(firelib::burned_cells(map, time_min));
   std::vector<const BurnedCells*> records;
   for (const BurnedCells& cells : packed) records.push_back(&cells);
   return aggregate_burned(records);
@@ -77,8 +77,10 @@ TEST(AggregateTest, MismatchedDimensionsThrow) {
 
 TEST(AggregateTest, RecordOfAnotherShapeThrows) {
   // 100 and 121 cells both pack into two words; the shape still differs.
-  const BurnedCells small = pack_burned(IgnitionMap(10, 10, 0.0), 1.0);
-  const BurnedCells large = pack_burned(IgnitionMap(11, 11, 0.0), 1.0);
+  const BurnedCells small =
+      firelib::burned_cells(IgnitionMap(10, 10, 0.0), 1.0);
+  const BurnedCells large =
+      firelib::burned_cells(IgnitionMap(11, 11, 0.0), 1.0);
   using Records = std::vector<const BurnedCells*>;
   EXPECT_THROW(aggregate_burned(Records{&small, &large}), InvalidArgument);
   BurnedCells truncated = small;
@@ -92,7 +94,7 @@ TEST(AggregateTest, PackedBitsFollowRowMajorCells) {
   map(2, 3) = 10.0;                       // cell 63: top bit of word 0
   map(2, 4) = 10.0;                       // cell 64: bit 0 of word 1
   map(2, 29) = 10.5;                      // after the horizon
-  const BurnedCells burned = pack_burned(map, 10.0);
+  const BurnedCells burned = firelib::burned_cells(map, 10.0);
   EXPECT_EQ(burned.rows, 3);
   EXPECT_EQ(burned.cols, 30);
   ASSERT_EQ(burned.words.size(), 2u);

@@ -2,9 +2,10 @@
 // dial/calendar queue must reproduce the retained binary-heap sweep bit for
 // bit on every path (reference / uniform travel-time tables / DEM per-cell
 // wind/slope composition), over randomized scenarios, terrains, horizons and
-// continuation maps — and across the whole default campaign catalog. Also
-// pins the horizon-clamp contract for pre-seeded initial maps, identically
-// for every queue x path combination.
+// continuation maps — and across the whole default campaign catalog — and
+// each sweep's burned-cell record must equal its clamped map's. Also pins
+// the horizon-clamp contract for pre-seeded initial maps, identically for
+// every queue x path combination.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -69,9 +70,26 @@ Scenario calm_scenario() {
   return s;
 }
 
+/// The sweep's own burned-cell record of its last propagate(): bit i set
+/// exactly when the clamped map has cell i ignited by the horizon, and no
+/// bit set past the last cell.
+void expect_burned_record(const PropagationWorkspace& workspace,
+                          double horizon) {
+  const BurnedCells& burned = workspace.last_burned();
+  const IgnitionMap& map = workspace.last_map();
+  ASSERT_EQ(burned.rows, map.rows());
+  ASSERT_EQ(burned.cols, map.cols());
+  ASSERT_EQ(burned.words.size(), (map.size() + 63) / 64);
+  for (std::size_t i = 0; i < burned.words.size() * 64; ++i)
+    ASSERT_EQ((burned.words[i / 64] >> (i % 64)) & 1u,
+              i < map.size() && map.data()[i] <= horizon ? 1u : 0u)
+        << "cell " << i << " of " << map.size();
+}
+
 /// Heap and dial sweeps over the same inputs must be bit-identical, on the
 /// fast path and on the reference path, from point ignitions and from
-/// continuation maps.
+/// continuation maps (with a seed beyond the horizon) — and each sweep's
+/// burned-cell record must match its map.
 void expect_queues_match(const FireEnvironment& env) {
   const FireSpreadModel model;
   for (const bool reference : {false, true}) {
@@ -99,15 +117,20 @@ void expect_queues_match(const FireEnvironment& env) {
       ASSERT_EQ(from_heap, from_dial)
           << (reference ? "reference" : "fast") << " trial " << trial
           << " scenario " << scenario.to_string();
+      expect_burned_record(heap_ws, horizon);
+      expect_burned_record(dial_ws, horizon);
 
       // Continue from the heap result with a fresh scenario: many finite
       // seeds at once, the dial queue's bucket-spread worst case.
       const Scenario next = space.sample(rng);
-      const IgnitionMap start = from_heap;
+      IgnitionMap start = from_heap;
+      if (start(0, 0) == kNeverIgnited) start(0, 0) = horizon + 1000.0;
       ASSERT_EQ(heap.propagate(env, next, start, horizon + 60.0, heap_ws),
                 dial.propagate(env, next, start, horizon + 60.0, dial_ws))
           << (reference ? "reference" : "fast") << " continuation trial "
           << trial;
+      expect_burned_record(heap_ws, horizon + 60.0);
+      expect_burned_record(dial_ws, horizon + 60.0);
     }
   }
 }
@@ -136,6 +159,16 @@ TEST(SweepQueueTest, DemHeapMatchesDial) {
 
 TEST(SweepQueueTest, DemWithFuelMosaicHeapMatchesDial) {
   expect_queues_match(dem_env(24, /*with_fuel=*/true));
+}
+
+TEST(SweepQueueTest, GridsOffTheWordSizeMatch) {
+  // Cell counts that leave the burned-cell record's last word partial.
+  for (const int size : {13, 23}) {
+    SCOPED_TRACE(size);
+    expect_queues_match(uniform_env(size));
+    expect_queues_match(fuel_mosaic_env(size));
+    expect_queues_match(dem_env(size, /*with_fuel=*/true));
+  }
 }
 
 TEST(SweepQueueTest, TieHeavyCalmSpreadMatches) {
