@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <fstream>
 #include <istream>
+#include <ostream>
 #include <string>
 
 #include "common/binary_io.hpp"
@@ -14,6 +15,12 @@ namespace {
 // Dimension cap for decoded records: far beyond any catalog, and the words
 // are re-checked against the remaining payload before they are allocated.
 constexpr std::int32_t kMaxGridDim = 1 << 20;
+
+void write_bytes(std::ostream& out, const std::vector<std::uint8_t>& bytes) {
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+  if (!out) throw IoError("cannot write cache snapshot stream");
+}
 
 void encode_entry(BinaryWriter& out, const ExportedEntry& entry) {
   out.u64(entry.key.context);
@@ -80,15 +87,19 @@ DecodedEntry decode_entry(BinaryReader& in) {
   return entry;
 }
 
-void write_frame(std::vector<std::uint8_t>& out, std::uint32_t type,
-                 const std::vector<std::uint8_t>& payload) {
+/// Write one frame (type, length, payload, CRC) to `out`, assembling it in
+/// `frame`, a buffer reused across frames.
+void write_frame(std::ostream& out, std::vector<std::uint8_t>& frame,
+                 std::uint32_t type, const std::vector<std::uint8_t>& payload) {
   ESSNS_REQUIRE(payload.size() <= kMaxCachePayload,
                 "cache frame payload too large");
-  BinaryWriter writer(out);
+  frame.clear();
+  BinaryWriter writer(frame);
   writer.u32(type);
   writer.u64(payload.size());
   if (!payload.empty()) writer.bytes(payload.data(), payload.size());
   writer.u32(Crc32::of(payload));
+  write_bytes(out, frame);
 }
 
 /// Read up to `size` bytes from `in` into `out` (replacing its contents);
@@ -114,29 +125,27 @@ std::size_t read_up_to(std::istream& in, std::vector<std::uint8_t>& out,
 std::size_t save_cache(const SharedScenarioCache& cache, std::ostream& out) {
   const std::vector<ExportedEntry> entries = cache.export_entries();
 
-  std::vector<std::uint8_t> buffer;
+  // Streamed frame by frame: memory is bounded by one entry, not the file.
+  std::vector<std::uint8_t> frame;
   {
-    BinaryWriter header(buffer);
+    BinaryWriter header(frame);
     header.u32(kCacheFileMagic);
     header.u32(kCacheFileVersion);
   }
+  write_bytes(out, frame);
   std::vector<std::uint8_t> payload;
   for (const ExportedEntry& entry : entries) {
     payload.clear();
     BinaryWriter writer(payload);
     encode_entry(writer, entry);
-    write_frame(buffer, kEntryFrame, payload);
+    write_frame(out, frame, kEntryFrame, payload);
   }
   payload.clear();
   {
     BinaryWriter writer(payload);
     writer.u64(entries.size());
   }
-  write_frame(buffer, kEndFrame, payload);
-
-  out.write(reinterpret_cast<const char*>(buffer.data()),
-            static_cast<std::streamsize>(buffer.size()));
-  if (!out) throw IoError("cannot write cache snapshot stream");
+  write_frame(out, frame, kEndFrame, payload);
   return entries.size();
 }
 

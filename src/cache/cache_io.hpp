@@ -22,8 +22,8 @@
 // frames) is detected. Version 1 snapshots, which held f64 ignition maps,
 // are rejected with a version-mismatch WireError.
 //
-// Restore decodes frame by frame straight from the stream, so its memory is
-// bounded by one frame, not by the file.
+// Save and restore both stream frame by frame, so their memory is bounded
+// by one frame, not by the file.
 //
 // Restore goes through SharedScenarioCache::insert(), so every entry is
 // re-accounted against the receiving cache's byte budget: a snapshot from a

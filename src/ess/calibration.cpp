@@ -8,14 +8,17 @@
 namespace essns::ess {
 
 KignSearchResult search_kign(const Grid<double>& probability,
-                             const Grid<std::uint8_t>& real_burned,
-                             const Grid<std::uint8_t>& preburned,
+                             const firelib::BurnedCells& real_burned,
+                             const firelib::BurnedCells& preburned,
                              int candidates) {
   ESSNS_REQUIRE(candidates >= 1, "need at least one threshold candidate");
-  ESSNS_REQUIRE(probability.rows() == real_burned.rows() &&
-                    probability.cols() == real_burned.cols() &&
-                    probability.rows() == preburned.rows() &&
-                    probability.cols() == preburned.cols(),
+  ESSNS_REQUIRE(probability.rows() == real_burned.rows &&
+                    probability.cols() == real_burned.cols &&
+                    probability.rows() == preburned.rows &&
+                    probability.cols() == preburned.cols &&
+                    real_burned.words.size() == preburned.words.size() &&
+                    real_burned.words.size() ==
+                        firelib::burned_words(probability.size()),
                 "jaccard masks must share dimensions");
   // Thresholding at K predicts exactly the cells with p >= K, so Eq. (3)'s
   // counts at K are: intersection = real cells with p >= K, union = every
@@ -28,14 +31,18 @@ KignSearchResult search_kign(const Grid<double>& probability,
   std::size_t real_count = 0;
   const std::size_t n = probability.size();
   const double* p = probability.data();
-  const std::uint8_t* in_real = real_burned.data();
-  const std::uint8_t* pre = preburned.data();
+  const std::uint64_t* in_real = real_burned.words.data();
+  const std::uint64_t* pre = preburned.words.data();
+  const auto bit = [](const std::uint64_t* words, std::size_t i) {
+    return ((words[i / 64] >> (i % 64)) & 1u) != 0;
+  };
   for (std::size_t i = 0; i < n; ++i) {
-    if (pre[i]) continue;
-    if (in_real[i]) ++real_count;
+    if (bit(pre, i)) continue;
+    const bool is_real = bit(in_real, i);
+    if (is_real) ++real_count;
     // A NaN probability is below every threshold (p >= K is false).
     if (p[i] != p[i]) continue;
-    (in_real[i] ? real : other).push_back(p[i]);
+    (is_real ? real : other).push_back(p[i]);
   }
   std::sort(real.begin(), real.end());
   std::sort(other.begin(), other.end());
@@ -60,6 +67,14 @@ KignSearchResult search_kign(const Grid<double>& probability,
     ++best.evaluated;
   }
   return best;
+}
+
+KignSearchResult search_kign(const Grid<double>& probability,
+                             const Grid<std::uint8_t>& real_burned,
+                             const Grid<std::uint8_t>& preburned,
+                             int candidates) {
+  return search_kign(probability, firelib::burned_cells(real_burned),
+                     firelib::burned_cells(preburned), candidates);
 }
 
 }  // namespace essns::ess

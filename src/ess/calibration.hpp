@@ -4,6 +4,7 @@
 #pragma once
 
 #include "common/grid.hpp"
+#include "firelib/propagator.hpp"
 
 namespace essns::ess {
 
@@ -17,6 +18,12 @@ struct KignSearchResult {
 /// (0, 1]: for each K, threshold `probability` and score Eq. (3) against
 /// `real_burned` (excluding `preburned`). Ties keep the smaller K (a more
 /// inclusive prediction).
+KignSearchResult search_kign(const Grid<double>& probability,
+                             const firelib::BurnedCells& real_burned,
+                             const firelib::BurnedCells& preburned,
+                             int candidates = 100);
+
+/// The same search against burned masks.
 KignSearchResult search_kign(const Grid<double>& probability,
                              const Grid<std::uint8_t>& real_burned,
                              const Grid<std::uint8_t>& preburned,

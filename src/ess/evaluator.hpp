@@ -49,6 +49,10 @@ class ScenarioEvaluator {
   /// by every later call, so they must stay unchanged while the step is
   /// current; call set_step again after changing them.
   void set_step(const StepContext& context);
+  /// The same for the step that ends at line `line` of `observations`:
+  /// from line - 1 over [t_{line - 1}, t_line], read from the digest.
+  /// `observations` must outlive the step.
+  void set_step(Observations& observations, int line);
 
   /// BatchEvaluator view bound to this evaluator (valid while alive).
   ea::BatchEvaluator batch_evaluator();
@@ -71,6 +75,10 @@ class ScenarioEvaluator {
   /// worker count and cache policy.
   Grid<double> burn_probability(const std::vector<firelib::Scenario>& scenarios,
                                 const firelib::IgnitionMap& start,
+                                double end_time);
+  /// The same from line `start_line` of `observations`.
+  Grid<double> burn_probability(const std::vector<firelib::Scenario>& scenarios,
+                                Observations& observations, int start_line,
                                 double end_time);
 
   unsigned workers() const { return service_.workers(); }
@@ -123,9 +131,18 @@ class ScenarioEvaluator {
 
  private:
   std::vector<double> evaluate_batch(const std::vector<ea::Genome>& genomes);
+  /// Count the step's records of `scenarios`, simulating the rest with
+  /// `simulate`.
+  template <typename Simulate>
+  Grid<double> count_burned(const std::vector<firelib::Scenario>& scenarios,
+                            const std::vector<const BurnedCells*>& recorded,
+                            Simulate simulate);
 
   SimulationService service_;
+  /// The current step: raw maps, or a line of some observations.
   StepContext context_;
+  Observations* observations_ = nullptr;
+  int line_ = 0;
 };
 
 }  // namespace essns::ess

@@ -46,15 +46,21 @@ ScoringTarget make_scoring_target(const firelib::IgnitionMap& real_map,
 
 double jaccard(const ScoringTarget& target,
                const firelib::BurnedCells& simulated) {
-  ESSNS_REQUIRE(target.real.rows == simulated.rows &&
-                    target.real.cols == simulated.cols &&
-                    target.real.words.size() == simulated.words.size() &&
-                    target.preburned.words.size() == simulated.words.size(),
+  return jaccard(target.real, target.preburned, simulated);
+}
+
+double jaccard(const firelib::BurnedCells& real_cells,
+               const firelib::BurnedCells& preburned,
+               const firelib::BurnedCells& simulated) {
+  ESSNS_REQUIRE(real_cells.rows == simulated.rows &&
+                    real_cells.cols == simulated.cols &&
+                    real_cells.words.size() == simulated.words.size() &&
+                    preburned.words.size() == simulated.words.size(),
                 "jaccard maps must share dimensions");
   std::size_t intersection = 0;
   std::size_t set_union = 0;
-  const std::uint64_t* real = target.real.words.data();
-  const std::uint64_t* pre = target.preburned.words.data();
+  const std::uint64_t* real = real_cells.words.data();
+  const std::uint64_t* pre = preburned.words.data();
   const std::uint64_t* sim = simulated.words.data();
   for (std::size_t w = 0; w < simulated.words.size(); ++w) {
     const std::uint64_t live = ~pre[w];

@@ -41,4 +41,10 @@ ScoringTarget make_scoring_target(const firelib::IgnitionMap& real_map,
 double jaccard(const ScoringTarget& target,
                const firelib::BurnedCells& simulated);
 
+/// The same on three records: Eq. (3) of `simulated` against `real`,
+/// excluding `preburned`. All three must share one shape.
+double jaccard(const firelib::BurnedCells& real,
+               const firelib::BurnedCells& preburned,
+               const firelib::BurnedCells& simulated);
+
 }  // namespace essns::ess

@@ -75,10 +75,22 @@ double PipelineResult::cache_hit_rate() const {
 PredictionPipeline::PredictionPipeline(const firelib::FireEnvironment& env,
                                        const synth::GroundTruth& truth,
                                        PipelineConfig config)
-    : env_(&env), truth_(&truth), config_(config),
+    : PredictionPipeline(
+          env,
+          Observations(std::make_shared<const ObservationDigest>(
+                           make_observation_digest(
+                               truth, config.cache_policy ==
+                                          cache::CachePolicy::kShared)),
+                       truth.fire_lines),
+          config) {}
+
+PredictionPipeline::PredictionPipeline(const firelib::FireEnvironment& env,
+                                       Observations observations,
+                                       PipelineConfig config)
+    : env_(&env), observations_(std::move(observations)), config_(config),
       last_probability_(env.rows(), env.cols(), 0.0),
       last_prediction_(env.rows(), env.cols(), 0) {
-  ESSNS_REQUIRE(truth.steps() >= 2,
+  ESSNS_REQUIRE(observations_.digest().steps() >= 2,
                 "pipeline needs >= 2 steps (calibration + prediction)");
   ESSNS_REQUIRE(config.workers >= 1, "workers >= 1");
 }
@@ -97,10 +109,11 @@ PipelineResult PredictionPipeline::run(Optimizer& optimizer, Rng& rng) {
     if (config_.shared_cache) evaluator.set_shared_cache(config_.shared_cache);
   }
   const auto& space = firelib::ScenarioSpace::table1();
-  const auto& lines = truth_->fire_lines;
+  const ObservationDigest& digest = observations_.digest();
+  const auto& lines = digest.lines;
 
   // Calibrate on [t_{n-1}, t_n], predict t_{n+1}; n runs to steps()-1.
-  for (int n = 1; n + 1 <= truth_->steps(); ++n) {
+  for (int n = 1; n + 1 <= digest.steps(); ++n) {
     // One clock source for report timings AND trace spans: each stage is a
     // SpanTimer, so the JSONL/CSV *_seconds fields and the trace timeline
     // come from the same start/stop points.
@@ -122,14 +135,12 @@ PipelineResult PredictionPipeline::run(Optimizer& optimizer, Rng& rng) {
       cache_peak_bytes = std::max(cache_peak_bytes, evaluator.cache_bytes());
     };
     const auto un = static_cast<std::size_t>(n);
-    const double t_prev = truth_->time_of(n - 1);
-    const double t_now = truth_->time_of(n);
-    const double t_next = truth_->time_of(n + 1);
+    const double t_now = digest.times[un];
+    const double t_next = digest.times[un + 1];
 
     // --- Optimization Stage. ---
     obs::SpanTimer os_timer("pipeline.os");
-    StepContext context{&lines[un - 1], &lines[un], t_prev, t_now};
-    evaluator.set_step(context);
+    evaluator.set_step(observations_, n);
     auto batch = evaluator.batch_evaluator();
     OptimizationOutcome outcome =
         optimizer.optimize(firelib::kParamCount, batch, config_.stop, rng);
@@ -152,33 +163,32 @@ PipelineResult PredictionPipeline::run(Optimizer& optimizer, Rng& rng) {
     for (const auto& ind : outcome.solutions)
       scenarios.push_back(space.decode(ind.genome));
     const Grid<double> probability_now =
-        evaluator.burn_probability(scenarios, lines[un - 1], t_now);
+        evaluator.burn_probability(scenarios, observations_, n - 1, t_now);
     sample_cache();
     const double ss_seconds = ss_timer.stop();
 
-    // --- Calibration Stage: S_Kign against RFL_n. ---
+    // --- Calibration Stage: S_Kign against RFL_n, excluding what RFL_{n-1}
+    // had burned. ---
     obs::SpanTimer cs_timer("pipeline.cs");
-    const auto real_now = firelib::burned_mask(lines[un], t_now);
-    const auto preburned_now = firelib::burned_mask(lines[un - 1], t_prev);
     const KignSearchResult kign =
-        search_kign(probability_now, real_now, preburned_now,
-                    config_.kign_candidates);
+        search_kign(probability_now, lines[un].scoring.real,
+                    lines[un - 1].scoring.real, config_.kign_candidates);
     const double cs_seconds = cs_timer.stop();
 
     // --- Prediction Stage for t_{n+1} using Kign_n: a new interval, so
     // every map is simulated, batched over the shared worker pool. ---
     obs::SpanTimer ps_timer("pipeline.ps");
-    last_probability_ = evaluator.burn_probability(scenarios, lines[un], t_next);
+    last_probability_ =
+        evaluator.burn_probability(scenarios, observations_, n, t_next);
     last_prediction_ = apply_kign(last_probability_, kign.kign);
     sample_cache();
     const double ps_seconds = ps_timer.stop();
 
     // Scoring PFL_{n+1} against RFL_{n+1} is evaluation of the prediction,
     // not part of the PS itself — keep it out of ps_seconds.
-    const auto real_next = firelib::burned_mask(lines[un + 1], t_next);
-    const auto preburned_next = firelib::burned_mask(lines[un], t_now);
     const double quality =
-        jaccard(real_next, last_prediction_, preburned_next);
+        jaccard(lines[un + 1].scoring.real, lines[un].scoring.real,
+                firelib::burned_cells(last_prediction_));
 
     StepReport report;
     report.step = n + 1;

@@ -20,6 +20,11 @@
 //
 // "The prediction cannot start at the first time instant" (§II-A): the first
 // usable prediction is for t_2, produced while calibrating on [t_0, t_1].
+//
+// Every stage reads the fire lines through their observation digest
+// (ess/observation.hpp); the dense lines are touched only when a batch
+// simulates from one, so over lazy observations a run the cache answers in
+// full never generates them.
 #pragma once
 
 #include <functional>
@@ -29,6 +34,7 @@
 #include "cache/scenario_cache.hpp"
 #include "ess/calibration.hpp"
 #include "ess/evaluator.hpp"
+#include "ess/observation.hpp"
 #include "ess/optimizer.hpp"
 #include "synth/ground_truth.hpp"
 
@@ -119,8 +125,14 @@ struct PipelineResult {
 
 class PredictionPipeline {
  public:
+  /// Over a ground truth the caller keeps alive; its digest is built here,
+  /// with fingerprints only under the shared cache policy.
   PredictionPipeline(const firelib::FireEnvironment& env,
                      const synth::GroundTruth& truth, PipelineConfig config);
+  /// Over observations of the fire on `env` (fingerprinted when the policy
+  /// is kShared).
+  PredictionPipeline(const firelib::FireEnvironment& env,
+                     Observations observations, PipelineConfig config);
 
   /// Run the whole predictive process with `optimizer` as the OS strategy.
   PipelineResult run(Optimizer& optimizer, Rng& rng);
@@ -132,7 +144,7 @@ class PredictionPipeline {
 
  private:
   const firelib::FireEnvironment* env_;
-  const synth::GroundTruth* truth_;
+  Observations observations_;
   PipelineConfig config_;
   Grid<double> last_probability_;
   Grid<std::uint8_t> last_prediction_;

@@ -18,9 +18,10 @@ SimulationService::SimulationService(const firelib::FireEnvironment& env,
   worker_placed_.assign(workspaces_.size(), 0);
   if (workers > 1) {
     pool_ = std::make_unique<
-        parallel::MasterWorker<const SimulationRequest*, SimulationResult>>(
-        workers, [this](unsigned id, const SimulationRequest* const& req) {
-          return run_one(id + 1, *req);
+        parallel::MasterWorker<const firelib::Scenario*, SimulationResult>>(
+        workers,
+        [this](unsigned id, const firelib::Scenario* const& scenario) {
+          return run_one(id + 1, *scenario);
         });
   }
 }
@@ -137,19 +138,16 @@ firelib::IgnitionMap SimulationService::simulate(
 }
 
 SimulationResult SimulationService::run_one(unsigned worker_id,
-                                            const SimulationRequest& req) {
-  ESSNS_REQUIRE(req.scenario && req.start, "request scenario/start must be set");
+                                            const firelib::Scenario& scenario) {
   place_worker(worker_id);
   simulations_.fetch_add(1, std::memory_order_relaxed);
   obs::SpanTimer sim_timer("simulate");
   firelib::PropagationWorkspace& workspace = workspaces_[worker_id];
-  propagator_.propagate(*env_, *req.scenario, *req.start, req.end_time,
+  propagator_.propagate(*env_, scenario, *context_.start, context_.end_time,
                         workspace);
   SimulationResult result;
   result.burned = workspace.last_burned();
-  // A scored request's target is the current context's (every batch runs
-  // in one context).
-  if (req.target) result.fitness = jaccard(context_.scoring, result.burned);
+  if (context_.scoring) result.fitness = jaccard(*context_.scoring, result.burned);
   result.sim_seconds = sim_timer.stop();
   if (obs::metrics_enabled()) {
     obs::add_counter("sim.count", 1);
@@ -159,23 +157,25 @@ SimulationResult SimulationService::run_one(unsigned worker_id,
 }
 
 std::vector<SimulationResult> SimulationService::run_batch_uncached(
-    const std::vector<const SimulationRequest*>& requests) {
-  if (obs::metrics_enabled() && !requests.empty())
+    const std::vector<const firelib::Scenario*>& scenarios) {
+  if (scenarios.empty()) return {};
+  if (obs::metrics_enabled())
     obs::record_histogram("sweep.batch_size",
-                          static_cast<double>(requests.size()));
-  if (backend_ == firelib::SweepBackend::kBatched && !requests.empty() &&
+                          static_cast<double>(scenarios.size()));
+  context_start();
+  if (backend_ == firelib::SweepBackend::kBatched &&
       !propagator_.reference_sweep())
-    return run_batch_batched(requests);
-  if (pool_) return pool_->evaluate(requests);
+    return run_batch_batched(scenarios);
+  if (pool_) return pool_->evaluate(scenarios);
   std::vector<SimulationResult> results;
-  results.reserve(requests.size());
-  for (const SimulationRequest* req : requests)
-    results.push_back(run_one(0, *req));
+  results.reserve(scenarios.size());
+  for (const firelib::Scenario* scenario : scenarios)
+    results.push_back(run_one(0, *scenario));
   return results;
 }
 
 std::vector<SimulationResult> SimulationService::run_batch_batched(
-    const std::vector<const SimulationRequest*>& requests) {
+    const std::vector<const firelib::Scenario*>& scenarios) {
   // One launch on the calling thread — the GPU-shaped execution model the
   // backend enum is the on-ramp for (a device backend submits here too).
   place_worker(0);
@@ -184,31 +184,26 @@ std::vector<SimulationResult> SimulationService::run_batch_batched(
   batch_engine_->set_simd_mode(propagator_.simd_mode());
 
   obs::SpanTimer batch_timer("sim.batch");
-  std::vector<const firelib::Scenario*> scenarios;
-  scenarios.reserve(requests.size());
-  for (const SimulationRequest* req : requests)
-    scenarios.push_back(req->scenario);
-  const SimulationRequest& first = *requests.front();
-  const std::vector<firelib::IgnitionMap> maps =
-      batch_engine_->sweep(*env_, scenarios, *first.start, first.end_time);
+  const std::vector<firelib::IgnitionMap> maps = batch_engine_->sweep(
+      *env_, scenarios, *context_.start, context_.end_time);
   const double batch_seconds = batch_timer.stop();
   // Cost attribution for the shared cache's eviction weighting: the launch
   // is one unit of work, split evenly (a perf heuristic, not a result).
   const double per_sim_seconds =
-      batch_seconds / static_cast<double>(requests.size());
-  simulations_.fetch_add(requests.size(), std::memory_order_relaxed);
+      batch_seconds / static_cast<double>(scenarios.size());
+  simulations_.fetch_add(scenarios.size(), std::memory_order_relaxed);
 
-  std::vector<SimulationResult> results(requests.size());
-  for (std::size_t i = 0; i < requests.size(); ++i) {
+  std::vector<SimulationResult> results(scenarios.size());
+  for (std::size_t i = 0; i < scenarios.size(); ++i) {
     // The batch engine emits maps; pack each once at the launch's horizon.
-    results[i].burned = firelib::burned_cells(maps[i], first.end_time);
-    if (first.target)
-      results[i].fitness = jaccard(context_.scoring, results[i].burned);
+    results[i].burned = firelib::burned_cells(maps[i], context_.end_time);
+    if (context_.scoring)
+      results[i].fitness = jaccard(*context_.scoring, results[i].burned);
     results[i].sim_seconds = per_sim_seconds;
   }
   if (obs::metrics_enabled()) {
-    obs::add_counter("sim.count", requests.size());
-    for (std::size_t i = 0; i < requests.size(); ++i)
+    obs::add_counter("sim.count", scenarios.size());
+    for (std::size_t i = 0; i < scenarios.size(); ++i)
       obs::record_histogram("sim.seconds", per_sim_seconds);
   }
   return results;
@@ -225,63 +220,133 @@ bool same_bits(const firelib::IgnitionMap& a, const firelib::IgnitionMap& b) {
 
 }  // namespace
 
-void SimulationService::enter_context(const SimulationRequest& first) {
+void SimulationService::enter_context(Observations& observations,
+                                      int start_line, bool scored,
+                                      double start_time, double end_time) {
   Context& c = context_;
-  if (c.valid && c.start == first.start && c.target == first.target &&
-      c.start_time == first.start_time && c.end_time == first.end_time &&
-      same_bits(*first.start, c.start_copy) &&
-      (!first.target || same_bits(*first.target, c.target_copy)))
+  if (c.valid && c.observations == &observations &&
+      c.start_line == start_line && c.scored == scored &&
+      c.start_time == start_time && c.end_time == end_time)
     return;
   step_cache_.clear();
   step_cache_bytes_ = 0;
-  c.valid = false;  // until every derived field is rebuilt
-  c.start = first.start;
-  c.target = first.target;
-  c.start_time = first.start_time;
-  c.end_time = first.end_time;
-  c.start_copy = *first.start;
-  c.scoring = {};
-  if (first.target) {
-    c.target_copy = *first.target;
-    c.scoring = make_scoring_target(*first.target, first.start_time,
-                                    first.end_time);
-  }
+  c = Context{};  // invalid until every derived field is rebuilt
+  const ObservationDigest& digest = observations.digest();
+  const auto line_count = static_cast<int>(digest.lines.size());
+  ESSNS_REQUIRE(start_line >= 0 && start_line + (scored ? 1 : 0) < line_count,
+                "context line out of range");
+  c.observations = &observations;
+  c.start_line = start_line;
+  c.scored = scored;
+  c.start_time = start_time;
+  c.end_time = end_time;
+  const ObservedLine& start = digest.lines[static_cast<std::size_t>(start_line)];
+  const ObservedLine* target =
+      scored ? &digest.lines[static_cast<std::size_t>(start_line) + 1]
+             : nullptr;
+  if (target) c.scoring = &target->scoring;
   if (cache_policy_ == cache::CachePolicy::kShared) {
-    c.start_fingerprint = cache::map_fingerprint(*first.start);
-    c.target_fingerprint =
-        first.target ? cache::map_fingerprint(*first.target) : 0;
+    ESSNS_REQUIRE(digest.fingerprinted,
+                  "the shared cache needs fingerprinted fire lines");
+    c.start_fingerprint = start.fingerprint;
+    c.target_fingerprint = target ? target->fingerprint : 0;
+    if (!env_fingerprint_) env_fingerprint_ = digest.env_fingerprint;
   }
   c.valid = true;
+}
+
+void SimulationService::enter_step(Observations& observations,
+                                   int target_line) {
+  const std::vector<double>& times = observations.digest().times;
+  ESSNS_REQUIRE(target_line >= 1 &&
+                    static_cast<std::size_t>(target_line) < times.size(),
+                "step target line out of range");
+  const auto k = static_cast<std::size_t>(target_line);
+  enter_context(observations, target_line - 1, true, times[k - 1], times[k]);
+}
+
+Observations& SimulationService::raw_observations(
+    const firelib::IgnitionMap& start, const firelib::IgnitionMap* target,
+    double start_time, double end_time) {
+  if (raw_ && context_.valid && context_.observations == &*raw_ &&
+      raw_start_ == &start && raw_target_ == target &&
+      context_.start_time == start_time && context_.end_time == end_time &&
+      same_bits(start, *raw_->dense_line(0)) &&
+      (!target || same_bits(*target, *raw_->dense_line(1))))
+    return *raw_;
+  const bool fingerprints = cache_policy_ == cache::CachePolicy::kShared;
+  auto digest = std::make_shared<ObservationDigest>();
+  digest->fingerprinted = fingerprints;
+  digest->times.push_back(start_time);
+  ObservedLine& start_line = digest->lines.emplace_back();
+  if (fingerprints) start_line.fingerprint = cache::map_fingerprint(start);
+  std::vector<firelib::IgnitionMap> copies;
+  copies.reserve(2);
+  copies.push_back(start);
+  if (target) {
+    digest->times.push_back(end_time);
+    ObservedLine& target_line = digest->lines.emplace_back();
+    if (fingerprints) target_line.fingerprint = cache::map_fingerprint(*target);
+    target_line.scoring = make_scoring_target(*target, start_time, end_time);
+    copies.push_back(*target);
+  }
+  context_.valid = false;
+  raw_.emplace(std::move(digest), std::move(copies));
+  raw_start_ = &start;
+  raw_target_ = target;
+  return *raw_;
+}
+
+const firelib::IgnitionMap& SimulationService::context_start() {
+  if (!context_.start)
+    context_.start = &context_.observations->line(context_.start_line);
+  return *context_.start;
 }
 
 void SimulationService::begin_step(const firelib::IgnitionMap& start,
                                    const firelib::IgnitionMap& target,
                                    double start_time, double end_time) {
   clear_step_cache();
-  SimulationRequest probe;
-  probe.start = &start;
-  probe.target = &target;
-  probe.start_time = start_time;
-  probe.end_time = end_time;
-  enter_context(probe);
+  Observations& observations =
+      raw_observations(start, &target, start_time, end_time);
+  enter_step(observations, 1);
+}
+
+void SimulationService::begin_step(Observations& observations,
+                                   int target_line) {
+  clear_step_cache();
+  enter_step(observations, target_line);
 }
 
 double SimulationService::score(const firelib::Scenario& scenario,
                                 const firelib::IgnitionMap& start,
                                 const firelib::IgnitionMap& target,
                                 double start_time, double end_time) {
-  const SimulationRequest req{&scenario, &start, start_time, end_time,
-                              &target};
-  enter_context(req);
-  return run_one(0, req).fitness;
+  return score(scenario, raw_observations(start, &target, start_time, end_time),
+               1);
+}
+
+double SimulationService::score(const firelib::Scenario& scenario,
+                                Observations& observations, int target_line) {
+  enter_step(observations, target_line);
+  context_start();
+  return run_one(0, scenario).fitness;
 }
 
 std::vector<const BurnedCells*> SimulationService::step_records(
     const std::vector<firelib::Scenario>& scenarios,
     const firelib::IgnitionMap& start, double end_time) const {
+  if (!raw_ || raw_start_ != &start || !same_bits(start, *raw_->dense_line(0)))
+    return std::vector<const BurnedCells*>(scenarios.size(), nullptr);
+  return step_records(scenarios, *raw_, 0, end_time);
+}
+
+std::vector<const BurnedCells*> SimulationService::step_records(
+    const std::vector<firelib::Scenario>& scenarios,
+    const Observations& observations, int start_line, double end_time) const {
   std::vector<const BurnedCells*> records(scenarios.size(), nullptr);
-  if (!context_.valid || context_.start != &start ||
-      context_.end_time != end_time || !same_bits(start, context_.start_copy))
+  if (!context_.valid || context_.observations != &observations ||
+      context_.start_line != start_line || context_.end_time != end_time)
     return records;
   for (std::size_t i = 0; i < scenarios.size(); ++i) {
     const auto it = step_cache_.find(cache::make_scenario_key(scenarios[i]));
@@ -292,7 +357,6 @@ std::vector<const BurnedCells*> SimulationService::step_records(
 }
 
 void SimulationService::remember(const cache::ScenarioKey& key,
-                                 const SimulationRequest& req,
                                  const SimulationResult& sim) {
   const auto found = step_cache_.find(key);
   const bool known = found != step_cache_.end();
@@ -303,7 +367,7 @@ void SimulationService::remember(const cache::ScenarioKey& key,
   }
   cache::CachedScenario& entry = known ? found->second : step_cache_[key];
   const std::size_t charge_before = known ? cache::entry_charge(entry) : 0;
-  if (req.target) entry.set_fitness(0, 0, sim.fitness);
+  if (context_.scored) entry.set_fitness(0, 0, sim.fitness);
   if (entry.burned.empty()) entry.burned = sim.burned;
   step_cache_bytes_ += cache::entry_charge(entry) - charge_before;
 }
@@ -311,9 +375,9 @@ void SimulationService::remember(const cache::ScenarioKey& key,
 std::vector<SimulationResult> SimulationService::run_batch(
     const std::vector<SimulationRequest>& requests) {
   if (requests.empty()) return {};
-  ESSNS_TRACE_SPAN("sim.batch");
-
   const SimulationRequest& first = requests.front();
+  std::vector<const firelib::Scenario*> scenarios;
+  scenarios.reserve(requests.size());
   for (const SimulationRequest& req : requests) {
     ESSNS_REQUIRE(req.scenario && req.start,
                   "request scenario/start must be set");
@@ -322,27 +386,33 @@ std::vector<SimulationResult> SimulationService::run_batch(
                       req.end_time == first.end_time,
                   "a batch's requests must share one start map, target and "
                   "interval");
+    scenarios.push_back(req.scenario);
   }
-  enter_context(first);
+  Observations& observations = raw_observations(
+      *first.start, first.target, first.start_time, first.end_time);
+  enter_context(observations, 0, first.target != nullptr, first.start_time,
+                first.end_time);
+  return run_in_context(scenarios);
+}
+
+std::vector<SimulationResult> SimulationService::run_in_context(
+    const std::vector<const firelib::Scenario*>& scenarios) {
+  ESSNS_TRACE_SPAN("sim.batch");
   if (cache_policy_ != cache::CachePolicy::kOff)
-    return run_batch_cached(requests);
+    return run_batch_cached(scenarios);
 
   // No memoization: every request simulates, and the step store keeps the
   // records for the Statistical Stage.
-  std::vector<const SimulationRequest*> tasks;
-  tasks.reserve(requests.size());
-  for (const SimulationRequest& req : requests) tasks.push_back(&req);
-  std::vector<SimulationResult> results = run_batch_uncached(tasks);
-  for (std::size_t i = 0; i < requests.size(); ++i)
-    remember(cache::make_scenario_key(*requests[i].scenario), requests[i],
-             results[i]);
+  std::vector<SimulationResult> results = run_batch_uncached(scenarios);
+  for (std::size_t i = 0; i < scenarios.size(); ++i)
+    remember(cache::make_scenario_key(*scenarios[i]), results[i]);
   return results;
 }
 
 std::vector<SimulationResult> SimulationService::run_batch_cached(
-    const std::vector<SimulationRequest>& requests) {
+    const std::vector<const firelib::Scenario*>& scenarios) {
   const bool shared = cache_policy_ == cache::CachePolicy::kShared;
-  const SimulationRequest& first = requests.front();
+  const bool scored = context_.scored;
   // Shared keys carry the *simulation* context (start map, end time) only;
   // the scoring target lives in per-entry fitness records. So unlike kStep
   // a context change invalidates nothing: a PS pass fills the entries the
@@ -357,32 +427,30 @@ std::vector<SimulationResult> SimulationService::run_batch_cached(
     if (!env_fingerprint_)
       env_fingerprint_ = cache::environment_fingerprint(*env_);
     key_context = cache::context_fingerprint(
-        *env_fingerprint_, context_.start_fingerprint, first.end_time);
-    if (first.target)
+        *env_fingerprint_, context_.start_fingerprint, context_.end_time);
+    if (scored)
       query = {context_.target_fingerprint,
-               std::bit_cast<std::uint64_t>(first.start_time)};
+               std::bit_cast<std::uint64_t>(context_.start_time)};
   }
-  // Serve request `req` from the cache into `out`; false on a miss.
-  const auto serve = [&](const cache::ScenarioKey& key,
-                         const SimulationRequest& req,
-                         SimulationResult& out) {
+  // Serve `key` from the cache into `out`; false on a miss.
+  const auto serve = [&](const cache::ScenarioKey& key, SimulationResult& out) {
     if (!shared) {
       // Step mode keeps the original behavior bit-for-bit: only an
       // explicit fitness record satisfies a scored request (no re-scoring).
       const auto cached = step_cache_.find(key);
       if (cached == step_cache_.end() ||
-          (req.target && !cached->second.find_fitness(0, 0)))
+          (scored && !cached->second.find_fitness(0, 0)))
         return false;
-      if (req.target)
+      if (scored)
         out.fitness = *cached->second.find_fitness(0, 0);
       else
         out.burned = cached->second.burned;
       return true;
     }
     const auto cached =
-        shared_cache_->find(key, !req.target, req.target ? &query : nullptr);
+        shared_cache_->find(key, !scored, scored ? &query : nullptr);
     if (!cached) return false;
-    if (!req.target) {
+    if (!scored) {
       out.burned = cached->burned;
     } else if (const double* fitness = cached->find_fitness(
                    query.target_fingerprint, query.start_time_bits)) {
@@ -390,12 +458,12 @@ std::vector<SimulationResult> SimulationService::run_batch_cached(
     } else {
       // New target for a cached record: re-score it (one pass over words)
       // and record the score for the next asker.
-      out.fitness = jaccard(context_.scoring, cached->burned);
-      cache::CachedScenario scored;
-      scored.set_fitness(query.target_fingerprint, query.start_time_bits,
-                         out.fitness);
+      out.fitness = jaccard(*context_.scoring, cached->burned);
+      cache::CachedScenario scored_entry;
+      scored_entry.set_fitness(query.target_fingerprint,
+                               query.start_time_bits, out.fitness);
       const cache::InsertOutcome outcome =
-          shared_cache_->insert(key, std::move(scored), 0.0);
+          shared_cache_->insert(key, std::move(scored_entry), 0.0);
       cache_evictions_ += outcome.evictions;
       if (outcome.rejected) ++cache_insertions_rejected_;
     }
@@ -412,15 +480,14 @@ std::vector<SimulationResult> SimulationService::run_batch_cached(
   const std::size_t rejected_before = cache_insertions_rejected_;
   const std::size_t dedup_before = batch_dedup_hits_;
   constexpr std::size_t kFromCache = static_cast<std::size_t>(-1);
-  std::vector<SimulationResult> results(requests.size());
-  std::vector<std::size_t> slot_of(requests.size(), kFromCache);
-  std::vector<const SimulationRequest*> scheduled;
+  std::vector<SimulationResult> results(scenarios.size());
+  std::vector<std::size_t> slot_of(scenarios.size(), kFromCache);
+  std::vector<const firelib::Scenario*> scheduled;
   std::vector<cache::ScenarioKey> scheduled_keys;
   std::unordered_map<cache::ScenarioKey, std::size_t, cache::ScenarioKeyHash>
       in_batch;
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    const SimulationRequest& req = requests[i];
-    cache::ScenarioKey key = cache::make_scenario_key(*req.scenario);
+  for (std::size_t i = 0; i < scenarios.size(); ++i) {
+    cache::ScenarioKey key = cache::make_scenario_key(*scenarios[i]);
     key.context = key_context;
     if (const auto dup = in_batch.find(key); dup != in_batch.end()) {
       ++cache_hits_;
@@ -428,19 +495,19 @@ std::vector<SimulationResult> SimulationService::run_batch_cached(
       slot_of[i] = dup->second;
       continue;
     }
-    if (serve(key, req, results[i])) {
+    if (serve(key, results[i])) {
       ++cache_hits_;
       continue;
     }
     in_batch.emplace(key, scheduled.size());
     slot_of[i] = scheduled.size();
-    scheduled.push_back(&req);
+    scheduled.push_back(scenarios[i]);
     scheduled_keys.push_back(key);
     ++cache_misses_;
   }
 
   const std::vector<SimulationResult> simulated = run_batch_uncached(scheduled);
-  for (std::size_t i = 0; i < requests.size(); ++i) {
+  for (std::size_t i = 0; i < scenarios.size(); ++i) {
     if (slot_of[i] == kFromCache) continue;
     results[i].fitness = simulated[slot_of[i]].fitness;
     results[i].burned = simulated[slot_of[i]].burned;
@@ -448,10 +515,10 @@ std::vector<SimulationResult> SimulationService::run_batch_cached(
   for (std::size_t slot = 0; slot < scheduled.size(); ++slot) {
     cache::ScenarioKey step_key = scheduled_keys[slot];
     step_key.context = 0;
-    remember(step_key, *scheduled[slot], simulated[slot]);
+    remember(step_key, simulated[slot]);
     if (!shared) continue;
     cache::CachedScenario value;
-    if (scheduled[slot]->target)
+    if (scored)
       value.set_fitness(query.target_fingerprint, query.start_time_bits,
                         simulated[slot].fitness);
     value.burned = simulated[slot].burned;
@@ -476,16 +543,34 @@ std::vector<SimulationResult> SimulationService::run_batch_cached(
   return results;
 }
 
+namespace {
+
+std::vector<const firelib::Scenario*> pointers_to(
+    const std::vector<firelib::Scenario>& scenarios) {
+  std::vector<const firelib::Scenario*> pointers;
+  pointers.reserve(scenarios.size());
+  for (const firelib::Scenario& scenario : scenarios)
+    pointers.push_back(&scenario);
+  return pointers;
+}
+
+}  // namespace
+
 std::vector<BurnedCells> SimulationService::simulate_batch(
     const std::vector<firelib::Scenario>& scenarios,
     const firelib::IgnitionMap& start, double end_time) {
-  std::vector<SimulationRequest> requests(scenarios.size());
-  for (std::size_t i = 0; i < scenarios.size(); ++i) {
-    requests[i].scenario = &scenarios[i];
-    requests[i].start = &start;
-    requests[i].end_time = end_time;
-  }
-  std::vector<SimulationResult> results = run_batch(requests);
+  if (scenarios.empty()) return {};
+  return simulate_batch(scenarios,
+                        raw_observations(start, nullptr, 0.0, end_time), 0,
+                        end_time);
+}
+
+std::vector<BurnedCells> SimulationService::simulate_batch(
+    const std::vector<firelib::Scenario>& scenarios,
+    Observations& observations, int start_line, double end_time) {
+  if (scenarios.empty()) return {};
+  enter_context(observations, start_line, false, 0.0, end_time);
+  std::vector<SimulationResult> results = run_in_context(pointers_to(scenarios));
   std::vector<BurnedCells> records;
   records.reserve(results.size());
   for (SimulationResult& result : results)
@@ -512,8 +597,18 @@ std::vector<double> SimulationService::fitness_batch(
     const std::vector<firelib::Scenario>& scenarios,
     const firelib::IgnitionMap& start, const firelib::IgnitionMap& target,
     double start_time, double end_time) {
-  const std::vector<SimulationResult> results = run_batch(
-      fitness_requests(scenarios, start, target, start_time, end_time));
+  if (scenarios.empty()) return {};
+  return fitness_batch(
+      scenarios, raw_observations(start, &target, start_time, end_time), 1);
+}
+
+std::vector<double> SimulationService::fitness_batch(
+    const std::vector<firelib::Scenario>& scenarios,
+    Observations& observations, int target_line) {
+  if (scenarios.empty()) return {};
+  enter_step(observations, target_line);
+  const std::vector<SimulationResult> results =
+      run_in_context(pointers_to(scenarios));
   std::vector<double> fitness;
   fitness.reserve(results.size());
   for (const SimulationResult& result : results)

@@ -19,12 +19,15 @@
 // What a simulation yields: every Eq. (3) score and Statistical Stage count
 // only asks which cells burned by the end of the interval, so results carry
 // the sweep's burned-cell record (firelib::BurnedCells, one bit per cell),
-// never the f64 ignition map. Each batch runs in a context — (start map,
-// target map, interval) — whose derived data is built once when the context
-// begins: the packed scoring target (ess::ScoringTarget) and, for the
-// shared cache, the maps' fingerprints. Later batches only compare the
-// maps against copies taken then, so a map changed in place behind a
-// reused pointer still starts a new context.
+// never the f64 ignition map. Each batch runs in a context — (start line,
+// target line, interval) — that reads its fire lines from an observation
+// digest (ess/observation.hpp): the packed scoring target and, for the
+// shared cache, the lines' fingerprints. The dense start line is fetched
+// only when a batch has to simulate, so a batch the cache answers in full
+// never needs it. Callers that pass raw maps get a digest built from
+// copies of them; later batches compare the maps against those copies, so
+// a map changed in place behind a reused pointer still starts a new
+// context.
 //
 // Scenario cache: duplicate genomes are common under GA crossover/elitism,
 // and re-simulating a byte-identical scenario over the same interval from
@@ -59,6 +62,7 @@
 
 #include "cache/scenario_cache.hpp"
 #include "ess/fitness.hpp"
+#include "ess/observation.hpp"
 #include "ess/statistical.hpp"
 #include "firelib/batch_sweep.hpp"
 #include "firelib/environment.hpp"
@@ -164,6 +168,11 @@ class SimulationService {
   void begin_step(const firelib::IgnitionMap& start,
                   const firelib::IgnitionMap& target, double start_time,
                   double end_time);
+  /// The same for the step that ends at line `target_line` of
+  /// `observations`: from line target_line - 1 over [t_{target_line - 1},
+  /// t_{target_line}]. The context reads the digest; `observations` must
+  /// outlive the step.
+  void begin_step(Observations& observations, int target_line);
 
   /// Eq. (3) of one scenario over [start_time, end_time] from `start`
   /// against `target`, simulated on the calling thread without the cache
@@ -172,6 +181,8 @@ class SimulationService {
                const firelib::IgnitionMap& start,
                const firelib::IgnitionMap& target, double start_time,
                double end_time);
+  double score(const firelib::Scenario& scenario, Observations& observations,
+               int target_line);
 
   /// The current context's recorded burned cells of each scenario, valid
   /// until the next batch: element i is nullptr where the context has no
@@ -180,6 +191,12 @@ class SimulationService {
   std::vector<const BurnedCells*> step_records(
       const std::vector<firelib::Scenario>& scenarios,
       const firelib::IgnitionMap& start, double end_time) const;
+  /// The same for a context that starts at line `start_line` of
+  /// `observations`.
+  std::vector<const BurnedCells*> step_records(
+      const std::vector<firelib::Scenario>& scenarios,
+      const Observations& observations, int start_line,
+      double end_time) const;
 
   /// Run the reference Dijkstra sweep (per-pop behavior + trig) as before
   /// the hot-path overhaul. For equivalence tests and bench_hotpath
@@ -250,6 +267,10 @@ class SimulationService {
   std::vector<BurnedCells> simulate_batch(
       const std::vector<firelib::Scenario>& scenarios,
       const firelib::IgnitionMap& start, double end_time);
+  /// The same from line `start_line` of `observations`.
+  std::vector<BurnedCells> simulate_batch(
+      const std::vector<firelib::Scenario>& scenarios,
+      Observations& observations, int start_line, double end_time);
 
   /// Fitness batch: Eq. (3) of each scenario's simulated map at end_time
   /// against `target`, excluding cells burned in `target` by start_time.
@@ -257,23 +278,29 @@ class SimulationService {
       const std::vector<firelib::Scenario>& scenarios,
       const firelib::IgnitionMap& start, const firelib::IgnitionMap& target,
       double start_time, double end_time);
+  /// The same for the step that ends at line `target_line` of
+  /// `observations` (see begin_step).
+  std::vector<double> fitness_batch(
+      const std::vector<firelib::Scenario>& scenarios,
+      Observations& observations, int target_line);
 
  private:
-  /// The context batches run in, with everything derived from
-  /// its maps built once when it begins. The map copies identify it: a batch
-  /// whose maps differ from them in any bit (a map changed in place behind a
-  /// reused pointer) begins a new context.
+  /// The context batches run in: a start line of some observations, an
+  /// optional target (always the next line), the interval, and what the
+  /// batches read of the lines, taken from the digest when the context
+  /// begins.
   struct Context {
-    const firelib::IgnitionMap* start = nullptr;
-    const firelib::IgnitionMap* target = nullptr;
+    Observations* observations = nullptr;
+    int start_line = 0;
+    bool scored = false;  ///< scored against line start_line + 1
     double start_time = 0.0;
     double end_time = 0.0;
-    firelib::IgnitionMap start_copy;
-    firelib::IgnitionMap target_copy;
     /// Shared-cache key material; filled only under kShared.
     std::uint64_t start_fingerprint = 0;
     std::uint64_t target_fingerprint = 0;
-    ScoringTarget scoring;  ///< empty without a target
+    const ScoringTarget* scoring = nullptr;  ///< null without a target
+    /// The dense start line, fetched when the context first simulates.
+    const firelib::IgnitionMap* start = nullptr;
     bool valid = false;
   };
 
@@ -283,23 +310,41 @@ class SimulationService {
   /// is only ever touched by its own thread, so no synchronization beyond
   /// the pinned-worker counter.
   void place_worker(unsigned worker_id);
-  SimulationResult run_one(unsigned worker_id, const SimulationRequest& req);
+  /// Simulate one scenario of the current context in workspace
+  /// `worker_id`.
+  SimulationResult run_one(unsigned worker_id,
+                           const firelib::Scenario& scenario);
   std::vector<SimulationResult> run_batch_uncached(
-      const std::vector<const SimulationRequest*>& requests);
-  /// One BatchSweep launch over the (already deduped) requests of one
-  /// context.
+      const std::vector<const firelib::Scenario*>& scenarios);
+  /// One BatchSweep launch over the (already deduped) scenarios of the
+  /// current context.
   std::vector<SimulationResult> run_batch_batched(
-      const std::vector<const SimulationRequest*>& requests);
-  /// The kStep / kShared batch: dedup, serve hits, simulate the rest.
+      const std::vector<const firelib::Scenario*>& scenarios);
+  /// Every batch: under kOff simulate all; under kStep / kShared dedup,
+  /// serve hits and simulate the rest.
+  std::vector<SimulationResult> run_in_context(
+      const std::vector<const firelib::Scenario*>& scenarios);
   std::vector<SimulationResult> run_batch_cached(
-      const std::vector<SimulationRequest>& requests);
-  /// Make context_ the batch's (led by `first`); a new context drops the
-  /// step store.
-  void enter_context(const SimulationRequest& first);
-  /// Keep a simulated request's burned cells (and score) in the step store,
-  /// up to its capacity backstop.
-  void remember(const cache::ScenarioKey& key, const SimulationRequest& req,
-                const SimulationResult& sim);
+      const std::vector<const firelib::Scenario*>& scenarios);
+  /// Make the context the one from `start_line` of `observations` over
+  /// [start_time, end_time], scored against the next line when `scored`;
+  /// a new context drops the step store.
+  void enter_context(Observations& observations, int start_line, bool scored,
+                     double start_time, double end_time);
+  /// Same, for the scored step that ends at line `target_line`.
+  void enter_step(Observations& observations, int target_line);
+  /// The observations of raw maps: the current ones while `start` and
+  /// `target` are the same maps (address and content) over the same
+  /// interval, otherwise new ones built from copies of them.
+  Observations& raw_observations(const firelib::IgnitionMap& start,
+                                 const firelib::IgnitionMap* target,
+                                 double start_time, double end_time);
+  /// The dense start line of the context, fetched (and, for lazy
+  /// observations, generated) on first use.
+  const firelib::IgnitionMap& context_start();
+  /// Keep a simulated scenario's burned cells (and score) in the step
+  /// store, up to its capacity backstop.
+  void remember(const cache::ScenarioKey& key, const SimulationResult& sim);
   void clear_step_cache();
 
   const firelib::FireEnvironment* env_;
@@ -315,7 +360,7 @@ class SimulationService {
   parallel::NumaMode numa_mode_ = parallel::NumaMode::kAuto;
   std::atomic<std::size_t> workers_pinned_{0};
   mutable std::atomic<std::size_t> simulations_{0};
-  std::unique_ptr<parallel::MasterWorker<const SimulationRequest*,
+  std::unique_ptr<parallel::MasterWorker<const firelib::Scenario*,
                                          SimulationResult>>
       pool_;
 
@@ -330,6 +375,10 @@ class SimulationService {
                      cache::ScenarioKeyHash>
       step_cache_;
   Context context_;
+  /// The raw-map callers' observations and the maps they were copied from.
+  std::optional<Observations> raw_;
+  const firelib::IgnitionMap* raw_start_ = nullptr;
+  const firelib::IgnitionMap* raw_target_ = nullptr;
   std::size_t step_cache_bytes_ = 0;
   /// Insertion stops (entries are kept) once the step store holds this many
   /// scenarios; contexts are short-lived, so this is a memory backstop, not
@@ -342,9 +391,10 @@ class SimulationService {
   std::shared_ptr<cache::SharedScenarioCache> shared_cache_;
   std::size_t cache_mem_bytes_ = cache::kDefaultCacheBytes;
   /// Terrain fingerprint folded into every shared-cache context so jobs
-  /// over different environments never share entries. Computed on the
-  /// master thread at the first shared batch (the environment is fixed
-  /// for the service's lifetime).
+  /// over different environments never share entries. Taken from the
+  /// first digest that carries it, else computed on the master thread at
+  /// the first shared batch (the environment is fixed for the service's
+  /// lifetime).
   std::optional<std::uint64_t> env_fingerprint_;
 
   std::size_t cache_hits_ = 0;

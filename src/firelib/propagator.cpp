@@ -347,6 +347,17 @@ BurnedCells burned_cells(const IgnitionMap& map, double time_min) {
   return burned;
 }
 
+BurnedCells burned_cells(const Grid<std::uint8_t>& mask) {
+  const std::size_t n = mask.size();
+  BurnedCells burned{mask.rows(), mask.cols(),
+                     std::vector<std::uint64_t>(burned_words(n), 0)};
+  const std::uint8_t* cells = mask.data();
+  for (std::size_t i = 0; i < n; ++i)
+    burned.words[i / 64] |= static_cast<std::uint64_t>(cells[i] != 0)
+                            << (i % 64);
+  return burned;
+}
+
 FirePropagator::FirePropagator(const FireSpreadModel& model) : model_(&model) {}
 
 IgnitionMap FirePropagator::propagate(const FireEnvironment& env,

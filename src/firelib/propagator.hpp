@@ -54,6 +54,9 @@ inline std::size_t burned_words(std::size_t cells) { return (cells + 63) / 64; }
 /// this builds the real-fire side of Eq. (3) once per interval.
 BurnedCells burned_cells(const IgnitionMap& map, double time_min);
 
+/// Pack the nonzero cells of a burned mask (e.g. a thresholded prediction).
+BurnedCells burned_cells(const Grid<std::uint8_t>& mask);
+
 /// Priority-queue discipline of the Dijkstra sweep. Both produce
 /// bit-identical ignition maps (the sweep's fixed point does not depend on
 /// the pop order of equal-time entries); they differ only in cost:

@@ -152,16 +152,21 @@ int Server::run() {
   while (true) {
     // Move completed-job responses from the slot threads onto their
     // connections (dropping any whose client already disconnected).
-    std::vector<std::pair<std::uint64_t, std::string>> done;
+    std::vector<Completion> done;
     bool stop_now = false;
     {
       const std::lock_guard<std::mutex> lock(outbox_mutex_);
       done.swap(outbox_);
       stop_now = stop_requested_;
     }
-    for (auto& [conn_id, line] : done) {
+    for (Completion& completion : done) {
       --inflight_responses_;
-      enqueue(conn_id, std::move(line));
+      if (completion.digest) {
+        const auto fire = fires_.find(completion.fire_id);
+        if (fire != fires_.end())
+          fire->second.digest = std::move(completion.digest);
+      }
+      enqueue(completion.conn_id, std::move(completion.line));
     }
 
     if ((stop_now || service::drain_requested()) && !draining_) {
@@ -404,6 +409,14 @@ void Server::submit_prediction(std::uint64_t conn_id,
     spec = it->second.spec;
   }
   if (request.steps) fire.steps = *request.steps;
+  // A repredict at the horizon of the fire's digest runs on it (the job
+  // checks the digest's full identity before trusting it).
+  std::shared_ptr<const ess::ObservationDigest> digest;
+  if (!is_predict) {
+    const auto& tracked = fires_.at(request.id).digest;
+    if (tracked && tracked->identity && tracked->identity->steps == fire.steps)
+      digest = tracked;
+  }
   // A serve engine exists to keep one cache warm across requests.
   spec.cache_policy = cache::CachePolicy::kShared;
 
@@ -423,11 +436,12 @@ void Server::submit_prediction(std::uint64_t conn_id,
   job.campaign_seed = config_.seed;
   job.priority = request.priority.value_or(0);
   job.spec = spec;
+  job.digest = digest;
   const std::uint64_t start_ns = obs::trace_now_ns();
   const std::string id = request.id;
   const Verb verb = request.verb;
-  job.on_done = [this, conn_id, id, verb, start_ns,
-                 workload](const service::JobRecord& record) {
+  job.on_done = [this, conn_id, id, verb, start_ns, workload,
+                 digest](const service::JobRecord& record) {
     std::string line = format_job_response(id, verb, record);
     const double seconds =
         static_cast<double>(obs::trace_now_ns() - start_ns) * 1e-9;
@@ -447,9 +461,11 @@ void Server::submit_prediction(std::uint64_t conn_id,
     obs::record_histogram(verb == Verb::kPredict ? "serve.predict_seconds"
                                                  : "serve.repredict_seconds",
                           seconds);
+    Completion completion{conn_id, std::move(line), id, nullptr};
+    if (record.digest != digest) completion.digest = record.digest;
     {
       const std::lock_guard<std::mutex> lock(outbox_mutex_);
-      outbox_.emplace_back(conn_id, std::move(line));
+      outbox_.push_back(std::move(completion));
     }
     wake();
   };

@@ -16,7 +16,12 @@
 // step from one rng stream, so a longer horizon shares the earlier steps
 // bit-for-bit and the engine's shared cache serves them warm — re-prediction
 // at successive intervals is the steady-state workload the cache was built
-// for (bench_serve measures the cold/warm ratio).
+// for (bench_serve measures the cold/warm ratio). Each tracked fire keeps the
+// observation digest of its current horizon (ess/observation.hpp, about
+// 1 KiB per line at 64x64) from the last job that generated its truth; a
+// repredict at that horizon runs on it and generates the fire lines only if
+// a batch misses the cache. A job at another horizon builds a new digest,
+// which replaces the old one when the job completes.
 //
 // Determinism: every serve job runs at index 0 with the server's campaign
 // seed, so its record is a pure function of (server seed, request
@@ -132,15 +137,25 @@ class Server {
     synth::WorkloadRequest fire;
     service::JobSpec spec;
     std::uint64_t predictions = 0;
+    /// Observation digest at the fire's current horizon (null until a job
+    /// of this fire has completed).
+    std::shared_ptr<const ess::ObservationDigest> digest;
   };
   std::map<std::string, TrackedFire> fires_;
   bool draining_ = false;
   std::size_t inflight_responses_ = 0;
   std::uint64_t requests_ = 0;
 
-  // Crossing from engine slots to the I/O thread.
+  // Crossing from engine slots to the I/O thread: a response line, and
+  // the new digest of the request's fire when its job built one.
+  struct Completion {
+    std::uint64_t conn_id = 0;
+    std::string line;
+    std::string fire_id;
+    std::shared_ptr<const ess::ObservationDigest> digest;
+  };
   std::mutex outbox_mutex_;
-  std::vector<std::pair<std::uint64_t, std::string>> outbox_;
+  std::vector<Completion> outbox_;
   bool stop_requested_ = false;  ///< under outbox_mutex_
 };
 

@@ -160,8 +160,8 @@ JobRecord CampaignScheduler::run_job(
   const std::string span_name = "job:" + workload.name;
   obs::SpanTimer job_timer(span_name.c_str());
   try {
-    Rng truth_rng(record.seed);
-    const synth::GroundTruth truth = synth::generate_truth(workload, truth_rng);
+    const synth::GroundTruth truth =
+        ess::materialize_truth(workload, record.seed);
 
     ess::PipelineConfig pipeline_config;
     pipeline_config.stop = {config_.generations, config_.fitness_threshold};

@@ -1,8 +1,10 @@
 #include "service/engine.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
+#include "cache/scenario_cache.hpp"
 #include "common/error.hpp"
 #include "ess/config.hpp"
 #include "service/signals.hpp"
@@ -72,7 +74,8 @@ JobRecord run_prediction_job(
     std::uint64_t campaign_seed, unsigned workers, const JobSpec& spec,
     simd::Mode simd_mode, parallel::NumaMode numa_mode,
     firelib::SweepBackend backend,
-    const std::shared_ptr<cache::SharedScenarioCache>& shared_cache) {
+    const std::shared_ptr<cache::SharedScenarioCache>& shared_cache,
+    std::shared_ptr<const ess::ObservationDigest> digest) {
   JobRecord record;
   record.index = index;
   record.workload = workload.name;
@@ -86,8 +89,32 @@ JobRecord run_prediction_job(
   const std::string span_name = "job:" + workload.name;
   obs::SpanTimer job_timer(span_name.c_str());
   try {
-    Rng truth_rng(record.seed);
-    const synth::GroundTruth truth = synth::generate_truth(workload, truth_rng);
+    const bool shared = spec.cache_policy == cache::CachePolicy::kShared;
+    const std::uint64_t truth_seed = record.seed;
+    // The step policy needs no identity and no fingerprint: a campaign job
+    // only builds the digest its own pipeline reads.
+    std::optional<ess::DigestIdentity> identity;
+    if (shared || digest) identity = ess::digest_identity(workload, truth_seed);
+    synth::GroundTruth truth;  // generated here unless the digest is trusted
+    std::optional<ess::Observations> observations;
+    if (digest && digest->identity == identity &&
+        (digest->fingerprinted || !shared)) {
+      observations.emplace(digest, [&workload, truth_seed] {
+        return ess::materialize_truth(workload, truth_seed).fire_lines;
+      });
+    } else {
+      truth = ess::materialize_truth(workload, truth_seed);
+      auto built = std::make_shared<ess::ObservationDigest>(
+          ess::make_observation_digest(truth, shared));
+      if (shared) {
+        built->identity = identity;
+        built->env_fingerprint =
+            cache::environment_fingerprint(workload.environment);
+      }
+      digest = std::move(built);
+      observations.emplace(digest, truth.fire_lines);
+    }
+    if (shared) record.digest = digest;
 
     ess::PipelineConfig pipeline_config;
     pipeline_config.stop = {spec.generations, spec.fitness_threshold};
@@ -102,7 +129,8 @@ JobRecord run_prediction_job(
     pipeline_config.simd_mode = simd_mode;
     pipeline_config.numa_mode = numa_mode;
     pipeline_config.backend = backend;
-    ess::PredictionPipeline pipeline(workload.environment, truth,
+    ess::PredictionPipeline pipeline(workload.environment,
+                                     std::move(*observations),
                                      pipeline_config);
 
     auto optimizer = ess::make_optimizer(to_run_spec(spec));
@@ -278,7 +306,7 @@ void PredictionEngine::slot_loop(unsigned slot) {
           *pending.request.workload, pending.request.index,
           pending.request.campaign_seed, pending.request.workers,
           pending.request.spec, config_.simd_mode, config_.numa_mode,
-          config_.backend, cache_);
+          config_.backend, cache_, pending.request.digest);
     }
     finish_job(pending, std::move(record));
     {

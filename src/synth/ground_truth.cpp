@@ -70,6 +70,9 @@ GroundTruth generate_ground_truth(
 
   const firelib::FireSpreadModel spread_model;
   const firelib::FirePropagator propagator(spread_model);
+  // One workspace for every step: its slabs are allocated once, and each
+  // sweep's result is copied out before the next reuses them.
+  firelib::PropagationWorkspace workspace;
 
   GroundTruth out;
   out.step_minutes = config.step_minutes;
@@ -87,7 +90,8 @@ GroundTruth generate_ground_truth(
         per_step[static_cast<std::size_t>(step) - 1];
     out.scenario_at[static_cast<std::size_t>(step)] = scenario;
     const double horizon = config.step_minutes * step;
-    current = propagator.propagate(env, scenario, current, horizon);
+    current =
+        propagator.propagate(env, scenario, current, horizon, workspace);
     out.fire_lines.push_back(
         observe(current, horizon, config.observation_noise, rng));
   }
@@ -107,6 +111,9 @@ GroundTruth generate_ground_truth(const firelib::FireEnvironment& env,
 
   const firelib::FireSpreadModel spread_model;
   const firelib::FirePropagator propagator(spread_model);
+  // One workspace for every step: its slabs are allocated once, and each
+  // sweep's result is copied out before the next reuses them.
+  firelib::PropagationWorkspace workspace;
 
   GroundTruth out;
   out.step_minutes = config.step_minutes;
@@ -124,7 +131,8 @@ GroundTruth generate_ground_truth(const firelib::FireEnvironment& env,
   for (int step = 1; step <= config.steps; ++step) {
     out.scenario_at[static_cast<std::size_t>(step)] = scenario;
     const double horizon = config.step_minutes * step;
-    current = propagator.propagate(env, scenario, current, horizon);
+    current =
+        propagator.propagate(env, scenario, current, horizon, workspace);
     out.fire_lines.push_back(
         observe(current, horizon, config.observation_noise, rng));
     scenario = drift_scenario(scenario, config.drift_sigma, rng);

@@ -78,6 +78,58 @@ TEST(CacheIo, RoundTripIsByteExact) {
   EXPECT_EQ(serialize(restored), snapshot);
 }
 
+/// The whole snapshot assembled in one buffer, as the format header lays it
+/// out: the oracle the streaming writer must reproduce byte for byte.
+std::string buffered_encoding(const SharedScenarioCache& cache) {
+  std::vector<std::uint8_t> bytes;
+  BinaryWriter out(bytes);
+  out.u32(kCacheFileMagic);
+  out.u32(kCacheFileVersion);
+  const auto frame = [&](std::uint32_t type,
+                         const std::vector<std::uint8_t>& payload) {
+    out.u32(type);
+    out.u64(payload.size());
+    out.bytes(payload.data(), payload.size());
+    out.u32(Crc32::of(payload));
+  };
+  const std::vector<ExportedEntry> entries = cache.export_entries();
+  for (const ExportedEntry& entry : entries) {
+    std::vector<std::uint8_t> payload;
+    BinaryWriter body(payload);
+    body.u64(entry.key.context);
+    for (const std::uint64_t param : entry.key.params) body.u64(param);
+    body.f64(entry.cost_seconds);
+    const CachedScenario& value = *entry.value;
+    body.u8(value.burned.empty() ? 0 : 1);
+    if (!value.burned.empty()) {
+      body.i32(value.burned.rows);
+      body.i32(value.burned.cols);
+      for (const std::uint64_t word : value.burned.words) body.u64(word);
+    }
+    body.u64(value.fitnesses.size());
+    for (const FitnessRecord& record : value.fitnesses) {
+      body.u64(record.target_fingerprint);
+      body.u64(record.start_time_bits);
+      body.f64(record.fitness);
+    }
+    frame(kEntryFrame, payload);
+  }
+  std::vector<std::uint8_t> end;
+  BinaryWriter(end).u64(entries.size());
+  frame(kEndFrame, end);
+  return {bytes.begin(), bytes.end()};
+}
+
+TEST(CacheIo, StreamedSaveEqualsTheBufferedEncoding) {
+  for (const std::size_t entries : {std::size_t{0}, std::size_t{1},
+                                    std::size_t{37}}) {
+    SCOPED_TRACE(entries);
+    SharedScenarioCache cache(std::size_t{1} << 20);
+    fill_cache(cache, entries, 9);
+    EXPECT_EQ(serialize(cache), buffered_encoding(cache));
+  }
+}
+
 TEST(CacheIo, EmptyCacheRoundTrips) {
   SharedScenarioCache original(1 << 20);
   const std::string snapshot = serialize(original);

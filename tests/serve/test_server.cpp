@@ -6,9 +6,11 @@
 #include <condition_variable>
 #include <cstdio>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 
+#include "cache/scenario_cache.hpp"
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"
 #include "service/signals.hpp"
@@ -117,6 +119,151 @@ TEST(ServeServer, PredictMatchesInProcessOracleAndTracksTheFire) {
 
   EXPECT_EQ(client.request("shutdown"), "ok draining");
   EXPECT_EQ(runner.join(), 0);
+}
+
+/// Value of counter `name` in a `metrics` scrape (0 while it is unset).
+std::uint64_t scraped_counter(LineClient& client, const std::string& name) {
+  const std::string metrics = client.request("metrics");
+  const std::string key = "\"" + name + "\":";
+  const std::size_t at = metrics.find(key);
+  if (at == std::string::npos) return 0;
+  return std::stoull(metrics.substr(at + key.size()));
+}
+
+/// The oracle's response prefix for a request on the tiny server's default
+/// fire at `steps`, seeded `fire_seed` when given.
+std::string oracle_prefix(const ServeConfig& config, const std::string& id,
+                          Verb verb, int steps,
+                          std::optional<std::uint64_t> fire_seed = {}) {
+  synth::WorkloadRequest fire = config.default_fire;
+  fire.steps = steps;
+  if (fire_seed) fire.seed = *fire_seed;
+  return format_job_response(
+      id, verb,
+      service::run_prediction_job(
+          synth::make_workload(fire), 0, config.seed, 1, oracle_spec(config),
+          simd::Mode::kAuto, parallel::NumaMode::kAuto,
+          firelib::SweepBackend::kScalar, nullptr));
+}
+
+constexpr const char* kMaterializations = "ess.truth_materializations";
+
+TEST(ServeServer, RefreshAtTheTrackedHorizonGeneratesNoFireLines) {
+  // Oracles first: the server's metrics registry is process-wide, and an
+  // oracle generates a truth too.
+  const ServeConfig config = tiny_server_config();
+  const std::string expected =
+      oracle_prefix(config, "f1", Verb::kRepredict, 3);
+  Server server(tiny_server_config());
+  server.start();
+  ServerRunner runner(server);
+  LineClient client("127.0.0.1", server.port());
+
+  ASSERT_EQ(client.request("predict id=f1").rfind("ok ", 0), 0u);
+  EXPECT_EQ(scraped_counter(client, kMaterializations), 1u)
+      << "a predict generates its truth";
+
+  const std::string refresh = client.request("repredict id=f1");
+  EXPECT_EQ(deterministic_prefix(refresh), expected);
+  EXPECT_NE(refresh.find(" cache_misses=0"), std::string::npos) << refresh;
+  EXPECT_EQ(scraped_counter(client, kMaterializations), 1u)
+      << "an all-hit refresh runs on the fire's digest";
+
+  EXPECT_EQ(client.request("shutdown"), "ok draining");
+  EXPECT_EQ(runner.join(), 0);
+}
+
+TEST(ServeServer, RefreshThatMissesGeneratesItsFireLinesLazily) {
+  // A cache too small for a single entry: every refresh simulates, so it
+  // has to generate the lines its digest stands for — and still answers
+  // exactly what the oracle does.
+  ServeConfig config = tiny_server_config();
+  config.cache_mem_bytes = 1;
+  const std::string expected =
+      oracle_prefix(config, "f1", Verb::kRepredict, 3);
+  Server server(config);
+  server.start();
+  ServerRunner runner(server);
+  LineClient client("127.0.0.1", server.port());
+
+  ASSERT_EQ(client.request("predict id=f1").rfind("ok ", 0), 0u);
+  const std::string refresh = client.request("repredict id=f1");
+  EXPECT_EQ(deterministic_prefix(refresh), expected);
+  EXPECT_EQ(refresh.find(" cache_misses=0"), std::string::npos) << refresh;
+  EXPECT_EQ(scraped_counter(client, kMaterializations), 2u);
+
+  EXPECT_EQ(client.request("shutdown"), "ok draining");
+  EXPECT_EQ(runner.join(), 0);
+}
+
+TEST(ServeServer, ExtensionReplacesTheFiresDigest) {
+  const ServeConfig config = tiny_server_config();
+  const std::string expected3 =
+      oracle_prefix(config, "f1", Verb::kRepredict, 3);
+  const std::string expected4 =
+      oracle_prefix(config, "f1", Verb::kRepredict, 4);
+  Server server(tiny_server_config());
+  server.start();
+  ServerRunner runner(server);
+  LineClient client("127.0.0.1", server.port());
+
+  ASSERT_EQ(client.request("predict id=f1").rfind("ok ", 0), 0u);
+  // The extension generates the longer truth and keeps its digest...
+  const std::string extension = client.request("repredict id=f1 steps=4");
+  EXPECT_EQ(deterministic_prefix(extension), expected4);
+  EXPECT_EQ(scraped_counter(client, kMaterializations), 2u);
+  // ...which the next refresh at that horizon runs on...
+  const std::string refresh = client.request("repredict id=f1 steps=4");
+  EXPECT_EQ(deterministic_prefix(refresh), deterministic_prefix(extension));
+  EXPECT_EQ(scraped_counter(client, kMaterializations), 2u);
+  // ...and the old horizon's digest is gone.
+  const std::string back = client.request("repredict id=f1 steps=3");
+  EXPECT_EQ(deterministic_prefix(back), expected3);
+  EXPECT_EQ(scraped_counter(client, kMaterializations), 3u);
+
+  EXPECT_EQ(client.request("shutdown"), "ok draining");
+  EXPECT_EQ(runner.join(), 0);
+}
+
+TEST(ServeServer, JobsUseOnlyADigestOfTheirOwnIdentity) {
+  const ServeConfig config = tiny_server_config();
+  service::JobSpec spec = config.default_spec;
+  spec.cache_policy = cache::CachePolicy::kShared;
+  const auto cache = std::make_shared<cache::SharedScenarioCache>(16u << 20);
+  const auto run = [&](std::uint64_t fire_seed,
+                       std::shared_ptr<const ess::ObservationDigest> digest) {
+    synth::WorkloadRequest fire = config.default_fire;
+    fire.seed = fire_seed;
+    return service::run_prediction_job(
+        synth::make_workload(fire), 0, config.seed, 1, spec, simd::Mode::kAuto,
+        parallel::NumaMode::kAuto, firelib::SweepBackend::kScalar, cache,
+        std::move(digest));
+  };
+  const auto expected = [&](std::uint64_t fire_seed) {
+    return oracle_prefix(config, "f", Verb::kRepredict,
+                         config.default_fire.steps, fire_seed);
+  };
+
+  const service::JobRecord first = run(5, nullptr);
+  ASSERT_NE(first.digest, nullptr);
+  ASSERT_TRUE(first.digest->identity.has_value());
+
+  // Its own fire trusts it.
+  const service::JobRecord again = run(5, first.digest);
+  EXPECT_EQ(again.digest, first.digest);
+  EXPECT_EQ(format_job_response("f", Verb::kRepredict, again), expected(5));
+
+  // Another fire ignores it and builds its own.
+  const service::JobRecord other = run(6, first.digest);
+  EXPECT_NE(other.digest, first.digest);
+  EXPECT_EQ(format_job_response("f", Verb::kRepredict, other), expected(6));
+
+  // So does the same fire when any part of the identity differs.
+  auto forged = std::make_shared<ess::ObservationDigest>(*first.digest);
+  forged->identity->truth_seed += 1;
+  const service::JobRecord refused = run(5, forged);
+  EXPECT_NE(refused.digest, forged);
+  EXPECT_EQ(format_job_response("f", Verb::kRepredict, refused), expected(5));
 }
 
 TEST(ServeServer, TrackingAndParseErrorsAnswerErrLines) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "synth/weather.hpp"
 #include "synth/workloads.hpp"
 
 namespace essns::synth {
@@ -71,6 +72,54 @@ TEST(GroundTruthTest, NoiselessObservationMatchesSimulationChain) {
   EXPECT_EQ(firelib::burned_mask(truth.fire_lines.back(),
                                  truth.time_of(truth.steps())),
             firelib::burned_mask(direct, truth.time_of(truth.steps())));
+}
+
+/// The step chain as a fresh map-returning propagation per step: the
+/// oracle for the generator's one reused workspace (noiseless, so every
+/// observed line is the physical one).
+std::vector<firelib::IgnitionMap> fresh_chain(
+    const firelib::FireEnvironment& env, const GroundTruthConfig& cfg,
+    const std::vector<firelib::Scenario>& per_step) {
+  const firelib::FireSpreadModel model;
+  const firelib::FirePropagator propagator(model);
+  firelib::IgnitionMap current(env.rows(), env.cols(), firelib::kNeverIgnited);
+  current(cfg.ignition) = 0.0;
+  std::vector<firelib::IgnitionMap> lines{current};
+  for (int step = 1; step <= cfg.steps; ++step) {
+    current = propagator.propagate(
+        env, per_step[static_cast<std::size_t>(step) - 1], current,
+        cfg.step_minutes * step);
+    lines.push_back(current);
+  }
+  return lines;
+}
+
+TEST(GroundTruthTest, ReusedWorkspaceEqualsFreshPropagationsBitForBit) {
+  for (const Workload& workload : {make_plains(24), make_hills(24)}) {
+    SCOPED_TRACE(workload.name);
+    GroundTruthConfig cfg = workload.truth_config;
+    cfg.observation_noise = 0.0;
+    cfg.drift_sigma = 0.0;
+    cfg.steps = 4;
+
+    Rng rng(8);
+    const GroundTruth walked =
+        generate_ground_truth(workload.environment, cfg, rng);
+    EXPECT_EQ(walked.fire_lines,
+              fresh_chain(workload.environment, cfg,
+                          std::vector<firelib::Scenario>(4, cfg.hidden)));
+
+    // Per-step scenarios: every step sweeps under a new scenario.
+    Rng weather_rng(9);
+    const std::vector<firelib::Scenario> per_step = diurnal_scenarios(
+        DiurnalWeatherConfig{}, cfg.hidden, 10.0, cfg.step_minutes, 4,
+        weather_rng);
+    Rng sequence_rng(8);
+    const GroundTruth sequenced = generate_ground_truth(
+        workload.environment, cfg, per_step, sequence_rng);
+    EXPECT_EQ(sequenced.fire_lines,
+              fresh_chain(workload.environment, cfg, per_step));
+  }
 }
 
 TEST(GroundTruthTest, DriftChangesScenarioPerStep) {
