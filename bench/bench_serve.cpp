@@ -5,7 +5,8 @@
 //
 //   cold    predict N distinct fires (distinct seeds — nothing shareable);
 //   warm    repredict every fire at the same horizon, several rounds — the
-//           steady-state request mix the shared cache exists for;
+//           steady-state refreshes, answered from each fire's record of
+//           that horizon without running a job;
 //   extend  repredict every fire one step further out — the successive
 //           observation intervals of the paper's workflow, where the
 //           ground-truth prefix is unchanged and only the new step is cold.

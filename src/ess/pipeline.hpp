@@ -23,8 +23,7 @@
 //
 // Every stage reads the fire lines through their observation digest
 // (ess/observation.hpp); the dense lines are touched only when a batch
-// simulates from one, so over lazy observations a run the cache answers in
-// full never generates them.
+// simulates from one.
 #pragma once
 
 #include <functional>

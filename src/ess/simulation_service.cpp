@@ -162,7 +162,6 @@ std::vector<SimulationResult> SimulationService::run_batch_uncached(
   if (obs::metrics_enabled())
     obs::record_histogram("sweep.batch_size",
                           static_cast<double>(scenarios.size()));
-  context_start();
   if (backend_ == firelib::SweepBackend::kBatched &&
       !propagator_.reference_sweep())
     return run_batch_batched(scenarios);
@@ -240,6 +239,7 @@ void SimulationService::enter_context(Observations& observations,
   c.scored = scored;
   c.start_time = start_time;
   c.end_time = end_time;
+  c.start = &observations.line(start_line);
   const ObservedLine& start = digest.lines[static_cast<std::size_t>(start_line)];
   const ObservedLine* target =
       scored ? &digest.lines[static_cast<std::size_t>(start_line) + 1]
@@ -271,8 +271,8 @@ Observations& SimulationService::raw_observations(
   if (raw_ && context_.valid && context_.observations == &*raw_ &&
       raw_start_ == &start && raw_target_ == target &&
       context_.start_time == start_time && context_.end_time == end_time &&
-      same_bits(start, *raw_->dense_line(0)) &&
-      (!target || same_bits(*target, *raw_->dense_line(1))))
+      same_bits(start, raw_->line(0)) &&
+      (!target || same_bits(*target, raw_->line(1))))
     return *raw_;
   const bool fingerprints = cache_policy_ == cache::CachePolicy::kShared;
   auto digest = std::make_shared<ObservationDigest>();
@@ -295,12 +295,6 @@ Observations& SimulationService::raw_observations(
   raw_start_ = &start;
   raw_target_ = target;
   return *raw_;
-}
-
-const firelib::IgnitionMap& SimulationService::context_start() {
-  if (!context_.start)
-    context_.start = &context_.observations->line(context_.start_line);
-  return *context_.start;
 }
 
 void SimulationService::begin_step(const firelib::IgnitionMap& start,
@@ -329,14 +323,13 @@ double SimulationService::score(const firelib::Scenario& scenario,
 double SimulationService::score(const firelib::Scenario& scenario,
                                 Observations& observations, int target_line) {
   enter_step(observations, target_line);
-  context_start();
   return run_one(0, scenario).fitness;
 }
 
 std::vector<const BurnedCells*> SimulationService::step_records(
     const std::vector<firelib::Scenario>& scenarios,
     const firelib::IgnitionMap& start, double end_time) const {
-  if (!raw_ || raw_start_ != &start || !same_bits(start, *raw_->dense_line(0)))
+  if (!raw_ || raw_start_ != &start || !same_bits(start, raw_->line(0)))
     return std::vector<const BurnedCells*>(scenarios.size(), nullptr);
   return step_records(scenarios, *raw_, 0, end_time);
 }
@@ -416,8 +409,8 @@ std::vector<SimulationResult> SimulationService::run_batch_cached(
   // Shared keys carry the *simulation* context (start map, end time) only;
   // the scoring target lives in per-entry fitness records. So unlike kStep
   // a context change invalidates nothing: a PS pass fills the entries the
-  // next step's OS scores against its new target, and a later job or serve
-  // refresh over the same interval finds both records and scores.
+  // next step's OS scores against its new target, and a later job (a serve
+  // extension, say) over the same interval finds both records and scores.
   std::uint64_t key_context = 0;
   cache::FitnessQuery query;
   if (shared) {

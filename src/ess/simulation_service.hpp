@@ -299,8 +299,7 @@ class SimulationService {
     std::uint64_t start_fingerprint = 0;
     std::uint64_t target_fingerprint = 0;
     const ScoringTarget* scoring = nullptr;  ///< null without a target
-    /// The dense start line, fetched when the context first simulates.
-    const firelib::IgnitionMap* start = nullptr;
+    const firelib::IgnitionMap* start = nullptr;  ///< the dense start line
     bool valid = false;
   };
 
@@ -339,9 +338,6 @@ class SimulationService {
   Observations& raw_observations(const firelib::IgnitionMap& start,
                                  const firelib::IgnitionMap* target,
                                  double start_time, double end_time);
-  /// The dense start line of the context, fetched (and, for lazy
-  /// observations, generated) on first use.
-  const firelib::IgnitionMap& context_start();
   /// Keep a simulated scenario's burned cells (and score) in the step
   /// store, up to its capacity backstop.
   void remember(const cache::ScenarioKey& key, const SimulationResult& sim);

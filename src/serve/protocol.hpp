@@ -22,11 +22,13 @@
 //
 //   repredict  — re-predict the tracked fire `id` at a later interval
 //     id=<name>            required; must be tracked
-//     steps=<n>            new horizon (>= 2); omitted = same horizon
+//     steps=<n>            horizon (>= 2); omitted = the fire's latest
+//                          completed horizon (the predict's before any)
 //     priority=<int>
 //     Same workload, same seed: the ground-truth prefix is unchanged, so
 //     the engine's shared cache serves the earlier steps warm — the
-//     steady-state speedup bench_serve measures.
+//     steady-state speedup bench_serve measures. At a horizon the fire has
+//     already completed the answer is replayed from that job's record.
 //
 //   metrics    — one-line JSON scrape of the engine's MetricsRegistry
 //   stats      — queue/cache/tracking counters as key=value tokens
@@ -41,9 +43,15 @@
 //
 // — every one of which is a pure function of (server seed, request
 // parameters), byte-reproducible by an in-process oracle
-// (service::run_prediction_job). Timing/cache fields (seconds=...,
-// cache_hits=..., ...) follow AFTER the deterministic prefix; divergence
-// checks compare the line truncated at " seconds=".
+// (service::run_prediction_job). Timing/cache fields follow AFTER the
+// deterministic prefix; divergence checks compare the line truncated at
+// " seconds=":
+//
+//      seconds=<%.17g> workers=<n> cache_hits=<n> cache_misses=<n>
+//      [replayed=1]
+//
+// ` replayed=1` marks a repredict answered from the fire's record without
+// running a job (cache_hits and cache_misses are then 0).
 #pragma once
 
 #include <cstdint>

@@ -36,6 +36,38 @@ void close_fd(int& fd) {
   }
 }
 
+// The fields after a response's deterministic prefix; oracle comparisons
+// truncate at " seconds=".
+std::string timing_fields(double seconds, unsigned workers,
+                          std::size_t cache_hits, std::size_t cache_misses) {
+  return " seconds=" + format_g17(seconds) +
+         " workers=" + std::to_string(workers) +
+         " cache_hits=" + std::to_string(cache_hits) +
+         " cache_misses=" + std::to_string(cache_misses);
+}
+
+void record_latency(Verb verb, double seconds) {
+  obs::record_histogram("serve.request_seconds", seconds);
+  obs::record_histogram(verb == Verb::kPredict ? "serve.predict_seconds"
+                                               : "serve.repredict_seconds",
+                        seconds);
+}
+
+double seconds_since(std::uint64_t start_ns) {
+  return static_cast<double>(obs::trace_now_ns() - start_ns) * 1e-9;
+}
+
+// What a replay reads of a job's record: no maps, no timings.
+service::JobRecord trimmed(const service::JobRecord& record) {
+  service::JobRecord kept;
+  kept.status = record.status;
+  kept.workload = record.workload;
+  kept.seed = record.seed;
+  kept.workers = record.workers;
+  kept.result.steps = record.result.steps;
+  return kept;
+}
+
 }  // namespace
 
 Server::Server(ServeConfig config) : config_(std::move(config)) {
@@ -161,10 +193,13 @@ int Server::run() {
     }
     for (Completion& completion : done) {
       --inflight_responses_;
-      if (completion.digest) {
-        const auto fire = fires_.find(completion.fire_id);
-        if (fire != fires_.end())
-          fire->second.digest = std::move(completion.digest);
+      const auto fire = fires_.find(completion.fire_id);
+      // A job at an older horizon leaves the fire's newer record in place.
+      if (completion.record && fire != fires_.end() &&
+          (!fire->second.record ||
+           completion.steps >= fire->second.record_steps)) {
+        fire->second.record = std::move(completion.record);
+        fire->second.record_steps = completion.steps;
       }
       enqueue(completion.conn_id, std::move(completion.line));
     }
@@ -373,6 +408,7 @@ void Server::submit_prediction(std::uint64_t conn_id,
 
   synth::WorkloadRequest fire;
   service::JobSpec spec;
+  TrackedFire* tracked = nullptr;  // the repredicted fire
   if (is_predict) {
     if (fires_.count(request.id)) {
       obs::add_counter("serve.errors", 1);
@@ -405,17 +441,26 @@ void Server::submit_prediction(std::uint64_t conn_id,
                            " is not tracked (predict it first)");
       return;
     }
-    fire = it->second.fire;
-    spec = it->second.spec;
+    tracked = &it->second;
+    fire = tracked->fire;
+    spec = tracked->spec;
+    // A bare repredict refreshes the latest completed horizon.
+    if (tracked->record) fire.steps = tracked->record_steps;
   }
   if (request.steps) fire.steps = *request.steps;
-  // A repredict at the horizon of the fire's digest runs on it (the job
-  // checks the digest's full identity before trusting it).
-  std::shared_ptr<const ess::ObservationDigest> digest;
-  if (!is_predict) {
-    const auto& tracked = fires_.at(request.id).digest;
-    if (tracked && tracked->identity && tracked->identity->steps == fire.steps)
-      digest = tracked;
+  if (tracked && tracked->record && fire.steps == tracked->record_steps) {
+    // The prediction at this horizon is a pure function of the request and
+    // already computed: answer from the record, without a job.
+    const std::uint64_t start_ns = obs::trace_now_ns();
+    std::string line =
+        format_job_response(request.id, request.verb, *tracked->record);
+    const double seconds = seconds_since(start_ns);
+    line += timing_fields(seconds, tracked->record->workers, 0, 0);
+    line += " replayed=1";
+    obs::add_counter("serve.replays", 1);
+    record_latency(request.verb, seconds);
+    enqueue(conn_id, std::move(line));
+    return;
   }
   // A serve engine exists to keep one cache warm across requests.
   spec.cache_policy = cache::CachePolicy::kShared;
@@ -436,36 +481,27 @@ void Server::submit_prediction(std::uint64_t conn_id,
   job.campaign_seed = config_.seed;
   job.priority = request.priority.value_or(0);
   job.spec = spec;
-  job.digest = digest;
   const std::uint64_t start_ns = obs::trace_now_ns();
   const std::string id = request.id;
   const Verb verb = request.verb;
-  job.on_done = [this, conn_id, id, verb, start_ns, workload,
-                 digest](const service::JobRecord& record) {
+  const int steps = fire.steps;
+  job.on_done = [this, conn_id, id, verb, start_ns, steps,
+                 workload](const service::JobRecord& record) {
     std::string line = format_job_response(id, verb, record);
-    const double seconds =
-        static_cast<double>(obs::trace_now_ns() - start_ns) * 1e-9;
+    const double seconds = seconds_since(start_ns);
+    std::optional<service::JobRecord> kept;
     if (record.status == service::JobStatus::kSucceeded) {
-      // Timing/cache fields live AFTER the deterministic prefix; oracle
-      // comparisons truncate at " seconds=".
-      line += " seconds=" + format_g17(seconds);
-      line += " workers=" + std::to_string(record.workers);
-      line += " cache_hits=" +
-              std::to_string(record.result.total_cache_hits());
-      line += " cache_misses=" +
-              std::to_string(record.result.total_cache_misses());
+      line += timing_fields(seconds, record.workers,
+                            record.result.total_cache_hits(),
+                            record.result.total_cache_misses());
+      kept = trimmed(record);
     } else {
       obs::add_counter("serve.errors", 1);
     }
-    obs::record_histogram("serve.request_seconds", seconds);
-    obs::record_histogram(verb == Verb::kPredict ? "serve.predict_seconds"
-                                                 : "serve.repredict_seconds",
-                          seconds);
-    Completion completion{conn_id, std::move(line), id, nullptr};
-    if (record.digest != digest) completion.digest = record.digest;
+    record_latency(verb, seconds);
     {
       const std::lock_guard<std::mutex> lock(outbox_mutex_);
-      outbox_.push_back(std::move(completion));
+      outbox_.push_back({conn_id, std::move(line), id, std::move(kept), steps});
     }
     wake();
   };
@@ -496,13 +532,10 @@ void Server::submit_prediction(std::uint64_t conn_id,
 
   ++inflight_responses_;
   if (is_predict) {
-    TrackedFire tracked;
-    tracked.fire = fire;  // includes the horizon this predict ran at
-    tracked.spec = spec;
-    tracked.predictions = 1;
-    fires_.emplace(request.id, std::move(tracked));
-  } else {
-    ++fires_[request.id].predictions;
+    TrackedFire registered;
+    registered.fire = fire;  // includes the horizon this predict ran at
+    registered.spec = spec;
+    fires_.emplace(request.id, std::move(registered));
   }
 }
 

@@ -16,12 +16,14 @@
 // step from one rng stream, so a longer horizon shares the earlier steps
 // bit-for-bit and the engine's shared cache serves them warm — re-prediction
 // at successive intervals is the steady-state workload the cache was built
-// for (bench_serve measures the cold/warm ratio). Each tracked fire keeps the
-// observation digest of its current horizon (ess/observation.hpp, about
-// 1 KiB per line at 64x64) from the last job that generated its truth; a
-// repredict at that horizon runs on it and generates the fire lines only if
-// a batch misses the cache. A job at another horizon builds a new digest,
-// which replaces the old one when the job completes.
+// for (bench_serve measures the cold/warm ratio). Each tracked fire also
+// keeps the record of its last succeeded job, trimmed to what a response
+// reads (seed, workload name, workers, per-step reports), and the horizon
+// it ran at. Because a prediction is a pure function of the request, a
+// repredict at that horizon is answered from the record on the I/O thread
+// (` replayed=1`): no workload, no job, no cache lookup. A job at another
+// horizon runs in the engine; on completion its record replaces the fire's
+// unless the fire already holds one at a later horizon.
 //
 // Determinism: every serve job runs at index 0 with the server's campaign
 // seed, so its record is a pure function of (server seed, request
@@ -37,6 +39,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -136,10 +139,10 @@ class Server {
   struct TrackedFire {
     synth::WorkloadRequest fire;
     service::JobSpec spec;
-    std::uint64_t predictions = 0;
-    /// Observation digest at the fire's current horizon (null until a job
-    /// of this fire has completed).
-    std::shared_ptr<const ess::ObservationDigest> digest;
+    /// The last succeeded job at the fire's latest completed horizon,
+    /// trimmed (no maps); unset until one completes.
+    std::optional<service::JobRecord> record;
+    int record_steps = 0;  ///< the horizon `record` ran at
   };
   std::map<std::string, TrackedFire> fires_;
   bool draining_ = false;
@@ -147,12 +150,13 @@ class Server {
   std::uint64_t requests_ = 0;
 
   // Crossing from engine slots to the I/O thread: a response line, and
-  // the new digest of the request's fire when its job built one.
+  // the trimmed record of a succeeded job with the horizon it ran at.
   struct Completion {
     std::uint64_t conn_id = 0;
     std::string line;
     std::string fire_id;
-    std::shared_ptr<const ess::ObservationDigest> digest;
+    std::optional<service::JobRecord> record;
+    int steps = 0;
   };
   std::mutex outbox_mutex_;
   std::vector<Completion> outbox_;

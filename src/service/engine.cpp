@@ -1,7 +1,6 @@
 #include "service/engine.hpp"
 
 #include <algorithm>
-#include <optional>
 #include <utility>
 
 #include "cache/scenario_cache.hpp"
@@ -74,8 +73,7 @@ JobRecord run_prediction_job(
     std::uint64_t campaign_seed, unsigned workers, const JobSpec& spec,
     simd::Mode simd_mode, parallel::NumaMode numa_mode,
     firelib::SweepBackend backend,
-    const std::shared_ptr<cache::SharedScenarioCache>& shared_cache,
-    std::shared_ptr<const ess::ObservationDigest> digest) {
+    const std::shared_ptr<cache::SharedScenarioCache>& shared_cache) {
   JobRecord record;
   record.index = index;
   record.workload = workload.name;
@@ -90,31 +88,15 @@ JobRecord run_prediction_job(
   obs::SpanTimer job_timer(span_name.c_str());
   try {
     const bool shared = spec.cache_policy == cache::CachePolicy::kShared;
-    const std::uint64_t truth_seed = record.seed;
-    // The step policy needs no identity and no fingerprint: a campaign job
-    // only builds the digest its own pipeline reads.
-    std::optional<ess::DigestIdentity> identity;
-    if (shared || digest) identity = ess::digest_identity(workload, truth_seed);
-    synth::GroundTruth truth;  // generated here unless the digest is trusted
-    std::optional<ess::Observations> observations;
-    if (digest && digest->identity == identity &&
-        (digest->fingerprinted || !shared)) {
-      observations.emplace(digest, [&workload, truth_seed] {
-        return ess::materialize_truth(workload, truth_seed).fire_lines;
-      });
-    } else {
-      truth = ess::materialize_truth(workload, truth_seed);
-      auto built = std::make_shared<ess::ObservationDigest>(
-          ess::make_observation_digest(truth, shared));
-      if (shared) {
-        built->identity = identity;
-        built->env_fingerprint =
-            cache::environment_fingerprint(workload.environment);
-      }
-      digest = std::move(built);
-      observations.emplace(digest, truth.fire_lines);
-    }
-    if (shared) record.digest = digest;
+    const synth::GroundTruth truth =
+        ess::materialize_truth(workload, record.seed);
+    // Only the shared cache keys on fingerprints: the step policy's digest
+    // computes none.
+    auto digest = std::make_shared<ess::ObservationDigest>(
+        ess::make_observation_digest(truth, shared));
+    if (shared)
+      digest->env_fingerprint =
+          cache::environment_fingerprint(workload.environment);
 
     ess::PipelineConfig pipeline_config;
     pipeline_config.stop = {spec.generations, spec.fitness_threshold};
@@ -129,9 +111,9 @@ JobRecord run_prediction_job(
     pipeline_config.simd_mode = simd_mode;
     pipeline_config.numa_mode = numa_mode;
     pipeline_config.backend = backend;
-    ess::PredictionPipeline pipeline(workload.environment,
-                                     std::move(*observations),
-                                     pipeline_config);
+    ess::PredictionPipeline pipeline(
+        workload.environment, ess::Observations(digest, truth.fire_lines),
+        pipeline_config);
 
     auto optimizer = ess::make_optimizer(to_run_spec(spec));
     Rng rng(record.seed ^ 0x5eedULL);
@@ -306,7 +288,7 @@ void PredictionEngine::slot_loop(unsigned slot) {
           *pending.request.workload, pending.request.index,
           pending.request.campaign_seed, pending.request.workers,
           pending.request.spec, config_.simd_mode, config_.numa_mode,
-          config_.backend, cache_, pending.request.digest);
+          config_.backend, cache_);
     }
     finish_job(pending, std::move(record));
     {

@@ -27,7 +27,11 @@
 // bit-identical no matter which slot ran the job, at what priority, or how
 // full the queue was. CampaignScheduler::run() is a thin client of this
 // class and is property-tested byte-identical against the retained
-// pre-engine scheduler (run_reference()).
+// pre-engine scheduler (run_reference()). The same purity lets a client
+// answer a repeated request from the record of the first one: serve::Server
+// keeps each tracked fire's last record and submits a job only for a
+// horizon it has not completed. A job carries nothing from earlier jobs
+// beyond what the shared cache holds.
 //
 // Graceful drain: slot loops check service::drain_requested() between jobs;
 // once a drain is signalled, queued jobs complete as kFailed "cancelled"
@@ -46,7 +50,6 @@
 #include <vector>
 
 #include "cache/scenario_cache.hpp"
-#include "ess/observation.hpp"
 #include "ess/pipeline.hpp"
 #include "obs/session.hpp"
 #include "parallel/thread_pool.hpp"
@@ -78,10 +81,6 @@ struct JobRecord {
   JobStatus status = JobStatus::kFailed;
   std::string error;          ///< exception text when status == kFailed
   ess::PipelineResult result; ///< empty when the job failed
-  /// The observation digest the job ran on (handed in or built from the
-  /// truth it generated); set for shared-cache jobs only, whose digests
-  /// carry fingerprints and an identity.
-  std::shared_ptr<const ess::ObservationDigest> digest;
   double elapsed_seconds = 0.0;
   Grid<double> final_probability;        ///< set when keep_final_maps
   Grid<std::uint8_t> final_prediction;   ///< set when keep_final_maps
@@ -123,11 +122,6 @@ struct JobRequest {
   /// hint — results are bit-identical at any priority.
   int priority = 0;
   JobSpec spec;
-  /// Observation digest of this fire at this horizon from an earlier job
-  /// (a tracked fire's refresh). Used only when its identity is the job's:
-  /// the job then generates its fire lines only if a batch has to
-  /// simulate. Any other digest is ignored.
-  std::shared_ptr<const ess::ObservationDigest> digest;
   /// Invoked with the finished record (after the engine-wide on_job_done,
   /// both serialized on one lock) just before the future resolves — the
   /// server's completion path.
@@ -143,17 +137,12 @@ struct JobRequest {
 /// that every scheduled execution reproduces bit-for-bit. This is the
 /// oracle the serve tests and bench_serve compare scheduled results
 /// against. Job-level failures are recorded, not thrown.
-///
-/// `digest` (see JobRequest::digest) changes only how much work the job
-/// does, never its record: a matching one spares generating the truth
-/// unless a batch misses the cache.
 JobRecord run_prediction_job(
     const synth::Workload& workload, std::size_t index,
     std::uint64_t campaign_seed, unsigned workers, const JobSpec& spec,
     simd::Mode simd_mode, parallel::NumaMode numa_mode,
     firelib::SweepBackend backend,
-    const std::shared_ptr<cache::SharedScenarioCache>& shared_cache,
-    std::shared_ptr<const ess::ObservationDigest> digest = nullptr);
+    const std::shared_ptr<cache::SharedScenarioCache>& shared_cache);
 
 struct EngineConfig {
   unsigned job_slots = 1;     ///< prediction jobs in flight at once

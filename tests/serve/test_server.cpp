@@ -6,7 +6,6 @@
 #include <condition_variable>
 #include <cstdio>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 
@@ -121,29 +120,35 @@ TEST(ServeServer, PredictMatchesInProcessOracleAndTracksTheFire) {
   EXPECT_EQ(runner.join(), 0);
 }
 
-/// Value of counter `name` in a `metrics` scrape (0 while it is unset).
-std::uint64_t scraped_counter(LineClient& client, const std::string& name) {
+/// Value of counter `name`, or the sample count of histogram `name`, in a
+/// `metrics` scrape (0 while it is unset).
+std::uint64_t scraped_count(LineClient& client, const std::string& name) {
   const std::string metrics = client.request("metrics");
-  const std::string key = "\"" + name + "\":";
-  const std::size_t at = metrics.find(key);
+  const std::string key = "\"" + name + "\": ";
+  std::size_t at = metrics.find(key);
   if (at == std::string::npos) return 0;
-  return std::stoull(metrics.substr(at + key.size()));
+  at += key.size();
+  if (metrics[at] == '{') at = metrics.find(':', at) + 1;  // {"count": N
+  return std::stoull(metrics.substr(at));
 }
 
 /// The oracle's response prefix for a request on the tiny server's default
-/// fire at `steps`, seeded `fire_seed` when given.
+/// fire at `steps`.
 std::string oracle_prefix(const ServeConfig& config, const std::string& id,
-                          Verb verb, int steps,
-                          std::optional<std::uint64_t> fire_seed = {}) {
+                          Verb verb, int steps) {
   synth::WorkloadRequest fire = config.default_fire;
   fire.steps = steps;
-  if (fire_seed) fire.seed = *fire_seed;
   return format_job_response(
       id, verb,
       service::run_prediction_job(
           synth::make_workload(fire), 0, config.seed, 1, oracle_spec(config),
           simd::Mode::kAuto, parallel::NumaMode::kAuto,
           firelib::SweepBackend::kScalar, nullptr));
+}
+
+bool replayed(const std::string& response) {
+  return response.find(" cache_hits=0 cache_misses=0 replayed=1") !=
+         std::string::npos;
 }
 
 constexpr const char* kMaterializations = "ess.truth_materializations";
@@ -160,43 +165,28 @@ TEST(ServeServer, RefreshAtTheTrackedHorizonGeneratesNoFireLines) {
   LineClient client("127.0.0.1", server.port());
 
   ASSERT_EQ(client.request("predict id=f1").rfind("ok ", 0), 0u);
-  EXPECT_EQ(scraped_counter(client, kMaterializations), 1u)
+  EXPECT_EQ(scraped_count(client, kMaterializations), 1u)
       << "a predict generates its truth";
+  const std::uint64_t jobs = scraped_count(client, "campaign.jobs");
+  const std::uint64_t latencies =
+      scraped_count(client, "serve.repredict_seconds");
+  EXPECT_EQ(scraped_count(client, "serve.replays"), 0u);
 
+  // The refresh is answered from the predict's record: the oracle's bytes,
+  // no job, no truth.
   const std::string refresh = client.request("repredict id=f1");
   EXPECT_EQ(deterministic_prefix(refresh), expected);
-  EXPECT_NE(refresh.find(" cache_misses=0"), std::string::npos) << refresh;
-  EXPECT_EQ(scraped_counter(client, kMaterializations), 1u)
-      << "an all-hit refresh runs on the fire's digest";
+  EXPECT_TRUE(replayed(refresh)) << refresh;
+  EXPECT_EQ(scraped_count(client, kMaterializations), 1u);
+  EXPECT_EQ(scraped_count(client, "campaign.jobs"), jobs);
+  EXPECT_EQ(scraped_count(client, "serve.replays"), 1u);
+  EXPECT_EQ(scraped_count(client, "serve.repredict_seconds"), latencies + 1);
 
   EXPECT_EQ(client.request("shutdown"), "ok draining");
   EXPECT_EQ(runner.join(), 0);
 }
 
-TEST(ServeServer, RefreshThatMissesGeneratesItsFireLinesLazily) {
-  // A cache too small for a single entry: every refresh simulates, so it
-  // has to generate the lines its digest stands for — and still answers
-  // exactly what the oracle does.
-  ServeConfig config = tiny_server_config();
-  config.cache_mem_bytes = 1;
-  const std::string expected =
-      oracle_prefix(config, "f1", Verb::kRepredict, 3);
-  Server server(config);
-  server.start();
-  ServerRunner runner(server);
-  LineClient client("127.0.0.1", server.port());
-
-  ASSERT_EQ(client.request("predict id=f1").rfind("ok ", 0), 0u);
-  const std::string refresh = client.request("repredict id=f1");
-  EXPECT_EQ(deterministic_prefix(refresh), expected);
-  EXPECT_EQ(refresh.find(" cache_misses=0"), std::string::npos) << refresh;
-  EXPECT_EQ(scraped_counter(client, kMaterializations), 2u);
-
-  EXPECT_EQ(client.request("shutdown"), "ok draining");
-  EXPECT_EQ(runner.join(), 0);
-}
-
-TEST(ServeServer, ExtensionReplacesTheFiresDigest) {
+TEST(ServeServer, ExtensionReplacesTheFiresRecord) {
   const ServeConfig config = tiny_server_config();
   const std::string expected3 =
       oracle_prefix(config, "f1", Verb::kRepredict, 3);
@@ -208,62 +198,109 @@ TEST(ServeServer, ExtensionReplacesTheFiresDigest) {
   LineClient client("127.0.0.1", server.port());
 
   ASSERT_EQ(client.request("predict id=f1").rfind("ok ", 0), 0u);
-  // The extension generates the longer truth and keeps its digest...
+  // The extension runs a job and its record becomes the fire's...
   const std::string extension = client.request("repredict id=f1 steps=4");
   EXPECT_EQ(deterministic_prefix(extension), expected4);
-  EXPECT_EQ(scraped_counter(client, kMaterializations), 2u);
-  // ...which the next refresh at that horizon runs on...
+  EXPECT_FALSE(replayed(extension)) << extension;
+  EXPECT_EQ(scraped_count(client, kMaterializations), 2u);
+  // ...which answers the next refresh at that horizon...
   const std::string refresh = client.request("repredict id=f1 steps=4");
-  EXPECT_EQ(deterministic_prefix(refresh), deterministic_prefix(extension));
-  EXPECT_EQ(scraped_counter(client, kMaterializations), 2u);
-  // ...and the old horizon's digest is gone.
+  EXPECT_EQ(deterministic_prefix(refresh), expected4);
+  EXPECT_TRUE(replayed(refresh)) << refresh;
+  EXPECT_EQ(scraped_count(client, kMaterializations), 2u);
+  // ...while the older horizon runs a job again...
   const std::string back = client.request("repredict id=f1 steps=3");
   EXPECT_EQ(deterministic_prefix(back), expected3);
-  EXPECT_EQ(scraped_counter(client, kMaterializations), 3u);
+  EXPECT_FALSE(replayed(back)) << back;
+  EXPECT_EQ(scraped_count(client, kMaterializations), 3u);
+  // ...which leaves the newer record in place.
+  const std::string again = client.request("repredict id=f1 steps=4");
+  EXPECT_EQ(deterministic_prefix(again), expected4);
+  EXPECT_TRUE(replayed(again)) << again;
+  EXPECT_EQ(scraped_count(client, kMaterializations), 3u);
 
   EXPECT_EQ(client.request("shutdown"), "ok draining");
   EXPECT_EQ(runner.join(), 0);
 }
 
-TEST(ServeServer, JobsUseOnlyADigestOfTheirOwnIdentity) {
-  const ServeConfig config = tiny_server_config();
-  service::JobSpec spec = config.default_spec;
-  spec.cache_policy = cache::CachePolicy::kShared;
-  const auto cache = std::make_shared<cache::SharedScenarioCache>(16u << 20);
-  const auto run = [&](std::uint64_t fire_seed,
-                       std::shared_ptr<const ess::ObservationDigest> digest) {
-    synth::WorkloadRequest fire = config.default_fire;
-    fire.seed = fire_seed;
-    return service::run_prediction_job(
-        synth::make_workload(fire), 0, config.seed, 1, spec, simd::Mode::kAuto,
-        parallel::NumaMode::kAuto, firelib::SweepBackend::kScalar, cache,
-        std::move(digest));
+TEST(ServeServer, BareRepredictReplaysTheLatestCompletedHorizon) {
+  Server server(tiny_server_config());
+  server.start();
+  ServerRunner runner(server);
+  LineClient client("127.0.0.1", server.port());
+
+  ASSERT_EQ(client.request("predict id=f1").rfind("ok ", 0), 0u);
+  const std::string extension = client.request("repredict id=f1 steps=4");
+  ASSERT_EQ(extension.rfind("ok id=f1 ", 0), 0u) << extension;
+  const std::string bare = client.request("repredict id=f1");
+  EXPECT_EQ(deterministic_prefix(bare), deterministic_prefix(extension));
+  EXPECT_TRUE(replayed(bare)) << bare;
+
+  EXPECT_EQ(client.request("shutdown"), "ok draining");
+  EXPECT_EQ(runner.join(), 0);
+}
+
+TEST(ServeServer, FailedAndRejectedRequestsStoreNoRecord) {
+  const ServeConfig oracle_config = tiny_server_config();
+  const std::string expected3 =
+      oracle_prefix(oracle_config, "f1", Verb::kRepredict, 3);
+  const std::string expected5 =
+      oracle_prefix(oracle_config, "f1", Verb::kRepredict, 5);
+  ServeConfig config = tiny_server_config();
+  config.queue_capacity = 1;
+  Server server(std::move(config));
+  server.start();
+  ServerRunner runner(server);
+  LineClient client("127.0.0.1", server.port());
+  ASSERT_EQ(client.request("predict id=f1").rfind("ok ", 0), 0u);
+
+  // Hold the single slot busy via the engine's test hook (in_flight() may
+  // still count the predict's job while it finishes, so wait for the hook).
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool started = false;
+  bool open = false;
+  service::JobRequest blocker;
+  blocker.workload = std::make_shared<synth::Workload>(
+      synth::make_workload(oracle_config.default_fire));
+  blocker.spec = oracle_config.default_spec;
+  blocker.debug_before_run = [&] {
+    std::unique_lock<std::mutex> lock(mutex);
+    started = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return open; });
   };
-  const auto expected = [&](std::uint64_t fire_seed) {
-    return oracle_prefix(config, "f", Verb::kRepredict,
-                         config.default_fire.steps, fire_seed);
-  };
+  auto held = server.engine().submit(std::move(blocker));
+  ASSERT_EQ(held.admission, service::Admission::kAccepted);
+  {
+    std::unique_lock<std::mutex> lock(mutex);
+    cv.wait(lock, [&] { return started; });
+  }
 
-  const service::JobRecord first = run(5, nullptr);
-  ASSERT_NE(first.digest, nullptr);
-  ASSERT_TRUE(first.digest->identity.has_value());
+  // steps=4 takes the queue's one place and then fails; steps=5 is refused.
+  client.send_line("repredict id=f1 steps=4");
+  client.send_line("repredict id=f1 steps=5");
+  EXPECT_EQ(client.read_line(), "err id=f1 rejected: queue full (capacity 1)");
+  EXPECT_EQ(server.engine().cancel_pending("cancelled: test"), 1u);
+  EXPECT_EQ(client.read_line(), "err id=f1 job failed: cancelled: test");
+  {
+    const std::lock_guard<std::mutex> lock(mutex);
+    open = true;
+  }
+  cv.notify_all();
+  held.record.get();
 
-  // Its own fire trusts it.
-  const service::JobRecord again = run(5, first.digest);
-  EXPECT_EQ(again.digest, first.digest);
-  EXPECT_EQ(format_job_response("f", Verb::kRepredict, again), expected(5));
+  // Neither left a record: a bare refresh still replays the predict's
+  // horizon, and steps=5 runs a job.
+  const std::string bare = client.request("repredict id=f1");
+  EXPECT_EQ(deterministic_prefix(bare), expected3);
+  EXPECT_TRUE(replayed(bare)) << bare;
+  const std::string five = client.request("repredict id=f1 steps=5");
+  EXPECT_EQ(deterministic_prefix(five), expected5);
+  EXPECT_FALSE(replayed(five)) << five;
 
-  // Another fire ignores it and builds its own.
-  const service::JobRecord other = run(6, first.digest);
-  EXPECT_NE(other.digest, first.digest);
-  EXPECT_EQ(format_job_response("f", Verb::kRepredict, other), expected(6));
-
-  // So does the same fire when any part of the identity differs.
-  auto forged = std::make_shared<ess::ObservationDigest>(*first.digest);
-  forged->identity->truth_seed += 1;
-  const service::JobRecord refused = run(5, forged);
-  EXPECT_NE(refused.digest, forged);
-  EXPECT_EQ(format_job_response("f", Verb::kRepredict, refused), expected(5));
+  EXPECT_EQ(client.request("shutdown"), "ok draining");
+  EXPECT_EQ(runner.join(), 0);
 }
 
 TEST(ServeServer, TrackingAndParseErrorsAnswerErrLines) {
