@@ -1,14 +1,9 @@
 // EXP-B4 — campaign throughput: the same fixed-seed catalog campaign run at
 // job-concurrency 1/2/4, reporting wall-clock, jobs/sec and scaling, plus a
 // cross-concurrency bit-determinism check (every job's mean quality must be
-// identical at every concurrency level). A second pair of arms runs the
-// top-concurrency campaign with NUMA placement off vs on (pinned workers +
-// first-touched workspaces) and reports the pinned-vs-unpinned speedup —
-// with the same bit-determinism requirement, since placement is a
-// scheduling hint only. On single-node hosts the pinned arm is a placement
-// no-op by design, so the speedup hovers around 1.0 there.
-// Writes BENCH_campaign.json with hardware provenance (cores, NUMA nodes,
-// detected SIMD ISA) and the active settings.
+// identical at every concurrency level).
+// Writes BENCH_campaign.json with hardware provenance (cores, detected SIMD
+// ISA) and the active settings.
 //
 // Plain main on purpose: unlike bench_simulator/bench_stages this does not
 // need Google Benchmark, so the target always builds and CI always tracks
@@ -19,7 +14,6 @@
 #include <vector>
 
 #include "bench_json.hpp"
-#include "parallel/affinity.hpp"
 #include "service/campaign.hpp"
 #include "service/report.hpp"
 #include "synth/catalog.hpp"
@@ -31,7 +25,6 @@ using namespace essns;
 struct CampaignTiming {
   unsigned job_concurrency = 1;
   unsigned workers_per_job = 1;
-  parallel::NumaMode numa_mode = parallel::NumaMode::kOff;
   double wall_seconds = 0.0;
   double jobs_per_second = 0.0;
   std::size_t succeeded = 0;
@@ -40,8 +33,7 @@ struct CampaignTiming {
 
 CampaignTiming run_once(const std::vector<synth::Workload>& workloads,
                         unsigned job_concurrency, unsigned total_workers,
-                        int generations, std::size_t population,
-                        parallel::NumaMode numa_mode) {
+                        int generations, std::size_t population) {
   service::CampaignConfig config;
   config.job_concurrency = job_concurrency;
   config.total_workers = total_workers;
@@ -49,7 +41,6 @@ CampaignTiming run_once(const std::vector<synth::Workload>& workloads,
   config.population = population;
   config.offspring = population;
   config.fitness_threshold = 1.1;  // fixed generation budget, no early exit
-  config.numa_mode = numa_mode;
 
   const service::CampaignScheduler scheduler(config);
   const service::CampaignResult result = scheduler.run(workloads);
@@ -57,7 +48,6 @@ CampaignTiming run_once(const std::vector<synth::Workload>& workloads,
   CampaignTiming timing;
   timing.job_concurrency = job_concurrency;
   timing.workers_per_job = result.workers_per_job;
-  timing.numa_mode = numa_mode;
   timing.wall_seconds = result.wall_seconds;
   timing.jobs_per_second = result.jobs_per_second();
   timing.succeeded = result.succeeded();
@@ -93,13 +83,11 @@ int main(int argc, char** argv) {
   std::printf("campaign throughput: %zu workloads (%s), %u total workers\n",
               workloads.size(), quick ? "quick" : "full", total_workers);
 
-  // Concurrency arms run with placement off so the scaling numbers stay
-  // comparable to earlier BENCH_campaign.json files.
   const unsigned concurrency_levels[] = {1, 2, 4};
   std::vector<CampaignTiming> timings;
   for (unsigned jobs : concurrency_levels)
     timings.push_back(run_once(workloads, jobs, total_workers, generations,
-                               population, parallel::NumaMode::kOff));
+                               population));
   const CampaignTiming& serial = timings.front();
 
   std::printf("%8s %12s %12s %12s %10s\n", "jobs", "workers/job", "wall[s]",
@@ -110,33 +98,14 @@ int main(int argc, char** argv) {
                 serial.wall_seconds / t.wall_seconds);
   }
 
-  // NUMA arms: the top-concurrency campaign with placement forced on
-  // (kOn pins even on one node, exercising the pin + prefault path
-  // everywhere) vs the off arm already timed above.
-  const CampaignTiming& unpinned = timings.back();
-  const CampaignTiming pinned =
-      run_once(workloads, concurrency_levels[2], total_workers, generations,
-               population, parallel::NumaMode::kOn);
-  const double numa_speedup =
-      pinned.wall_seconds > 0.0 ? unpinned.wall_seconds / pinned.wall_seconds
-                                : 0.0;
-  const std::size_t numa_nodes =
-      parallel::system_numa_topology().node_count();
-  std::printf(
-      "  numa: %12.3fs unpinned  %12.3fs pinned  %5.2fx (%zu node%s)\n",
-      unpinned.wall_seconds, pinned.wall_seconds, numa_speedup, numa_nodes,
-      numa_nodes == 1 ? "" : "s");
-
-  // Bit-determinism across job concurrency AND placement: same per-job
-  // qualities exactly. A pinned-arm divergence means placement leaked into
-  // results, which it never may.
+  // Bit-determinism across job concurrency: same per-job qualities
+  // exactly.
   bool identical = true;
-  for (const auto& t : timings)
+  bool all_succeeded = true;
+  for (const auto& t : timings) {
     if (t.per_job_quality != serial.per_job_quality) identical = false;
-  if (pinned.per_job_quality != serial.per_job_quality) identical = false;
-  bool all_succeeded = pinned.succeeded == workloads.size();
-  for (const auto& t : timings)
     if (t.succeeded != workloads.size()) all_succeeded = false;
+  }
 
   const char* json_path = "BENCH_campaign.json";
   std::FILE* out = std::fopen(json_path, "w");
@@ -157,28 +126,16 @@ int main(int argc, char** argv) {
     const auto& t = timings[i];
     std::fprintf(out,
                  "    {\"job_concurrency\": %u, \"workers_per_job\": %u, "
-                 "\"numa\": \"%s\", \"wall_seconds\": %.6f, "
+                 "\"wall_seconds\": %.6f, "
                  "\"jobs_per_second\": %.4f, \"scaling\": %.4f, "
-                 "\"succeeded\": %zu},\n",
-                 t.job_concurrency, t.workers_per_job,
-                 parallel::to_string(t.numa_mode), t.wall_seconds,
+                 "\"succeeded\": %zu}%s\n",
+                 t.job_concurrency, t.workers_per_job, t.wall_seconds,
                  t.jobs_per_second, serial.wall_seconds / t.wall_seconds,
-                 t.succeeded);
+                 t.succeeded, i + 1 < timings.size() ? "," : "");
   }
-  std::fprintf(out,
-               "    {\"job_concurrency\": %u, \"workers_per_job\": %u, "
-               "\"numa\": \"%s\", \"wall_seconds\": %.6f, "
-               "\"jobs_per_second\": %.4f, \"scaling\": %.4f, "
-               "\"succeeded\": %zu}\n",
-               pinned.job_concurrency, pinned.workers_per_job,
-               parallel::to_string(pinned.numa_mode), pinned.wall_seconds,
-               pinned.jobs_per_second,
-               serial.wall_seconds / pinned.wall_seconds, pinned.succeeded);
   std::fprintf(out, "  ],\n");
-  std::fprintf(out, "  \"numa_speedup_pinned_vs_unpinned\": %.4f,\n",
-               numa_speedup);
   std::fprintf(out,
-               "  \"deterministic_across_job_concurrency_and_numa\": %s,\n"
+               "  \"deterministic_across_job_concurrency\": %s,\n"
                "  \"all_jobs_succeeded\": %s\n}\n",
                identical ? "true" : "false", all_succeeded ? "true" : "false");
   std::fclose(out);

@@ -1,7 +1,7 @@
 // Shared helpers for the benchmark executables.
 //
 // 1. Hardware provenance: every BENCH_*.json records the host it ran on —
-//    core count, NUMA node count, detected SIMD ISA — plus the settings the
+//    core count and detected SIMD ISA — plus the settings the
 //    run was launched with, so numbers from different machines/configs are
 //    never compared blind. Plain-main benches embed hardware_json_fields()
 //    into their hand-written JSON; Google Benchmark targets get the same
@@ -22,37 +22,29 @@
 
 #include "common/simd.hpp"
 #include "obs/metrics.hpp"
-#include "parallel/affinity.hpp"
 
 namespace essns::benchmain {
 
 /// Host facts every benchmark JSON should carry.
 struct HardwareInfo {
   unsigned cores = 0;        ///< logical cpus the runtime reports
-  std::size_t numa_nodes = 0;  ///< NUMA nodes with cpus (sysfs discovery)
-  std::size_t numa_cpus = 0;   ///< cpus covered by those nodes
   simd::Isa simd_isa = simd::Isa::kScalar;  ///< best ISA this host supports
 };
 
 inline HardwareInfo detect_hardware() {
   HardwareInfo info;
   info.cores = std::max(1u, std::thread::hardware_concurrency());
-  const parallel::NumaTopology& topology = parallel::system_numa_topology();
-  info.numa_nodes = topology.node_count();
-  info.numa_cpus = topology.cpu_count();
   info.simd_isa = simd::detected_isa();
   return info;
 }
 
 /// The provenance facts as JSON object *fields* (no surrounding braces), so
 /// plain-main benches can splice them into their hand-written documents:
-///   "cores": 64, "numa_nodes": 2, "numa_cpus": 64, "simd_detected": "avx2"
+///   "cores": 64, "simd_detected": "avx2"
 inline std::string hardware_json_fields() {
   const HardwareInfo info = detect_hardware();
   std::string json;
   json += "\"cores\": " + std::to_string(info.cores);
-  json += ", \"numa_nodes\": " + std::to_string(info.numa_nodes);
-  json += ", \"numa_cpus\": " + std::to_string(info.numa_cpus);
   json += std::string(", \"simd_detected\": \"") +
           simd::to_string(info.simd_isa) + "\"";
   return json;
@@ -92,8 +84,6 @@ inline int run_all(int argc, char** argv, const char* default_out) {
   }
   const HardwareInfo info = detect_hardware();
   benchmark::AddCustomContext("cores", std::to_string(info.cores));
-  benchmark::AddCustomContext("numa_nodes", std::to_string(info.numa_nodes));
-  benchmark::AddCustomContext("numa_cpus", std::to_string(info.numa_cpus));
   benchmark::AddCustomContext("simd_detected",
                               simd::to_string(info.simd_isa));
   int count = static_cast<int>(args.size());

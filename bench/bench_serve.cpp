@@ -98,7 +98,7 @@ std::string oracle_response(const std::string& id, serve::Verb verb,
   spec.cache_policy = cache::CachePolicy::kOff;
   const service::JobRecord record = service::run_prediction_job(
       workload, /*index=*/0, config.seed, workers, spec, config.simd_mode,
-      config.numa_mode, config.backend, nullptr);
+      parallel::NumaMode::kAuto, firelib::SweepBackend::kScalar, nullptr);
   return serve::format_job_response(id, verb, record);
 }
 

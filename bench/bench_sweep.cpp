@@ -10,11 +10,6 @@
 // is swept both ways as well; any divergence makes the binary exit nonzero,
 // which is how CI enforces the zero-divergence acceptance criterion.
 //
-// A third arm times the batched sweep backend (firelib::BatchSweep) against
-// the per-scenario scalar loop at batch sizes 8 and 64 on uniform terrain —
-// the regime the backend targets — with the same per-scenario divergence
-// check folded into the exit code.
-//
 // Flags:
 //   --quick        smaller grids/rounds (CI Debug job)
 //   --simd MODE    auto | avx2 | scalar — the kernel for the simd arms
@@ -23,7 +18,7 @@
 //                  instead of silently benchmarking scalar-vs-scalar.
 //   --out PATH     JSON output path (default BENCH_sweep.json)
 //
-// The JSON carries hardware provenance (cores, NUMA nodes, detected ISA)
+// The JSON carries hardware provenance (cores, detected ISA)
 // and the active settings, so numbers are never compared across hosts
 // blind. Plain main on purpose (no Google Benchmark) so the target always
 // builds.
@@ -36,7 +31,6 @@
 #include "common/rng.hpp"
 #include "common/simd.hpp"
 #include "common/stopwatch.hpp"
-#include "firelib/batch_sweep.hpp"
 #include "firelib/propagator.hpp"
 #include "synth/catalog.hpp"
 #include "synth/ground_truth.hpp"
@@ -134,72 +128,6 @@ GridResult bench_grid(const std::string& name, const synth::Workload& workload,
   result.cells_swept = static_cast<std::size_t>(env.rows()) *
                        static_cast<std::size_t>(env.cols()) * batch.size() *
                        static_cast<std::size_t>(rounds);
-  return result;
-}
-
-struct BatchedResult {
-  std::string name;
-  std::size_t batch = 0;
-  double loop_seconds = 0.0;     // per-scenario scalar-backend loop
-  double batched_seconds = 0.0;  // one BatchSweep launch per round
-  std::size_t table_groups = 0;  // travel tables built once per group
-  double speedup() const {
-    return batched_seconds > 0.0 ? loop_seconds / batched_seconds : 0.0;
-  }
-};
-
-/// Time one BatchSweep launch against the per-scenario propagator loop on
-/// one workload; counts per-scenario map divergences into the counter.
-BatchedResult bench_batched(const std::string& name,
-                            const synth::Workload& workload,
-                            std::size_t batch_size, int rounds,
-                            simd::Mode mode,
-                            std::size_t& batched_divergences) {
-  const firelib::FireEnvironment& env = workload.environment;
-  Rng truth_rng(5);
-  const synth::GroundTruth truth = synth::generate_ground_truth(
-      env, workload.truth_config, truth_rng);
-  const firelib::IgnitionMap& start = truth.fire_lines[0];
-  const double horizon = truth.step_minutes;
-
-  const auto& space = firelib::ScenarioSpace::table1();
-  Rng rng(2022);
-  std::vector<firelib::Scenario> batch;
-  for (std::size_t i = 0; i < batch_size; ++i)
-    batch.push_back(space.sample(rng));
-  std::vector<const firelib::Scenario*> pointers;
-  for (const firelib::Scenario& scenario : batch)
-    pointers.push_back(&scenario);
-
-  const firelib::FireSpreadModel model;
-  firelib::FirePropagator scalar(model);
-  scalar.set_simd_mode(mode);
-  firelib::BatchSweep batched(model);
-  batched.set_simd_mode(mode);
-  firelib::PropagationWorkspace scalar_ws;
-
-  // Warm both arms once, checking per-scenario equivalence.
-  const std::vector<firelib::IgnitionMap> maps =
-      batched.sweep(env, pointers, start, horizon);
-  for (std::size_t i = 0; i < batch.size(); ++i)
-    if (!(maps[i] ==
-          scalar.propagate(env, batch[i], start, horizon, scalar_ws)))
-      ++batched_divergences;
-
-  BatchedResult result;
-  result.name = name;
-  result.batch = batch_size;
-  result.table_groups = batched.last_table_groups();
-
-  Stopwatch watch;
-  for (int round = 0; round < rounds; ++round)
-    for (const firelib::Scenario& scenario : batch)
-      scalar.propagate(env, scenario, start, horizon, scalar_ws);
-  result.loop_seconds = watch.elapsed_seconds();
-  watch.reset();
-  for (int round = 0; round < rounds; ++round)
-    batched.sweep(env, pointers, start, horizon);
-  result.batched_seconds = watch.elapsed_seconds();
   return result;
 }
 
@@ -329,33 +257,15 @@ int main(int argc, char** argv) {
         r.name.c_str(), r.heap_seconds, r.dial_seconds, r.speedup(),
         r.simd_speedup(), r.cells_per_second());
 
-  // Batched-backend arm: uniform terrain, the regime BatchSweep targets
-  // (DEM workloads take its per-scenario fallback and would time the same
-  // loop twice).
-  std::size_t batched_divergences = 0;
-  std::vector<BatchedResult> batched_results;
-  for (const std::size_t batch : {std::size_t{8}, std::size_t{64}})
-    batched_results.push_back(
-        bench_batched("plains-batched", synth::make_plains(grid), batch,
-                      std::max(1, rounds / 4), mode, batched_divergences));
-  for (const BatchedResult& r : batched_results)
-    std::printf(
-        "  %-14s batch=%-3zu %8.3fs loop  %8.3fs batched  %5.2fx batched  "
-        "(%zu table groups)\n",
-        r.name.c_str(), r.batch, r.loop_seconds, r.batched_seconds,
-        r.speedup(), r.table_groups);
-
   const std::size_t catalog_workloads =
       check_default_catalog(mode, queue_divergences, simd_divergences);
   std::printf(
       "  default catalog: %zu workloads checked, %zu queue / %zu simd "
       "divergences\n",
       catalog_workloads, queue_divergences, simd_divergences);
-  const bool bit_identical = queue_divergences == 0 &&
-                             simd_divergences == 0 && batched_divergences == 0;
+  const bool bit_identical = queue_divergences == 0 && simd_divergences == 0;
   std::printf(
-      "  bit-identical across heap/dial, scalar/%s and scalar/batched "
-      "pairs: %s\n",
+      "  bit-identical across heap/dial and scalar/%s pairs: %s\n",
       simd::to_string(resolved), bit_identical ? "true" : "false");
 
   std::FILE* out = std::fopen(json_path, "w");
@@ -386,23 +296,10 @@ int main(int argc, char** argv) {
                  i + 1 < results.size() ? "," : "");
   }
   std::fprintf(out, "  ],\n");
-  std::fprintf(out, "  \"batched\": [\n");
-  for (std::size_t i = 0; i < batched_results.size(); ++i) {
-    const BatchedResult& r = batched_results[i];
-    std::fprintf(out,
-                 "    {\"name\": \"%s\", \"batch\": %zu, "
-                 "\"loop_seconds\": %.6f, \"batched_seconds\": %.6f, "
-                 "\"speedup\": %.4f, \"table_groups\": %zu}%s\n",
-                 r.name.c_str(), r.batch, r.loop_seconds, r.batched_seconds,
-                 r.speedup(), r.table_groups,
-                 i + 1 < batched_results.size() ? "," : "");
-  }
-  std::fprintf(out, "  ],\n");
   std::fprintf(out, "  \"catalog_workloads_checked\": %zu,\n",
                catalog_workloads);
   std::fprintf(out, "  \"queue_divergences\": %zu,\n", queue_divergences);
   std::fprintf(out, "  \"simd_divergences\": %zu,\n", simd_divergences);
-  std::fprintf(out, "  \"batched_divergences\": %zu,\n", batched_divergences);
   std::fprintf(out, "  \"bit_identical\": %s\n}\n",
                bit_identical ? "true" : "false");
   std::fclose(out);

@@ -36,7 +36,7 @@ void print_help() {
       "single run\n"
       "  keys: workload size method seed generations fitness_threshold\n"
       "        population offspring workers novelty_k islands cache\n"
-      "        cache_mem simd numa backend trace metrics_out\n"
+      "        cache_mem simd trace metrics_out\n"
       "  methods:");
   for (const auto& m : ess::RunSpec::known_methods())
     std::printf(" %s", m.c_str());
@@ -66,18 +66,6 @@ void print_help() {
       "                     avx2    request AVX2 (falls back to scalar on\n"
       "                             hosts without it)\n"
       "                     scalar  the scalar oracle kernel\n"
-      "    --numa P       NUMA-aware worker placement (also valid in\n"
-      "                   single-run mode): off | auto | on. auto (default)\n"
-      "                   pins simulation workers to nodes only on\n"
-      "                   multi-node hosts; performance-only, results are\n"
-      "                   bit-identical at any setting\n"
-      "    --backend B    sweep backend (also valid in single-run mode);\n"
-      "                   results are bit-identical either way:\n"
-      "                     scalar   one sweep per scenario (default)\n"
-      "                     batched  evaluate a whole simulation batch in\n"
-      "                              one pass: travel-time tables built once\n"
-      "                              per fuel-model group, per-scenario hot\n"
-      "                              state laid out in one contiguous slab\n"
       "    --trace F      record spans (jobs x pipeline stages x workers)\n"
       "                   and write a Chrome trace-event JSON timeline to F\n"
       "                   (open in chrome://tracing or ui.perfetto.dev;\n"
@@ -124,7 +112,7 @@ void print_help() {
       "    --cache-mem M  shared-cache byte budget in MiB (default 256)\n"
       "    --cache-load F restore a cache snapshot before serving\n"
       "    --cache-save F write the cache snapshot on clean shutdown\n"
-      "    --simd K / --numa P / --backend B / --trace F / --metrics-out F\n"
+      "    --simd K / --trace F / --metrics-out F\n"
       "                   as above\n"
       "  serve keys (defaults for requests that do not override them):\n"
       "    seed terrain size weather ignition steps step_minutes noise\n"
@@ -199,28 +187,6 @@ simd::Mode require_simd_mode(const char* flag, const std::string& value) {
   return *mode;
 }
 
-parallel::NumaMode require_numa_mode(const char* flag,
-                                     const std::string& value) {
-  const auto mode = parallel::parse_numa_mode(value);
-  if (!mode) {
-    std::fprintf(stderr, "%s expects off|auto|on, got '%s'\n", flag,
-                 value.c_str());
-    std::exit(1);
-  }
-  return *mode;
-}
-
-firelib::SweepBackend require_backend(const char* flag,
-                                      const std::string& value) {
-  const auto backend = firelib::parse_sweep_backend(value);
-  if (!backend) {
-    std::fprintf(stderr, "%s expects scalar|batched, got '%s'\n", flag,
-                 value.c_str());
-    std::exit(1);
-  }
-  return *backend;
-}
-
 int run_campaign(int argc, char** argv) {
   service::CampaignConfig config;
   // Catalog files accumulate in flag order; inline catalog keys go after
@@ -243,9 +209,8 @@ int run_campaign(int argc, char** argv) {
     }
     if (arg == "--jobs" || arg == "--workers" || arg == "--cache" ||
         arg == "--cache-mem" || arg == "--cache-load" ||
-        arg == "--cache-save" || arg == "--simd" || arg == "--numa" ||
-        arg == "--backend" || arg == "--trace" || arg == "--metrics-out" ||
-        arg == "--catalog") {
+        arg == "--cache-save" || arg == "--simd" || arg == "--trace" ||
+        arg == "--metrics-out" || arg == "--catalog") {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "%s expects a value\n", arg.c_str());
         return 1;
@@ -270,10 +235,6 @@ int run_campaign(int argc, char** argv) {
         cache_save_path = value;
       } else if (arg == "--simd") {
         config.simd_mode = require_simd_mode("--simd", value);
-      } else if (arg == "--numa") {
-        config.numa_mode = require_numa_mode("--numa", value);
-      } else if (arg == "--backend") {
-        config.backend = require_backend("--backend", value);
       } else if (arg == "--trace") {
         config.trace_out = std::strcmp(value, "none") == 0 ? "" : value;
       } else if (arg == "--metrics-out") {
@@ -455,8 +416,8 @@ int run_serve(int argc, char** argv) {
     if (arg == "--host" || arg == "--port" || arg == "--port-file" ||
         arg == "--jobs" || arg == "--workers" || arg == "--queue" ||
         arg == "--cache-mem" || arg == "--cache-load" ||
-        arg == "--cache-save" || arg == "--simd" || arg == "--numa" ||
-        arg == "--backend" || arg == "--trace" || arg == "--metrics-out") {
+        arg == "--cache-save" || arg == "--simd" || arg == "--trace" ||
+        arg == "--metrics-out") {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "%s expects a value\n", arg.c_str());
         return 1;
@@ -493,10 +454,6 @@ int run_serve(int argc, char** argv) {
         config.cache_save = value;
       } else if (arg == "--simd") {
         config.simd_mode = require_simd_mode("--simd", value);
-      } else if (arg == "--numa") {
-        config.numa_mode = require_numa_mode("--numa", value);
-      } else if (arg == "--backend") {
-        config.backend = require_backend("--backend", value);
       } else if (arg == "--trace") {
         config.trace_out = std::strcmp(value, "none") == 0 ? "" : value;
       } else {
@@ -636,22 +593,6 @@ int run_single(int argc, char** argv) {
         return 1;
       }
       config_text << "simd=" << argv[++i] << '\n';
-      continue;
-    }
-    if (std::strcmp(argv[i], "--numa") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--numa expects a value\n");
-        return 1;
-      }
-      config_text << "numa=" << argv[++i] << '\n';
-      continue;
-    }
-    if (std::strcmp(argv[i], "--backend") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--backend expects a value\n");
-        return 1;
-      }
-      config_text << "backend=" << argv[++i] << '\n';
       continue;
     }
     if (std::strcmp(argv[i], "--trace") == 0) {

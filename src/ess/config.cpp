@@ -106,20 +106,6 @@ RunSpec parse_run_spec(std::istream& in) {
             "config key 'simd' expects auto|avx2|scalar, got: " + value);
       spec.simd_mode = *mode;
     }
-    else if (key == "numa") {
-      const auto mode = parallel::parse_numa_mode(value);
-      if (!mode)
-        throw InvalidArgument(
-            "config key 'numa' expects off|auto|on, got: " + value);
-      spec.numa_mode = *mode;
-    }
-    else if (key == "backend") {
-      const auto backend = firelib::parse_sweep_backend(value);
-      if (!backend)
-        throw InvalidArgument(
-            "config key 'backend' expects scalar|batched, got: " + value);
-      spec.backend = *backend;
-    }
     else if (key == "trace")
       spec.trace_out = value == "none" ? "" : value;
     else if (key == "metrics_out")
@@ -229,8 +215,6 @@ PipelineResult run_spec(const RunSpec& spec) {
   config.cache_policy = spec.cache_policy;
   config.cache_mem_bytes = spec.cache_mem_mb << 20;
   config.simd_mode = spec.simd_mode;
-  config.numa_mode = spec.numa_mode;
-  config.backend = spec.backend;
   PredictionPipeline pipeline(workload.environment, truth, config);
   auto optimizer = make_optimizer(spec);
   PipelineResult result = pipeline.run(*optimizer, rng);

@@ -16,8 +16,6 @@
 //   cache      off | step | shared — scenario memoization policy (step)
 //   cache_mem  shared-cache byte budget, MiB      (256)
 //   simd       auto | avx2 | scalar — relax-kernel selection (auto)
-//   numa       off | auto | on — NUMA-aware worker placement (auto)
-//   backend    scalar | batched — sweep backend (scalar)
 //   trace      Chrome trace-event JSON output path, or none (none)
 //   metrics_out  metrics JSON output path, or none   (none)
 // Lines starting with '#' and blank lines are ignored.
@@ -31,9 +29,7 @@
 #include "cache/scenario_cache.hpp"
 #include "common/simd.hpp"
 #include "ess/monitor.hpp"
-#include "firelib/batch_sweep.hpp"
 #include "ess/optimizer.hpp"
-#include "parallel/affinity.hpp"
 #include "synth/workloads.hpp"
 
 namespace essns::ess {
@@ -55,10 +51,6 @@ struct RunSpec {
   std::size_t cache_mem_mb = 256;  ///< shared-cache byte budget (MiB)
   /// Relax-kernel selection (results bit-identical at any setting).
   simd::Mode simd_mode = simd::Mode::kAuto;
-  /// NUMA-aware worker placement (performance-only).
-  parallel::NumaMode numa_mode = parallel::NumaMode::kAuto;
-  /// Sweep backend (results bit-identical at any setting).
-  firelib::SweepBackend backend = firelib::SweepBackend::kScalar;
   /// Chrome trace-event JSON output path ("" or "none" = off). Results are
   /// bit-identical with tracing on or off (property-tested).
   std::string trace_out;

@@ -84,24 +84,13 @@ class ScenarioEvaluator {
   unsigned workers() const { return service_.workers(); }
   std::size_t simulations_run() const { return service_.simulations_run(); }
 
-  /// Sweep-backend knob (see SimulationService::set_backend): kBatched runs
-  /// homogeneous simulation batches as one BatchSweep launch. Performance
-  /// only — results are bit-identical at any setting.
-  void set_backend(firelib::SweepBackend backend) {
-    service_.set_backend(backend);
-  }
-  firelib::SweepBackend backend() const { return service_.backend(); }
   std::size_t batch_dedup_hits() const { return service_.batch_dedup_hits(); }
 
-  /// Relax-kernel and NUMA-placement knobs (see SimulationService); both
-  /// are performance-only — results are bit-identical at any setting.
+  /// Relax-kernel knob (see SimulationService); performance-only — results
+  /// are bit-identical at any setting.
   void set_simd_mode(simd::Mode mode) { service_.set_simd_mode(mode); }
   simd::Mode simd_mode() const { return service_.simd_mode(); }
   simd::Isa simd_isa() const { return service_.simd_isa(); }
-  void set_numa_mode(parallel::NumaMode mode) { service_.set_numa_mode(mode); }
-  parallel::NumaMode numa_mode() const { return service_.numa_mode(); }
-  bool numa_active() const { return service_.numa_active(); }
-  std::size_t workers_pinned() const { return service_.workers_pinned(); }
 
   /// Scenario-cache controls and counters (see SimulationService).
   void set_cache_policy(cache::CachePolicy policy) {

@@ -101,8 +101,6 @@ PipelineResult PredictionPipeline::run(Optimizer& optimizer, Rng& rng) {
 
   ScenarioEvaluator evaluator(*env_, config_.workers);
   evaluator.set_simd_mode(config_.simd_mode);
-  evaluator.set_numa_mode(config_.numa_mode);
-  evaluator.set_backend(config_.backend);
   evaluator.set_cache_policy(config_.cache_policy);
   if (config_.cache_policy == cache::CachePolicy::kShared) {
     evaluator.set_cache_mem_bytes(config_.cache_mem_bytes);

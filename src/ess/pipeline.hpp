@@ -57,11 +57,6 @@ struct PipelineConfig {
   /// Relax-kernel selection for every sweep the pipeline runs (bit-identical
   /// at any setting; kAuto resolves to AVX2 when the host supports it).
   simd::Mode simd_mode = simd::Mode::kAuto;
-  /// NUMA-aware worker placement (kAuto pins only on multi-node hosts).
-  parallel::NumaMode numa_mode = parallel::NumaMode::kAuto;
-  /// Sweep backend: kBatched runs homogeneous simulation batches as one
-  /// BatchSweep launch (bit-identical at any setting).
-  firelib::SweepBackend backend = firelib::SweepBackend::kScalar;
 };
 
 /// One predicted step (predicting t_{step} from data through t_{step-1}).

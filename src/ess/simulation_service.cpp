@@ -1,6 +1,5 @@
 #include "ess/simulation_service.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <cstring>
 
@@ -15,7 +14,7 @@ SimulationService::SimulationService(const firelib::FireEnvironment& env,
     : env_(&env), propagator_(spread_model_) {
   ESSNS_REQUIRE(workers >= 1, "need at least one worker");
   workspaces_.resize(workers > 1 ? workers + 1 : 1);
-  worker_placed_.assign(workspaces_.size(), 0);
+  worker_named_.assign(workspaces_.size(), 0);
   if (workers > 1) {
     pool_ = std::make_unique<
         parallel::MasterWorker<const firelib::Scenario*, SimulationResult>>(
@@ -93,44 +92,15 @@ simd::Isa SimulationService::simd_isa() const {
   return propagator_.simd_isa();
 }
 
-void SimulationService::set_numa_mode(parallel::NumaMode mode) {
-  numa_mode_ = mode;
-  std::fill(worker_placed_.begin(), worker_placed_.end(), 0);
-}
-
-bool SimulationService::numa_active() const {
-  return parallel::numa_pinning_active(numa_mode_,
-                                       parallel::system_numa_topology());
-}
-
-std::size_t SimulationService::numa_nodes() const {
-  return parallel::system_numa_topology().node_count();
-}
-
-void SimulationService::place_worker(unsigned worker_id) {
-  if (worker_placed_[worker_id]) return;
-  worker_placed_[worker_id] = 1;
-  // First touch by this worker on its own thread: label its trace lane
-  // (worker 0 is the master thread, named by the session owner).
-  if (worker_id > 0)
-    obs::set_thread_name("sim-worker-" + std::to_string(worker_id));
-  const parallel::NumaTopology& topology = parallel::system_numa_topology();
-  if (!parallel::numa_pinning_active(numa_mode_, topology)) return;
-  if (worker_id > 0) {
-    const std::size_t node =
-        parallel::node_for_worker(topology, worker_id - 1);
-    if (parallel::pin_current_thread_to_cpus(topology.nodes[node].cpus))
-      workers_pinned_.fetch_add(1, std::memory_order_relaxed);
-  }
-  // First-touch every slab from the (now pinned) owning thread, so the
-  // pages are committed on this worker's node before the first sweep.
-  workspaces_[worker_id].prefault(env_->rows(), env_->cols());
+void SimulationService::name_worker(unsigned worker_id) {
+  if (worker_id == 0 || worker_named_[worker_id]) return;
+  worker_named_[worker_id] = 1;
+  obs::set_thread_name("sim-worker-" + std::to_string(worker_id));
 }
 
 firelib::IgnitionMap SimulationService::simulate(
     const firelib::Scenario& scenario, const firelib::IgnitionMap& start,
     double end_time) {
-  place_worker(0);
   simulations_.fetch_add(1, std::memory_order_relaxed);
   ESSNS_TRACE_SPAN("simulate");
   return propagator_.propagate(*env_, scenario, start, end_time,
@@ -139,7 +109,7 @@ firelib::IgnitionMap SimulationService::simulate(
 
 SimulationResult SimulationService::run_one(unsigned worker_id,
                                             const firelib::Scenario& scenario) {
-  place_worker(worker_id);
+  name_worker(worker_id);
   simulations_.fetch_add(1, std::memory_order_relaxed);
   obs::SpanTimer sim_timer("simulate");
   firelib::PropagationWorkspace& workspace = workspaces_[worker_id];
@@ -162,49 +132,11 @@ std::vector<SimulationResult> SimulationService::run_batch_uncached(
   if (obs::metrics_enabled())
     obs::record_histogram("sweep.batch_size",
                           static_cast<double>(scenarios.size()));
-  if (backend_ == firelib::SweepBackend::kBatched &&
-      !propagator_.reference_sweep())
-    return run_batch_batched(scenarios);
   if (pool_) return pool_->evaluate(scenarios);
   std::vector<SimulationResult> results;
   results.reserve(scenarios.size());
   for (const firelib::Scenario* scenario : scenarios)
     results.push_back(run_one(0, *scenario));
-  return results;
-}
-
-std::vector<SimulationResult> SimulationService::run_batch_batched(
-    const std::vector<const firelib::Scenario*>& scenarios) {
-  // One launch on the calling thread — the GPU-shaped execution model the
-  // backend enum is the on-ramp for (a device backend submits here too).
-  place_worker(0);
-  if (!batch_engine_)
-    batch_engine_ = std::make_unique<firelib::BatchSweep>(spread_model_);
-  batch_engine_->set_simd_mode(propagator_.simd_mode());
-
-  obs::SpanTimer batch_timer("sim.batch");
-  const std::vector<firelib::IgnitionMap> maps = batch_engine_->sweep(
-      *env_, scenarios, *context_.start, context_.end_time);
-  const double batch_seconds = batch_timer.stop();
-  // Cost attribution for the shared cache's eviction weighting: the launch
-  // is one unit of work, split evenly (a perf heuristic, not a result).
-  const double per_sim_seconds =
-      batch_seconds / static_cast<double>(scenarios.size());
-  simulations_.fetch_add(scenarios.size(), std::memory_order_relaxed);
-
-  std::vector<SimulationResult> results(scenarios.size());
-  for (std::size_t i = 0; i < scenarios.size(); ++i) {
-    // The batch engine emits maps; pack each once at the launch's horizon.
-    results[i].burned = firelib::burned_cells(maps[i], context_.end_time);
-    if (context_.scoring)
-      results[i].fitness = jaccard(*context_.scoring, results[i].burned);
-    results[i].sim_seconds = per_sim_seconds;
-  }
-  if (obs::metrics_enabled()) {
-    obs::add_counter("sim.count", scenarios.size());
-    for (std::size_t i = 0; i < scenarios.size(); ++i)
-      obs::record_histogram("sim.seconds", per_sim_seconds);
-  }
   return results;
 }
 

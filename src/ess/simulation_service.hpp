@@ -64,10 +64,8 @@
 #include "ess/fitness.hpp"
 #include "ess/observation.hpp"
 #include "ess/statistical.hpp"
-#include "firelib/batch_sweep.hpp"
 #include "firelib/environment.hpp"
 #include "firelib/propagator.hpp"
-#include "parallel/affinity.hpp"
 #include "parallel/master_worker.hpp"
 
 namespace essns::ess {
@@ -203,20 +201,9 @@ class SimulationService {
   /// baselines.
   void set_reference_kernels(bool reference);
 
-  /// Select the sweep backend (default kScalar). kBatched routes each
-  /// simulation batch (one start map and horizon, like every batch)
-  /// through one firelib::BatchSweep launch on the calling thread: grouped
-  /// travel-time tables built once per batch, per-scenario state striped
-  /// through one super-slab. In-batch duplicates are deduped by ScenarioKey
-  /// before the batch engine runs (the cache paths' scheduling), so GA
-  /// duplicate-heavy batches become smaller launches. Results are bit-identical to kScalar
-  /// at any worker count; reference-kernel runs keep the per-scenario path.
-  void set_backend(firelib::SweepBackend backend) { backend_ = backend; }
-  firelib::SweepBackend backend() const { return backend_; }
-
-  /// Requests served by an in-batch duplicate (the dedup that shrinks
-  /// batched launches); a subset of cache_hits(). Also flushed to the obs
-  /// registry as `sweep.batch_dedup_hits`.
+  /// Requests served by an in-batch duplicate (simulated once, however
+  /// often the batch repeats it); a subset of cache_hits(). Also flushed to
+  /// the obs registry as `sweep.batch_dedup_hits`.
   std::size_t batch_dedup_hits() const { return batch_dedup_hits_; }
 
   /// Select the propagator's sweep-queue discipline (default kDial). Heap
@@ -232,23 +219,6 @@ class SimulationService {
   simd::Mode simd_mode() const;
   /// What the mode resolved to on this host (runtime dispatch result).
   simd::Isa simd_isa() const;
-
-  /// NUMA-aware worker placement (default kAuto: active only on hosts with
-  /// more than one node). When active, each pool worker pins itself to its
-  /// round-robin node's cpuset at its first task and first-touches every
-  /// slab of its PropagationWorkspace (prefault), so workspace pages live
-  /// on the worker's node under Linux's first-touch policy. Placement is a
-  /// scheduling hint only — results are bit-identical at any setting.
-  /// Setting a mode re-arms placement; it takes effect at each worker's
-  /// next task.
-  void set_numa_mode(parallel::NumaMode mode);
-  parallel::NumaMode numa_mode() const { return numa_mode_; }
-  /// Whether the current mode pins on this host's topology.
-  bool numa_active() const;
-  /// NUMA nodes the placement round-robins over.
-  std::size_t numa_nodes() const;
-  /// Pool workers that successfully pinned so far (master never pins).
-  std::size_t workers_pinned() const { return workers_pinned_.load(); }
 
   /// One simulation on the calling thread (master workspace).
   firelib::IgnitionMap simulate(const firelib::Scenario& scenario,
@@ -303,21 +273,14 @@ class SimulationService {
     bool valid = false;
   };
 
-  /// Lazy one-shot placement of workspace slot `worker_id` on its owning
-  /// thread: pool workers (id > 0) pin to their node's cpuset, then every
-  /// slot prefaults its workspace so first-touch lands post-pin. Each slot
-  /// is only ever touched by its own thread, so no synchronization beyond
-  /// the pinned-worker counter.
-  void place_worker(unsigned worker_id);
+  /// Name pool worker `worker_id`'s trace lane on its first task, from its
+  /// own thread (the master thread is named by the session owner).
+  void name_worker(unsigned worker_id);
   /// Simulate one scenario of the current context in workspace
   /// `worker_id`.
   SimulationResult run_one(unsigned worker_id,
                            const firelib::Scenario& scenario);
   std::vector<SimulationResult> run_batch_uncached(
-      const std::vector<const firelib::Scenario*>& scenarios);
-  /// One BatchSweep launch over the (already deduped) scenarios of the
-  /// current context.
-  std::vector<SimulationResult> run_batch_batched(
       const std::vector<const firelib::Scenario*>& scenarios);
   /// Every batch: under kOff simulate all; under kStep / kShared dedup,
   /// serve hits and simulate the rest.
@@ -349,21 +312,15 @@ class SimulationService {
   /// workspaces_[0] belongs to the calling thread; pool worker `id` uses
   /// workspaces_[id + 1].
   std::vector<firelib::PropagationWorkspace> workspaces_;
-  /// worker_placed_[id]: slot id has run its one-shot placement. Written
-  /// only by the slot's owning thread; reset (master-side, between batches)
-  /// by set_numa_mode.
-  std::vector<std::uint8_t> worker_placed_;
-  parallel::NumaMode numa_mode_ = parallel::NumaMode::kAuto;
-  std::atomic<std::size_t> workers_pinned_{0};
+  /// worker_named_[id]: slot id's thread has named its trace lane.
+  /// Written only by the slot's owning thread.
+  std::vector<std::uint8_t> worker_named_;
   mutable std::atomic<std::size_t> simulations_{0};
   std::unique_ptr<parallel::MasterWorker<const firelib::Scenario*,
                                          SimulationResult>>
       pool_;
 
   cache::CachePolicy cache_policy_ = cache::CachePolicy::kStep;
-  firelib::SweepBackend backend_ = firelib::SweepBackend::kScalar;
-  /// Lazily created on the first batched launch; master-thread only.
-  std::unique_ptr<firelib::BatchSweep> batch_engine_;
   std::size_t batch_dedup_hits_ = 0;
 
   // The step store: one context's worth of simulated scenarios.

@@ -271,41 +271,6 @@ class DialSweepQueue {
 
 }  // namespace
 
-void PropagationWorkspace::prefault(int rows, int cols) {
-  ESSNS_REQUIRE(rows > 0 && cols > 0, "prefault dimensions must be positive");
-  const std::size_t cells =
-      static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols);
-
-  // The map and per-cell slabs: sized exactly as a sweep would size them,
-  // written through so every page is touched.
-  if (times_.rows() != rows || times_.cols() != cols)
-    times_ = IgnitionMap(rows, cols, kNeverIgnited);
-  else
-    times_.fill(kNeverIgnited);
-  cell_epoch_.assign(cells, 0);
-  burned_ = BurnedCells{rows, cols,
-                        std::vector<std::uint64_t>(burned_words(cells), 0)};
-  // Terrain slabs: committed here, refilled by the first DEM sweep.
-  slope_ratio_.assign(cells, 0.0);
-  upslope_deg_.assign(cells, 0.0);
-  terrain_id_ = 0;
-
-  // Queue storage. The heap and dial arenas are capacity-only in steady
-  // state, so commit their pages with a throwaway fill, then clear — the
-  // capacity (and the now-local pages) survive. Bucket slabs mirror
-  // DialSweepQueue's sizing; dial_dirty_ stays true so the next sweep
-  // re-initializes heads and occupancy words exactly as after growth.
-  heap_.assign(cells, HeapEntry{});
-  heap_.clear();
-  dial_entries_.assign(cells, DialEntry{});
-  dial_entries_.clear();
-  const std::size_t num_buckets =
-      std::clamp<std::size_t>(cells, 64, std::size_t{1} << 16);
-  bucket_head_.assign(num_buckets, kNilEntry);
-  bucket_bits_.assign((num_buckets + 63) / 64, 0);
-  dial_dirty_ = true;
-}
-
 Grid<std::uint8_t> burned_mask(const IgnitionMap& map, double time_min) {
   ESSNS_REQUIRE(std::isfinite(time_min),
                 "burned query time must be finite (never-ignited cells hold "

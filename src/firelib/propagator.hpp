@@ -103,15 +103,6 @@ class PropagationWorkspace {
   /// burned_cells(last_map(), horizon_min), without that pass.
   const BurnedCells& last_burned() const { return burned_; }
 
-  /// Size and write through every slab a rows x cols sweep will touch
-  /// (times, epochs, dial buckets and arena, heap, DEM terrain fields), so
-  /// the backing pages are committed from the calling thread. NUMA-aware
-  /// placement calls this from the pinned owning worker at startup: under
-  /// Linux's default first-touch policy all hot memory then lives on the
-  /// worker's node. Results are unaffected — every slab is (re-)initialized
-  /// by the sweep exactly as if it had grown lazily.
-  void prefault(int rows, int cols);
-
   /// Queue entry types (public so the sweep-queue policies in propagator.cpp
   /// can name them; the storage itself stays private).
   struct HeapEntry {

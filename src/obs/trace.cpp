@@ -179,7 +179,8 @@ std::string TraceRecorder::chrome_json() const {
                   static_cast<double>(event.dur_ns) * 1e-3);
     append(line);
   }
-  json += "\n  ]\n}\n";
+  json += "\n  ],\n  \"otherData\": {\"dropped_events\": " +
+          std::to_string(dropped()) + "}\n}\n";
   return json;
 }
 

@@ -104,7 +104,9 @@ class TraceRecorder {
 
   /// Chrome trace-event JSON ("traceEvents" array of "X" complete events
   /// plus "M" thread-name metadata; ts/dur in microseconds rebased to the
-  /// earliest retained event).
+  /// earliest retained event), with dropped() as
+  /// "otherData": {"dropped_events": N} so a reader can tell a wrapped
+  /// ring from a quiet thread.
   std::string chrome_json() const;
   /// chrome_json() to a file; throws IoError when the file cannot be
   /// written.

@@ -103,8 +103,6 @@ void Server::start() {
   engine_config.queue_capacity = config_.queue_capacity;
   engine_config.shared_cache = std::move(cache);
   engine_config.simd_mode = config_.simd_mode;
-  engine_config.numa_mode = config_.numa_mode;
-  engine_config.backend = config_.backend;
   engine_config.trace_out = config_.trace_out;
   engine_config.metrics_out = config_.metrics_out;
   // The metrics verb scrapes the registry live, so install one even when no

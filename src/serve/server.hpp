@@ -63,9 +63,6 @@ struct ServeConfig {
   std::size_t queue_capacity = 16;
   std::size_t cache_mem_bytes = cache::kDefaultCacheBytes;
   simd::Mode simd_mode = simd::Mode::kAuto;
-  parallel::NumaMode numa_mode = parallel::NumaMode::kAuto;
-  /// Sweep backend for every job (bit-identical at any setting).
-  firelib::SweepBackend backend = firelib::SweepBackend::kScalar;
   std::string trace_out;
   std::string metrics_out;
 

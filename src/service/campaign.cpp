@@ -171,8 +171,6 @@ JobRecord CampaignScheduler::run_job(
     pipeline_config.cache_mem_bytes = config_.cache_mem_bytes;
     pipeline_config.shared_cache = shared_cache;
     pipeline_config.simd_mode = config_.simd_mode;
-    pipeline_config.numa_mode = config_.numa_mode;
-    pipeline_config.backend = config_.backend;
     ess::PredictionPipeline pipeline(workload.environment, truth,
                                      pipeline_config);
 
@@ -221,8 +219,6 @@ CampaignResult CampaignScheduler::run(
   if (config_.cache_policy == cache::CachePolicy::kShared)
     engine_config.shared_cache = config_.shared_cache;
   engine_config.simd_mode = config_.simd_mode;
-  engine_config.numa_mode = config_.numa_mode;
-  engine_config.backend = config_.backend;
   engine_config.trace_out = config_.trace_out;
   engine_config.metrics_out = config_.metrics_out;
   engine_config.on_job_done = config_.on_job_done;

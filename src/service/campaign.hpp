@@ -68,12 +68,6 @@ struct CampaignConfig {
   /// Relax-kernel selection for every job's sweeps (bit-identical at any
   /// setting; kAuto resolves to AVX2 when the host supports it).
   simd::Mode simd_mode = simd::Mode::kAuto;
-  /// NUMA-aware worker placement for every job's simulation workers
-  /// (kAuto pins only on multi-node hosts).
-  parallel::NumaMode numa_mode = parallel::NumaMode::kAuto;
-  /// Sweep backend for every job's simulation batches (bit-identical at any
-  /// setting; kBatched runs homogeneous batches as one BatchSweep launch).
-  firelib::SweepBackend backend = firelib::SweepBackend::kScalar;
 
   /// Chrome trace-event JSON output path ("" or "none" = tracing off).
   /// When set, run() records spans campaign-wide — jobs x pipeline stages x

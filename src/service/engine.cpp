@@ -71,8 +71,7 @@ const char* to_string(Admission admission) {
 JobRecord run_prediction_job(
     const synth::Workload& workload, std::size_t index,
     std::uint64_t campaign_seed, unsigned workers, const JobSpec& spec,
-    simd::Mode simd_mode, parallel::NumaMode numa_mode,
-    firelib::SweepBackend backend,
+    simd::Mode simd_mode, parallel::NumaMode, firelib::SweepBackend,
     const std::shared_ptr<cache::SharedScenarioCache>& shared_cache) {
   JobRecord record;
   record.index = index;
@@ -109,8 +108,6 @@ JobRecord run_prediction_job(
         spec.cache_policy == cache::CachePolicy::kShared ? shared_cache
                                                          : nullptr;
     pipeline_config.simd_mode = simd_mode;
-    pipeline_config.numa_mode = numa_mode;
-    pipeline_config.backend = backend;
     ess::PredictionPipeline pipeline(
         workload.environment, ess::Observations(digest, truth.fire_lines),
         pipeline_config);
@@ -287,8 +284,8 @@ void PredictionEngine::slot_loop(unsigned slot) {
       record = run_prediction_job(
           *pending.request.workload, pending.request.index,
           pending.request.campaign_seed, pending.request.workers,
-          pending.request.spec, config_.simd_mode, config_.numa_mode,
-          config_.backend, cache_);
+          pending.request.spec, config_.simd_mode, parallel::NumaMode::kAuto,
+          firelib::SweepBackend::kScalar, cache_);
     }
     finish_job(pending, std::move(record));
     {

@@ -55,6 +55,11 @@
 #include "parallel/thread_pool.hpp"
 #include "synth/workloads.hpp"
 
+// perfbench/tool.cpp still passes these to run_prediction_job; they select
+// nothing.
+namespace essns::parallel { enum class NumaMode { kAuto }; }
+namespace essns::firelib { enum class SweepBackend { kScalar }; }
+
 namespace essns::service {
 
 enum class JobStatus { kSucceeded, kFailed };
@@ -140,8 +145,7 @@ struct JobRequest {
 JobRecord run_prediction_job(
     const synth::Workload& workload, std::size_t index,
     std::uint64_t campaign_seed, unsigned workers, const JobSpec& spec,
-    simd::Mode simd_mode, parallel::NumaMode numa_mode,
-    firelib::SweepBackend backend,
+    simd::Mode simd_mode, parallel::NumaMode, firelib::SweepBackend,
     const std::shared_ptr<cache::SharedScenarioCache>& shared_cache);
 
 struct EngineConfig {
@@ -157,10 +161,6 @@ struct EngineConfig {
   /// makes the engine create a fresh one.
   std::shared_ptr<cache::SharedScenarioCache> shared_cache;
   simd::Mode simd_mode = simd::Mode::kAuto;
-  parallel::NumaMode numa_mode = parallel::NumaMode::kAuto;
-  /// Sweep backend every slot runs its jobs with (bit-identical at any
-  /// setting).
-  firelib::SweepBackend backend = firelib::SweepBackend::kScalar;
   /// Chrome trace-event JSON output path ("" or "none" = tracing off);
   /// written when the engine is destroyed.
   std::string trace_out;

@@ -146,6 +146,23 @@ TEST(CliFlags, UnknownFlagFailsWithClearMessageInEveryMode) {
   EXPECT_NE(shard_worker.err.find("unknown flag '--shard-worker'"),
             std::string::npos)
       << shard_worker.err;
+
+  // The retired sweep-backend and NUMA-placement knobs are unknown flags
+  // in every mode, not silently accepted.
+  for (const std::string retired : {"--backend", "--numa"}) {
+    for (const std::vector<std::string>& prefix :
+         {std::vector<std::string>{}, std::vector<std::string>{"campaign"},
+          std::vector<std::string>{"serve"}}) {
+      std::vector<std::string> args = prefix;
+      args.push_back(retired);
+      args.push_back(retired == "--backend" ? "scalar" : "auto");
+      const RunResult result = run_cli(args);
+      EXPECT_EQ(result.exit_code, 1) << retired;
+      EXPECT_NE(result.err.find("unknown flag '" + retired + "'"),
+                std::string::npos)
+          << result.err;
+    }
+  }
 }
 
 TEST(CliFlags, ValuedFlagWithoutValueFails) {

@@ -22,7 +22,6 @@ namespace essns::ess {
 namespace {
 
 using cache::CachePolicy;
-using firelib::SweepBackend;
 
 /// The maps `set` burns from `start` to `end_time`, one simulate() each on an
 /// uncached service.
@@ -170,7 +169,7 @@ TEST_F(BurnProbabilityTest, ForeignStartOrHorizonSimulates) {
 
 TEST_F(BurnProbabilityTest, FitnessBatchesReturnBurnedCellsOfSimulatedRequests) {
   // Every path that simulates a fitness request hands back its burned
-  // cells: the scalar and batched sweeps, the step and shared cache paths,
+  // cells: the uncached, step and shared cache paths,
   // and in-batch duplicates served by one scheduled simulation. Requests a
   // cache served without simulating carry none.
   Rng rng(41);
@@ -183,32 +182,25 @@ TEST_F(BurnProbabilityTest, FitnessBatchesReturnBurnedCellsOfSimulatedRequests) 
 
   for (const CachePolicy policy :
        {CachePolicy::kOff, CachePolicy::kStep, CachePolicy::kShared}) {
-    for (const SweepBackend backend :
-         {SweepBackend::kScalar, SweepBackend::kBatched}) {
-      for (const unsigned workers : {1u, 4u}) {
-        SCOPED_TRACE(testing::Message()
-                     << cache::to_string(policy) << " "
-                     << firelib::to_string(backend) << " w" << workers);
-        SimulationService service(workload_.environment, workers);
-        service.set_cache_policy(policy);
-        service.set_backend(backend);
-        const std::vector<SimulationRequest> requests =
-            fitness_requests(batch, line(0), line(1), 0.0, t1);
-        std::vector<SimulationResult> results = service.run_batch(requests);
-        ASSERT_EQ(results.size(), batch.size());
-        for (std::size_t i = 0; i < batch.size(); ++i)
-          EXPECT_EQ(results[i].burned, oracle::pack_burned(maps[i], t1))
-              << i;
+    for (const unsigned workers : {1u, 4u}) {
+      SCOPED_TRACE(testing::Message()
+                   << cache::to_string(policy) << " w" << workers);
+      SimulationService service(workload_.environment, workers);
+      service.set_cache_policy(policy);
+      const std::vector<SimulationRequest> requests =
+          fitness_requests(batch, line(0), line(1), 0.0, t1);
+      std::vector<SimulationResult> results = service.run_batch(requests);
+      ASSERT_EQ(results.size(), batch.size());
+      for (std::size_t i = 0; i < batch.size(); ++i)
+        EXPECT_EQ(results[i].burned, oracle::pack_burned(maps[i], t1)) << i;
 
-        results = service.run_batch(requests);
-        ASSERT_EQ(results.size(), batch.size());
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-          if (policy == CachePolicy::kOff)
-            EXPECT_EQ(results[i].burned, oracle::pack_burned(maps[i], t1))
-                << i;
-          else
-            EXPECT_TRUE(results[i].burned.empty()) << "cache hit " << i;
-        }
+      results = service.run_batch(requests);
+      ASSERT_EQ(results.size(), batch.size());
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        if (policy == CachePolicy::kOff)
+          EXPECT_EQ(results[i].burned, oracle::pack_burned(maps[i], t1)) << i;
+        else
+          EXPECT_TRUE(results[i].burned.empty()) << "cache hit " << i;
       }
     }
   }
@@ -248,7 +240,6 @@ struct ReuseCase {
   const char* name;
   CachePolicy policy;
   unsigned workers;
-  SweepBackend backend;
 };
 
 // gtest prints the parameter into the test name ctest registers.
@@ -262,7 +253,6 @@ TEST_P(StatisticalStageReuse, RunsNoSimulationsForTheStepsOwnSolutions) {
   const ReuseCase& c = GetParam();
   ScenarioEvaluator evaluator(workload_.environment, c.workers);
   evaluator.set_cache_policy(c.policy);
-  evaluator.set_backend(c.backend);
   const auto& space = firelib::ScenarioSpace::table1();
   core::NsGaConfig ns;
   ns.population_size = 8;
@@ -362,7 +352,6 @@ TEST_P(StatisticalStageReuse, PipelineMatchesPreReuseStages) {
   config.stop = {4, 0.95};
   config.cache_policy = c.policy;
   config.workers = c.workers;
-  config.backend = c.backend;
   PredictionPipeline pipeline(workload_.environment, truth_, config);
   NsGaOptimizer optimizer(ns);
   Rng rng(37);
@@ -385,28 +374,12 @@ TEST_P(StatisticalStageReuse, PipelineMatchesPreReuseStages) {
 INSTANTIATE_TEST_SUITE_P(
     PoliciesWorkersBackends, StatisticalStageReuse,
     ::testing::Values(
-        ReuseCase{"off_w1_scalar", CachePolicy::kOff, 1, SweepBackend::kScalar},
-        ReuseCase{"off_w4_scalar", CachePolicy::kOff, 4, SweepBackend::kScalar},
-        ReuseCase{"off_w1_batched", CachePolicy::kOff, 1,
-                  SweepBackend::kBatched},
-        ReuseCase{"off_w4_batched", CachePolicy::kOff, 4,
-                  SweepBackend::kBatched},
-        ReuseCase{"step_w1_scalar", CachePolicy::kStep, 1,
-                  SweepBackend::kScalar},
-        ReuseCase{"step_w4_scalar", CachePolicy::kStep, 4,
-                  SweepBackend::kScalar},
-        ReuseCase{"step_w1_batched", CachePolicy::kStep, 1,
-                  SweepBackend::kBatched},
-        ReuseCase{"step_w4_batched", CachePolicy::kStep, 4,
-                  SweepBackend::kBatched},
-        ReuseCase{"shared_w1_scalar", CachePolicy::kShared, 1,
-                  SweepBackend::kScalar},
-        ReuseCase{"shared_w4_scalar", CachePolicy::kShared, 4,
-                  SweepBackend::kScalar},
-        ReuseCase{"shared_w1_batched", CachePolicy::kShared, 1,
-                  SweepBackend::kBatched},
-        ReuseCase{"shared_w4_batched", CachePolicy::kShared, 4,
-                  SweepBackend::kBatched}));
+        ReuseCase{"off_w1_scalar", CachePolicy::kOff, 1},
+        ReuseCase{"off_w4_scalar", CachePolicy::kOff, 4},
+        ReuseCase{"step_w1_scalar", CachePolicy::kStep, 1},
+        ReuseCase{"step_w4_scalar", CachePolicy::kStep, 4},
+        ReuseCase{"shared_w1_scalar", CachePolicy::kShared, 1},
+        ReuseCase{"shared_w4_scalar", CachePolicy::kShared, 4}));
 
 }  // namespace
 }  // namespace essns::ess

@@ -93,6 +93,18 @@ TEST(RunSpecTest, RejectsMalformedLines) {
   EXPECT_THROW(parse_run_spec("method=nope"), InvalidArgument);
   EXPECT_THROW(parse_run_spec("workload=mars"), InvalidArgument);
   EXPECT_THROW(parse_run_spec("size=4"), InvalidArgument);  // below minimum
+  // The retired sweep-backend and NUMA-placement keys fail as unknown keys,
+  // even at what used to be their defaults.
+  for (const char* retired : {"backend=scalar", "numa=auto"}) {
+    try {
+      (void)parse_run_spec(retired);
+      ADD_FAILURE() << retired << " parsed";
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown config key"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(RunSpecTest, RejectsStrtolLeniencies) {

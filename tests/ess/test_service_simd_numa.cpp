@@ -1,7 +1,6 @@
-// Service-level contracts for the SIMD relax-kernel and NUMA placement
-// knobs: neither may ever change a result bit, at any worker count or mode
-// combination; pinning/prefault bookkeeping must behave as documented; and
-// the `simd=` / `numa=` RunSpec keys must parse into the knobs.
+// Service-level contracts for the SIMD relax-kernel knob: it may never
+// change a result bit, at any worker count or mode, and the `simd=` RunSpec
+// key must parse into it.
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
@@ -68,83 +67,13 @@ TEST_F(ServiceSimdNumaTest, FitnessBitIdenticalAcrossSimdModes) {
   }
 }
 
-TEST_F(ServiceSimdNumaTest, NumaModesNeverChangeResults) {
-  SimulationService oracle(workload_.environment, 1);
-  oracle.set_numa_mode(parallel::NumaMode::kOff);
-  const std::vector<double> expected = fitness_with(oracle);
-
-  for (const parallel::NumaMode mode :
-       {parallel::NumaMode::kOff, parallel::NumaMode::kAuto,
-        parallel::NumaMode::kOn}) {
-    for (unsigned workers : {1u, 4u}) {
-      SCOPED_TRACE(std::string(parallel::to_string(mode)) + " workers=" +
-                   std::to_string(workers));
-      SimulationService service(workload_.environment, workers);
-      service.set_numa_mode(mode);
-      const std::vector<double> fitness = fitness_with(service);
-      ASSERT_EQ(fitness.size(), expected.size());
-      for (std::size_t i = 0; i < fitness.size(); ++i)
-        EXPECT_EQ(fitness[i], expected[i]);
-    }
-  }
-}
-
-TEST_F(ServiceSimdNumaTest, NumaOnPinsPoolWorkersButNeverTheMaster) {
-  SimulationService service(workload_.environment, 4);
-  service.set_numa_mode(parallel::NumaMode::kOn);
-  EXPECT_TRUE(service.numa_active());  // kOn pins even on one node
-  EXPECT_GE(service.numa_nodes(), 1u);
-  EXPECT_EQ(service.workers_pinned(), 0u);  // placement is lazy
-  fitness_with(service);
-#if defined(__linux__)
-  // Every pool worker that ran a task pinned; the batch of 10 over 4
-  // workers touches all of them. The master (calling thread) never pins.
-  EXPECT_GE(service.workers_pinned(), 1u);
-  EXPECT_LE(service.workers_pinned(), 4u);
-#else
-  EXPECT_EQ(service.workers_pinned(), 0u);
-#endif
-}
-
-TEST_F(ServiceSimdNumaTest, NumaAutoIsANoOpOnSingleSocket) {
-  SimulationService service(workload_.environment, 4);
-  ASSERT_EQ(service.numa_mode(), parallel::NumaMode::kAuto);
-  if (service.numa_nodes() == 1) {
-    EXPECT_FALSE(service.numa_active());
-    fitness_with(service);
-    EXPECT_EQ(service.workers_pinned(), 0u);
-  } else {
-    EXPECT_TRUE(service.numa_active());
-  }
-}
-
-TEST_F(ServiceSimdNumaTest, SetNumaModeReArmsPlacement) {
-  SimulationService service(workload_.environment, 2);
-  // Placement happens on a worker's first task; with the step cache on, the
-  // second batch below would be served as pure hits on the master thread
-  // and no worker would ever run (and so never re-place).
-  service.set_cache_policy(cache::CachePolicy::kOff);
-  service.set_numa_mode(parallel::NumaMode::kOff);
-  fitness_with(service);
-  EXPECT_EQ(service.workers_pinned(), 0u);
-  // Turning pinning on after workers already placed must re-place them.
-  service.set_numa_mode(parallel::NumaMode::kOn);
-  fitness_with(service);
-#if defined(__linux__)
-  EXPECT_GE(service.workers_pinned(), 1u);
-#endif
-}
-
 TEST_F(ServiceSimdNumaTest, RunSpecParsesSimdAndNumaKeys) {
   EXPECT_EQ(parse_run_spec("").simd_mode, simd::Mode::kAuto);
-  EXPECT_EQ(parse_run_spec("").numa_mode, parallel::NumaMode::kAuto);
-  const RunSpec spec = parse_run_spec("simd=scalar\nnuma=on\n");
-  EXPECT_EQ(spec.simd_mode, simd::Mode::kScalar);
-  EXPECT_EQ(spec.numa_mode, parallel::NumaMode::kOn);
+  EXPECT_EQ(parse_run_spec("simd=scalar\n").simd_mode, simd::Mode::kScalar);
   EXPECT_EQ(parse_run_spec("simd=avx2\n").simd_mode, simd::Mode::kAvx2);
-  EXPECT_EQ(parse_run_spec("numa=off\n").numa_mode, parallel::NumaMode::kOff);
   EXPECT_THROW(parse_run_spec("simd=sse\n"), InvalidArgument);
-  EXPECT_THROW(parse_run_spec("numa=maybe\n"), InvalidArgument);
+  // NUMA placement is gone: `numa=` no longer parses, at any value.
+  EXPECT_THROW(parse_run_spec("numa=on\n"), InvalidArgument);
 }
 
 }  // namespace

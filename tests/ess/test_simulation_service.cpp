@@ -4,6 +4,7 @@
 
 #include "common/error.hpp"
 #include "ess/fitness.hpp"
+#include "obs/metrics.hpp"
 #include "stage_oracles.hpp"
 #include "synth/ground_truth.hpp"
 #include "synth/workloads.hpp"
@@ -164,9 +165,13 @@ TEST_F(SimulationServiceTest, CachedFitnessBatchMatchesUncachedBitwise) {
     SCOPED_TRACE(workers);
     SimulationService service(workload_.environment, workers);
     ASSERT_EQ(service.cache_policy(), cache::CachePolicy::kStep);
+    obs::MetricsRegistry registry;
+    obs::MetricsRegistry* const previous = obs::metrics_registry();
+    obs::install_metrics_registry(&registry);
     const auto fitness = service.fitness_batch(
         batch, truth_.fire_lines[0], truth_.fire_lines[1], 0.0,
         truth_.step_minutes);
+    obs::install_metrics_registry(previous);
     ASSERT_EQ(fitness.size(), expected.size());
     for (std::size_t i = 0; i < fitness.size(); ++i)
       EXPECT_EQ(fitness[i], expected[i]);  // bitwise, not approximate
@@ -174,6 +179,18 @@ TEST_F(SimulationServiceTest, CachedFitnessBatchMatchesUncachedBitwise) {
     EXPECT_EQ(service.cache_misses(), scenarios_.size());
     EXPECT_EQ(service.cache_hits(), batch.size() - scenarios_.size());
     EXPECT_EQ(service.simulations_run(), scenarios_.size());
+    // All 24 hits are in-batch duplicates, collapsed before the launch:
+    // one uncached launch of the 12 distinct scenarios reaches the sweep,
+    // and the counters say so in the metrics registry too.
+    EXPECT_EQ(service.batch_dedup_hits(), batch.size() - scenarios_.size());
+    const obs::MetricsSnapshot snapshot = registry.snapshot();
+    ASSERT_TRUE(snapshot.histograms.count("sweep.batch_size"));
+    EXPECT_EQ(snapshot.histograms.at("sweep.batch_size").count, 1u);
+    EXPECT_EQ(snapshot.histograms.at("sweep.batch_size").sum,
+              static_cast<double>(scenarios_.size()));
+    ASSERT_TRUE(snapshot.counters.count("sweep.batch_dedup_hits"));
+    EXPECT_EQ(snapshot.counters.at("sweep.batch_dedup_hits"),
+              batch.size() - scenarios_.size());
   }
 }
 

@@ -6,7 +6,6 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "firelib/batch_sweep.hpp"
 #include "firelib/environment.hpp"
 #include "firelib/propagator.hpp"
 #include "firelib/scenario.hpp"
@@ -130,7 +129,6 @@ TEST(PropagatorFastPathTest, RejectsOutOfCatalogScenarioModel) {
   FirePropagator fast(model);
   FirePropagator reference(model);
   reference.set_reference_sweep(true);
-  BatchSweep batched(model);
   const FireEnvironment uniform = uniform_env(12);
   const FireEnvironment dem = dem_env(12, /*with_fuel=*/false);
   const IgnitionMap start =
@@ -149,8 +147,6 @@ TEST(PropagatorFastPathTest, RejectsOutOfCatalogScenarioModel) {
           << "model " << bad;
       EXPECT_THROW(reference.propagate(*env, s, start, 60.0, reference_ws),
                    InvalidArgument)
-          << "model " << bad;
-      EXPECT_THROW(batched.sweep(*env, {&s}, start, 60.0), InvalidArgument)
           << "model " << bad;
     }
   }

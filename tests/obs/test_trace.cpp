@@ -132,6 +132,12 @@ TEST(TraceTest, RingWrapsAroundKeepingCapacityEvents) {
   EXPECT_EQ(recorder.recorded(), 10u);
   EXPECT_EQ(recorder.dropped(), 6u);
   EXPECT_EQ(recorder.collect().size(), 4u);
+
+  // The export says how many events the ring lost.
+  const testjson::Value root = testjson::parse(recorder.chrome_json());
+  EXPECT_EQ(root.member("traceEvents").elements().size(), 4u + 1u);  // + M
+  EXPECT_EQ(root.member("otherData").member("dropped_events").number_value(),
+            6.0);
 }
 
 TEST(TraceTest, RecordClampsBackwardsTimeToZeroDuration) {

@@ -277,35 +277,6 @@ TEST(CampaignReport, ZeroTimingsRendersWallClockFieldsAsZero) {
   EXPECT_EQ(jsonl.str(), jsonl_again.str());
 }
 
-TEST(CampaignScheduler, BatchedBackendRendersIdenticalCanonicalBytes) {
-  // The backend knob must be invisible in the canonical report: a batched
-  // campaign renders byte-for-byte the JSONL and summary a scalar one does.
-  // Scoped to cache off|step — under kShared with concurrent jobs the
-  // per-step cache_entries/cache_bytes samples are timing-dependent for
-  // EITHER backend.
-  const auto workloads = tiny_workloads();
-  const ReportOptions zero{/*zero_timings=*/true};
-  for (const cache::CachePolicy policy :
-       {cache::CachePolicy::kOff, cache::CachePolicy::kStep}) {
-    SCOPED_TRACE(cache::to_string(policy));
-    auto run_with = [&](firelib::SweepBackend backend) {
-      CampaignConfig config = tiny_config();
-      config.cache_policy = policy;
-      config.backend = backend;
-      config.job_concurrency = 2;
-      config.total_workers = 2;
-      const CampaignResult result = CampaignScheduler(config).run(workloads);
-      std::ostringstream jsonl;
-      write_campaign_jsonl(result, jsonl, zero);
-      return std::make_pair(jsonl.str(), campaign_summary_json(result, zero));
-    };
-    const auto scalar = run_with(firelib::SweepBackend::kScalar);
-    const auto batched = run_with(firelib::SweepBackend::kBatched);
-    EXPECT_EQ(scalar.first, batched.first);
-    EXPECT_EQ(scalar.second, batched.second);
-  }
-}
-
 TEST(CampaignScheduler, SharedCacheBitIdenticalToOffAcrossConcurrency) {
   // The acceptance property of the shared cache: every cached value is a
   // byte-exact pure function of its key, so a campaign run with the shared
