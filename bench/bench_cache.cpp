@@ -71,11 +71,11 @@ RunResult run_campaign(const std::string& name,
   service::CampaignConfig config;
   config.job_concurrency = job_concurrency;
   config.total_workers = job_concurrency;
-  config.generations = generations;
-  config.population = population;
-  config.offspring = population;
-  config.fitness_threshold = 1.1;  // fixed generation budget, no early exit
-  config.cache_policy = policy;
+  config.spec.generations = generations;
+  config.spec.population = population;
+  config.spec.offspring = population;
+  config.spec.fitness_threshold = 1.1;  // fixed generation budget, no early exit
+  config.spec.cache_policy = policy;
   if (cache_mem_bytes != 0) config.cache_mem_bytes = cache_mem_bytes;
   config.shared_cache = std::move(cache);
 

@@ -37,10 +37,10 @@ CampaignTiming run_once(const std::vector<synth::Workload>& workloads,
   service::CampaignConfig config;
   config.job_concurrency = job_concurrency;
   config.total_workers = total_workers;
-  config.generations = generations;
-  config.population = population;
-  config.offspring = population;
-  config.fitness_threshold = 1.1;  // fixed generation budget, no early exit
+  config.spec.generations = generations;
+  config.spec.population = population;
+  config.spec.offspring = population;
+  config.spec.fitness_threshold = 1.1;  // fixed generation budget, no early exit
 
   const service::CampaignScheduler scheduler(config);
   const service::CampaignResult result = scheduler.run(workloads);

@@ -97,7 +97,7 @@ std::string oracle_response(const std::string& id, serve::Verb verb,
   service::JobSpec spec = config.default_spec;
   spec.cache_policy = cache::CachePolicy::kOff;
   const service::JobRecord record = service::run_prediction_job(
-      workload, /*index=*/0, config.seed, workers, spec, config.simd_mode,
+      workload, /*index=*/0, config.seed, workers, spec, simd::Mode::kAuto,
       parallel::NumaMode::kAuto, firelib::SweepBackend::kScalar, nullptr);
   return serve::format_job_response(id, verb, record);
 }

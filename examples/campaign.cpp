@@ -39,10 +39,10 @@ int main(int argc, char** argv) {
   service::CampaignConfig config;
   config.job_concurrency = 2;   // two prediction jobs in flight
   config.total_workers = 4;     // Master/Worker budget, split over the jobs
-  config.generations = 15;
-  config.population = 24;
-  config.offspring = 24;
-  config.keep_final_maps = true;
+  config.spec.generations = 15;
+  config.spec.population = 24;
+  config.spec.offspring = 24;
+  config.spec.keep_final_maps = true;
   config.on_job_done = [](const service::JobRecord& job) {
     std::printf("  finished %-28s %-9s %6.2fs\n", job.workload.c_str(),
                 service::to_string(job.status), job.elapsed_seconds);

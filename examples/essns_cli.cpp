@@ -7,6 +7,7 @@
 //   essns_cli campaign --catalog catalog.conf jsonl=jobs.jsonl
 //   essns_cli serve --port 7733 --jobs 2 --workers 4
 //   essns_cli --help
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -34,11 +35,14 @@ void print_help() {
       "       essns_cli campaign [flags] [key=value ...]\n"
       "       essns_cli serve [flags] [key=value ...]\n\n"
       "single run\n"
-      "  keys: workload size method seed generations fitness_threshold\n"
-      "        population offspring workers novelty_k islands cache\n"
-      "        cache_mem simd trace metrics_out\n"
+      "  keys: workload size seed workers cache cache_mem trace metrics_out\n"
+      "        and the search keys\n"
+      "  search keys (every mode; a value out of bounds is a usage error):\n"
+      "    method generations (>= 1) fitness_threshold (finite)\n"
+      "    population (>= 2) offspring (>= 1) novelty_k (>= 0; 0 = all\n"
+      "    neighbours) islands (>= 1)\n"
       "  methods:");
-  for (const auto& m : ess::RunSpec::known_methods())
+  for (const auto& m : ess::SearchSpec::known_methods())
     std::printf(" %s", m.c_str());
   std::printf(
       "\n  workloads: plains hills wind_shift\n\n"
@@ -60,12 +64,6 @@ void print_help() {
       "                   an entry stores one bit per grid cell plus its\n"
       "                   scores, is charged by those bytes, and is\n"
       "                   evicted cost-aware when the budget is exceeded)\n"
-      "    --simd K       relax-kernel selection (also valid in single-run\n"
-      "                   mode); results are bit-identical either way:\n"
-      "                     auto    AVX2 when the host supports it (default)\n"
-      "                     avx2    request AVX2 (falls back to scalar on\n"
-      "                             hosts without it)\n"
-      "                     scalar  the scalar oracle kernel\n"
       "    --trace F      record spans (jobs x pipeline stages x workers)\n"
       "                   and write a Chrome trace-event JSON timeline to F\n"
       "                   (open in chrome://tracing or ui.perfetto.dev;\n"
@@ -84,9 +82,7 @@ void print_help() {
       "                   (requires --cache shared) for a later warm start\n"
       "    --catalog F    read a catalog spec (key=value file) instead of\n"
       "                   the built-in default catalog (8 workloads)\n"
-      "  campaign keys: method seed generations fitness_threshold population\n"
-      "                 offspring novelty_k islands jsonl csv summary\n"
-      "                 timings\n"
+      "  campaign keys: the search keys, seed jsonl csv summary timings\n"
       "                 (jsonl/csv/summary are output paths; 'none' skips;\n"
       "                 defaults campaign_jobs.jsonl / none /\n"
       "                 campaign_summary.json)\n"
@@ -112,12 +108,11 @@ void print_help() {
       "    --cache-mem M  shared-cache byte budget in MiB (default 256)\n"
       "    --cache-load F restore a cache snapshot before serving\n"
       "    --cache-save F write the cache snapshot on clean shutdown\n"
-      "    --simd K / --trace F / --metrics-out F\n"
+      "    --trace F / --metrics-out F\n"
       "                   as above\n"
       "  serve keys (defaults for requests that do not override them):\n"
-      "    seed terrain size weather ignition steps step_minutes noise\n"
-      "    method generations fitness_threshold population offspring\n"
-      "    novelty_k islands\n"
+      "    the search keys, seed terrain size weather ignition steps\n"
+      "    step_minutes noise\n"
       "  SIGINT/SIGTERM drain gracefully: in-flight jobs finish, queued ones\n"
       "  are cancelled with a response, the cache snapshot is still saved.\n\n"
       "exit status: 0 all jobs succeeded (or clean serve shutdown),\n"
@@ -177,14 +172,16 @@ cache::CachePolicy require_cache_policy(const char* flag,
   return *policy;
 }
 
-simd::Mode require_simd_mode(const char* flag, const std::string& value) {
-  const auto mode = simd::parse_simd_mode(value);
-  if (!mode) {
-    std::fprintf(stderr, "%s expects auto|avx2|scalar, got '%s'\n", flag,
-                 value.c_str());
+// The search keys of the campaign and serve modes, bounded by
+// ess::set_search_key like every other front door. False for other keys.
+bool search_key(ess::SearchSpec& spec, const std::string& key,
+                const std::string& value) {
+  try {
+    return ess::set_search_key(spec, key, value);
+  } catch (const Error& e) {
+    std::fprintf(stderr, "%s\n", e.what());
     std::exit(1);
   }
-  return *mode;
 }
 
 int run_campaign(int argc, char** argv) {
@@ -209,7 +206,7 @@ int run_campaign(int argc, char** argv) {
     }
     if (arg == "--jobs" || arg == "--workers" || arg == "--cache" ||
         arg == "--cache-mem" || arg == "--cache-load" ||
-        arg == "--cache-save" || arg == "--simd" || arg == "--trace" ||
+        arg == "--cache-save" || arg == "--trace" ||
         arg == "--metrics-out" || arg == "--catalog") {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "%s expects a value\n", arg.c_str());
@@ -223,7 +220,7 @@ int run_campaign(int argc, char** argv) {
         config.total_workers =
             static_cast<unsigned>(require_positive_int("--workers", value));
       } else if (arg == "--cache") {
-        config.cache_policy = require_cache_policy("--cache", value);
+        config.spec.cache_policy = require_cache_policy("--cache", value);
       } else if (arg == "--cache-mem") {
         config.cache_mem_bytes =
             static_cast<std::size_t>(
@@ -233,8 +230,6 @@ int run_campaign(int argc, char** argv) {
         cache_load_path = value;
       } else if (arg == "--cache-save") {
         cache_save_path = value;
-      } else if (arg == "--simd") {
-        config.simd_mode = require_simd_mode("--simd", value);
       } else if (arg == "--trace") {
         config.trace_out = std::strcmp(value, "none") == 0 ? "" : value;
       } else if (arg == "--metrics-out") {
@@ -265,27 +260,11 @@ int run_campaign(int argc, char** argv) {
     }
     const std::string key = arg.substr(0, eq);
     const std::string value = arg.substr(eq + 1);
+    if (search_key(config.spec, key, value)) continue;
     if (is_catalog_key(key)) {
       catalog_inline_text += arg + "\n";
-    } else if (key == "method") {
-      config.method = value;
     } else if (key == "seed") {
       config.seed = require_uint64("seed", value);
-    } else if (key == "generations") {
-      config.generations = require_positive_int("generations", value);
-    } else if (key == "fitness_threshold") {
-      config.fitness_threshold =
-          require_double("fitness_threshold", value);
-    } else if (key == "population") {
-      config.population = static_cast<std::size_t>(
-          require_positive_int("population", value));
-    } else if (key == "offspring") {
-      config.offspring = static_cast<std::size_t>(
-          require_positive_int("offspring", value));
-    } else if (key == "novelty_k") {
-      config.novelty_k = require_positive_int("novelty_k", value);
-    } else if (key == "islands") {
-      config.islands = require_positive_int("islands", value);
     } else if (key == "jsonl") {
       jsonl_path = value;
     } else if (key == "csv") {
@@ -306,7 +285,7 @@ int run_campaign(int argc, char** argv) {
   }
 
   if ((!cache_load_path.empty() || !cache_save_path.empty()) &&
-      config.cache_policy != cache::CachePolicy::kShared) {
+      config.spec.cache_policy != cache::CachePolicy::kShared) {
     std::fprintf(stderr,
                  "--cache-load/--cache-save need --cache shared (the "
                  "snapshot is the shared cache)\n");
@@ -416,7 +395,7 @@ int run_serve(int argc, char** argv) {
     if (arg == "--host" || arg == "--port" || arg == "--port-file" ||
         arg == "--jobs" || arg == "--workers" || arg == "--queue" ||
         arg == "--cache-mem" || arg == "--cache-load" ||
-        arg == "--cache-save" || arg == "--simd" || arg == "--trace" ||
+        arg == "--cache-save" || arg == "--trace" ||
         arg == "--metrics-out") {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "%s expects a value\n", arg.c_str());
@@ -452,8 +431,6 @@ int run_serve(int argc, char** argv) {
         config.cache_load = value;
       } else if (arg == "--cache-save") {
         config.cache_save = value;
-      } else if (arg == "--simd") {
-        config.simd_mode = require_simd_mode("--simd", value);
       } else if (arg == "--trace") {
         config.trace_out = std::strcmp(value, "none") == 0 ? "" : value;
       } else {
@@ -475,6 +452,7 @@ int run_serve(int argc, char** argv) {
     }
     const std::string key = arg.substr(0, eq);
     const std::string value = arg.substr(eq + 1);
+    if (search_key(config.default_spec, key, value)) continue;
     if (key == "seed") {
       config.seed = require_uint64("seed", value);
     } else if (key == "terrain") {
@@ -511,24 +489,6 @@ int run_serve(int argc, char** argv) {
       config.default_fire.step_minutes = require_double("step_minutes", value);
     } else if (key == "noise") {
       config.default_fire.observation_noise = require_double("noise", value);
-    } else if (key == "method") {
-      config.default_spec.method = value;
-    } else if (key == "generations") {
-      config.default_spec.generations =
-          require_positive_int("generations", value);
-    } else if (key == "fitness_threshold") {
-      config.default_spec.fitness_threshold =
-          require_double("fitness_threshold", value);
-    } else if (key == "population") {
-      config.default_spec.population = static_cast<std::size_t>(
-          require_positive_int("population", value));
-    } else if (key == "offspring") {
-      config.default_spec.offspring = static_cast<std::size_t>(
-          require_positive_int("offspring", value));
-    } else if (key == "novelty_k") {
-      config.default_spec.novelty_k = require_positive_int("novelty_k", value);
-    } else if (key == "islands") {
-      config.default_spec.islands = require_positive_int("islands", value);
     } else {
       std::fprintf(stderr, "unknown serve key: %s\n", key.c_str());
       return 1;
@@ -561,54 +521,22 @@ int run_serve(int argc, char** argv) {
 }
 
 int run_single(int argc, char** argv) {
+  // Single-run flags are spellings of run-spec keys.
+  static const std::pair<const char*, const char*> kFlagKeys[] = {
+      {"--workers", "workers"}, {"--cache", "cache"},
+      {"--cache-mem", "cache_mem"}, {"--trace", "trace"},
+      {"--metrics-out", "metrics_out"}};
   std::ostringstream config_text;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--workers") == 0) {
+    const auto flag = std::find_if(
+        std::begin(kFlagKeys), std::end(kFlagKeys),
+        [&](const auto& fk) { return std::strcmp(argv[i], fk.first) == 0; });
+    if (flag != std::end(kFlagKeys)) {
       if (i + 1 >= argc) {
-        std::fprintf(stderr, "--workers expects a value\n");
+        std::fprintf(stderr, "%s expects a value\n", flag->first);
         return 1;
       }
-      config_text << "workers=" << argv[++i] << '\n';
-      continue;
-    }
-    if (std::strcmp(argv[i], "--cache") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--cache expects a value\n");
-        return 1;
-      }
-      config_text << "cache=" << argv[++i] << '\n';
-      continue;
-    }
-    if (std::strcmp(argv[i], "--cache-mem") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--cache-mem expects a value\n");
-        return 1;
-      }
-      config_text << "cache_mem=" << argv[++i] << '\n';
-      continue;
-    }
-    if (std::strcmp(argv[i], "--simd") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--simd expects a value\n");
-        return 1;
-      }
-      config_text << "simd=" << argv[++i] << '\n';
-      continue;
-    }
-    if (std::strcmp(argv[i], "--trace") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--trace expects a value\n");
-        return 1;
-      }
-      config_text << "trace=" << argv[++i] << '\n';
-      continue;
-    }
-    if (std::strcmp(argv[i], "--metrics-out") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--metrics-out expects a value\n");
-        return 1;
-      }
-      config_text << "metrics_out=" << argv[++i] << '\n';
+      config_text << flag->second << '=' << argv[++i] << '\n';
       continue;
     }
     if (std::strcmp(argv[i], "--help") == 0) {
@@ -641,8 +569,9 @@ int run_single(int argc, char** argv) {
   }
 
   std::printf("running %s on %s (%dx%d), seed %llu, %d generations\n",
-              spec.method.c_str(), spec.workload.c_str(), spec.size, spec.size,
-              static_cast<unsigned long long>(spec.seed), spec.generations);
+              spec.search.method.c_str(), spec.workload.c_str(), spec.size,
+              spec.size, static_cast<unsigned long long>(spec.seed),
+              spec.search.generations);
 
   const ess::PipelineResult result = ess::run_spec(spec);
 

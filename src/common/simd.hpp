@@ -1,5 +1,6 @@
-// Runtime SIMD capability detection and the `--simd` mode knob shared by the
-// propagator, the simulation service, run specs and the CLI.
+// Runtime SIMD capability detection and the relax-kernel mode of the
+// propagator. Every production sweep runs `auto`; the propagator tests and
+// bench_sweep (`--simd`) force a kernel to compare it with the other.
 //
 // The sweep's vectorized relax kernel (firelib/relax_kernel.hpp) is compiled
 // with per-function target attributes, so the binary always carries both the
@@ -21,7 +22,8 @@
 
 namespace essns::simd {
 
-/// The user-facing knob (`--simd auto|avx2|scalar`).
+/// FirePropagator::set_simd_mode's argument (bench_sweep's
+/// `--simd auto|avx2|scalar`).
 enum class Mode { kAuto, kAvx2, kScalar };
 
 /// What the sweep actually runs after runtime dispatch.

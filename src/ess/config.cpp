@@ -42,11 +42,69 @@ std::string trim(const std::string& s) {
 
 }  // namespace
 
-const std::vector<std::string>& RunSpec::known_methods() {
+const std::vector<std::string>& SearchSpec::known_methods() {
   static const std::vector<std::string> methods{
       "ess-ga",  "essim-ea", "essim-de", "essim-de-tuned",
       "ess-ns",  "ns-de",    "essim-monitor"};
   return methods;
+}
+
+bool set_search_key(SearchSpec& spec, const std::string& key,
+                    const std::string& value) {
+  auto integer = [&](int lo) {
+    const auto v = parse_int(value);
+    if (!v || *v < lo)
+      throw InvalidArgument(key + " expects an integer >= " +
+                            std::to_string(lo) + ", got '" + value + "'");
+    return *v;
+  };
+  if (key == "method") {
+    const auto& methods = SearchSpec::known_methods();
+    if (std::find(methods.begin(), methods.end(), value) == methods.end()) {
+      std::string names;
+      for (const auto& m : methods) names += (names.empty() ? "" : "|") + m;
+      throw InvalidArgument(key + " expects " + names + ", got '" + value +
+                            "'");
+    }
+    spec.method = value;
+  } else if (key == "generations") {
+    spec.generations = integer(1);
+  } else if (key == "fitness_threshold") {
+    const auto v = parse_double(value);
+    if (!v)
+      throw InvalidArgument(key + " expects a finite number, got '" + value +
+                            "'");
+    spec.fitness_threshold = *v;
+  } else if (key == "population") {
+    spec.population = static_cast<std::size_t>(integer(2));
+  } else if (key == "offspring") {
+    spec.offspring = static_cast<std::size_t>(integer(1));
+  } else if (key == "novelty_k") {
+    spec.novelty_k = integer(0);
+  } else if (key == "islands") {
+    spec.islands = integer(1);
+  } else {
+    return false;
+  }
+  return true;
+}
+
+void validate_job_search(const SearchSpec& spec) {
+  // A spec built in code meets the same bounds as one parsed from text.
+  // std::to_string renders every finite double as a finite number and
+  // nan/inf as words parse_double refuses, which is all the threshold's
+  // bound asks.
+  SearchSpec probe;
+  const std::pair<const char*, std::string> fields[] = {
+      {"method", spec.method},
+      {"generations", std::to_string(spec.generations)},
+      {"fitness_threshold", std::to_string(spec.fitness_threshold)},
+      {"population", std::to_string(spec.population)},
+      {"offspring", std::to_string(spec.offspring)},
+      {"novelty_k", std::to_string(spec.novelty_k)},
+      {"islands", std::to_string(spec.islands)}};
+  for (const auto& [key, value] : fields) set_search_key(probe, key, value);
+  (void)make_optimizer(spec);  // throws for essim-monitor
 }
 
 RunSpec parse_run_spec(std::istream& in) {
@@ -71,51 +129,33 @@ RunSpec parse_run_spec(std::istream& in) {
                     "bad integer for config key '" + key + "': " + value);
       return *v;
     };
-    auto as_double = [&] {
-      const auto v = parse_double(value);
-      ESSNS_REQUIRE(v.has_value(),
-                    "bad finite number for config key '" + key + "': " +
-                        value);
-      return *v;
-    };
 
+    if (set_search_key(spec.search, key, value)) continue;
     if (key == "workload") spec.workload = value;
     else if (key == "size") spec.size = as_int(8);
-    else if (key == "method") spec.method = value;
-    else if (key == "seed") spec.seed = static_cast<std::uint64_t>(as_double());
-    else if (key == "generations") spec.generations = as_int(1);
-    else if (key == "fitness_threshold") spec.fitness_threshold = as_double();
-    else if (key == "population") spec.population = static_cast<std::size_t>(as_int(2));
-    else if (key == "offspring") spec.offspring = static_cast<std::size_t>(as_int(1));
+    else if (key == "seed") {
+      const auto seed = parse_uint64(value);
+      ESSNS_REQUIRE(seed.has_value(),
+                    "bad unsigned 64-bit integer for config key 'seed': " +
+                        value);
+      spec.seed = *seed;
+    }
     else if (key == "workers") spec.workers = static_cast<unsigned>(as_int(1));
-    else if (key == "novelty_k") spec.novelty_k = as_int(0);
-    else if (key == "islands") spec.islands = as_int(1);
     else if (key == "cache") {
       const auto policy = cache::parse_cache_policy(value);
       if (!policy)
         throw InvalidArgument(
             "config key 'cache' expects off|step|shared, got: " + value);
-      spec.cache_policy = *policy;
+      spec.search.cache_policy = *policy;
     }
     else if (key == "cache_mem")
       spec.cache_mem_mb = static_cast<std::size_t>(as_int(1));
-    else if (key == "simd") {
-      const auto mode = simd::parse_simd_mode(value);
-      if (!mode)
-        throw InvalidArgument(
-            "config key 'simd' expects auto|avx2|scalar, got: " + value);
-      spec.simd_mode = *mode;
-    }
     else if (key == "trace")
       spec.trace_out = value == "none" ? "" : value;
     else if (key == "metrics_out")
       spec.metrics_out = value == "none" ? "" : value;
     else throw InvalidArgument("unknown config key: " + key);
   }
-  const auto& methods = RunSpec::known_methods();
-  ESSNS_REQUIRE(std::find(methods.begin(), methods.end(), spec.method) !=
-                    methods.end(),
-                "unknown method: " + spec.method);
   ESSNS_REQUIRE(spec.workload == "plains" || spec.workload == "hills" ||
                     spec.workload == "wind_shift",
                 "unknown workload: " + spec.workload);
@@ -133,7 +173,7 @@ synth::Workload make_workload(const RunSpec& spec) {
   return synth::make_plains(spec.size);
 }
 
-std::unique_ptr<Optimizer> make_optimizer(const RunSpec& spec) {
+std::unique_ptr<Optimizer> make_optimizer(const SearchSpec& spec) {
   if (spec.method == "ess-ga") {
     ea::GaConfig ga;
     ga.population_size = spec.population;
@@ -176,20 +216,21 @@ PipelineResult run_spec(const RunSpec& spec) {
   // Run-wide observability: a no-op when both paths are empty, so plain
   // runs never touch the global recorder/registry slots.
   obs::ObsSession obs_session(spec.trace_out, spec.metrics_out);
+  const SearchSpec& search = spec.search;
   synth::Workload workload = make_workload(spec);
   Rng truth_rng(spec.seed);
   const synth::GroundTruth truth = synth::generate_ground_truth(
       workload.environment, workload.truth_config, truth_rng);
   Rng rng(spec.seed ^ 0x5eedULL);
 
-  if (spec.method == "essim-monitor") {
+  if (search.method == "essim-monitor") {
     EssimConfig config;
-    config.islands = spec.islands;
+    config.islands = search.islands;
     config.ga.population_size =
-        std::max<std::size_t>(4, spec.population / static_cast<std::size_t>(spec.islands));
+        std::max<std::size_t>(4, search.population / static_cast<std::size_t>(search.islands));
     config.ga.offspring_count = config.ga.population_size;
     config.ga.elite_count = 1;
-    config.stop = {spec.generations, spec.fitness_threshold};
+    config.stop = {search.generations, search.fitness_threshold};
     config.workers = spec.workers;
     EssimSystem system(workload.environment, truth, config);
     const EssimResult essim = system.run(rng);
@@ -210,13 +251,13 @@ PipelineResult run_spec(const RunSpec& spec) {
   }
 
   PipelineConfig config;
-  config.stop = {spec.generations, spec.fitness_threshold};
+  config.stop = {search.generations, search.fitness_threshold};
   config.workers = spec.workers;
-  config.cache_policy = spec.cache_policy;
+  config.cache_policy = search.cache_policy;
   config.cache_mem_bytes = spec.cache_mem_mb << 20;
-  config.simd_mode = spec.simd_mode;
+  config.max_solution_maps = search.max_solution_maps;
   PredictionPipeline pipeline(workload.environment, truth, config);
-  auto optimizer = make_optimizer(spec);
+  auto optimizer = make_optimizer(search);
   PipelineResult result = pipeline.run(*optimizer, rng);
   obs_session.finish();  // the pipeline's evaluator pool is still alive, but
                          // idle: run() has returned, no thread is recording

@@ -86,12 +86,6 @@ class ScenarioEvaluator {
 
   std::size_t batch_dedup_hits() const { return service_.batch_dedup_hits(); }
 
-  /// Relax-kernel knob (see SimulationService); performance-only — results
-  /// are bit-identical at any setting.
-  void set_simd_mode(simd::Mode mode) { service_.set_simd_mode(mode); }
-  simd::Mode simd_mode() const { return service_.simd_mode(); }
-  simd::Isa simd_isa() const { return service_.simd_isa(); }
-
   /// Scenario-cache controls and counters (see SimulationService).
   void set_cache_policy(cache::CachePolicy policy) {
     service_.set_cache_policy(policy);

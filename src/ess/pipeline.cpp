@@ -100,7 +100,6 @@ PipelineResult PredictionPipeline::run(Optimizer& optimizer, Rng& rng) {
   result.optimizer_name = optimizer.name();
 
   ScenarioEvaluator evaluator(*env_, config_.workers);
-  evaluator.set_simd_mode(config_.simd_mode);
   evaluator.set_cache_policy(config_.cache_policy);
   if (config_.cache_policy == cache::CachePolicy::kShared) {
     evaluator.set_cache_mem_bytes(config_.cache_mem_bytes);

@@ -54,9 +54,6 @@ struct PipelineConfig {
   std::size_t cache_mem_bytes = cache::kDefaultCacheBytes;
   /// Campaign-installed cross-job cache; null means the pipeline owns one.
   std::shared_ptr<cache::SharedScenarioCache> shared_cache;
-  /// Relax-kernel selection for every sweep the pipeline runs (bit-identical
-  /// at any setting; kAuto resolves to AVX2 when the host supports it).
-  simd::Mode simd_mode = simd::Mode::kAuto;
 };
 
 /// One predicted step (predicting t_{step} from data through t_{step-1}).

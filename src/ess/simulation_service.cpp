@@ -80,18 +80,6 @@ firelib::SweepQueue SimulationService::sweep_queue() const {
   return propagator_.sweep_queue();
 }
 
-void SimulationService::set_simd_mode(simd::Mode mode) {
-  propagator_.set_simd_mode(mode);
-}
-
-simd::Mode SimulationService::simd_mode() const {
-  return propagator_.simd_mode();
-}
-
-simd::Isa SimulationService::simd_isa() const {
-  return propagator_.simd_isa();
-}
-
 void SimulationService::name_worker(unsigned worker_id) {
   if (worker_id == 0 || worker_named_[worker_id]) return;
   worker_named_[worker_id] = 1;

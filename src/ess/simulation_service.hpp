@@ -212,14 +212,6 @@ class SimulationService {
   void set_sweep_queue(firelib::SweepQueue queue);
   firelib::SweepQueue sweep_queue() const;
 
-  /// Select the propagator's relax kernel (default simd::Mode::kAuto).
-  /// Scalar and AVX2 kernels are bit-identical (relax_kernel.hpp); the knob
-  /// exists so equivalence tests and bench_sweep can measure both.
-  void set_simd_mode(simd::Mode mode);
-  simd::Mode simd_mode() const;
-  /// What the mode resolved to on this host (runtime dispatch result).
-  simd::Isa simd_isa() const;
-
   /// One simulation on the calling thread (master workspace).
   firelib::IgnitionMap simulate(const firelib::Scenario& scenario,
                                 const firelib::IgnitionMap& start,

@@ -560,7 +560,7 @@ void FirePropagator::run_sweep(const FireEnvironment& env,
     };
 
     // Runtime-dispatched relax kernel: interior cells take the AVX2 8-lane
-    // kernel when the --simd mode resolves to it; border cells (and every
+    // kernel when the simd mode resolves to it; border cells (and every
     // cell under scalar) run the retained scalar loop. Surviving lanes are
     // applied in ascending-k order, so stores and pushes are sequenced
     // exactly like the scalar loop's — bit-identical maps AND identical

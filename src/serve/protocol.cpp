@@ -6,6 +6,7 @@
 
 #include "common/error.hpp"
 #include "common/parse.hpp"
+#include "ess/config.hpp"
 
 namespace essns::serve {
 namespace {
@@ -75,6 +76,7 @@ Request parse_request(const std::string& line) {
 
   const bool is_predict = request.verb == Verb::kPredict;
   const bool is_repredict = request.verb == Verb::kRepredict;
+  ess::SearchSpec search;  // bounds-checks the search overrides
 
   for (std::size_t i = 1; i < tokens.size(); ++i) {
     const std::string& token = tokens[i];
@@ -119,22 +121,15 @@ Request parse_request(const std::string& line) {
       request.step_minutes = require_double(key, value);
     } else if (key == "noise" && is_predict) {
       request.noise = require_double(key, value);
-    } else if (key == "method" && is_predict) {
-      request.method = value;
-    } else if (key == "generations" && is_predict) {
-      request.generations = require_int(key, value, 1);
-    } else if (key == "fitness_threshold" && is_predict) {
-      request.fitness_threshold = require_double(key, value);
-    } else if (key == "population" && is_predict) {
-      request.population =
-          static_cast<std::size_t>(require_int(key, value, 1));
-    } else if (key == "offspring" && is_predict) {
-      request.offspring =
-          static_cast<std::size_t>(require_int(key, value, 1));
-    } else if (key == "novelty_k" && is_predict) {
-      request.novelty_k = require_int(key, value, 1);
-    } else if (key == "islands" && is_predict) {
-      request.islands = require_int(key, value, 1);
+    } else if (is_predict && ess::set_search_key(search, key, value)) {
+      if (key == "method") request.method = search.method;
+      else if (key == "generations") request.generations = search.generations;
+      else if (key == "fitness_threshold")
+        request.fitness_threshold = search.fitness_threshold;
+      else if (key == "population") request.population = search.population;
+      else if (key == "offspring") request.offspring = search.offspring;
+      else if (key == "novelty_k") request.novelty_k = search.novelty_k;
+      else request.islands = search.islands;
     } else {
       throw InvalidArgument("unknown key '" + key + "' for " +
                             to_string(request.verb));

@@ -15,8 +15,9 @@
 //     terrain=plains|hills|rugged        size=<n >= 16>
 //     weather=steady|wind_shift|diurnal  ignition=center|offset|edge|corner
 //     seed=<u64>           steps=<n >= 2>   step_minutes=<f>   noise=<f>
-//     method=<run-spec method>  generations=<n>  fitness_threshold=<f>
-//     population=<n>  offspring=<n>  novelty_k=<n>  islands=<n>
+//     method=<run-spec method>  generations=<n >= 1>  fitness_threshold=<f>
+//     population=<n >= 2>  offspring=<n >= 1>  novelty_k=<n >= 0; 0 = all>
+//     islands=<n >= 1>     (bounds of ess::set_search_key)
 //     priority=<int>       (higher runs sooner)
 //     All optional keys default to the server's configuration.
 //

@@ -75,6 +75,8 @@ Server::Server(ServeConfig config) : config_(std::move(config)) {
                 "serve: port must be in [0, 65535]");
   ESSNS_REQUIRE(config_.max_line_bytes >= 64,
                 "serve: max_line_bytes must be >= 64");
+  // Refuse at start a default every plain predict would fail on.
+  ess::validate_job_search(config_.default_spec);
 }
 
 Server::~Server() {
@@ -102,7 +104,6 @@ void Server::start() {
   engine_config.total_workers = config_.total_workers;
   engine_config.queue_capacity = config_.queue_capacity;
   engine_config.shared_cache = std::move(cache);
-  engine_config.simd_mode = config_.simd_mode;
   engine_config.trace_out = config_.trace_out;
   engine_config.metrics_out = config_.metrics_out;
   // The metrics verb scrapes the registry live, so install one even when no

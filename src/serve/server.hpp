@@ -62,7 +62,6 @@ struct ServeConfig {
   unsigned total_workers = 1;
   std::size_t queue_capacity = 16;
   std::size_t cache_mem_bytes = cache::kDefaultCacheBytes;
-  simd::Mode simd_mode = simd::Mode::kAuto;
   std::string trace_out;
   std::string metrics_out;
 

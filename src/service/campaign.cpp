@@ -10,22 +10,6 @@
 #include "parallel/thread_pool.hpp"
 
 namespace essns::service {
-namespace {
-
-ess::RunSpec to_run_spec(const CampaignConfig& config) {
-  ess::RunSpec spec;
-  spec.method = config.method;
-  spec.generations = config.generations;
-  spec.fitness_threshold = config.fitness_threshold;
-  spec.population = config.population;
-  spec.offspring = config.offspring;
-  spec.novelty_k = config.novelty_k;
-  spec.islands = config.islands;
-  return spec;
-}
-
-}  // namespace
-
 std::size_t CampaignResult::succeeded() const {
   return static_cast<std::size_t>(
       std::count_if(jobs.begin(), jobs.end(), [](const JobRecord& j) {
@@ -117,24 +101,7 @@ CampaignScheduler::CampaignScheduler(CampaignConfig config)
     : config_(std::move(config)) {
   ESSNS_REQUIRE(config_.job_concurrency >= 1, "job_concurrency >= 1");
   ESSNS_REQUIRE(config_.total_workers >= 1, "total_workers >= 1");
-  ESSNS_REQUIRE(config_.generations >= 1, "generations >= 1");
-  // Fail fast on methods the job runner cannot build (e.g. essim-monitor).
-  (void)ess::make_optimizer(to_run_spec(config_));
-}
-
-JobSpec CampaignScheduler::job_spec() const {
-  JobSpec spec;
-  spec.method = config_.method;
-  spec.generations = config_.generations;
-  spec.fitness_threshold = config_.fitness_threshold;
-  spec.population = config_.population;
-  spec.offspring = config_.offspring;
-  spec.novelty_k = config_.novelty_k;
-  spec.islands = config_.islands;
-  spec.max_solution_maps = config_.max_solution_maps;
-  spec.cache_policy = config_.cache_policy;
-  spec.keep_final_maps = config_.keep_final_maps;
-  return spec;
+  ess::validate_job_search(config_.spec);
 }
 
 unsigned CampaignScheduler::workers_per_job(std::size_t job_count) const {
@@ -164,21 +131,21 @@ JobRecord CampaignScheduler::run_job(
         ess::materialize_truth(workload, record.seed);
 
     ess::PipelineConfig pipeline_config;
-    pipeline_config.stop = {config_.generations, config_.fitness_threshold};
+    pipeline_config.stop = {config_.spec.generations,
+                            config_.spec.fitness_threshold};
     pipeline_config.workers = workers;
-    pipeline_config.max_solution_maps = config_.max_solution_maps;
-    pipeline_config.cache_policy = config_.cache_policy;
+    pipeline_config.max_solution_maps = config_.spec.max_solution_maps;
+    pipeline_config.cache_policy = config_.spec.cache_policy;
     pipeline_config.cache_mem_bytes = config_.cache_mem_bytes;
     pipeline_config.shared_cache = shared_cache;
-    pipeline_config.simd_mode = config_.simd_mode;
     ess::PredictionPipeline pipeline(workload.environment, truth,
                                      pipeline_config);
 
-    auto optimizer = ess::make_optimizer(to_run_spec(config_));
+    auto optimizer = ess::make_optimizer(config_.spec);
     Rng rng(record.seed ^ 0x5eedULL);
     record.result = pipeline.run(*optimizer, rng);
     record.status = JobStatus::kSucceeded;
-    if (config_.keep_final_maps) {
+    if (config_.spec.keep_final_maps) {
       record.final_probability = pipeline.last_probability();
       record.final_prediction = pipeline.last_prediction();
     }
@@ -202,7 +169,7 @@ CampaignResult CampaignScheduler::run(
   CampaignResult result;
   result.job_concurrency = config_.job_concurrency;
   result.workers_per_job = workers_per_job(workloads.size());
-  result.cache_policy = config_.cache_policy;
+  result.cache_policy = config_.spec.cache_policy;
   result.jobs.resize(workloads.size());
 
   // One engine for the batch: job_slots = the effective concurrency, queue
@@ -216,21 +183,19 @@ CampaignResult CampaignScheduler::run(
   engine_config.total_workers = config_.total_workers;
   engine_config.queue_capacity = std::max<std::size_t>(workloads.size(), 1);
   engine_config.cache_mem_bytes = config_.cache_mem_bytes;
-  if (config_.cache_policy == cache::CachePolicy::kShared)
+  if (config_.spec.cache_policy == cache::CachePolicy::kShared)
     engine_config.shared_cache = config_.shared_cache;
-  engine_config.simd_mode = config_.simd_mode;
   engine_config.trace_out = config_.trace_out;
   engine_config.metrics_out = config_.metrics_out;
   engine_config.on_job_done = config_.on_job_done;
   PredictionEngine engine(engine_config);
 
   if (workloads.empty()) return result;
-  if (config_.cache_policy == cache::CachePolicy::kShared)
+  if (config_.spec.cache_policy == cache::CachePolicy::kShared)
     result.cache_mem_bytes = engine.shared_cache()->max_bytes();
 
   obs::SpanTimer wall("campaign");
 
-  const JobSpec spec = job_spec();
   std::vector<std::future<JobRecord>> records;
   records.reserve(workloads.size());
   for (std::size_t i = 0; i < workloads.size(); ++i) {
@@ -241,7 +206,7 @@ CampaignResult CampaignScheduler::run(
     request.index = i;
     request.campaign_seed = config_.seed;
     request.workers = result.workers_per_job;
-    request.spec = spec;
+    request.spec = config_.spec;
     Submission submission = engine.submit(std::move(request));
     // The queue was sized for the whole batch; anything but acceptance is a
     // scheduler bug, not a runtime condition.
@@ -254,7 +219,7 @@ CampaignResult CampaignScheduler::run(
     result.jobs[i] = records[i].get();
 
   result.wall_seconds = wall.stop();
-  if (config_.cache_policy == cache::CachePolicy::kShared)
+  if (config_.spec.cache_policy == cache::CachePolicy::kShared)
     result.shared_cache_stats = engine.shared_cache()->stats();
   return result;
 }
@@ -269,7 +234,7 @@ CampaignResult CampaignScheduler::run_reference(
   CampaignResult result;
   result.job_concurrency = config_.job_concurrency;
   result.workers_per_job = workers_per_job(workloads.size());
-  result.cache_policy = config_.cache_policy;
+  result.cache_policy = config_.spec.cache_policy;
   result.jobs.resize(workloads.size());
   if (workloads.empty()) return result;
 
@@ -277,7 +242,7 @@ CampaignResult CampaignScheduler::run_reference(
   // SimulationService probes and fills the same shards, so duplicate
   // simulations are amortized across jobs, not just within one pipeline.
   std::shared_ptr<cache::SharedScenarioCache> shared_cache;
-  if (config_.cache_policy == cache::CachePolicy::kShared) {
+  if (config_.spec.cache_policy == cache::CachePolicy::kShared) {
     shared_cache = config_.shared_cache
                        ? config_.shared_cache
                        : std::make_shared<cache::SharedScenarioCache>(

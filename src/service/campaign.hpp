@@ -45,29 +45,18 @@ struct CampaignConfig {
   unsigned total_workers = 1;    ///< simulation-worker budget, split per job
   std::uint64_t seed = 2022;     ///< campaign stream; mixed per job
 
-  // Per-job pipeline knobs (ess::RunSpec vocabulary; essim-monitor is not an
-  // Optimizer and is rejected at construction).
-  std::string method = "ess-ns";
-  int generations = 15;
-  double fitness_threshold = 0.95;
-  std::size_t population = 16;
-  std::size_t offspring = 16;
-  int novelty_k = 10;
-  int islands = 3;
-  std::size_t max_solution_maps = 64;
-  /// Scenario memoization policy for every job (results bit-identical under
-  /// every policy). Under kShared the scheduler installs ONE byte-bounded
-  /// cache shared by all concurrent jobs, so duplicate work is amortized
-  /// across the whole campaign, not just within a prediction step.
-  cache::CachePolicy cache_policy = cache::CachePolicy::kStep;
+  /// The spec every job runs under (validated at construction; essim-monitor
+  /// is not an Optimizer and is rejected). Under a kShared cache_policy the
+  /// scheduler installs ONE byte-bounded cache shared by all concurrent
+  /// jobs, so duplicate work is amortized across the whole campaign, not
+  /// just within a prediction step. keep_final_maps retains each job's final
+  /// probability matrix / predicted fire line (two grids per job).
+  JobSpec spec;
   /// Byte budget of the campaign-wide cache (kShared only).
   std::size_t cache_mem_bytes = cache::kDefaultCacheBytes;
   /// Pre-warmed cross-campaign cache (kShared only); null makes run()
   /// create a fresh one per campaign.
   std::shared_ptr<cache::SharedScenarioCache> shared_cache;
-  /// Relax-kernel selection for every job's sweeps (bit-identical at any
-  /// setting; kAuto resolves to AVX2 when the host supports it).
-  simd::Mode simd_mode = simd::Mode::kAuto;
 
   /// Chrome trace-event JSON output path ("" or "none" = tracing off).
   /// When set, run() records spans campaign-wide — jobs x pipeline stages x
@@ -77,10 +66,6 @@ struct CampaignConfig {
   /// installs a campaign-wide registry (sweep/cache/pool counters,
   /// latency histograms) and writes the scrape before returning.
   std::string metrics_out;
-
-  /// Retain each job's final probability matrix / predicted fire line
-  /// (map-export consumers; costs two grids per job).
-  bool keep_final_maps = false;
 
   /// Invoked once per finished job (success or failure), serialized by the
   /// scheduler. Completion order is nondeterministic under concurrency.
@@ -146,9 +131,6 @@ class CampaignScheduler {
   /// Even split of total_workers over the jobs actually in flight
   /// (>= 1 per job).
   unsigned workers_per_job(std::size_t job_count) const;
-
-  /// The engine-facing job spec every workload in this campaign runs under.
-  JobSpec job_spec() const;
 
   const CampaignConfig& config() const { return config_; }
 

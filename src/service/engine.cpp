@@ -21,18 +21,6 @@ std::uint64_t campaign_job_seed(std::uint64_t campaign_seed,
 
 namespace {
 
-ess::RunSpec to_run_spec(const JobSpec& spec) {
-  ess::RunSpec run;
-  run.method = spec.method;
-  run.generations = spec.generations;
-  run.fitness_threshold = spec.fitness_threshold;
-  run.population = spec.population;
-  run.offspring = spec.offspring;
-  run.novelty_k = spec.novelty_k;
-  run.islands = spec.islands;
-  return run;
-}
-
 // Max-heap order: higher priority wins; among equals the smaller sequence
 // (earlier submission) wins — "less" is therefore lower priority or, at the
 // same priority, a LATER sequence.
@@ -71,7 +59,7 @@ const char* to_string(Admission admission) {
 JobRecord run_prediction_job(
     const synth::Workload& workload, std::size_t index,
     std::uint64_t campaign_seed, unsigned workers, const JobSpec& spec,
-    simd::Mode simd_mode, parallel::NumaMode, firelib::SweepBackend,
+    simd::Mode, parallel::NumaMode, firelib::SweepBackend,
     const std::shared_ptr<cache::SharedScenarioCache>& shared_cache) {
   JobRecord record;
   record.index = index;
@@ -107,12 +95,11 @@ JobRecord run_prediction_job(
     pipeline_config.shared_cache =
         spec.cache_policy == cache::CachePolicy::kShared ? shared_cache
                                                          : nullptr;
-    pipeline_config.simd_mode = simd_mode;
     ess::PredictionPipeline pipeline(
         workload.environment, ess::Observations(digest, truth.fire_lines),
         pipeline_config);
 
-    auto optimizer = ess::make_optimizer(to_run_spec(spec));
+    auto optimizer = ess::make_optimizer(spec);
     Rng rng(record.seed ^ 0x5eedULL);
     record.result = pipeline.run(*optimizer, rng);
     record.status = JobStatus::kSucceeded;
@@ -169,10 +156,8 @@ unsigned PredictionEngine::default_workers_per_job() const {
 
 Submission PredictionEngine::submit(JobRequest request) {
   ESSNS_REQUIRE(request.workload != nullptr, "job request needs a workload");
-  ESSNS_REQUIRE(request.spec.generations >= 1, "generations >= 1");
-  // Fail fast at admission on methods the runner cannot build (e.g.
-  // essim-monitor) instead of queueing a guaranteed failure.
-  (void)ess::make_optimizer(to_run_spec(request.spec));
+  // Fail fast at admission instead of queueing a guaranteed failure.
+  ess::validate_job_search(request.spec);
   if (request.workers == 0) request.workers = default_workers_per_job();
 
   Submission submission;
@@ -284,7 +269,7 @@ void PredictionEngine::slot_loop(unsigned slot) {
       record = run_prediction_job(
           *pending.request.workload, pending.request.index,
           pending.request.campaign_seed, pending.request.workers,
-          pending.request.spec, config_.simd_mode, parallel::NumaMode::kAuto,
+          pending.request.spec, simd::Mode::kAuto, parallel::NumaMode::kAuto,
           firelib::SweepBackend::kScalar, cache_);
     }
     finish_job(pending, std::move(record));

@@ -50,13 +50,15 @@
 #include <vector>
 
 #include "cache/scenario_cache.hpp"
+#include "common/simd.hpp"
+#include "ess/config.hpp"
 #include "ess/pipeline.hpp"
 #include "obs/session.hpp"
 #include "parallel/thread_pool.hpp"
 #include "synth/workloads.hpp"
 
-// perfbench/tool.cpp still passes these to run_prediction_job; they select
-// nothing.
+// perfbench/tool.cpp still passes these (and a simd::Mode) to
+// run_prediction_job; they select nothing.
 namespace essns::parallel { enum class NumaMode { kAuto }; }
 namespace essns::firelib { enum class SweepBackend { kScalar }; }
 
@@ -91,23 +93,11 @@ struct JobRecord {
   Grid<std::uint8_t> final_prediction;   ///< set when keep_final_maps
 };
 
-/// Per-job pipeline knobs (ess::RunSpec vocabulary) — everything about HOW
-/// one job searches, as opposed to WHAT fire it predicts (the workload) and
-/// WHERE it runs (the engine). Campaigns stamp one spec on every job; a
-/// server derives one per request from its defaults plus overrides.
-struct JobSpec {
-  std::string method = "ess-ns";
-  int generations = 15;
-  double fitness_threshold = 0.95;
-  std::size_t population = 16;
-  std::size_t offspring = 16;
-  int novelty_k = 10;
-  int islands = 3;
-  std::size_t max_solution_maps = 64;
-  /// Scenario memoization policy (results bit-identical under every
-  /// policy). kShared uses the ENGINE's cache — the whole point of a
-  /// long-lived engine.
-  cache::CachePolicy cache_policy = cache::CachePolicy::kStep;
+/// Everything about HOW one job searches, as opposed to WHAT fire it
+/// predicts (the workload) and WHERE it runs (the engine). Campaigns stamp
+/// one spec on every job; a server derives one per request from its
+/// defaults plus overrides. A kShared cache_policy uses the ENGINE's cache.
+struct JobSpec : ess::SearchSpec {
   /// Retain the job's final probability matrix / predicted fire line.
   bool keep_final_maps = false;
 };
@@ -141,11 +131,12 @@ struct JobRequest {
 /// function of (workload, campaign_seed, index, workers-independent spec)
 /// that every scheduled execution reproduces bit-for-bit. This is the
 /// oracle the serve tests and bench_serve compare scheduled results
-/// against. Job-level failures are recorded, not thrown.
+/// against. Job-level failures are recorded, not thrown. The relax kernel
+/// is the one the CPU supports (simd::Mode::kAuto).
 JobRecord run_prediction_job(
     const synth::Workload& workload, std::size_t index,
     std::uint64_t campaign_seed, unsigned workers, const JobSpec& spec,
-    simd::Mode simd_mode, parallel::NumaMode, firelib::SweepBackend,
+    simd::Mode, parallel::NumaMode, firelib::SweepBackend,
     const std::shared_ptr<cache::SharedScenarioCache>& shared_cache);
 
 struct EngineConfig {
@@ -160,7 +151,6 @@ struct EngineConfig {
   /// Pre-warmed cache to adopt (e.g. restored via cache::load_cache); null
   /// makes the engine create a fresh one.
   std::shared_ptr<cache::SharedScenarioCache> shared_cache;
-  simd::Mode simd_mode = simd::Mode::kAuto;
   /// Chrome trace-event JSON output path ("" or "none" = tracing off);
   /// written when the engine is destroyed.
   std::string trace_out;
@@ -202,8 +192,8 @@ class PredictionEngine {
   PredictionEngine& operator=(const PredictionEngine&) = delete;
 
   /// Admission-controlled, non-blocking. Throws InvalidArgument only for
-  /// malformed requests (null workload, unknown method, generations < 1) —
-  /// a full queue is a return value, not an exception.
+  /// malformed requests (null workload, or a spec ess::validate_job_search
+  /// refuses) — a full queue is a return value, not an exception.
   Submission submit(JobRequest request);
 
   /// Resolve every still-pending job as a kFailed record with `reason`

@@ -313,11 +313,11 @@ TEST(CacheIo, RestoredCacheServesCampaignWarmAndBitIdentical) {
   const auto workloads = synth::generate_catalog(catalog);
 
   service::CampaignConfig config;
-  config.generations = 3;
-  config.population = 8;
-  config.offspring = 8;
+  config.spec.generations = 3;
+  config.spec.population = 8;
+  config.spec.offspring = 8;
   config.seed = 77;
-  config.cache_policy = CachePolicy::kShared;
+  config.spec.cache_policy = CachePolicy::kShared;
 
   config.shared_cache = std::make_shared<SharedScenarioCache>();
   const service::CampaignResult cold =

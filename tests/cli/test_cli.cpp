@@ -147,15 +147,15 @@ TEST(CliFlags, UnknownFlagFailsWithClearMessageInEveryMode) {
             std::string::npos)
       << shard_worker.err;
 
-  // The retired sweep-backend and NUMA-placement knobs are unknown flags
-  // in every mode, not silently accepted.
-  for (const std::string retired : {"--backend", "--numa"}) {
+  // The retired sweep-backend, NUMA-placement and relax-kernel knobs are
+  // unknown flags in every mode, not silently accepted.
+  for (const std::string retired : {"--backend", "--numa", "--simd"}) {
     for (const std::vector<std::string>& prefix :
          {std::vector<std::string>{}, std::vector<std::string>{"campaign"},
           std::vector<std::string>{"serve"}}) {
       std::vector<std::string> args = prefix;
       args.push_back(retired);
-      args.push_back(retired == "--backend" ? "scalar" : "auto");
+      args.push_back(retired == "--numa" ? "auto" : "scalar");
       const RunResult result = run_cli(args);
       EXPECT_EQ(result.exit_code, 1) << retired;
       EXPECT_NE(result.err.find("unknown flag '" + retired + "'"),
@@ -200,6 +200,18 @@ TEST(CliFlags, NonFiniteNumbersAreRejected) {
               std::string::npos)
         << serve.err;
   }
+}
+
+TEST(CliFlags, CampaignRejectsOutOfBoundsSearchKeysBeforeAnyJob) {
+  // An out-of-bounds search key is a usage error reported before any job.
+  const RunResult campaign =
+      run_cli({"campaign", "sizes=16", "population=1", "jsonl=none",
+               "summary=none"});
+  EXPECT_EQ(campaign.exit_code, 1);
+  EXPECT_NE(campaign.err.find("population expects an integer >= 2, got '1'"),
+            std::string::npos)
+      << campaign.err;
+  EXPECT_EQ(campaign.out.find("job "), std::string::npos) << campaign.out;
 }
 
 TEST(CliFlags, HelpCoversEveryMode) {

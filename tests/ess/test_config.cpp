@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/error.hpp"
 
 namespace essns::ess {
@@ -10,9 +12,11 @@ namespace {
 TEST(RunSpecTest, DefaultsWhenEmpty) {
   const RunSpec spec = parse_run_spec("");
   EXPECT_EQ(spec.workload, "plains");
-  EXPECT_EQ(spec.method, "ess-ns");
+  EXPECT_EQ(spec.search.method, "ess-ns");
   EXPECT_EQ(spec.size, 48);
-  EXPECT_EQ(spec.generations, 30);
+  EXPECT_EQ(spec.search.generations, 30);
+  EXPECT_EQ(spec.search.population, 24u);
+  EXPECT_EQ(spec.search.offspring, 24u);
   EXPECT_EQ(spec.workers, 1u);
 }
 
@@ -32,26 +36,26 @@ TEST(RunSpecTest, ParsesAllKeys) {
       "cache=off\n");
   EXPECT_EQ(spec.workload, "hills");
   EXPECT_EQ(spec.size, 64);
-  EXPECT_EQ(spec.method, "essim-de-tuned");
+  EXPECT_EQ(spec.search.method, "essim-de-tuned");
   EXPECT_EQ(spec.seed, 99u);
-  EXPECT_EQ(spec.generations, 12);
-  EXPECT_DOUBLE_EQ(spec.fitness_threshold, 0.8);
-  EXPECT_EQ(spec.population, 16u);
-  EXPECT_EQ(spec.offspring, 20u);
+  EXPECT_EQ(spec.search.generations, 12);
+  EXPECT_DOUBLE_EQ(spec.search.fitness_threshold, 0.8);
+  EXPECT_EQ(spec.search.population, 16u);
+  EXPECT_EQ(spec.search.offspring, 20u);
   EXPECT_EQ(spec.workers, 4u);
-  EXPECT_EQ(spec.novelty_k, 5);
-  EXPECT_EQ(spec.islands, 2);
-  EXPECT_EQ(spec.cache_policy, cache::CachePolicy::kOff);
+  EXPECT_EQ(spec.search.novelty_k, 5);
+  EXPECT_EQ(spec.search.islands, 2);
+  EXPECT_EQ(spec.search.cache_policy, cache::CachePolicy::kOff);
 }
 
 TEST(RunSpecTest, CacheKeyParsesPolicies) {
   // Default step; only off|step|shared parse.
-  EXPECT_EQ(parse_run_spec("").cache_policy, cache::CachePolicy::kStep);
-  EXPECT_EQ(parse_run_spec("cache=step\n").cache_policy,
+  EXPECT_EQ(parse_run_spec("").search.cache_policy, cache::CachePolicy::kStep);
+  EXPECT_EQ(parse_run_spec("cache=step\n").search.cache_policy,
             cache::CachePolicy::kStep);
-  EXPECT_EQ(parse_run_spec("cache=shared\n").cache_policy,
+  EXPECT_EQ(parse_run_spec("cache=shared\n").search.cache_policy,
             cache::CachePolicy::kShared);
-  EXPECT_EQ(parse_run_spec("cache=off\n").cache_policy,
+  EXPECT_EQ(parse_run_spec("cache=off\n").search.cache_policy,
             cache::CachePolicy::kOff);
   // Boolean spellings fail like any unknown policy, naming the key and the
   // accepted values.
@@ -82,7 +86,7 @@ TEST(RunSpecTest, IgnoresCommentsAndBlankLines) {
       "\n"
       "  method = ess-ga  \n"
       "# another\n");
-  EXPECT_EQ(spec.method, "ess-ga");
+  EXPECT_EQ(spec.search.method, "ess-ga");
 }
 
 TEST(RunSpecTest, RejectsMalformedLines) {
@@ -93,9 +97,27 @@ TEST(RunSpecTest, RejectsMalformedLines) {
   EXPECT_THROW(parse_run_spec("method=nope"), InvalidArgument);
   EXPECT_THROW(parse_run_spec("workload=mars"), InvalidArgument);
   EXPECT_THROW(parse_run_spec("size=4"), InvalidArgument);  // below minimum
-  // The retired sweep-backend and NUMA-placement keys fail as unknown keys,
-  // even at what used to be their defaults.
-  for (const char* retired : {"backend=scalar", "numa=auto"}) {
+  // A seed is an exact unsigned 64-bit integer: no sign, exponent or
+  // fraction.
+  for (const char* seed : {"seed=-1", "seed=1e30", "seed=2.5"})
+    EXPECT_THROW(parse_run_spec(seed), InvalidArgument) << seed;
+  // The retired sweep-backend key fails as an unknown key, even at what used
+  // to be its default.
+  try {
+    (void)parse_run_spec("backend=scalar");
+    ADD_FAILURE() << "backend=scalar parsed";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown config key"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(RunSpecTest, RejectsRetiredSimdAndNumaKeys) {
+  // The CPU alone picks the relax kernel and NUMA placement is gone: `simd=`
+  // and `numa=` fail as unknown keys at every value they used to take.
+  for (const char* retired :
+       {"simd=auto", "simd=scalar", "simd=avx2", "numa=auto", "numa=on"}) {
     try {
       (void)parse_run_spec(retired);
       ADD_FAILURE() << retired << " parsed";
@@ -105,6 +127,49 @@ TEST(RunSpecTest, RejectsMalformedLines) {
           << e.what();
     }
   }
+}
+
+TEST(RunSpecTest, SeedRoundTripsExactly) {
+  // Above 2^53 a double would round these.
+  EXPECT_EQ(parse_run_spec("seed=9007199254740993").seed,
+            9007199254740993ULL);
+  EXPECT_EQ(parse_run_spec("seed=18446744073709551615").seed,
+            18446744073709551615ULL);
+}
+
+TEST(SearchSpecTest, ValidateJobSearchAppliesTheParserBounds) {
+  validate_job_search(SearchSpec{});
+  SearchSpec all_neighbours;
+  all_neighbours.novelty_k = 0;
+  validate_job_search(all_neighbours);
+
+  SearchSpec bad;
+  bad.population = 1;
+  try {
+    validate_job_search(bad);
+    ADD_FAILURE() << "population=1 validated";
+  } catch (const InvalidArgument& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "population expects an integer >= 2, got '1'");
+  }
+  bad = SearchSpec{};
+  bad.fitness_threshold = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(validate_job_search(bad), InvalidArgument);
+  bad = SearchSpec{};
+  bad.islands = 0;
+  EXPECT_THROW(validate_job_search(bad), InvalidArgument);
+  // Parses as a method, but a job cannot run it.
+  bad = SearchSpec{};
+  bad.method = "essim-monitor";
+  EXPECT_THROW(validate_job_search(bad), InvalidArgument);
+}
+
+TEST(SearchSpecTest, SetSearchKeyOwnsOnlyTheSearchKeys) {
+  SearchSpec spec;
+  EXPECT_TRUE(set_search_key(spec, "novelty_k", "0"));
+  EXPECT_EQ(spec.novelty_k, 0);
+  for (const char* key : {"seed", "workers", "cache", "max_solution_maps"})
+    EXPECT_FALSE(set_search_key(spec, key, "1")) << key;
 }
 
 TEST(RunSpecTest, RejectsStrtolLeniencies) {
@@ -118,8 +183,9 @@ TEST(RunSpecTest, RejectsStrtolLeniencies) {
   EXPECT_THROW(parse_run_spec("fitness_threshold=0x1p2\n"), InvalidArgument);
   EXPECT_THROW(parse_run_spec("fitness_threshold=1. 5\n"), InvalidArgument);
   // Trimmed whitespace around a well-formed value still parses.
-  EXPECT_EQ(parse_run_spec("generations= 12 \nmethod=ess-ga\n").generations,
-            12);
+  EXPECT_EQ(
+      parse_run_spec("generations= 12 \nmethod=ess-ga\n").search.generations,
+      12);
 }
 
 TEST(RunSpecTest, RejectsNonFiniteNumbers) {
@@ -134,13 +200,13 @@ TEST(RunSpecTest, RejectsNonFiniteNumbers) {
 }
 
 TEST(RunSpecTest, KnownMethodsListMatchesFactory) {
-  for (const auto& method : RunSpec::known_methods()) {
+  for (const auto& method : SearchSpec::known_methods()) {
     RunSpec spec;
-    spec.method = method;
+    spec.search.method = method;
     if (method == "essim-monitor") {
-      EXPECT_THROW(make_optimizer(spec), InvalidArgument);
+      EXPECT_THROW(make_optimizer(spec.search), InvalidArgument);
     } else {
-      EXPECT_NE(make_optimizer(spec), nullptr) << method;
+      EXPECT_NE(make_optimizer(spec.search), nullptr) << method;
     }
   }
 }
@@ -155,15 +221,15 @@ TEST(RunSpecTest, WorkloadFactoryHonoursSize) {
 }
 
 TEST(RunSpecEndToEndTest, RunsEveryMethodTiny) {
-  for (const auto& method : RunSpec::known_methods()) {
+  for (const auto& method : SearchSpec::known_methods()) {
     SCOPED_TRACE(method);
     RunSpec spec;
-    spec.method = method;
+    spec.search.method = method;
     spec.size = 24;
-    spec.generations = 3;
-    spec.population = 8;
-    spec.offspring = 8;
-    spec.islands = 2;
+    spec.search.generations = 3;
+    spec.search.population = 8;
+    spec.search.offspring = 8;
+    spec.search.islands = 2;
     const PipelineResult result = run_spec(spec);
     EXPECT_FALSE(result.steps.empty());
     for (const auto& step : result.steps) {
@@ -176,9 +242,9 @@ TEST(RunSpecEndToEndTest, RunsEveryMethodTiny) {
 TEST(RunSpecEndToEndTest, SeedChangesResults) {
   RunSpec a;
   a.size = 24;
-  a.generations = 3;
-  a.population = 8;
-  a.offspring = 8;
+  a.search.generations = 3;
+  a.search.population = 8;
+  a.search.offspring = 8;
   RunSpec b = a;
   b.seed = a.seed + 1;
   const auto ra = run_spec(a);

@@ -27,14 +27,14 @@ std::vector<synth::Workload> tiny_workloads() {
 service::CampaignConfig tiny_config(unsigned workers,
                                     unsigned job_concurrency) {
   service::CampaignConfig config;
-  config.generations = 2;
-  config.population = 6;
-  config.offspring = 6;
-  config.fitness_threshold = 1.1;  // never early-stops: fixed work per run
+  config.spec.generations = 2;
+  config.spec.population = 6;
+  config.spec.offspring = 6;
+  config.spec.fitness_threshold = 1.1;  // never early-stops: fixed work per run
   config.seed = 77;
   config.total_workers = workers;
   config.job_concurrency = job_concurrency;
-  config.keep_final_maps = true;
+  config.spec.keep_final_maps = true;
   return config;
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "ess/config.hpp"
 
 namespace essns::serve {
 namespace {
@@ -88,6 +89,22 @@ TEST(ServeProtocol, RejectsNonFiniteNumbers) {
     }
   EXPECT_THROW(parse_request("repredict id=f1 fitness_threshold=nan"),
                InvalidArgument);
+}
+
+TEST(ServeProtocol, SearchBoundsMatchTheRunSpec) {
+  // Both front doors bound the search keys through ess::set_search_key.
+  for (const char* token :
+       {"population=1", "generations=0", "offspring=0", "islands=0",
+        "novelty_k=-1", "fitness_threshold=nan"}) {
+    SCOPED_TRACE(token);
+    EXPECT_THROW(ess::parse_run_spec(token), InvalidArgument);
+    EXPECT_THROW(parse_request(std::string("predict id=f1 ") + token),
+                 InvalidArgument);
+  }
+  EXPECT_EQ(ess::parse_run_spec("novelty_k=0").search.novelty_k, 0);
+  const Request request = parse_request("predict id=f1 novelty_k=0");
+  ASSERT_TRUE(request.novelty_k);
+  EXPECT_EQ(*request.novelty_k, 0);
 }
 
 TEST(ServeProtocol, ErrorsNameTheOffendingToken) {

@@ -10,6 +10,7 @@
 #include <thread>
 
 #include "cache/scenario_cache.hpp"
+#include "common/error.hpp"
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"
 #include "service/signals.hpp"
@@ -318,10 +319,24 @@ TEST(ServeServer, TrackingAndParseErrorsAnswerErrLines) {
   EXPECT_EQ(client.request("predict id=f2 size=8")
                 .rfind("err bad request: ", 0),
             0u);
+  // Search keys are bounded when the line is parsed: no job, no fire.
+  EXPECT_EQ(client.request("predict id=f4 population=1"),
+            "err bad request: population expects an integer >= 2, got '1'");
+  EXPECT_NE(client.request("stats").find(" tracked_fires=1 "),
+            std::string::npos);
   // A structurally valid request whose parameters fail validation deeper
   // down (noise must stay below 1) answers err, not a dropped connection.
   EXPECT_EQ(client.request("predict id=f3 noise=2.0").rfind("err id=f3 ", 0),
             0u);
+}
+
+TEST(ServeServer, RejectsADefaultSpecNoJobCanRun) {
+  ServeConfig config = tiny_server_config();
+  config.default_spec.method = "essim-monitor";  // not an Optimizer
+  EXPECT_THROW(Server{config}, InvalidArgument);
+  config = tiny_server_config();
+  config.default_spec.population = 1;
+  EXPECT_THROW(Server{config}, InvalidArgument);
 }
 
 TEST(ServeServer, FullQueueRejectsInsteadOfBlocking) {

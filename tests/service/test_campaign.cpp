@@ -29,9 +29,9 @@ std::vector<synth::Workload> tiny_workloads() {
 
 CampaignConfig tiny_config() {
   CampaignConfig config;
-  config.generations = 3;
-  config.population = 8;
-  config.offspring = 8;
+  config.spec.generations = 3;
+  config.spec.population = 8;
+  config.spec.offspring = 8;
   config.seed = 77;
   return config;
 }
@@ -144,7 +144,7 @@ TEST(CampaignScheduler, KeepsFinalMapsOnRequest) {
   auto workloads = tiny_workloads();
   workloads.erase(workloads.begin() + 1, workloads.end());
   CampaignConfig config = tiny_config();
-  config.keep_final_maps = true;
+  config.spec.keep_final_maps = true;
   const CampaignResult result = CampaignScheduler(config).run(workloads);
   ASSERT_EQ(result.jobs.size(), 1u);
   EXPECT_EQ(result.jobs[0].final_probability.rows(), 16);
@@ -153,9 +153,9 @@ TEST(CampaignScheduler, KeepsFinalMapsOnRequest) {
 
 TEST(CampaignScheduler, RejectsNonOptimizerMethods) {
   CampaignConfig config = tiny_config();
-  config.method = "essim-monitor";
+  config.spec.method = "essim-monitor";
   EXPECT_THROW(CampaignScheduler{config}, InvalidArgument);
-  config.method = "no-such-method";
+  config.spec.method = "no-such-method";
   EXPECT_THROW(CampaignScheduler{config}, InvalidArgument);
 }
 
@@ -291,7 +291,7 @@ TEST(CampaignScheduler, SharedCacheBitIdenticalToOffAcrossConcurrency) {
     CampaignConfig config = tiny_config();
     config.job_concurrency = jobs;
     config.total_workers = jobs;
-    config.cache_policy = policy;
+    config.spec.cache_policy = policy;
     if (mem_bytes != 0) config.cache_mem_bytes = mem_bytes;
     return CampaignScheduler(config).run(workloads);
   };
@@ -349,7 +349,7 @@ TEST(CampaignScheduler, InjectedSharedCacheWarmsAcrossCampaigns) {
   // exists for.
   const auto workloads = tiny_workloads();
   CampaignConfig config = tiny_config();
-  config.cache_policy = cache::CachePolicy::kShared;
+  config.spec.cache_policy = cache::CachePolicy::kShared;
   config.shared_cache = std::make_shared<cache::SharedScenarioCache>();
 
   const CampaignResult cold = CampaignScheduler(config).run(workloads);

@@ -36,9 +36,9 @@ std::vector<synth::Workload> tiny_workloads() {
 
 CampaignConfig tiny_config() {
   CampaignConfig config;
-  config.generations = 3;
-  config.population = 8;
-  config.offspring = 8;
+  config.spec.generations = 3;
+  config.spec.population = 8;
+  config.spec.offspring = 8;
   config.seed = 77;
   return config;
 }
@@ -119,7 +119,7 @@ TEST(PredictionEngine, CampaignViaEngineMatchesReferenceByteForByte) {
     CampaignConfig config = tiny_config();
     config.total_workers = combo.workers;
     config.job_concurrency = combo.jobs;
-    config.cache_policy = combo.policy;
+    config.spec.cache_policy = combo.policy;
     const CampaignScheduler scheduler(config);
 
     const std::string via_engine = canonical_reports(scheduler.run(workloads));
@@ -140,7 +140,7 @@ TEST(PredictionEngine, ConcurrentSharedCacheCampaignMatchesReferenceResults) {
   CampaignConfig config = tiny_config();
   config.total_workers = 2;
   config.job_concurrency = 2;
-  config.cache_policy = cache::CachePolicy::kShared;
+  config.spec.cache_policy = cache::CachePolicy::kShared;
   const CampaignScheduler scheduler(config);
 
   const CampaignResult via_engine = scheduler.run(workloads);
@@ -336,12 +336,14 @@ TEST(PredictionEngine, DestructionCancelsQueuedJobs) {
     JobRequest queued;
     queued.workload = share(workloads[1]);
     queued.spec = tiny_spec();
+    // The slot stays held until the destructor cancels this job; released
+    // any earlier, the slot could finish the blocker and start this job
+    // before the destructor reaches it.
+    queued.on_done = [&gate](const JobRecord&) { gate.release(); };
     auto submission = engine.submit(std::move(queued));
     ASSERT_EQ(submission.admission, Admission::kAccepted);
     queued_future = std::move(submission.record);
-
-    gate.release();  // the dtor joins the in-flight job, cancels the rest
-  }
+  }  // the dtor cancels the queued job, then joins the in-flight one
   const JobRecord record = queued_future.get();
   EXPECT_EQ(record.status, JobStatus::kFailed);
   EXPECT_NE(record.error.find("cancelled"), std::string::npos);
@@ -359,6 +361,13 @@ TEST(PredictionEngine, RejectsMalformedRequests) {
   bad_method.spec = tiny_spec();
   bad_method.spec.method = "no-such-method";
   EXPECT_THROW(engine.submit(std::move(bad_method)), InvalidArgument);
+
+  // Out of the front doors' bounds: refused at admission, not run to fail.
+  JobRequest bad_population;
+  bad_population.workload = share(tiny_workloads()[0]);
+  bad_population.spec = tiny_spec();
+  bad_population.spec.population = 1;
+  EXPECT_THROW(engine.submit(std::move(bad_population)), InvalidArgument);
 }
 
 TEST(PredictionEngine, SplitsWorkerBudgetOverSlots) {
