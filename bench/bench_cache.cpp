@@ -69,15 +69,15 @@ RunResult run_campaign(const std::string& name,
                        std::size_t population,
                        std::shared_ptr<cache::SharedScenarioCache> cache) {
   service::CampaignConfig config;
-  config.job_concurrency = job_concurrency;
-  config.total_workers = job_concurrency;
+  config.engine.job_slots = job_concurrency;
+  config.engine.total_workers = job_concurrency;
   config.spec.generations = generations;
   config.spec.population = population;
   config.spec.offspring = population;
   config.spec.fitness_threshold = 1.1;  // fixed generation budget, no early exit
   config.spec.cache_policy = policy;
-  if (cache_mem_bytes != 0) config.cache_mem_bytes = cache_mem_bytes;
-  config.shared_cache = std::move(cache);
+  if (cache_mem_bytes != 0) config.engine.cache_mem_bytes = cache_mem_bytes;
+  config.engine.shared_cache = std::move(cache);
 
   const service::CampaignScheduler scheduler(config);
   const service::CampaignResult result = scheduler.run(workloads);

@@ -35,8 +35,8 @@ CampaignTiming run_once(const std::vector<synth::Workload>& workloads,
                         unsigned job_concurrency, unsigned total_workers,
                         int generations, std::size_t population) {
   service::CampaignConfig config;
-  config.job_concurrency = job_concurrency;
-  config.total_workers = total_workers;
+  config.engine.job_slots = job_concurrency;
+  config.engine.total_workers = total_workers;
   config.spec.generations = generations;
   config.spec.population = population;
   config.spec.offspring = population;

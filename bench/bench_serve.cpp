@@ -116,9 +116,9 @@ int main(int argc, char** argv) {
       std::min(4u, std::max(1u, std::thread::hardware_concurrency()));
 
   serve::ServeConfig config;
-  config.job_slots = 1;  // serial engine: latencies are service times
-  config.total_workers = workers;
-  config.queue_capacity = 32;
+  config.engine.job_slots = 1;  // serial engine: latencies are service times
+  config.engine.total_workers = workers;
+  config.engine.queue_capacity = 32;
   config.default_fire.size = quick ? 16 : 24;
   config.default_fire.steps = quick ? 3 : 4;
   config.default_spec.generations = quick ? 3 : 6;
@@ -248,7 +248,7 @@ int main(int argc, char** argv) {
                "  \"job_slots\": %u,\n  \"workers\": %u,\n",
                fires, config.default_fire.size, config.default_fire.steps,
                config.default_spec.generations, config.default_spec.population,
-               config.job_slots, workers);
+               config.engine.job_slots, workers);
   std::fprintf(out, "  \"phases\": [\n");
   for (std::size_t i = 0; i < 3; ++i) {
     const PhaseStats& phase = *phases[i];

@@ -37,13 +37,13 @@ int main(int argc, char** argv) {
               size, size);
 
   service::CampaignConfig config;
-  config.job_concurrency = 2;   // two prediction jobs in flight
-  config.total_workers = 4;     // Master/Worker budget, split over the jobs
+  config.engine.job_slots = 2;      // two prediction jobs in flight
+  config.engine.total_workers = 4;  // Master/Worker budget, split per job
   config.spec.generations = 15;
   config.spec.population = 24;
   config.spec.offspring = 24;
   config.spec.keep_final_maps = true;
-  config.on_job_done = [](const service::JobRecord& job) {
+  config.engine.on_job_done = [](const service::JobRecord& job) {
     std::printf("  finished %-28s %-9s %6.2fs\n", job.workload.c_str(),
                 service::to_string(job.status), job.elapsed_seconds);
   };

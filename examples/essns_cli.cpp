@@ -29,97 +29,6 @@ namespace {
 
 using namespace essns;
 
-void print_help() {
-  std::printf(
-      "usage: essns_cli [key=value ...] [@config-file]\n"
-      "       essns_cli campaign [flags] [key=value ...]\n"
-      "       essns_cli serve [flags] [key=value ...]\n\n"
-      "single run\n"
-      "  keys: workload size seed workers cache cache_mem trace metrics_out\n"
-      "        and the search keys\n"
-      "  search keys (every mode; a value out of bounds is a usage error):\n"
-      "    method generations (>= 1) fitness_threshold (finite)\n"
-      "    population (>= 2) offspring (>= 1) novelty_k (>= 0; 0 = all\n"
-      "    neighbours) islands (>= 1)\n"
-      "  methods:");
-  for (const auto& m : ess::SearchSpec::known_methods())
-    std::printf(" %s", m.c_str());
-  std::printf(
-      "\n  workloads: plains hills wind_shift\n\n"
-      "campaign — one prediction job per catalog workload, run concurrently\n"
-      "  flags:\n"
-      "    --jobs N       prediction jobs in flight at once (default 1)\n"
-      "    --workers N    total simulation-worker budget, split evenly over\n"
-      "                   the concurrent jobs (default 1; also valid in\n"
-      "                   single-run mode, where it maps to workers=N)\n"
-      "    --cache P      scenario memoization policy (also valid in\n"
-      "                   single-run mode); results are bit-identical under\n"
-      "                   every policy:\n"
-      "                     off     no memoization\n"
-      "                     step    per-step cache, wiped every prediction\n"
-      "                             step (default)\n"
-      "                     shared  one byte-bounded cache kept across steps\n"
-      "                             and shared by all concurrent jobs\n"
-      "    --cache-mem M  shared-cache byte budget in MiB (default 256;\n"
-      "                   an entry stores one bit per grid cell plus its\n"
-      "                   scores, is charged by those bytes, and is\n"
-      "                   evicted cost-aware when the budget is exceeded)\n"
-      "    --trace F      record spans (jobs x pipeline stages x workers)\n"
-      "                   and write a Chrome trace-event JSON timeline to F\n"
-      "                   (open in chrome://tracing or ui.perfetto.dev;\n"
-      "                   also valid in single-run mode; 'none' disables;\n"
-      "                   results are bit-identical with tracing on or off)\n"
-      "    --metrics-out F  write a metrics JSON scrape to F — sweep/cache/\n"
-      "                   pool counters plus p50/p90/p99 latency histograms\n"
-      "                   (also valid in single-run mode; 'none' disables;\n"
-      "                   result-neutral like --trace)\n"
-      "    --cache-load F restore a cache snapshot (written by --cache-save\n"
-      "                   or serve) before the campaign; requires --cache\n"
-      "                   shared. Entries are re-accounted against this\n"
-      "                   run's --cache-mem budget; results stay\n"
-      "                   bit-identical to a cold run\n"
-      "    --cache-save F write the shared cache to F after the campaign\n"
-      "                   (requires --cache shared) for a later warm start\n"
-      "    --catalog F    read a catalog spec (key=value file) instead of\n"
-      "                   the built-in default catalog (8 workloads)\n"
-      "  campaign keys: the search keys, seed jsonl csv summary timings\n"
-      "                 (jsonl/csv/summary are output paths; 'none' skips;\n"
-      "                 defaults campaign_jobs.jsonl / none /\n"
-      "                 campaign_summary.json)\n"
-      "                 timings=wall|zero: zero renders every wall-clock\n"
-      "                 field as 0, making reports a pure function of the\n"
-      "                 seeds (the canonical form determinism checks\n"
-      "                 byte-compare)\n"
-      "  catalog keys:  terrains sizes weather ignitions seeds base_seed\n"
-      "                 steps step_minutes noise limit\n"
-      "                 terrains:  plains hills rugged\n"
-      "                 weather:   steady wind_shift diurnal\n"
-      "                 ignitions: center offset edge corner\n\n"
-      "serve — long-lived prediction server (newline-delimited protocol\n"
-      "        over TCP; see README 'Serving'). One engine, one warm cache.\n"
-      "  flags:\n"
-      "    --host A       bind address (default 127.0.0.1)\n"
-      "    --port N       TCP port; 0 picks an ephemeral port (default 0)\n"
-      "    --port-file F  write the chosen port to F once listening\n"
-      "    --jobs N       prediction jobs in flight at once (default 1)\n"
-      "    --workers N    total simulation-worker budget (default 1)\n"
-      "    --queue N      pending-request bound beyond the running jobs;\n"
-      "                   excess requests get 'err ... rejected' (default 16)\n"
-      "    --cache-mem M  shared-cache byte budget in MiB (default 256)\n"
-      "    --cache-load F restore a cache snapshot before serving\n"
-      "    --cache-save F write the cache snapshot on clean shutdown\n"
-      "    --trace F / --metrics-out F\n"
-      "                   as above\n"
-      "  serve keys (defaults for requests that do not override them):\n"
-      "    the search keys, seed terrain size weather ignition steps\n"
-      "    step_minutes noise\n"
-      "  SIGINT/SIGTERM drain gracefully: in-flight jobs finish, queued ones\n"
-      "  are cancelled with a response, the cache snapshot is still saved.\n\n"
-      "exit status: 0 all jobs succeeded (or clean serve shutdown),\n"
-      "             1 on usage/config error,\n"
-      "             2 when the campaign finished with failed jobs\n");
-}
-
 bool is_catalog_key(const std::string& key) {
   static const char* keys[] = {"terrains", "sizes",        "weather",
                                "ignitions", "seeds",       "base_seed",
@@ -184,6 +93,160 @@ bool search_key(ess::SearchSpec& spec, const std::string& key,
   }
 }
 
+// The run flags campaign and serve share: each writes one EngineConfig
+// field or snapshot path, and this one table drives both the parse and the
+// --help lines.
+struct RunFlagTarget {
+  service::EngineConfig& engine;
+  std::string& cache_load;
+  std::string& cache_save;
+};
+
+struct RunFlag {
+  const char* name;
+  const char* metavar;
+  const char* help;
+  void (*apply)(RunFlagTarget& target, const char* flag, const char* value);
+};
+
+std::string path_or_off(const char* value) {
+  return std::strcmp(value, "none") == 0 ? "" : value;
+}
+
+const RunFlag kRunFlags[] = {
+    {"--jobs", "N", "prediction jobs in flight at once (default 1)",
+     [](RunFlagTarget& t, const char* f, const char* v) {
+       t.engine.job_slots = static_cast<unsigned>(require_positive_int(f, v));
+     }},
+    {"--workers", "N",
+     "total simulation-worker budget, split evenly over the\n"
+     "                   concurrent jobs (default 1; also valid in\n"
+     "                   single-run mode, where it maps to workers=N)",
+     [](RunFlagTarget& t, const char* f, const char* v) {
+       t.engine.total_workers =
+           static_cast<unsigned>(require_positive_int(f, v));
+     }},
+    {"--cache-mem", "M",
+     "shared-cache byte budget in MiB (default 256; an\n"
+     "                   entry stores one bit per grid cell plus its\n"
+     "                   scores, is charged by those bytes, and is\n"
+     "                   evicted cost-aware when the budget is exceeded)",
+     [](RunFlagTarget& t, const char* f, const char* v) {
+       t.engine.cache_mem_bytes =
+           static_cast<std::size_t>(require_positive_int(f, v)) << 20;
+     }},
+    {"--cache-load", "F",
+     "restore a cache snapshot (written by --cache-save)\n"
+     "                   before the first job; a campaign needs --cache\n"
+     "                   shared. Entries are re-accounted against this\n"
+     "                   run's --cache-mem budget; results stay\n"
+     "                   bit-identical to a cold run",
+     [](RunFlagTarget& t, const char*, const char* v) { t.cache_load = v; }},
+    {"--cache-save", "F",
+     "write the shared cache to F after the campaign (which\n"
+     "                   needs --cache shared) or on clean serve shutdown,\n"
+     "                   for a later warm start",
+     [](RunFlagTarget& t, const char*, const char* v) { t.cache_save = v; }},
+    {"--trace", "F",
+     "record spans (jobs x pipeline stages x workers)\n"
+     "                   and write a Chrome trace-event JSON timeline to F\n"
+     "                   (open in chrome://tracing or ui.perfetto.dev;\n"
+     "                   also valid in single-run mode; 'none' disables;\n"
+     "                   results are bit-identical with tracing on or off)",
+     [](RunFlagTarget& t, const char*, const char* v) {
+       t.engine.trace_out = path_or_off(v);
+     }},
+    {"--metrics-out", "F",
+     "write a metrics JSON scrape to F — sweep/cache/\n"
+     "                   pool counters plus p50/p90/p99 latency histograms\n"
+     "                   (also valid in single-run mode; 'none' disables;\n"
+     "                   result-neutral like --trace)",
+     [](RunFlagTarget& t, const char*, const char* v) {
+       t.engine.metrics_out = path_or_off(v);
+     }},
+};
+
+// If argv[i] is a run flag, apply it with its value (advancing i) and
+// return true. A missing or malformed value exits 1.
+bool take_run_flag(int argc, char** argv, int& i, RunFlagTarget target) {
+  for (const RunFlag& flag : kRunFlags) {
+    if (std::strcmp(argv[i], flag.name) != 0) continue;
+    if (i + 1 >= argc) {
+      std::fprintf(stderr, "%s expects a value\n", flag.name);
+      std::exit(1);
+    }
+    flag.apply(target, flag.name, argv[++i]);
+    return true;
+  }
+  return false;
+}
+
+void print_help() {
+  std::printf(
+      "usage: essns_cli [key=value ...] [@config-file]\n"
+      "       essns_cli campaign [flags] [key=value ...]\n"
+      "       essns_cli serve [flags] [key=value ...]\n\n"
+      "single run\n"
+      "  keys: workload size seed workers cache cache_mem trace metrics_out\n"
+      "        and the search keys\n"
+      "  search keys (every mode; a value out of bounds is a usage error):\n"
+      "    method generations (>= 1) fitness_threshold (finite)\n"
+      "    population (>= 2) offspring (>= 1) novelty_k (>= 0; 0 = all\n"
+      "    neighbours) islands (>= 1)\n"
+      "  methods:");
+  for (const auto& m : ess::SearchSpec::known_methods())
+    std::printf(" %s", m.c_str());
+  std::printf(
+      "\n  workloads: plains hills wind_shift\n\n"
+      "campaign — one prediction job per catalog workload, run concurrently\n"
+      "  flags (and the run flags below):\n"
+      "    --cache P      scenario memoization policy (also valid in\n"
+      "                   single-run mode); results are bit-identical under\n"
+      "                   every policy:\n"
+      "                     off     no memoization\n"
+      "                     step    per-step cache, wiped every prediction\n"
+      "                             step (default)\n"
+      "                     shared  one byte-bounded cache kept across steps\n"
+      "                             and shared by all concurrent jobs\n"
+      "    --catalog F    read a catalog spec (key=value file) instead of\n"
+      "                   the built-in default catalog (8 workloads)\n"
+      "  campaign keys: the search keys, seed jsonl csv summary timings\n"
+      "                 (jsonl/csv/summary are output paths; 'none' skips;\n"
+      "                 defaults campaign_jobs.jsonl / none /\n"
+      "                 campaign_summary.json)\n"
+      "                 timings=wall|zero: zero renders every wall-clock\n"
+      "                 field as 0, making reports a pure function of the\n"
+      "                 seeds (the canonical form determinism checks\n"
+      "                 byte-compare)\n"
+      "  catalog keys:  terrains sizes weather ignitions seeds base_seed\n"
+      "                 steps step_minutes noise limit\n"
+      "                 terrains:  plains hills rugged\n"
+      "                 weather:   steady wind_shift diurnal\n"
+      "                 ignitions: center offset edge corner\n\n"
+      "serve — long-lived prediction server (newline-delimited protocol\n"
+      "        over TCP; see README 'Serving'). One engine, one warm cache.\n"
+      "  flags (and the run flags below):\n"
+      "    --host A       bind address (default 127.0.0.1)\n"
+      "    --port N       TCP port; 0 picks an ephemeral port (default 0)\n"
+      "    --port-file F  write the chosen port to F once listening\n"
+      "    --queue N      pending-request bound beyond the running jobs;\n"
+      "                   excess requests get 'err ... rejected' (default 16)\n"
+      "  serve keys (defaults for requests that do not override them):\n"
+      "    the search keys, seed terrain size weather ignition steps\n"
+      "    step_minutes noise\n"
+      "  SIGINT/SIGTERM drain gracefully: in-flight jobs finish, queued ones\n"
+      "  are cancelled with a response, the cache snapshot is still saved.\n\n"
+      "run flags — campaign and serve\n");
+  for (const RunFlag& flag : kRunFlags)
+    std::printf("    %-14s %s\n",
+                (std::string(flag.name) + " " + flag.metavar).c_str(),
+                flag.help);
+  std::printf(
+      "\nexit status: 0 all jobs succeeded (or clean serve shutdown),\n"
+      "             1 on usage/config error,\n"
+      "             2 when the campaign finished with failed jobs\n");
+}
+
 int run_campaign(int argc, char** argv) {
   service::CampaignConfig config;
   // Catalog files accumulate in flag order; inline catalog keys go after
@@ -204,36 +267,17 @@ int run_campaign(int argc, char** argv) {
       print_help();
       return 0;
     }
-    if (arg == "--jobs" || arg == "--workers" || arg == "--cache" ||
-        arg == "--cache-mem" || arg == "--cache-load" ||
-        arg == "--cache-save" || arg == "--trace" ||
-        arg == "--metrics-out" || arg == "--catalog") {
+    if (take_run_flag(argc, argv, i,
+                      {config.engine, cache_load_path, cache_save_path}))
+      continue;
+    if (arg == "--cache" || arg == "--catalog") {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "%s expects a value\n", arg.c_str());
         return 1;
       }
       const char* value = argv[++i];
-      if (arg == "--jobs") {
-        config.job_concurrency =
-            static_cast<unsigned>(require_positive_int("--jobs", value));
-      } else if (arg == "--workers") {
-        config.total_workers =
-            static_cast<unsigned>(require_positive_int("--workers", value));
-      } else if (arg == "--cache") {
+      if (arg == "--cache") {
         config.spec.cache_policy = require_cache_policy("--cache", value);
-      } else if (arg == "--cache-mem") {
-        config.cache_mem_bytes =
-            static_cast<std::size_t>(
-                require_positive_int("--cache-mem", value))
-            << 20;
-      } else if (arg == "--cache-load") {
-        cache_load_path = value;
-      } else if (arg == "--cache-save") {
-        cache_save_path = value;
-      } else if (arg == "--trace") {
-        config.trace_out = std::strcmp(value, "none") == 0 ? "" : value;
-      } else if (arg == "--metrics-out") {
-        config.metrics_out = std::strcmp(value, "none") == 0 ? "" : value;
       } else {
         std::ifstream file(value);
         if (!file) {
@@ -302,11 +346,11 @@ int run_campaign(int argc, char** argv) {
     const std::vector<synth::Workload> workloads =
         synth::generate_catalog(spec);
     std::printf("campaign: %zu workloads, %u concurrent jobs, %u workers\n",
-                workloads.size(), config.job_concurrency,
-                config.total_workers);
+                workloads.size(), config.engine.job_slots,
+                config.engine.total_workers);
 
     const std::size_t total = workloads.size();
-    config.on_job_done = [total](const service::JobRecord& job) {
+    config.engine.on_job_done = [total](const service::JobRecord& job) {
       std::printf("  job %3zu/%zu  %-32s %-9s %6.2fs%s%s\n", job.index + 1,
                   total, job.workload.c_str(),
                   service::to_string(job.status), job.elapsed_seconds,
@@ -314,21 +358,21 @@ int run_campaign(int argc, char** argv) {
       std::fflush(stdout);
     };
 
-    std::shared_ptr<cache::SharedScenarioCache> persistent_cache;
     if (!cache_load_path.empty() || !cache_save_path.empty()) {
-      persistent_cache = std::make_shared<cache::SharedScenarioCache>(
-          config.cache_mem_bytes);
+      config.engine.shared_cache =
+          std::make_shared<cache::SharedScenarioCache>(
+              config.engine.cache_mem_bytes);
       if (!cache_load_path.empty()) {
         const cache::RestoreStats restored =
-            cache::load_cache(*persistent_cache, cache_load_path);
+            cache::load_cache(*config.engine.shared_cache, cache_load_path);
         std::printf(
             "cache: restored %zu/%zu entries from %s (%zu evicted, %zu "
             "rejected by the %.0f MiB budget)\n",
             restored.restored, restored.entries_in_file,
             cache_load_path.c_str(), restored.evictions, restored.rejected,
-            static_cast<double>(config.cache_mem_bytes) / (1024.0 * 1024.0));
+            static_cast<double>(config.engine.cache_mem_bytes) /
+                (1024.0 * 1024.0));
       }
-      config.shared_cache = persistent_cache;
     }
 
     service::CampaignScheduler scheduler(config);
@@ -353,10 +397,10 @@ int run_campaign(int argc, char** argv) {
       service::write_campaign_csv(result, csv_path, report_options);
       std::printf("wrote %s\n", csv_path.c_str());
     }
-    if (!config.trace_out.empty())
-      std::printf("wrote %s\n", config.trace_out.c_str());
-    if (!config.metrics_out.empty())
-      std::printf("wrote %s\n", config.metrics_out.c_str());
+    if (!config.engine.trace_out.empty())
+      std::printf("wrote %s\n", config.engine.trace_out.c_str());
+    if (!config.engine.metrics_out.empty())
+      std::printf("wrote %s\n", config.engine.metrics_out.c_str());
     if (summary_path != "none") {
       std::ofstream out(summary_path);
       if (!out) {
@@ -368,7 +412,7 @@ int run_campaign(int argc, char** argv) {
     }
     if (!cache_save_path.empty()) {
       const std::size_t saved =
-          cache::save_cache(*persistent_cache, cache_save_path);
+          cache::save_cache(*config.engine.shared_cache, cache_save_path);
       std::printf("cache: saved %zu entries to %s\n", saved,
                   cache_save_path.c_str());
     }
@@ -392,11 +436,11 @@ int run_serve(int argc, char** argv) {
       print_help();
       return 0;
     }
+    if (take_run_flag(argc, argv, i,
+                      {config.engine, config.cache_load, config.cache_save}))
+      continue;
     if (arg == "--host" || arg == "--port" || arg == "--port-file" ||
-        arg == "--jobs" || arg == "--workers" || arg == "--queue" ||
-        arg == "--cache-mem" || arg == "--cache-load" ||
-        arg == "--cache-save" || arg == "--trace" ||
-        arg == "--metrics-out") {
+        arg == "--queue") {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "%s expects a value\n", arg.c_str());
         return 1;
@@ -413,28 +457,9 @@ int run_serve(int argc, char** argv) {
         config.port = *port;
       } else if (arg == "--port-file") {
         config.port_file = value;
-      } else if (arg == "--jobs") {
-        config.job_slots =
-            static_cast<unsigned>(require_positive_int("--jobs", value));
-      } else if (arg == "--workers") {
-        config.total_workers =
-            static_cast<unsigned>(require_positive_int("--workers", value));
-      } else if (arg == "--queue") {
-        config.queue_capacity = static_cast<std::size_t>(
-            require_positive_int("--queue", value));
-      } else if (arg == "--cache-mem") {
-        config.cache_mem_bytes =
-            static_cast<std::size_t>(
-                require_positive_int("--cache-mem", value))
-            << 20;
-      } else if (arg == "--cache-load") {
-        config.cache_load = value;
-      } else if (arg == "--cache-save") {
-        config.cache_save = value;
-      } else if (arg == "--trace") {
-        config.trace_out = std::strcmp(value, "none") == 0 ? "" : value;
       } else {
-        config.metrics_out = std::strcmp(value, "none") == 0 ? "" : value;
+        config.engine.queue_capacity = static_cast<std::size_t>(
+            require_positive_int("--queue", value));
       }
       continue;
     }

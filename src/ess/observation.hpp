@@ -35,8 +35,6 @@ struct ObservedLine {
 };
 
 struct ObservationDigest {
-  /// cache::environment_fingerprint of the job's terrain, when known.
-  std::optional<std::uint64_t> env_fingerprint;
   /// Whether lines carry fingerprints (needed by the shared cache only).
   bool fingerprinted = false;
   std::vector<double> times;  ///< t_k of each line

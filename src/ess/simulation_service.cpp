@@ -170,7 +170,6 @@ void SimulationService::enter_context(Observations& observations,
                   "the shared cache needs fingerprinted fire lines");
     c.start_fingerprint = start.fingerprint;
     c.target_fingerprint = target ? target->fingerprint : 0;
-    if (!env_fingerprint_) env_fingerprint_ = digest.env_fingerprint;
   }
   c.valid = true;
 }

@@ -336,10 +336,9 @@ class SimulationService {
   std::shared_ptr<cache::SharedScenarioCache> shared_cache_;
   std::size_t cache_mem_bytes_ = cache::kDefaultCacheBytes;
   /// Terrain fingerprint folded into every shared-cache context so jobs
-  /// over different environments never share entries. Taken from the
-  /// first digest that carries it, else computed on the master thread at
-  /// the first shared batch (the environment is fixed for the service's
-  /// lifetime).
+  /// over different environments never share entries. Computed on the
+  /// master thread at the first shared batch (the environment is fixed for
+  /// the service's lifetime).
   std::optional<std::uint64_t> env_fingerprint_;
 
   std::size_t cache_hits_ = 0;

@@ -77,6 +77,7 @@ Server::Server(ServeConfig config) : config_(std::move(config)) {
                 "serve: max_line_bytes must be >= 64");
   // Refuse at start a default every plain predict would fail on.
   ess::validate_job_search(config_.default_spec);
+  synth::validate_workload_request(config_.default_fire);
 }
 
 Server::~Server() {
@@ -91,21 +92,13 @@ Server::~Server() {
 void Server::start() {
   ESSNS_REQUIRE(!engine_, "serve: start() called twice");
 
-  auto cache =
-      std::make_shared<cache::SharedScenarioCache>(config_.cache_mem_bytes);
-  if (!config_.cache_load.empty()) {
-    const cache::RestoreStats stats =
-        cache::load_cache(*cache, config_.cache_load);
-    restored_entries_ = stats.restored;
-  }
-
-  service::EngineConfig engine_config;
-  engine_config.job_slots = config_.job_slots;
-  engine_config.total_workers = config_.total_workers;
-  engine_config.queue_capacity = config_.queue_capacity;
-  engine_config.shared_cache = std::move(cache);
-  engine_config.trace_out = config_.trace_out;
-  engine_config.metrics_out = config_.metrics_out;
+  service::EngineConfig engine_config = config_.engine;
+  engine_config.shared_cache = std::make_shared<cache::SharedScenarioCache>(
+      engine_config.cache_mem_bytes);
+  if (!config_.cache_load.empty())
+    restored_entries_ =
+        cache::load_cache(*engine_config.shared_cache, config_.cache_load)
+            .restored;
   // The metrics verb scrapes the registry live, so install one even when no
   // metrics file was requested.
   engine_config.collect_metrics = true;

@@ -58,12 +58,11 @@ struct ServeConfig {
   /// listening — how scripts drive an ephemeral-port server.
   std::string port_file;
 
-  unsigned job_slots = 1;
-  unsigned total_workers = 1;
-  std::size_t queue_capacity = 16;
-  std::size_t cache_mem_bytes = cache::kDefaultCacheBytes;
-  std::string trace_out;
-  std::string metrics_out;
+  /// The engine's run knobs. start() overwrites two fields: shared_cache
+  /// becomes a fresh cache of cache_mem_bytes (restored from cache_load
+  /// when set), and collect_metrics is forced on so the `metrics` verb can
+  /// scrape the registry live.
+  service::EngineConfig engine{.queue_capacity = 16};
 
   /// Cache snapshot to restore before serving ("" = start cold).
   std::string cache_load;

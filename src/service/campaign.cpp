@@ -99,100 +99,40 @@ double CampaignResult::mean_quality() const {
 
 CampaignScheduler::CampaignScheduler(CampaignConfig config)
     : config_(std::move(config)) {
-  ESSNS_REQUIRE(config_.job_concurrency >= 1, "job_concurrency >= 1");
-  ESSNS_REQUIRE(config_.total_workers >= 1, "total_workers >= 1");
+  ESSNS_REQUIRE(config_.engine.job_slots >= 1, "job_slots >= 1");
+  ESSNS_REQUIRE(config_.engine.total_workers >= 1, "total_workers >= 1");
   ess::validate_job_search(config_.spec);
 }
 
 unsigned CampaignScheduler::workers_per_job(std::size_t job_count) const {
   const unsigned in_flight = static_cast<unsigned>(
-      std::min<std::size_t>(config_.job_concurrency,
+      std::min<std::size_t>(config_.engine.job_slots,
                             std::max<std::size_t>(job_count, 1)));
-  return std::max(1u, config_.total_workers / in_flight);
-}
-
-JobRecord CampaignScheduler::run_job(
-    const synth::Workload& workload, std::size_t index, unsigned workers,
-    const std::shared_ptr<cache::SharedScenarioCache>& shared_cache) const {
-  JobRecord record;
-  record.index = index;
-  record.workload = workload.name;
-  record.rows = workload.environment.rows();
-  record.cols = workload.environment.cols();
-  record.seed = campaign_job_seed(config_.seed, workload.seed, index);
-  record.workers = workers;
-
-  // Declared before the timer: the span name must outlive the SpanTimer
-  // that holds a pointer into it.
-  const std::string span_name = "job:" + workload.name;
-  obs::SpanTimer job_timer(span_name.c_str());
-  try {
-    const synth::GroundTruth truth =
-        ess::materialize_truth(workload, record.seed);
-
-    ess::PipelineConfig pipeline_config;
-    pipeline_config.stop = {config_.spec.generations,
-                            config_.spec.fitness_threshold};
-    pipeline_config.workers = workers;
-    pipeline_config.max_solution_maps = config_.spec.max_solution_maps;
-    pipeline_config.cache_policy = config_.spec.cache_policy;
-    pipeline_config.cache_mem_bytes = config_.cache_mem_bytes;
-    pipeline_config.shared_cache = shared_cache;
-    ess::PredictionPipeline pipeline(workload.environment, truth,
-                                     pipeline_config);
-
-    auto optimizer = ess::make_optimizer(config_.spec);
-    Rng rng(record.seed ^ 0x5eedULL);
-    record.result = pipeline.run(*optimizer, rng);
-    record.status = JobStatus::kSucceeded;
-    if (config_.spec.keep_final_maps) {
-      record.final_probability = pipeline.last_probability();
-      record.final_prediction = pipeline.last_prediction();
-    }
-  } catch (const std::exception& e) {
-    record.status = JobStatus::kFailed;
-    record.error = e.what();
-  } catch (...) {
-    record.status = JobStatus::kFailed;
-    record.error = "unknown exception";
-  }
-  record.elapsed_seconds = job_timer.stop();
-  if (obs::metrics_enabled()) {
-    obs::add_counter("campaign.jobs", 1);
-    obs::record_histogram("campaign.job_seconds", record.elapsed_seconds);
-  }
-  return record;
+  return std::max(1u, config_.engine.total_workers / in_flight);
 }
 
 CampaignResult CampaignScheduler::run(
     const std::vector<synth::Workload>& workloads) const {
   CampaignResult result;
-  result.job_concurrency = config_.job_concurrency;
+  result.job_concurrency = config_.engine.job_slots;
   result.workers_per_job = workers_per_job(workloads.size());
   result.cache_policy = config_.spec.cache_policy;
   result.jobs.resize(workloads.size());
+  const bool shared = config_.spec.cache_policy == cache::CachePolicy::kShared;
 
   // One engine for the batch: job_slots = the effective concurrency, queue
-  // sized to admit every job up front. The engine owns the obs session and
-  // the shared cache for exactly the span the old scheduler did — its
-  // destructor (end of scope) writes trace/metrics after the slots join,
-  // which also covers the empty-workloads early return.
-  EngineConfig engine_config;
-  engine_config.job_slots = static_cast<unsigned>(std::min<std::size_t>(
-      config_.job_concurrency, std::max<std::size_t>(workloads.size(), 1)));
-  engine_config.total_workers = config_.total_workers;
-  engine_config.queue_capacity = std::max<std::size_t>(workloads.size(), 1);
-  engine_config.cache_mem_bytes = config_.cache_mem_bytes;
-  if (config_.spec.cache_policy == cache::CachePolicy::kShared)
-    engine_config.shared_cache = config_.shared_cache;
-  engine_config.trace_out = config_.trace_out;
-  engine_config.metrics_out = config_.metrics_out;
-  engine_config.on_job_done = config_.on_job_done;
-  PredictionEngine engine(engine_config);
+  // sized to admit every job up front. Its destructor (end of scope) writes
+  // trace/metrics after the slots join, which also covers the
+  // empty-workloads early return.
+  EngineConfig engine_config = config_.engine;
+  const std::size_t batch = std::max<std::size_t>(workloads.size(), 1);
+  engine_config.job_slots = static_cast<unsigned>(
+      std::min<std::size_t>(engine_config.job_slots, batch));
+  engine_config.queue_capacity = batch;
+  PredictionEngine engine(std::move(engine_config));
 
   if (workloads.empty()) return result;
-  if (config_.spec.cache_policy == cache::CachePolicy::kShared)
-    result.cache_mem_bytes = engine.shared_cache()->max_bytes();
+  if (shared) result.cache_mem_bytes = engine.shared_cache()->max_bytes();
 
   obs::SpanTimer wall("campaign");
 
@@ -219,20 +159,21 @@ CampaignResult CampaignScheduler::run(
     result.jobs[i] = records[i].get();
 
   result.wall_seconds = wall.stop();
-  if (config_.spec.cache_policy == cache::CachePolicy::kShared)
-    result.shared_cache_stats = engine.shared_cache()->stats();
+  if (shared) result.shared_cache_stats = engine.shared_cache()->stats();
   return result;
 }
 
 CampaignResult CampaignScheduler::run_reference(
     const std::vector<synth::Workload>& workloads) const {
+  const EngineConfig& knobs = config_.engine;
   // Campaign-wide observability session: installs the recorder/registry
   // before any job starts, uninstalls + writes the output files on the way
   // out (the destructor covers the empty-workloads early return).
-  obs::ObsSession obs_session(config_.trace_out, config_.metrics_out);
+  obs::ObsSession obs_session(knobs.trace_out, knobs.metrics_out,
+                              knobs.collect_metrics);
 
   CampaignResult result;
-  result.job_concurrency = config_.job_concurrency;
+  result.job_concurrency = knobs.job_slots;
   result.workers_per_job = workers_per_job(workloads.size());
   result.cache_policy = config_.spec.cache_policy;
   result.jobs.resize(workloads.size());
@@ -243,40 +184,36 @@ CampaignResult CampaignScheduler::run_reference(
   // simulations are amortized across jobs, not just within one pipeline.
   std::shared_ptr<cache::SharedScenarioCache> shared_cache;
   if (config_.spec.cache_policy == cache::CachePolicy::kShared) {
-    shared_cache = config_.shared_cache
-                       ? config_.shared_cache
+    shared_cache = knobs.shared_cache
+                       ? knobs.shared_cache
                        : std::make_shared<cache::SharedScenarioCache>(
-                             config_.cache_mem_bytes);
+                             knobs.cache_mem_bytes);
     result.cache_mem_bytes = shared_cache->max_bytes();
   }
 
-  const unsigned per_job = result.workers_per_job;
   obs::SpanTimer wall("campaign");
 
-  const unsigned concurrency = static_cast<unsigned>(
-      std::min<std::size_t>(config_.job_concurrency, workloads.size()));
-  if (concurrency <= 1) {
-    for (std::size_t i = 0; i < workloads.size(); ++i) {
-      result.jobs[i] =
-          run_job(workloads[i], i, per_job, shared_cache);
-      if (config_.on_job_done) config_.on_job_done(result.jobs[i]);
+  std::mutex done_mutex;
+  const auto run_one = [&](std::size_t i) {
+    result.jobs[i] = run_prediction_job(
+        workloads[i], i, config_.seed, result.workers_per_job, config_.spec,
+        simd::Mode::kAuto, parallel::NumaMode::kAuto,
+        firelib::SweepBackend::kScalar, shared_cache);
+    if (knobs.on_job_done) {
+      std::lock_guard lock(done_mutex);
+      knobs.on_job_done(result.jobs[i]);
     }
+  };
+  const unsigned concurrency = static_cast<unsigned>(
+      std::min<std::size_t>(knobs.job_slots, workloads.size()));
+  if (concurrency <= 1) {
+    for (std::size_t i = 0; i < workloads.size(); ++i) run_one(i);
   } else {
     parallel::ThreadPool pool(concurrency);
-    std::mutex done_mutex;
     std::vector<std::future<void>> pending;
     pending.reserve(workloads.size());
-    for (std::size_t i = 0; i < workloads.size(); ++i) {
-      pending.push_back(pool.submit([this, &workloads, &result, &done_mutex,
-                                     &shared_cache, per_job, i] {
-        result.jobs[i] =
-            run_job(workloads[i], i, per_job, shared_cache);
-        if (config_.on_job_done) {
-          std::lock_guard lock(done_mutex);
-          config_.on_job_done(result.jobs[i]);
-        }
-      }));
-    }
+    for (std::size_t i = 0; i < workloads.size(); ++i)
+      pending.push_back(pool.submit([&run_one, i] { run_one(i); }));
     for (auto& f : pending) f.get();
   }
 

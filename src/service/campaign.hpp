@@ -8,11 +8,11 @@
 // pipeline with its own ground truth, optimizer and rng stream — executed
 // with bounded job-level concurrency on top of parallel::ThreadPool.
 //
-// Two-level parallelism: `job_concurrency` pipelines run at once, and the
-// campaign's `total_workers` simulation budget is split evenly across the
-// concurrent jobs, each slice driving that job's pool-backed
+// Two-level parallelism: engine.job_slots pipelines run at once, and the
+// campaign's engine.total_workers simulation budget is split evenly across
+// the concurrent jobs, each slice driving that job's pool-backed
 // SimulationService. Because the simulation stack is bit-deterministic
-// across worker counts (PR 1) and every job derives its seeds from
+// across worker counts and every job derives its seeds from
 // (campaign seed, workload seed, job index) alone, per-job results are
 // bit-identical at any job-concurrency level — the contract the tests and
 // bench_campaign verify.
@@ -20,17 +20,15 @@
 // Error isolation: a job whose pipeline throws is recorded as kFailed with
 // the exception text; the rest of the campaign completes normally.
 //
-// Since the PredictionEngine extraction, run() is a thin client: it stands
-// up an engine sized for the batch, submits every workload through the
-// admission-controlled queue, and collects the futures in submission order.
-// The pre-engine scheduling loop is retained verbatim as run_reference() —
-// the oracle twin the property tests byte-compare run() against.
+// run() is a thin client: it stands up a PredictionEngine sized for the
+// batch, submits every workload through the admission-controlled queue,
+// and collects the futures in submission order. run_reference() is a
+// scheduler twin that runs the same job body (run_prediction_job) on its
+// own ThreadPool and ObsSession, without the engine's queue — the oracle
+// the property tests byte-compare run() against.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "cache/scenario_cache.hpp"
@@ -41,8 +39,14 @@
 namespace essns::service {
 
 struct CampaignConfig {
-  unsigned job_concurrency = 1;  ///< pipelines in flight at once
-  unsigned total_workers = 1;    ///< simulation-worker budget, split per job
+  /// The run knobs. run() overwrites two fields: job_slots is clamped to
+  /// the batch size and queue_capacity is sized to hold the whole batch.
+  /// shared_cache (a pre-warmed cross-campaign cache; null makes a fresh
+  /// one per campaign) and cache_mem_bytes matter only under a kShared
+  /// spec. trace_out / metrics_out are written before run() returns;
+  /// on_job_done fires once per finished job, serialized, in a
+  /// nondeterministic order under concurrency.
+  EngineConfig engine;
   std::uint64_t seed = 2022;     ///< campaign stream; mixed per job
 
   /// The spec every job runs under (validated at construction; essim-monitor
@@ -52,24 +56,6 @@ struct CampaignConfig {
   /// just within a prediction step. keep_final_maps retains each job's final
   /// probability matrix / predicted fire line (two grids per job).
   JobSpec spec;
-  /// Byte budget of the campaign-wide cache (kShared only).
-  std::size_t cache_mem_bytes = cache::kDefaultCacheBytes;
-  /// Pre-warmed cross-campaign cache (kShared only); null makes run()
-  /// create a fresh one per campaign.
-  std::shared_ptr<cache::SharedScenarioCache> shared_cache;
-
-  /// Chrome trace-event JSON output path ("" or "none" = tracing off).
-  /// When set, run() records spans campaign-wide — jobs x pipeline stages x
-  /// pool/sim workers — and writes the timeline before returning.
-  std::string trace_out;
-  /// Metrics JSON output path ("" or "none" = metrics off). When set, run()
-  /// installs a campaign-wide registry (sweep/cache/pool counters,
-  /// latency histograms) and writes the scrape before returning.
-  std::string metrics_out;
-
-  /// Invoked once per finished job (success or failure), serialized by the
-  /// scheduler. Completion order is nondeterministic under concurrency.
-  std::function<void(const JobRecord&)> on_job_done;
 };
 
 struct CampaignResult {
@@ -114,17 +100,17 @@ class CampaignScheduler {
   explicit CampaignScheduler(CampaignConfig config);
 
   /// Run one PredictionJob per workload by submitting the whole batch
-  /// through a campaign-lifetime PredictionEngine (job_slots =
-  /// job_concurrency, queue sized to hold every job). Never throws for
-  /// job-level failures; configuration errors (e.g. an unknown method)
-  /// throw before any job starts. Byte-identical to run_reference() at the
-  /// same seeds — the property the service tests enforce.
+  /// through a campaign-lifetime PredictionEngine (queue sized to hold
+  /// every job). Never throws for job-level failures; configuration errors
+  /// (e.g. an unknown method) throw before any job starts. Byte-identical
+  /// to run_reference() at the same seeds — the property the service tests
+  /// enforce.
   CampaignResult run(const std::vector<synth::Workload>& workloads) const;
 
-  /// The pre-engine scheduling loop, retained verbatim as the oracle twin:
-  /// its own ObsSession, its own ThreadPool per run, its own job runner.
-  /// Kept for the byte-identity property tests; production callers use
-  /// run().
+  /// The scheduler twin: the same job body on its own ThreadPool per run
+  /// (inline when one job runs at a time) and its own ObsSession, without
+  /// the engine's queue. Kept for the byte-identity property tests;
+  /// production callers use run().
   CampaignResult run_reference(
       const std::vector<synth::Workload>& workloads) const;
 
@@ -135,11 +121,6 @@ class CampaignScheduler {
   const CampaignConfig& config() const { return config_; }
 
  private:
-  JobRecord run_job(const synth::Workload& workload, std::size_t index,
-                    unsigned workers,
-                    const std::shared_ptr<cache::SharedScenarioCache>&
-                        shared_cache) const;
-
   CampaignConfig config_;
 };
 

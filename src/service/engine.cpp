@@ -74,30 +74,17 @@ JobRecord run_prediction_job(
   const std::string span_name = "job:" + workload.name;
   obs::SpanTimer job_timer(span_name.c_str());
   try {
-    const bool shared = spec.cache_policy == cache::CachePolicy::kShared;
     const synth::GroundTruth truth =
         ess::materialize_truth(workload, record.seed);
-    // Only the shared cache keys on fingerprints: the step policy's digest
-    // computes none.
-    auto digest = std::make_shared<ess::ObservationDigest>(
-        ess::make_observation_digest(truth, shared));
-    if (shared)
-      digest->env_fingerprint =
-          cache::environment_fingerprint(workload.environment);
-
     ess::PipelineConfig pipeline_config;
     pipeline_config.stop = {spec.generations, spec.fitness_threshold};
     pipeline_config.workers = workers;
     pipeline_config.max_solution_maps = spec.max_solution_maps;
     pipeline_config.cache_policy = spec.cache_policy;
-    pipeline_config.cache_mem_bytes =
-        shared_cache ? shared_cache->max_bytes() : cache::kDefaultCacheBytes;
-    pipeline_config.shared_cache =
-        spec.cache_policy == cache::CachePolicy::kShared ? shared_cache
-                                                         : nullptr;
-    ess::PredictionPipeline pipeline(
-        workload.environment, ess::Observations(digest, truth.fire_lines),
-        pipeline_config);
+    // Read only under kShared; a null cache makes the job its own.
+    pipeline_config.shared_cache = shared_cache;
+    ess::PredictionPipeline pipeline(workload.environment, truth,
+                                     pipeline_config);
 
     auto optimizer = ess::make_optimizer(spec);
     Rng rng(record.seed ^ 0x5eedULL);

@@ -4,8 +4,8 @@
 // ThreadPool, SharedScenarioCache and observability session — fine for a
 // batch process, wrong for the steady-state workload the paper implies
 // (re-prediction of tracked fires at successive intervals), where the warm
-// cache IS the speedup (bench_cache: ~10x at hit-rate 1.0). The engine owns
-// exactly ONE of each for its lifetime:
+// cache does most of the work. The engine owns exactly ONE of each for its
+// lifetime:
 //
 //   - ONE parallel::ThreadPool of `job_slots` job executors,
 //   - ONE cache::SharedScenarioCache shared by every job that asks for the
@@ -26,12 +26,12 @@
 // seed, index, spec) — see run_prediction_job() — so records are
 // bit-identical no matter which slot ran the job, at what priority, or how
 // full the queue was. CampaignScheduler::run() is a thin client of this
-// class and is property-tested byte-identical against the retained
-// pre-engine scheduler (run_reference()). The same purity lets a client
-// answer a repeated request from the record of the first one: serve::Server
-// keeps each tracked fire's last record and submits a job only for a
-// horizon it has not completed. A job carries nothing from earlier jobs
-// beyond what the shared cache holds.
+// class and is property-tested byte-identical against run_reference(), a
+// scheduler twin that runs the same job body on its own pool. The same
+// purity lets a client answer a repeated request from the record of the
+// first one: serve::Server keeps each tracked fire's last record and
+// submits a job only for a horizon it has not completed. A job carries
+// nothing from earlier jobs beyond what the shared cache holds.
 //
 // Graceful drain: slot loops check service::drain_requested() between jobs;
 // once a drain is signalled, queued jobs complete as kFailed "cancelled"
@@ -139,6 +139,11 @@ JobRecord run_prediction_job(
     simd::Mode, parallel::NumaMode, firelib::SweepBackend,
     const std::shared_ptr<cache::SharedScenarioCache>& shared_cache);
 
+/// The run knobs of one engine: the only place they are declared. Campaigns
+/// (CampaignConfig::engine) and servers (ServeConfig::engine) embed one and
+/// document the fields they overwrite. Every field has an initializer, so
+/// a designated initializer (`{.queue_capacity = 16}`) names only the
+/// fields it changes without a -Wmissing-field-initializers warning.
 struct EngineConfig {
   unsigned job_slots = 1;     ///< prediction jobs in flight at once
   unsigned total_workers = 1; ///< simulation-worker budget, split per slot
@@ -150,19 +155,19 @@ struct EngineConfig {
   std::size_t cache_mem_bytes = cache::kDefaultCacheBytes;
   /// Pre-warmed cache to adopt (e.g. restored via cache::load_cache); null
   /// makes the engine create a fresh one.
-  std::shared_ptr<cache::SharedScenarioCache> shared_cache;
+  std::shared_ptr<cache::SharedScenarioCache> shared_cache{};
   /// Chrome trace-event JSON output path ("" or "none" = tracing off);
   /// written when the engine is destroyed.
-  std::string trace_out;
+  std::string trace_out{};
   /// Metrics JSON output path ("" or "none" = no file). Written on
   /// destruction.
-  std::string metrics_out;
+  std::string metrics_out{};
   /// Install a MetricsRegistry even without a metrics_out path — servers
   /// scrape it live over the wire instead of reading a file.
   bool collect_metrics = false;
   /// Invoked once per finished job (success, failure or cancellation),
   /// serialized by the engine, before any per-request on_done.
-  std::function<void(const JobRecord&)> on_job_done;
+  std::function<void(const JobRecord&)> on_job_done{};
 };
 
 /// How submit() answered.

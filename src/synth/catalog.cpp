@@ -141,7 +141,7 @@ CellIndex ignition_cell(IgnitionPattern pattern, int size) {
   throw InvalidArgument("unknown ignition pattern enumerator");
 }
 
-Workload make_workload(const WorkloadRequest& request) {
+void validate_workload_request(const WorkloadRequest& request) {
   ESSNS_REQUIRE(request.size >= 16, "workload map size must be >= 16 cells");
   ESSNS_REQUIRE(request.steps >= 2,
                 "workload steps >= 2 (pipeline needs calibration + "
@@ -150,7 +150,10 @@ Workload make_workload(const WorkloadRequest& request) {
   ESSNS_REQUIRE(
       request.observation_noise >= 0.0 && request.observation_noise < 1.0,
       "observation noise in [0,1)");
+}
 
+Workload make_workload(const WorkloadRequest& request) {
+  validate_workload_request(request);
   Workload workload =
       make_terrain(request.terrain, request.size, request.seed);
   GroundTruthConfig cfg = workload.truth_config;

@@ -56,6 +56,10 @@ struct WorkloadRequest {
   double observation_noise = 0.02;
 };
 
+/// Throws InvalidArgument when make_workload(request) would refuse the
+/// fields; builds no terrain.
+void validate_workload_request(const WorkloadRequest& request);
+
 /// Build the workload for one cell. Deterministic in `request`; the name is
 /// "<terrain><size>-<weather>-<ignition>" (generate_catalog appends its
 /// replicate suffix). Throws InvalidArgument on out-of-range fields.

@@ -319,24 +319,24 @@ TEST(CacheIo, RestoredCacheServesCampaignWarmAndBitIdentical) {
   config.seed = 77;
   config.spec.cache_policy = CachePolicy::kShared;
 
-  config.shared_cache = std::make_shared<SharedScenarioCache>();
+  config.engine.shared_cache = std::make_shared<SharedScenarioCache>();
   const service::CampaignResult cold =
       service::CampaignScheduler(config).run(workloads);
   ASSERT_EQ(cold.succeeded(), workloads.size());
-  const std::string snapshot = serialize(*config.shared_cache);
+  const std::string snapshot = serialize(*config.engine.shared_cache);
 
   // "Restart": a brand-new cache, warmed only from the snapshot bytes.
-  config.shared_cache = std::make_shared<SharedScenarioCache>();
-  const RestoreStats restored = deserialize(*config.shared_cache, snapshot);
+  config.engine.shared_cache = std::make_shared<SharedScenarioCache>();
+  const RestoreStats restored = deserialize(*config.engine.shared_cache, snapshot);
   EXPECT_GT(restored.restored, 0u);
   EXPECT_EQ(restored.rejected, 0u);
 
-  const std::size_t misses_before = config.shared_cache->stats().misses;
+  const std::size_t misses_before = config.engine.shared_cache->stats().misses;
   const service::CampaignResult warm =
       service::CampaignScheduler(config).run(workloads);
   ASSERT_EQ(warm.succeeded(), workloads.size());
 
-  const CacheStats after = config.shared_cache->stats();
+  const CacheStats after = config.engine.shared_cache->stats();
   EXPECT_EQ(after.misses, misses_before)
       << "a restored cache must serve the identical campaign without a "
          "single recomputation";

@@ -63,6 +63,9 @@ RunResult run_cli(const std::vector<std::string>& args) {
     ::close(out_pipe[1]);
     ::close(err_pipe[0]);
     ::close(err_pipe[1]);
+    // A run that should exit but hangs (a server that starts listening,
+    // say) dies by SIGALRM and fails its test instead of stalling the suite.
+    ::alarm(120);
     exec_cli(args);
   }
   ::close(out_pipe[1]);
@@ -212,6 +215,32 @@ TEST(CliFlags, CampaignRejectsOutOfBoundsSearchKeysBeforeAnyJob) {
             std::string::npos)
       << campaign.err;
   EXPECT_EQ(campaign.out.find("job "), std::string::npos) << campaign.out;
+}
+
+TEST(CliFlags, SharedRunFlagsParseAlikeInCampaignAndServe) {
+  for (const auto& [flag, value] :
+       {std::pair{"--jobs", "0"}, std::pair{"--workers", "x"},
+        std::pair{"--cache-mem", "0"}}) {
+    const RunResult campaign = run_cli({"campaign", flag, value});
+    const RunResult serve = run_cli({"serve", flag, value});
+    EXPECT_EQ(campaign.exit_code, 1) << flag;
+    EXPECT_EQ(serve.exit_code, 1) << flag;
+    EXPECT_NE(campaign.err.find(std::string(flag) +
+                                " expects a positive integer, got '" +
+                                value + "'"),
+              std::string::npos)
+        << campaign.err;
+    EXPECT_EQ(campaign.err, serve.err) << flag;
+  }
+}
+
+TEST(CliFlags, ServeRefusesADefaultFireBeforeListening) {
+  const RunResult serve = run_cli({"serve", "steps=1"});
+  EXPECT_EQ(serve.exit_code, 1);
+  EXPECT_NE(serve.err.find("workload steps >= 2"), std::string::npos)
+      << serve.err;
+  EXPECT_EQ(serve.out.find("serving on port"), std::string::npos)
+      << serve.out;
 }
 
 TEST(CliFlags, HelpCoversEveryMode) {

@@ -32,8 +32,8 @@ service::CampaignConfig tiny_config(unsigned workers,
   config.spec.offspring = 6;
   config.spec.fitness_threshold = 1.1;  // never early-stops: fixed work per run
   config.seed = 77;
-  config.total_workers = workers;
-  config.job_concurrency = job_concurrency;
+  config.engine.total_workers = workers;
+  config.engine.job_slots = job_concurrency;
   config.spec.keep_final_maps = true;
   return config;
 }
@@ -97,8 +97,8 @@ TEST(ResultNeutrality, ObservabilityOnMatchesOffBitForBit) {
         ::testing::TempDir() + "neutrality_metrics.json";
     service::CampaignConfig observed_config =
         tiny_config(c.workers, c.job_concurrency);
-    observed_config.trace_out = trace_path;
-    observed_config.metrics_out = metrics_path;
+    observed_config.engine.trace_out = trace_path;
+    observed_config.engine.metrics_out = metrics_path;
     const service::CampaignResult observed =
         service::CampaignScheduler(observed_config).run(workloads);
     ASSERT_EQ(observed.succeeded(), workloads.size());
@@ -122,7 +122,7 @@ TEST(ResultNeutrality, MetricsOnlyModeIsAlsoNeutral) {
   const std::string metrics_path =
       ::testing::TempDir() + "neutrality_metrics_only.json";
   service::CampaignConfig observed_config = tiny_config(2, 2);
-  observed_config.metrics_out = metrics_path;
+  observed_config.engine.metrics_out = metrics_path;
   const service::CampaignResult observed =
       service::CampaignScheduler(observed_config).run(workloads);
   ASSERT_EQ(observed.succeeded(), workloads.size());

@@ -23,9 +23,9 @@ namespace {
 ServeConfig tiny_server_config() {
   ServeConfig config;
   config.port = 0;  // ephemeral
-  config.job_slots = 1;
-  config.total_workers = 1;
-  config.queue_capacity = 8;
+  config.engine.job_slots = 1;
+  config.engine.total_workers = 1;
+  config.engine.queue_capacity = 8;
   config.default_fire.size = 16;
   config.default_fire.steps = 3;
   config.default_spec.generations = 3;
@@ -248,7 +248,7 @@ TEST(ServeServer, FailedAndRejectedRequestsStoreNoRecord) {
   const std::string expected5 =
       oracle_prefix(oracle_config, "f1", Verb::kRepredict, 5);
   ServeConfig config = tiny_server_config();
-  config.queue_capacity = 1;
+  config.engine.queue_capacity = 1;
   Server server(std::move(config));
   server.start();
   ServerRunner runner(server);
@@ -339,9 +339,28 @@ TEST(ServeServer, RejectsADefaultSpecNoJobCanRun) {
   EXPECT_THROW(Server{config}, InvalidArgument);
 }
 
+TEST(ServeServer, RejectsADefaultFireNoJobCanRun) {
+  // Each default make_workload refuses, so every plain predict would answer
+  // `bad fire`; the server refuses it at construction instead.
+  const auto with = [](auto edit) {
+    ServeConfig config = tiny_server_config();
+    edit(config.default_fire);
+    return config;
+  };
+  EXPECT_THROW(Server{with([](auto& fire) { fire.steps = 1; })},
+               InvalidArgument);
+  EXPECT_THROW(Server{with([](auto& fire) { fire.size = 8; })},
+               InvalidArgument);
+  EXPECT_THROW(Server{with([](auto& fire) { fire.observation_noise = 1.0; })},
+               InvalidArgument);
+  EXPECT_THROW(Server{with([](auto& fire) { fire.step_minutes = 0.0; })},
+               InvalidArgument);
+  EXPECT_NO_THROW(Server{tiny_server_config()});
+}
+
 TEST(ServeServer, FullQueueRejectsInsteadOfBlocking) {
   ServeConfig config = tiny_server_config();
-  config.queue_capacity = 1;
+  config.engine.queue_capacity = 1;
   Server server(std::move(config));
   server.start();
   ServerRunner runner(server);

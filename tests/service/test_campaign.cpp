@@ -39,8 +39,8 @@ CampaignConfig tiny_config() {
 TEST(CampaignScheduler, RunsEveryJobToCompletion) {
   const auto workloads = tiny_workloads();
   CampaignConfig config = tiny_config();
-  config.job_concurrency = 2;
-  config.total_workers = 2;
+  config.engine.job_slots = 2;
+  config.engine.total_workers = 2;
   const CampaignScheduler scheduler(config);
   const CampaignResult result = scheduler.run(workloads);
 
@@ -66,8 +66,8 @@ TEST(CampaignScheduler, DeterministicAcrossJobConcurrency) {
 
   auto run_at = [&](unsigned jobs) {
     CampaignConfig config = tiny_config();
-    config.job_concurrency = jobs;
-    config.total_workers = 4;
+    config.engine.job_slots = jobs;
+    config.engine.total_workers = 4;
     return CampaignScheduler(config).run(workloads);
   };
   const CampaignResult serial = run_at(1);
@@ -102,7 +102,7 @@ TEST(CampaignScheduler, FailedJobIsIsolated) {
   workloads[1].name = "broken";
 
   CampaignConfig config = tiny_config();
-  config.job_concurrency = 2;
+  config.engine.job_slots = 2;
   const CampaignScheduler scheduler(config);
   const CampaignResult result = scheduler.run(workloads);
 
@@ -121,12 +121,12 @@ TEST(CampaignScheduler, FailedJobIsIsolated) {
 
 TEST(CampaignScheduler, SplitsWorkerBudgetAcrossConcurrentJobs) {
   CampaignConfig config = tiny_config();
-  config.job_concurrency = 2;
-  config.total_workers = 4;
+  config.engine.job_slots = 2;
+  config.engine.total_workers = 4;
   EXPECT_EQ(CampaignScheduler(config).workers_per_job(8), 2u);
-  config.job_concurrency = 8;  // more slots than jobs: split over the jobs
+  config.engine.job_slots = 8;  // more slots than jobs: split over the jobs
   EXPECT_EQ(CampaignScheduler(config).workers_per_job(2), 2u);
-  config.job_concurrency = 16;  // budget exhausted: floor at one worker
+  config.engine.job_slots = 16;  // budget exhausted: floor at one worker
   EXPECT_EQ(CampaignScheduler(config).workers_per_job(16), 1u);
 }
 
@@ -134,8 +134,8 @@ TEST(CampaignScheduler, ReportsCompletionCallbackOncePerJob) {
   const auto workloads = tiny_workloads();
   std::atomic<int> done{0};
   CampaignConfig config = tiny_config();
-  config.job_concurrency = 4;
-  config.on_job_done = [&done](const JobRecord&) { ++done; };
+  config.engine.job_slots = 4;
+  config.engine.on_job_done = [&done](const JobRecord&) { ++done; };
   CampaignScheduler(config).run(workloads);
   EXPECT_EQ(done.load(), static_cast<int>(workloads.size()));
 }
@@ -289,10 +289,10 @@ TEST(CampaignScheduler, SharedCacheBitIdenticalToOffAcrossConcurrency) {
   auto run_with = [&](cache::CachePolicy policy, unsigned jobs,
                       std::size_t mem_bytes) {
     CampaignConfig config = tiny_config();
-    config.job_concurrency = jobs;
-    config.total_workers = jobs;
+    config.engine.job_slots = jobs;
+    config.engine.total_workers = jobs;
     config.spec.cache_policy = policy;
-    if (mem_bytes != 0) config.cache_mem_bytes = mem_bytes;
+    if (mem_bytes != 0) config.engine.cache_mem_bytes = mem_bytes;
     return CampaignScheduler(config).run(workloads);
   };
 
@@ -350,7 +350,7 @@ TEST(CampaignScheduler, InjectedSharedCacheWarmsAcrossCampaigns) {
   const auto workloads = tiny_workloads();
   CampaignConfig config = tiny_config();
   config.spec.cache_policy = cache::CachePolicy::kShared;
-  config.shared_cache = std::make_shared<cache::SharedScenarioCache>();
+  config.engine.shared_cache = std::make_shared<cache::SharedScenarioCache>();
 
   const CampaignResult cold = CampaignScheduler(config).run(workloads);
   ASSERT_EQ(cold.succeeded(), workloads.size());

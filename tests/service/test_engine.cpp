@@ -117,8 +117,8 @@ TEST(PredictionEngine, CampaignViaEngineMatchesReferenceByteForByte) {
   };
   for (const Combo& combo : combos) {
     CampaignConfig config = tiny_config();
-    config.total_workers = combo.workers;
-    config.job_concurrency = combo.jobs;
+    config.engine.total_workers = combo.workers;
+    config.engine.job_slots = combo.jobs;
     config.spec.cache_policy = combo.policy;
     const CampaignScheduler scheduler(config);
 
@@ -138,8 +138,8 @@ TEST(PredictionEngine, ConcurrentSharedCacheCampaignMatchesReferenceResults) {
   // must still be bit-identical to the reference scheduler's.
   const auto workloads = tiny_workloads();
   CampaignConfig config = tiny_config();
-  config.total_workers = 2;
-  config.job_concurrency = 2;
+  config.engine.total_workers = 2;
+  config.engine.job_slots = 2;
   config.spec.cache_policy = cache::CachePolicy::kShared;
   const CampaignScheduler scheduler(config);
 
@@ -428,7 +428,7 @@ TEST(CampaignScheduler, SignalDrainStillProducesFullReports) {
   reset_drain();
 
   CampaignConfig config = tiny_config();
-  config.on_job_done = [](const JobRecord& job) {
+  config.engine.on_job_done = [](const JobRecord& job) {
     if (job.index == 0) std::raise(SIGINT);
   };
   const CampaignScheduler scheduler(config);
