@@ -12,8 +12,9 @@
 //   fitness      Eq. (3) evaluations/sec through SimulationService
 //                fitness_batch — the OS hot loop — new kernels (fast sweep +
 //                word-wise Eq. (3) on the sweep's burned cells + scenario
-//                cache) vs the reference sweep without the cache,
-//                on a duplicate-heavy batch shaped like GA populations;
+//                cache) vs the reference propagator (reference sweep on the
+//                heap queue, no cache) scored by ess::jaccard, on a
+//                duplicate-heavy batch shaped like GA populations;
 //                reported twice: cache on (the shipping configuration) and
 //                cache off (isolating the pure kernel speedup);
 //   novelty      scores/sec of evaluate_novelty, 1-D fast path vs generic;
@@ -91,7 +92,8 @@ int main(int argc, char** argv) {
   const synth::GroundTruth truth = synth::generate_ground_truth(
       workload.environment, workload.truth_config, truth_rng);
   const firelib::IgnitionMap& start = truth.fire_lines[0];
-  const firelib::IgnitionMap& target = truth.fire_lines[1];
+  ess::Observations observations(truth, false);
+  const ess::ScoringTarget& scoring = observations.digest().lines[1].scoring;
   const double horizon = truth.step_minutes;
 
   Rng rng(2022);
@@ -210,30 +212,37 @@ int main(int argc, char** argv) {
     ess::SimulationService fast_service(workload.environment, 1);
     ess::SimulationService nocache_service(workload.environment, 1);
     nocache_service.set_cache_policy(cache::CachePolicy::kOff);
-    ess::SimulationService reference_service(workload.environment, 1);
-    reference_service.set_cache_policy(cache::CachePolicy::kOff);
-    reference_service.set_reference_kernels(true);
-    reference_service.set_sweep_queue(firelib::SweepQueue::kHeap);
+    // The baseline: the reference propagator above, every request
+    // simulated and scored.
+    const auto reference_fitness_batch = [&] {
+      std::vector<double> fitness_values;
+      fitness_values.reserve(batch.size());
+      for (const firelib::Scenario& scenario : batch) {
+        reference_propagator.propagate(workload.environment, scenario, start,
+                                       horizon, reference_ws);
+        fitness_values.push_back(
+            ess::jaccard(scoring, reference_ws.last_burned()));
+      }
+      return fitness_values;
+    };
 
-    const auto want =
-        reference_service.fitness_batch(batch, start, target, 0.0, horizon);
-    const auto got =
-        fast_service.fitness_batch(batch, start, target, 0.0, horizon);
+    const auto want = reference_fitness_batch();
+    const auto got = fast_service.fitness_batch(batch, observations, 1);
     const auto got_nocache =
-        nocache_service.fitness_batch(batch, start, target, 0.0, horizon);
+        nocache_service.fitness_batch(batch, observations, 1);
     if (got != want || got_nocache != want) all_identical = false;
 
     Stopwatch watch;
     for (int round = 0; round < fitness_rounds; ++round)
-      fast_service.fitness_batch(batch, start, target, 0.0, horizon);
+      fast_service.fitness_batch(batch, observations, 1);
     fitness.fast_seconds = watch.elapsed_seconds();
     watch.reset();
     for (int round = 0; round < fitness_rounds; ++round)
-      nocache_service.fitness_batch(batch, start, target, 0.0, horizon);
+      nocache_service.fitness_batch(batch, observations, 1);
     fitness_kernel.fast_seconds = watch.elapsed_seconds();
     watch.reset();
     for (int round = 0; round < fitness_rounds; ++round)
-      reference_service.fitness_batch(batch, start, target, 0.0, horizon);
+      reference_fitness_batch();
     fitness.reference_seconds = watch.elapsed_seconds();
     fitness_kernel.reference_seconds = fitness.reference_seconds;
 

@@ -113,6 +113,7 @@ int main() {
       // The burn-map mode needs access to the pipeline's evaluator; run the
       // stages manually per step, mirroring PredictionPipeline.
       ess::ScenarioEvaluator evaluator(workload.environment);
+      ess::Observations observations(truth, false);
       BehaviorNsOptimizer optimizer(mode, &evaluator, &truth);
       Rng rng(7);
 
@@ -123,8 +124,7 @@ int main() {
         const double t_prev = truth.time_of(n - 1);
         const double t_now = truth.time_of(n);
         const double t_next = truth.time_of(n + 1);
-        evaluator.set_step({&truth.fire_lines[un - 1], &truth.fire_lines[un],
-                            t_prev, t_now});
+        evaluator.set_step(observations, n);
         optimizer.set_step(n);
         auto batch = evaluator.batch_evaluator();
         auto outcome =
@@ -133,14 +133,14 @@ int main() {
         std::vector<firelib::Scenario> scenarios;
         for (const auto& ind : outcome.solutions)
           scenarios.push_back(space.decode(ind.genome));
-        const auto probability = evaluator.burn_probability(
-            scenarios, truth.fire_lines[un - 1], t_now);
+        const auto probability =
+            evaluator.burn_probability(scenarios, observations, n - 1, t_now);
         const auto kign = ess::search_kign(
             probability, firelib::burned_mask(truth.fire_lines[un], t_now),
             firelib::burned_mask(truth.fire_lines[un - 1], t_prev), 100);
 
         const auto prob_next =
-            evaluator.burn_probability(scenarios, truth.fire_lines[un], t_next);
+            evaluator.burn_probability(scenarios, observations, n, t_next);
         const auto predicted = ess::apply_kign(prob_next, kign.kign);
         qualities.push_back(ess::jaccard(
             firelib::burned_mask(truth.fire_lines[un + 1], t_next), predicted,

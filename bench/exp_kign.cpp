@@ -26,8 +26,8 @@ int main() {
   // would return.
   const auto& space = firelib::ScenarioSpace::table1();
   ess::ScenarioEvaluator evaluator(workload.environment);
-  evaluator.set_step({&truth.fire_lines[0], &truth.fire_lines[1], 0.0,
-                      truth.step_minutes});
+  ess::Observations observations(truth, false);
+  evaluator.set_step(observations, 1);
 
   Rng rng(19);
   std::vector<firelib::Scenario> scenarios;
@@ -40,7 +40,7 @@ int main() {
   for (int i = 0; i < 8; ++i) scenarios.push_back(space.sample(rng));
 
   const Grid<double> probability = evaluator.burn_probability(
-      scenarios, truth.fire_lines[0], truth.step_minutes);
+      scenarios, observations, 0, truth.step_minutes);
 
   const auto real = firelib::burned_mask(truth.fire_lines[1],
                                          truth.step_minutes);

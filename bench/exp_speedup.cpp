@@ -33,8 +33,7 @@ int main() {
   for (int i = 0; i < kBatch; ++i)
     batch.push_back(space.encode(space.sample(genome_rng)));
 
-  const ess::StepContext context{&truth.fire_lines[0], &truth.fire_lines[1],
-                                 0.0, truth.step_minutes};
+  ess::Observations observations(truth, false);
 
   TextTable table("EXP-S Master/Worker response time (" +
                   std::to_string(kBatch) + " scenario evaluations, " +
@@ -48,7 +47,7 @@ int main() {
   std::vector<double> reference;
   for (unsigned workers : {1u, 2u, 4u, 8u}) {
     ess::ScenarioEvaluator evaluator(workload.environment, workers);
-    evaluator.set_step(context);
+    evaluator.set_step(observations, 1);
     auto evaluate = evaluator.batch_evaluator();
 
     double best_ms = 1e18;

@@ -346,7 +346,7 @@ int run_campaign(int argc, char** argv) {
     const std::vector<synth::Workload> workloads =
         synth::generate_catalog(spec);
     std::printf("campaign: %zu workloads, %u concurrent jobs, %u workers\n",
-                workloads.size(), config.engine.job_slots,
+                workloads.size(), config.job_concurrency(workloads.size()),
                 config.engine.total_workers);
 
     const std::size_t total = workloads.size();

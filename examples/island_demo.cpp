@@ -20,8 +20,8 @@ int main() {
   const synth::GroundTruth truth = synth::generate_ground_truth(
       workload.environment, workload.truth_config, truth_rng);
   ess::ScenarioEvaluator evaluator(workload.environment);
-  evaluator.set_step({&truth.fire_lines[0], &truth.fire_lines[1], 0.0,
-                      truth.step_minutes});
+  ess::Observations observations(truth, false);
+  evaluator.set_step(observations, 1);
   auto evaluate = evaluator.batch_evaluator();
 
   std::printf("ESSIM-EA island sweep (one OS step, 30 generations total):\n");

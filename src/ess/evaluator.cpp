@@ -8,17 +8,6 @@ ScenarioEvaluator::ScenarioEvaluator(const firelib::FireEnvironment& env,
                                      unsigned workers)
     : service_(env, workers) {}
 
-void ScenarioEvaluator::set_step(const StepContext& context) {
-  ESSNS_REQUIRE(context.start_map && context.target_map,
-                "step context maps must be set");
-  ESSNS_REQUIRE(context.end_time > context.start_time,
-                "step interval must have positive length");
-  context_ = context;
-  observations_ = nullptr;
-  service_.begin_step(*context.start_map, *context.target_map,
-                      context.start_time, context.end_time);
-}
-
 void ScenarioEvaluator::set_step(Observations& observations, int line) {
   const std::vector<double>& times = observations.digest().times;
   ESSNS_REQUIRE(line >= 1 && static_cast<std::size_t>(line) < times.size(),
@@ -26,7 +15,6 @@ void ScenarioEvaluator::set_step(Observations& observations, int line) {
   const auto k = static_cast<std::size_t>(line);
   ESSNS_REQUIRE(times[k] > times[k - 1],
                 "step interval must have positive length");
-  context_ = {};
   observations_ = &observations;
   line_ = line;
   service_.begin_step(observations, line);
@@ -34,10 +22,8 @@ void ScenarioEvaluator::set_step(Observations& observations, int line) {
 
 double ScenarioEvaluator::evaluate_scenario(
     const firelib::Scenario& scenario) {
-  if (observations_) return service_.score(scenario, *observations_, line_);
-  ESSNS_REQUIRE(context_.start_map, "set_step must be called before evaluate");
-  return service_.score(scenario, *context_.start_map, *context_.target_map,
-                        context_.start_time, context_.end_time);
+  ESSNS_REQUIRE(observations_, "set_step must be called before evaluate");
+  return service_.score(scenario, *observations_, line_);
 }
 
 firelib::IgnitionMap ScenarioEvaluator::simulate(
@@ -46,10 +32,11 @@ firelib::IgnitionMap ScenarioEvaluator::simulate(
   return service_.simulate(scenario, start, end_time);
 }
 
-template <typename Simulate>
-Grid<double> ScenarioEvaluator::count_burned(
+Grid<double> ScenarioEvaluator::burn_probability(
     const std::vector<firelib::Scenario>& scenarios,
-    const std::vector<const BurnedCells*>& recorded, Simulate simulate) {
+    Observations& observations, int start_line, double end_time) {
+  const std::vector<const BurnedCells*> recorded =
+      service_.step_records(scenarios, observations, start_line, end_time);
   // Copy the step's records out first: the batch below may begin a new
   // context and drop the store they live in.
   std::vector<BurnedCells> records;
@@ -63,7 +50,8 @@ Grid<double> ScenarioEvaluator::count_burned(
   }
   // Each cell's count is a sum of 1.0s, exact in any order, so recorded and
   // freshly simulated cells mix without changing a bit of the result.
-  for (BurnedCells& burned : simulate(missing))
+  for (BurnedCells& burned :
+       service_.simulate_batch(missing, observations, start_line, end_time))
     records.push_back(std::move(burned));
   std::vector<const BurnedCells*> pointers;
   pointers.reserve(records.size());
@@ -71,42 +59,15 @@ Grid<double> ScenarioEvaluator::count_burned(
   return aggregate_burned(pointers);
 }
 
-Grid<double> ScenarioEvaluator::burn_probability(
-    const std::vector<firelib::Scenario>& scenarios,
-    const firelib::IgnitionMap& start, double end_time) {
-  return count_burned(
-      scenarios, service_.step_records(scenarios, start, end_time),
-      [&](const std::vector<firelib::Scenario>& missing) {
-        return service_.simulate_batch(missing, start, end_time);
-      });
-}
-
-Grid<double> ScenarioEvaluator::burn_probability(
-    const std::vector<firelib::Scenario>& scenarios,
-    Observations& observations, int start_line, double end_time) {
-  return count_burned(
-      scenarios,
-      service_.step_records(scenarios, observations, start_line, end_time),
-      [&](const std::vector<firelib::Scenario>& missing) {
-        return service_.simulate_batch(missing, observations, start_line,
-                                       end_time);
-      });
-}
-
 std::vector<double> ScenarioEvaluator::evaluate_batch(
     const std::vector<ea::Genome>& genomes) {
-  ESSNS_REQUIRE(context_.start_map || observations_,
-                "set_step must be called before evaluate");
+  ESSNS_REQUIRE(observations_, "set_step must be called before evaluate");
   const auto& space = firelib::ScenarioSpace::table1();
   std::vector<firelib::Scenario> scenarios;
   scenarios.reserve(genomes.size());
   for (const ea::Genome& genome : genomes)
     scenarios.push_back(space.decode(genome));
-  if (observations_)
-    return service_.fitness_batch(scenarios, *observations_, line_);
-  return service_.fitness_batch(scenarios, *context_.start_map,
-                               *context_.target_map, context_.start_time,
-                               context_.end_time);
+  return service_.fitness_batch(scenarios, *observations_, line_);
 }
 
 ea::BatchEvaluator ScenarioEvaluator::batch_evaluator() {

@@ -11,6 +11,10 @@
 // message flow). With workers == 1 everything runs inline, and results are
 // bit-identical across worker counts.
 //
+// Fire lines come in only as Observations (ess/observation.hpp): a step is
+// a line index of one Observations object, and so is the start of every
+// burn-probability pass.
+//
 // The Statistical Stage aggregates the OS's solution set over the interval
 // the OS just searched, and the OS has already simulated every member of it.
 // So the service's step store keeps the cells each simulation burned (keyed
@@ -26,15 +30,6 @@
 
 namespace essns::ess {
 
-/// One prediction-step evaluation interval: simulate from `start_map`
-/// (fire state at t = start_time) until end_time, score against target_map.
-struct StepContext {
-  const firelib::IgnitionMap* start_map = nullptr;
-  const firelib::IgnitionMap* target_map = nullptr;
-  double start_time = 0.0;
-  double end_time = 0.0;
-};
-
 class ScenarioEvaluator {
  public:
   /// workers == 1: serial evaluation. workers > 1: persistent Master/Worker.
@@ -43,15 +38,11 @@ class ScenarioEvaluator {
   ScenarioEvaluator(const ScenarioEvaluator&) = delete;
   ScenarioEvaluator& operator=(const ScenarioEvaluator&) = delete;
 
-  /// Select the interval evaluated by subsequent batch calls. Drops the
-  /// step store (the burned-cell records of the previous step) and packs
-  /// the step's Eq. (3) target once. The context's maps are read in place
-  /// by every later call, so they must stay unchanged while the step is
-  /// current; call set_step again after changing them.
-  void set_step(const StepContext& context);
-  /// The same for the step that ends at line `line` of `observations`:
-  /// from line - 1 over [t_{line - 1}, t_line], read from the digest.
-  /// `observations` must outlive the step.
+  /// Select the interval evaluated by subsequent batch calls: the step
+  /// that ends at line `line` of `observations`, from line - 1 over
+  /// [t_{line - 1}, t_line], scored against line `line` as read from the
+  /// digest. Drops the step store (the burned-cell records of the previous
+  /// step). `observations` must outlive the step.
   void set_step(Observations& observations, int line);
 
   /// BatchEvaluator view bound to this evaluator (valid while alive).
@@ -66,17 +57,13 @@ class ScenarioEvaluator {
                                 const firelib::IgnitionMap& start,
                                 double end_time);
 
-  /// Probability-of-ignition matrix of `scenarios` simulated from `start`
-  /// (fire state at the interval's start) to `end_time`: the Statistical
-  /// Stage. When `start` and `end_time` are the current step's, scenarios
-  /// the step's fitness batches simulated are counted from their recorded
-  /// burned cells; the rest are simulated as one burned-cell batch over the
-  /// worker pool. Bit-identical to aggregating N simulate() maps at any
-  /// worker count and cache policy.
-  Grid<double> burn_probability(const std::vector<firelib::Scenario>& scenarios,
-                                const firelib::IgnitionMap& start,
-                                double end_time);
-  /// The same from line `start_line` of `observations`.
+  /// Probability-of-ignition matrix of `scenarios` simulated from line
+  /// `start_line` of `observations` to `end_time`: the Statistical Stage.
+  /// When the line and `end_time` are the current step's start and end,
+  /// scenarios the step's fitness batches simulated are counted from their
+  /// recorded burned cells; the rest are simulated as one burned-cell batch
+  /// over the worker pool. Bit-identical to aggregating N simulate() maps
+  /// at any worker count and cache policy.
   Grid<double> burn_probability(const std::vector<firelib::Scenario>& scenarios,
                                 Observations& observations, int start_line,
                                 double end_time);
@@ -114,16 +101,9 @@ class ScenarioEvaluator {
 
  private:
   std::vector<double> evaluate_batch(const std::vector<ea::Genome>& genomes);
-  /// Count the step's records of `scenarios`, simulating the rest with
-  /// `simulate`.
-  template <typename Simulate>
-  Grid<double> count_burned(const std::vector<firelib::Scenario>& scenarios,
-                            const std::vector<const BurnedCells*>& recorded,
-                            Simulate simulate);
 
   SimulationService service_;
-  /// The current step: raw maps, or a line of some observations.
-  StepContext context_;
+  /// The current step: its target line of some observations.
   Observations* observations_ = nullptr;
   int line_ = 0;
 };

@@ -26,6 +26,7 @@ EssimSystem::EssimSystem(const firelib::FireEnvironment& env,
 EssimResult EssimSystem::run(Rng& rng) {
   EssimResult result;
   ScenarioEvaluator evaluator(*env_, config_.workers);
+  Observations observations(*truth_, false);
   const auto& space = firelib::ScenarioSpace::table1();
   const auto& lines = truth_->fire_lines;
 
@@ -35,7 +36,7 @@ EssimResult EssimSystem::run(Rng& rng) {
     const double t_now = truth_->time_of(n);
     const double t_next = truth_->time_of(n + 1);
 
-    evaluator.set_step({&lines[un - 1], &lines[un], t_prev, t_now});
+    evaluator.set_step(observations, n);
     auto batch = evaluator.batch_evaluator();
 
     const auto real_now = firelib::burned_mask(lines[un], t_now);
@@ -74,7 +75,8 @@ EssimResult EssimSystem::run(Rng& rng) {
       for (const auto& ind : outcome.solutions)
         state.scenarios.push_back(space.decode(ind.genome));
       const Grid<double> probability =
-          evaluator.burn_probability(state.scenarios, lines[un - 1], t_now);
+          evaluator.burn_probability(state.scenarios, observations, n - 1,
+                                     t_now);
       state.kign = search_kign(probability, real_now, preburned_now,
                                config_.kign_candidates);
       report.islands.push_back(
@@ -94,7 +96,8 @@ EssimResult EssimSystem::run(Rng& rng) {
     // --- Monitor produces the current step prediction (PS), batched over
     // the same worker pool as the OS (see evaluator.hpp). ---
     const Grid<double> probability_next = evaluator.burn_probability(
-        islands[static_cast<std::size_t>(best)].scenarios, lines[un], t_next);
+        islands[static_cast<std::size_t>(best)].scenarios, observations, n,
+        t_next);
     const auto predicted = apply_kign(probability_next, report.kign);
 
     const auto real_next = firelib::burned_mask(lines[un + 1], t_next);

@@ -9,6 +9,7 @@
 #include "obs/trace.hpp"
 
 namespace essns::ess {
+namespace {
 
 ObservationDigest make_observation_digest(const synth::GroundTruth& truth,
                                           bool fingerprints) {
@@ -34,6 +35,8 @@ ObservationDigest make_observation_digest(const synth::GroundTruth& truth,
   return digest;
 }
 
+}  // namespace
+
 synth::GroundTruth materialize_truth(const synth::Workload& workload,
                                      std::uint64_t truth_seed) {
   ESSNS_TRACE_SPAN("pipeline.truth");
@@ -42,26 +45,15 @@ synth::GroundTruth materialize_truth(const synth::Workload& workload,
   return synth::generate_truth(workload, rng);
 }
 
-Observations::Observations(std::shared_ptr<const ObservationDigest> digest,
-                           const std::vector<firelib::IgnitionMap>& lines)
-    : digest_(std::move(digest)), borrowed_(&lines) {
-  ESSNS_REQUIRE(digest_ && digest_->lines.size() == lines.size(),
-                "observations need a digest of every line");
-}
-
-Observations::Observations(std::shared_ptr<const ObservationDigest> digest,
-                           std::vector<firelib::IgnitionMap>&& lines)
-    : digest_(std::move(digest)), owned_(std::move(lines)) {
-  ESSNS_REQUIRE(digest_ && digest_->lines.size() == owned_->size(),
-                "observations need a digest of every line");
-}
+Observations::Observations(const synth::GroundTruth& truth,
+                           bool fingerprints)
+    : digest_(make_observation_digest(truth, fingerprints)),
+      lines_(&truth.fire_lines) {}
 
 const firelib::IgnitionMap& Observations::line(int k) const {
-  const std::vector<firelib::IgnitionMap>& lines =
-      borrowed_ ? *borrowed_ : *owned_;
-  ESSNS_REQUIRE(k >= 0 && static_cast<std::size_t>(k) < lines.size(),
+  ESSNS_REQUIRE(k >= 0 && static_cast<std::size_t>(k) < lines_->size(),
                 "fire line index out of range");
-  return lines[static_cast<std::size_t>(k)];
+  return (*lines_)[static_cast<std::size_t>(k)];
 }
 
 }  // namespace essns::ess

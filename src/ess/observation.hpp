@@ -10,13 +10,13 @@
 // against 32 KiB of f64 map — and is immutable once built.
 //
 // The dense lines matter only where a simulation starts from one.
-// Observations pairs a digest with them, borrowed from a ground truth the
-// caller generated or owned.
+// Observations pairs a digest with them, borrowed from the ground truth it
+// was built from. It is the only way fire lines reach the simulation layer
+// (SimulationService, ScenarioEvaluator), which keys each batch's context by
+// the Observations object and a line index.
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <optional>
 #include <vector>
 
 #include "ess/fitness.hpp"
@@ -43,11 +43,6 @@ struct ObservationDigest {
   int steps() const { return static_cast<int>(lines.size()) - 1; }
 };
 
-/// Digest of a ground truth's lines at their instants. Fingerprints are
-/// computed only when asked for: the step cache never needs them.
-ObservationDigest make_observation_digest(const synth::GroundTruth& truth,
-                                          bool fingerprints);
-
 /// Generate the ground truth of a job (synth::generate_truth seeded with
 /// `truth_seed`), recorded as the `pipeline.truth` span and counted in
 /// `ess.truth_materializations`.
@@ -57,25 +52,21 @@ synth::GroundTruth materialize_truth(const synth::Workload& workload,
 /// A digest together with the dense lines behind it.
 class Observations {
  public:
-  /// Lines the caller keeps alive (e.g. a generated ground truth's).
-  Observations(std::shared_ptr<const ObservationDigest> digest,
-               const std::vector<firelib::IgnitionMap>& lines);
-  /// Lines this object owns.
-  Observations(std::shared_ptr<const ObservationDigest> digest,
-               std::vector<firelib::IgnitionMap>&& lines);
+  /// Digest `truth`'s lines at their instants; the dense lines stay in
+  /// `truth`, which must outlive this object with its lines unchanged.
+  /// Fingerprints are computed only when asked for: the shared cache needs
+  /// them, the step cache never does.
+  Observations(const synth::GroundTruth& truth, bool fingerprints);
+  Observations(const synth::GroundTruth&& truth, bool fingerprints) = delete;
 
-  const ObservationDigest& digest() const { return *digest_; }
-  const std::shared_ptr<const ObservationDigest>& shared_digest() const {
-    return digest_;
-  }
+  const ObservationDigest& digest() const { return digest_; }
 
   /// Dense line k.
   const firelib::IgnitionMap& line(int k) const;
 
  private:
-  std::shared_ptr<const ObservationDigest> digest_;
-  const std::vector<firelib::IgnitionMap>* borrowed_ = nullptr;
-  std::optional<std::vector<firelib::IgnitionMap>> owned_;
+  ObservationDigest digest_;
+  const std::vector<firelib::IgnitionMap>* lines_;
 };
 
 }  // namespace essns::ess

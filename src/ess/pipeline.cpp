@@ -77,11 +77,8 @@ PredictionPipeline::PredictionPipeline(const firelib::FireEnvironment& env,
                                        PipelineConfig config)
     : PredictionPipeline(
           env,
-          Observations(std::make_shared<const ObservationDigest>(
-                           make_observation_digest(
-                               truth, config.cache_policy ==
-                                          cache::CachePolicy::kShared)),
-                       truth.fire_lines),
+          Observations(truth,
+                       config.cache_policy == cache::CachePolicy::kShared),
           config) {}
 
 PredictionPipeline::PredictionPipeline(const firelib::FireEnvironment& env,

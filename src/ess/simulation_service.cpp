@@ -1,7 +1,6 @@
 #include "ess/simulation_service.hpp"
 
 #include <bit>
-#include <cstring>
 
 #include "common/error.hpp"
 #include "obs/metrics.hpp"
@@ -68,18 +67,6 @@ std::size_t SimulationService::cache_bytes() const {
   return 0;
 }
 
-void SimulationService::set_reference_kernels(bool reference) {
-  propagator_.set_reference_sweep(reference);
-}
-
-void SimulationService::set_sweep_queue(firelib::SweepQueue queue) {
-  propagator_.set_sweep_queue(queue);
-}
-
-firelib::SweepQueue SimulationService::sweep_queue() const {
-  return propagator_.sweep_queue();
-}
-
 void SimulationService::name_worker(unsigned worker_id) {
   if (worker_id == 0 || worker_named_[worker_id]) return;
   worker_named_[worker_id] = 1;
@@ -95,8 +82,8 @@ firelib::IgnitionMap SimulationService::simulate(
                                workspaces_[0]);
 }
 
-SimulationResult SimulationService::run_one(unsigned worker_id,
-                                            const firelib::Scenario& scenario) {
+SimulationService::SimulationResult SimulationService::run_one(
+    unsigned worker_id, const firelib::Scenario& scenario) {
   name_worker(worker_id);
   simulations_.fetch_add(1, std::memory_order_relaxed);
   obs::SpanTimer sim_timer("simulate");
@@ -114,7 +101,8 @@ SimulationResult SimulationService::run_one(unsigned worker_id,
   return result;
 }
 
-std::vector<SimulationResult> SimulationService::run_batch_uncached(
+std::vector<SimulationService::SimulationResult>
+SimulationService::simulate_uncached(
     const std::vector<const firelib::Scenario*>& scenarios) {
   if (scenarios.empty()) return {};
   if (obs::metrics_enabled())
@@ -127,17 +115,6 @@ std::vector<SimulationResult> SimulationService::run_batch_uncached(
     results.push_back(run_one(0, *scenario));
   return results;
 }
-
-namespace {
-
-/// Bitwise equality: the context check must see a NaN or a -0.0 written
-/// in place, which `==` on doubles would not.
-bool same_bits(const firelib::IgnitionMap& a, const firelib::IgnitionMap& b) {
-  return a.rows() == b.rows() && a.cols() == b.cols() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
-}
-
-}  // namespace
 
 void SimulationService::enter_context(Observations& observations,
                                       int start_line, bool scored,
@@ -184,47 +161,6 @@ void SimulationService::enter_step(Observations& observations,
   enter_context(observations, target_line - 1, true, times[k - 1], times[k]);
 }
 
-Observations& SimulationService::raw_observations(
-    const firelib::IgnitionMap& start, const firelib::IgnitionMap* target,
-    double start_time, double end_time) {
-  if (raw_ && context_.valid && context_.observations == &*raw_ &&
-      raw_start_ == &start && raw_target_ == target &&
-      context_.start_time == start_time && context_.end_time == end_time &&
-      same_bits(start, raw_->line(0)) &&
-      (!target || same_bits(*target, raw_->line(1))))
-    return *raw_;
-  const bool fingerprints = cache_policy_ == cache::CachePolicy::kShared;
-  auto digest = std::make_shared<ObservationDigest>();
-  digest->fingerprinted = fingerprints;
-  digest->times.push_back(start_time);
-  ObservedLine& start_line = digest->lines.emplace_back();
-  if (fingerprints) start_line.fingerprint = cache::map_fingerprint(start);
-  std::vector<firelib::IgnitionMap> copies;
-  copies.reserve(2);
-  copies.push_back(start);
-  if (target) {
-    digest->times.push_back(end_time);
-    ObservedLine& target_line = digest->lines.emplace_back();
-    if (fingerprints) target_line.fingerprint = cache::map_fingerprint(*target);
-    target_line.scoring = make_scoring_target(*target, start_time, end_time);
-    copies.push_back(*target);
-  }
-  context_.valid = false;
-  raw_.emplace(std::move(digest), std::move(copies));
-  raw_start_ = &start;
-  raw_target_ = target;
-  return *raw_;
-}
-
-void SimulationService::begin_step(const firelib::IgnitionMap& start,
-                                   const firelib::IgnitionMap& target,
-                                   double start_time, double end_time) {
-  clear_step_cache();
-  Observations& observations =
-      raw_observations(start, &target, start_time, end_time);
-  enter_step(observations, 1);
-}
-
 void SimulationService::begin_step(Observations& observations,
                                    int target_line) {
   clear_step_cache();
@@ -232,25 +168,9 @@ void SimulationService::begin_step(Observations& observations,
 }
 
 double SimulationService::score(const firelib::Scenario& scenario,
-                                const firelib::IgnitionMap& start,
-                                const firelib::IgnitionMap& target,
-                                double start_time, double end_time) {
-  return score(scenario, raw_observations(start, &target, start_time, end_time),
-               1);
-}
-
-double SimulationService::score(const firelib::Scenario& scenario,
                                 Observations& observations, int target_line) {
   enter_step(observations, target_line);
   return run_one(0, scenario).fitness;
-}
-
-std::vector<const BurnedCells*> SimulationService::step_records(
-    const std::vector<firelib::Scenario>& scenarios,
-    const firelib::IgnitionMap& start, double end_time) const {
-  if (!raw_ || raw_start_ != &start || !same_bits(start, raw_->line(0)))
-    return std::vector<const BurnedCells*>(scenarios.size(), nullptr);
-  return step_records(scenarios, *raw_, 0, end_time);
 }
 
 std::vector<const BurnedCells*> SimulationService::step_records(
@@ -284,44 +204,23 @@ void SimulationService::remember(const cache::ScenarioKey& key,
   step_cache_bytes_ += cache::entry_charge(entry) - charge_before;
 }
 
-std::vector<SimulationResult> SimulationService::run_batch(
-    const std::vector<SimulationRequest>& requests) {
-  if (requests.empty()) return {};
-  const SimulationRequest& first = requests.front();
-  std::vector<const firelib::Scenario*> scenarios;
-  scenarios.reserve(requests.size());
-  for (const SimulationRequest& req : requests) {
-    ESSNS_REQUIRE(req.scenario && req.start,
-                  "request scenario/start must be set");
-    ESSNS_REQUIRE(req.start == first.start && req.target == first.target &&
-                      req.start_time == first.start_time &&
-                      req.end_time == first.end_time,
-                  "a batch's requests must share one start map, target and "
-                  "interval");
-    scenarios.push_back(req.scenario);
-  }
-  Observations& observations = raw_observations(
-      *first.start, first.target, first.start_time, first.end_time);
-  enter_context(observations, 0, first.target != nullptr, first.start_time,
-                first.end_time);
-  return run_in_context(scenarios);
-}
-
-std::vector<SimulationResult> SimulationService::run_in_context(
+std::vector<SimulationService::SimulationResult>
+SimulationService::run_in_context(
     const std::vector<const firelib::Scenario*>& scenarios) {
   ESSNS_TRACE_SPAN("sim.batch");
   if (cache_policy_ != cache::CachePolicy::kOff)
-    return run_batch_cached(scenarios);
+    return run_cached(scenarios);
 
   // No memoization: every request simulates, and the step store keeps the
   // records for the Statistical Stage.
-  std::vector<SimulationResult> results = run_batch_uncached(scenarios);
+  std::vector<SimulationResult> results = simulate_uncached(scenarios);
   for (std::size_t i = 0; i < scenarios.size(); ++i)
     remember(cache::make_scenario_key(*scenarios[i]), results[i]);
   return results;
 }
 
-std::vector<SimulationResult> SimulationService::run_batch_cached(
+std::vector<SimulationService::SimulationResult>
+SimulationService::run_cached(
     const std::vector<const firelib::Scenario*>& scenarios) {
   const bool shared = cache_policy_ == cache::CachePolicy::kShared;
   const bool scored = context_.scored;
@@ -418,7 +317,7 @@ std::vector<SimulationResult> SimulationService::run_batch_cached(
     ++cache_misses_;
   }
 
-  const std::vector<SimulationResult> simulated = run_batch_uncached(scheduled);
+  const std::vector<SimulationResult> simulated = simulate_uncached(scheduled);
   for (std::size_t i = 0; i < scenarios.size(); ++i) {
     if (slot_of[i] == kFromCache) continue;
     results[i].fitness = simulated[slot_of[i]].fitness;
@@ -470,15 +369,6 @@ std::vector<const firelib::Scenario*> pointers_to(
 
 std::vector<BurnedCells> SimulationService::simulate_batch(
     const std::vector<firelib::Scenario>& scenarios,
-    const firelib::IgnitionMap& start, double end_time) {
-  if (scenarios.empty()) return {};
-  return simulate_batch(scenarios,
-                        raw_observations(start, nullptr, 0.0, end_time), 0,
-                        end_time);
-}
-
-std::vector<BurnedCells> SimulationService::simulate_batch(
-    const std::vector<firelib::Scenario>& scenarios,
     Observations& observations, int start_line, double end_time) {
   if (scenarios.empty()) return {};
   enter_context(observations, start_line, false, 0.0, end_time);
@@ -488,30 +378,6 @@ std::vector<BurnedCells> SimulationService::simulate_batch(
   for (SimulationResult& result : results)
     records.push_back(std::move(result.burned));
   return records;
-}
-
-std::vector<SimulationRequest> fitness_requests(
-    const std::vector<firelib::Scenario>& scenarios,
-    const firelib::IgnitionMap& start, const firelib::IgnitionMap& target,
-    double start_time, double end_time) {
-  std::vector<SimulationRequest> requests(scenarios.size());
-  for (std::size_t i = 0; i < scenarios.size(); ++i) {
-    requests[i].scenario = &scenarios[i];
-    requests[i].start = &start;
-    requests[i].start_time = start_time;
-    requests[i].end_time = end_time;
-    requests[i].target = &target;
-  }
-  return requests;
-}
-
-std::vector<double> SimulationService::fitness_batch(
-    const std::vector<firelib::Scenario>& scenarios,
-    const firelib::IgnitionMap& start, const firelib::IgnitionMap& target,
-    double start_time, double end_time) {
-  if (scenarios.empty()) return {};
-  return fitness_batch(
-      scenarios, raw_observations(start, &target, start_time, end_time), 1);
 }
 
 std::vector<double> SimulationService::fitness_batch(

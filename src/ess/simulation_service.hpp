@@ -24,10 +24,8 @@
 // digest (ess/observation.hpp): the packed scoring target and, for the
 // shared cache, the lines' fingerprints. The dense start line is fetched
 // only when a batch has to simulate, so a batch the cache answers in full
-// never needs it. Callers that pass raw maps get a digest built from
-// copies of them; later batches compare the maps against those copies, so
-// a map changed in place behind a reused pointer still starts a new
-// context.
+// never needs it. A context is identified by the Observations object and
+// its line indices, whose lines are immutable once digested.
 //
 // Scenario cache: duplicate genomes are common under GA crossover/elitism,
 // and re-simulating a byte-identical scenario over the same interval from
@@ -69,37 +67,6 @@
 #include "parallel/master_worker.hpp"
 
 namespace essns::ess {
-
-/// One simulation over an interval, optionally scored against a target map.
-struct SimulationRequest {
-  const firelib::Scenario* scenario = nullptr;
-  const firelib::IgnitionMap* start = nullptr;  ///< fire state at start_time
-  double start_time = 0.0;
-  double end_time = 0.0;
-  /// When set, the result carries fitness = Eq. (3) vs this map (cells
-  /// burned in `target` by start_time are excluded as preburned).
-  const firelib::IgnitionMap* target = nullptr;
-};
-
-/// The requests of a fitness batch: each scenario over [start_time,
-/// end_time] from `start`, scored against `target`. The pointers refer into
-/// the arguments, which must outlive the requests.
-std::vector<SimulationRequest> fitness_requests(
-    const std::vector<firelib::Scenario>& scenarios,
-    const firelib::IgnitionMap& start, const firelib::IgnitionMap& target,
-    double start_time, double end_time);
-
-struct SimulationResult {
-  double fitness = 0.0;  ///< 0 when the request had no target
-  /// The cells the simulation burned by end_time. Always set for requests
-  /// without a target (a cache hit serves its record); for scored requests
-  /// only when this batch simulated the scenario — a cache hit answers with
-  /// the score alone.
-  BurnedCells burned;
-  /// Wall-clock of the simulation that produced this result (0 for cache
-  /// hits); the shared cache weights eviction by it.
-  double sim_seconds = 0.0;
-};
 
 class SimulationService {
  public:
@@ -159,94 +126,67 @@ class SimulationService {
     step_cache_capacity_ = capacity;
   }
 
-  /// Start a prediction step over [start_time, end_time] from `start`,
-  /// scored against `target`: drop the step store, and build the context
-  /// (copies, fingerprints, packed scoring target) now, once, for the
-  /// step's batches.
-  void begin_step(const firelib::IgnitionMap& start,
-                  const firelib::IgnitionMap& target, double start_time,
-                  double end_time);
-  /// The same for the step that ends at line `target_line` of
+  /// Start the prediction step that ends at line `target_line` of
   /// `observations`: from line target_line - 1 over [t_{target_line - 1},
-  /// t_{target_line}]. The context reads the digest; `observations` must
+  /// t_{target_line}], scored against line target_line. Drops the step
+  /// store and reads the context (fingerprints, packed scoring target) from
+  /// the digest now, once, for the step's batches. `observations` must
   /// outlive the step.
   void begin_step(Observations& observations, int target_line);
 
-  /// Eq. (3) of one scenario over [start_time, end_time] from `start`
-  /// against `target`, simulated on the calling thread without the cache
-  /// (in that context, like a batch).
-  double score(const firelib::Scenario& scenario,
-               const firelib::IgnitionMap& start,
-               const firelib::IgnitionMap& target, double start_time,
-               double end_time);
+  /// Eq. (3) of one scenario over that step, simulated on the calling
+  /// thread without the cache (in the step's context, like a batch).
   double score(const firelib::Scenario& scenario, Observations& observations,
                int target_line);
 
   /// The current context's recorded burned cells of each scenario, valid
   /// until the next batch: element i is nullptr where the context has no
-  /// record of scenarios[i], and every element is nullptr unless `start`
-  /// (same address and content) and `end_time` are the context's.
-  std::vector<const BurnedCells*> step_records(
-      const std::vector<firelib::Scenario>& scenarios,
-      const firelib::IgnitionMap& start, double end_time) const;
-  /// The same for a context that starts at line `start_line` of
-  /// `observations`.
+  /// record of scenarios[i], and every element is nullptr unless the
+  /// context starts at line `start_line` of `observations` (the same
+  /// object) and ends at `end_time`.
   std::vector<const BurnedCells*> step_records(
       const std::vector<firelib::Scenario>& scenarios,
       const Observations& observations, int start_line,
       double end_time) const;
-
-  /// Run the reference Dijkstra sweep (per-pop behavior + trig) as before
-  /// the hot-path overhaul. For equivalence tests and bench_hotpath
-  /// baselines.
-  void set_reference_kernels(bool reference);
 
   /// Requests served by an in-batch duplicate (simulated once, however
   /// often the batch repeats it); a subset of cache_hits(). Also flushed to
   /// the obs registry as `sweep.batch_dedup_hits`.
   std::size_t batch_dedup_hits() const { return batch_dedup_hits_; }
 
-  /// Select the propagator's sweep-queue discipline (default kDial). Heap
-  /// and dial sweeps are bit-identical; the knob exists so equivalence
-  /// tests and bench_sweep can measure both through the service.
-  void set_sweep_queue(firelib::SweepQueue queue);
-  firelib::SweepQueue sweep_queue() const;
-
   /// One simulation on the calling thread (master workspace).
   firelib::IgnitionMap simulate(const firelib::Scenario& scenario,
                                 const firelib::IgnitionMap& start,
                                 double end_time);
 
-  /// Scatter `requests` over the pool, gather results in request order.
-  /// The requests must share one context: start map, target (or none),
-  /// start time and end time.
-  std::vector<SimulationResult> run_batch(
-      const std::vector<SimulationRequest>& requests);
-
-  /// Burned-cell batch: simulate every scenario over [*, end_time] from
-  /// `start`, returning the cells each burned by end_time. Equal to packing
-  /// N simulate() maps at end_time, bit for bit, at any worker count.
-  std::vector<BurnedCells> simulate_batch(
-      const std::vector<firelib::Scenario>& scenarios,
-      const firelib::IgnitionMap& start, double end_time);
-  /// The same from line `start_line` of `observations`.
+  /// Burned-cell batch: simulate every scenario from line `start_line` of
+  /// `observations` to `end_time`, returning the cells each burned by
+  /// end_time. Equal to packing N simulate() maps at end_time, bit for bit,
+  /// at any worker count.
   std::vector<BurnedCells> simulate_batch(
       const std::vector<firelib::Scenario>& scenarios,
       Observations& observations, int start_line, double end_time);
 
-  /// Fitness batch: Eq. (3) of each scenario's simulated map at end_time
-  /// against `target`, excluding cells burned in `target` by start_time.
-  std::vector<double> fitness_batch(
-      const std::vector<firelib::Scenario>& scenarios,
-      const firelib::IgnitionMap& start, const firelib::IgnitionMap& target,
-      double start_time, double end_time);
-  /// The same for the step that ends at line `target_line` of
-  /// `observations` (see begin_step).
+  /// Fitness batch: Eq. (3) of each scenario over the step that ends at
+  /// line `target_line` of `observations` (see begin_step).
   std::vector<double> fitness_batch(
       const std::vector<firelib::Scenario>& scenarios,
       Observations& observations, int target_line);
 
  private:
+  /// One scenario's outcome in the current context.
+  struct SimulationResult {
+    double fitness = 0.0;  ///< 0 in an unscored context
+    /// The cells the simulation burned by end_time. Always set in an
+    /// unscored context (a cache hit serves its record); in a scored one
+    /// only when this batch simulated the scenario — a cache hit answers
+    /// with the score alone.
+    BurnedCells burned;
+    /// Wall-clock of the simulation that produced this result (0 for cache
+    /// hits); the shared cache weights eviction by it.
+    double sim_seconds = 0.0;
+  };
+
   /// The context batches run in: a start line of some observations, an
   /// optional target (always the next line), the interval, and what the
   /// batches read of the lines, taken from the digest when the context
@@ -272,13 +212,13 @@ class SimulationService {
   /// `worker_id`.
   SimulationResult run_one(unsigned worker_id,
                            const firelib::Scenario& scenario);
-  std::vector<SimulationResult> run_batch_uncached(
+  std::vector<SimulationResult> simulate_uncached(
       const std::vector<const firelib::Scenario*>& scenarios);
   /// Every batch: under kOff simulate all; under kStep / kShared dedup,
   /// serve hits and simulate the rest.
   std::vector<SimulationResult> run_in_context(
       const std::vector<const firelib::Scenario*>& scenarios);
-  std::vector<SimulationResult> run_batch_cached(
+  std::vector<SimulationResult> run_cached(
       const std::vector<const firelib::Scenario*>& scenarios);
   /// Make the context the one from `start_line` of `observations` over
   /// [start_time, end_time], scored against the next line when `scored`;
@@ -287,12 +227,6 @@ class SimulationService {
                      double start_time, double end_time);
   /// Same, for the scored step that ends at line `target_line`.
   void enter_step(Observations& observations, int target_line);
-  /// The observations of raw maps: the current ones while `start` and
-  /// `target` are the same maps (address and content) over the same
-  /// interval, otherwise new ones built from copies of them.
-  Observations& raw_observations(const firelib::IgnitionMap& start,
-                                 const firelib::IgnitionMap* target,
-                                 double start_time, double end_time);
   /// Keep a simulated scenario's burned cells (and score) in the step
   /// store, up to its capacity backstop.
   void remember(const cache::ScenarioKey& key, const SimulationResult& sim);
@@ -320,10 +254,6 @@ class SimulationService {
                      cache::ScenarioKeyHash>
       step_cache_;
   Context context_;
-  /// The raw-map callers' observations and the maps they were copied from.
-  std::optional<Observations> raw_;
-  const firelib::IgnitionMap* raw_start_ = nullptr;
-  const firelib::IgnitionMap* raw_target_ = nullptr;
   std::size_t step_cache_bytes_ = 0;
   /// Insertion stops (entries are kept) once the step store holds this many
   /// scenarios; contexts are short-lived, so this is a memory backstop, not

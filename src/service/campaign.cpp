@@ -97,6 +97,11 @@ double CampaignResult::mean_quality() const {
   return count == 0 ? 0.0 : sum / static_cast<double>(count);
 }
 
+unsigned CampaignConfig::job_concurrency(std::size_t job_count) const {
+  return static_cast<unsigned>(std::min<std::size_t>(
+      engine.job_slots, std::max<std::size_t>(job_count, 1)));
+}
+
 CampaignScheduler::CampaignScheduler(CampaignConfig config)
     : config_(std::move(config)) {
   ESSNS_REQUIRE(config_.engine.job_slots >= 1, "job_slots >= 1");
@@ -105,16 +110,14 @@ CampaignScheduler::CampaignScheduler(CampaignConfig config)
 }
 
 unsigned CampaignScheduler::workers_per_job(std::size_t job_count) const {
-  const unsigned in_flight = static_cast<unsigned>(
-      std::min<std::size_t>(config_.engine.job_slots,
-                            std::max<std::size_t>(job_count, 1)));
-  return std::max(1u, config_.engine.total_workers / in_flight);
+  return std::max(1u, config_.engine.total_workers /
+                          config_.job_concurrency(job_count));
 }
 
 CampaignResult CampaignScheduler::run(
     const std::vector<synth::Workload>& workloads) const {
   CampaignResult result;
-  result.job_concurrency = config_.engine.job_slots;
+  result.job_concurrency = config_.job_concurrency(workloads.size());
   result.workers_per_job = workers_per_job(workloads.size());
   result.cache_policy = config_.spec.cache_policy;
   result.jobs.resize(workloads.size());
@@ -125,10 +128,8 @@ CampaignResult CampaignScheduler::run(
   // trace/metrics after the slots join, which also covers the
   // empty-workloads early return.
   EngineConfig engine_config = config_.engine;
-  const std::size_t batch = std::max<std::size_t>(workloads.size(), 1);
-  engine_config.job_slots = static_cast<unsigned>(
-      std::min<std::size_t>(engine_config.job_slots, batch));
-  engine_config.queue_capacity = batch;
+  engine_config.job_slots = result.job_concurrency;
+  engine_config.queue_capacity = std::max<std::size_t>(workloads.size(), 1);
   PredictionEngine engine(std::move(engine_config));
 
   if (workloads.empty()) return result;
@@ -173,7 +174,7 @@ CampaignResult CampaignScheduler::run_reference(
                               knobs.collect_metrics);
 
   CampaignResult result;
-  result.job_concurrency = knobs.job_slots;
+  result.job_concurrency = config_.job_concurrency(workloads.size());
   result.workers_per_job = workers_per_job(workloads.size());
   result.cache_policy = config_.spec.cache_policy;
   result.jobs.resize(workloads.size());
@@ -204,12 +205,10 @@ CampaignResult CampaignScheduler::run_reference(
       knobs.on_job_done(result.jobs[i]);
     }
   };
-  const unsigned concurrency = static_cast<unsigned>(
-      std::min<std::size_t>(knobs.job_slots, workloads.size()));
-  if (concurrency <= 1) {
+  if (result.job_concurrency <= 1) {
     for (std::size_t i = 0; i < workloads.size(); ++i) run_one(i);
   } else {
-    parallel::ThreadPool pool(concurrency);
+    parallel::ThreadPool pool(result.job_concurrency);
     std::vector<std::future<void>> pending;
     pending.reserve(workloads.size());
     for (std::size_t i = 0; i < workloads.size(); ++i)

@@ -56,6 +56,10 @@ struct CampaignConfig {
   /// just within a prediction step. keep_final_maps retains each job's final
   /// probability matrix / predicted fire line (two grids per job).
   JobSpec spec;
+
+  /// Jobs in flight at once over a batch of `job_count`: engine.job_slots
+  /// clamped to the batch, and at least one.
+  unsigned job_concurrency(std::size_t job_count) const;
 };
 
 struct CampaignResult {

@@ -79,8 +79,8 @@ TEST_F(BurnDescriptorTest, DimensionMismatchThrows) {
 
 TEST_F(BurnDescriptorTest, DescriptorFnDrivesNsGa) {
   ScenarioEvaluator evaluator(workload_.environment);
-  evaluator.set_step({&truth_.fire_lines[0], &truth_.fire_lines[1], 0.0,
-                      truth_.step_minutes});
+  Observations observations(truth_, false);
+  evaluator.set_step(observations, 1);
   core::NsGaConfig cfg;
   cfg.population_size = 8;
   cfg.offspring_count = 8;

@@ -46,20 +46,21 @@ void expect_bitwise_equal(const Grid<double>& got, const Grid<double>& want) {
         << "cell " << i;
 }
 
+synth::GroundTruth truth_of(const synth::Workload& workload) {
+  Rng rng(5);
+  return synth::generate_ground_truth(workload.environment,
+                                      workload.truth_config, rng);
+}
+
 class BurnProbabilityTest : public ::testing::Test {
  protected:
-  BurnProbabilityTest() : workload_(synth::make_hills(32)) {
-    Rng rng(5);
-    truth_ = synth::generate_ground_truth(workload_.environment,
-                                          workload_.truth_config, rng);
-  }
+  BurnProbabilityTest()
+      : workload_(synth::make_hills(32)),
+        truth_(truth_of(workload_)),
+        observations_(truth_, true) {}
 
   const firelib::IgnitionMap& line(int i) const {
     return truth_.fire_lines[static_cast<std::size_t>(i)];
-  }
-
-  StepContext step(int n) const {
-    return {&line(n - 1), &line(n), truth_.time_of(n - 1), truth_.time_of(n)};
   }
 
   /// The pre-reuse Statistical Stage: simulate every map on an uncached
@@ -88,6 +89,8 @@ class BurnProbabilityTest : public ::testing::Test {
 
   synth::Workload workload_;
   synth::GroundTruth truth_;
+  /// Fingerprinted, so every cache policy can read them.
+  Observations observations_;
 };
 
 TEST_F(BurnProbabilityTest, MatchesMapOracleWithAllSomeOrNoneRecorded) {
@@ -107,24 +110,25 @@ TEST_F(BurnProbabilityTest, MatchesMapOracleWithAllSomeOrNoneRecorded) {
     SCOPED_TRACE(cache::to_string(policy));
     ScenarioEvaluator evaluator(workload_.environment);
     evaluator.set_cache_policy(policy);
-    evaluator.set_step(step(1));
+    evaluator.set_step(observations_, 1);
     evaluator.batch_evaluator()(encode(evaluated));
     const double t1 = truth_.time_of(1);
 
     std::size_t before = evaluator.simulations_run();
-    expect_bitwise_equal(evaluator.burn_probability(recorded, line(0), t1),
-                         oracle_probability(recorded, line(0), t1));
+    expect_bitwise_equal(
+        evaluator.burn_probability(recorded, observations_, 0, t1),
+        oracle_probability(recorded, line(0), t1));
     EXPECT_EQ(evaluator.simulations_run(), before) << "all recorded";
 
     before = evaluator.simulations_run();
-    expect_bitwise_equal(evaluator.burn_probability(some, line(0), t1),
+    expect_bitwise_equal(evaluator.burn_probability(some, observations_, 0, t1),
                          oracle_probability(some, line(0), t1));
     EXPECT_EQ(evaluator.simulations_run() - before, fresh.size())
         << "only the unrecorded scenarios simulate";
 
     const std::vector<firelib::Scenario> none = sample(5, rng);
     before = evaluator.simulations_run();
-    expect_bitwise_equal(evaluator.burn_probability(none, line(0), t1),
+    expect_bitwise_equal(evaluator.burn_probability(none, observations_, 0, t1),
                          oracle_probability(none, line(0), t1));
     EXPECT_EQ(evaluator.simulations_run() - before, none.size());
   }
@@ -136,42 +140,43 @@ TEST_F(BurnProbabilityTest, ForeignStartOrHorizonSimulates) {
   for (const auto& g : encode(sample(5, rng)))
     set.push_back(firelib::ScenarioSpace::table1().decode(g));
   const double t1 = truth_.time_of(1);
-  const firelib::IgnitionMap same_content = line(0);  // another address
+  Observations same_content(truth_, true);  // another object, same lines
 
   ScenarioEvaluator evaluator(workload_.environment);
   evaluator.set_cache_policy(CachePolicy::kOff);
-  evaluator.set_step(step(1));
+  evaluator.set_step(observations_, 1);
   evaluator.batch_evaluator()(encode(set));
 
   const double later = t1 + 7.5;
   std::size_t before = evaluator.simulations_run();
-  expect_bitwise_equal(evaluator.burn_probability(set, line(0), later),
-                       oracle_probability(set, line(0), later));
+  expect_bitwise_equal(
+      evaluator.burn_probability(set, observations_, 0, later),
+      oracle_probability(set, line(0), later));
   EXPECT_EQ(evaluator.simulations_run() - before, set.size())
       << "a different end time";
 
-  evaluator.set_step(step(1));
+  evaluator.set_step(observations_, 1);
   evaluator.batch_evaluator()(encode(set));
   before = evaluator.simulations_run();
-  expect_bitwise_equal(evaluator.burn_probability(set, same_content, t1),
-                       oracle_probability(set, same_content, t1));
+  expect_bitwise_equal(evaluator.burn_probability(set, same_content, 0, t1),
+                       oracle_probability(set, line(0), t1));
   EXPECT_EQ(evaluator.simulations_run() - before, set.size())
-      << "a foreign start pointer";
+      << "foreign observations";
 
   // set_step drops the records, even for an identical context.
-  evaluator.set_step(step(1));
+  evaluator.set_step(observations_, 1);
   before = evaluator.simulations_run();
-  expect_bitwise_equal(evaluator.burn_probability(set, line(0), t1),
+  expect_bitwise_equal(evaluator.burn_probability(set, observations_, 0, t1),
                        oracle_probability(set, line(0), t1));
   EXPECT_EQ(evaluator.simulations_run() - before, set.size())
       << "records of a previous set_step";
 }
 
 TEST_F(BurnProbabilityTest, FitnessBatchesReturnBurnedCellsOfSimulatedRequests) {
-  // Every path that simulates a fitness request hands back its burned
-  // cells: the uncached, step and shared cache paths,
-  // and in-batch duplicates served by one scheduled simulation. Requests a
-  // cache served without simulating carry none.
+  // Every path that simulates a fitness request hands its burned cells to
+  // the step's records: the uncached, step and shared cache paths, and
+  // in-batch duplicates served by one scheduled simulation. A repeat batch
+  // the cache answers without simulating leaves the records in place.
   Rng rng(41);
   std::vector<firelib::Scenario> batch = sample(5, rng);
   batch.push_back(batch[1]);
@@ -179,6 +184,15 @@ TEST_F(BurnProbabilityTest, FitnessBatchesReturnBurnedCellsOfSimulatedRequests) 
   const double t1 = truth_.time_of(1);
   const std::vector<firelib::IgnitionMap> maps =
       simulate_maps(workload_.environment, batch, line(0), t1);
+  const auto expect_recorded = [&](const SimulationService& service) {
+    const std::vector<const BurnedCells*> records =
+        service.step_records(batch, observations_, 0, t1);
+    ASSERT_EQ(records.size(), batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      ASSERT_NE(records[i], nullptr) << i;
+      EXPECT_EQ(*records[i], oracle::pack_burned(maps[i], t1)) << i;
+    }
+  };
 
   for (const CachePolicy policy :
        {CachePolicy::kOff, CachePolicy::kStep, CachePolicy::kShared}) {
@@ -187,21 +201,14 @@ TEST_F(BurnProbabilityTest, FitnessBatchesReturnBurnedCellsOfSimulatedRequests) 
                    << cache::to_string(policy) << " w" << workers);
       SimulationService service(workload_.environment, workers);
       service.set_cache_policy(policy);
-      const std::vector<SimulationRequest> requests =
-          fitness_requests(batch, line(0), line(1), 0.0, t1);
-      std::vector<SimulationResult> results = service.run_batch(requests);
-      ASSERT_EQ(results.size(), batch.size());
-      for (std::size_t i = 0; i < batch.size(); ++i)
-        EXPECT_EQ(results[i].burned, oracle::pack_burned(maps[i], t1)) << i;
+      service.fitness_batch(batch, observations_, 1);
+      expect_recorded(service);
 
-      results = service.run_batch(requests);
-      ASSERT_EQ(results.size(), batch.size());
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        if (policy == CachePolicy::kOff)
-          EXPECT_EQ(results[i].burned, oracle::pack_burned(maps[i], t1)) << i;
-        else
-          EXPECT_TRUE(results[i].burned.empty()) << "cache hit " << i;
-      }
+      const std::size_t before = service.simulations_run();
+      service.fitness_batch(batch, observations_, 1);
+      EXPECT_EQ(service.simulations_run() - before,
+                policy == CachePolicy::kOff ? batch.size() : 0u);
+      expect_recorded(service);
     }
   }
 }
@@ -216,7 +223,7 @@ TEST_F(BurnProbabilityTest, RecordsStopAtTheBackstopAndTheRestSimulate) {
   ScenarioEvaluator evaluator(workload_.environment);
   evaluator.set_cache_policy(CachePolicy::kOff);
   evaluator.set_step_cache_capacity(4);
-  evaluator.set_step(step(1));
+  evaluator.set_step(observations_, 1);
   const std::vector<ea::Genome> genomes = encode(set);
   evaluator.batch_evaluator()({genomes.begin(), genomes.begin() + 3});
   evaluator.batch_evaluator()({genomes.begin() + 3, genomes.end()});
@@ -224,15 +231,16 @@ TEST_F(BurnProbabilityTest, RecordsStopAtTheBackstopAndTheRestSimulate) {
   // The first four evaluated scenarios keep their records; the other five
   // were evaluated past the backstop and simulate again.
   const std::size_t before = evaluator.simulations_run();
-  expect_bitwise_equal(evaluator.burn_probability(set, line(0), t1),
+  expect_bitwise_equal(evaluator.burn_probability(set, observations_, 0, t1),
                        oracle_probability(set, line(0), t1));
   EXPECT_EQ(evaluator.simulations_run() - before, set.size() - 4);
 }
 
 TEST_F(BurnProbabilityTest, EmptySetThrows) {
   ScenarioEvaluator evaluator(workload_.environment);
-  evaluator.set_step(step(1));
-  EXPECT_THROW(evaluator.burn_probability({}, line(0), truth_.time_of(1)),
+  evaluator.set_step(observations_, 1);
+  EXPECT_THROW(evaluator.burn_probability({}, observations_, 0,
+                                          truth_.time_of(1)),
                InvalidArgument);
 }
 
@@ -262,7 +270,7 @@ TEST_P(StatisticalStageReuse, RunsNoSimulationsForTheStepsOwnSolutions) {
   // Two pipeline steps, stage by stage as PredictionPipeline runs them.
   for (int n = 1; n <= 2; ++n) {
     SCOPED_TRACE(n);
-    evaluator.set_step(step(n));
+    evaluator.set_step(observations_, n);
     std::unordered_set<cache::ScenarioKey, cache::ScenarioKeyHash> evaluated;
     auto inner = evaluator.batch_evaluator();
     const ea::BatchEvaluator batch =
@@ -285,15 +293,16 @@ TEST_P(StatisticalStageReuse, RunsNoSimulationsForTheStepsOwnSolutions) {
     const double t_now = truth_.time_of(n);
     const std::size_t before = evaluator.simulations_run();
     const Grid<double> probability =
-        evaluator.burn_probability(solutions, line(n - 1), t_now);
+        evaluator.burn_probability(solutions, observations_, n - 1, t_now);
     EXPECT_EQ(evaluator.simulations_run(), before);
     expect_bitwise_equal(probability,
                          oracle_probability(solutions, line(n - 1), t_now));
 
     // The PS's forward interval has no records; it still matches.
     const double t_next = truth_.time_of(n + 1);
-    expect_bitwise_equal(evaluator.burn_probability(solutions, line(n), t_next),
-                         oracle_probability(solutions, line(n), t_next));
+    expect_bitwise_equal(
+        evaluator.burn_probability(solutions, observations_, n, t_next),
+        oracle_probability(solutions, line(n), t_next));
   }
 }
 
@@ -306,6 +315,7 @@ std::vector<StepReport> replica_pipeline(const firelib::FireEnvironment& env,
                                          std::uint64_t seed) {
   ScenarioEvaluator evaluator(env);
   evaluator.set_cache_policy(CachePolicy::kOff);
+  Observations observations(truth, false);
   NsGaOptimizer optimizer(ns);
   Rng rng(seed);
   const auto& space = firelib::ScenarioSpace::table1();
@@ -316,7 +326,7 @@ std::vector<StepReport> replica_pipeline(const firelib::FireEnvironment& env,
     const double t_prev = truth.time_of(n - 1);
     const double t_now = truth.time_of(n);
     const double t_next = truth.time_of(n + 1);
-    evaluator.set_step({&lines[un - 1], &lines[un], t_prev, t_now});
+    evaluator.set_step(observations, n);
     OptimizationOutcome outcome = optimizer.optimize(
         firelib::kParamCount, evaluator.batch_evaluator(), stop, rng);
     std::sort(outcome.solutions.begin(), outcome.solutions.end(),

@@ -9,26 +9,27 @@
 namespace essns::ess {
 namespace {
 
+synth::GroundTruth truth_of(const synth::Workload& workload) {
+  Rng rng(5);
+  return synth::generate_ground_truth(workload.environment,
+                                      workload.truth_config, rng);
+}
+
 class EvaluatorTest : public ::testing::Test {
  protected:
-  EvaluatorTest() : workload_(synth::make_plains(32)) {
-    Rng rng(5);
-    truth_ = synth::generate_ground_truth(workload_.environment,
-                                          workload_.truth_config, rng);
-  }
-
-  StepContext step1() const {
-    return {&truth_.fire_lines[0], &truth_.fire_lines[1], 0.0,
-            truth_.step_minutes};
-  }
+  EvaluatorTest()
+      : workload_(synth::make_plains(32)),
+        truth_(truth_of(workload_)),
+        observations_(truth_, false) {}
 
   synth::Workload workload_;
   synth::GroundTruth truth_;
+  Observations observations_;
 };
 
 TEST_F(EvaluatorTest, HiddenScenarioScoresHigh) {
   ScenarioEvaluator evaluator(workload_.environment);
-  evaluator.set_step(step1());
+  evaluator.set_step(observations_, 1);
   const double fit = evaluator.evaluate_scenario(truth_.scenario_at[1]);
   // Observation noise keeps it below 1, but the generating scenario must
   // score far above a wrong one.
@@ -37,7 +38,7 @@ TEST_F(EvaluatorTest, HiddenScenarioScoresHigh) {
 
 TEST_F(EvaluatorTest, WrongScenarioScoresLower) {
   ScenarioEvaluator evaluator(workload_.environment);
-  evaluator.set_step(step1());
+  evaluator.set_step(observations_, 1);
   firelib::Scenario wrong = truth_.scenario_at[1];
   wrong.m1 = 59.0;  // soaked fuel: fire barely moves
   wrong.m10 = 59.0;
@@ -49,7 +50,7 @@ TEST_F(EvaluatorTest, WrongScenarioScoresLower) {
 
 TEST_F(EvaluatorTest, BatchMatchesScalarEvaluation) {
   ScenarioEvaluator evaluator(workload_.environment);
-  evaluator.set_step(step1());
+  evaluator.set_step(observations_, 1);
   const auto& space = firelib::ScenarioSpace::table1();
   Rng rng(9);
   std::vector<ea::Genome> genomes;
@@ -59,7 +60,7 @@ TEST_F(EvaluatorTest, BatchMatchesScalarEvaluation) {
   ASSERT_EQ(batch.size(), genomes.size());
   // A Prediction Stage pass over the next interval in between must not
   // change what the step's scalar evaluation scores against.
-  evaluator.burn_probability({space.decode(genomes[0])}, truth_.fire_lines[1],
+  evaluator.burn_probability({space.decode(genomes[0])}, observations_, 1,
                              2 * truth_.step_minutes);
   for (std::size_t i = 0; i < genomes.size(); ++i) {
     const double scalar =
@@ -72,8 +73,8 @@ TEST_F(EvaluatorTest, ParallelMatchesSerial) {
   // The paper's Master/Worker parallelization must not change results.
   ScenarioEvaluator serial(workload_.environment, 1);
   ScenarioEvaluator parallel(workload_.environment, 4);
-  serial.set_step(step1());
-  parallel.set_step(step1());
+  serial.set_step(observations_, 1);
+  parallel.set_step(observations_, 1);
   EXPECT_EQ(parallel.workers(), 4u);
 
   const auto& space = firelib::ScenarioSpace::table1();
@@ -91,7 +92,7 @@ TEST_F(EvaluatorTest, ParallelMatchesSerial) {
 
 TEST_F(EvaluatorTest, FitnessInUnitInterval) {
   ScenarioEvaluator evaluator(workload_.environment);
-  evaluator.set_step(step1());
+  evaluator.set_step(observations_, 1);
   const auto& space = firelib::ScenarioSpace::table1();
   Rng rng(13);
   for (int i = 0; i < 30; ++i) {
@@ -103,7 +104,7 @@ TEST_F(EvaluatorTest, FitnessInUnitInterval) {
 
 TEST_F(EvaluatorTest, SimulationCounterAdvances) {
   ScenarioEvaluator evaluator(workload_.environment);
-  evaluator.set_step(step1());
+  evaluator.set_step(observations_, 1);
   EXPECT_EQ(evaluator.simulations_run(), 0u);
   evaluator.evaluate_scenario(truth_.scenario_at[1]);
   EXPECT_EQ(evaluator.simulations_run(), 1u);
@@ -120,16 +121,18 @@ TEST_F(EvaluatorTest, EvaluateBeforeSetStepThrows) {
 
 TEST_F(EvaluatorTest, SetStepValidatesInterval) {
   ScenarioEvaluator evaluator(workload_.environment);
-  StepContext bad = step1();
-  bad.end_time = bad.start_time;
-  EXPECT_THROW(evaluator.set_step(bad), InvalidArgument);
-  StepContext null_maps;
-  EXPECT_THROW(evaluator.set_step(null_maps), InvalidArgument);
+  EXPECT_THROW(evaluator.set_step(observations_, 0), InvalidArgument);
+  EXPECT_THROW(evaluator.set_step(observations_, truth_.steps() + 1),
+               InvalidArgument);
+  synth::GroundTruth still = truth_;
+  still.step_minutes = 0.0;  // every line at t = 0
+  Observations zero_length(still, false);
+  EXPECT_THROW(evaluator.set_step(zero_length, 1), InvalidArgument);
 }
 
 TEST_F(EvaluatorTest, SimulateContinuesFromGivenState) {
   ScenarioEvaluator evaluator(workload_.environment);
-  evaluator.set_step(step1());
+  evaluator.set_step(observations_, 1);
   const auto map = evaluator.simulate(truth_.scenario_at[1],
                                       truth_.fire_lines[0],
                                       truth_.step_minutes);

@@ -106,8 +106,8 @@ TEST(FailureInjectionTest, ParallelEvaluatorPropagatesSimulationErrors) {
   const synth::GroundTruth truth = synth::generate_ground_truth(
       workload.environment, workload.truth_config, rng);
   ess::ScenarioEvaluator evaluator(workload.environment, 2);
-  evaluator.set_step({&truth.fire_lines[0], &truth.fire_lines[1], 0.0,
-                      truth.step_minutes});
+  ess::Observations observations(truth, false);
+  evaluator.set_step(observations, 1);
   auto evaluate = evaluator.batch_evaluator();
   std::vector<ea::Genome> bad_batch{ea::Genome(3, 0.5)};  // wrong dimension
   EXPECT_THROW(evaluate(bad_batch), InvalidArgument);

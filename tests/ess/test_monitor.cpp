@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "common/error.hpp"
 #include "synth/workloads.hpp"
 
@@ -79,6 +82,33 @@ TEST_F(EssimSystemTest, DeterministicForSameSeed) {
     EXPECT_EQ(r1.steps[i].selected_island, r2.steps[i].selected_island);
     EXPECT_DOUBLE_EQ(r1.steps[i].prediction_quality,
                      r2.steps[i].prediction_quality);
+  }
+}
+
+TEST_F(EssimSystemTest, BitIdenticalAcrossWorkerCounts) {
+  // The Master/Worker pool must not change a bit of what the Monitor sees:
+  // every island's calibration and the selected prediction.
+  const auto run_with = [&](unsigned workers) {
+    EssimConfig config = config_;
+    config.workers = workers;
+    EssimSystem system(workload_.environment, truth_, config);
+    Rng rng(11);
+    return system.run(rng);
+  };
+  const EssimResult serial = run_with(1);
+  const EssimResult pooled = run_with(3);
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  ASSERT_EQ(serial.steps.size(), pooled.steps.size());
+  for (std::size_t i = 0; i < serial.steps.size(); ++i) {
+    SCOPED_TRACE(i);
+    const EssimStepReport& a = serial.steps[i];
+    const EssimStepReport& b = pooled.steps[i];
+    EXPECT_EQ(a.selected_island, b.selected_island);
+    EXPECT_EQ(bits(a.kign), bits(b.kign));
+    EXPECT_EQ(bits(a.prediction_quality), bits(b.prediction_quality));
+    ASSERT_EQ(a.islands.size(), b.islands.size());
+    for (std::size_t k = 0; k < a.islands.size(); ++k)
+      EXPECT_EQ(bits(a.islands[k].fitness), bits(b.islands[k].fitness)) << k;
   }
 }
 

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
-
 #include "cache/scenario_cache.hpp"
 #include "common/error.hpp"
 #include "ess/pipeline.hpp"
@@ -26,7 +24,8 @@ class ObservationTest : public ::testing::Test {
 };
 
 TEST_F(ObservationTest, DigestHoldsEachLinesBitsetsAndFingerprint) {
-  const ObservationDigest digest = make_observation_digest(truth_, true);
+  const Observations observations(truth_, true);
+  const ObservationDigest& digest = observations.digest();
   ASSERT_EQ(digest.steps(), truth_.steps());
   EXPECT_TRUE(digest.fingerprinted);
   for (int k = 0; k <= truth_.steps(); ++k) {
@@ -45,9 +44,10 @@ TEST_F(ObservationTest, DigestHoldsEachLinesBitsetsAndFingerprint) {
                 firelib::burned_cells(line, truth_.time_of(k - 1)));
   }
   // The step cache never asks for fingerprints, so none are computed.
-  const ObservationDigest plain = make_observation_digest(truth_, false);
-  EXPECT_FALSE(plain.fingerprinted);
-  for (const ObservedLine& line : plain.lines) EXPECT_EQ(line.fingerprint, 0u);
+  const Observations plain(truth_, false);
+  EXPECT_FALSE(plain.digest().fingerprinted);
+  for (const ObservedLine& line : plain.digest().lines)
+    EXPECT_EQ(line.fingerprint, 0u);
 }
 
 /// Run the pipeline of the fixture's fire over `observations`.
@@ -72,11 +72,8 @@ TEST_F(ObservationTest, SharedPolicyRefusesUnfingerprintedLines) {
   config.cache_policy = cache::CachePolicy::kShared;
   Grid<double> probability;
   EXPECT_THROW(
-      run_pipeline(workload_,
-                   Observations(std::make_shared<const ObservationDigest>(
-                                    make_observation_digest(truth_, false)),
-                                truth_.fire_lines),
-                   config, &probability),
+      run_pipeline(workload_, Observations(truth_, false), config,
+                   &probability),
       InvalidArgument);
 }
 

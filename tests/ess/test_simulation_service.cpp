@@ -12,12 +12,18 @@
 namespace essns::ess {
 namespace {
 
+synth::GroundTruth truth_of(const synth::Workload& workload) {
+  Rng rng(5);
+  return synth::generate_ground_truth(workload.environment,
+                                      workload.truth_config, rng);
+}
+
 class SimulationServiceTest : public ::testing::Test {
  protected:
-  SimulationServiceTest() : workload_(synth::make_plains(32)) {
-    Rng rng(5);
-    truth_ = synth::generate_ground_truth(workload_.environment,
-                                          workload_.truth_config, rng);
+  SimulationServiceTest()
+      : workload_(synth::make_plains(32)),
+        truth_(truth_of(workload_)),
+        observations_(truth_, true) {
     Rng sample_rng(17);
     const auto& space = firelib::ScenarioSpace::table1();
     for (int i = 0; i < 12; ++i)
@@ -26,6 +32,8 @@ class SimulationServiceTest : public ::testing::Test {
 
   synth::Workload workload_;
   synth::GroundTruth truth_;
+  /// Fingerprinted, so every cache policy can read them.
+  Observations observations_;
   std::vector<firelib::Scenario> scenarios_;
 };
 
@@ -43,7 +51,7 @@ TEST_F(SimulationServiceTest, BatchEqualsSerialAcrossWorkerCounts) {
   for (unsigned workers : {1u, 2u, 4u}) {
     SCOPED_TRACE(workers);
     SimulationService service(workload_.environment, workers);
-    const auto maps = service.simulate_batch(scenarios_, truth_.fire_lines[0],
+    const auto maps = service.simulate_batch(scenarios_, observations_, 0,
                                              truth_.step_minutes);
     ASSERT_EQ(maps.size(), expected.size());
     for (std::size_t i = 0; i < maps.size(); ++i) EXPECT_EQ(maps[i], expected[i]);
@@ -63,82 +71,47 @@ TEST_F(SimulationServiceTest, FitnessBatchMatchesScalarJaccard) {
   for (unsigned workers : {1u, 2u, 4u}) {
     SCOPED_TRACE(workers);
     SimulationService service(workload_.environment, workers);
-    const auto fitness = service.fitness_batch(
-        scenarios_, truth_.fire_lines[0], truth_.fire_lines[1], 0.0,
-        truth_.step_minutes);
+    const auto fitness = service.fitness_batch(scenarios_, observations_, 1);
     ASSERT_EQ(fitness.size(), expected.size());
     for (std::size_t i = 0; i < fitness.size(); ++i)
       EXPECT_EQ(fitness[i], expected[i]);  // bitwise, not approximate
   }
 }
 
-TEST_F(SimulationServiceTest, RunBatchScoresAndRecordsBurnedCellsPerRequest) {
-  // Each result carries its score (scored batches only) and the burned
-  // cells its sweep recorded; a batch must keep to one context.
+TEST_F(SimulationServiceTest, FitnessBatchScoresAndRecordsBurnedCells) {
+  // A scored batch answers with each scenario's score and keeps the burned
+  // cells its sweep recorded for the step's Statistical Stage; an unscored
+  // batch answers with the burned cells.
   SimulationService service(workload_.environment, 2);
   service.set_cache_policy(cache::CachePolicy::kOff);
   const double end = truth_.step_minutes;
-  std::vector<SimulationRequest> scored = fitness_requests(
-      scenarios_, truth_.fire_lines[0], truth_.fire_lines[1], 0.0, end);
-  scored.resize(2);
-  std::vector<SimulationRequest> unscored = scored;
-  for (SimulationRequest& req : unscored) req.target = nullptr;
+  const std::vector<firelib::Scenario> two(scenarios_.begin(),
+                                           scenarios_.begin() + 2);
 
-  const auto with_scores = service.run_batch(scored);
-  const auto without = service.run_batch(unscored);
-  ASSERT_EQ(with_scores.size(), 2u);
-  ASSERT_EQ(without.size(), 2u);
+  std::vector<firelib::IgnitionMap> maps;
+  for (const auto& scenario : two)
+    maps.push_back(service.simulate(scenario, truth_.fire_lines[0], end));
+
+  const auto scores = service.fitness_batch(two, observations_, 1);
+  const auto records = service.step_records(two, observations_, 0, end);
+  ASSERT_EQ(scores.size(), 2u);
+  ASSERT_EQ(records.size(), 2u);
   for (std::size_t i = 0; i < 2; ++i) {
-    const auto map = service.simulate(scenarios_[i], truth_.fire_lines[0], end);
-    EXPECT_EQ(with_scores[i].fitness,
-              oracle::jaccard_at(truth_.fire_lines[1], map, end, 0.0));
-    EXPECT_EQ(with_scores[i].burned, oracle::pack_burned(map, end));
-    EXPECT_EQ(without[i].burned, oracle::pack_burned(map, end));
-    EXPECT_EQ(without[i].fitness, 0.0);  // no target -> unscored
+    EXPECT_EQ(scores[i],
+              oracle::jaccard_at(truth_.fire_lines[1], maps[i], end, 0.0));
+    ASSERT_NE(records[i], nullptr);
+    EXPECT_EQ(*records[i], oracle::pack_burned(maps[i], end));
   }
-  std::vector<SimulationRequest> mixed = scored;
-  mixed[1].target = nullptr;
-  EXPECT_THROW(service.run_batch(mixed), InvalidArgument);
-}
-
-TEST_F(SimulationServiceTest, StepCacheNoticesMapsChangedInPlace) {
-  // The context is identified once per step, not re-fingerprinted per
-  // batch; a start or target map rewritten behind the same pointer must
-  // still begin a new context instead of serving stale records or scores.
-  firelib::IgnitionMap start = truth_.fire_lines[0];
-  firelib::IgnitionMap target = truth_.fire_lines[1];
-  const double end = truth_.step_minutes;
-  SimulationService service(workload_.environment, 1);
-  SimulationService uncached(workload_.environment, 1);
-  uncached.set_cache_policy(cache::CachePolicy::kOff);
-  service.fitness_batch(scenarios_, start, target, 0.0, end);
-  service.fitness_batch(scenarios_, start, target, 0.0, end);
-  EXPECT_EQ(service.cache_misses(), scenarios_.size());
-  EXPECT_EQ(service.cache_hits(), scenarios_.size()) << "unchanged context";
-
-  target = truth_.fire_lines[2];  // same address, new content
-  EXPECT_EQ(service.fitness_batch(scenarios_, start, target, 0.0, end),
-            uncached.fitness_batch(scenarios_, start, target, 0.0, end));
-  EXPECT_EQ(service.cache_misses(), 2 * scenarios_.size());
-
-  start = truth_.fire_lines[1];  // same address, new content
-  EXPECT_EQ(service.fitness_batch(scenarios_, start, target, 0.0, end),
-            uncached.fitness_batch(scenarios_, start, target, 0.0, end));
-  EXPECT_EQ(service.cache_misses(), 3 * scenarios_.size());
-  EXPECT_EQ(service.cache_hits(), scenarios_.size());
-
-  // The Statistical Stage's record lookup checks the start map's content
-  // too: after an in-place change, the context's records are not its.
-  EXPECT_NE(service.step_records(scenarios_, start, end)[0], nullptr);
-  start(0, 0) = start(0, 0) == 0.0 ? 1.0 : 0.0;
-  EXPECT_EQ(service.step_records(scenarios_, start, end)[0], nullptr);
+  const auto burned = service.simulate_batch(two, observations_, 0, end);
+  ASSERT_EQ(burned.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i)
+    EXPECT_EQ(burned[i], oracle::pack_burned(maps[i], end));
 }
 
 TEST_F(SimulationServiceTest, CountsEverySimulation) {
   SimulationService service(workload_.environment, 2);
   EXPECT_EQ(service.simulations_run(), 0u);
-  service.simulate_batch(scenarios_, truth_.fire_lines[0],
-                         truth_.step_minutes);
+  service.simulate_batch(scenarios_, observations_, 0, truth_.step_minutes);
   EXPECT_EQ(service.simulations_run(), scenarios_.size());
   service.simulate(scenarios_[0], truth_.fire_lines[0], truth_.step_minutes);
   EXPECT_EQ(service.simulations_run(), scenarios_.size() + 1);
@@ -154,9 +127,7 @@ TEST_F(SimulationServiceTest, CachedFitnessBatchMatchesUncachedBitwise) {
 
   SimulationService uncached(workload_.environment, 1);
   uncached.set_cache_policy(cache::CachePolicy::kOff);
-  const auto expected = uncached.fitness_batch(
-      batch, truth_.fire_lines[0], truth_.fire_lines[1], 0.0,
-      truth_.step_minutes);
+  const auto expected = uncached.fitness_batch(batch, observations_, 1);
   EXPECT_EQ(uncached.cache_hits(), 0u);
   EXPECT_EQ(uncached.cache_misses(), 0u);
   EXPECT_EQ(uncached.simulations_run(), batch.size());
@@ -168,9 +139,7 @@ TEST_F(SimulationServiceTest, CachedFitnessBatchMatchesUncachedBitwise) {
     obs::MetricsRegistry registry;
     obs::MetricsRegistry* const previous = obs::metrics_registry();
     obs::install_metrics_registry(&registry);
-    const auto fitness = service.fitness_batch(
-        batch, truth_.fire_lines[0], truth_.fire_lines[1], 0.0,
-        truth_.step_minutes);
+    const auto fitness = service.fitness_batch(batch, observations_, 1);
     obs::install_metrics_registry(previous);
     ASSERT_EQ(fitness.size(), expected.size());
     for (std::size_t i = 0; i < fitness.size(); ++i)
@@ -196,19 +165,15 @@ TEST_F(SimulationServiceTest, CachedFitnessBatchMatchesUncachedBitwise) {
 
 TEST_F(SimulationServiceTest, CacheHitsAcrossBatchesInSameContext) {
   SimulationService service(workload_.environment, 1);
-  service.fitness_batch(scenarios_, truth_.fire_lines[0], truth_.fire_lines[1],
-                        0.0, truth_.step_minutes);
+  service.fitness_batch(scenarios_, observations_, 1);
   EXPECT_EQ(service.cache_misses(), scenarios_.size());
   EXPECT_EQ(service.cache_hits(), 0u);
   // Second batch over the same interval: pure hits, no new simulations.
-  const auto again = service.fitness_batch(
-      scenarios_, truth_.fire_lines[0], truth_.fire_lines[1], 0.0,
-      truth_.step_minutes);
+  const auto again = service.fitness_batch(scenarios_, observations_, 1);
   EXPECT_EQ(service.cache_hits(), scenarios_.size());
   EXPECT_EQ(service.simulations_run(), scenarios_.size());
   // A different interval is a new context: cache cleared, all misses again.
-  service.fitness_batch(scenarios_, truth_.fire_lines[1], truth_.fire_lines[2],
-                        truth_.step_minutes, 2 * truth_.step_minutes);
+  service.fitness_batch(scenarios_, observations_, 2);
   EXPECT_EQ(service.cache_misses(), 2 * scenarios_.size());
   (void)again;
 }
@@ -220,11 +185,11 @@ TEST_F(SimulationServiceTest, CachedSimulateBatchKeepsMapsBitwise) {
 
   SimulationService uncached(workload_.environment, 1);
   uncached.set_cache_policy(cache::CachePolicy::kOff);
-  const auto expected = uncached.simulate_batch(batch, truth_.fire_lines[0],
-                                                truth_.step_minutes);
+  const auto expected =
+      uncached.simulate_batch(batch, observations_, 0, truth_.step_minutes);
   SimulationService service(workload_.environment, 1);
   const auto maps =
-      service.simulate_batch(batch, truth_.fire_lines[0], truth_.step_minutes);
+      service.simulate_batch(batch, observations_, 0, truth_.step_minutes);
   ASSERT_EQ(maps.size(), expected.size());
   for (std::size_t i = 0; i < maps.size(); ++i) EXPECT_EQ(maps[i], expected[i]);
   EXPECT_EQ(service.cache_hits(), 2u);
@@ -240,17 +205,13 @@ TEST_F(SimulationServiceTest, SharedPolicyMatchesOffBitwise) {
 
   SimulationService uncached(workload_.environment, 1);
   uncached.set_cache_policy(cache::CachePolicy::kOff);
-  const auto expected = uncached.fitness_batch(
-      batch, truth_.fire_lines[0], truth_.fire_lines[1], 0.0,
-      truth_.step_minutes);
+  const auto expected = uncached.fitness_batch(batch, observations_, 1);
 
   for (unsigned workers : {1u, 4u}) {
     SCOPED_TRACE(workers);
     SimulationService service(workload_.environment, workers);
     service.set_cache_policy(cache::CachePolicy::kShared);
-    const auto fitness = service.fitness_batch(
-        batch, truth_.fire_lines[0], truth_.fire_lines[1], 0.0,
-        truth_.step_minutes);
+    const auto fitness = service.fitness_batch(batch, observations_, 1);
     ASSERT_EQ(fitness.size(), expected.size());
     for (std::size_t i = 0; i < fitness.size(); ++i)
       EXPECT_EQ(fitness[i], expected[i]);  // bitwise, not approximate
@@ -267,16 +228,13 @@ TEST_F(SimulationServiceTest, SharedPolicySurvivesContextChanges) {
   // context-qualified instead, so returning to an earlier interval hits.
   SimulationService service(workload_.environment, 1);
   service.set_cache_policy(cache::CachePolicy::kShared);
-  service.fitness_batch(scenarios_, truth_.fire_lines[0], truth_.fire_lines[1],
-                        0.0, truth_.step_minutes);
+  service.fitness_batch(scenarios_, observations_, 1);
   EXPECT_EQ(service.cache_misses(), scenarios_.size());
   // Different interval: new context, new keys — misses again.
-  service.fitness_batch(scenarios_, truth_.fire_lines[1], truth_.fire_lines[2],
-                        truth_.step_minutes, 2 * truth_.step_minutes);
+  service.fitness_batch(scenarios_, observations_, 2);
   EXPECT_EQ(service.cache_misses(), 2 * scenarios_.size());
   // Back to the first interval: pure hits, no new simulations.
-  service.fitness_batch(scenarios_, truth_.fire_lines[0], truth_.fire_lines[1],
-                        0.0, truth_.step_minutes);
+  service.fitness_batch(scenarios_, observations_, 1);
   EXPECT_EQ(service.cache_hits(), scenarios_.size());
   EXPECT_EQ(service.simulations_run(), 2 * scenarios_.size());
   EXPECT_EQ(service.cache_entries(), 2 * scenarios_.size());
@@ -293,12 +251,8 @@ TEST_F(SimulationServiceTest, SharedCacheIsSharedAcrossServices) {
   second.set_cache_policy(cache::CachePolicy::kShared);
   second.set_shared_cache(shared);
 
-  const auto expected = first.fitness_batch(
-      scenarios_, truth_.fire_lines[0], truth_.fire_lines[1], 0.0,
-      truth_.step_minutes);
-  const auto fitness = second.fitness_batch(
-      scenarios_, truth_.fire_lines[0], truth_.fire_lines[1], 0.0,
-      truth_.step_minutes);
+  const auto expected = first.fitness_batch(scenarios_, observations_, 1);
+  const auto fitness = second.fitness_batch(scenarios_, observations_, 1);
   ASSERT_EQ(fitness.size(), expected.size());
   for (std::size_t i = 0; i < fitness.size(); ++i)
     EXPECT_EQ(fitness[i], expected[i]);
@@ -313,8 +267,10 @@ TEST_F(SimulationServiceTest, SharedCacheIsolatesDifferentEnvironments) {
   // can share a byte-identical single-cell start map and identical
   // scenarios; serving one job's map to the other would silently simulate
   // on the wrong terrain.
-  firelib::IgnitionMap start(32, 32, firelib::kNeverIgnited);
-  start(16, 16) = 0.0;
+  synth::GroundTruth outbreak;
+  outbreak.fire_lines.emplace_back(32, 32, firelib::kNeverIgnited);
+  outbreak.fire_lines[0](16, 16) = 0.0;
+  Observations start(outbreak, true);
   const synth::Workload hills = synth::make_hills(32);
 
   auto shared = std::make_shared<cache::SharedScenarioCache>();
@@ -327,10 +283,10 @@ TEST_F(SimulationServiceTest, SharedCacheIsolatesDifferentEnvironments) {
   SimulationService on_hills_uncached(hills.environment, 1);
   on_hills_uncached.set_cache_policy(cache::CachePolicy::kOff);
 
-  const auto plains_maps = on_plains.simulate_batch(scenarios_, start, 90.0);
-  const auto hills_maps = on_hills.simulate_batch(scenarios_, start, 90.0);
-  const auto expected = on_hills_uncached.simulate_batch(scenarios_, start,
-                                                         90.0);
+  const auto plains_maps = on_plains.simulate_batch(scenarios_, start, 0, 90.0);
+  const auto hills_maps = on_hills.simulate_batch(scenarios_, start, 0, 90.0);
+  const auto expected =
+      on_hills_uncached.simulate_batch(scenarios_, start, 0, 90.0);
   ASSERT_EQ(hills_maps.size(), expected.size());
   std::size_t spreads_differ = 0;
   for (std::size_t i = 0; i < hills_maps.size(); ++i) {
@@ -350,8 +306,7 @@ TEST_F(SimulationServiceTest, StepCacheSaturationIsObservable) {
   // be silent — now entries/bytes/insertions_rejected surface it.
   SimulationService service(workload_.environment, 1);
   service.set_step_cache_capacity(4);
-  service.fitness_batch(scenarios_, truth_.fire_lines[0], truth_.fire_lines[1],
-                        0.0, truth_.step_minutes);
+  service.fitness_batch(scenarios_, observations_, 1);
   EXPECT_EQ(service.cache_entries(), 4u);
   EXPECT_GT(service.cache_bytes(), 0u);
   EXPECT_EQ(service.cache_insertions_rejected(), scenarios_.size() - 4);
@@ -361,25 +316,29 @@ TEST_F(SimulationServiceTest, StepCacheSaturationIsObservable) {
 }
 
 TEST_F(SimulationServiceTest, ReferenceKernelsMatchFastKernels) {
+  // The service's fast sweep and word-wise Eq. (3) against the reference
+  // sweep (per-pop behavior + trig, binary heap) scored map by map.
   SimulationService fast(workload_.environment, 1);
   fast.set_cache_policy(cache::CachePolicy::kOff);
-  SimulationService reference(workload_.environment, 1);
-  reference.set_cache_policy(cache::CachePolicy::kOff);
-  reference.set_reference_kernels(true);
-  const auto got = fast.fitness_batch(scenarios_, truth_.fire_lines[0],
-                                      truth_.fire_lines[1], 0.0,
-                                      truth_.step_minutes);
-  const auto want = reference.fitness_batch(scenarios_, truth_.fire_lines[0],
-                                            truth_.fire_lines[1], 0.0,
-                                            truth_.step_minutes);
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < got.size(); ++i) EXPECT_EQ(got[i], want[i]);
+  const firelib::FireSpreadModel spread_model;
+  firelib::FirePropagator reference(spread_model);
+  reference.set_reference_sweep(true);
+  reference.set_sweep_queue(firelib::SweepQueue::kHeap);
+  firelib::PropagationWorkspace workspace;
+  const double end = truth_.step_minutes;
+  const auto got = fast.fitness_batch(scenarios_, observations_, 1);
+  ASSERT_EQ(got.size(), scenarios_.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const firelib::IgnitionMap& map =
+        reference.propagate(workload_.environment, scenarios_[i],
+                            truth_.fire_lines[0], end, workspace);
+    EXPECT_EQ(got[i], oracle::jaccard_at(truth_.fire_lines[1], map, end, 0.0));
+  }
 }
 
 TEST_F(SimulationServiceTest, EmptyBatchIsANoOp) {
   SimulationService service(workload_.environment, 2);
-  EXPECT_TRUE(service.simulate_batch({}, truth_.fire_lines[0],
-                                     truth_.step_minutes)
+  EXPECT_TRUE(service.simulate_batch({}, observations_, 0, truth_.step_minutes)
                   .empty());
   EXPECT_EQ(service.simulations_run(), 0u);
 }
@@ -391,12 +350,6 @@ TEST_F(SimulationServiceTest, ReportsWorkerCount) {
 
 TEST_F(SimulationServiceTest, RejectsZeroWorkers) {
   EXPECT_THROW(SimulationService(workload_.environment, 0), InvalidArgument);
-}
-
-TEST_F(SimulationServiceTest, RejectsUnsetRequestPointers) {
-  SimulationService service(workload_.environment, 1);
-  std::vector<SimulationRequest> requests(1);  // scenario/start left null
-  EXPECT_THROW(service.run_batch(requests), InvalidArgument);
 }
 
 }  // namespace

@@ -130,6 +130,24 @@ TEST(CampaignScheduler, SplitsWorkerBudgetAcrossConcurrentJobs) {
   EXPECT_EQ(CampaignScheduler(config).workers_per_job(16), 1u);
 }
 
+TEST(CampaignScheduler, RecordsTheConcurrencyItRanAt) {
+  // More slots than jobs: the campaign runs (and reports) one slot per job.
+  auto workloads = tiny_workloads();
+  workloads.erase(workloads.begin() + 2, workloads.end());
+  CampaignConfig config = tiny_config();
+  config.engine.job_slots = 8;
+  config.engine.total_workers = 4;
+  const CampaignScheduler scheduler(config);
+  for (const CampaignResult& result :
+       {scheduler.run(workloads), scheduler.run_reference(workloads)}) {
+    EXPECT_EQ(result.job_concurrency, 2u);
+    EXPECT_EQ(result.workers_per_job, 2u);
+    EXPECT_NE(campaign_summary_json(result).find(
+                  "\"job_concurrency\":2,\"workers_per_job\":2,"),
+              std::string::npos);
+  }
+}
+
 TEST(CampaignScheduler, ReportsCompletionCallbackOncePerJob) {
   const auto workloads = tiny_workloads();
   std::atomic<int> done{0};
