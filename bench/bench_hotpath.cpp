@@ -209,8 +209,8 @@ int main(int argc, char** argv) {
   KernelTiming fitness_kernel;  // cache off: pure sweep + jaccard speedup
   double cache_hit_rate = 0.0;
   {
-    ess::SimulationService fast_service(workload.environment, 1);
-    ess::SimulationService nocache_service(workload.environment, 1);
+    ess::SimulationService fast_service(workload.environment);
+    ess::SimulationService nocache_service(workload.environment);
     nocache_service.set_cache_policy(cache::CachePolicy::kOff);
     // The baseline: the reference propagator above, every request
     // simulated and scored.

@@ -109,12 +109,13 @@ BENCHMARK(BM_JaccardWords)->Arg(64)->Arg(256);
 
 void BM_MasterWorkerDispatchOverhead(benchmark::State& state) {
   // Trivial tasks: measures pure scatter/gather cost per item.
-  parallel::MasterWorker<int, int> mw(
-      static_cast<unsigned>(state.range(0)),
-      [](unsigned, const int& x) { return x + 1; });
+  parallel::MasterWorker mw(static_cast<unsigned>(state.range(0)));
   const std::vector<int> tasks(256, 7);
+  std::vector<int> results(tasks.size());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(mw.evaluate(tasks));
+    mw.run(tasks.size(),
+           [&](unsigned, std::size_t i) { results[i] = tasks[i] + 1; });
+    benchmark::DoNotOptimize(results.data());
   }
   state.SetItemsProcessed(state.iterations() * 256);
 }

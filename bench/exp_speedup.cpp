@@ -3,9 +3,12 @@
 //
 // A fixed batch of scenario evaluations is scattered over 1..8 workers and
 // the wall-clock time, speedup vs 1 worker, and parallel efficiency are
-// reported. NOTE (EXPERIMENTS.md): wall-clock speedup saturates at the
-// host's core count — on a single-core container the table demonstrates
-// correctness of the decomposition and its overhead, not scaling.
+// reported. The scenario cache is off, so every repeat simulates the whole
+// batch (with it on, every repeat after the first would time cache hits).
+// Exits 1 when a parallel result differs from the serial one. NOTE
+// (EXPERIMENTS.md): wall-clock speedup saturates at the host's core count —
+// on a single-core container the table demonstrates correctness of the
+// decomposition and its overhead, not scaling.
 #include <cstdio>
 
 #include "common/stopwatch.hpp"
@@ -46,7 +49,9 @@ int main() {
   double baseline_ms = 0.0;
   std::vector<double> reference;
   for (unsigned workers : {1u, 2u, 4u, 8u}) {
-    ess::ScenarioEvaluator evaluator(workload.environment, workers);
+    const auto lanes = parallel::make_job_lanes(workers);
+    ess::ScenarioEvaluator evaluator(workload.environment, lanes.get());
+    evaluator.set_cache_policy(cache::CachePolicy::kOff);
     evaluator.set_step(observations, 1);
     auto evaluate = evaluator.batch_evaluator();
 

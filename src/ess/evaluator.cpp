@@ -5,8 +5,8 @@
 namespace essns::ess {
 
 ScenarioEvaluator::ScenarioEvaluator(const firelib::FireEnvironment& env,
-                                     unsigned workers)
-    : service_(env, workers) {}
+                                     parallel::MasterWorker* lanes)
+    : service_(env, lanes) {}
 
 void ScenarioEvaluator::set_step(Observations& observations, int line) {
   const std::vector<double>& times = observations.digest().times;

@@ -6,10 +6,10 @@
 // implemented in the evaluation of the scenarios, i.e., in the simulation
 // process and subsequent computation of the fitness function" (§III-B).
 // This implementation supersedes that scoping: all simulation goes through
-// one pool-backed SimulationService, so the Statistical and Prediction
-// stages share the OS-Worker pool (the Fig. 1/3 OS-Master -> OS-Worker
-// message flow). With workers == 1 everything runs inline, and results are
-// bit-identical across worker counts.
+// one SimulationService on borrowed Master/Worker lanes, so the Statistical
+// and Prediction stages share the OS-Worker lanes (the Fig. 1/3 OS-Master
+// -> OS-Worker message flow). Without lanes everything runs inline, and
+// results are bit-identical across lane counts.
 //
 // Fire lines come in only as Observations (ess/observation.hpp): a step is
 // a line index of one Observations object, and so is the start of every
@@ -32,8 +32,10 @@ namespace essns::ess {
 
 class ScenarioEvaluator {
  public:
-  /// workers == 1: serial evaluation. workers > 1: persistent Master/Worker.
-  ScenarioEvaluator(const firelib::FireEnvironment& env, unsigned workers = 1);
+  /// Batches run on the borrowed `lanes` (see SimulationService); null
+  /// evaluates serially on the calling thread.
+  explicit ScenarioEvaluator(const firelib::FireEnvironment& env,
+                             parallel::MasterWorker* lanes = nullptr);
 
   ScenarioEvaluator(const ScenarioEvaluator&) = delete;
   ScenarioEvaluator& operator=(const ScenarioEvaluator&) = delete;

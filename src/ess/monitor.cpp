@@ -25,7 +25,9 @@ EssimSystem::EssimSystem(const firelib::FireEnvironment& env,
 
 EssimResult EssimSystem::run(Rng& rng) {
   EssimResult result;
-  ScenarioEvaluator evaluator(*env_, config_.workers);
+  const std::unique_ptr<parallel::MasterWorker> lanes =
+      parallel::make_job_lanes(config_.workers);
+  ScenarioEvaluator evaluator(*env_, lanes.get());
   Observations observations(*truth_, false);
   const auto& space = firelib::ScenarioSpace::table1();
   const auto& lines = truth_->fire_lines;

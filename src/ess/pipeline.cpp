@@ -90,13 +90,18 @@ PredictionPipeline::PredictionPipeline(const firelib::FireEnvironment& env,
   ESSNS_REQUIRE(observations_.digest().steps() >= 2,
                 "pipeline needs >= 2 steps (calibration + prediction)");
   ESSNS_REQUIRE(config.workers >= 1, "workers >= 1");
+  ESSNS_REQUIRE(!config.lanes || config.lanes->lanes() == config.workers,
+                "borrowed lanes must number config.workers");
 }
 
 PipelineResult PredictionPipeline::run(Optimizer& optimizer, Rng& rng) {
   PipelineResult result;
   result.optimizer_name = optimizer.name();
 
-  ScenarioEvaluator evaluator(*env_, config_.workers);
+  const std::unique_ptr<parallel::MasterWorker> job_lanes =
+      config_.lanes ? nullptr : parallel::make_job_lanes(config_.workers);
+  ScenarioEvaluator evaluator(*env_,
+                              config_.lanes ? config_.lanes : job_lanes.get());
   evaluator.set_cache_policy(config_.cache_policy);
   if (config_.cache_policy == cache::CachePolicy::kShared) {
     evaluator.set_cache_mem_bytes(config_.cache_mem_bytes);

@@ -15,8 +15,8 @@
 //        right box), scored against RFL_{n+1}. NOTE: unlike the paper —
 //        which scopes parallelism to the OS alone ("parallelism will only be
 //        implemented in the evaluation of the scenarios", §III-B) — these
-//        simulations share the OS Master/Worker pool, so every stage that
-//        simulates scales with config.workers.
+//        simulations share the OS Master/Worker lanes, so every stage
+//        that simulates scales with config.workers.
 //
 // "The prediction cannot start at the first time instant" (§II-A): the first
 // usable prediction is for t_2, produced while calibrating on [t_0, t_1].
@@ -43,6 +43,11 @@ struct PipelineConfig {
   ea::StopCondition stop{30, 0.95};  ///< per-step OS budget
   int kign_candidates = 100;         ///< CS threshold grid resolution
   unsigned workers = 1;              ///< OS-Worker count (1 = serial)
+  /// Borrowed lanes to simulate on (an engine slot's pool of `workers`
+  /// lanes), kept alive by the lender for the run. Null gives each run()
+  /// a job-local pool of `workers` lanes (none when workers == 1). Where
+  /// the lanes come from changes only speed, never a result.
+  parallel::MasterWorker* lanes = nullptr;
   std::size_t max_solution_maps = 64;  ///< cap on maps aggregated by the SS
   /// Scenario memoization policy (results bit-identical under every
   /// policy): kStep scopes the cache to one prediction step's interval,

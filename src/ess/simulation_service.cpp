@@ -9,25 +9,14 @@
 namespace essns::ess {
 
 SimulationService::SimulationService(const firelib::FireEnvironment& env,
-                                     unsigned workers)
-    : env_(&env), propagator_(spread_model_) {
-  ESSNS_REQUIRE(workers >= 1, "need at least one worker");
-  workspaces_.resize(workers > 1 ? workers + 1 : 1);
-  worker_named_.assign(workspaces_.size(), 0);
-  if (workers > 1) {
-    pool_ = std::make_unique<
-        parallel::MasterWorker<const firelib::Scenario*, SimulationResult>>(
-        workers,
-        [this](unsigned id, const firelib::Scenario* const& scenario) {
-          return run_one(id + 1, *scenario);
-        });
-  }
-}
-
-SimulationService::~SimulationService() = default;
+                                     parallel::MasterWorker* lanes)
+    : env_(&env),
+      propagator_(spread_model_),
+      lanes_(lanes),
+      workspaces_(lanes ? lanes->lanes() + 1 : 1) {}
 
 unsigned SimulationService::workers() const {
-  return pool_ ? pool_->worker_count() : 1;
+  return lanes_ ? lanes_->lanes() : 1;
 }
 
 void SimulationService::clear_step_cache() {
@@ -67,12 +56,6 @@ std::size_t SimulationService::cache_bytes() const {
   return 0;
 }
 
-void SimulationService::name_worker(unsigned worker_id) {
-  if (worker_id == 0 || worker_named_[worker_id]) return;
-  worker_named_[worker_id] = 1;
-  obs::set_thread_name("sim-worker-" + std::to_string(worker_id));
-}
-
 firelib::IgnitionMap SimulationService::simulate(
     const firelib::Scenario& scenario, const firelib::IgnitionMap& start,
     double end_time) {
@@ -83,15 +66,14 @@ firelib::IgnitionMap SimulationService::simulate(
 }
 
 SimulationService::SimulationResult SimulationService::run_one(
-    unsigned worker_id, const firelib::Scenario& scenario) {
-  name_worker(worker_id);
+    unsigned workspace, const firelib::Scenario& scenario) {
   simulations_.fetch_add(1, std::memory_order_relaxed);
   obs::SpanTimer sim_timer("simulate");
-  firelib::PropagationWorkspace& workspace = workspaces_[worker_id];
+  firelib::PropagationWorkspace& space = workspaces_[workspace];
   propagator_.propagate(*env_, scenario, *context_.start, context_.end_time,
-                        workspace);
+                        space);
   SimulationResult result;
-  result.burned = workspace.last_burned();
+  result.burned = space.last_burned();
   if (context_.scoring) result.fitness = jaccard(*context_.scoring, result.burned);
   result.sim_seconds = sim_timer.stop();
   if (obs::metrics_enabled()) {
@@ -108,11 +90,15 @@ SimulationService::simulate_uncached(
   if (obs::metrics_enabled())
     obs::record_histogram("sweep.batch_size",
                           static_cast<double>(scenarios.size()));
-  if (pool_) return pool_->evaluate(scenarios);
-  std::vector<SimulationResult> results;
-  results.reserve(scenarios.size());
-  for (const firelib::Scenario* scenario : scenarios)
-    results.push_back(run_one(0, *scenario));
+  std::vector<SimulationResult> results(scenarios.size());
+  if (!lanes_) {
+    for (std::size_t i = 0; i < scenarios.size(); ++i)
+      results[i] = run_one(0, *scenarios[i]);
+    return results;
+  }
+  lanes_->run(scenarios.size(), [&](unsigned lane, std::size_t i) {
+    results[i] = run_one(lane + 1, *scenarios[i]);
+  });
   return results;
 }
 

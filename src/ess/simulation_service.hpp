@@ -1,20 +1,24 @@
-// SimulationService: the batched, pool-backed simulation engine shared by
-// every pipeline stage.
+// SimulationService: the batched simulation engine shared by every
+// pipeline stage.
 //
 // The paper parallelizes only the Optimization Stage ("parallelism will only
 // be implemented in the evaluation of the scenarios", §III-B) and leaves the
 // Statistical and Prediction stages serial. This service supersedes that
-// scoping: one persistent Master/Worker pool (Fig. 1/3) serves fitness
+// scoping: the lanes of one Master/Worker pool (Fig. 1/3) serve fitness
 // batches for the OS *and* burned-cell batches for the PS (and for SS
 // solutions no fitness batch recorded), so every stage that simulates
-// scales with the worker count. Each worker owns a
-// firelib::PropagationWorkspace, so steady-state simulations run without
-// per-call allocations regardless of which stage issued them.
+// scales with the lane count. The service borrows the lanes and owns no
+// threads: an engine job runs on its slot's long-lived (and, where the
+// CPUs allow, pinned) pool, anything else on a job-local one
+// (parallel::make_job_lanes). The service owns one
+// firelib::PropagationWorkspace per lane plus one for the calling thread,
+// so steady-state simulations run without per-call allocations regardless
+// of which stage issued them.
 //
 // Determinism contract: requests are scattered by index and results gathered
 // in request order, and each simulation is a deterministic function of its
-// inputs — so results are bit-identical across worker counts (workers == 1
-// runs inline on the calling thread).
+// inputs — so results are bit-identical across lane counts and placements
+// (without lanes every batch runs inline on the calling thread).
 //
 // What a simulation yields: every Eq. (3) score and Statistical Stage count
 // only asks which cells burned by the end of the interval, so results carry
@@ -70,11 +74,11 @@ namespace essns::ess {
 
 class SimulationService {
  public:
-  /// workers == 1: every call runs inline on the calling thread.
-  /// workers > 1: a persistent Master/Worker pool serves all batches.
+  /// Batches run on the borrowed `lanes`, which must outlive the service
+  /// and serve no other master meanwhile; null runs every call inline on
+  /// the calling thread.
   explicit SimulationService(const firelib::FireEnvironment& env,
-                             unsigned workers = 1);
-  ~SimulationService();
+                             parallel::MasterWorker* lanes = nullptr);
 
   SimulationService(const SimulationService&) = delete;
   SimulationService& operator=(const SimulationService&) = delete;
@@ -205,12 +209,9 @@ class SimulationService {
     bool valid = false;
   };
 
-  /// Name pool worker `worker_id`'s trace lane on its first task, from its
-  /// own thread (the master thread is named by the session owner).
-  void name_worker(unsigned worker_id);
   /// Simulate one scenario of the current context in workspace
-  /// `worker_id`.
-  SimulationResult run_one(unsigned worker_id,
+  /// `workspace`.
+  SimulationResult run_one(unsigned workspace,
                            const firelib::Scenario& scenario);
   std::vector<SimulationResult> simulate_uncached(
       const std::vector<const firelib::Scenario*>& scenarios);
@@ -235,16 +236,12 @@ class SimulationService {
   const firelib::FireEnvironment* env_;
   firelib::FireSpreadModel spread_model_;
   firelib::FirePropagator propagator_;
-  /// workspaces_[0] belongs to the calling thread; pool worker `id` uses
+  /// Borrowed; null runs batches inline.
+  parallel::MasterWorker* lanes_;
+  /// workspaces_[0] belongs to the calling thread; lane `id` uses
   /// workspaces_[id + 1].
   std::vector<firelib::PropagationWorkspace> workspaces_;
-  /// worker_named_[id]: slot id's thread has named its trace lane.
-  /// Written only by the slot's owning thread.
-  std::vector<std::uint8_t> worker_named_;
   mutable std::atomic<std::size_t> simulations_{0};
-  std::unique_ptr<parallel::MasterWorker<const firelib::Scenario*,
-                                         SimulationResult>>
-      pool_;
 
   cache::CachePolicy cache_policy_ = cache::CachePolicy::kStep;
   std::size_t batch_dedup_hits_ = 0;

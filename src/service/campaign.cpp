@@ -146,7 +146,6 @@ CampaignResult CampaignScheduler::run(
         std::shared_ptr<const synth::Workload>{}, &workloads[i]);
     request.index = i;
     request.campaign_seed = config_.seed;
-    request.workers = result.workers_per_job;
     request.spec = config_.spec;
     Submission submission = engine.submit(std::move(request));
     // The queue was sized for the whole batch; anything but acceptance is a

@@ -10,12 +10,12 @@
 //
 // Two-level parallelism: engine.job_slots pipelines run at once, and the
 // campaign's engine.total_workers simulation budget is split evenly across
-// the concurrent jobs, each slice driving that job's pool-backed
-// SimulationService. Because the simulation stack is bit-deterministic
-// across worker counts and every job derives its seeds from
-// (campaign seed, workload seed, job index) alone, per-job results are
-// bit-identical at any job-concurrency level — the contract the tests and
-// bench_campaign verify.
+// the concurrent jobs: each engine slot's lane pool drives the
+// SimulationService of every job that slot runs. Because the simulation
+// stack is bit-deterministic across worker counts and every job derives
+// its seeds from (campaign seed, workload seed, job index) alone, per-job
+// results are bit-identical at any job-concurrency level — the contract
+// the tests and bench_campaign verify.
 //
 // Error isolation: a job whose pipeline throws is recorded as kFailed with
 // the exception text; the rest of the campaign completes normally.

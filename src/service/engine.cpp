@@ -60,7 +60,8 @@ JobRecord run_prediction_job(
     const synth::Workload& workload, std::size_t index,
     std::uint64_t campaign_seed, unsigned workers, const JobSpec& spec,
     simd::Mode, parallel::NumaMode, firelib::SweepBackend,
-    const std::shared_ptr<cache::SharedScenarioCache>& shared_cache) {
+    const std::shared_ptr<cache::SharedScenarioCache>& shared_cache,
+    parallel::MasterWorker* lanes) {
   JobRecord record;
   record.index = index;
   record.workload = workload.name;
@@ -79,6 +80,7 @@ JobRecord run_prediction_job(
     ess::PipelineConfig pipeline_config;
     pipeline_config.stop = {spec.generations, spec.fitness_threshold};
     pipeline_config.workers = workers;
+    pipeline_config.lanes = lanes;
     pipeline_config.max_solution_maps = spec.max_solution_maps;
     pipeline_config.cache_policy = spec.cache_policy;
     // Read only under kShared; a null cache makes the job its own.
@@ -117,6 +119,15 @@ PredictionEngine::PredictionEngine(EngineConfig config)
                  : std::make_shared<cache::SharedScenarioCache>(
                        config_.cache_mem_bytes)),
       pool_(config_.job_slots) {
+  const unsigned lanes = default_workers_per_job();
+  lanes_.resize(config_.job_slots);
+  if (lanes > 1) {
+    lane_cpus_ =
+        parallel::CpuAllocator::process().acquire(config_.job_slots, lanes);
+    for (unsigned slot = 0; slot < config_.job_slots; ++slot)
+      lanes_[slot] = std::make_unique<parallel::MasterWorker>(
+          lanes, lane_cpus_.slot_cpus(slot));
+  }
   slots_.reserve(config_.job_slots);
   for (unsigned slot = 0; slot < config_.job_slots; ++slot)
     slots_.push_back(pool_.submit([this, slot] { slot_loop(slot); }));
@@ -141,11 +152,16 @@ unsigned PredictionEngine::default_workers_per_job() const {
   return std::max(1u, config_.total_workers / config_.job_slots);
 }
 
+const parallel::MasterWorker* PredictionEngine::slot_lanes(
+    unsigned slot) const {
+  ESSNS_REQUIRE(slot < config_.job_slots, "slot out of range");
+  return lanes_[slot].get();
+}
+
 Submission PredictionEngine::submit(JobRequest request) {
   ESSNS_REQUIRE(request.workload != nullptr, "job request needs a workload");
   // Fail fast at admission instead of queueing a guaranteed failure.
   ess::validate_job_search(request.spec);
-  if (request.workers == 0) request.workers = default_workers_per_job();
 
   Submission submission;
   std::unique_lock lock(mutex_);
@@ -178,7 +194,7 @@ JobRecord PredictionEngine::cancelled_record(const JobRequest& request,
   record.cols = request.workload->environment.cols();
   record.seed = campaign_job_seed(request.campaign_seed,
                                   request.workload->seed, request.index);
-  record.workers = request.workers;
+  record.workers = default_workers_per_job();
   record.status = JobStatus::kFailed;
   record.error = reason;
   return record;
@@ -255,9 +271,9 @@ void PredictionEngine::slot_loop(unsigned slot) {
       if (pending.request.debug_before_run) pending.request.debug_before_run();
       record = run_prediction_job(
           *pending.request.workload, pending.request.index,
-          pending.request.campaign_seed, pending.request.workers,
+          pending.request.campaign_seed, default_workers_per_job(),
           pending.request.spec, simd::Mode::kAuto, parallel::NumaMode::kAuto,
-          firelib::SweepBackend::kScalar, cache_);
+          firelib::SweepBackend::kScalar, cache_, lanes_[slot].get());
     }
     finish_job(pending, std::move(record));
     {

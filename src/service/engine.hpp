@@ -7,7 +7,14 @@
 // cache does most of the work. The engine owns exactly ONE of each for its
 // lifetime:
 //
-//   - ONE parallel::ThreadPool of `job_slots` job executors,
+//   - ONE parallel::ThreadPool of `job_slots` job executors, and per slot
+//     ONE parallel::MasterWorker lane pool of default_workers_per_job()
+//     simulation lanes (none when that is 1), lent to every job the slot
+//     runs — no job spawns or joins threads. While job_slots x lanes fit in
+//     the CPUs the process may use, each lane is pinned to a CPU of its own
+//     (parallel::CpuAllocator), so a job's batches fan out instead of
+//     time-slicing one CPU; beyond that no lane is pinned. Slot threads
+//     float.
 //   - ONE cache::SharedScenarioCache shared by every job that asks for the
 //     kShared policy (pre-loadable from disk via cache::load_cache),
 //   - ONE obs session (TraceRecorder + MetricsRegistry) installed for the
@@ -18,20 +25,21 @@
 // is a normal, non-throwing answer — the backpressure signal a server turns
 // into a reject response), per-request integer priority (higher runs
 // sooner; FIFO within a level), and a worker-budget split (total_workers /
-// job_slots simulation workers per job unless the request pins its own
-// count). Every accepted request resolves to exactly one JobRecord through
-// its future — job-level failures are recorded, never thrown.
+// job_slots simulation lanes per slot, the only per-job worker count).
+// Every accepted request resolves to exactly one JobRecord through its
+// future — job-level failures are recorded, never thrown.
 //
 // Determinism: a job's result is a pure function of (workload, campaign
 // seed, index, spec) — see run_prediction_job() — so records are
-// bit-identical no matter which slot ran the job, at what priority, or how
-// full the queue was. CampaignScheduler::run() is a thin client of this
-// class and is property-tested byte-identical against run_reference(), a
-// scheduler twin that runs the same job body on its own pool. The same
-// purity lets a client answer a repeated request from the record of the
-// first one: serve::Server keeps each tracked fire's last record and
-// submits a job only for a horizon it has not completed. A job carries
-// nothing from earlier jobs beyond what the shared cache holds.
+// bit-identical no matter which slot (or lane placement) ran the job, at
+// what priority, or how full the queue was. CampaignScheduler::run() is a
+// thin client of this class and is property-tested byte-identical against
+// run_reference(), a scheduler twin that runs the same job body on its own
+// pool (and job-local lanes). The same purity lets a client answer a
+// repeated request from the record of the first one: serve::Server keeps
+// each tracked fire's last record and submits a job only for a horizon it
+// has not completed. A job carries nothing from earlier jobs beyond what
+// the shared cache holds; the lanes it borrows keep no job state.
 //
 // Graceful drain: slot loops check service::drain_requested() between jobs;
 // once a drain is signalled, queued jobs complete as kFailed "cancelled"
@@ -54,6 +62,8 @@
 #include "ess/config.hpp"
 #include "ess/pipeline.hpp"
 #include "obs/session.hpp"
+#include "parallel/master_worker.hpp"
+#include "parallel/placement.hpp"
 #include "parallel/thread_pool.hpp"
 #include "synth/workloads.hpp"
 
@@ -110,9 +120,6 @@ struct JobRequest {
   std::shared_ptr<const synth::Workload> workload;
   std::size_t index = 0;          ///< job index (seed + report field)
   std::uint64_t campaign_seed = 2022;
-  /// Simulation workers for this job; 0 = the engine's default split
-  /// (total_workers / job_slots, min 1).
-  unsigned workers = 0;
   /// Higher runs sooner; FIFO among equal priorities. Purely a scheduling
   /// hint — results are bit-identical at any priority.
   int priority = 0;
@@ -132,12 +139,15 @@ struct JobRequest {
 /// that every scheduled execution reproduces bit-for-bit. This is the
 /// oracle the serve tests and bench_serve compare scheduled results
 /// against. Job-level failures are recorded, not thrown. The relax kernel
-/// is the one the CPU supports (simd::Mode::kAuto).
+/// is the one the CPU supports (simd::Mode::kAuto). The job simulates on
+/// `lanes` when given (an engine slot's pool of `workers` lanes), else on a
+/// job-local pool of `workers` lanes; the record is the same either way.
 JobRecord run_prediction_job(
     const synth::Workload& workload, std::size_t index,
     std::uint64_t campaign_seed, unsigned workers, const JobSpec& spec,
     simd::Mode, parallel::NumaMode, firelib::SweepBackend,
-    const std::shared_ptr<cache::SharedScenarioCache>& shared_cache);
+    const std::shared_ptr<cache::SharedScenarioCache>& shared_cache,
+    parallel::MasterWorker* lanes = nullptr);
 
 /// The run knobs of one engine: the only place they are declared. Campaigns
 /// (CampaignConfig::engine) and servers (ServeConfig::engine) embed one and
@@ -213,8 +223,10 @@ class PredictionEngine {
   std::size_t in_flight() const;
 
   unsigned job_slots() const { return config_.job_slots; }
-  /// Workers granted to a request that does not pin its own count.
+  /// Simulation lanes every job runs on: total_workers / job_slots, min 1.
   unsigned default_workers_per_job() const;
+  /// Slot `slot`'s lane pool, null when jobs run on one worker (inline).
+  const parallel::MasterWorker* slot_lanes(unsigned slot) const;
   /// The engine-lifetime shared cache (never null).
   const std::shared_ptr<cache::SharedScenarioCache>& shared_cache() const {
     return cache_;
@@ -254,6 +266,12 @@ class PredictionEngine {
   bool stopping_ = false;
 
   std::mutex done_mutex_;  ///< serializes completion callbacks
+  // Lanes before the slot pool: the slots (joined in the destructor body)
+  // are done with them before they are joined, and the CPUs go back to the
+  // allocator last.
+  parallel::CpuLease lane_cpus_;
+  /// One per slot; null entries when jobs run on one worker.
+  std::vector<std::unique_ptr<parallel::MasterWorker>> lanes_;
   parallel::ThreadPool pool_;
   std::vector<std::future<void>> slots_;
 };

@@ -199,7 +199,8 @@ TEST_F(BurnProbabilityTest, FitnessBatchesReturnBurnedCellsOfSimulatedRequests) 
     for (const unsigned workers : {1u, 4u}) {
       SCOPED_TRACE(testing::Message()
                    << cache::to_string(policy) << " w" << workers);
-      SimulationService service(workload_.environment, workers);
+      const auto lanes = parallel::make_job_lanes(workers);
+      SimulationService service(workload_.environment, lanes.get());
       service.set_cache_policy(policy);
       service.fitness_batch(batch, observations_, 1);
       expect_recorded(service);
@@ -259,7 +260,8 @@ class StatisticalStageReuse : public BurnProbabilityTest,
 
 TEST_P(StatisticalStageReuse, RunsNoSimulationsForTheStepsOwnSolutions) {
   const ReuseCase& c = GetParam();
-  ScenarioEvaluator evaluator(workload_.environment, c.workers);
+  const auto lanes = parallel::make_job_lanes(c.workers);
+  ScenarioEvaluator evaluator(workload_.environment, lanes.get());
   evaluator.set_cache_policy(c.policy);
   const auto& space = firelib::ScenarioSpace::table1();
   core::NsGaConfig ns;

@@ -71,8 +71,9 @@ TEST_F(EvaluatorTest, BatchMatchesScalarEvaluation) {
 
 TEST_F(EvaluatorTest, ParallelMatchesSerial) {
   // The paper's Master/Worker parallelization must not change results.
-  ScenarioEvaluator serial(workload_.environment, 1);
-  ScenarioEvaluator parallel(workload_.environment, 4);
+  ScenarioEvaluator serial(workload_.environment);
+  const auto lanes = parallel::make_job_lanes(4);
+  ScenarioEvaluator parallel(workload_.environment, lanes.get());
   serial.set_step(observations_, 1);
   parallel.set_step(observations_, 1);
   EXPECT_EQ(parallel.workers(), 4u);

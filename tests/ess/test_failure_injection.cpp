@@ -34,16 +34,21 @@ TEST(FailureInjectionTest, WrongSizedEvaluatorOutputRejected) {
 }
 
 TEST(FailureInjectionTest, MasterWorkerSurvivesRepeatedWorkerFailures) {
-  parallel::MasterWorker<int, int> mw(3, [](unsigned, const int& x) {
-    if (x % 7 == 0) throw std::runtime_error("bad input");
-    return x;
-  });
+  parallel::MasterWorker mw(3);
+  const auto evaluate = [&mw](const std::vector<int>& tasks) {
+    std::vector<int> out(tasks.size());
+    mw.run(tasks.size(), [&](unsigned, std::size_t i) {
+      if (tasks[i] % 7 == 0) throw std::runtime_error("bad input");
+      out[i] = tasks[i];
+    });
+    return out;
+  };
   for (int round = 0; round < 5; ++round) {
     std::vector<int> tasks;
     for (int i = 1; i <= 20; ++i) tasks.push_back(i);
-    EXPECT_THROW(mw.evaluate(tasks), std::runtime_error);
+    EXPECT_THROW(evaluate(tasks), std::runtime_error);
     // Pool remains functional for clean batches.
-    EXPECT_EQ(mw.evaluate({1, 2, 3}), (std::vector<int>{1, 2, 3}));
+    EXPECT_EQ(evaluate({1, 2, 3}), (std::vector<int>{1, 2, 3}));
   }
 }
 
@@ -105,7 +110,8 @@ TEST(FailureInjectionTest, ParallelEvaluatorPropagatesSimulationErrors) {
   Rng rng(5);
   const synth::GroundTruth truth = synth::generate_ground_truth(
       workload.environment, workload.truth_config, rng);
-  ess::ScenarioEvaluator evaluator(workload.environment, 2);
+  const auto lanes = parallel::make_job_lanes(2);
+  ess::ScenarioEvaluator evaluator(workload.environment, lanes.get());
   ess::Observations observations(truth, false);
   evaluator.set_step(observations, 1);
   auto evaluate = evaluator.batch_evaluator();

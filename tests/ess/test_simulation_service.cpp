@@ -40,7 +40,7 @@ class SimulationServiceTest : public ::testing::Test {
 TEST_F(SimulationServiceTest, BatchEqualsSerialAcrossWorkerCounts) {
   // The reproducibility contract: simulate_batch must be bit-identical to
   // packing N independent simulate() maps, at every worker count.
-  SimulationService reference(workload_.environment, 1);
+  SimulationService reference(workload_.environment);
   std::vector<BurnedCells> expected;
   for (const auto& scenario : scenarios_)
     expected.push_back(oracle::pack_burned(
@@ -50,7 +50,8 @@ TEST_F(SimulationServiceTest, BatchEqualsSerialAcrossWorkerCounts) {
 
   for (unsigned workers : {1u, 2u, 4u}) {
     SCOPED_TRACE(workers);
-    SimulationService service(workload_.environment, workers);
+    const auto lanes = parallel::make_job_lanes(workers);
+    SimulationService service(workload_.environment, lanes.get());
     const auto maps = service.simulate_batch(scenarios_, observations_, 0,
                                              truth_.step_minutes);
     ASSERT_EQ(maps.size(), expected.size());
@@ -59,7 +60,7 @@ TEST_F(SimulationServiceTest, BatchEqualsSerialAcrossWorkerCounts) {
 }
 
 TEST_F(SimulationServiceTest, FitnessBatchMatchesScalarJaccard) {
-  SimulationService reference(workload_.environment, 1);
+  SimulationService reference(workload_.environment);
   std::vector<double> expected;
   for (const auto& scenario : scenarios_) {
     const auto map = reference.simulate(scenario, truth_.fire_lines[0],
@@ -70,7 +71,8 @@ TEST_F(SimulationServiceTest, FitnessBatchMatchesScalarJaccard) {
 
   for (unsigned workers : {1u, 2u, 4u}) {
     SCOPED_TRACE(workers);
-    SimulationService service(workload_.environment, workers);
+    const auto lanes = parallel::make_job_lanes(workers);
+    SimulationService service(workload_.environment, lanes.get());
     const auto fitness = service.fitness_batch(scenarios_, observations_, 1);
     ASSERT_EQ(fitness.size(), expected.size());
     for (std::size_t i = 0; i < fitness.size(); ++i)
@@ -82,7 +84,8 @@ TEST_F(SimulationServiceTest, FitnessBatchScoresAndRecordsBurnedCells) {
   // A scored batch answers with each scenario's score and keeps the burned
   // cells its sweep recorded for the step's Statistical Stage; an unscored
   // batch answers with the burned cells.
-  SimulationService service(workload_.environment, 2);
+  const auto lanes = parallel::make_job_lanes(2);
+  SimulationService service(workload_.environment, lanes.get());
   service.set_cache_policy(cache::CachePolicy::kOff);
   const double end = truth_.step_minutes;
   const std::vector<firelib::Scenario> two(scenarios_.begin(),
@@ -109,7 +112,8 @@ TEST_F(SimulationServiceTest, FitnessBatchScoresAndRecordsBurnedCells) {
 }
 
 TEST_F(SimulationServiceTest, CountsEverySimulation) {
-  SimulationService service(workload_.environment, 2);
+  const auto lanes = parallel::make_job_lanes(2);
+  SimulationService service(workload_.environment, lanes.get());
   EXPECT_EQ(service.simulations_run(), 0u);
   service.simulate_batch(scenarios_, observations_, 0, truth_.step_minutes);
   EXPECT_EQ(service.simulations_run(), scenarios_.size());
@@ -125,7 +129,7 @@ TEST_F(SimulationServiceTest, CachedFitnessBatchMatchesUncachedBitwise) {
   for (int repeat = 0; repeat < 3; ++repeat)
     for (const auto& scenario : scenarios_) batch.push_back(scenario);
 
-  SimulationService uncached(workload_.environment, 1);
+  SimulationService uncached(workload_.environment);
   uncached.set_cache_policy(cache::CachePolicy::kOff);
   const auto expected = uncached.fitness_batch(batch, observations_, 1);
   EXPECT_EQ(uncached.cache_hits(), 0u);
@@ -134,7 +138,8 @@ TEST_F(SimulationServiceTest, CachedFitnessBatchMatchesUncachedBitwise) {
 
   for (unsigned workers : {1u, 4u}) {
     SCOPED_TRACE(workers);
-    SimulationService service(workload_.environment, workers);
+    const auto lanes = parallel::make_job_lanes(workers);
+    SimulationService service(workload_.environment, lanes.get());
     ASSERT_EQ(service.cache_policy(), cache::CachePolicy::kStep);
     obs::MetricsRegistry registry;
     obs::MetricsRegistry* const previous = obs::metrics_registry();
@@ -164,7 +169,7 @@ TEST_F(SimulationServiceTest, CachedFitnessBatchMatchesUncachedBitwise) {
 }
 
 TEST_F(SimulationServiceTest, CacheHitsAcrossBatchesInSameContext) {
-  SimulationService service(workload_.environment, 1);
+  SimulationService service(workload_.environment);
   service.fitness_batch(scenarios_, observations_, 1);
   EXPECT_EQ(service.cache_misses(), scenarios_.size());
   EXPECT_EQ(service.cache_hits(), 0u);
@@ -183,11 +188,11 @@ TEST_F(SimulationServiceTest, CachedSimulateBatchKeepsMapsBitwise) {
   batch.push_back(scenarios_[0]);  // duplicate
   batch.push_back(scenarios_[3]);
 
-  SimulationService uncached(workload_.environment, 1);
+  SimulationService uncached(workload_.environment);
   uncached.set_cache_policy(cache::CachePolicy::kOff);
   const auto expected =
       uncached.simulate_batch(batch, observations_, 0, truth_.step_minutes);
-  SimulationService service(workload_.environment, 1);
+  SimulationService service(workload_.environment);
   const auto maps =
       service.simulate_batch(batch, observations_, 0, truth_.step_minutes);
   ASSERT_EQ(maps.size(), expected.size());
@@ -203,13 +208,14 @@ TEST_F(SimulationServiceTest, SharedPolicyMatchesOffBitwise) {
   for (int repeat = 0; repeat < 3; ++repeat)
     for (const auto& scenario : scenarios_) batch.push_back(scenario);
 
-  SimulationService uncached(workload_.environment, 1);
+  SimulationService uncached(workload_.environment);
   uncached.set_cache_policy(cache::CachePolicy::kOff);
   const auto expected = uncached.fitness_batch(batch, observations_, 1);
 
   for (unsigned workers : {1u, 4u}) {
     SCOPED_TRACE(workers);
-    SimulationService service(workload_.environment, workers);
+    const auto lanes = parallel::make_job_lanes(workers);
+    SimulationService service(workload_.environment, lanes.get());
     service.set_cache_policy(cache::CachePolicy::kShared);
     const auto fitness = service.fitness_batch(batch, observations_, 1);
     ASSERT_EQ(fitness.size(), expected.size());
@@ -226,7 +232,7 @@ TEST_F(SimulationServiceTest, SharedPolicyMatchesOffBitwise) {
 TEST_F(SimulationServiceTest, SharedPolicySurvivesContextChanges) {
   // The step cache is wiped on a context change; the shared cache is
   // context-qualified instead, so returning to an earlier interval hits.
-  SimulationService service(workload_.environment, 1);
+  SimulationService service(workload_.environment);
   service.set_cache_policy(cache::CachePolicy::kShared);
   service.fitness_batch(scenarios_, observations_, 1);
   EXPECT_EQ(service.cache_misses(), scenarios_.size());
@@ -244,10 +250,10 @@ TEST_F(SimulationServiceTest, SharedCacheIsSharedAcrossServices) {
   // Two services (think: two concurrent campaign jobs over the same fire)
   // installing one SharedScenarioCache reuse each other's simulations.
   auto shared = std::make_shared<cache::SharedScenarioCache>();
-  SimulationService first(workload_.environment, 1);
+  SimulationService first(workload_.environment);
   first.set_cache_policy(cache::CachePolicy::kShared);
   first.set_shared_cache(shared);
-  SimulationService second(workload_.environment, 1);
+  SimulationService second(workload_.environment);
   second.set_cache_policy(cache::CachePolicy::kShared);
   second.set_shared_cache(shared);
 
@@ -274,13 +280,13 @@ TEST_F(SimulationServiceTest, SharedCacheIsolatesDifferentEnvironments) {
   const synth::Workload hills = synth::make_hills(32);
 
   auto shared = std::make_shared<cache::SharedScenarioCache>();
-  SimulationService on_plains(workload_.environment, 1);
+  SimulationService on_plains(workload_.environment);
   on_plains.set_cache_policy(cache::CachePolicy::kShared);
   on_plains.set_shared_cache(shared);
-  SimulationService on_hills(hills.environment, 1);
+  SimulationService on_hills(hills.environment);
   on_hills.set_cache_policy(cache::CachePolicy::kShared);
   on_hills.set_shared_cache(shared);
-  SimulationService on_hills_uncached(hills.environment, 1);
+  SimulationService on_hills_uncached(hills.environment);
   on_hills_uncached.set_cache_policy(cache::CachePolicy::kOff);
 
   const auto plains_maps = on_plains.simulate_batch(scenarios_, start, 0, 90.0);
@@ -304,7 +310,7 @@ TEST_F(SimulationServiceTest, SharedCacheIsolatesDifferentEnvironments) {
 TEST_F(SimulationServiceTest, StepCacheSaturationIsObservable) {
   // The step cache stops inserting at its capacity backstop; that used to
   // be silent — now entries/bytes/insertions_rejected surface it.
-  SimulationService service(workload_.environment, 1);
+  SimulationService service(workload_.environment);
   service.set_step_cache_capacity(4);
   service.fitness_batch(scenarios_, observations_, 1);
   EXPECT_EQ(service.cache_entries(), 4u);
@@ -318,7 +324,7 @@ TEST_F(SimulationServiceTest, StepCacheSaturationIsObservable) {
 TEST_F(SimulationServiceTest, ReferenceKernelsMatchFastKernels) {
   // The service's fast sweep and word-wise Eq. (3) against the reference
   // sweep (per-pop behavior + trig, binary heap) scored map by map.
-  SimulationService fast(workload_.environment, 1);
+  SimulationService fast(workload_.environment);
   fast.set_cache_policy(cache::CachePolicy::kOff);
   const firelib::FireSpreadModel spread_model;
   firelib::FirePropagator reference(spread_model);
@@ -337,19 +343,25 @@ TEST_F(SimulationServiceTest, ReferenceKernelsMatchFastKernels) {
 }
 
 TEST_F(SimulationServiceTest, EmptyBatchIsANoOp) {
-  SimulationService service(workload_.environment, 2);
+  const auto lanes = parallel::make_job_lanes(2);
+  SimulationService service(workload_.environment, lanes.get());
   EXPECT_TRUE(service.simulate_batch({}, observations_, 0, truth_.step_minutes)
                   .empty());
   EXPECT_EQ(service.simulations_run(), 0u);
 }
 
 TEST_F(SimulationServiceTest, ReportsWorkerCount) {
-  EXPECT_EQ(SimulationService(workload_.environment, 1).workers(), 1u);
-  EXPECT_EQ(SimulationService(workload_.environment, 3).workers(), 3u);
+  EXPECT_EQ(SimulationService(workload_.environment).workers(), 1u);
+  const auto lanes = parallel::make_job_lanes(3);
+  EXPECT_EQ(SimulationService(workload_.environment, lanes.get()).workers(),
+            3u);
 }
 
 TEST_F(SimulationServiceTest, RejectsZeroWorkers) {
-  EXPECT_THROW(SimulationService(workload_.environment, 0), InvalidArgument);
+  // The service borrows its lanes; a pool of zero lanes cannot be made.
+  EXPECT_THROW(SimulationService(workload_.environment,
+                                 parallel::make_job_lanes(0).get()),
+               InvalidArgument);
 }
 
 }  // namespace

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <condition_variable>
+#include <algorithm>
 #include <csignal>
 #include <future>
 #include <mutex>
+#include <set>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -447,6 +449,163 @@ TEST(CampaignScheduler, SignalDrainStillProducesFullReports) {
   const std::string reports = canonical_reports(result);
   EXPECT_NE(reports.find("\"jobs\""), std::string::npos);
   reset_drain();
+}
+
+// ---------------------------------------------------------------------------
+// Slot-lifetime lanes: every job of a slot simulates on the same lane pool.
+// ---------------------------------------------------------------------------
+
+/// Submit one tiny job and wait for its record.
+JobRecord run_job(PredictionEngine& engine, const synth::Workload& workload,
+                  std::size_t index) {
+  JobRequest request;
+  request.workload = share(workload);
+  request.index = index;
+  request.campaign_seed = 77;
+  request.spec = tiny_spec();
+  Submission submission = engine.submit(std::move(request));
+  EXPECT_EQ(submission.admission, Admission::kAccepted);
+  return submission.record.get();
+}
+
+/// The job's record as the pure oracle computes it (job-local lanes).
+void expect_matches_oracle(const JobRecord& scheduled,
+                           const synth::Workload& workload, std::size_t index,
+                           unsigned workers) {
+  const JobRecord oracle = run_prediction_job(
+      workload, index, 77, workers, tiny_spec(), simd::Mode::kAuto,
+      parallel::NumaMode::kAuto, firelib::SweepBackend::kScalar, nullptr);
+  ASSERT_EQ(scheduled.status, JobStatus::kSucceeded) << scheduled.error;
+  EXPECT_EQ(scheduled.workers, workers);
+  ASSERT_EQ(scheduled.result.steps.size(), oracle.result.steps.size());
+  for (std::size_t i = 0; i < oracle.result.steps.size(); ++i) {
+    EXPECT_EQ(scheduled.result.steps[i].kign, oracle.result.steps[i].kign);
+    EXPECT_EQ(scheduled.result.steps[i].prediction_quality,
+              oracle.result.steps[i].prediction_quality);
+    EXPECT_EQ(scheduled.result.steps[i].os_evaluations,
+              oracle.result.steps[i].os_evaluations);
+  }
+}
+
+std::size_t tasks_run(const parallel::MasterWorker& lanes) {
+  std::size_t total = 0;
+  for (unsigned lane = 0; lane < lanes.lanes(); ++lane)
+    total += lanes.processed_by(lane);
+  return total;
+}
+
+TEST(PredictionEngine, SlotLanesPersistAcrossJobs) {
+  const auto workloads = tiny_workloads();
+  EngineConfig config;
+  config.job_slots = 1;
+  config.total_workers = 3;
+  PredictionEngine engine(config);
+
+  const parallel::MasterWorker* lanes = engine.slot_lanes(0);
+  ASSERT_NE(lanes, nullptr);
+  ASSERT_EQ(lanes->lanes(), 3u);
+  const std::vector<std::thread::id> ids = lanes->thread_ids();
+  std::size_t tasks = tasks_run(*lanes);
+  for (std::size_t job = 0; job < workloads.size(); ++job) {
+    const JobRecord record = run_job(engine, workloads[job], job);
+    expect_matches_oracle(record, workloads[job], job, 3);
+    // The job simulated on the slot's lanes, and they are the same threads.
+    EXPECT_GT(tasks_run(*lanes), tasks);
+    tasks = tasks_run(*lanes);
+    EXPECT_EQ(engine.slot_lanes(0), lanes);
+    EXPECT_EQ(lanes->thread_ids(), ids);
+  }
+}
+
+TEST(PredictionEngine, OneWorkerPerJobRunsInlineWithoutLanes) {
+  EngineConfig config;
+  config.job_slots = 3;
+  config.total_workers = 3;
+  const PredictionEngine engine(config);
+  EXPECT_EQ(engine.default_workers_per_job(), 1u);
+  for (unsigned slot = 0; slot < 3; ++slot)
+    EXPECT_EQ(engine.slot_lanes(slot), nullptr);
+  EXPECT_THROW(engine.slot_lanes(3), InvalidArgument);
+}
+
+TEST(PredictionEngine, SlotsNeverShareALaneCpu) {
+  EngineConfig config;
+  config.job_slots = 2;
+  config.total_workers = 4;
+  const std::vector<int> free_before =
+      parallel::CpuAllocator::process().free_cpus();
+  {
+    const PredictionEngine engine(config);
+    const parallel::MasterWorker* first = engine.slot_lanes(0);
+    const parallel::MasterWorker* second = engine.slot_lanes(1);
+    ASSERT_NE(first, nullptr);
+    ASSERT_NE(second, nullptr);
+    if (free_before.size() >= 4) {
+      // Placed: every lane has its own CPU, taken from the free ones.
+      std::set<int> cpus;
+      for (const auto* lanes : {first, second}) {
+        ASSERT_EQ(lanes->cpus().size(), 2u);
+        for (const int cpu : lanes->cpus()) {
+          EXPECT_TRUE(cpus.insert(cpu).second) << "cpu " << cpu << " twice";
+          EXPECT_NE(std::find(free_before.begin(), free_before.end(), cpu),
+                    free_before.end());
+        }
+      }
+      // A second engine finds too few free CPUs and pins nothing.
+      const PredictionEngine other(config);
+      EXPECT_TRUE(other.slot_lanes(0)->cpus().empty());
+      EXPECT_TRUE(other.slot_lanes(1)->cpus().empty());
+    } else {
+      // Too few CPUs for 2 x 2 lanes: nothing is pinned.
+      EXPECT_TRUE(first->cpus().empty());
+      EXPECT_TRUE(second->cpus().empty());
+    }
+  }
+  // The engine gave its CPUs back.
+  EXPECT_EQ(parallel::CpuAllocator::process().free_cpus(), free_before);
+}
+
+/// A plains fire ringed by cells of negative slope: the hidden fire is too
+/// damp to reach the ring, but a fast-spreading candidate scenario does,
+/// and its simulation throws on a lane ("slope ratio must be
+/// non-negative").
+synth::Workload poisoned_ring_workload() {
+  synth::Workload workload = synth::make_plains(24, 5);
+  workload.name = "poisoned";
+  Grid<double> slope(24, 24, 0.0);
+  for (int i = 0; i < 24; ++i) {
+    slope(0, i) = slope(23, i) = slope(i, 0) = slope(i, 23) = -5.0;
+  }
+  workload.environment.set_topography(std::move(slope),
+                                      Grid<double>(24, 24, 0.0));
+  workload.truth_config.hidden.wind_speed = 0.0;
+  workload.truth_config.hidden.m1 = 20.0;
+  workload.truth_config.steps = 3;
+  workload.truth_config.observation_noise = 0.0;
+  return workload;
+}
+
+TEST(PredictionEngine, FailedJobLeavesSlotLanesUsable) {
+  const auto workloads = tiny_workloads();
+  EngineConfig config;
+  config.job_slots = 1;
+  config.total_workers = 2;
+  PredictionEngine engine(config);
+  const parallel::MasterWorker* lanes = engine.slot_lanes(0);
+  ASSERT_NE(lanes, nullptr);
+  const std::vector<std::thread::id> ids = lanes->thread_ids();
+
+  for (int round = 0; round < 2; ++round) {
+    const std::size_t tasks_before = tasks_run(*lanes);
+    const JobRecord failed = run_job(engine, poisoned_ring_workload(), 0);
+    ASSERT_EQ(failed.status, JobStatus::kFailed);
+    EXPECT_NE(failed.error.find("slope"), std::string::npos) << failed.error;
+    EXPECT_GT(tasks_run(*lanes), tasks_before);  // it failed on the lanes
+
+    const JobRecord next = run_job(engine, workloads[1], 1);
+    expect_matches_oracle(next, workloads[1], 1, 2);
+    EXPECT_EQ(lanes->thread_ids(), ids);
+  }
 }
 
 }  // namespace
