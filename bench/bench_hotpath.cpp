@@ -2,8 +2,9 @@
 // kernel-level speedups, tracked in CI on every builder. Measures, single
 // threaded, on the paper's uniform-topography workload:
 //
-//   sweep        cells/sec of the Dijkstra growth sweep, fast (precomputed
-//                travel-time tables) vs reference (behavior + trig per pop);
+//   sweep        cells/sec of the Dijkstra growth sweep, fast (dial queue,
+//                precomputed travel-time tables) vs the test-side reference
+//                propagator (binary heap, behavior + trig per pop);
 //   dem sweep    the same on the hills DEM workload at 64 and 96 cells:
 //                continuation sweeps seeded from a ground-truth fire line
 //                (the pipeline's shape), fast (spread base once per fuel
@@ -12,8 +13,8 @@
 //   fitness      Eq. (3) evaluations/sec through SimulationService
 //                fitness_batch — the OS hot loop — new kernels (fast sweep +
 //                word-wise Eq. (3) on the sweep's burned cells + scenario
-//                cache) vs the reference propagator (reference sweep on the
-//                heap queue, no cache) scored by ess::jaccard, on a
+//                cache) vs the reference propagator (no cache) scored by
+//                ess::jaccard on its packed burned cells, on a
 //                duplicate-heavy batch shaped like GA populations;
 //                reported twice: cache on (the shipping configuration) and
 //                cache off (isolating the pure kernel speedup);
@@ -36,6 +37,7 @@
 #include "ess/fitness.hpp"
 #include "ess/simulation_service.hpp"
 #include "firelib/propagator.hpp"
+#include "firelib/reference_propagator.hpp"
 #include "synth/ground_truth.hpp"
 #include "synth/workloads.hpp"
 
@@ -107,13 +109,11 @@ int main(int argc, char** argv) {
   // --- Sweep: fast vs reference Dijkstra inner loop. -----------------------
   const firelib::FireSpreadModel spread_model;
   firelib::FirePropagator fast_propagator(spread_model);
-  firelib::FirePropagator reference_propagator(spread_model);
-  reference_propagator.set_reference_sweep(true);
-  // The baseline is the pre-optimization sweep exactly as it shipped:
-  // per-pop behavior + trig on the binary heap. (The fast propagator keeps
-  // the default dial queue; bench_sweep isolates heap vs dial.)
-  reference_propagator.set_sweep_queue(firelib::SweepQueue::kHeap);
-  firelib::PropagationWorkspace fast_ws, reference_ws;
+  // The baseline is the pre-optimization sweep: per-pop behavior + trig on
+  // a binary heap.
+  const firelib::oracle::ReferencePropagator reference_propagator(
+      spread_model);
+  firelib::PropagationWorkspace fast_ws;
 
   KernelTiming sweep;
   std::size_t sweep_cells = 0;
@@ -122,9 +122,9 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < unique_scenarios; ++i) {
       const auto& got = fast_propagator.propagate(
           workload.environment, batch[i], start, horizon, fast_ws);
-      const auto& want = reference_propagator.propagate(
-          workload.environment, batch[i], start, horizon, reference_ws);
-      if (!(got == want)) all_identical = false;
+      if (!(got == reference_propagator.propagate(workload.environment,
+                                                  batch[i], start, horizon)))
+        all_identical = false;
     }
     Stopwatch watch;
     for (int round = 0; round < sweep_rounds; ++round)
@@ -138,7 +138,7 @@ int main(int argc, char** argv) {
     for (int round = 0; round < sweep_rounds; ++round)
       for (std::size_t i = 0; i < unique_scenarios; ++i)
         reference_propagator.propagate(workload.environment, batch[i], start,
-                                       horizon, reference_ws);
+                                       horizon);
     sweep.reference_seconds = watch.elapsed_seconds();
   }
   const double sweep_cells_per_sec =
@@ -175,9 +175,10 @@ int main(int argc, char** argv) {
       for (std::size_t i = 0; i < dem_scenarios; ++i) {
         const auto& got = fast_propagator.propagate(
             hills.environment, batch[i], rfl, dem_horizon, fast_ws);
-        const auto& want = reference_propagator.propagate(
-            hills.environment, batch[i], rfl, dem_horizon, reference_ws);
-        if (!(got == want)) all_identical = false;
+        if (!(got == reference_propagator.propagate(hills.environment,
+                                                    batch[i], rfl,
+                                                    dem_horizon)))
+          all_identical = false;
       }
       const std::uint64_t popped_before = popped_counter.value();
       Stopwatch watch;
@@ -191,7 +192,7 @@ int main(int argc, char** argv) {
       for (int round = 0; round < dem_rounds; ++round)
         for (std::size_t i = 0; i < dem_scenarios; ++i)
           reference_propagator.propagate(hills.environment, batch[i], rfl,
-                                         dem_horizon, reference_ws);
+                                         dem_horizon);
       dem.timing.reference_seconds = watch.elapsed_seconds();
       std::printf(
           "  dem%-3d   %8.3fs ref  %8.3fs fast  %5.2fx  (%.3g popped "
@@ -213,15 +214,15 @@ int main(int argc, char** argv) {
     ess::SimulationService nocache_service(workload.environment);
     nocache_service.set_cache_policy(cache::CachePolicy::kOff);
     // The baseline: the reference propagator above, every request
-    // simulated and scored.
+    // simulated, packed and scored.
     const auto reference_fitness_batch = [&] {
       std::vector<double> fitness_values;
       fitness_values.reserve(batch.size());
       for (const firelib::Scenario& scenario : batch) {
-        reference_propagator.propagate(workload.environment, scenario, start,
-                                       horizon, reference_ws);
+        const firelib::IgnitionMap map = reference_propagator.propagate(
+            workload.environment, scenario, start, horizon);
         fitness_values.push_back(
-            ess::jaccard(scoring, reference_ws.last_burned()));
+            ess::jaccard(scoring, firelib::burned_cells(map, horizon)));
       }
       return fitness_values;
     };

@@ -1,19 +1,22 @@
-// EXP-B6 — sweep benchmark: queue discipline (binary heap vs bucketed dial)
-// and relax kernel (scalar oracle vs AVX2) in the FirePropagator Dijkstra
-// sweep, single threaded, on the grid shapes that exercise both fast paths:
+// EXP-B6 — sweep benchmark: the FirePropagator Dijkstra sweep (dial queue)
+// with the relax kernel the --simd mode selects against the scalar kernel,
+// single threaded, on the grid shapes that exercise both fast paths:
 //
 //   uniform   plains (travel-time-table inner loop, scenario-uniform fuels);
 //   dem       hills (per-cell wind/slope composition + fuel mosaic).
 //
-// Every timed pair is first checked for bit-identical ignition maps —
-// heap-vs-dial AND scalar-vs-simd — and the whole default campaign catalog
-// is swept both ways as well; any divergence makes the binary exit nonzero,
-// which is how CI enforces the zero-divergence acceptance criterion.
+// Every timed scenario is first checked for bit-identical ignition maps —
+// the production sweep against the test-side reference propagator
+// (tests/firelib/reference_propagator.hpp: binary heap, per-pop behavior)
+// AND the --simd kernel against the scalar one — and the whole default
+// campaign catalog is checked both ways as well; any divergence makes the
+// binary exit nonzero, which is how CI enforces the zero-divergence
+// acceptance criterion.
 //
 // Flags:
 //   --quick        smaller grids/rounds (CI Debug job); every divergence
 //                  check still runs, but the arms last only milliseconds,
-//                  so no speedup ratios are reported
+//                  so no speedup ratio is reported
 //   --simd MODE    auto | avx2 | scalar — the kernel for the simd arms
 //                  (default auto). Forcing avx2 on a host without it skips
 //                  the run with a notice (exit 0, "skipped": true in JSON)
@@ -34,6 +37,7 @@
 #include "common/simd.hpp"
 #include "common/stopwatch.hpp"
 #include "firelib/propagator.hpp"
+#include "firelib/reference_propagator.hpp"
 #include "synth/catalog.hpp"
 #include "synth/ground_truth.hpp"
 #include "synth/workloads.hpp"
@@ -46,29 +50,57 @@ struct GridResult {
   std::string name;
   int rows = 0;
   int cols = 0;
-  double heap_seconds = 0.0;    // dial-arm kernel, heap queue
-  double dial_seconds = 0.0;    // dial-arm kernel, dial queue
-  double scalar_seconds = 0.0;  // scalar kernel, dial queue
+  double seconds = 0.0;         // --simd kernel
+  double scalar_seconds = 0.0;  // scalar kernel
   std::size_t cells_swept = 0;
-  double speedup() const {
-    return dial_seconds > 0.0 ? heap_seconds / dial_seconds : 0.0;
-  }
   double simd_speedup() const {
-    return dial_seconds > 0.0 ? scalar_seconds / dial_seconds : 0.0;
+    return seconds > 0.0 ? scalar_seconds / seconds : 0.0;
   }
   double cells_per_second() const {
-    return dial_seconds > 0.0
-               ? static_cast<double>(cells_swept) / dial_seconds
-               : 0.0;
+    return seconds > 0.0 ? static_cast<double>(cells_swept) / seconds : 0.0;
   }
 };
 
-/// Time heap-vs-dial and scalar-vs-simd on one workload; counts map
-/// divergences into the respective counters.
+/// Map divergences: the production sweep against the reference propagator,
+/// and the --simd kernel against the scalar one.
+struct Divergences {
+  std::size_t reference = 0;
+  std::size_t simd = 0;
+};
+
+/// The three sweeps every check compares, with their workspaces.
+struct Sweeps {
+  explicit Sweeps(simd::Mode mode)
+      : production(model), scalar(model), reference(model) {
+    production.set_simd_mode(mode);
+    scalar.set_simd_mode(simd::Mode::kScalar);
+  }
+
+  /// Run one scenario through all three, counting divergences.
+  template <typename Seeds>
+  void check(const firelib::FireEnvironment& env,
+             const firelib::Scenario& scenario, const Seeds& seeds,
+             double horizon, Divergences& divergences) {
+    const auto& got =
+        production.propagate(env, scenario, seeds, horizon, production_ws);
+    if (!(got == reference.propagate(env, scenario, seeds, horizon)))
+      ++divergences.reference;
+    if (!(got == scalar.propagate(env, scenario, seeds, horizon, scalar_ws)))
+      ++divergences.simd;
+  }
+
+  const firelib::FireSpreadModel model;
+  firelib::FirePropagator production;
+  firelib::FirePropagator scalar;
+  const firelib::oracle::ReferencePropagator reference;
+  firelib::PropagationWorkspace production_ws, scalar_ws;
+};
+
+/// Time the --simd kernel against the scalar one on one workload,
+/// continuing from its first ground-truth fire line.
 GridResult bench_grid(const std::string& name, const synth::Workload& workload,
                       std::size_t scenarios, int rounds, simd::Mode mode,
-                      std::size_t& queue_divergences,
-                      std::size_t& simd_divergences) {
+                      Divergences& divergences) {
   const firelib::FireEnvironment& env = workload.environment;
   Rng truth_rng(5);
   const synth::GroundTruth truth = synth::generate_ground_truth(
@@ -81,49 +113,26 @@ GridResult bench_grid(const std::string& name, const synth::Workload& workload,
   std::vector<firelib::Scenario> batch;
   for (std::size_t i = 0; i < scenarios; ++i) batch.push_back(space.sample(rng));
 
-  const firelib::FireSpreadModel model;
-  firelib::FirePropagator heap(model);
-  heap.set_sweep_queue(firelib::SweepQueue::kHeap);
-  heap.set_simd_mode(mode);
-  firelib::FirePropagator dial(model);
-  dial.set_sweep_queue(firelib::SweepQueue::kDial);
-  dial.set_simd_mode(mode);
-  firelib::FirePropagator scalar(model);
-  scalar.set_sweep_queue(firelib::SweepQueue::kDial);
-  scalar.set_simd_mode(simd::Mode::kScalar);
-  firelib::PropagationWorkspace heap_ws, dial_ws, scalar_ws;
-
+  Sweeps sweeps(mode);
   GridResult result;
   result.name = name;
   result.rows = env.rows();
   result.cols = env.cols();
 
-  // Warm all three arms once, checking equivalence per scenario: the dial
-  // arm against the heap arm (queue discipline) and against the scalar
-  // oracle (relax kernel).
-  for (const firelib::Scenario& scenario : batch) {
-    const auto& from_dial = dial.propagate(env, scenario, start, horizon, dial_ws);
-    const auto& from_heap = heap.propagate(env, scenario, start, horizon, heap_ws);
-    if (!(from_dial == from_heap)) ++queue_divergences;
-    const auto& from_scalar =
-        scalar.propagate(env, scenario, start, horizon, scalar_ws);
-    if (!(from_dial == from_scalar)) ++simd_divergences;
-  }
+  // Warm both timed arms once, checking equivalence per scenario.
+  for (const firelib::Scenario& scenario : batch)
+    sweeps.check(env, scenario, start, horizon, divergences);
 
   Stopwatch watch;
   for (int round = 0; round < rounds; ++round)
     for (const firelib::Scenario& scenario : batch)
-      dial.propagate(env, scenario, start, horizon, dial_ws);
-  result.dial_seconds = watch.elapsed_seconds();
+      sweeps.production.propagate(env, scenario, start, horizon,
+                                  sweeps.production_ws);
+  result.seconds = watch.elapsed_seconds();
   watch.reset();
   for (int round = 0; round < rounds; ++round)
     for (const firelib::Scenario& scenario : batch)
-      heap.propagate(env, scenario, start, horizon, heap_ws);
-  result.heap_seconds = watch.elapsed_seconds();
-  watch.reset();
-  for (int round = 0; round < rounds; ++round)
-    for (const firelib::Scenario& scenario : batch)
-      scalar.propagate(env, scenario, start, horizon, scalar_ws);
+      sweeps.scalar.propagate(env, scenario, start, horizon, sweeps.scalar_ws);
   result.scalar_seconds = watch.elapsed_seconds();
   // Map-output throughput (cells of ignition map produced per second), kept
   // out of the timed loops so the measurements stay symmetric.
@@ -133,26 +142,12 @@ GridResult bench_grid(const std::string& name, const synth::Workload& workload,
   return result;
 }
 
-/// Heap-vs-dial and scalar-vs-simd over every workload of the default
-/// campaign catalog (the acceptance sweep): point ignitions, a handful of
-/// scenarios each.
-std::size_t check_default_catalog(simd::Mode mode,
-                                  std::size_t& queue_divergences,
-                                  std::size_t& simd_divergences) {
+/// Every workload of the default campaign catalog (the acceptance sweep):
+/// point ignitions, a handful of scenarios each.
+std::size_t check_default_catalog(simd::Mode mode, Divergences& divergences) {
   const std::vector<synth::Workload> catalog =
       synth::generate_catalog(synth::CatalogSpec{});
-  const firelib::FireSpreadModel model;
-  firelib::FirePropagator heap(model);
-  heap.set_sweep_queue(firelib::SweepQueue::kHeap);
-  heap.set_simd_mode(mode);
-  firelib::FirePropagator dial(model);
-  dial.set_sweep_queue(firelib::SweepQueue::kDial);
-  dial.set_simd_mode(mode);
-  firelib::FirePropagator scalar(model);
-  scalar.set_sweep_queue(firelib::SweepQueue::kDial);
-  scalar.set_simd_mode(simd::Mode::kScalar);
-  firelib::PropagationWorkspace heap_ws, dial_ws, scalar_ws;
-
+  Sweeps sweeps(mode);
   const auto& space = firelib::ScenarioSpace::table1();
   Rng rng(7);
   for (const synth::Workload& workload : catalog) {
@@ -161,14 +156,7 @@ std::size_t check_default_catalog(simd::Mode mode,
     for (int trial = 0; trial < 3; ++trial) {
       const firelib::Scenario scenario = space.sample(rng);
       const double horizon = rng.uniform(30.0, 180.0);
-      const auto& from_dial =
-          dial.propagate(env, scenario, ignition, horizon, dial_ws);
-      const auto& from_heap =
-          heap.propagate(env, scenario, ignition, horizon, heap_ws);
-      if (!(from_dial == from_heap)) ++queue_divergences;
-      const auto& from_scalar =
-          scalar.propagate(env, scenario, ignition, horizon, scalar_ws);
-      if (!(from_dial == from_scalar)) ++simd_divergences;
+      sweeps.check(env, scenario, ignition, horizon, divergences);
     }
   }
   return catalog.size();
@@ -235,41 +223,36 @@ int main(int argc, char** argv) {
   const int rounds = quick ? 30 : 90;
 
   std::printf(
-      "sweep benchmark: heap vs dial, scalar vs %s, %dx%d grids (%s)\n",
+      "sweep benchmark: reference oracle, scalar vs %s, %dx%d grids (%s)\n",
       simd::to_string(resolved), grid, grid, quick ? "quick" : "full");
 
-  std::size_t queue_divergences = 0;
-  std::size_t simd_divergences = 0;
+  Divergences divergences;
   std::vector<GridResult> results;
   results.push_back(bench_grid("plains-uniform", synth::make_plains(grid),
-                               scenarios, rounds, mode, queue_divergences,
-                               simd_divergences));
+                               scenarios, rounds, mode, divergences));
   results.push_back(bench_grid("hills-dem", synth::make_hills(grid), scenarios,
-                               rounds, mode, queue_divergences,
-                               simd_divergences));
-  // Double-edge grid: the regime the dial queue exists for — the heap's
-  // log n grows with the active front, the bucket scan does not.
+                               rounds, mode, divergences));
+  // Double-edge grid: a wider active front per sweep.
   results.push_back(bench_grid("plains-large", synth::make_plains(2 * grid),
                                scenarios / 2, std::max(1, rounds / 4), mode,
-                               queue_divergences, simd_divergences));
+                               divergences));
   for (const GridResult& r : results) {
-    std::printf("  %-14s %8.3fs heap  %8.3fs dial", r.name.c_str(),
-                r.heap_seconds, r.dial_seconds);
-    if (!quick)
-      std::printf("  %5.2fx queue  %5.2fx simd", r.speedup(),
-                  r.simd_speedup());
+    std::printf("  %-14s %8.3fs %s  %8.3fs scalar", r.name.c_str(), r.seconds,
+                simd::to_string(resolved), r.scalar_seconds);
+    if (!quick) std::printf("  %5.2fx simd", r.simd_speedup());
     std::printf("  (%.3g cells/sec)\n", r.cells_per_second());
   }
 
   const std::size_t catalog_workloads =
-      check_default_catalog(mode, queue_divergences, simd_divergences);
+      check_default_catalog(mode, divergences);
   std::printf(
-      "  default catalog: %zu workloads checked, %zu queue / %zu simd "
+      "  default catalog: %zu workloads checked, %zu reference / %zu simd "
       "divergences\n",
-      catalog_workloads, queue_divergences, simd_divergences);
-  const bool bit_identical = queue_divergences == 0 && simd_divergences == 0;
+      catalog_workloads, divergences.reference, divergences.simd);
+  const bool bit_identical =
+      divergences.reference == 0 && divergences.simd == 0;
   std::printf(
-      "  bit-identical across heap/dial and scalar/%s pairs: %s\n",
+      "  bit-identical to the reference and across scalar/%s: %s\n",
       simd::to_string(resolved), bit_identical ? "true" : "false");
 
   std::FILE* out = std::fopen(json_path, "w");
@@ -284,28 +267,26 @@ int main(int argc, char** argv) {
   std::fprintf(out, "  %s,\n", benchmain::metrics_json_field().c_str());
   std::fprintf(out,
                "  \"settings\": {\"simd_mode\": \"%s\", "
-               "\"simd_active\": \"%s\", \"queue\": \"heap-vs-dial\"},\n",
+               "\"simd_active\": \"%s\"},\n",
                simd::to_string(mode), simd::to_string(resolved));
   std::fprintf(out, "  \"grids\": [\n");
   for (std::size_t i = 0; i < results.size(); ++i) {
     const GridResult& r = results[i];
     std::fprintf(out,
                  "    {\"name\": \"%s\", \"rows\": %d, \"cols\": %d, "
-                 "\"heap_seconds\": %.6f, \"dial_seconds\": %.6f, "
-                 "\"scalar_seconds\": %.6f, ",
-                 r.name.c_str(), r.rows, r.cols, r.heap_seconds,
-                 r.dial_seconds, r.scalar_seconds);
+                 "\"seconds\": %.6f, \"scalar_seconds\": %.6f, ",
+                 r.name.c_str(), r.rows, r.cols, r.seconds, r.scalar_seconds);
     if (!quick)
-      std::fprintf(out, "\"speedup\": %.4f, \"simd_speedup\": %.4f, ",
-                   r.speedup(), r.simd_speedup());
+      std::fprintf(out, "\"simd_speedup\": %.4f, ", r.simd_speedup());
     std::fprintf(out, "\"cells_per_second\": %.1f}%s\n",
                  r.cells_per_second(), i + 1 < results.size() ? "," : "");
   }
   std::fprintf(out, "  ],\n");
   std::fprintf(out, "  \"catalog_workloads_checked\": %zu,\n",
                catalog_workloads);
-  std::fprintf(out, "  \"queue_divergences\": %zu,\n", queue_divergences);
-  std::fprintf(out, "  \"simd_divergences\": %zu,\n", simd_divergences);
+  std::fprintf(out, "  \"reference_divergences\": %zu,\n",
+               divergences.reference);
+  std::fprintf(out, "  \"simd_divergences\": %zu,\n", divergences.simd);
   std::fprintf(out, "  \"bit_identical\": %s\n}\n",
                bit_identical ? "true" : "false");
   std::fclose(out);

@@ -1,6 +1,7 @@
 #include "cache/cache_io.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -151,11 +152,25 @@ std::size_t save_cache(const SharedScenarioCache& cache, std::ostream& out) {
 
 std::size_t save_cache(const SharedScenarioCache& cache,
                        const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw IoError("cannot open cache snapshot for writing: " + path);
-  const std::size_t count = save_cache(cache, out);
-  out.flush();
-  if (!out) throw IoError("cannot write cache snapshot: " + path);
+  // Write a sibling temp file and rename it over the target only once it is
+  // complete, so a crash or a full disk mid-save leaves the old snapshot.
+  const std::string temp = path + ".tmp";
+  std::ofstream out(temp, std::ios::binary | std::ios::trunc);
+  if (!out) throw IoError("cannot open cache snapshot for writing: " + temp);
+  std::size_t count = 0;
+  try {
+    count = save_cache(cache, out);
+    out.close();
+    if (!out) throw IoError("cannot write cache snapshot: " + temp);
+  } catch (...) {
+    out.close();
+    std::remove(temp.c_str());
+    throw;
+  }
+  if (std::rename(temp.c_str(), path.c_str()) != 0) {
+    std::remove(temp.c_str());
+    throw IoError("cannot replace cache snapshot: " + path);
+  }
   return count;
 }
 

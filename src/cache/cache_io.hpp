@@ -66,7 +66,9 @@ struct RestoreStats {
 };
 
 /// Serialize every live entry. Returns the entry count. Throws IoError when
-/// the stream/file cannot be written.
+/// the stream/file cannot be written. The path overload writes `path.tmp`
+/// and renames it over `path` only once it is complete, so a failed save
+/// leaves the previous snapshot untouched.
 std::size_t save_cache(const SharedScenarioCache& cache, std::ostream& out);
 std::size_t save_cache(const SharedScenarioCache& cache,
                        const std::string& path);

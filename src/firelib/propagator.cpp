@@ -17,10 +17,10 @@ namespace {
 
 /// Per-sweep event tallies, accumulated in plain stack integers on the hot
 /// path and flushed to the metrics registry once per sweep (never per cell).
-/// `stale_pops` covers both disciplines' skip mechanisms — the heap's
-/// time-comparison discard and the dial's epoch mismatch — and
-/// `bucket_redrains` counts the dial's extra chain detaches when a
-/// relaxation lands an arrival back into the bucket being drained.
+/// `stale_pops` counts entries skipped on an epoch mismatch (superseded by a
+/// later push of the same cell), and `bucket_redrains` counts the extra
+/// chain detaches when a relaxation lands an arrival back into the bucket
+/// being drained.
 struct SweepCounters {
   std::uint64_t popped = 0;
   std::uint64_t pushes = 0;
@@ -57,77 +57,26 @@ constexpr double kSqrt2 = 1.41421356237309504880;
 
 constexpr std::int32_t kNilEntry = -1;
 
-// ---------------------------------------------------------------------------
-// Sweep queues. Both disciplines expose push(time, cell) + drain(relax) and
-// produce bit-identical ignition maps: the sweep's result is the unique fixed
-// point of t(v) = min over neighbours u of (t(u) + travel(u, v)), and every
-// candidate sum is computed from the same operands in the same order
-// regardless of which queue schedules the relaxations.
-// ---------------------------------------------------------------------------
-
-/// Binary min-heap over (time), the retained PR-3 baseline. Stale entries are
-/// detected by comparing the entry's time against the cell's current time.
-class HeapSweepQueue {
- public:
-  using Entry = PropagationWorkspace::HeapEntry;
-
-  HeapSweepQueue(std::vector<Entry>& heap, const double* times,
-                 std::size_t cells, SweepCounters& counters)
-      : heap_(heap), times_(times), counters_(counters) {
-    heap_.clear();
-    // In steady state every cell contributes at most a handful of heap
-    // entries; map-size capacity absorbs the common case without regrowth.
-    if (heap_.capacity() < cells) heap_.reserve(cells);
-  }
-
-  void push(double time, std::size_t cell) {
-    heap_.push_back(Entry{time, cell});
-    std::push_heap(heap_.begin(), heap_.end(), later);
-    ++counters_.pushes;
-  }
-
-  template <typename Relax>
-  void drain(double horizon_min, Relax&& relax) {
-    while (!heap_.empty()) {
-      std::pop_heap(heap_.begin(), heap_.end(), later);
-      const Entry top = heap_.back();
-      heap_.pop_back();
-      if (top.time > times_[top.cell]) {  // stale entry
-        ++counters_.stale_pops;
-        continue;
-      }
-      if (top.time > horizon_min) break;  // everything later is out of horizon
-      ++counters_.popped;
-      relax(top.time, top.cell, *this);
-    }
-  }
-
- private:
-  static bool later(const Entry& a, const Entry& b) { return a.time > b.time; }
-
-  std::vector<Entry>& heap_;
-  const double* times_;
-  SweepCounters& counters_;
-};
-
-/// Bucketed dial/calendar queue over [0, horizon]: pushes append to a
-/// bucket's intrusive chain in O(1); pops scan buckets in time order, sorting
-/// each detached chain by (time, cell) so ties break deterministically.
+/// The sweep's priority queue: a bucketed dial/calendar queue over
+/// [0, horizon]. The sweep's result is the unique fixed point of
+/// t(v) = min over neighbours u of (t(u) + travel(u, v)), so the queue
+/// decides only the cost, never the map. Pushes append to a bucket's
+/// intrusive chain in O(1); pops scan buckets in time order, sorting each
+/// detached chain by (time, cell) so ties break deterministically.
 /// Staleness is a per-cell epoch check: every push bumps the cell's epoch, so
 /// superseded entries are skipped without any queue surgery. An arrival can
 /// land in the bucket currently being drained (travel time smaller than the
 /// bucket width); the drain loop re-detaches the chain until the bucket is
 /// dry, which is what makes coarse buckets exact rather than approximate.
-class DialSweepQueue {
+class DialQueue {
  public:
   using Entry = PropagationWorkspace::DialEntry;
 
-  DialSweepQueue(std::vector<Entry>& entries, std::vector<Entry>& batch,
-                 AlignedVector<std::int32_t>& heads,
-                 AlignedVector<std::uint64_t>& words,
-                 AlignedVector<std::uint32_t>& epochs, bool& dirty,
-                 double horizon_min, std::size_t cells,
-                 SweepCounters& counters)
+  DialQueue(std::vector<Entry>& entries, std::vector<Entry>& batch,
+            AlignedVector<std::int32_t>& heads,
+            AlignedVector<std::uint64_t>& words,
+            AlignedVector<std::uint32_t>& epochs, bool& dirty,
+            double horizon_min, std::size_t cells, SweepCounters& counters)
       : entries_(entries), batch_(batch), heads_(heads), words_(words),
         epochs_(epochs), dirty_(dirty), counters_(counters),
         horizon_(horizon_min) {
@@ -157,7 +106,8 @@ class DialSweepQueue {
     }
     dirty_ = true;  // until drain() completes
     entries_.clear();
-    // Steady state mirrors the heap: a handful of entries per cell at most.
+    // In steady state every cell contributes at most a handful of entries;
+    // map-size capacity absorbs the common case without regrowth.
     if (entries_.capacity() < cells) entries_.reserve(cells);
     // Epochs never need clearing: entries do not survive a sweep, so
     // staleness only ever compares pushes from the same sweep. Arbitrary
@@ -167,13 +117,12 @@ class DialSweepQueue {
   }
 
   void push(double time, std::size_t cell) {
-    // Entries beyond the horizon are never expanded — the heap parks them
-    // until its early break, the final clamp erases them either way. Only
-    // pre-seeded initial times can get here (relaxation already guards
-    // arrival <= horizon).
+    // Entries beyond the horizon are never expanded, and the final clamp
+    // erases them from the map. Only pre-seeded initial times can get here
+    // (relaxation already guards arrival <= horizon).
     if (time > horizon_) return;
     // The intrusive chains index the arena with int32; entries cannot be
-    // allowed past that (run_sweep's cell-count guard makes this
+    // allowed past that (run_sweep's cell-count limit makes this
     // unreachable in practice — it would take a ~48 GB arena).
     ESSNS_REQUIRE(entries_.size() <
                       static_cast<std::size_t>(
@@ -381,6 +330,11 @@ void FirePropagator::run_sweep(const FireEnvironment& env,
   // there is no fuel map.
   ESSNS_REQUIRE(model_->catalog().contains(scenario.model),
                 "scenario fuel model out of catalog range");
+  // Dial entries index cells with 32 bits and the bucket chains index the
+  // entry arena with int32; seeding alone pushes up to one entry per cell.
+  ESSNS_REQUIRE(workspace.times_.size() <= (std::size_t{1} << 30),
+                "maps over 2^30 cells are not supported: the sweep's dial "
+                "queue indexes cells and its entry arena with 32 bits");
 
   obs::SpanTimer sweep_timer("sweep");
   SweepCounters counters;
@@ -406,18 +360,35 @@ void FirePropagator::run_sweep(const FireEnvironment& env,
   for (std::size_t k = 0; k < 8; ++k)
     step_ft[k] = (k % 2 == 0) ? cell_ft : cell_ft * kSqrt2;
 
-  // Fast paths read fuel codes as a flat aligned slab straight from the
+  // The sweep reads fuel codes as a flat aligned slab straight from the
   // environment (every Grid buffer is cache-line aligned) — no per-sweep
-  // copy. The reference path keeps probing the environment per neighbour
-  // (it is the pre-optimization oracle and stays untouched).
+  // copy.
   const Grid<std::uint8_t>* fuel_map = env.fuel_map();
-  const std::uint8_t* fuel =
-      (!reference_sweep_ && fuel_map) ? fuel_map->data() : nullptr;
+  const std::uint8_t* fuel = fuel_map ? fuel_map->data() : nullptr;
 
-  // Seed every finite initial time into the queue. The dial queue drops
-  // seeds beyond the horizon at push (the heap parks and never expands
-  // them); the final clamp erases them from the output either way.
-  const auto seed_into = [&](auto& queue) {
+  // The burned-cell record is set at each live pop. Every live pop is at or
+  // before the horizon (the queue drops later pushes), and a cell that ends
+  // at or before it is popped live at least once (its final entry), so the
+  // bits are exactly the cells the clamped map reports burned by
+  // horizon_min. A re-pop of a cell sets a bit already set.
+  BurnedCells& burned = workspace.burned_;
+  burned.rows = rows;
+  burned.cols = cols;
+  burned.words.assign(burned_words(cells), 0);
+  std::uint64_t* burned_words_data = burned.words.data();
+
+  // Seed every finite initial time into the queue (it drops seeds beyond
+  // the horizon at push; the final clamp erases them from the output), then
+  // drain it through `relax`.
+  const auto sweep_with = [&](auto&& relax) {
+    const auto pop = [&](double time, std::size_t cell, auto& queue) {
+      burned_words_data[cell >> 6] |= std::uint64_t{1} << (cell & 63);
+      relax(time, cell, queue);
+    };
+    DialQueue queue(workspace.dial_entries_, workspace.dial_batch_,
+                    workspace.bucket_head_, workspace.bucket_bits_,
+                    workspace.cell_epoch_, workspace.dial_dirty_, horizon_min,
+                    cells, counters);
     for (int r = 0; r < rows; ++r) {
       for (int c = 0; c < cols; ++c) {
         const double t0 = times(r, c);
@@ -428,96 +399,10 @@ void FirePropagator::run_sweep(const FireEnvironment& env,
         }
       }
     }
+    queue.drain(pop);
   };
 
-  // Dial entries index cells with 32 bits and the bucket chains index the
-  // entry arena with int32 — seeding alone pushes up to `cells` entries, so
-  // absurdly large maps (> 1G cells) fall back to the heap discipline
-  // rather than risk overflowing the arena index.
-  const bool use_dial =
-      queue_ == SweepQueue::kDial && cells <= (std::size_t{1} << 30);
-
-  // The burned-cell record is set at each live pop. Every live pop is at or
-  // before the horizon (the dial drops later pushes, the heap stops at the
-  // first), and a cell that ends at or before it is popped live at least
-  // once (its final entry), so the bits are exactly the cells the clamped
-  // map reports burned by horizon_min. A dial re-pop of a cell sets a bit
-  // already set.
-  BurnedCells& burned = workspace.burned_;
-  burned.rows = rows;
-  burned.cols = cols;
-  burned.words.assign(burned_words(cells), 0);
-  std::uint64_t* burned_words_data = burned.words.data();
-
-  const auto sweep_with = [&](auto&& relax) {
-    const auto pop = [&](double time, std::size_t cell, auto& queue) {
-      burned_words_data[cell >> 6] |= std::uint64_t{1} << (cell & 63);
-      relax(time, cell, queue);
-    };
-    if (use_dial) {
-      DialSweepQueue queue(workspace.dial_entries_, workspace.dial_batch_,
-                           workspace.bucket_head_, workspace.bucket_bits_,
-                           workspace.cell_epoch_, workspace.dial_dirty_,
-                           horizon_min, cells, counters);
-      seed_into(queue);
-      queue.drain(pop);
-    } else {
-      HeapSweepQueue queue(workspace.heap_, t, cells, counters);
-      seed_into(queue);
-      queue.drain(horizon_min, pop);
-    }
-  };
-
-  if (reference_sweep_) {
-    // Pre-optimization inner loop: fire behavior and elliptical spread-rate
-    // trig evaluated per popped cell. Kept as the bit-identical oracle the
-    // fast paths are tested and benchmarked against. It fills by_model_
-    // without travel_time_, so the uniform fast path's travel-time memo must
-    // not trust ready flags left by a reference sweep.
-    workspace.tt_valid_ = false;
-    workspace.by_model_ready_.fill(false);
-    auto behavior_at = [&](int r, int c) -> FireBehavior {
-      const int cell_fuel = env.fuel_model_at(r, c, scenario);
-      if (cell_fuel <= 0) return FireBehavior{};  // unburnable
-      if (uniform) {
-        auto idx = static_cast<std::size_t>(cell_fuel);
-        if (!workspace.by_model_ready_[idx]) {
-          WindSlope ws{wind_fpm, scenario.wind_dir,
-                       units::slope_degrees_to_ratio(scenario.slope),
-                       std::fmod(scenario.aspect + 180.0, 360.0)};
-          workspace.by_model_[idx] = model_->behavior(cell_fuel, moisture, ws);
-          workspace.by_model_ready_[idx] = true;
-        }
-        return workspace.by_model_[idx];
-      }
-      WindSlope ws{
-          wind_fpm, scenario.wind_dir,
-          units::slope_degrees_to_ratio(env.slope_deg_at(r, c, scenario)),
-          std::fmod(env.aspect_deg_at(r, c, scenario) + 180.0, 360.0)};
-      return model_->behavior(cell_fuel, moisture, ws);
-    };
-
-    sweep_with([&](double time, std::size_t cell_idx, auto& queue) {
-      const CellIndex cell = times.cell_of(cell_idx);
-      const FireBehavior behavior = behavior_at(cell.row, cell.col);
-      if (behavior.spread_rate_max <= 0.0) return;
-
-      for (std::size_t k = 0; k < kEightNeighbours.size(); ++k) {
-        const int nr = cell.row + kEightNeighbours[k].row;
-        const int nc = cell.col + kEightNeighbours[k].col;
-        if (!times.in_bounds(nr, nc)) continue;
-        if (env.fuel_model_at(nr, nc, scenario) <= 0) continue;
-
-        const double rate = behavior.spread_rate_at(kNeighbourAzimuth[k]);
-        if (rate <= 0.0) continue;
-        const double arrival = time + step_ft[k] / rate;
-        if (arrival < times(nr, nc) && arrival <= horizon_min) {
-          times(nr, nc) = arrival;
-          queue.push(arrival, times.index_of(nr, nc));
-        }
-      }
-    });
-  } else if (uniform) {
+  if (uniform) {
     // Fast path, uniform topography: behavior depends only on the fuel
     // model, so each model's eight directional travel times are computed
     // once per sweep and the inner loop is pure table lookups —
@@ -564,8 +449,8 @@ void FirePropagator::run_sweep(const FireEnvironment& env,
     // cell under scalar) run the retained scalar loop. Surviving lanes are
     // applied in ascending-k order, so stores and pushes are sequenced
     // exactly like the scalar loop's — bit-identical maps AND identical
-    // push order, under both queue disciplines (the dial's bucket drains
-    // feed whole frontier batches through this same kernel).
+    // push order (the queue's bucket drains feed whole frontier batches
+    // through this same kernel).
     const bool vector_relax = simd_isa_ == simd::Isa::kAvx2;
     const NeighbourOffsets offsets = NeighbourOffsets::for_cols(cols);
 

@@ -57,22 +57,14 @@ BurnedCells burned_cells(const IgnitionMap& map, double time_min);
 /// Pack the nonzero cells of a burned mask (e.g. a thresholded prediction).
 BurnedCells burned_cells(const Grid<std::uint8_t>& mask);
 
-/// Priority-queue discipline of the Dijkstra sweep. Both produce
-/// bit-identical ignition maps (the sweep's fixed point does not depend on
-/// the pop order of equal-time entries); they differ only in cost:
-///  - kHeap: binary heap, O(log n) push/pop — the retained baseline;
-///  - kDial: bucketed dial/calendar queue over [0, horizon], O(1) bucket
-///    scans with per-cell epoch staleness checks — the default.
-enum class SweepQueue { kHeap, kDial };
-
 /// Reusable per-thread propagation state: the working ignition-time map, the
-/// sweep queue storage (binary heap and dial buckets), and precomputed
-/// spread-rate inputs. A workspace amortizes all per-call allocations across
-/// simulations — each worker of the batched SimulationService owns one and
-/// reuses it for every simulation it runs. Results are bit-identical to
-/// workspace-free calls; the only state carried between calls is capacity
-/// and two memos of pure functions of their exact keys (the uniform
-/// travel-time table and the DEM terrain fields below).
+/// sweep's dial-queue storage, and precomputed spread-rate inputs. A
+/// workspace amortizes all per-call allocations across simulations — each
+/// worker of the batched SimulationService owns one and reuses it for every
+/// simulation it runs. Results are bit-identical to workspace-free calls;
+/// the only state carried between calls is capacity and two memos of pure
+/// functions of their exact keys (the uniform travel-time table and the DEM
+/// terrain fields below).
 ///
 /// Hot per-cell state is kept in cache-line-aligned structure-of-arrays
 /// slabs (AlignedVector) so the uniform and DEM fast paths walk contiguous
@@ -103,16 +95,11 @@ class PropagationWorkspace {
   /// burned_cells(last_map(), horizon_min), without that pass.
   const BurnedCells& last_burned() const { return burned_; }
 
-  /// Queue entry types (public so the sweep-queue policies in propagator.cpp
-  /// can name them; the storage itself stays private).
-  struct HeapEntry {
-    double time;
-    std::size_t cell;
-  };
-  /// Dial-queue arena entry: an intrusive singly-linked bucket chain. An
-  /// entry is current iff its epoch equals cell_epoch_[cell] — every push
-  /// bumps the cell's epoch, so older entries for the cell go stale without
-  /// any heap reordering.
+  /// Dial-queue arena entry (public so the queue in propagator.cpp can name
+  /// it; the storage itself stays private): an intrusive singly-linked
+  /// bucket chain. An entry is current iff its epoch equals
+  /// cell_epoch_[cell] — every push bumps the cell's epoch, so older entries
+  /// for the cell go stale without any queue surgery.
   struct DialEntry {
     double time;
     std::uint32_t cell;
@@ -125,13 +112,11 @@ class PropagationWorkspace {
 
   IgnitionMap times_;
   BurnedCells burned_;
-  // Binary-heap queue storage (SweepQueue::kHeap).
-  std::vector<HeapEntry> heap_;
-  // Dial queue storage (SweepQueue::kDial): entry arena, per-bucket chain
-  // heads, per-batch sort scratch, and the per-cell epoch slab. A completed
-  // drain leaves every bucket head at nil and the arena is cleared per
-  // sweep, so neither slab is re-initialized on the clean path; dial_dirty_
-  // flags an aborted sweep (exception mid-drain) that must re-fill heads.
+  // Dial queue storage: entry arena, per-bucket chain heads, per-batch sort
+  // scratch, and the per-cell epoch slab. A completed drain leaves every
+  // bucket head at nil and the arena is cleared per sweep, so neither slab
+  // is re-initialized on the clean path; dial_dirty_ flags an aborted sweep
+  // (exception mid-drain) that must re-fill heads.
   std::vector<DialEntry> dial_entries_;
   std::vector<DialEntry> dial_batch_;
   AlignedVector<std::int32_t> bucket_head_;
@@ -199,25 +184,12 @@ class FirePropagator {
                                const IgnitionMap& initial, double horizon_min,
                                PropagationWorkspace& workspace) const;
 
-  /// When true, the sweep runs the pre-optimization reference inner loop
-  /// (behavior + spread-rate trig per popped cell) instead of the
-  /// precomputed-field fast path. The two are bit-identical — the reference
-  /// path exists so equivalence tests and bench_hotpath can prove it.
-  void set_reference_sweep(bool reference) { reference_sweep_ = reference; }
-  bool reference_sweep() const { return reference_sweep_; }
-
-  /// Select the sweep's priority-queue discipline (default kDial). Both
-  /// queues are bit-identical on every path (reference / uniform / DEM);
-  /// the knob exists so equivalence tests and bench_sweep can measure both.
-  void set_sweep_queue(SweepQueue queue) { queue_ = queue; }
-  SweepQueue sweep_queue() const { return queue_; }
-
   /// Select the relax kernel (default simd::Mode::kAuto): the
   /// uniform-topography inner loop runs the AVX2 8-lane kernel when the
   /// mode resolves to it, the scalar oracle otherwise. Bit-identical either
   /// way (relax_kernel.hpp); requesting avx2 on a host without it falls
-  /// back to scalar. The reference sweep and the DEM path (per-direction
-  /// elliptical trig, not table lookups) always run scalar.
+  /// back to scalar. The DEM path (per-direction elliptical trig, not table
+  /// lookups) always runs scalar.
   void set_simd_mode(simd::Mode mode) {
     simd_mode_ = mode;
     simd_isa_ = simd::resolve(mode);
@@ -232,8 +204,6 @@ class FirePropagator {
                  double horizon_min, PropagationWorkspace& workspace) const;
 
   const FireSpreadModel* model_;
-  bool reference_sweep_ = false;
-  SweepQueue queue_ = SweepQueue::kDial;
   simd::Mode simd_mode_ = simd::Mode::kAuto;
   simd::Isa simd_isa_ = simd::resolve(simd::Mode::kAuto);
 };

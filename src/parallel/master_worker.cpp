@@ -9,8 +9,9 @@
 
 namespace essns::parallel {
 
-MasterWorker::MasterWorker(unsigned lanes, std::vector<int> cpus)
-    : cpus_(std::move(cpus)), processed_(lanes) {
+MasterWorker::MasterWorker(unsigned lanes, std::vector<int> cpus,
+                           std::string name)
+    : cpus_(std::move(cpus)), name_(std::move(name)), processed_(lanes) {
   ESSNS_REQUIRE(lanes >= 1, "need at least one worker");
   ESSNS_REQUIRE(cpus_.empty() || cpus_.size() == lanes,
                 "one CPU per lane, or none");
@@ -72,7 +73,7 @@ void MasterWorker::run_erased(std::size_t n, const void* fn, Invoke invoke) {
 
 void MasterWorker::lane_loop(unsigned lane) {
   // Label the lane in any current or future trace timeline.
-  obs::set_thread_name("sim-worker-" + std::to_string(lane + 1));
+  obs::set_thread_name(name_ + "-" + std::to_string(lane + 1));
   // A refused pin leaves the lane floating; it still serves every batch.
   if (lane < cpus_.size()) pin_current_thread(cpus_[lane]);
 

@@ -27,6 +27,7 @@
 #include <exception>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -37,8 +38,11 @@ namespace essns::parallel {
 class MasterWorker {
  public:
   /// `lanes` worker threads (>= 1). `cpus`, when not empty, holds one CPU
-  /// per lane; lane i pins itself to cpus[i] when it starts.
-  explicit MasterWorker(unsigned lanes, std::vector<int> cpus = {});
+  /// per lane; lane i pins itself to cpus[i] when it starts. Lane i is
+  /// named `<name>-<i+1>` in trace timelines, so pools that live side by
+  /// side (one per engine slot) pass distinct names.
+  explicit MasterWorker(unsigned lanes, std::vector<int> cpus = {},
+                        std::string name = "sim-worker");
   ~MasterWorker();
 
   MasterWorker(const MasterWorker&) = delete;
@@ -94,6 +98,7 @@ class MasterWorker {
   void lane_loop(unsigned lane);
 
   std::vector<int> cpus_;
+  std::string name_;
   Channel<Envelope> task_channel_;
   std::vector<std::atomic<std::size_t>> processed_;
   std::vector<std::thread> threads_;

@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <future>
-#include <mutex>
 
 #include "common/error.hpp"
 #include "ess/config.hpp"
-#include "obs/session.hpp"
-#include "parallel/thread_pool.hpp"
 
 namespace essns::service {
 std::size_t CampaignResult::succeeded() const {
@@ -160,67 +157,6 @@ CampaignResult CampaignScheduler::run(
 
   result.wall_seconds = wall.stop();
   if (shared) result.shared_cache_stats = engine.shared_cache()->stats();
-  return result;
-}
-
-CampaignResult CampaignScheduler::run_reference(
-    const std::vector<synth::Workload>& workloads) const {
-  const EngineConfig& knobs = config_.engine;
-  // Campaign-wide observability session: installs the recorder/registry
-  // before any job starts, uninstalls + writes the output files on the way
-  // out (the destructor covers the empty-workloads early return).
-  obs::ObsSession obs_session(knobs.trace_out, knobs.metrics_out,
-                              knobs.collect_metrics);
-
-  CampaignResult result;
-  result.job_concurrency = config_.job_concurrency(workloads.size());
-  result.workers_per_job = workers_per_job(workloads.size());
-  result.cache_policy = config_.spec.cache_policy;
-  result.jobs.resize(workloads.size());
-  if (workloads.empty()) return result;
-
-  // One byte-bounded cache for the whole campaign: every concurrent job's
-  // SimulationService probes and fills the same shards, so duplicate
-  // simulations are amortized across jobs, not just within one pipeline.
-  std::shared_ptr<cache::SharedScenarioCache> shared_cache;
-  if (config_.spec.cache_policy == cache::CachePolicy::kShared) {
-    shared_cache = knobs.shared_cache
-                       ? knobs.shared_cache
-                       : std::make_shared<cache::SharedScenarioCache>(
-                             knobs.cache_mem_bytes);
-    result.cache_mem_bytes = shared_cache->max_bytes();
-  }
-
-  obs::SpanTimer wall("campaign");
-
-  std::mutex done_mutex;
-  const auto run_one = [&](std::size_t i) {
-    result.jobs[i] = run_prediction_job(
-        workloads[i], i, config_.seed, result.workers_per_job, config_.spec,
-        simd::Mode::kAuto, parallel::NumaMode::kAuto,
-        firelib::SweepBackend::kScalar, shared_cache);
-    if (knobs.on_job_done) {
-      std::lock_guard lock(done_mutex);
-      knobs.on_job_done(result.jobs[i]);
-    }
-  };
-  if (result.job_concurrency <= 1) {
-    for (std::size_t i = 0; i < workloads.size(); ++i) run_one(i);
-  } else {
-    parallel::ThreadPool pool(result.job_concurrency);
-    std::vector<std::future<void>> pending;
-    pending.reserve(workloads.size());
-    for (std::size_t i = 0; i < workloads.size(); ++i)
-      pending.push_back(pool.submit([&run_one, i] { run_one(i); }));
-    for (auto& f : pending) f.get();
-  }
-
-  result.wall_seconds = wall.stop();
-  if (shared_cache) result.shared_cache_stats = shared_cache->stats();
-  // Export with job pipelines finished and the job pool joined (the pool,
-  // if any, was destroyed above); pipeline-internal sim pools joined when
-  // their jobs completed.
-  obs_session.finish();
   return result;
 }
 

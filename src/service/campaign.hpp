@@ -22,10 +22,7 @@
 //
 // run() is a thin client: it stands up a PredictionEngine sized for the
 // batch, submits every workload through the admission-controlled queue,
-// and collects the futures in submission order. run_reference() is a
-// scheduler twin that runs the same job body (run_prediction_job) on its
-// own ThreadPool and ObsSession, without the engine's queue — the oracle
-// the property tests byte-compare run() against.
+// and collects the futures in submission order.
 #pragma once
 
 #include <cstdint>
@@ -106,17 +103,8 @@ class CampaignScheduler {
   /// Run one PredictionJob per workload by submitting the whole batch
   /// through a campaign-lifetime PredictionEngine (queue sized to hold
   /// every job). Never throws for job-level failures; configuration errors
-  /// (e.g. an unknown method) throw before any job starts. Byte-identical
-  /// to run_reference() at the same seeds — the property the service tests
-  /// enforce.
+  /// (e.g. an unknown method) throw before any job starts.
   CampaignResult run(const std::vector<synth::Workload>& workloads) const;
-
-  /// The scheduler twin: the same job body on its own ThreadPool per run
-  /// (inline when one job runs at a time) and its own ObsSession, without
-  /// the engine's queue. Kept for the byte-identity property tests;
-  /// production callers use run().
-  CampaignResult run_reference(
-      const std::vector<synth::Workload>& workloads) const;
 
   /// Even split of total_workers over the jobs actually in flight
   /// (>= 1 per job).

@@ -1,6 +1,7 @@
 #include "service/engine.hpp"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include "cache/scenario_cache.hpp"
@@ -126,7 +127,8 @@ PredictionEngine::PredictionEngine(EngineConfig config)
         parallel::CpuAllocator::process().acquire(config_.job_slots, lanes);
     for (unsigned slot = 0; slot < config_.job_slots; ++slot)
       lanes_[slot] = std::make_unique<parallel::MasterWorker>(
-          lanes, lane_cpus_.slot_cpus(slot));
+          lanes, lane_cpus_.slot_cpus(slot),
+          "engine-slot-" + std::to_string(slot) + "/sim-worker");
   }
   slots_.reserve(config_.job_slots);
   for (unsigned slot = 0; slot < config_.job_slots; ++slot)

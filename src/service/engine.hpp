@@ -33,9 +33,9 @@
 // seed, index, spec) — see run_prediction_job() — so records are
 // bit-identical no matter which slot (or lane placement) ran the job, at
 // what priority, or how full the queue was. CampaignScheduler::run() is a
-// thin client of this class and is property-tested byte-identical against
-// run_reference(), a scheduler twin that runs the same job body on its own
-// pool (and job-local lanes). The same purity lets a client answer a
+// thin client of this class; the service tests byte-compare it against a
+// test-side scheduler twin that runs the same job body on its own pool (and
+// job-local lanes). The same purity lets a client answer a
 // repeated request from the record of the first one: serve::Server keeps
 // each tracked fire's last record and submits a job only for a horizon it
 // has not completed. A job carries nothing from earlier jobs beyond what

@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <utility>
+#include <unistd.h>
 #include <vector>
 
 #include "common/binary_io.hpp"
@@ -294,6 +298,53 @@ TEST(CacheIo, BurnedCellsPastTheGridRejected) {
 TEST(CacheIo, MissingFileThrowsIoError) {
   SharedScenarioCache target(1 << 20);
   EXPECT_THROW(load_cache(target, "/nonexistent/cache.snapshot"), IoError);
+}
+
+/// A scratch directory private to this test process, removed with it.
+struct ScratchDir {
+  ScratchDir()
+      : path(std::filesystem::temp_directory_path() /
+             ("essns_cache_io_" + std::to_string(::getpid()))) {
+    std::filesystem::remove_all(path);
+    std::filesystem::create_directories(path);
+  }
+  ~ScratchDir() { std::filesystem::remove_all(path); }
+  std::filesystem::path path;
+};
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+TEST(CacheIo, FailedSaveLeavesTheOldSnapshotIntact) {
+  const ScratchDir dir;
+  const std::string path = (dir.path / "cache.snapshot").string();
+  SharedScenarioCache old_cache(1 << 20);
+  fill_cache(old_cache, 6);
+  ASSERT_EQ(save_cache(old_cache, path), 6u);
+  const std::string before = file_bytes(path);
+  ASSERT_FALSE(before.empty());
+
+  // The temp file cannot be created: a directory sits at its name.
+  std::filesystem::create_directory(path + ".tmp");
+  SharedScenarioCache new_cache(1 << 20);
+  fill_cache(new_cache, 9, 7);
+  EXPECT_THROW(save_cache(new_cache, path), IoError);
+  EXPECT_EQ(file_bytes(path), before);
+  EXPECT_TRUE(std::filesystem::is_directory(path + ".tmp"));
+}
+
+TEST(CacheIo, SaveLeavesNoTempFileBehind) {
+  const ScratchDir dir;
+  const std::string path = (dir.path / "cache.snapshot").string();
+  SharedScenarioCache cache(1 << 20);
+  fill_cache(cache, 5);
+  for (int round = 0; round < 2; ++round) {  // create, then replace
+    ASSERT_EQ(save_cache(cache, path), 5u);
+    EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+    EXPECT_EQ(file_bytes(path), serialize(cache));
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@
 #include <fcntl.h>
 #include <fstream>
 #include <iterator>
+#include <set>
 #include <string>
 #include <sys/wait.h>
 #include <thread>
@@ -327,6 +328,37 @@ TEST(CliCampaign, SigintStillWritesReports) {
   EXPECT_NE(text.find("\"jobs\""), std::string::npos);
   std::remove(summary.c_str());
   std::remove(jsonl.c_str());
+}
+
+TEST(CliCampaign, TracedLanesCarryDistinctSlotNames) {
+  // Two engine slots with two lanes each: four lane threads, and the trace
+  // must tell every one of them apart.
+  const std::string trace = "cli_lane_names_trace.json";
+  std::remove(trace.c_str());
+  const RunResult run = run_cli(
+      {"campaign", "sizes=16", "steps=3", "generations=3", "population=8",
+       "offspring=8", "jsonl=none", "summary=none", "--jobs", "2",
+       "--workers", "4", "--trace", trace});
+  ASSERT_EQ(run.exit_code, 0) << run.err;
+
+  std::ifstream in(trace);
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  std::remove(trace.c_str());
+  // Thread-name metadata: {"ph": "M", "name": "thread_name", ...,
+  // "args": {"name": "<thread name>"}}, one per traced thread.
+  const std::string marker = "\"thread_name\"";
+  const std::string arg = "\"args\": {\"name\": \"";
+  std::vector<std::string> lanes;
+  for (std::size_t at = text.find(marker); at != std::string::npos;
+       at = text.find(marker, at + 1)) {
+    const std::size_t begin = text.find(arg, at) + arg.size();
+    const std::string name = text.substr(begin, text.find('"', begin) - begin);
+    if (name.find("sim-worker") != std::string::npos) lanes.push_back(name);
+  }
+  EXPECT_EQ(lanes.size(), 4u) << text.substr(0, 2000);
+  EXPECT_EQ(std::set<std::string>(lanes.begin(), lanes.end()).size(), 4u)
+      << text.substr(0, 2000);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include "common/error.hpp"
 #include "ess/fitness.hpp"
+#include "firelib/reference_propagator.hpp"
 #include "obs/metrics.hpp"
 #include "stage_oracles.hpp"
 #include "synth/ground_truth.hpp"
@@ -323,21 +324,17 @@ TEST_F(SimulationServiceTest, StepCacheSaturationIsObservable) {
 
 TEST_F(SimulationServiceTest, ReferenceKernelsMatchFastKernels) {
   // The service's fast sweep and word-wise Eq. (3) against the reference
-  // sweep (per-pop behavior + trig, binary heap) scored map by map.
+  // propagator (per-pop behavior + trig, binary heap) scored map by map.
   SimulationService fast(workload_.environment);
   fast.set_cache_policy(cache::CachePolicy::kOff);
   const firelib::FireSpreadModel spread_model;
-  firelib::FirePropagator reference(spread_model);
-  reference.set_reference_sweep(true);
-  reference.set_sweep_queue(firelib::SweepQueue::kHeap);
-  firelib::PropagationWorkspace workspace;
+  const firelib::oracle::ReferencePropagator reference(spread_model);
   const double end = truth_.step_minutes;
   const auto got = fast.fitness_batch(scenarios_, observations_, 1);
   ASSERT_EQ(got.size(), scenarios_.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
-    const firelib::IgnitionMap& map =
-        reference.propagate(workload_.environment, scenarios_[i],
-                            truth_.fire_lines[0], end, workspace);
+    const firelib::IgnitionMap map = reference.propagate(
+        workload_.environment, scenarios_[i], truth_.fire_lines[0], end);
     EXPECT_EQ(got[i], oracle::jaccard_at(truth_.fire_lines[1], map, end, 0.0));
   }
 }

@@ -5,6 +5,7 @@
 #include "common/error.hpp"
 #include "firelib/environment.hpp"
 #include "firelib/propagator.hpp"
+#include "reference_propagator.hpp"
 
 namespace essns::firelib {
 namespace {
@@ -157,7 +158,7 @@ TEST(PropagationWorkspaceTest, RejectsOutOfBoundsIgnition) {
 // The workspace keeps per-cell slope ratio / upslope azimuth slabs keyed by
 // FireEnvironment::topography_id(). Each case below drives ONE workspace
 // through a sequence that would expose a stale slab; every result must match
-// a fresh workspace and the reference sweep, under both queue disciplines.
+// a fresh workspace and the reference propagator.
 
 void fill_terrain(FireEnvironment& env, int variant) {
   const int rows = env.rows();
@@ -186,44 +187,34 @@ struct MemoStep {
   const IgnitionMap* start = nullptr;  ///< continuation when set
 };
 
-/// Runs `steps` through one shared workspace per queue discipline; returns
-/// the shared-workspace maps of the dial run.
+/// Runs `steps` through one shared workspace; returns the shared-workspace
+/// maps.
 std::vector<IgnitionMap> expect_memo_sequence_exact(
     const std::vector<MemoStep>& steps) {
   const FireSpreadModel model;
+  const FirePropagator fast(model);
+  const oracle::ReferencePropagator reference(model);
+  PropagationWorkspace shared;
   std::vector<IgnitionMap> results;
-  for (const SweepQueue queue : {SweepQueue::kHeap, SweepQueue::kDial}) {
-    FirePropagator fast(model);
-    fast.set_sweep_queue(queue);
-    FirePropagator reference(model);
-    reference.set_reference_sweep(true);
-    reference.set_sweep_queue(queue);
-    PropagationWorkspace shared;
-    results.clear();
-    for (std::size_t i = 0; i < steps.size(); ++i) {
-      const MemoStep& step = steps[i];
-      const FireEnvironment& env = *step.env;
-      const std::vector<CellIndex> ignition{{env.rows() / 2, env.cols() / 3}};
-      IgnitionMap got, fresh, want;
-      if (step.start) {
-        got = fast.propagate(env, step.scenario, *step.start, step.horizon,
-                             shared);
-        fresh = fast.propagate(env, step.scenario, *step.start, step.horizon);
-        want = reference.propagate(env, step.scenario, *step.start,
-                                   step.horizon);
-      } else {
-        got = fast.propagate(env, step.scenario, ignition, step.horizon,
-                             shared);
-        fresh = fast.propagate(env, step.scenario, ignition, step.horizon);
-        want = reference.propagate(env, step.scenario, ignition,
-                                   step.horizon);
-      }
-      EXPECT_EQ(got, fresh) << "step " << i << " queue "
-                            << static_cast<int>(queue);
-      EXPECT_EQ(got, want) << "step " << i << " queue "
-                           << static_cast<int>(queue);
-      results.push_back(std::move(got));
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    const MemoStep& step = steps[i];
+    const FireEnvironment& env = *step.env;
+    const std::vector<CellIndex> ignition{{env.rows() / 2, env.cols() / 3}};
+    IgnitionMap got, fresh, want;
+    if (step.start) {
+      got = fast.propagate(env, step.scenario, *step.start, step.horizon,
+                           shared);
+      fresh = fast.propagate(env, step.scenario, *step.start, step.horizon);
+      want = reference.propagate(env, step.scenario, *step.start,
+                                 step.horizon);
+    } else {
+      got = fast.propagate(env, step.scenario, ignition, step.horizon, shared);
+      fresh = fast.propagate(env, step.scenario, ignition, step.horizon);
+      want = reference.propagate(env, step.scenario, ignition, step.horizon);
     }
+    EXPECT_EQ(got, fresh) << "step " << i;
+    EXPECT_EQ(got, want) << "step " << i;
+    results.push_back(std::move(got));
   }
   return results;
 }

@@ -14,6 +14,7 @@
 #include "common/units.hpp"
 #include "firelib/environment.hpp"
 #include "firelib/propagator.hpp"
+#include "reference_propagator.hpp"
 #include "rothermel_oracle.hpp"
 
 namespace essns::firelib {
@@ -128,9 +129,7 @@ TEST(RothermelSplitTest, DemSweepStillRejectsNegativeInputs) {
   const FireEnvironment flat_ok = hill_env(16, 12.0);
   const FireEnvironment dug_in = hill_env(16, -5.0);
 
-  for (const bool reference : {false, true}) {
-    FirePropagator propagator(model);
-    propagator.set_reference_sweep(reference);
+  const auto expect_checks = [&](const auto& propagator) {
     EXPECT_NO_THROW(propagator.propagate(flat_ok, ok, ignition, 60.0));
     EXPECT_THROW(propagator.propagate(flat_ok, wet, ignition, 60.0),
                  InvalidArgument);
@@ -138,7 +137,9 @@ TEST(RothermelSplitTest, DemSweepStillRejectsNegativeInputs) {
                  InvalidArgument);
     EXPECT_THROW(propagator.propagate(dug_in, ok, ignition, 60.0),
                  InvalidArgument);
-  }
+  };
+  expect_checks(FirePropagator(model));
+  expect_checks(oracle::ReferencePropagator(model));
 }
 
 }  // namespace

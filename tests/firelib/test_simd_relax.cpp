@@ -2,11 +2,11 @@
 // 8-lane kernel must reproduce the scalar oracle exactly — at the kernel
 // level (same admission mask, same arrival bits) and through whole sweeps
 // (identical ignition maps AND identical push order, which the dial queue's
-// epoch mechanism makes observable) — across heap/dial queues,
-// uniform/fuel-mosaic/DEM terrains, point and continuation seeding, and the
-// whole default campaign catalog. On hosts without AVX2 the vector-specific
-// tests skip with a notice; mode resolution and the scalar fallback are
-// still exercised.
+// epoch mechanism makes observable), both equal to the reference propagator
+// — across uniform/fuel-mosaic/DEM terrains, point and continuation seeding,
+// and the whole default campaign catalog. On hosts without AVX2 the
+// vector-specific tests skip with a notice; mode resolution and the scalar
+// fallback are still exercised.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -18,39 +18,17 @@
 #include "firelib/propagator.hpp"
 #include "firelib/relax_kernel.hpp"
 #include "firelib/scenario.hpp"
+#include "reference_propagator.hpp"
+#include "sweep_fixtures.hpp"
 #include "synth/catalog.hpp"
 
 namespace essns::firelib {
 namespace {
 
-FireEnvironment uniform_env(int size) {
-  return FireEnvironment(size, size, 100.0);
-}
-
-FireEnvironment fuel_mosaic_env(int size) {
-  FireEnvironment env(size, size, 100.0);
-  Grid<std::uint8_t> fuel(size, size, 1);
-  for (int r = 0; r < size; ++r)
-    for (int c = 0; c < size; ++c) {
-      const int code = (r * 7 + c * 3) % 15;
-      fuel(r, c) = static_cast<std::uint8_t>(code > 13 ? 0 : code);  // 0 = rock
-    }
-  env.set_fuel_map(std::move(fuel));
-  return env;
-}
-
-FireEnvironment dem_env(int size) {
-  FireEnvironment env(size, size, 100.0);
-  Grid<double> slope(size, size, 0.0);
-  Grid<double> aspect(size, size, 0.0);
-  for (int r = 0; r < size; ++r)
-    for (int c = 0; c < size; ++c) {
-      slope(r, c) = (r * 13 + c * 5) % 40;
-      aspect(r, c) = (r * 31 + c * 17) % 360;
-    }
-  env.set_topography(std::move(slope), std::move(aspect));
-  return env;
-}
+using fixtures::calm_scenario;
+using fixtures::dem_env;
+using fixtures::fuel_mosaic_env;
+using fixtures::uniform_env;
 
 bool host_has_avx2() { return simd::detected_isa() == simd::Isa::kAvx2; }
 
@@ -112,53 +90,47 @@ TEST(SimdRelaxKernelTest, Avx2MatchesScalarOracleOnRandomLanes) {
   }
 }
 
-/// AVX2 and scalar sweeps over the same inputs must be bit-identical, under
-/// both queue disciplines, from point ignitions and continuation maps. The
-/// reference path ignores the mode knob by design; included to prove the
-/// knob cannot disturb it.
+/// AVX2 and scalar sweeps over the same inputs must be bit-identical to
+/// each other and to the reference propagator, from point ignitions and
+/// continuation maps.
 void expect_simd_matches(const FireEnvironment& env) {
   const FireSpreadModel model;
-  for (const SweepQueue queue : {SweepQueue::kHeap, SweepQueue::kDial}) {
-    for (const bool reference : {false, true}) {
-      FirePropagator scalar(model);
-      scalar.set_sweep_queue(queue);
-      scalar.set_reference_sweep(reference);
-      scalar.set_simd_mode(simd::Mode::kScalar);
-      FirePropagator vector(model);
-      vector.set_sweep_queue(queue);
-      vector.set_reference_sweep(reference);
-      vector.set_simd_mode(simd::Mode::kAvx2);
+  FirePropagator scalar(model);
+  scalar.set_simd_mode(simd::Mode::kScalar);
+  FirePropagator vector(model);
+  vector.set_simd_mode(simd::Mode::kAvx2);
+  const oracle::ReferencePropagator reference(model);
 
-      const auto& space = ScenarioSpace::table1();
-      Rng rng(4242);
-      PropagationWorkspace scalar_ws, vector_ws;
-      for (int trial = 0; trial < 12; ++trial) {
-        const Scenario scenario = space.sample(rng);
-        const double horizon = rng.uniform(10.0, 300.0);
-        const std::vector<CellIndex> ignition{
-            {static_cast<int>(rng.uniform_int(0, env.rows() - 1)),
-             static_cast<int>(rng.uniform_int(0, env.cols() - 1))}};
+  const auto& space = ScenarioSpace::table1();
+  Rng rng(4242);
+  PropagationWorkspace scalar_ws, vector_ws;
+  for (int trial = 0; trial < 12; ++trial) {
+    const Scenario scenario = space.sample(rng);
+    const double horizon = rng.uniform(10.0, 300.0);
+    const std::vector<CellIndex> ignition{
+        {static_cast<int>(rng.uniform_int(0, env.rows() - 1)),
+         static_cast<int>(rng.uniform_int(0, env.cols() - 1))}};
 
-        const IgnitionMap& from_scalar =
-            scalar.propagate(env, scenario, ignition, horizon, scalar_ws);
-        const IgnitionMap& from_vector =
-            vector.propagate(env, scenario, ignition, horizon, vector_ws);
-        ASSERT_EQ(from_scalar, from_vector)
-            << (queue == SweepQueue::kHeap ? "heap" : "dial") << "/"
-            << (reference ? "reference" : "fast") << " trial " << trial
-            << " scenario " << scenario.to_string();
+    const IgnitionMap& from_scalar =
+        scalar.propagate(env, scenario, ignition, horizon, scalar_ws);
+    ASSERT_EQ(from_scalar,
+              vector.propagate(env, scenario, ignition, horizon, vector_ws))
+        << "trial " << trial << " scenario " << scenario.to_string();
+    ASSERT_EQ(from_scalar,
+              reference.propagate(env, scenario, ignition, horizon))
+        << "trial " << trial << " scenario " << scenario.to_string();
 
-        // Continue from the scalar result with a fresh scenario: many
-        // finite seeds at once, the widest frontier the kernel sees.
-        const Scenario next = space.sample(rng);
-        const IgnitionMap start = from_scalar;
-        ASSERT_EQ(
-            scalar.propagate(env, next, start, horizon + 60.0, scalar_ws),
-            vector.propagate(env, next, start, horizon + 60.0, vector_ws))
-            << (queue == SweepQueue::kHeap ? "heap" : "dial")
-            << " continuation trial " << trial;
-      }
-    }
+    // Continue from the scalar result with a fresh scenario: many finite
+    // seeds at once, the widest frontier the kernel sees.
+    const Scenario next = space.sample(rng);
+    const IgnitionMap start = from_scalar;
+    const IgnitionMap& continued =
+        scalar.propagate(env, next, start, horizon + 60.0, scalar_ws);
+    ASSERT_EQ(continued,
+              vector.propagate(env, next, start, horizon + 60.0, vector_ws))
+        << "continuation trial " << trial;
+    ASSERT_EQ(continued, reference.propagate(env, next, start, horizon + 60.0))
+        << "continuation trial " << trial;
   }
 }
 
@@ -174,7 +146,7 @@ TEST(SimdRelaxSweepTest, FuelMosaicScalarMatchesAvx2) {
 
 TEST(SimdRelaxSweepTest, DemScalarMatchesAvx2) {
   if (!host_has_avx2()) GTEST_SKIP() << "host has no AVX2+FMA";
-  expect_simd_matches(dem_env(24));
+  expect_simd_matches(dem_env(24, /*with_fuel=*/false));
 }
 
 TEST(SimdRelaxSweepTest, TieHeavyCalmSpreadMatches) {
@@ -187,13 +159,7 @@ TEST(SimdRelaxSweepTest, TieHeavyCalmSpreadMatches) {
   FirePropagator vector(model);
   vector.set_simd_mode(simd::Mode::kAvx2);
   const FireEnvironment env = uniform_env(41);
-  Scenario s;
-  s.model = 1;
-  s.wind_speed = 0.0;
-  s.m1 = 5.0;
-  s.m10 = 6.0;
-  s.m100 = 8.0;
-  s.mherb = 40.0;
+  const Scenario s = calm_scenario();
   const std::vector<CellIndex> many{
       {0, 0}, {0, 40}, {40, 0}, {40, 40}, {20, 20}};
   EXPECT_EQ(scalar.propagate(env, s, many, 240.0),

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "reference_scheduler.hpp"
 #include "service/report.hpp"
 #include "synth/catalog.hpp"
 
@@ -138,8 +139,9 @@ TEST(CampaignScheduler, RecordsTheConcurrencyItRanAt) {
   config.engine.job_slots = 8;
   config.engine.total_workers = 4;
   const CampaignScheduler scheduler(config);
-  for (const CampaignResult& result :
-       {scheduler.run(workloads), scheduler.run_reference(workloads)}) {
+  for (const CampaignResult& result : {scheduler.run(workloads),
+                                       oracle::run_reference(scheduler,
+                                                             workloads)}) {
     EXPECT_EQ(result.job_concurrency, 2u);
     EXPECT_EQ(result.workers_per_job, 2u);
     EXPECT_NE(campaign_summary_json(result).find(

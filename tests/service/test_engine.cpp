@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "reference_scheduler.hpp"
 #include "service/campaign.hpp"
 #include "service/report.hpp"
 #include "service/signals.hpp"
@@ -96,8 +97,9 @@ class SlotGate {
 
 // ---------------------------------------------------------------------------
 // The tentpole property: CampaignScheduler::run() (thin client of the
-// engine) is byte-identical to run_reference() (the retained pre-engine
-// scheduling loop) across worker counts x job concurrency x cache policy.
+// engine) is byte-identical to oracle::run_reference() (the scheduler twin
+// in reference_scheduler.hpp) across worker counts x job concurrency x cache
+// policy.
 // ---------------------------------------------------------------------------
 
 TEST(PredictionEngine, CampaignViaEngineMatchesReferenceByteForByte) {
@@ -126,7 +128,7 @@ TEST(PredictionEngine, CampaignViaEngineMatchesReferenceByteForByte) {
 
     const std::string via_engine = canonical_reports(scheduler.run(workloads));
     const std::string reference =
-        canonical_reports(scheduler.run_reference(workloads));
+        canonical_reports(oracle::run_reference(scheduler, workloads));
     EXPECT_EQ(via_engine, reference)
         << "engine-backed campaign diverged at workers=" << combo.workers
         << " jobs=" << combo.jobs
@@ -146,7 +148,8 @@ TEST(PredictionEngine, ConcurrentSharedCacheCampaignMatchesReferenceResults) {
   const CampaignScheduler scheduler(config);
 
   const CampaignResult via_engine = scheduler.run(workloads);
-  const CampaignResult reference = scheduler.run_reference(workloads);
+  const CampaignResult reference =
+      oracle::run_reference(scheduler, workloads);
   ASSERT_EQ(via_engine.jobs.size(), reference.jobs.size());
   for (std::size_t i = 0; i < reference.jobs.size(); ++i) {
     const JobRecord& a = via_engine.jobs[i];
