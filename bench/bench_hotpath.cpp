@@ -18,7 +18,8 @@
 //                duplicate-heavy batch shaped like GA populations;
 //                reported twice: cache on (the shipping configuration) and
 //                cache off (isolating the pure kernel speedup);
-//   novelty      scores/sec of evaluate_novelty, 1-D fast path vs generic;
+//   novelty      scores/sec of evaluate_novelty (sorted 1-D window) vs the
+//                test-side generic k-NN oracle (tests/core/novelty_oracle.hpp);
 //   cache        hit-rate of the scenario cache on the duplicate-heavy batch.
 //
 // Every compared pair is also checked for bit-identical results before
@@ -34,6 +35,7 @@
 #include "common/rng.hpp"
 #include "common/stopwatch.hpp"
 #include "core/novelty.hpp"
+#include "core/novelty_oracle.hpp"
 #include "ess/fitness.hpp"
 #include "ess/simulation_service.hpp"
 #include "firelib/propagator.hpp"
@@ -265,14 +267,10 @@ int main(int argc, char** argv) {
       fitness.reference_seconds, fitness.fast_seconds, fitness.speedup(),
       evals_per_sec, cache_hit_rate, fitness_kernel.speedup());
 
-  // --- Novelty: 1-D fast path vs generic k-NN scoring. ---------------------
+  // --- Novelty: sorted 1-D window vs the generic k-NN oracle. -------------
   KernelTiming novelty;
   std::size_t novelty_scored = 0;
   {
-    const core::BehaviorDistance generic =
-        [](const ea::Individual& a, const ea::Individual& b) {
-          return core::fitness_distance(a, b);
-        };
     std::vector<ea::Individual> pop;
     for (std::size_t i = 0; i < novelty_pop; ++i) {
       ea::Individual ind;
@@ -290,7 +288,7 @@ int main(int argc, char** argv) {
     std::vector<ea::Individual> fast_pop = pop;
     std::vector<ea::Individual> slow_pop = pop;
     core::evaluate_novelty(fast_pop, reference, 10);
-    core::evaluate_novelty(slow_pop, reference, 10, generic);
+    core::oracle::evaluate_novelty(slow_pop, reference, 10);
     for (std::size_t i = 0; i < pop.size(); ++i)
       if (fast_pop[i].novelty != slow_pop[i].novelty) all_identical = false;
 
@@ -302,7 +300,7 @@ int main(int argc, char** argv) {
     novelty.fast_seconds = watch.elapsed_seconds();
     watch.reset();
     for (int round = 0; round < novelty_rounds; ++round)
-      core::evaluate_novelty(slow_pop, reference, 10, generic);
+      core::oracle::evaluate_novelty(slow_pop, reference, 10);
     novelty.reference_seconds = watch.elapsed_seconds();
   }
   const double scores_per_sec =

@@ -1,6 +1,7 @@
 // EXP-B2 — novelty-score micro-benchmarks: cost of Eq. (1) as the reference
 // set (population + offspring + archive) and the neighbourhood size k grow.
-// The k-NN scan is the only super-linear term NS adds over a plain GA, so
+// The neighbour search (a sort of the reference fitnesses plus a k-window
+// per individual) is the only super-linear term NS adds over a plain GA, so
 // this bounds the overhead of the paradigm switch.
 #include <benchmark/benchmark.h>
 
@@ -23,36 +24,24 @@ std::vector<ea::Individual> random_set(std::size_t n, std::size_t dim,
   return out;
 }
 
-void BM_NoveltyScoreFitnessDistance(benchmark::State& state) {
+void BM_NoveltyScoreOneIndividual(benchmark::State& state) {
   Rng rng(1);
   const auto reference =
       random_set(static_cast<std::size_t>(state.range(0)), 9, rng);
-  const auto subject = random_set(1, 9, rng);
+  auto subject = random_set(1, 9, rng);
   const int k = static_cast<int>(state.range(1));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::novelty_score(subject[0], reference, k));
+    core::evaluate_novelty(subject, reference, k);
+    benchmark::DoNotOptimize(subject);
   }
 }
-BENCHMARK(BM_NoveltyScoreFitnessDistance)
+BENCHMARK(BM_NoveltyScoreOneIndividual)
     ->Args({64, 10})
     ->Args({256, 10})
     ->Args({1024, 10})
     ->Args({256, 3})
     ->Args({256, 50})
     ->Args({256, 0});  // whole-set variant
-
-void BM_NoveltyScoreGenotypic(benchmark::State& state) {
-  Rng rng(2);
-  const auto reference =
-      random_set(static_cast<std::size_t>(state.range(0)), 9, rng);
-  const auto subject = random_set(1, 9, rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::novelty_score(subject[0], reference, 10,
-                                                 core::genotypic_distance));
-  }
-}
-BENCHMARK(BM_NoveltyScoreGenotypic)->Arg(256)->Arg(1024);
 
 void BM_EvaluateNoveltyWholePopulation(benchmark::State& state) {
   // The full lines-12-14 loop of Algorithm 1 for one generation.

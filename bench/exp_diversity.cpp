@@ -78,7 +78,7 @@ int main() {
     cfg.offspring_count = kPop;
     ea::StopCondition ns_stop = stop;
     core::run_ns_ga(cfg, firelib::kParamCount, evaluate, ns_stop, rng,
-                    core::fitness_distance, run.recorder.observer());
+                    run.recorder.observer());
     runs.push_back(std::move(run));
   }
 

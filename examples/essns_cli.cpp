@@ -192,7 +192,8 @@ void print_help() {
       "  search keys (every mode; a value out of bounds is a usage error):\n"
       "    method generations (>= 1) fitness_threshold (finite)\n"
       "    population (>= 2) offspring (>= 1) novelty_k (>= 0; 0 = all\n"
-      "    neighbours) islands (>= 1)\n"
+      "    neighbours) islands (>= 1); essim-de needs population >= 4 and\n"
+      "    ess-ga offspring >= 2\n"
       "  methods:");
   for (const auto& m : ess::SearchSpec::known_methods())
     std::printf(" %s", m.c_str());

@@ -14,91 +14,20 @@ double fitness_distance(const ea::Individual& a, const ea::Individual& b) {
   return std::fabs(a.fitness - b.fitness);
 }
 
-double genotypic_distance(const ea::Individual& a, const ea::Individual& b) {
-  return ea::genome_distance(a.genome, b.genome);
-}
-
-double descriptor_distance(const ea::Individual& a, const ea::Individual& b) {
-  ESSNS_REQUIRE(!a.descriptor.empty() && a.descriptor.size() == b.descriptor.size(),
-                "descriptor distance needs equal-dimension descriptors");
-  double acc = 0.0;
-  for (std::size_t i = 0; i < a.descriptor.size(); ++i) {
-    const double d = a.descriptor[i] - b.descriptor[i];
-    acc += d * d;
-  }
-  return std::sqrt(acc);
-}
-
-BehaviorDistance blended_distance(double fitness_weight) {
-  ESSNS_REQUIRE(fitness_weight >= 0.0 && fitness_weight <= 1.0,
-                "blend weight in [0,1]");
-  return [fitness_weight](const ea::Individual& a, const ea::Individual& b) {
-    return fitness_weight * fitness_distance(a, b) +
-           (1.0 - fitness_weight) * genotypic_distance(a, b);
+void evaluate_novelty(std::span<ea::Individual> pop,
+                      std::span<const ea::Individual> reference, int k) {
+  const auto evaluated = [](const ea::Individual& ind) {
+    return ind.evaluated();
   };
-}
+  ESSNS_REQUIRE(std::all_of(reference.begin(), reference.end(), evaluated) &&
+                    std::all_of(pop.begin(), pop.end(), evaluated),
+                "fitness distance needs evaluated individuals");
 
-double novelty_score(const ea::Individual& x,
-                     std::span<const ea::Individual> reference, int k,
-                     const BehaviorDistance& dist) {
-  std::vector<double> distances;
-  distances.reserve(reference.size());
-  // Algorithm 1 scores each individual against noveltySet = population ∪
-  // offspring ∪ archive, which contains the individual itself. Skip exactly
-  // one self occurrence (by value, since noveltySet is a copy) so the
-  // individual's own zero distance does not consume one of the k slots.
-  bool skipped_self = false;
-  for (const ea::Individual& ref : reference) {
-    if (!skipped_self && &ref == &x) {
-      skipped_self = true;
-      continue;
-    }
-    if (!skipped_self && ref.evaluated() && x.evaluated() &&
-        ref.fitness == x.fitness && ref.genome == x.genome) {
-      skipped_self = true;
-      continue;
-    }
-    distances.push_back(dist(x, ref));
-  }
-  if (distances.empty()) return 0.0;
-
-  std::size_t kk = k <= 0 ? distances.size()
-                          : std::min<std::size_t>(static_cast<std::size_t>(k),
-                                                  distances.size());
-  std::partial_sort(distances.begin(),
-                    distances.begin() + static_cast<std::ptrdiff_t>(kk),
-                    distances.end());
-  double sum = 0.0;
-  for (std::size_t i = 0; i < kk; ++i) sum += distances[i];
-  return sum / static_cast<double>(kk);
-}
-
-namespace {
-
-/// Fast path for the paper's 1-D fitness distance: sort the reference
-/// fitnesses once, then find each individual's k nearest neighbours with a
-/// two-pointer window around its insertion point. The window distances are
-/// re-sorted ascending before summing, reproducing the generic path's
-/// partial_sort accumulation order bit for bit.
-///
-/// Returns false (leaving pop untouched) when a precondition fails — an
-/// unevaluated individual — so the caller falls back to the generic path,
-/// which raises the same errors the fast path would otherwise skip.
-bool evaluate_novelty_fitness_1d(std::span<ea::Individual> pop,
-                                 std::span<const ea::Individual> reference,
-                                 int k) {
-  if (reference.empty()) {
-    for (ea::Individual& ind : pop) ind.novelty = 0.0;
-    return true;
-  }
-  for (const ea::Individual& ref : reference)
-    if (!ref.evaluated()) return false;
-  for (const ea::Individual& ind : pop)
-    if (!ind.evaluated()) return false;
-
-  const std::size_t ref_count = reference.size();
   // (fitness, reference index) sorted by fitness; the index recovers the
-  // genome for the self-skip check on exact-fitness ties.
+  // genome for the self-skip check on exact-fitness ties. The window
+  // distances are re-sorted ascending before summing, so the sum runs in
+  // the order of a generic partial_sort over all distances.
+  const std::size_t ref_count = reference.size();
   std::vector<std::pair<double, std::size_t>> sorted;
   sorted.reserve(ref_count);
   for (std::size_t i = 0; i < ref_count; ++i)
@@ -111,10 +40,10 @@ bool evaluate_novelty_fitness_1d(std::span<ea::Individual> pop,
   for (ea::Individual& x : pop) {
     const double fx = x.fitness;
 
-    // novelty_score skips exactly one self occurrence: by address when x
-    // lives inside the reference span, else by (fitness, genome) equality.
-    // Every skip candidate has distance 0, so which one is skipped never
-    // changes the distance multiset — only whether one fx entry is removed.
+    // Skip exactly one self occurrence: by address when x lives inside the
+    // reference span, else by (fitness, genome) equality. Every skip
+    // candidate has distance 0, so which one is skipped never changes the
+    // distance multiset — only whether one fx entry is removed.
     const std::less<const ea::Individual*> before;
     bool skip_self = !before(&x, ref_begin) && before(&x, ref_end);
     const auto lower = std::lower_bound(
@@ -145,8 +74,8 @@ bool evaluate_novelty_fitness_1d(std::span<ea::Individual> pop,
     while (window.size() < kk) {
       const bool has_left = left > 0;
       const bool has_right = right < ref_count;
-      // |fx - f| computed as the same IEEE subtraction magnitude the generic
-      // path's fabs produces.
+      // |fx - f| as the same IEEE subtraction magnitude fitness_distance's
+      // fabs produces.
       const double left_dist = has_left ? fx - sorted[left - 1].first : 0.0;
       const double right_dist = has_right ? sorted[right].first - fx : 0.0;
       if (has_left && (!has_right || left_dist <= right_dist)) {
@@ -162,25 +91,6 @@ bool evaluate_novelty_fitness_1d(std::span<ea::Individual> pop,
     for (const double d : window) sum += d;
     x.novelty = sum / static_cast<double>(kk);
   }
-  return true;
-}
-
-}  // namespace
-
-bool is_fitness_distance(const BehaviorDistance& dist) {
-  using Fn = double (*)(const ea::Individual&, const ea::Individual&);
-  const Fn* target = dist.target<Fn>();
-  return target != nullptr && *target == &fitness_distance;
-}
-
-void evaluate_novelty(std::span<ea::Individual> pop,
-                      std::span<const ea::Individual> reference, int k,
-                      const BehaviorDistance& dist) {
-  if (is_fitness_distance(dist) &&
-      evaluate_novelty_fitness_1d(pop, reference, k))
-    return;
-  for (ea::Individual& ind : pop)
-    ind.novelty = novelty_score(ind, reference, k, dist);
 }
 
 }  // namespace essns::core

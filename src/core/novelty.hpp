@@ -8,64 +8,35 @@
 // the signed form in the paper is a typo — a k-NN search under a signed
 // "distance" would simply pick the worst-fitness individuals).
 //
-// Two alternative behaviour characterizations anticipated by the paper's
-// future-work section are provided: genotypic distance (Euclidean in genome
-// space) and a user-supplied behaviour-descriptor distance.
+// Because Eq. (2) is one-dimensional, the k nearest neighbours of x are a
+// contiguous window of the sorted reference fitnesses; evaluate_novelty
+// scores that way. The generic k-NN scorer it must reproduce bit for bit is
+// the test oracle tests/core/novelty_oracle.hpp.
 #pragma once
 
-#include <functional>
 #include <span>
 
 #include "ea/individual.hpp"
 
 namespace essns::core {
 
-/// Behaviour distance between two individuals; must be symmetric and >= 0.
-using BehaviorDistance =
-    std::function<double(const ea::Individual&, const ea::Individual&)>;
-
 /// Eq. (2): |fitness(x) - fitness(mu)| — the paper's distance.
 double fitness_distance(const ea::Individual& a, const ea::Individual& b);
 
-/// Euclidean distance between genomes (a genotypic variant).
-double genotypic_distance(const ea::Individual& a, const ea::Individual& b);
-
-/// Euclidean distance between behaviour descriptors (Individual::descriptor).
-/// Both individuals must carry descriptors of equal dimension — this is the
-/// "characterization of the behavior" distance of §II-C for richer,
-/// simulator-derived behaviour spaces (see ess::burn_descriptor).
-double descriptor_distance(const ea::Individual& a, const ea::Individual& b);
-
-/// Blend: w * fitness distance + (1 - w) * genotypic distance.
-BehaviorDistance blended_distance(double fitness_weight);
-
-/// Eq. (1): mean distance from `x` to its k nearest neighbours within
-/// `reference`. `x` itself is skipped when it appears in the reference set
-/// (identified by address), matching evaluateNovelty in Algorithm 1 where
-/// noveltySet contains the individual being scored.
+/// Eq. (1) for every individual of `pop` against `reference` (Algorithm 1,
+/// lines 12-14), writing Individual::novelty in place. Every individual
+/// involved must be evaluated.
 ///
-/// k is clamped to the available neighbour count; k <= 0 selects the
-/// whole-reference-set variant mentioned in §II-C ("the entire population
-/// can also be used").
-double novelty_score(const ea::Individual& x,
-                     std::span<const ea::Individual> reference, int k,
-                     const BehaviorDistance& dist = fitness_distance);
-
-/// True when `dist` wraps the plain fitness_distance function pointer — the
-/// paper's 1-D behaviour distance. evaluate_novelty uses this to dispatch to
-/// the sorted two-pointer fast path.
-bool is_fitness_distance(const BehaviorDistance& dist);
-
-/// Scores every individual of `pop` against `reference` (Algorithm 1,
-/// lines 12-14), writing Individual::novelty in place.
+/// Like evaluateNovelty in Algorithm 1, whose noveltySet contains the
+/// individual being scored, exactly one self occurrence is skipped: by
+/// address when x lives inside `reference`, else the first reference with
+/// x's fitness and genome. k is clamped to the available neighbour count;
+/// k <= 0 selects the whole-reference-set variant of §II-C ("the entire
+/// population can also be used").
 ///
-/// When `dist` is the paper's 1-D fitness distance (Eq. 2) and every
-/// individual involved is evaluated, this runs a fast path: reference
-/// fitnesses are sorted once and each individual is scored with a two-pointer
-/// k-window — O((N+R)·log R) total instead of O(N·R·log k). Scores are
-/// bit-identical to the generic path (tested).
+/// Reference fitnesses are sorted once and each individual is scored with a
+/// two-pointer k-window: O((N+R)·log R) in all.
 void evaluate_novelty(std::span<ea::Individual> pop,
-                      std::span<const ea::Individual> reference, int k,
-                      const BehaviorDistance& dist = fitness_distance);
+                      std::span<const ea::Individual> reference, int k);
 
 }  // namespace essns::core

@@ -3,76 +3,22 @@
 #include <algorithm>
 
 #include "common/error.hpp"
+#include "core/novelty.hpp"
 #include "ea/operators.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace essns::core {
-namespace {
-
-// Selection scores for generateOffspring: pure novelty by default, or the
-// hybrid weighted sum when fitness_blend_weight > 0. Scores are min-max
-// normalized per component so the blend weight is meaningful.
-std::vector<double> selection_scores(const ea::Population& pop, double w) {
-  std::vector<double> scores(pop.size());
-  if (w <= 0.0) {
-    for (std::size_t i = 0; i < pop.size(); ++i) scores[i] = pop[i].novelty;
-    return scores;
-  }
-  auto normalized = [&](auto get) {
-    double lo = std::numeric_limits<double>::infinity();
-    double hi = -lo;
-    for (const auto& ind : pop) {
-      lo = std::min(lo, get(ind));
-      hi = std::max(hi, get(ind));
-    }
-    std::vector<double> out(pop.size());
-    const double span = hi - lo;
-    for (std::size_t i = 0; i < pop.size(); ++i)
-      out[i] = span > 0.0 ? (get(pop[i]) - lo) / span : 0.0;
-    return out;
-  };
-  const auto fit = normalized([](const ea::Individual& i) { return i.fitness; });
-  const auto nov = normalized([](const ea::Individual& i) { return i.novelty; });
-  for (std::size_t i = 0; i < pop.size(); ++i)
-    scores[i] = w * fit[i] + (1.0 - w) * nov[i];
-  return scores;
+void validate(const NsGaConfig& config) {
+  ESSNS_REQUIRE(config.population_size >= 2, "NS-GA population >= 2");
+  ESSNS_REQUIRE(config.offspring_count >= 1, "NS-GA offspring >= 1");
 }
-
-void batch_evaluate(ea::Population& pop, const ea::BatchEvaluator& evaluate,
-                    const DescriptorFn& descriptor, std::size_t& evaluations) {
-  std::vector<ea::Genome> genomes;
-  std::vector<std::size_t> indices;
-  for (std::size_t i = 0; i < pop.size(); ++i) {
-    if (!pop[i].evaluated()) {
-      genomes.push_back(pop[i].genome);
-      indices.push_back(i);
-    }
-  }
-  if (genomes.empty()) return;
-  const std::vector<double> fitness = evaluate(genomes);
-  ESSNS_REQUIRE(fitness.size() == genomes.size(),
-                "evaluator must return one fitness per genome");
-  for (std::size_t j = 0; j < indices.size(); ++j) {
-    pop[indices[j]].fitness = fitness[j];
-    if (descriptor)
-      pop[indices[j]].descriptor = descriptor(pop[indices[j]].genome);
-  }
-  evaluations += genomes.size();
-}
-
-}  // namespace
 
 NsGaResult run_ns_ga(const NsGaConfig& config, std::size_t dim,
                      const ea::BatchEvaluator& evaluate,
                      const ea::StopCondition& stop, Rng& rng,
-                     const BehaviorDistance& dist,
                      const ea::GenerationObserver& observer) {
-  ESSNS_REQUIRE(config.population_size >= 2, "NS-GA population >= 2");
-  ESSNS_REQUIRE(config.offspring_count >= 1, "NS-GA offspring >= 1");
-  ESSNS_REQUIRE(config.fitness_blend_weight >= 0.0 &&
-                    config.fitness_blend_weight <= 1.0,
-                "fitness blend weight in [0,1]");
+  validate(config);
 
   NsGaResult result;
   // Lines 1-5: initialization.
@@ -81,7 +27,7 @@ NsGaResult run_ns_ga(const NsGaConfig& config, std::size_t dim,
   NoveltyArchive archive(config.archive, rng.split(0x5eed)());
   BestSet best_set(config.best_set_capacity);
 
-  batch_evaluate(population, evaluate, config.descriptor, result.evaluations);
+  result.evaluations += ea::evaluate_pending(population, evaluate);
   best_set.update(population);  // seed bestSet so maxFitness is defined
 
   int generations = 0;
@@ -91,35 +37,19 @@ NsGaResult run_ns_ga(const NsGaConfig& config, std::size_t dim,
   while (!stop.done(generations, best_set.max_fitness())) {
     ESSNS_TRACE_SPAN("os.generation");
     obs::add_counter("os.generations", 1);
-    // Line 7: generateOffspring — roulette selection on the novelty-based
-    // score (0 for everyone in generation 0, i.e. uniform), crossover cR,
-    // per-gene mutation mR.
-    const std::vector<double> scores =
-        selection_scores(population, config.fitness_blend_weight);
-    ea::Population offspring;
-    offspring.reserve(config.offspring_count);
-    while (offspring.size() < config.offspring_count) {
-      const std::size_t ia = ea::roulette_select(scores, rng);
-      const std::size_t ib = ea::roulette_select(scores, rng);
-      ea::Genome c1 = population[ia].genome;
-      ea::Genome c2 = population[ib].genome;
-      if (rng.bernoulli(config.crossover_rate))
-        std::tie(c1, c2) = ea::uniform_crossover(c1, c2, rng);
-      ea::gaussian_mutation(c1, config.mutation_rate, config.mutation_sigma,
-                            rng);
-      ea::gaussian_mutation(c2, config.mutation_rate, config.mutation_sigma,
-                            rng);
-      ea::Individual child1, child2;
-      child1.genome = std::move(c1);
-      child2.genome = std::move(c2);
-      offspring.push_back(std::move(child1));
-      if (offspring.size() < config.offspring_count)
-        offspring.push_back(std::move(child2));
-    }
+    // Line 7: generateOffspring — roulette selection on novelty (0 for
+    // everyone in generation 0, i.e. uniform), crossover cR, per-gene
+    // mutation mR.
+    std::vector<double> scores(population.size());
+    for (std::size_t i = 0; i < population.size(); ++i)
+      scores[i] = population[i].novelty;
+    ea::Population offspring = ea::generate_offspring(
+        population, scores, config.offspring_count, config.crossover_rate,
+        config.mutation_rate, config.mutation_sigma, rng);
 
     // Lines 8-10: fitness of population ∪ offspring (population is already
     // evaluated; the batch evaluator call is the parallelized simulation).
-    batch_evaluate(offspring, evaluate, config.descriptor, result.evaluations);
+    result.evaluations += ea::evaluate_pending(offspring, evaluate);
 
     // Line 11: noveltySet <- population ∪ offspring ∪ archive.
     std::vector<ea::Individual> novelty_set;
@@ -130,8 +60,8 @@ NsGaResult run_ns_ga(const NsGaConfig& config, std::size_t dim,
                        archive.items().end());
 
     // Lines 12-14: novelty of every individual in population ∪ offspring.
-    evaluate_novelty(population, novelty_set, config.novelty_k, dist);
-    evaluate_novelty(offspring, novelty_set, config.novelty_k, dist);
+    evaluate_novelty(population, novelty_set, config.novelty_k);
+    evaluate_novelty(offspring, novelty_set, config.novelty_k);
 
     // Line 15: archive update with the most novel offspring.
     archive.update(offspring);

@@ -23,19 +23,15 @@
 //
 // Differences from a fitness GA are exactly the ones the paper highlights:
 // selection and replacement read Individual::novelty, never fitness; fitness
-// is only recorded into bestSet, which is the algorithm's output.
+// is only recorded into bestSet, which is the algorithm's output. Novelty is
+// Eq. (1) over the fitness distance of Eq. (2) (core/novelty.hpp), the only
+// behaviour characterization the paper evaluates.
 #pragma once
 
 #include "core/archive.hpp"
-#include "core/novelty.hpp"
 #include "ea/individual.hpp"
 
 namespace essns::core {
-
-/// Optional behaviour-descriptor computation: called once per evaluated
-/// individual; the result lands in Individual::descriptor so
-/// descriptor_distance can drive the novelty score.
-using DescriptorFn = std::function<std::vector<double>(const ea::Genome&)>;
 
 struct NsGaConfig {
   std::size_t population_size = 32;   ///< N
@@ -46,16 +42,6 @@ struct NsGaConfig {
   int novelty_k = 10;                 ///< k of Eq. (1); <= 0 = whole set
   ArchiveConfig archive;              ///< archive policy (paper: novelty-ranked)
   std::size_t best_set_capacity = 32; ///< |bestSet|
-  /// Optional hybridization (paper §II-C, "weighted sums between fitness and
-  /// novelty-based goals", Cuccu & Gomez 2011): selection score =
-  /// w * normalized fitness + (1 - w) * normalized novelty. The paper's
-  /// baseline is pure novelty, i.e. w = 0.
-  double fitness_blend_weight = 0.0;
-  /// When set, fills Individual::descriptor after each evaluation (pair it
-  /// with core::descriptor_distance as `dist`). Adds one call per evaluated
-  /// individual — for simulator-backed descriptors this re-simulates, so
-  /// budget accordingly.
-  DescriptorFn descriptor;
 };
 
 struct NsGaResult {
@@ -67,11 +53,13 @@ struct NsGaResult {
   std::size_t evaluations = 0;
 };
 
+/// Throw InvalidArgument unless `config` can run (N >= 2, m >= 1).
+void validate(const NsGaConfig& config);
+
 /// Run Algorithm 1, maximizing `evaluate` over [0,1]^dim.
 NsGaResult run_ns_ga(const NsGaConfig& config, std::size_t dim,
                      const ea::BatchEvaluator& evaluate,
                      const ea::StopCondition& stop, Rng& rng,
-                     const BehaviorDistance& dist = fitness_distance,
                      const ea::GenerationObserver& observer = nullptr);
 
 }  // namespace essns::core

@@ -9,10 +9,7 @@
 
 namespace essns::ea {
 
-DeResult run_de(const DeConfig& config, std::size_t dim,
-                const BatchEvaluator& evaluate, const StopCondition& stop,
-                Rng& rng, const GenerationObserver& observer,
-                const TuningHook& tuning, const Population* initial) {
+void validate(const DeConfig& config) {
   ESSNS_REQUIRE(config.population_size >= 4,
                 "DE needs at least 4 individuals (target + 3 donors)");
   ESSNS_REQUIRE(config.differential_weight > 0.0 &&
@@ -20,31 +17,20 @@ DeResult run_de(const DeConfig& config, std::size_t dim,
                 "DE weight F in (0,2]");
   ESSNS_REQUIRE(config.crossover_rate >= 0.0 && config.crossover_rate <= 1.0,
                 "DE crossover rate in [0,1]");
+}
 
+DeResult run_de(const DeConfig& config, std::size_t dim,
+                const BatchEvaluator& evaluate, const StopCondition& stop,
+                Rng& rng, const GenerationObserver& observer,
+                const TuningHook& tuning, const Population* initial) {
+  validate(config);
   ESSNS_REQUIRE(!initial || initial->size() == config.population_size,
                 "initial population size must match config");
 
   DeResult result;
   Population pop =
       initial ? *initial : random_population(config.population_size, dim, rng);
-  {
-    std::vector<Genome> genomes;
-    std::vector<std::size_t> indices;
-    for (std::size_t i = 0; i < pop.size(); ++i) {
-      if (!pop[i].evaluated()) {
-        genomes.push_back(pop[i].genome);
-        indices.push_back(i);
-      }
-    }
-    if (!genomes.empty()) {
-      const auto fitness = evaluate(genomes);
-      ESSNS_REQUIRE(fitness.size() == genomes.size(),
-                    "evaluator must return one fitness per genome");
-      for (std::size_t j = 0; j < indices.size(); ++j)
-        pop[indices[j]].fitness = fitness[j];
-      result.evaluations += genomes.size();
-    }
-  }
+  result.evaluations += evaluate_pending(pop, evaluate);
   result.best = pop[argmax_fitness(pop)];
 
   int generation = 0;
@@ -102,22 +88,7 @@ DeResult run_de(const DeConfig& config, std::size_t dim,
     if (tuning && tuning(generation, pop)) {
       ++result.tuning_events;
       // Tuning may have injected unevaluated individuals; evaluate them.
-      std::vector<Genome> genomes;
-      std::vector<std::size_t> indices;
-      for (std::size_t i = 0; i < pop.size(); ++i) {
-        if (!pop[i].evaluated()) {
-          genomes.push_back(pop[i].genome);
-          indices.push_back(i);
-        }
-      }
-      if (!genomes.empty()) {
-        const auto fitness = evaluate(genomes);
-        ESSNS_REQUIRE(fitness.size() == genomes.size(),
-                      "evaluator must return one fitness per genome");
-        for (std::size_t j = 0; j < indices.size(); ++j)
-          pop[indices[j]].fitness = fitness[j];
-        result.evaluations += genomes.size();
-      }
+      result.evaluations += evaluate_pending(pop, evaluate);
     }
     if (observer) observer(generation, pop);
   }

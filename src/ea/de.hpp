@@ -34,6 +34,10 @@ struct DeResult {
   int tuning_events = 0;
 };
 
+/// Throw InvalidArgument unless `config` can run (population >= 4, the
+/// target plus three donors; F in (0,2]; CR in [0,1]).
+void validate(const DeConfig& config);
+
 /// Run DE: maximize `evaluate` over [0,1]^dim. Out-of-range trial vectors are
 /// reflected back into the unit box.
 /// `initial`, when non-null, seeds the population (size must match config);

@@ -16,42 +16,27 @@ std::vector<double> fitnesses_of(const Population& pop) {
   return out;
 }
 
-void evaluate_population(Population& pop, const BatchEvaluator& evaluate,
-                         std::size_t& evaluations) {
-  std::vector<Genome> genomes;
-  std::vector<std::size_t> indices;
-  for (std::size_t i = 0; i < pop.size(); ++i) {
-    if (!pop[i].evaluated()) {
-      genomes.push_back(pop[i].genome);
-      indices.push_back(i);
-    }
-  }
-  if (genomes.empty()) return;
-  const std::vector<double> fitness = evaluate(genomes);
-  ESSNS_REQUIRE(fitness.size() == genomes.size(),
-                "evaluator must return one fitness per genome");
-  for (std::size_t j = 0; j < indices.size(); ++j)
-    pop[indices[j]].fitness = fitness[j];
-  evaluations += genomes.size();
-}
-
 }  // namespace
+
+void validate(const GaConfig& config) {
+  ESSNS_REQUIRE(config.population_size >= 2, "GA population >= 2");
+  ESSNS_REQUIRE(config.offspring_count >= 2, "GA offspring >= 2");
+  ESSNS_REQUIRE(config.elite_count < config.population_size,
+                "elite count must be below population size");
+}
 
 GaResult run_ga(const GaConfig& config, std::size_t dim,
                 const BatchEvaluator& evaluate, const StopCondition& stop,
                 Rng& rng, const GenerationObserver& observer,
                 const Population* initial) {
-  ESSNS_REQUIRE(config.population_size >= 2, "GA population >= 2");
-  ESSNS_REQUIRE(config.offspring_count >= 2, "GA offspring >= 2");
-  ESSNS_REQUIRE(config.elite_count < config.population_size,
-                "elite count must be below population size");
+  validate(config);
   ESSNS_REQUIRE(!initial || initial->size() == config.population_size,
                 "initial population size must match config");
 
   GaResult result;
   Population pop =
       initial ? *initial : random_population(config.population_size, dim, rng);
-  evaluate_population(pop, evaluate, result.evaluations);
+  result.evaluations += evaluate_pending(pop, evaluate);
   result.best = pop[argmax_fitness(pop)];
 
   int generation = 0;
@@ -61,26 +46,10 @@ GaResult run_ga(const GaConfig& config, std::size_t dim,
     ESSNS_TRACE_SPAN("os.generation");
     obs::add_counter("os.generations", 1);
     // --- Selection + reproduction (generateOffspring). ---
-    const std::vector<double> scores = fitnesses_of(pop);
-    Population offspring;
-    offspring.reserve(config.offspring_count);
-    while (offspring.size() < config.offspring_count) {
-      const std::size_t ia = roulette_select(scores, rng);
-      const std::size_t ib = roulette_select(scores, rng);
-      Genome c1 = pop[ia].genome;
-      Genome c2 = pop[ib].genome;
-      if (rng.bernoulli(config.crossover_rate))
-        std::tie(c1, c2) = uniform_crossover(c1, c2, rng);
-      gaussian_mutation(c1, config.mutation_rate, config.mutation_sigma, rng);
-      gaussian_mutation(c2, config.mutation_rate, config.mutation_sigma, rng);
-      Individual child1, child2;
-      child1.genome = std::move(c1);
-      child2.genome = std::move(c2);
-      offspring.push_back(std::move(child1));
-      if (offspring.size() < config.offspring_count)
-        offspring.push_back(std::move(child2));
-    }
-    evaluate_population(offspring, evaluate, result.evaluations);
+    Population offspring = generate_offspring(
+        pop, fitnesses_of(pop), config.offspring_count, config.crossover_rate,
+        config.mutation_rate, config.mutation_sigma, rng);
+    result.evaluations += evaluate_pending(offspring, evaluate);
 
     // --- Elitist generational replacement: keep the elite parents, fill the
     // rest with the best offspring. ---

@@ -24,6 +24,10 @@ struct GaResult {
   std::size_t evaluations = 0;
 };
 
+/// Throw InvalidArgument unless `config` can run (population >= 2,
+/// offspring >= 2, elite_count < population).
+void validate(const GaConfig& config);
+
 /// Run the GA: maximize `evaluate` over [0,1]^dim.
 ///
 /// The observer, when provided, is called after every generation with the

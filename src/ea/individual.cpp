@@ -16,6 +16,24 @@ Population random_population(std::size_t size, std::size_t dim, Rng& rng) {
   return pop;
 }
 
+std::size_t evaluate_pending(Population& pop, const BatchEvaluator& evaluate) {
+  std::vector<Genome> genomes;
+  std::vector<std::size_t> indices;
+  for (std::size_t i = 0; i < pop.size(); ++i) {
+    if (!pop[i].evaluated()) {
+      genomes.push_back(pop[i].genome);
+      indices.push_back(i);
+    }
+  }
+  if (genomes.empty()) return 0;
+  const std::vector<double> fitness = evaluate(genomes);
+  ESSNS_REQUIRE(fitness.size() == genomes.size(),
+                "evaluator must return one fitness per genome");
+  for (std::size_t j = 0; j < indices.size(); ++j)
+    pop[indices[j]].fitness = fitness[j];
+  return genomes.size();
+}
+
 double genome_distance(const Genome& a, const Genome& b) {
   ESSNS_REQUIRE(a.size() == b.size(), "genome dimensions must match");
   double acc = 0.0;

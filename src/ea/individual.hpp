@@ -21,10 +21,6 @@ struct Individual {
   Genome genome;
   double fitness = std::numeric_limits<double>::quiet_NaN();
   double novelty = 0.0;
-  /// Optional behaviour descriptor (empty = none). Novelty search variants
-  /// that characterize behaviour beyond the paper's Eq. (2) — e.g. burn-map
-  /// features — store it here; core::descriptor_distance consumes it.
-  std::vector<double> descriptor;
 
   bool evaluated() const { return !std::isnan(fitness); }
 };
@@ -56,8 +52,11 @@ struct StopCondition {
 /// Uniform random population in [0,1]^d.
 Population random_population(std::size_t size, std::size_t dim, Rng& rng);
 
-/// Euclidean distance between genomes (used by genotypic diversity metrics
-/// and the genotypic behaviour distance).
+/// Evaluate every unevaluated individual of `pop` in one `evaluate` call
+/// (lines 8-10 of Algorithm 1); returns how many were evaluated.
+std::size_t evaluate_pending(Population& pop, const BatchEvaluator& evaluate);
+
+/// Euclidean distance between genomes (genotypic diversity metrics).
 double genome_distance(const Genome& a, const Genome& b);
 
 /// Highest fitness in the population; -inf when empty or unevaluated.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <tuple>
 
 #include "common/error.hpp"
 
@@ -77,6 +78,31 @@ void gaussian_mutation(Genome& genome, double rate, double sigma, Rng& rng) {
   ESSNS_REQUIRE(sigma >= 0.0, "mutation sigma non-negative");
   for (double& g : genome)
     if (rng.bernoulli(rate)) g = reflect_unit(g + rng.normal(0.0, sigma));
+}
+
+Population generate_offspring(const Population& parents,
+                              std::span<const double> scores,
+                              std::size_t count, double crossover_rate,
+                              double mutation_rate, double mutation_sigma,
+                              Rng& rng) {
+  Population offspring;
+  offspring.reserve(count);
+  while (offspring.size() < count) {
+    const std::size_t ia = roulette_select(scores, rng);
+    const std::size_t ib = roulette_select(scores, rng);
+    Genome c1 = parents[ia].genome;
+    Genome c2 = parents[ib].genome;
+    if (rng.bernoulli(crossover_rate))
+      std::tie(c1, c2) = uniform_crossover(c1, c2, rng);
+    gaussian_mutation(c1, mutation_rate, mutation_sigma, rng);
+    gaussian_mutation(c2, mutation_rate, mutation_sigma, rng);
+    Individual child1, child2;
+    child1.genome = std::move(c1);
+    child2.genome = std::move(c2);
+    offspring.push_back(std::move(child1));
+    if (offspring.size() < count) offspring.push_back(std::move(child2));
+  }
+  return offspring;
 }
 
 void uniform_reset_mutation(Genome& genome, double rate, Rng& rng) {

@@ -38,6 +38,17 @@ void gaussian_mutation(Genome& genome, double rate, double sigma, Rng& rng);
 /// Per-gene uniform reset mutation with probability `rate`.
 void uniform_reset_mutation(Genome& genome, double rate, Rng& rng);
 
+/// generateOffspring of the GA and NS-GA: `count` children, bred in pairs
+/// from two roulette draws on `scores` (fitness for the GA, novelty for
+/// NS-GA), recombined by uniform crossover with probability
+/// `crossover_rate`, then gaussian-mutated gene by gene. An odd count drops
+/// the last pair's second child.
+Population generate_offspring(const Population& parents,
+                              std::span<const double> scores,
+                              std::size_t count, double crossover_rate,
+                              double mutation_rate, double mutation_sigma,
+                              Rng& rng);
+
 /// Reflect `value` into [0,1] (handles overshoot of any magnitude).
 double reflect_unit(double value);
 

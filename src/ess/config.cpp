@@ -5,33 +5,10 @@
 
 #include "common/error.hpp"
 #include "common/parse.hpp"
-#include "core/ns_de.hpp"
 #include "obs/session.hpp"
 
 namespace essns::ess {
 namespace {
-
-// NS-DE packaged as an Optimizer (the §IV alternate-metaheuristic variant).
-class NsDeOptimizer final : public Optimizer {
- public:
-  explicit NsDeOptimizer(core::NsDeConfig config) : config_(config) {}
-  std::string name() const override { return "ESS-NS(DE)"; }
-  OptimizationOutcome optimize(std::size_t dim,
-                               const ea::BatchEvaluator& evaluate,
-                               const ea::StopCondition& stop,
-                               Rng& rng) override {
-    core::NsDeResult r = core::run_ns_de(config_, dim, evaluate, stop, rng);
-    OptimizationOutcome out;
-    out.solutions = std::move(r.best_set);
-    if (!out.solutions.empty()) out.best = out.solutions.front();
-    out.generations = r.generations;
-    out.evaluations = r.evaluations;
-    return out;
-  }
-
- private:
-  core::NsDeConfig config_;
-};
 
 std::string trim(const std::string& s) {
   const auto begin = s.find_first_not_of(" \t\r");
@@ -44,8 +21,8 @@ std::string trim(const std::string& s) {
 
 const std::vector<std::string>& SearchSpec::known_methods() {
   static const std::vector<std::string> methods{
-      "ess-ga",  "essim-ea", "essim-de", "essim-de-tuned",
-      "ess-ns",  "ns-de",    "essim-monitor"};
+      "ess-ga", "essim-ea", "essim-de", "essim-de-tuned", "ess-ns",
+      "essim-monitor"};
   return methods;
 }
 
@@ -104,7 +81,10 @@ void validate_job_search(const SearchSpec& spec) {
       {"novelty_k", std::to_string(spec.novelty_k)},
       {"islands", std::to_string(spec.islands)}};
   for (const auto& [key, value] : fields) set_search_key(probe, key, value);
-  (void)make_optimizer(spec);  // throws for essim-monitor
+  // Throws for essim-monitor, and for a search the method cannot run (DE
+  // population < 4, GA offspring < 2): each optimizer checks its config
+  // when it is built.
+  (void)make_optimizer(spec);
 }
 
 RunSpec parse_run_spec(std::istream& in) {
@@ -159,6 +139,9 @@ RunSpec parse_run_spec(std::istream& in) {
   ESSNS_REQUIRE(spec.workload == "plains" || spec.workload == "hills" ||
                     spec.workload == "wind_shift",
                 "unknown workload: " + spec.workload);
+  // essim-monitor is no Optimizer; its islands size themselves to meet the
+  // GA floors.
+  if (spec.search.method != "essim-monitor") validate_job_search(spec.search);
   return spec;
 }
 
@@ -194,12 +177,6 @@ std::unique_ptr<Optimizer> make_optimizer(const SearchSpec& spec) {
     opt.de.population_size = spec.population;
     opt.with_tuning = spec.method == "essim-de-tuned";
     return std::make_unique<DeOptimizer>(opt);
-  }
-  if (spec.method == "ns-de") {
-    core::NsDeConfig cfg;
-    cfg.population_size = spec.population;
-    cfg.novelty_k = spec.novelty_k;
-    return std::make_unique<NsDeOptimizer>(cfg);
   }
   if (spec.method == "ess-ns") {
     core::NsGaConfig cfg;

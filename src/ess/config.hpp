@@ -12,7 +12,7 @@
 //   trace      Chrome trace-event JSON output path, or none (none)
 //   metrics_out  metrics JSON output path, or none   (none)
 // plus the search keys of set_search_key, shared with campaigns and serve:
-//   method     ess-ga | essim-ea | essim-de | essim-de-tuned | ess-ns | ns-de
+//   method     ess-ga | essim-ea | essim-de | essim-de-tuned | ess-ns
 //              | essim-monitor                    (ess-ns)
 //   generations        integer >= 1               (30)
 //   fitness_threshold  finite number              (0.95)
@@ -64,9 +64,10 @@ struct SearchSpec {
 bool set_search_key(SearchSpec& spec, const std::string& key,
                     const std::string& value);
 
-/// Throw InvalidArgument unless `spec` is within set_search_key's bounds
-/// and names an Optimizer method (essim-monitor is not one): the admission
-/// check of campaigns and the prediction engine.
+/// Throw InvalidArgument unless `spec` is within set_search_key's bounds,
+/// names an Optimizer method (essim-monitor is not one) and meets that
+/// method's own floors (DE population >= 4, GA offspring >= 2): the
+/// admission check of run specs, campaigns and the prediction engine.
 void validate_job_search(const SearchSpec& spec);
 
 struct RunSpec {
@@ -84,7 +85,8 @@ struct RunSpec {
 };
 
 /// Parse "key=value" lines. Unknown keys or malformed values throw
-/// InvalidArgument naming the offending line.
+/// InvalidArgument naming the offending line; so does a search the method
+/// cannot run (validate_job_search).
 RunSpec parse_run_spec(std::istream& in);
 RunSpec parse_run_spec(const std::string& text);
 

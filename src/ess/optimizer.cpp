@@ -6,7 +6,9 @@
 
 namespace essns::ess {
 
-GaOptimizer::GaOptimizer(ea::GaConfig config) : config_(config) {}
+GaOptimizer::GaOptimizer(ea::GaConfig config) : config_(config) {
+  ea::validate(config_);
+}
 
 OptimizationOutcome GaOptimizer::optimize(std::size_t dim,
                                           const ea::BatchEvaluator& evaluate,
@@ -23,7 +25,9 @@ OptimizationOutcome GaOptimizer::optimize(std::size_t dim,
 
 DeOptimizer::DeOptimizer() : DeOptimizer(Options{}) {}
 
-DeOptimizer::DeOptimizer(Options options) : options_(options) {}
+DeOptimizer::DeOptimizer(Options options) : options_(options) {
+  ea::validate(options_.de);
+}
 
 OptimizationOutcome DeOptimizer::optimize(std::size_t dim,
                                           const ea::BatchEvaluator& evaluate,
@@ -72,16 +76,16 @@ OptimizationOutcome DeOptimizer::optimize(std::size_t dim,
   return out;
 }
 
-NsGaOptimizer::NsGaOptimizer(core::NsGaConfig config,
-                             core::BehaviorDistance dist)
-    : config_(config), dist_(std::move(dist)) {}
+NsGaOptimizer::NsGaOptimizer(core::NsGaConfig config) : config_(config) {
+  core::validate(config_);
+}
 
 OptimizationOutcome NsGaOptimizer::optimize(std::size_t dim,
                                             const ea::BatchEvaluator& evaluate,
                                             const ea::StopCondition& stop,
                                             Rng& rng) {
   core::NsGaResult result =
-      core::run_ns_ga(config_, dim, evaluate, stop, rng, dist_);
+      core::run_ns_ga(config_, dim, evaluate, stop, rng);
   OptimizationOutcome out;
   out.solutions = std::move(result.best_set);
   if (!out.solutions.empty()) out.best = out.solutions.front();

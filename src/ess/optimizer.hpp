@@ -6,6 +6,10 @@
 // the paper: ESS (classic GA), ESSIM-EA (island GA), ESSIM-DE (differential
 // evolution, with and without tuning) and ESS-NS (the NS-GA of Algorithm 1).
 //
+// Each constructor checks its metaheuristic's config (ea::validate,
+// core::validate), so a setting the search can never run with is refused
+// when the optimizer is built, not when its first prediction starts.
+//
 // An optimizer returns its *solution set* — the scenarios the Statistical
 // Stage aggregates. What that set is differs per system and is exactly the
 // design point the paper argues about:
@@ -88,8 +92,7 @@ class DeOptimizer final : public Optimizer {
 /// ESS-NS: the paper's Algorithm 1; solution set = bestSet.
 class NsGaOptimizer final : public Optimizer {
  public:
-  explicit NsGaOptimizer(core::NsGaConfig config = {},
-                         core::BehaviorDistance dist = core::fitness_distance);
+  explicit NsGaOptimizer(core::NsGaConfig config = {});
   std::string name() const override { return "ESS-NS"; }
   OptimizationOutcome optimize(std::size_t dim,
                                const ea::BatchEvaluator& evaluate,
@@ -98,7 +101,6 @@ class NsGaOptimizer final : public Optimizer {
 
  private:
   core::NsGaConfig config_;
-  core::BehaviorDistance dist_;
 };
 
 }  // namespace essns::ess

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "core/novelty_oracle.hpp"
 
 namespace essns::core {
 namespace {
@@ -12,6 +13,16 @@ ea::Individual make(double fitness, ea::Genome genome = {0.5}) {
   ind.genome = std::move(genome);
   ind.fitness = fitness;
   return ind;
+}
+
+/// Eq. (1) for one individual through evaluate_novelty, checked bit for bit
+/// against the generic k-NN oracle.
+double novelty_score(const ea::Individual& x,
+                     const std::vector<ea::Individual>& reference, int k) {
+  std::vector<ea::Individual> pop{x};
+  evaluate_novelty(pop, reference, k);
+  EXPECT_EQ(pop[0].novelty, oracle::novelty_score(x, reference, k));
+  return pop[0].novelty;
 }
 
 TEST(FitnessDistanceTest, AbsoluteDifference) {
@@ -24,25 +35,6 @@ TEST(FitnessDistanceTest, RequiresEvaluated) {
   ea::Individual unevaluated;
   unevaluated.genome = {0.5};
   EXPECT_THROW(fitness_distance(make(0.5), unevaluated), InvalidArgument);
-}
-
-TEST(GenotypicDistanceTest, MatchesGenomeDistance) {
-  const auto a = make(0.1, {0.0, 0.0});
-  const auto b = make(0.9, {3.0, 4.0});
-  EXPECT_DOUBLE_EQ(genotypic_distance(a, b), 5.0);
-}
-
-TEST(BlendedDistanceTest, EndpointsMatchComponents) {
-  const auto a = make(0.2, {0.0, 0.0});
-  const auto b = make(0.6, {0.3, 0.4});
-  EXPECT_DOUBLE_EQ(blended_distance(1.0)(a, b), 0.4);   // pure fitness
-  EXPECT_DOUBLE_EQ(blended_distance(0.0)(a, b), 0.5);   // pure genotype
-  EXPECT_NEAR(blended_distance(0.5)(a, b), 0.45, 1e-12);
-}
-
-TEST(BlendedDistanceTest, RejectsBadWeight) {
-  EXPECT_THROW(blended_distance(-0.1), InvalidArgument);
-  EXPECT_THROW(blended_distance(1.1), InvalidArgument);
 }
 
 TEST(NoveltyScoreTest, MeanOfKNearestFitnessDistances) {
@@ -106,15 +98,6 @@ TEST(NoveltyScoreTest, OutlierScoresHigherThanClusterMember) {
             novelty_score(member, cluster, 5));
 }
 
-TEST(NoveltyScoreTest, GenotypicDistanceVariant) {
-  const auto x = make(0.5, {0.0, 0.0});
-  std::vector<ea::Individual> refs{make(0.5, {1.0, 0.0}),
-                                   make(0.5, {0.0, 2.0})};
-  // Fitness distance would be 0; genotypic is (1 + 2) / 2.
-  EXPECT_DOUBLE_EQ(novelty_score(x, refs, 2, genotypic_distance), 1.5);
-  EXPECT_DOUBLE_EQ(novelty_score(x, refs, 2, fitness_distance), 0.0);
-}
-
 TEST(EvaluateNoveltyTest, ScoresWholePopulationInPlace) {
   std::vector<ea::Individual> pop{make(0.1, {0.1}), make(0.5, {0.5}),
                                   make(0.9, {0.9})};
@@ -125,26 +108,10 @@ TEST(EvaluateNoveltyTest, ScoresWholePopulationInPlace) {
   for (const auto& ind : pop) EXPECT_NEAR(ind.novelty, 0.4, 1e-12);
 }
 
-TEST(IsFitnessDistanceTest, DetectsThePlainFunctionPointer) {
-  EXPECT_TRUE(is_fitness_distance(fitness_distance));
-  EXPECT_FALSE(is_fitness_distance(genotypic_distance));
-  // A lambda wrapping the same computation is NOT the fast-path trigger —
-  // tests use this to force the generic path.
-  EXPECT_FALSE(is_fitness_distance(
-      [](const ea::Individual& a, const ea::Individual& b) {
-        return fitness_distance(a, b);
-      }));
-  EXPECT_FALSE(is_fitness_distance(blended_distance(1.0)));
-}
-
-// The 1-D fast path (sorted fitnesses + two-pointer k-window) must reproduce
-// the generic path bit for bit: same multiset of neighbour distances, same
-// ascending accumulation order, same self-skip semantics.
+// The sorted 1-D window (sorted fitnesses + two-pointer k-window) must
+// reproduce the generic k-NN oracle bit for bit: same multiset of neighbour
+// distances, same ascending accumulation order, same self-skip semantics.
 TEST(EvaluateNoveltyTest, FastPathMatchesGenericBitwise) {
-  const BehaviorDistance generic =
-      [](const ea::Individual& a, const ea::Individual& b) {
-        return fitness_distance(a, b);
-      };
   Rng rng(314);
   for (int trial = 0; trial < 100; ++trial) {
     const std::size_t pop_size = 1 + rng.uniform_int(0, 19);
@@ -171,8 +138,8 @@ TEST(EvaluateNoveltyTest, FastPathMatchesGenericBitwise) {
 
     std::vector<ea::Individual> fast = pop;
     std::vector<ea::Individual> slow = pop;
-    evaluate_novelty(fast, reference, k);           // dispatches to fast path
-    evaluate_novelty(slow, reference, k, generic);  // wrapped -> generic
+    evaluate_novelty(fast, reference, k);
+    oracle::evaluate_novelty(slow, reference, k);
     for (std::size_t i = 0; i < pop.size(); ++i)
       ASSERT_EQ(fast[i].novelty, slow[i].novelty)
           << "trial " << trial << " individual " << i << " k " << k;
@@ -181,23 +148,20 @@ TEST(EvaluateNoveltyTest, FastPathMatchesGenericBitwise) {
 
 TEST(EvaluateNoveltyTest, FastPathHandlesPopAliasingReference) {
   // When the caller passes the same storage as pop and reference, the
-  // address-based self-skip must engage in both paths.
+  // address-based self-skip must engage in the library and the oracle.
   std::vector<ea::Individual> pop{make(0.1, {0.1}), make(0.5, {0.5}),
                                   make(0.5, {0.6}), make(0.9, {0.9})};
   std::vector<ea::Individual> slow = pop;
   const std::vector<ea::Individual> slow_ref = slow;
   evaluate_novelty(pop, {pop.data(), pop.size()}, 2);
-  evaluate_novelty(slow, slow_ref, 2,
-                   [](const ea::Individual& a, const ea::Individual& b) {
-                     return fitness_distance(a, b);
-                   });
+  oracle::evaluate_novelty(slow, slow_ref, 2);
   for (std::size_t i = 0; i < pop.size(); ++i)
     EXPECT_EQ(pop[i].novelty, slow[i].novelty) << i;
 }
 
 TEST(EvaluateNoveltyTest, FastPathFallsBackOnUnevaluated) {
-  // An unevaluated reference individual must still raise through the generic
-  // path instead of being silently skipped by the fast path.
+  // An unevaluated reference individual has no Eq. (2) distance: it must
+  // raise, not be silently skipped by the sorted window.
   std::vector<ea::Individual> pop{make(0.5, {0.5})};
   std::vector<ea::Individual> reference{make(0.2, {0.2})};
   reference.push_back({});  // unevaluated

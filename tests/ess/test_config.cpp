@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <sstream>
 
 #include "common/error.hpp"
 
@@ -209,6 +210,29 @@ TEST(RunSpecTest, KnownMethodsListMatchesFactory) {
       EXPECT_NE(make_optimizer(spec.search), nullptr) << method;
     }
   }
+}
+
+TEST(RunSpecTest, RefusesASearchTheMethodCannotRun) {
+  // DE needs a target plus three donors; the GA breeds in pairs and keeps
+  // two elites. Each is refused when the spec is parsed or admitted.
+  for (const char* text : {"method=essim-de\npopulation=3",
+                           "method=essim-de-tuned\npopulation=3",
+                           "method=ess-ga\noffspring=1",
+                           "method=ess-ga\npopulation=2"}) {
+    EXPECT_THROW(parse_run_spec(text), InvalidArgument) << text;
+    SearchSpec search;
+    std::istringstream lines(text);
+    for (std::string line; std::getline(lines, line);)
+      set_search_key(search, line.substr(0, line.find('=')),
+                     line.substr(line.find('=') + 1));
+    EXPECT_THROW(validate_job_search(search), InvalidArgument) << text;
+  }
+  // The same population is fine for the methods whose floor it meets.
+  EXPECT_EQ(parse_run_spec("method=ess-ns\npopulation=3").search.population,
+            3u);
+  EXPECT_EQ(parse_run_spec("method=essim-monitor\npopulation=3")
+                .search.population,
+            3u);
 }
 
 TEST(RunSpecTest, WorkloadFactoryHonoursSize) {

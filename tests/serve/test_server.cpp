@@ -330,12 +330,40 @@ TEST(ServeServer, TrackingAndParseErrorsAnswerErrLines) {
             0u);
 }
 
+TEST(ServeServer, RefusesASearchTheMethodCannotRunBeforeAnyJob) {
+  Server server(tiny_server_config());
+  server.start();
+  ServerRunner runner(server);
+  LineClient client("127.0.0.1", server.port());
+
+  const std::uint64_t jobs = scraped_count(client, "campaign.jobs");
+  // DE needs a target plus three donors; the GA breeds in pairs.
+  for (const auto& [id, request] :
+       {std::pair{"a", "predict id=a method=essim-de population=3"},
+        std::pair{"b", "predict id=b method=ess-ga offspring=1"}}) {
+    const std::string response = client.request(request);
+    EXPECT_EQ(response.rfind(std::string("err id=") + id + " bad request: ", 0),
+              0u)
+        << response;
+  }
+  EXPECT_EQ(scraped_count(client, "campaign.jobs"), jobs);
+  EXPECT_NE(client.request("stats").find(" tracked_fires=0 "),
+            std::string::npos);
+
+  EXPECT_EQ(client.request("shutdown"), "ok draining");
+  EXPECT_EQ(runner.join(), 0);
+}
+
 TEST(ServeServer, RejectsADefaultSpecNoJobCanRun) {
   ServeConfig config = tiny_server_config();
   config.default_spec.method = "essim-monitor";  // not an Optimizer
   EXPECT_THROW(Server{config}, InvalidArgument);
   config = tiny_server_config();
   config.default_spec.population = 1;
+  EXPECT_THROW(Server{config}, InvalidArgument);
+  config = tiny_server_config();
+  config.default_spec.method = "essim-de";
+  config.default_spec.population = 3;
   EXPECT_THROW(Server{config}, InvalidArgument);
 }
 
