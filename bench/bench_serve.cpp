@@ -8,8 +8,8 @@
 //           steady-state refreshes, answered from each fire's record of
 //           that horizon without running a job;
 //   extend  repredict every fire one step further out — the successive
-//           observation intervals of the paper's workflow, where the
-//           ground-truth prefix is unchanged and only the new step is cold.
+//           observation intervals of the paper's workflow: each job resumes
+//           from the fire's record and runs only the new step, cold.
 //
 // Enforced invariants (any violation exits nonzero, which is how CI pins
 // the acceptance criteria):

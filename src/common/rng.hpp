@@ -106,6 +106,9 @@ class Rng {
   /// True with probability p.
   bool bernoulli(double p) { return uniform() < p; }
 
+  /// Same state: the two streams draw the same values from here on.
+  friend bool operator==(const Rng&, const Rng&) = default;
+
   /// Derive an independent child stream; deterministic in (parent state, salt).
   Rng split(std::uint64_t salt) {
     std::uint64_t mix = (*this)() ^ (salt * 0x9E3779B97f4A7C15ULL);

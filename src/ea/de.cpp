@@ -10,7 +10,7 @@
 namespace essns::ea {
 
 void validate(const DeConfig& config) {
-  ESSNS_REQUIRE(config.population_size >= 4,
+  ESSNS_REQUIRE(config.population_size >= kDeMinPopulation,
                 "DE needs at least 4 individuals (target + 3 donors)");
   ESSNS_REQUIRE(config.differential_weight > 0.0 &&
                     config.differential_weight <= 2.0,
@@ -52,9 +52,7 @@ DeResult run_de(const DeConfig& config, std::size_t dim,
       do { r3 = static_cast<std::size_t>(rng.uniform_int(0, n - 1)); }
       while (r3 == i || r3 == r1 || r3 == r2);
 
-      const Genome& base = config.variant == DeVariant::kBest1Bin
-                               ? pop[argmax_fitness(pop)].genome
-                               : pop[r1].genome;
+      const Genome& base = pop[r1].genome;
       Genome trial = pop[i].genome;
       const std::size_t forced =
           static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(dim) - 1));

@@ -1,24 +1,18 @@
 // Differential Evolution: the Optimization Stage metaheuristic of ESSIM-DE
-// (Tardivo et al.). Implements the DE/rand/1/bin and DE/best/1/bin variants
-// with the diversity-preserving result selection the ESSIM-DE papers describe
-// (a fraction of the returned set is taken regardless of fitness), plus hooks
-// for the automatic/dynamic tuning operators in ea/tuning.hpp.
+// (Tardivo et al.). Implements DE/rand/1/bin with the diversity-preserving
+// result selection the ESSIM-DE papers describe (a fraction of the returned
+// set is taken regardless of fitness), plus hooks for the automatic/dynamic
+// tuning operators in ea/tuning.hpp.
 #pragma once
 
 #include "ea/individual.hpp"
 
 namespace essns::ea {
 
-enum class DeVariant {
-  kRand1Bin,  ///< classic DE/rand/1/bin
-  kBest1Bin,  ///< DE/best/1/bin (faster convergence, less diversity)
-};
-
 struct DeConfig {
   std::size_t population_size = 32;
   double differential_weight = 0.7;  ///< F
   double crossover_rate = 0.5;       ///< CR
-  DeVariant variant = DeVariant::kRand1Bin;
 };
 
 /// Tuning callback: invoked after each generation with (generation,
@@ -34,8 +28,11 @@ struct DeResult {
   int tuning_events = 0;
 };
 
-/// Throw InvalidArgument unless `config` can run (population >= 4, the
-/// target plus three donors; F in (0,2]; CR in [0,1]).
+/// A target plus three donors.
+inline constexpr std::size_t kDeMinPopulation = 4;
+
+/// Throw InvalidArgument unless `config` can run (population >=
+/// kDeMinPopulation; F in (0,2]; CR in [0,1]).
 void validate(const DeConfig& config);
 
 /// Run DE: maximize `evaluate` over [0,1]^dim. Out-of-range trial vectors are

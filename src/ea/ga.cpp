@@ -20,7 +20,8 @@ std::vector<double> fitnesses_of(const Population& pop) {
 
 void validate(const GaConfig& config) {
   ESSNS_REQUIRE(config.population_size >= 2, "GA population >= 2");
-  ESSNS_REQUIRE(config.offspring_count >= 2, "GA offspring >= 2");
+  ESSNS_REQUIRE(config.offspring_count >= kGaMinOffspring,
+                "GA offspring >= 2");
   ESSNS_REQUIRE(config.elite_count < config.population_size,
                 "elite count must be below population size");
 }

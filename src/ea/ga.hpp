@@ -24,8 +24,11 @@ struct GaResult {
   std::size_t evaluations = 0;
 };
 
+/// The GA breeds in pairs.
+inline constexpr std::size_t kGaMinOffspring = 2;
+
 /// Throw InvalidArgument unless `config` can run (population >= 2,
-/// offspring >= 2, elite_count < population).
+/// offspring >= kGaMinOffspring, elite_count < population).
 void validate(const GaConfig& config);
 
 /// Run the GA: maximize `evaluate` over [0,1]^dim.

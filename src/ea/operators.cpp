@@ -27,42 +27,12 @@ std::size_t roulette_select(std::span<const double> scores, Rng& rng) {
   return scores.size() - 1;  // numeric edge: draw == total
 }
 
-std::size_t tournament_select(std::span<const double> scores, int k, Rng& rng) {
-  ESSNS_REQUIRE(!scores.empty(), "selection over empty score set");
-  ESSNS_REQUIRE(k >= 1, "tournament size must be >= 1");
-  std::size_t best = static_cast<std::size_t>(
-      rng.uniform_int(0, static_cast<std::int64_t>(scores.size()) - 1));
-  for (int i = 1; i < k; ++i) {
-    const std::size_t challenger = static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(scores.size()) - 1));
-    if (scores[challenger] > scores[best]) best = challenger;
-  }
-  return best;
-}
-
 std::pair<Genome, Genome> uniform_crossover(const Genome& a, const Genome& b,
                                             Rng& rng) {
   ESSNS_REQUIRE(a.size() == b.size(), "parents must share genome length");
   Genome c1 = a, c2 = b;
   for (std::size_t i = 0; i < a.size(); ++i)
     if (rng.bernoulli(0.5)) std::swap(c1[i], c2[i]);
-  return {std::move(c1), std::move(c2)};
-}
-
-std::pair<Genome, Genome> blx_crossover(const Genome& a, const Genome& b,
-                                        double alpha, Rng& rng) {
-  ESSNS_REQUIRE(a.size() == b.size(), "parents must share genome length");
-  ESSNS_REQUIRE(alpha >= 0.0, "BLX alpha must be non-negative");
-  Genome c1(a.size()), c2(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const double lo = std::min(a[i], b[i]);
-    const double hi = std::max(a[i], b[i]);
-    const double span = hi - lo;
-    const double from = std::max(0.0, lo - alpha * span);
-    const double to = std::min(1.0, hi + alpha * span);
-    c1[i] = rng.uniform(from, to);
-    c2[i] = rng.uniform(from, to);
-  }
   return {std::move(c1), std::move(c2)};
 }
 
@@ -103,12 +73,6 @@ Population generate_offspring(const Population& parents,
     if (offspring.size() < count) offspring.push_back(std::move(child2));
   }
   return offspring;
-}
-
-void uniform_reset_mutation(Genome& genome, double rate, Rng& rng) {
-  ESSNS_REQUIRE(rate >= 0.0 && rate <= 1.0, "mutation rate in [0,1]");
-  for (double& g : genome)
-    if (rng.bernoulli(rate)) g = rng.uniform();
 }
 
 }  // namespace essns::ea

@@ -18,25 +18,14 @@ namespace essns::ea {
 /// are equal the draw is uniform. Returns an index into `scores`.
 std::size_t roulette_select(std::span<const double> scores, Rng& rng);
 
-/// k-tournament selection: best of `k` uniform draws (ties keep first).
-std::size_t tournament_select(std::span<const double> scores, int k, Rng& rng);
-
 /// Uniform crossover: each gene independently swaps with probability 0.5.
 std::pair<Genome, Genome> uniform_crossover(const Genome& a, const Genome& b,
                                             Rng& rng);
-
-/// BLX-alpha blend crossover: children drawn uniformly from the interval
-/// spanned by the parents, extended by alpha on both sides, clamped to [0,1].
-std::pair<Genome, Genome> blx_crossover(const Genome& a, const Genome& b,
-                                        double alpha, Rng& rng);
 
 /// Per-gene gaussian mutation with probability `rate`; sigma in genome units.
 /// Values are reflected back into [0,1] (circular genes are handled at
 /// decode time by ScenarioSpace, which wraps instead of clamping).
 void gaussian_mutation(Genome& genome, double rate, double sigma, Rng& rng);
-
-/// Per-gene uniform reset mutation with probability `rate`.
-void uniform_reset_mutation(Genome& genome, double rate, Rng& rng);
 
 /// generateOffspring of the GA and NS-GA: `count` children, bred in pairs
 /// from two roulette draws on `scores` (fitness for the GA, novelty for

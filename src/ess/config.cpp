@@ -5,6 +5,8 @@
 
 #include "common/error.hpp"
 #include "common/parse.hpp"
+#include "ea/de.hpp"
+#include "ea/ga.hpp"
 #include "obs/session.hpp"
 
 namespace essns::ess {
@@ -81,9 +83,22 @@ void validate_job_search(const SearchSpec& spec) {
       {"novelty_k", std::to_string(spec.novelty_k)},
       {"islands", std::to_string(spec.islands)}};
   for (const auto& [key, value] : fields) set_search_key(probe, key, value);
-  // Throws for essim-monitor, and for a search the method cannot run (DE
-  // population < 4, GA offspring < 2): each optimizer checks its config
-  // when it is built.
+  // A method's own floors, named by the key that sets them (the optimizer
+  // checks them again when it is built, naming its config field).
+  const auto at_least = [&](const char* key, std::size_t value,
+                            std::size_t lo) {
+    if (value < lo)
+      throw InvalidArgument(std::string(key) + " expects an integer >= " +
+                            std::to_string(lo) + " for " + spec.method +
+                            ", got '" + std::to_string(value) + "'");
+  };
+  if (spec.method == "ess-ga") {
+    at_least("population", spec.population, ea::GaConfig{}.elite_count + 1);
+    at_least("offspring", spec.offspring, ea::kGaMinOffspring);
+  } else if (spec.method == "essim-de" || spec.method == "essim-de-tuned") {
+    at_least("population", spec.population, ea::kDeMinPopulation);
+  }
+  // Throws for essim-monitor, which is not an Optimizer.
   (void)make_optimizer(spec);
 }
 

@@ -66,8 +66,10 @@ bool set_search_key(SearchSpec& spec, const std::string& key,
 
 /// Throw InvalidArgument unless `spec` is within set_search_key's bounds,
 /// names an Optimizer method (essim-monitor is not one) and meets that
-/// method's own floors (DE population >= 4, GA offspring >= 2): the
-/// admission check of run specs, campaigns and the prediction engine.
+/// method's own floors, refused in set_search_key's key form ("population
+/// expects an integer >= 4 for essim-de, got '3'"; the GA needs offspring
+/// >= 2 and a population above its two elites): the admission check of
+/// run specs, campaigns and the prediction engine.
 void validate_job_search(const SearchSpec& spec);
 
 struct RunSpec {

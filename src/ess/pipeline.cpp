@@ -94,7 +94,11 @@ PredictionPipeline::PredictionPipeline(const firelib::FireEnvironment& env,
                 "borrowed lanes must number config.workers");
 }
 
-PipelineResult PredictionPipeline::run(Optimizer& optimizer, Rng& rng) {
+PipelineResult PredictionPipeline::run(Optimizer& optimizer, Rng& rng,
+                                       int first_step) {
+  ESSNS_REQUIRE(first_step >= 1 &&
+                    first_step + 1 <= observations_.digest().steps(),
+                "pipeline first step must be in [1, steps - 1]");
   PipelineResult result;
   result.optimizer_name = optimizer.name();
 
@@ -112,7 +116,7 @@ PipelineResult PredictionPipeline::run(Optimizer& optimizer, Rng& rng) {
   const auto& lines = digest.lines;
 
   // Calibrate on [t_{n-1}, t_n], predict t_{n+1}; n runs to steps()-1.
-  for (int n = 1; n + 1 <= digest.steps(); ++n) {
+  for (int n = first_step; n + 1 <= digest.steps(); ++n) {
     // One clock source for report timings AND trace spans: each stage is a
     // SpanTimer, so the JSONL/CSV *_seconds fields and the trace timeline
     // come from the same start/stop points.

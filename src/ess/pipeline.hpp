@@ -130,8 +130,13 @@ class PredictionPipeline {
   PredictionPipeline(const firelib::FireEnvironment& env,
                      Observations observations, PipelineConfig config);
 
-  /// Run the whole predictive process with `optimizer` as the OS strategy.
-  PipelineResult run(Optimizer& optimizer, Rng& rng);
+  /// Run the predictive process with `optimizer` as the OS strategy, from
+  /// calibration step `first_step` (predicting t_{first_step+1}) to the
+  /// last one; the result holds the reports of the steps run. A step reads
+  /// nothing of earlier steps but `rng`, so running steps n.. from the
+  /// stream a run of steps 1..n-1 left behind reproduces that run's later
+  /// steps bit for bit — how an extended job resumes (run_prediction_job).
+  PipelineResult run(Optimizer& optimizer, Rng& rng, int first_step = 1);
 
   /// The probability matrix and predicted fire line of the last step run
   /// (for examples that want to render the output).

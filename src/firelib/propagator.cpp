@@ -26,6 +26,9 @@ struct SweepCounters {
   std::uint64_t pushes = 0;
   std::uint64_t stale_pops = 0;
   std::uint64_t bucket_redrains = 0;
+  /// Start cells left out of the queue because they could improve no
+  /// neighbour (the uniform path's seed pruning).
+  std::uint64_t seeds_pruned = 0;
   /// Travel-time table rows actually (re)built by the uniform fast path —
   /// zero on a warm repeat-scenario sweep thanks to the workspace memo.
   std::uint64_t tt_rows_built = 0;
@@ -78,8 +81,7 @@ class DialQueue {
             AlignedVector<std::uint32_t>& epochs, bool& dirty,
             double horizon_min, std::size_t cells, SweepCounters& counters)
       : entries_(entries), batch_(batch), heads_(heads), words_(words),
-        epochs_(epochs), dirty_(dirty), counters_(counters),
-        horizon_(horizon_min) {
+        epochs_(epochs), dirty_(dirty), counters_(counters) {
     num_buckets_ = std::clamp<std::size_t>(cells, 64, std::size_t{1} << 16);
     // Bucket width horizon / num_buckets_; a zero or infinite horizon —
     // or one so tiny the reciprocal width overflows (0 * inf in bucket_of
@@ -117,10 +119,8 @@ class DialQueue {
   }
 
   void push(double time, std::size_t cell) {
-    // Entries beyond the horizon are never expanded, and the final clamp
-    // erases them from the map. Only pre-seeded initial times can get here
-    // (relaxation already guards arrival <= horizon).
-    if (time > horizon_) return;
+    // Callers push only times at or before the horizon: relaxation guards
+    // arrival <= horizon, and seeding skips later start times.
     // The intrusive chains index the arena with int32; entries cannot be
     // allowed past that (run_sweep's cell-count limit makes this
     // unreachable in practice — it would take a ~48 GB arena).
@@ -212,7 +212,6 @@ class DialQueue {
   AlignedVector<std::uint32_t>& epochs_;
   bool& dirty_;
   SweepCounters& counters_;
-  double horizon_;
   double inv_width_ = 0.0;
   std::size_t num_buckets_ = 1;
   std::size_t num_words_ = 1;
@@ -366,23 +365,29 @@ void FirePropagator::run_sweep(const FireEnvironment& env,
   const Grid<std::uint8_t>* fuel_map = env.fuel_map();
   const std::uint8_t* fuel = fuel_map ? fuel_map->data() : nullptr;
 
-  // The burned-cell record is set at each live pop. Every live pop is at or
-  // before the horizon (the queue drops later pushes), and a cell that ends
-  // at or before it is popped live at least once (its final entry), so the
-  // bits are exactly the cells the clamped map reports burned by
-  // horizon_min. A re-pop of a cell sets a bit already set.
+  // The burned-cell record is set at each live pop, and for a start cell
+  // the seeding leaves out. Every live pop is at or before the horizon
+  // (nothing later is pushed), and a cell that ends at or before it is
+  // popped live at least once (its final entry) unless it is a left-out
+  // start cell, so the bits are exactly the cells the clamped map reports
+  // burned by horizon_min. A re-pop of a cell sets a bit already set.
   BurnedCells& burned = workspace.burned_;
   burned.rows = rows;
   burned.cols = cols;
   burned.words.assign(burned_words(cells), 0);
   std::uint64_t* burned_words_data = burned.words.data();
+  const auto mark_burned = [&](std::size_t cell) {
+    burned_words_data[cell >> 6] |= std::uint64_t{1} << (cell & 63);
+  };
 
-  // Seed every finite initial time into the queue (it drops seeds beyond
-  // the horizon at push; the final clamp erases them from the output), then
-  // drain it through `relax`.
-  const auto sweep_with = [&](auto&& relax) {
+  // Seed the queue with every finite initial time at or before the horizon
+  // (the final clamp erases later ones from the output) for which
+  // `can_move(t0, cell)` holds, then drain it through `relax`. A start cell
+  // that cannot improve any neighbour at seeding never can: times only fall
+  // during a sweep. Should its own time fall later, relax pushes it.
+  const auto sweep_with = [&](auto&& relax, auto&& can_move) {
     const auto pop = [&](double time, std::size_t cell, auto& queue) {
-      burned_words_data[cell >> 6] |= std::uint64_t{1} << (cell & 63);
+      mark_burned(cell);
       relax(time, cell, queue);
     };
     DialQueue queue(workspace.dial_entries_, workspace.dial_batch_,
@@ -395,7 +400,14 @@ void FirePropagator::run_sweep(const FireEnvironment& env,
         if (t0 < kNeverIgnited) {
           ESSNS_REQUIRE(t0 >= 0.0,
                         "initial ignition times must be non-negative");
-          queue.push(t0, times.index_of(r, c));
+          if (t0 > horizon_min) continue;
+          const std::size_t cell = times.index_of(r, c);
+          if (can_move(t0, cell)) {
+            queue.push(t0, cell);
+          } else {
+            mark_burned(cell);
+            ++counters.seeds_pruned;
+          }
         }
       }
     }
@@ -454,12 +466,18 @@ void FirePropagator::run_sweep(const FireEnvironment& env,
     const bool vector_relax = simd_isa_ == simd::Isa::kAvx2;
     const NeighbourOffsets offsets = NeighbourOffsets::for_cols(cols);
 
-    sweep_with([&](double time, std::size_t cell_idx, auto& queue) {
+    // Calls `visit(nidx, arrival)` for each in-bounds, burnable neighbour
+    // whose arrival from (time, cell_idx) improves its time by the horizon,
+    // in ascending k, until a call returns true; returns whether one did.
+    // Relaxation stores and pushes each; the seeding's test stops at the
+    // first.
+    const auto admissions = [&](double time, std::size_t cell_idx,
+                                auto&& visit) {
       const int r = static_cast<int>(cell_idx / static_cast<std::size_t>(cols));
       const int c = static_cast<int>(cell_idx % static_cast<std::size_t>(cols));
       const auto* tt = travel_row(fuel ? static_cast<int>(fuel[cell_idx])
                                        : scenario.model);
-      if (!tt) return;
+      if (!tt) return false;
 
       if (vector_relax && r > 0 && r + 1 < rows && c > 0 && c + 1 < cols) {
         alignas(32) double arrivals[8];
@@ -473,10 +491,9 @@ void FirePropagator::run_sweep(const FireEnvironment& env,
           const std::size_t nidx =
               cell_idx + static_cast<std::size_t>(
                              static_cast<std::ptrdiff_t>(offsets.off[k]));
-          t[nidx] = arrivals[k];
-          queue.push(arrivals[k], nidx);
+          if (visit(nidx, arrivals[k])) return true;
         }
-        return;
+        return false;
       }
 
       for (std::size_t k = 0; k < kEightNeighbours.size(); ++k) {
@@ -490,12 +507,25 @@ void FirePropagator::run_sweep(const FireEnvironment& env,
         // would have bailed) scenario model — no per-neighbour probe needed.
         if (fuel && fuel[nidx] == 0) continue;
         const double arrival = time + (*tt)[k];
-        if (arrival < t[nidx] && arrival <= horizon_min) {
-          t[nidx] = arrival;
-          queue.push(arrival, nidx);
-        }
+        if (arrival < t[nidx] && arrival <= horizon_min &&
+            visit(nidx, arrival))
+          return true;
       }
-    });
+      return false;
+    };
+
+    sweep_with(
+        [&](double time, std::size_t cell_idx, auto& queue) {
+          admissions(time, cell_idx, [&](std::size_t nidx, double arrival) {
+            t[nidx] = arrival;
+            queue.push(arrival, nidx);
+            return false;
+          });
+        },
+        [&](double time, std::size_t cell_idx) {
+          return admissions(time, cell_idx,
+                            [](std::size_t, double) { return true; });
+        });
   } else {
     // Fast path, per-cell topography. A cell is popped at most once per
     // sweep, so per-cell behavior is not cached; instead its two expensive
@@ -565,7 +595,9 @@ void FirePropagator::run_sweep(const FireEnvironment& env,
           queue.push(arrival, nidx);
         }
       }
-    });
+      // Every start cell is seeded: a pruning test would pay apply_wind_slope
+      // per start cell, the cost of the pop it saves.
+    }, [](double, std::size_t) { return true; });
   }
 
   // Clamp: anything beyond the horizon is reported as never ignited, matching
@@ -581,6 +613,7 @@ void FirePropagator::run_sweep(const FireEnvironment& env,
     obs::add_counter("sweep.pushes", counters.pushes);
     obs::add_counter("sweep.stale_pops", counters.stale_pops);
     obs::add_counter("sweep.bucket_redrains", counters.bucket_redrains);
+    obs::add_counter("sweep.seeds_pruned", counters.seeds_pruned);
     obs::add_counter("sweep.tt_table_rebuilds", counters.tt_rows_built);
     obs::record_histogram("sweep.seconds", sweep_seconds);
   }

@@ -91,8 +91,9 @@ class PropagationWorkspace {
   const IgnitionMap& last_map() const { return times_; }
 
   /// Cells the last propagate() call burned by its horizon, recorded by the
-  /// sweep itself as it popped them: equal to
-  /// burned_cells(last_map(), horizon_min), without that pass.
+  /// sweep itself as it popped them (or, for a start cell it left out of
+  /// the queue, as it seeded): equal to burned_cells(last_map(),
+  /// horizon_min), without that pass.
   const BurnedCells& last_burned() const { return burned_; }
 
   /// Dial-queue arena entry (public so the queue in propagator.cpp can name
@@ -166,7 +167,9 @@ class FirePropagator {
   /// prediction step simulates forward from the real fire line RFL(t-1).
   /// Horizon-clamp contract: finite initial times greater than `horizon_min`
   /// are reported as kNeverIgnited in the output, exactly like cells the
-  /// sweep reaches beyond the horizon.
+  /// sweep reaches beyond the horizon. On uniform topography only start
+  /// cells that can still improve a neighbour enter the queue (the burned
+  /// interior of a fire line costs no pop); the DEM path queues them all.
   IgnitionMap propagate(const FireEnvironment& env, const Scenario& scenario,
                         const IgnitionMap& initial, double horizon_min) const;
 

@@ -57,14 +57,16 @@ double seconds_since(std::uint64_t start_ns) {
   return static_cast<double>(obs::trace_now_ns() - start_ns) * 1e-9;
 }
 
-// What a replay reads of a job's record: no maps, no timings.
-service::JobRecord trimmed(const service::JobRecord& record) {
-  service::JobRecord kept;
-  kept.status = record.status;
-  kept.workload = record.workload;
-  kept.seed = record.seed;
-  kept.workers = record.workers;
-  kept.result.steps = record.result.steps;
+// What a replay and a resume read of a job's record: no maps.
+std::shared_ptr<const service::JobRecord> trimmed(
+    const service::JobRecord& record) {
+  auto kept = std::make_shared<service::JobRecord>();
+  kept->status = record.status;
+  kept->workload = record.workload;
+  kept->seed = record.seed;
+  kept->workers = record.workers;
+  kept->result.steps = record.result.steps;
+  kept->search_rng = record.search_rng;
   return kept;
 }
 
@@ -473,6 +475,9 @@ void Server::submit_prediction(std::uint64_t conn_id,
   job.campaign_seed = config_.seed;
   job.priority = request.priority.value_or(0);
   job.spec = spec;
+  // An extension by one step runs only the new step, from the record.
+  if (tracked && tracked->record && fire.steps == tracked->record_steps + 1)
+    job.resume = tracked->record;
   const std::uint64_t start_ns = obs::trace_now_ns();
   const std::string id = request.id;
   const Verb verb = request.verb;
@@ -481,11 +486,21 @@ void Server::submit_prediction(std::uint64_t conn_id,
                  workload](const service::JobRecord& record) {
     std::string line = format_job_response(id, verb, record);
     const double seconds = seconds_since(start_ns);
-    std::optional<service::JobRecord> kept;
+    std::shared_ptr<const service::JobRecord> kept;
     if (record.status == service::JobStatus::kSucceeded) {
-      line += timing_fields(seconds, record.workers,
-                            record.result.total_cache_hits(),
-                            record.result.total_cache_misses());
+      // Cache counts of the steps this job ran, not of a resumed prefix.
+      std::size_t hits = 0;
+      std::size_t misses = 0;
+      for (std::size_t i = record.resumed_steps;
+           i < record.result.steps.size(); ++i) {
+        hits += record.result.steps[i].cache_hits;
+        misses += record.result.steps[i].cache_misses;
+      }
+      line += timing_fields(seconds, record.workers, hits, misses);
+      if (record.resumed_steps > 0) {
+        line += " resumed=1";
+        obs::add_counter("serve.resumes", 1);
+      }
       kept = trimmed(record);
     } else {
       obs::add_counter("serve.errors", 1);

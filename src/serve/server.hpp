@@ -14,16 +14,20 @@
 // `repredict id=F [steps=N]` rebuilds the workload at the (possibly
 // extended) horizon with the SAME seed. Ground truth is generated step by
 // step from one rng stream, so a longer horizon shares the earlier steps
-// bit-for-bit and the engine's shared cache serves them warm — re-prediction
-// at successive intervals is the steady-state workload the cache was built
-// for (bench_serve measures the cold/warm ratio). Each tracked fire also
-// keeps the record of its last succeeded job, trimmed to what a response
-// reads (seed, workload name, workers, per-step reports), and the horizon
-// it ran at. Because a prediction is a pure function of the request, a
-// repredict at that horizon is answered from the record on the I/O thread
-// (` replayed=1`): no workload, no job, no cache lookup. A job at another
-// horizon runs in the engine; on completion its record replaces the fire's
-// unless the fire already holds one at a later horizon.
+// bit-for-bit. Each tracked fire keeps the record of its last succeeded
+// job, trimmed to what a response and a resume read (seed, workload name,
+// workers, per-step reports, the search stream after the last step), and
+// the horizon it ran at. Because a prediction is a pure function of the
+// request, a repredict at that horizon is answered from the record on the
+// I/O thread (` replayed=1`): no workload, no job, no cache lookup. An
+// extension by one step — re-prediction at the next instant, the paper's
+// steady state — runs a job that resumes from the record
+// (service::JobRequest::resume): it generates the truth but runs only the
+// new step, cold, and answers ` resumed=1` with the cache counts of that
+// step alone. A job at any other horizon runs every step, its earlier ones
+// warm from the engine's shared cache (bench_serve measures the cold/warm
+// ratio). On completion a job's record replaces the fire's unless the fire
+// already holds one at a later horizon.
 //
 // Determinism: every serve job runs at index 0 with the server's campaign
 // seed, so its record is a pure function of (server seed, request
@@ -39,7 +43,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -135,8 +138,9 @@ class Server {
     synth::WorkloadRequest fire;
     service::JobSpec spec;
     /// The last succeeded job at the fire's latest completed horizon,
-    /// trimmed (no maps); unset until one completes.
-    std::optional<service::JobRecord> record;
+    /// trimmed (no maps); null until one completes. Shared with a job that
+    /// resumes from it.
+    std::shared_ptr<const service::JobRecord> record;
     int record_steps = 0;  ///< the horizon `record` ran at
   };
   std::map<std::string, TrackedFire> fires_;
@@ -150,7 +154,7 @@ class Server {
     std::uint64_t conn_id = 0;
     std::string line;
     std::string fire_id;
-    std::optional<service::JobRecord> record;
+    std::shared_ptr<const service::JobRecord> record;
     int steps = 0;
   };
   std::mutex outbox_mutex_;

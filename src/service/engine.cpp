@@ -62,7 +62,7 @@ JobRecord run_prediction_job(
     std::uint64_t campaign_seed, unsigned workers, const JobSpec& spec,
     simd::Mode, parallel::NumaMode, firelib::SweepBackend,
     const std::shared_ptr<cache::SharedScenarioCache>& shared_cache,
-    parallel::MasterWorker* lanes) {
+    parallel::MasterWorker* lanes, const JobRecord* resume) {
   JobRecord record;
   record.index = index;
   record.workload = workload.name;
@@ -90,8 +90,22 @@ JobRecord run_prediction_job(
                                      pipeline_config);
 
     auto optimizer = ess::make_optimizer(spec);
-    Rng rng(record.seed ^ 0x5eedULL);
-    record.result = pipeline.run(*optimizer, rng);
+    // A record one step short of this horizon lends its reports and the
+    // search stream they left behind; one that does not fit is ignored.
+    const bool resumes =
+        resume && resume->status == JobStatus::kSucceeded &&
+        resume->seed == record.seed && resume->workload == workload.name &&
+        resume->result.steps.size() + 2 ==
+            static_cast<std::size_t>(workload.truth_config.steps);
+    const std::size_t done = resumes ? resume->result.steps.size() : 0;
+    Rng rng = resumes ? resume->search_rng : Rng(record.seed ^ 0x5eedULL);
+    record.result = pipeline.run(*optimizer, rng, static_cast<int>(done) + 1);
+    if (resumes)
+      record.result.steps.insert(record.result.steps.begin(),
+                                 resume->result.steps.begin(),
+                                 resume->result.steps.end());
+    record.resumed_steps = done;
+    record.search_rng = rng;
     record.status = JobStatus::kSucceeded;
     if (spec.keep_final_maps) {
       record.final_probability = pipeline.last_probability();
@@ -275,7 +289,8 @@ void PredictionEngine::slot_loop(unsigned slot) {
           *pending.request.workload, pending.request.index,
           pending.request.campaign_seed, default_workers_per_job(),
           pending.request.spec, simd::Mode::kAuto, parallel::NumaMode::kAuto,
-          firelib::SweepBackend::kScalar, cache_, lanes_[slot].get());
+          firelib::SweepBackend::kScalar, cache_, lanes_[slot].get(),
+          pending.request.resume.get());
     }
     finish_job(pending, std::move(record));
     {

@@ -38,8 +38,13 @@
 // job-local lanes). The same purity lets a client answer a
 // repeated request from the record of the first one: serve::Server keeps
 // each tracked fire's last record and submits a job only for a horizon it
-// has not completed. A job carries nothing from earlier jobs beyond what
-// the shared cache holds; the lanes it borrows keep no job state.
+// has not completed. It also lets a job one step past a record resume from
+// it (JobRequest::resume): a prediction step reads nothing of the steps
+// before it but the search stream, which the record keeps, so the resumed
+// job runs only its new step and its record equals the full job's, timings
+// and cache counters aside. Beyond that record, a job carries nothing from
+// earlier jobs but what the shared cache holds (which changes only speed);
+// the lanes it borrows keep no job state.
 //
 // Graceful drain: slot loops check service::drain_requested() between jobs;
 // once a drain is signalled, queued jobs complete as kFailed "cancelled"
@@ -58,6 +63,7 @@
 #include <vector>
 
 #include "cache/scenario_cache.hpp"
+#include "common/rng.hpp"
 #include "common/simd.hpp"
 #include "ess/config.hpp"
 #include "ess/pipeline.hpp"
@@ -98,6 +104,12 @@ struct JobRecord {
   JobStatus status = JobStatus::kFailed;
   std::string error;          ///< exception text when status == kFailed
   ess::PipelineResult result; ///< empty when the job failed
+  /// The search stream after the job's last step: where a one-step
+  /// extension of this job resumes (run_prediction_job's `resume`).
+  Rng search_rng;
+  /// Leading result.steps taken from the resume record instead of run
+  /// (0 for a full job).
+  std::size_t resumed_steps = 0;
   double elapsed_seconds = 0.0;
   Grid<double> final_probability;        ///< set when keep_final_maps
   Grid<std::uint8_t> final_prediction;   ///< set when keep_final_maps
@@ -124,6 +136,10 @@ struct JobRequest {
   /// hint — results are bit-identical at any priority.
   int priority = 0;
   JobSpec spec;
+  /// A succeeded record of the same fire and spec one step short of this
+  /// workload's horizon, to resume from (see run_prediction_job); null
+  /// runs every step.
+  std::shared_ptr<const JobRecord> resume;
   /// Invoked with the finished record (after the engine-wide on_job_done,
   /// both serialized on one lock) just before the future resolves — the
   /// server's completion path.
@@ -142,12 +158,24 @@ struct JobRequest {
 /// is the one the CPU supports (simd::Mode::kAuto). The job simulates on
 /// `lanes` when given (an engine slot's pool of `workers` lanes), else on a
 /// job-local pool of `workers` lanes; the record is the same either way.
+///
+/// `resume`, when given, is the record of this job at one step less: the
+/// same workload name and job seed, run under the same spec, with
+/// horizon − 2 step reports. The job then still generates the whole truth,
+/// but runs only its last step, from resume->search_rng, and prepends
+/// resume's reports (resumed_steps counts them). Steps share nothing but
+/// that stream (the optimizers keep no state between optimize() calls, and
+/// caches change only speed), so the record equals the full job's, timings
+/// and cache counters aside. A record that does not fit (another seed or
+/// workload, another step count, a failed job) is ignored: the job runs in
+/// full.
 JobRecord run_prediction_job(
     const synth::Workload& workload, std::size_t index,
     std::uint64_t campaign_seed, unsigned workers, const JobSpec& spec,
     simd::Mode, parallel::NumaMode, firelib::SweepBackend,
     const std::shared_ptr<cache::SharedScenarioCache>& shared_cache,
-    parallel::MasterWorker* lanes = nullptr);
+    parallel::MasterWorker* lanes = nullptr,
+    const JobRecord* resume = nullptr);
 
 /// The run knobs of one engine: the only place they are declared. Campaigns
 /// (CampaignConfig::engine) and servers (ServeConfig::engine) embed one and

@@ -119,12 +119,15 @@ TEST(CliFlags, CampaignRejectsOutOfBoundsSearchKeysBeforeAnyJob) {
 }
 
 TEST(CliFlags, SingleRunRefusesASearchTheMethodCannotRun) {
-  for (const std::vector<std::string>& args :
-       {std::vector<std::string>{"method=essim-de", "population=3"},
-        std::vector<std::string>{"method=ess-ga", "offspring=1"}}) {
+  for (const auto& [args, message] :
+       {std::pair{std::vector<std::string>{"method=essim-de", "population=3"},
+                  "population expects an integer >= 4 for essim-de, got '3'"},
+        std::pair{std::vector<std::string>{"method=ess-ga", "offspring=1"},
+                  "offspring expects an integer >= 2 for ess-ga, got '1'"}}) {
     const RunResult single = run_cli(args);
     EXPECT_EQ(single.exit_code, 1) << args[0];
     EXPECT_EQ(single.err.rfind("config error: ", 0), 0u) << single.err;
+    EXPECT_NE(single.err.find(message), std::string::npos) << single.err;
     EXPECT_EQ(single.out.find("running "), std::string::npos) << single.out;
   }
 }
@@ -135,7 +138,8 @@ TEST(CliFlags, CampaignRefusesASearchTheMethodCannotRunBeforeAnyJob) {
                "jsonl=none", "summary=none"});
   EXPECT_EQ(campaign.exit_code, 1);
   EXPECT_EQ(campaign.err.rfind("campaign error: ", 0), 0u) << campaign.err;
-  EXPECT_NE(campaign.err.find("DE needs at least 4 individuals"),
+  EXPECT_NE(campaign.err.find(
+                "population expects an integer >= 4 for essim-de, got '3'"),
             std::string::npos)
       << campaign.err;
   EXPECT_EQ(campaign.out.find("job "), std::string::npos) << campaign.out;

@@ -17,18 +17,6 @@ TEST(DeTest, SolvesSphere) {
   EXPECT_GE(r.best.fitness, 0.99);
 }
 
-TEST(DeTest, Best1BinConvergesFasterOnSphere) {
-  DeConfig rand_cfg;
-  DeConfig best_cfg;
-  best_cfg.variant = DeVariant::kBest1Bin;
-  Rng a(2), b(2);
-  const auto rand_r =
-      run_de(rand_cfg, 6, landscapes::batch(landscapes::sphere), {25, 2.0}, a);
-  const auto best_r =
-      run_de(best_cfg, 6, landscapes::batch(landscapes::sphere), {25, 2.0}, b);
-  EXPECT_GE(best_r.best.fitness, rand_r.best.fitness - 0.05);
-}
-
 TEST(DeTest, GreedyReplacementNeverRegresses) {
   Rng rng(3);
   DeConfig cfg;

@@ -51,30 +51,6 @@ TEST(RouletteTest, EmptyThrows) {
   EXPECT_THROW(roulette_select({}, rng), InvalidArgument);
 }
 
-TEST(TournamentTest, LargerTournamentsFavorBest) {
-  Rng rng(5);
-  const std::vector<double> scores{0.1, 0.2, 0.9, 0.3};
-  int best_wins = 0;
-  for (int i = 0; i < 2000; ++i)
-    if (tournament_select(scores, 3, rng) == 2) ++best_wins;
-  EXPECT_GT(best_wins, 1000);  // k=3 picks the best well over half the time
-}
-
-TEST(TournamentTest, SizeOneIsUniform) {
-  Rng rng(6);
-  const std::vector<double> scores{0.0, 100.0};
-  int zeros = 0;
-  for (int i = 0; i < 4000; ++i)
-    if (tournament_select(scores, 1, rng) == 0) ++zeros;
-  EXPECT_NEAR(zeros / 4000.0, 0.5, 0.05);
-}
-
-TEST(TournamentTest, RejectsBadK) {
-  Rng rng(1);
-  const std::vector<double> scores{1.0};
-  EXPECT_THROW(tournament_select(scores, 0, rng), InvalidArgument);
-}
-
 TEST(UniformCrossoverTest, ChildrenAreGeneWisePermutation) {
   Rng rng(7);
   const Genome a{0.0, 0.1, 0.2, 0.3, 0.4};
@@ -103,32 +79,6 @@ TEST(UniformCrossoverTest, MismatchedLengthsThrow) {
   Rng rng(1);
   EXPECT_THROW(uniform_crossover(Genome{0.1}, Genome{0.1, 0.2}, rng),
                InvalidArgument);
-}
-
-TEST(BlxCrossoverTest, ChildrenInsideExtendedInterval) {
-  Rng rng(9);
-  const Genome a{0.2, 0.6}, b{0.4, 0.5};
-  for (int i = 0; i < 100; ++i) {
-    const auto [c1, c2] = blx_crossover(a, b, 0.5, rng);
-    for (const Genome& child : {c1, c2}) {
-      EXPECT_GE(child[0], 0.1 - 1e-12);
-      EXPECT_LE(child[0], 0.5 + 1e-12);
-      EXPECT_GE(child[1], 0.45 - 1e-12);
-      EXPECT_LE(child[1], 0.65 + 1e-12);
-    }
-  }
-}
-
-TEST(BlxCrossoverTest, ClampsToUnitBox) {
-  Rng rng(10);
-  const Genome a{0.0}, b{1.0};
-  for (int i = 0; i < 200; ++i) {
-    const auto [c1, c2] = blx_crossover(a, b, 1.0, rng);
-    EXPECT_GE(c1[0], 0.0);
-    EXPECT_LE(c1[0], 1.0);
-    EXPECT_GE(c2[0], 0.0);
-    EXPECT_LE(c2[0], 1.0);
-  }
 }
 
 TEST(ReflectUnitTest, IdentityInside) {
@@ -186,22 +136,11 @@ TEST(GaussianMutationTest, RespectsRateStatistically) {
   EXPECT_NEAR(changed / 2000.0, 0.3, 0.05);
 }
 
-TEST(UniformResetMutationTest, ResetsIntoUnitBox) {
-  Rng rng(14);
-  Genome g(100, 2.0);  // deliberately out of range
-  uniform_reset_mutation(g, 1.0, rng);
-  for (double v : g) {
-    EXPECT_GE(v, 0.0);
-    EXPECT_LT(v, 1.0);
-  }
-}
-
 TEST(MutationTest, RejectsBadRate) {
   Rng rng(1);
   Genome g{0.5};
   EXPECT_THROW(gaussian_mutation(g, 1.5, 0.1, rng), InvalidArgument);
   EXPECT_THROW(gaussian_mutation(g, -0.1, 0.1, rng), InvalidArgument);
-  EXPECT_THROW(uniform_reset_mutation(g, 2.0, rng), InvalidArgument);
   EXPECT_THROW(gaussian_mutation(g, 0.5, -1.0, rng), InvalidArgument);
 }
 

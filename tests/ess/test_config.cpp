@@ -227,6 +227,25 @@ TEST(RunSpecTest, RefusesASearchTheMethodCannotRun) {
                      line.substr(line.find('=') + 1));
     EXPECT_THROW(validate_job_search(search), InvalidArgument) << text;
   }
+  // Each refusal names the key, as set_search_key's bounds do.
+  for (const auto& [text, message] :
+       {std::pair{"method=essim-de\npopulation=3",
+                  "population expects an integer >= 4 for essim-de, got '3'"},
+        std::pair{"method=essim-de-tuned\npopulation=3",
+                  "population expects an integer >= 4 for essim-de-tuned, "
+                  "got '3'"},
+        std::pair{"method=ess-ga\noffspring=1",
+                  "offspring expects an integer >= 2 for ess-ga, got '1'"},
+        std::pair{"method=ess-ga\npopulation=2",
+                  "population expects an integer >= 3 for ess-ga, got '2'"}}) {
+    try {
+      parse_run_spec(text);
+      ADD_FAILURE() << text;
+    } catch (const InvalidArgument& error) {
+      EXPECT_NE(std::string(error.what()).find(message), std::string::npos)
+          << error.what();
+    }
+  }
   // The same population is fine for the methods whose floor it meets.
   EXPECT_EQ(parse_run_spec("method=ess-ns\npopulation=3").search.population,
             3u);

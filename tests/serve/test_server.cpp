@@ -2,9 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <csignal>
 #include <condition_variable>
+#include <csignal>
 #include <cstdio>
+#include <map>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -17,6 +18,11 @@
 
 namespace essns::serve {
 namespace {
+
+/// A job response that resumed from the fire's record.
+bool resumed(const std::string& response) {
+  return response.find(" resumed=1") != std::string::npos;
+}
 
 /// Small-but-real server fixture: 16x16 fires, 3 truth steps, tiny search
 /// budget, one job slot.
@@ -103,11 +109,13 @@ TEST(ServeServer, PredictMatchesInProcessOracleAndTracksTheFire) {
   EXPECT_EQ(deterministic_prefix(repredict),
             format_job_response("f1", Verb::kRepredict, extended_oracle));
 
-  // The shared-prefix ground truth makes the re-prediction run warm.
+  // The extension by one step resumed from the predict's record; the
+  // server's jobs share one cache.
+  EXPECT_TRUE(resumed(repredict)) << repredict;
   const std::string stats = client.request("stats");
   EXPECT_NE(stats.find("tracked_fires=1"), std::string::npos) << stats;
   EXPECT_EQ(stats.find("cache_hits=0 "), std::string::npos)
-      << "re-prediction must hit the warm cache: " << stats;
+      << "the server's jobs must reach its shared cache: " << stats;
 
   const std::string metrics = client.request("metrics");
   ASSERT_EQ(metrics.rfind("ok {", 0), 0u) << metrics;
@@ -203,6 +211,7 @@ TEST(ServeServer, ExtensionReplacesTheFiresRecord) {
   const std::string extension = client.request("repredict id=f1 steps=4");
   EXPECT_EQ(deterministic_prefix(extension), expected4);
   EXPECT_FALSE(replayed(extension)) << extension;
+  EXPECT_TRUE(resumed(extension)) << extension;
   EXPECT_EQ(scraped_count(client, kMaterializations), 2u);
   // ...which answers the next refresh at that horizon...
   const std::string refresh = client.request("repredict id=f1 steps=4");
@@ -213,12 +222,100 @@ TEST(ServeServer, ExtensionReplacesTheFiresRecord) {
   const std::string back = client.request("repredict id=f1 steps=3");
   EXPECT_EQ(deterministic_prefix(back), expected3);
   EXPECT_FALSE(replayed(back)) << back;
+  EXPECT_FALSE(resumed(back)) << back;
   EXPECT_EQ(scraped_count(client, kMaterializations), 3u);
   // ...which leaves the newer record in place.
   const std::string again = client.request("repredict id=f1 steps=4");
   EXPECT_EQ(deterministic_prefix(again), expected4);
   EXPECT_TRUE(replayed(again)) << again;
   EXPECT_EQ(scraped_count(client, kMaterializations), 3u);
+
+  EXPECT_EQ(client.request("shutdown"), "ok draining");
+  EXPECT_EQ(runner.join(), 0);
+}
+
+TEST(ServeServer, OneStepExtensionsResumeFromTheFiresRecord) {
+  const ServeConfig config = tiny_server_config();
+  std::map<int, std::string> expected;
+  for (int steps : {3, 4, 5, 7})
+    expected[steps] = oracle_prefix(config, "f1", Verb::kRepredict, steps);
+  Server server(tiny_server_config());
+  server.start();
+  ServerRunner runner(server);
+  LineClient client("127.0.0.1", server.port());
+
+  ASSERT_EQ(client.request("predict id=f1").rfind("ok ", 0), 0u);
+  EXPECT_EQ(scraped_count(client, "serve.resumes"), 0u);
+  // Each extension by one step resumes from the record the last one left;
+  // its cache counts are those of its one new step.
+  for (int steps : {4, 5}) {
+    const std::string extension =
+        client.request("repredict id=f1 steps=" + std::to_string(steps));
+    EXPECT_EQ(deterministic_prefix(extension), expected[steps]);
+    EXPECT_TRUE(resumed(extension)) << extension;
+    EXPECT_EQ(scraped_count(client, "serve.resumes"),
+              static_cast<std::uint64_t>(steps - 3));
+  }
+  // A jump of two steps and an older horizon each run every step.
+  for (int steps : {7, 3}) {
+    const std::string full =
+        client.request("repredict id=f1 steps=" + std::to_string(steps));
+    EXPECT_EQ(deterministic_prefix(full), expected[steps]);
+    EXPECT_FALSE(resumed(full)) << full;
+    EXPECT_FALSE(replayed(full)) << full;
+  }
+  EXPECT_EQ(scraped_count(client, "serve.resumes"), 2u);
+
+  EXPECT_EQ(client.request("shutdown"), "ok draining");
+  EXPECT_EQ(runner.join(), 0);
+}
+
+TEST(ServeServer, AFireWhosePredictFailedRunsFullJobs) {
+  const ServeConfig config = tiny_server_config();
+  const std::string expected4 =
+      oracle_prefix(config, "f1", Verb::kRepredict, 4);
+  Server server(tiny_server_config());
+  server.start();
+  ServerRunner runner(server);
+  LineClient client("127.0.0.1", server.port());
+
+  // Hold the slot so the predict queues, then cancel it: the fire is
+  // tracked, but has no record to resume from.
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool started = false;
+  bool open = false;
+  service::JobRequest blocker;
+  blocker.workload = std::make_shared<synth::Workload>(
+      synth::make_workload(config.default_fire));
+  blocker.spec = config.default_spec;
+  blocker.debug_before_run = [&] {
+    std::unique_lock<std::mutex> lock(mutex);
+    started = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return open; });
+  };
+  auto held = server.engine().submit(std::move(blocker));
+  ASSERT_EQ(held.admission, service::Admission::kAccepted);
+  {
+    std::unique_lock<std::mutex> lock(mutex);
+    cv.wait(lock, [&] { return started; });
+  }
+  client.send_line("predict id=f1");
+  while (server.engine().queue_depth() == 0) std::this_thread::yield();
+  EXPECT_EQ(server.engine().cancel_pending("cancelled: test"), 1u);
+  EXPECT_EQ(client.read_line(), "err id=f1 job failed: cancelled: test");
+  {
+    const std::lock_guard<std::mutex> lock(mutex);
+    open = true;
+  }
+  cv.notify_all();
+  held.record.get();
+
+  const std::string four = client.request("repredict id=f1 steps=4");
+  EXPECT_EQ(deterministic_prefix(four), expected4);
+  EXPECT_FALSE(resumed(four)) << four;
+  EXPECT_EQ(scraped_count(client, "serve.resumes"), 0u);
 
   EXPECT_EQ(client.request("shutdown"), "ok draining");
   EXPECT_EQ(runner.join(), 0);
@@ -299,6 +396,7 @@ TEST(ServeServer, FailedAndRejectedRequestsStoreNoRecord) {
   const std::string five = client.request("repredict id=f1 steps=5");
   EXPECT_EQ(deterministic_prefix(five), expected5);
   EXPECT_FALSE(replayed(five)) << five;
+  EXPECT_FALSE(resumed(five)) << five;  // two steps past the record
 
   EXPECT_EQ(client.request("shutdown"), "ok draining");
   EXPECT_EQ(runner.join(), 0);
@@ -338,14 +436,12 @@ TEST(ServeServer, RefusesASearchTheMethodCannotRunBeforeAnyJob) {
 
   const std::uint64_t jobs = scraped_count(client, "campaign.jobs");
   // DE needs a target plus three donors; the GA breeds in pairs.
-  for (const auto& [id, request] :
-       {std::pair{"a", "predict id=a method=essim-de population=3"},
-        std::pair{"b", "predict id=b method=ess-ga offspring=1"}}) {
-    const std::string response = client.request(request);
-    EXPECT_EQ(response.rfind(std::string("err id=") + id + " bad request: ", 0),
-              0u)
-        << response;
-  }
+  EXPECT_EQ(client.request("predict id=a method=essim-de population=3"),
+            "err id=a bad request: population expects an integer >= 4 for "
+            "essim-de, got '3'");
+  EXPECT_EQ(client.request("predict id=b method=ess-ga offspring=1"),
+            "err id=b bad request: offspring expects an integer >= 2 for "
+            "ess-ga, got '1'");
   EXPECT_EQ(scraped_count(client, "campaign.jobs"), jobs);
   EXPECT_NE(client.request("stats").find(" tracked_fires=0 "),
             std::string::npos);
