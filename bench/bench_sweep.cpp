@@ -9,9 +9,10 @@
 // the production sweep against the test-side reference propagator
 // (tests/firelib/reference_propagator.hpp: binary heap, per-pop behavior)
 // AND the --simd kernel against the scalar one — and the whole default
-// campaign catalog is checked both ways as well; any divergence makes the
-// binary exit nonzero, which is how CI enforces the zero-divergence
-// acceptance criterion.
+// campaign catalog is checked both ways as well, from point ignitions and
+// from every ground-truth fire line to the next instant; any divergence
+// makes the binary exit nonzero, which is how CI enforces the
+// zero-divergence acceptance criterion.
 //
 // Flags:
 //   --quick        smaller grids/rounds (CI Debug job); every divergence
@@ -142,14 +143,25 @@ GridResult bench_grid(const std::string& name, const synth::Workload& workload,
   return result;
 }
 
+/// What check_default_catalog covered.
+struct CatalogChecks {
+  std::size_t workloads = 0;
+  std::size_t continuations = 0;  ///< sweeps from a later fire line
+};
+
 /// Every workload of the default campaign catalog (the acceptance sweep):
-/// point ignitions, a handful of scenarios each.
-std::size_t check_default_catalog(simd::Mode mode, Divergences& divergences) {
+/// point ignitions, a handful of scenarios each; then, as a campaign job
+/// runs them, continuations from each fire line of the workload's ground
+/// truth to the next instant. Those start from a whole burned interior, the
+/// sweeps the seeding list and the DEM travel-time floor shape most.
+CatalogChecks check_default_catalog(simd::Mode mode,
+                                    Divergences& divergences) {
   const std::vector<synth::Workload> catalog =
       synth::generate_catalog(synth::CatalogSpec{});
   Sweeps sweeps(mode);
   const auto& space = firelib::ScenarioSpace::table1();
   Rng rng(7);
+  CatalogChecks checks;
   for (const synth::Workload& workload : catalog) {
     const firelib::FireEnvironment& env = workload.environment;
     const std::vector<CellIndex> ignition{{env.rows() / 2, env.cols() / 2}};
@@ -158,8 +170,18 @@ std::size_t check_default_catalog(simd::Mode mode, Divergences& divergences) {
       const double horizon = rng.uniform(30.0, 180.0);
       sweeps.check(env, scenario, ignition, horizon, divergences);
     }
+    Rng truth_rng(workload.seed);
+    const synth::GroundTruth truth = synth::generate_truth(workload, truth_rng);
+    for (int line = 0; line < truth.steps(); ++line) {
+      for (int trial = 0; trial < 3; ++trial) {
+        sweeps.check(env, space.sample(rng), truth.fire_lines[line],
+                     truth.time_of(line + 1), divergences);
+        ++checks.continuations;
+      }
+    }
   }
-  return catalog.size();
+  checks.workloads = catalog.size();
+  return checks;
 }
 
 }  // namespace
@@ -243,12 +265,12 @@ int main(int argc, char** argv) {
     std::printf("  (%.3g cells/sec)\n", r.cells_per_second());
   }
 
-  const std::size_t catalog_workloads =
-      check_default_catalog(mode, divergences);
+  const CatalogChecks catalog = check_default_catalog(mode, divergences);
   std::printf(
-      "  default catalog: %zu workloads checked, %zu reference / %zu simd "
-      "divergences\n",
-      catalog_workloads, divergences.reference, divergences.simd);
+      "  default catalog: %zu workloads and %zu fire-line continuations "
+      "checked, %zu reference / %zu simd divergences\n",
+      catalog.workloads, catalog.continuations, divergences.reference,
+      divergences.simd);
   const bool bit_identical =
       divergences.reference == 0 && divergences.simd == 0;
   std::printf(
@@ -283,7 +305,9 @@ int main(int argc, char** argv) {
   }
   std::fprintf(out, "  ],\n");
   std::fprintf(out, "  \"catalog_workloads_checked\": %zu,\n",
-               catalog_workloads);
+               catalog.workloads);
+  std::fprintf(out, "  \"catalog_continuations_checked\": %zu,\n",
+               catalog.continuations);
   std::fprintf(out, "  \"reference_divergences\": %zu,\n",
                divergences.reference);
   std::fprintf(out, "  \"simd_divergences\": %zu,\n", divergences.simd);

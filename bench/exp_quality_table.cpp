@@ -7,8 +7,12 @@
 // Expected shape (see DESIGN.md §4 / EXPERIMENTS.md): ESS-NS >= the
 // fitness-driven baselines on mean quality, with the largest margin on the
 // non-stationary wind_shift case.
+//
+// The quality tables are deterministic, so their text is the same on every
+// run; the wall-clock times follow in a table of their own.
 #include <cstdio>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/stopwatch.hpp"
@@ -65,7 +69,11 @@ int main() {
 
   std::vector<synth::Workload> cases = synth::standard_workloads(kGridSize);
   cases.push_back(synth::make_diurnal(kGridSize));
+  // seconds[case][method]: mean wall-clock of one pipeline run.
+  std::vector<std::string> methods;
+  std::vector<std::vector<double>> seconds;
   for (const auto& workload : cases) {
+    seconds.emplace_back();
     Rng truth_rng(2022);
     const synth::GroundTruth truth =
         synth::generate_truth(workload, truth_rng);
@@ -77,7 +85,6 @@ int main() {
     for (int s = 2; s <= truth.steps(); ++s)
       header.push_back(std::string("t").append(std::to_string(s)));
     header.push_back("mean");
-    header.push_back("time[s]");
     table.set_header(header);
 
     for (auto& [name, optimizer] : make_optimizers()) {
@@ -103,11 +110,25 @@ int main() {
         row.push_back(TextTable::num(q));
       }
       row.push_back(TextTable::num(mean / static_cast<double>(per_step.size())));
-      row.push_back(TextTable::num(total_time / kSeeds, 2));
       table.add_row(row);
+      if (seconds.size() == 1) methods.push_back(name);
+      seconds.back().push_back(total_time / kSeeds);
     }
     table.print();
     std::printf("\n");
   }
+
+  TextTable timing("EXP-Q wall-clock seconds per run (mean of " +
+                   std::to_string(kSeeds) + " runs; varies run to run)");
+  std::vector<std::string> header{"Method"};
+  for (const auto& workload : cases) header.push_back(workload.name);
+  timing.set_header(header);
+  for (std::size_t m = 0; m < methods.size(); ++m) {
+    std::vector<std::string> row{methods[m]};
+    for (const auto& per_case : seconds)
+      row.push_back(TextTable::num(per_case[m], 2));
+    timing.add_row(row);
+  }
+  timing.print();
   return 0;
 }

@@ -192,8 +192,9 @@ void print_help() {
       "  search keys (every mode; a value out of bounds is a usage error):\n"
       "    method generations (>= 1) fitness_threshold (finite)\n"
       "    population (>= 2) offspring (>= 1) novelty_k (>= 0; 0 = all\n"
-      "    neighbours) islands (>= 1); essim-de needs population >= 4 and\n"
-      "    ess-ga offspring >= 2\n"
+      "    neighbours) islands (>= 1); essim-de needs population >= 4,\n"
+      "    ess-ga offspring >= 2, essim-ea and essim-monitor population\n"
+      "    >= 4 x islands\n"
       "  methods:");
   for (const auto& m : ess::SearchSpec::known_methods())
     std::printf(" %s", m.c_str());

@@ -19,6 +19,17 @@ std::string trim(const std::string& s) {
   return s.substr(begin, end - begin + 1);
 }
 
+/// The island methods split `population` evenly over their islands and
+/// each island GA needs at least four individuals.
+void require_island_population(const SearchSpec& spec) {
+  const std::size_t lo = 4 * static_cast<std::size_t>(spec.islands);
+  if (spec.population < lo)
+    throw InvalidArgument("population expects an integer >= " +
+                          std::to_string(lo) + " for " + spec.method +
+                          " with islands=" + std::to_string(spec.islands) +
+                          ", got '" + std::to_string(spec.population) + "'");
+}
+
 }  // namespace
 
 const std::vector<std::string>& SearchSpec::known_methods() {
@@ -97,6 +108,8 @@ void validate_job_search(const SearchSpec& spec) {
     at_least("offspring", spec.offspring, ea::kGaMinOffspring);
   } else if (spec.method == "essim-de" || spec.method == "essim-de-tuned") {
     at_least("population", spec.population, ea::kDeMinPopulation);
+  } else if (spec.method == "essim-ea") {
+    require_island_population(spec);
   }
   // Throws for essim-monitor, which is not an Optimizer.
   (void)make_optimizer(spec);
@@ -154,9 +167,12 @@ RunSpec parse_run_spec(std::istream& in) {
   ESSNS_REQUIRE(spec.workload == "plains" || spec.workload == "hills" ||
                     spec.workload == "wind_shift",
                 "unknown workload: " + spec.workload);
-  // essim-monitor is no Optimizer; its islands size themselves to meet the
-  // GA floors.
-  if (spec.search.method != "essim-monitor") validate_job_search(spec.search);
+  // essim-monitor is no Optimizer, so it skips validate_job_search; its
+  // islands split the population like essim-ea's.
+  if (spec.search.method == "essim-monitor")
+    require_island_population(spec.search);
+  else
+    validate_job_search(spec.search);
   return spec;
 }
 

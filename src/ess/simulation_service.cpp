@@ -65,13 +65,19 @@ firelib::IgnitionMap SimulationService::simulate(
                                workspaces_[0]);
 }
 
+void SimulationService::prepare_simulation() {
+  if (!context_.start_cells)
+    context_.start_cells =
+        firelib::start_cells(*context_.start, context_.end_time);
+}
+
 SimulationService::SimulationResult SimulationService::run_one(
     unsigned workspace, const firelib::Scenario& scenario) {
   simulations_.fetch_add(1, std::memory_order_relaxed);
   obs::SpanTimer sim_timer("simulate");
   firelib::PropagationWorkspace& space = workspaces_[workspace];
-  propagator_.propagate(*env_, scenario, *context_.start, context_.end_time,
-                        space);
+  propagator_.propagate(*env_, scenario, *context_.start,
+                        *context_.start_cells, space);
   SimulationResult result;
   result.burned = space.last_burned();
   if (context_.scoring) result.fitness = jaccard(*context_.scoring, result.burned);
@@ -90,6 +96,7 @@ SimulationService::simulate_uncached(
   if (obs::metrics_enabled())
     obs::record_histogram("sweep.batch_size",
                           static_cast<double>(scenarios.size()));
+  prepare_simulation();
   std::vector<SimulationResult> results(scenarios.size());
   if (!lanes_) {
     for (std::size_t i = 0; i < scenarios.size(); ++i)
@@ -156,6 +163,7 @@ void SimulationService::begin_step(Observations& observations,
 double SimulationService::score(const firelib::Scenario& scenario,
                                 Observations& observations, int target_line) {
   enter_step(observations, target_line);
+  prepare_simulation();
   return run_one(0, scenario).fitness;
 }
 

@@ -26,10 +26,12 @@
 // never the f64 ignition map. Each batch runs in a context — (start line,
 // target line, interval) — that reads its fire lines from an observation
 // digest (ess/observation.hpp): the packed scoring target and, for the
-// shared cache, the lines' fingerprints. The dense start line is fetched
-// only when a batch has to simulate, so a batch the cache answers in full
-// never needs it. A context is identified by the Observations object and
-// its line indices, whose lines are immutable once digested.
+// shared cache, the lines' fingerprints. The dense start line is read only
+// when a batch has to simulate — its start cells are then listed once for
+// the context (firelib::start_cells) and every sweep seeds from that list —
+// so a batch the cache answers in full never touches it. A context is
+// identified by the Observations object and its line indices, whose lines
+// are immutable once digested.
 //
 // Scenario cache: duplicate genomes are common under GA crossover/elitism,
 // and re-simulating a byte-identical scenario over the same interval from
@@ -206,11 +208,17 @@ class SimulationService {
     std::uint64_t target_fingerprint = 0;
     const ScoringTarget* scoring = nullptr;  ///< null without a target
     const firelib::IgnitionMap* start = nullptr;  ///< the dense start line
+    /// The start line's start cells for end_time, built by
+    /// prepare_simulation() before the context's first simulation.
+    std::optional<firelib::StartCells> start_cells;
     bool valid = false;
   };
 
+  /// Build the current context's start cells unless it has them: on the
+  /// master thread, before any lane simulates in the context.
+  void prepare_simulation();
   /// Simulate one scenario of the current context in workspace
-  /// `workspace`.
+  /// `workspace` (after prepare_simulation()).
   SimulationResult run_one(unsigned workspace,
                            const firelib::Scenario& scenario);
   std::vector<SimulationResult> simulate_uncached(

@@ -32,6 +32,9 @@ struct SweepCounters {
   /// Travel-time table rows actually (re)built by the uniform fast path —
   /// zero on a warm repeat-scenario sweep thanks to the workspace memo.
   std::uint64_t tt_rows_built = 0;
+  /// DEM path: neighbours the travel-time floor ruled out before the exact
+  /// spread rate was computed.
+  std::uint64_t floor_rejects = 0;
 };
 
 /// The exact Table-I inputs the uniform travel-time table is a function of:
@@ -57,8 +60,26 @@ constexpr std::array<double, 8> kNeighbourAzimuth = {
     0.0, 45.0, 90.0, 135.0, 180.0, 225.0, 270.0, 315.0};
 
 constexpr double kSqrt2 = 1.41421356237309504880;
+constexpr double kHalfSqrt2 = 0.70710678118654752440;
+
+// Unit vector (cos, sin of the azimuth in radians) toward neighbour k, for
+// the DEM path's travel-time floor.
+constexpr std::array<double, 8> kNeighbourCos = {
+    1.0, kHalfSqrt2, 0.0, -kHalfSqrt2, -1.0, -kHalfSqrt2, 0.0, kHalfSqrt2};
+constexpr std::array<double, 8> kNeighbourSin = {
+    0.0, kHalfSqrt2, 1.0, kHalfSqrt2, 0.0, -kHalfSqrt2, -1.0, -kHalfSqrt2};
 
 constexpr std::int32_t kNilEntry = -1;
+
+/// The bounds every sweep (and every start-cell list) needs.
+void require_sweepable(std::size_t cells, double horizon_min) {
+  ESSNS_REQUIRE(horizon_min >= 0.0, "horizon must be non-negative");
+  // Dial entries index cells with 32 bits and the bucket chains index the
+  // entry arena with int32; seeding alone pushes up to one entry per cell.
+  ESSNS_REQUIRE(cells <= (std::size_t{1} << 30),
+                "maps over 2^30 cells are not supported: the sweep's dial "
+                "queue indexes cells and its entry arena with 32 bits");
+}
 
 /// The sweep's priority queue: a bucketed dial/calendar queue over
 /// [0, horizon]. The sweep's result is the unique fixed point of
@@ -120,7 +141,7 @@ class DialQueue {
 
   void push(double time, std::size_t cell) {
     // Callers push only times at or before the horizon: relaxation guards
-    // arrival <= horizon, and seeding skips later start times.
+    // arrival <= horizon, and seeding queues only StartCells::seeds.
     // The intrusive chains index the arena with int32; entries cannot be
     // allowed past that (run_sweep's cell-count limit makes this
     // unreachable in practice — it would take a ~48 GB arena).
@@ -271,6 +292,23 @@ BurnedCells burned_cells(const Grid<std::uint8_t>& mask) {
   return burned;
 }
 
+StartCells start_cells(const IgnitionMap& map, double horizon_min) {
+  require_sweepable(map.size(), horizon_min);
+  StartCells starts;
+  starts.rows = map.rows();
+  starts.cols = map.cols();
+  starts.horizon_min = horizon_min;
+  const double* t = map.data();
+  for (std::size_t i = 0; i < map.size(); ++i) {
+    const double t0 = t[i];
+    if (!(t0 < kNeverIgnited)) continue;
+    ESSNS_REQUIRE(t0 >= 0.0, "initial ignition times must be non-negative");
+    (t0 <= horizon_min ? starts.seeds : starts.late)
+        .push_back(static_cast<std::uint32_t>(i));
+  }
+  return starts;
+}
+
 FirePropagator::FirePropagator(const FireSpreadModel& model) : model_(&model) {}
 
 IgnitionMap FirePropagator::propagate(const FireEnvironment& env,
@@ -306,7 +344,8 @@ const IgnitionMap& FirePropagator::propagate(
                   "ignition cell out of bounds");
     workspace.times_(cell) = 0.0;
   }
-  run_sweep(env, scenario, horizon_min, workspace);
+  run_sweep(env, scenario, start_cells(workspace.times_, horizon_min),
+            workspace);
   return workspace.times_;
 }
 
@@ -316,24 +355,35 @@ const IgnitionMap& FirePropagator::propagate(
     PropagationWorkspace& workspace) const {
   ESSNS_REQUIRE(initial.rows() == env.rows() && initial.cols() == env.cols(),
                 "initial map dimensions must match environment");
+  const StartCells starts = start_cells(initial, horizon_min);
   workspace.times_ = initial;  // reuses capacity when dimensions match
-  run_sweep(env, scenario, horizon_min, workspace);
+  run_sweep(env, scenario, starts, workspace);
+  return workspace.times_;
+}
+
+const IgnitionMap& FirePropagator::propagate(
+    const FireEnvironment& env, const Scenario& scenario,
+    const IgnitionMap& initial, const StartCells& starts,
+    PropagationWorkspace& workspace) const {
+  ESSNS_REQUIRE(initial.rows() == env.rows() && initial.cols() == env.cols(),
+                "initial map dimensions must match environment");
+  ESSNS_REQUIRE(starts.rows == initial.rows() && starts.cols == initial.cols(),
+                "start cells must come from the initial map");
+  workspace.times_ = initial;  // reuses capacity when dimensions match
+  run_sweep(env, scenario, starts, workspace);
   return workspace.times_;
 }
 
 void FirePropagator::run_sweep(const FireEnvironment& env,
-                               const Scenario& scenario, double horizon_min,
+                               const Scenario& scenario,
+                               const StartCells& starts,
                                PropagationWorkspace& workspace) const {
-  ESSNS_REQUIRE(horizon_min >= 0.0, "horizon must be non-negative");
+  const double horizon_min = starts.horizon_min;
+  require_sweepable(workspace.times_.size(), horizon_min);
   // Every path indexes 14-entry per-model tables by the scenario model when
   // there is no fuel map.
   ESSNS_REQUIRE(model_->catalog().contains(scenario.model),
                 "scenario fuel model out of catalog range");
-  // Dial entries index cells with 32 bits and the bucket chains index the
-  // entry arena with int32; seeding alone pushes up to one entry per cell.
-  ESSNS_REQUIRE(workspace.times_.size() <= (std::size_t{1} << 30),
-                "maps over 2^30 cells are not supported: the sweep's dial "
-                "queue indexes cells and its entry arena with 32 bits");
 
   obs::SpanTimer sweep_timer("sweep");
   SweepCounters counters;
@@ -380,11 +430,11 @@ void FirePropagator::run_sweep(const FireEnvironment& env,
     burned_words_data[cell >> 6] |= std::uint64_t{1} << (cell & 63);
   };
 
-  // Seed the queue with every finite initial time at or before the horizon
-  // (the final clamp erases later ones from the output) for which
-  // `can_move(t0, cell)` holds, then drain it through `relax`. A start cell
-  // that cannot improve any neighbour at seeding never can: times only fall
-  // during a sweep. Should its own time fall later, relax pushes it.
+  // Seed the queue with every start cell at or before the horizon (the late
+  // ones are clamped below) for which `can_move(t0, cell)` holds, then drain
+  // it through `relax`. A start cell that cannot improve any neighbour at
+  // seeding never can: times only fall during a sweep. Should its own time
+  // fall later, relax pushes it.
   const auto sweep_with = [&](auto&& relax, auto&& can_move) {
     const auto pop = [&](double time, std::size_t cell, auto& queue) {
       mark_burned(cell);
@@ -394,21 +444,14 @@ void FirePropagator::run_sweep(const FireEnvironment& env,
                     workspace.bucket_head_, workspace.bucket_bits_,
                     workspace.cell_epoch_, workspace.dial_dirty_, horizon_min,
                     cells, counters);
-    for (int r = 0; r < rows; ++r) {
-      for (int c = 0; c < cols; ++c) {
-        const double t0 = times(r, c);
-        if (t0 < kNeverIgnited) {
-          ESSNS_REQUIRE(t0 >= 0.0,
-                        "initial ignition times must be non-negative");
-          if (t0 > horizon_min) continue;
-          const std::size_t cell = times.index_of(r, c);
-          if (can_move(t0, cell)) {
-            queue.push(t0, cell);
-          } else {
-            mark_burned(cell);
-            ++counters.seeds_pruned;
-          }
-        }
+    for (const std::uint32_t seed : starts.seeds) {
+      const std::size_t cell = seed;
+      const double t0 = t[cell];
+      if (can_move(t0, cell)) {
+        queue.push(t0, cell);
+      } else {
+        mark_burned(cell);
+        ++counters.seeds_pruned;
       }
     }
     queue.drain(pop);
@@ -534,7 +577,12 @@ void FirePropagator::run_sweep(const FireEnvironment& env,
     // once per model, and the terrain terms (tan of slope, upslope azimuth)
     // are a function of the environment alone and live in workspace slabs
     // filled once per topography. Per pop only apply_wind_slope runs — the
-    // same operands in the same order as behavior(), so bit-identical.
+    // same operands in the same order as behavior(), so bit-identical — and
+    // then, per candidate neighbour, a travel-time floor (one sincos per pop,
+    // no trig per neighbour) rules out most relaxations before the exact
+    // rate pays for its cos. The floor never exceeds the exact arrival
+    // (TravelTimeFloor), so a neighbour it rules out could not have been
+    // admitted: the map, pops and pushes are those of the exact loop.
     if (workspace.terrain_id_ != env.topography_id() ||
         workspace.slope_ratio_.size() != cells) {
       workspace.slope_ratio_.resize(cells);
@@ -573,6 +621,7 @@ void FirePropagator::run_sweep(const FireEnvironment& env,
           WindSlope{wind_fpm, scenario.wind_dir, slope_ratio[cell_idx],
                     upslope_deg[cell_idx]});
       if (behavior.spread_rate_max <= 0.0) return;
+      const TravelTimeFloor travel_floor = behavior.travel_time_floor();
 
       const int r = static_cast<int>(cell_idx / static_cast<std::size_t>(cols));
       const int c = static_cast<int>(cell_idx % static_cast<std::size_t>(cols));
@@ -587,6 +636,17 @@ void FirePropagator::run_sweep(const FireEnvironment& env,
         // model. A neighbour already at or before `time` cannot improve
         // (arrival >= time), so skip it before paying for the trig.
         if ((fuel && fuel[nidx] == 0) || t[nidx] <= time) continue;
+        // The floor is at or below the exact arrival: what it rules out
+        // the exact test below would refuse too.
+        if (travel_floor.active) {
+          const double arrival_floor =
+              time + travel_floor.travel_time(step_ft[k], kNeighbourCos[k],
+                                              kNeighbourSin[k]);
+          if (arrival_floor >= t[nidx] || arrival_floor > horizon_min) {
+            ++counters.floor_rejects;
+            continue;
+          }
+        }
         const double rate = behavior.spread_rate_at(kNeighbourAzimuth[k]);
         if (rate <= 0.0) continue;
         const double arrival = time + step_ft[k] / rate;
@@ -602,9 +662,11 @@ void FirePropagator::run_sweep(const FireEnvironment& env,
 
   // Clamp: anything beyond the horizon is reported as never ignited, matching
   // the simulator contract ("time instant of ignition ... or zero otherwise").
-  // This includes pre-seeded initial times greater than the horizon.
-  for (double& time : times)
-    if (time > horizon_min) time = kNeverIgnited;
+  // Relaxation never writes a time past the horizon, so only the late start
+  // cells can hold one: those the sweep did not lower to the horizon or
+  // below.
+  for (const std::uint32_t cell : starts.late)
+    if (t[cell] > horizon_min) t[cell] = kNeverIgnited;
 
   const double sweep_seconds = sweep_timer.stop();
   if (obs::metrics_enabled()) {  // one flush per sweep, never per cell
@@ -615,6 +677,7 @@ void FirePropagator::run_sweep(const FireEnvironment& env,
     obs::add_counter("sweep.bucket_redrains", counters.bucket_redrains);
     obs::add_counter("sweep.seeds_pruned", counters.seeds_pruned);
     obs::add_counter("sweep.tt_table_rebuilds", counters.tt_rows_built);
+    obs::add_counter("sweep.floor_rejects", counters.floor_rejects);
     obs::record_histogram("sweep.seconds", sweep_seconds);
   }
 }

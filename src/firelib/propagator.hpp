@@ -57,6 +57,26 @@ BurnedCells burned_cells(const IgnitionMap& map, double time_min);
 /// Pack the nonzero cells of a burned mask (e.g. a thresholded prediction).
 BurnedCells burned_cells(const Grid<std::uint8_t>& mask);
 
+/// The start cells of a continuation sweep from one ignition map to one
+/// horizon, as row-major linear indices: `seeds` holds the finite start
+/// times at or before the horizon (the cells the sweep may queue), `late`
+/// the finite ones after it (reported never ignited unless the sweep lowers
+/// them to the horizon or below). Every simulation of a batch continues
+/// from the same map to the same horizon, so a caller builds this once and
+/// hands it to every sweep instead of each sweep scanning the map.
+struct StartCells {
+  int rows = 0;
+  int cols = 0;
+  double horizon_min = 0.0;
+  std::vector<std::uint32_t> seeds;
+  std::vector<std::uint32_t> late;
+};
+
+/// Start cells of `map` for a sweep to `horizon_min`. Throws InvalidArgument
+/// on a negative or NaN horizon, a negative start time, or a map over 2^30
+/// cells.
+StartCells start_cells(const IgnitionMap& map, double horizon_min);
+
 /// Reusable per-thread propagation state: the working ignition-time map, the
 /// sweep's dial-queue storage, and precomputed spread-rate inputs. A
 /// workspace amortizes all per-call allocations across simulations — each
@@ -169,7 +189,9 @@ class FirePropagator {
   /// are reported as kNeverIgnited in the output, exactly like cells the
   /// sweep reaches beyond the horizon. On uniform topography only start
   /// cells that can still improve a neighbour enter the queue (the burned
-  /// interior of a fire line costs no pop); the DEM path queues them all.
+  /// interior of a fire line costs no pop); the DEM path queues them all,
+  /// and rules out most of their relaxations with a travel-time floor
+  /// (TravelTimeFloor) before it pays for the exact spread rate.
   IgnitionMap propagate(const FireEnvironment& env, const Scenario& scenario,
                         const IgnitionMap& initial, double horizon_min) const;
 
@@ -186,13 +208,22 @@ class FirePropagator {
                                const Scenario& scenario,
                                const IgnitionMap& initial, double horizon_min,
                                PropagationWorkspace& workspace) const;
+  /// Same, to starts.horizon_min, seeded from `starts`, which must be
+  /// start_cells(initial, starts.horizon_min) (only its shape is checked):
+  /// the form a batch of sweeps from one map to one horizon shares.
+  const IgnitionMap& propagate(const FireEnvironment& env,
+                               const Scenario& scenario,
+                               const IgnitionMap& initial,
+                               const StartCells& starts,
+                               PropagationWorkspace& workspace) const;
 
   /// Select the relax kernel (default simd::Mode::kAuto): the
   /// uniform-topography inner loop runs the AVX2 8-lane kernel when the
   /// mode resolves to it, the scalar oracle otherwise. Bit-identical either
   /// way (relax_kernel.hpp); requesting avx2 on a host without it falls
-  /// back to scalar. The DEM path (per-direction elliptical trig, not table
-  /// lookups) always runs scalar.
+  /// back to scalar. The DEM path (per-pop wind/slope composition, then a
+  /// travel-time floor per neighbour before the exact elliptical rate, not
+  /// table lookups) always runs scalar.
   void set_simd_mode(simd::Mode mode) {
     simd_mode_ = mode;
     simd_isa_ = simd::resolve(mode);
@@ -202,9 +233,11 @@ class FirePropagator {
   simd::Isa simd_isa() const { return simd_isa_; }
 
  private:
-  /// Dijkstra sweep over workspace.times_ (already seeded with source times).
+  /// Dijkstra sweep over workspace.times_, which holds the start map whose
+  /// start cells are `starts`.
   void run_sweep(const FireEnvironment& env, const Scenario& scenario,
-                 double horizon_min, PropagationWorkspace& workspace) const;
+                 const StartCells& starts,
+                 PropagationWorkspace& workspace) const;
 
   const FireSpreadModel* model_;
   simd::Mode simd_mode_ = simd::Mode::kAuto;

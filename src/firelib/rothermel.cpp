@@ -30,6 +30,21 @@ double FireBehavior::spread_rate_at(double deg) const {
   return spread_rate_max * (1.0 - eccentricity) / denom;
 }
 
+TravelTimeFloor FireBehavior::travel_time_floor() const {
+  TravelTimeFloor floor;
+  // The exact rate's numerator, in spread_rate_at's operation order.
+  const double slowest = spread_rate_max * (1.0 - eccentricity);
+  if (!(eccentricity < TravelTimeFloor::kMaxEccentricity && slowest >= 1e-300))
+    return floor;
+  const double a = azimuth_radians(azimuth_max);
+  floor.active = true;
+  floor.eccentricity = eccentricity;
+  floor.cos_max = std::cos(a);
+  floor.sin_max = std::sin(a);
+  floor.inv_rate_min = 1.0 / slowest;
+  return floor;
+}
+
 double FireBehavior::byram_intensity_at(double deg) const {
   return heat_per_unit_area * spread_rate_at(deg) / 60.0;
 }

@@ -19,9 +19,13 @@
 // essns::units to convert Table I inputs.
 #pragma once
 
+#include <algorithm>
+
 #include "firelib/fuel_model.hpp"
 
 namespace essns::firelib {
+
+struct TravelTimeFloor;
 
 /// Environmental moistures, as fractions (not percents).
 struct MoistureSet {
@@ -87,6 +91,10 @@ struct FireBehavior {
   /// Spread rate (ft/min) toward compass azimuth `deg` (Anderson's ellipse).
   double spread_rate_at(double deg) const;
 
+  /// Safe lower bound on `step_ft / spread_rate_at(deg)` for every
+  /// direction, at one sincos per behavior (see TravelTimeFloor).
+  TravelTimeFloor travel_time_floor() const;
+
   /// Byram's fireline intensity (Btu/ft/s) in the direction of `deg`:
   /// I_B = H_A * R / 60 (fireLib's Fire_FlameScorch chain).
   double byram_intensity_at(double deg) const;
@@ -99,6 +107,55 @@ struct FireBehavior {
   /// temperature `air_temp_f` (deg F) and the behavior's effective wind:
   /// Van Wagner (1973) as adapted in fireLib/BEHAVE.
   double scorch_height_at(double deg, double air_temp_f) const;
+};
+
+/// A floor under the travel time of one FireBehavior's elliptical spread,
+/// cheap enough to test before paying for spread_rate_at's cos. With a the
+/// direction of maximum spread, the exact travel time over `step_ft` toward
+/// azimuth theta is step_ft * (1 - e cos(theta - a)) / (rmax (1 - e)), and
+/// cos(theta - a) = cos(theta) cos(a) + sin(theta) sin(a). The floor
+/// evaluates that with an upper bound on the cos, so it needs only the
+/// direction's unit vector (a constant per lattice direction) and the
+/// behavior's cos(a), sin(a), taken once.
+///
+/// Why it never exceeds the exact time (step_ft / spread_rate_at(deg), in
+/// doubles):
+///  - the time falls as the cos rises, since e >= 0. The cos bound adds 1e-9
+///    to a dot product whose error against libm's cos of the rounded angle
+///    is ~1e-15, so it is at least the cos spread_rate_at computes (and 1,
+///    where it is clamped, is at least any cos);
+///  - `1 - e * c` rounds monotonically in c, so the floor's `1 - e * c_ub`
+///    is at most spread_rate_at's denominator, bit for bit;
+///  - the remaining products differ from the exact quotients by a few
+///    roundings (~1e-15 relative), which the (1 - 1e-9) factor covers about
+///    10^6 times over. `active` also asks rmax (1 - e) >= 1e-300, so every
+///    rate stays a normal number and those relative bounds hold.
+/// The floor is active only while e < 0.999: then 1 - e cos >= 1e-3, so
+/// spread_rate_at never takes its near-zero-denominator branch (which
+/// returns rmax and would break the formula above). Callers test `active`
+/// and fall back to the exact rate otherwise. The sum time + floor rounds
+/// monotonically too, so an arrival bound built from it never exceeds the
+/// exact arrival.
+struct TravelTimeFloor {
+  bool active = false;
+  double eccentricity = 0.0;
+  double cos_max = 0.0;  ///< cos of azimuth_max in radians
+  double sin_max = 0.0;  ///< sin of azimuth_max in radians
+  /// 1 / (rmax (1 - e)): the inverse of the slowest (backing) rate.
+  double inv_rate_min = 0.0;
+
+  /// Eccentricities at or above this bypass the floor.
+  static constexpr double kMaxEccentricity = 0.999;
+
+  /// Lower bound on step_ft / spread_rate_at(theta) for the direction
+  /// theta with unit vector (dir_cos, dir_sin) (each within ~1e-15 of
+  /// cos/sin of theta in radians). Meaningful only when `active`.
+  double travel_time(double step_ft, double dir_cos, double dir_sin) const {
+    const double c_ub =
+        std::min(1.0, dir_cos * cos_max + dir_sin * sin_max + 1e-9);
+    return step_ft * (1.0 - eccentricity * c_ub) * inv_rate_min *
+           (1.0 - 1e-9);
+  }
 };
 
 /// Phase 1: fuel-bed intermediates for `model`. Cheap enough to call freely,

@@ -4,6 +4,7 @@
 
 #include <limits>
 #include <sstream>
+#include <string>
 
 #include "common/error.hpp"
 
@@ -249,9 +250,55 @@ TEST(RunSpecTest, RefusesASearchTheMethodCannotRun) {
   // The same population is fine for the methods whose floor it meets.
   EXPECT_EQ(parse_run_spec("method=ess-ns\npopulation=3").search.population,
             3u);
-  EXPECT_EQ(parse_run_spec("method=essim-monitor\npopulation=3")
+  EXPECT_EQ(parse_run_spec("method=essim-monitor\npopulation=4\nislands=1")
                 .search.population,
-            3u);
+            4u);
+}
+
+/// The message parse_run_spec (and, for an Optimizer, validate_job_search)
+/// refuses `text` with.
+std::string refusal_of(const std::string& text) {
+  try {
+    parse_run_spec(text);
+  } catch (const InvalidArgument& error) {
+    return error.what();
+  }
+  return "accepted";
+}
+
+TEST(RunSpecTest, EssimEaRefusesFewerThanFourIndividualsPerIsland) {
+  // The islands split the population evenly and each island GA needs four
+  // individuals: population=2 over 4 islands would silently run 16.
+  EXPECT_NE(refusal_of("method=essim-ea\npopulation=8\nislands=3")
+                .find("population expects an integer >= 12 for essim-ea "
+                      "with islands=3, got '8'"),
+            std::string::npos);
+  SearchSpec search;
+  search.method = "essim-ea";
+  search.population = 2;
+  search.islands = 4;
+  EXPECT_THROW(validate_job_search(search), InvalidArgument);
+  search.population = 16;
+  EXPECT_NO_THROW(validate_job_search(search));
+  EXPECT_EQ(parse_run_spec("method=essim-ea\npopulation=12\nislands=3")
+                .search.population,
+            12u);
+  // The job default (16 over 3 islands) already meets it.
+  EXPECT_NO_THROW(validate_job_search(SearchSpec{.method = "essim-ea"}));
+}
+
+TEST(RunSpecTest, EssimMonitorRefusesFewerThanFourIndividualsPerIsland) {
+  // essim-monitor is no Optimizer and skips validate_job_search, so
+  // parse_run_spec checks its islands itself.
+  EXPECT_NE(refusal_of("method=essim-monitor\npopulation=11")
+                .find("population expects an integer >= 12 for "
+                      "essim-monitor with islands=3, got '11'"),
+            std::string::npos);
+  EXPECT_NE(refusal_of("method=essim-monitor\npopulation=2\nislands=4")
+                .find("with islands=4, got '2'"),
+            std::string::npos);
+  // The single-run default (24 over 3 islands) already meets it.
+  EXPECT_EQ(parse_run_spec("method=essim-monitor").search.population, 24u);
 }
 
 TEST(RunSpecTest, WorkloadFactoryHonoursSize) {

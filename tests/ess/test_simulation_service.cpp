@@ -339,6 +339,47 @@ TEST_F(SimulationServiceTest, ReferenceKernelsMatchFastKernels) {
   }
 }
 
+TEST(SimulationServiceStartCells, BatchEqualsPerScenarioPropagateOnDem) {
+  // Each context lists its start cells once and every lane's sweep seeds
+  // from that list. Continuing from every fire line of a DEM truth, to the
+  // next instant and to one before the line's own last times (late start
+  // cells), a batch must equal one reference propagate per scenario, at
+  // every lane count; a new end time over the same line is a new list.
+  const synth::Workload workload = synth::make_hills(32);
+  const synth::GroundTruth truth = truth_of(workload);
+  Observations observations(truth, false);
+  const firelib::FireSpreadModel spread_model;
+  const firelib::oracle::ReferencePropagator reference(spread_model);
+  Rng sample_rng(23);
+  std::vector<firelib::Scenario> scenarios;
+  for (int i = 0; i < 6; ++i)
+    scenarios.push_back(firelib::ScenarioSpace::table1().sample(sample_rng));
+
+  for (unsigned workers : {1u, 3u}) {
+    const auto lanes = parallel::make_job_lanes(workers);
+    SimulationService service(workload.environment, lanes.get());
+    service.set_cache_policy(cache::CachePolicy::kOff);
+    for (int line = 0; line < truth.steps(); ++line) {
+      const double next = truth.time_of(line + 1);
+      const double cut = truth.time_of(line) - truth.step_minutes / 2;
+      for (const double end_time : {next, cut}) {
+        if (end_time < 0.0) continue;
+        SCOPED_TRACE(testing::Message() << workers << " lanes, line " << line
+                                        << ", end " << end_time);
+        const auto got =
+            service.simulate_batch(scenarios, observations, line, end_time);
+        ASSERT_EQ(got.size(), scenarios.size());
+        for (std::size_t i = 0; i < got.size(); ++i)
+          EXPECT_EQ(got[i], firelib::burned_cells(
+                                reference.propagate(
+                                    workload.environment, scenarios[i],
+                                    truth.fire_lines[line], end_time),
+                                end_time));
+      }
+    }
+  }
+}
+
 TEST_F(SimulationServiceTest, EmptyBatchIsANoOp) {
   const auto lanes = parallel::make_job_lanes(2);
   SimulationService service(workload_.environment, lanes.get());

@@ -2,7 +2,8 @@
 // uniform-topography travel-time tables and DEM path (spread base per fuel
 // model, terrain slabs per environment) must reproduce the reference
 // propagator (binary heap, per-pop behavior + trig) bit for bit, over
-// randomized scenarios, terrains, horizons and continuation maps.
+// randomized scenarios, terrains, horizons and continuation maps, on the
+// uniform path and on the DEM path with its travel-time floor.
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
@@ -10,6 +11,7 @@
 #include "firelib/environment.hpp"
 #include "firelib/propagator.hpp"
 #include "firelib/scenario.hpp"
+#include "obs/metrics.hpp"
 #include "reference_propagator.hpp"
 #include "sweep_fixtures.hpp"
 
@@ -54,6 +56,52 @@ TEST(PropagatorFastPathTest, ContinuationFromMapMatchesReference) {
               reference.propagate(env, second, start, 180.0))
         << "trial " << trial;
   }
+}
+
+TEST(PropagatorFastPathTest, DemContinuationFromMapMatchesReference) {
+  // The campaign's shape on per-cell terrain with a fuel mosaic: a fire
+  // line grown by one scenario, continued under a high-wind one to horizons
+  // that cut the new front, one of them before the line's own last times
+  // (late start cells). The DEM path's travel-time floor must leave the map
+  // and the burned record exactly the reference's, seeded from the map or
+  // from a shared start-cell list.
+  const FireSpreadModel model;
+  const FirePropagator fast(model);
+  const oracle::ReferencePropagator reference(model);
+  const FireEnvironment env = dem_env(32, /*with_fuel=*/true);
+  obs::MetricsRegistry registry;
+  struct Installed {
+    obs::MetricsRegistry* previous = obs::metrics_registry();
+    explicit Installed(obs::MetricsRegistry* r) {
+      obs::install_metrics_registry(r);
+    }
+    ~Installed() { obs::install_metrics_registry(previous); }
+  } installed(&registry);
+
+  const auto& space = ScenarioSpace::table1();
+  Rng rng(29);
+  PropagationWorkspace workspace;
+  for (int trial = 0; trial < 12; ++trial) {
+    const Scenario first = space.sample(rng);
+    Scenario next = space.sample(rng);
+    next.wind_speed = rng.uniform(30.0, 80.0);
+    const IgnitionMap start = fast.propagate(
+        env, first, std::vector<CellIndex>{{16, 16}, {4, 27}, {28, 3}}, 90.0);
+    for (const double horizon : {45.0, 100.0, 150.0}) {
+      SCOPED_TRACE(testing::Message() << "trial " << trial << " horizon "
+                                      << horizon << " " << next.to_string());
+      const IgnitionMap want = reference.propagate(env, next, start, horizon);
+      const BurnedCells want_burned = burned_cells(want, horizon);
+      fast.propagate(env, next, start, horizon, workspace);
+      ASSERT_EQ(workspace.last_map(), want);
+      ASSERT_EQ(workspace.last_burned(), want_burned);
+      const StartCells starts = start_cells(start, horizon);
+      fast.propagate(env, next, start, starts, workspace);
+      ASSERT_EQ(workspace.last_map(), want);
+      ASSERT_EQ(workspace.last_burned(), want_burned);
+    }
+  }
+  EXPECT_GT(registry.counter("sweep.floor_rejects").value(), 0u);
 }
 
 TEST(PropagatorFastPathTest, RejectsOutOfCatalogFuelCodes) {
