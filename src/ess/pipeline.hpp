@@ -73,8 +73,8 @@ struct StepReport {
   double elapsed_seconds = 0.0;
   std::size_t solution_count = 0;  ///< maps aggregated in the SS
 
-  // Per-stage wall-clock breakdown of elapsed_seconds (bench_stages uses
-  // these to report per-stage speedup across worker counts).
+  // Per-stage wall-clock breakdown of elapsed_seconds (the campaign JSONL
+  // and CSV report them; the pipeline.*_seconds histograms record them).
   double os_seconds = 0.0;  ///< Optimization Stage (search + fitness batches)
   double ss_seconds = 0.0;  ///< Statistical Stage (aggregation of the OS's burned-cell records)
   double cs_seconds = 0.0;  ///< Calibration Stage (S_Kign threshold search)
