@@ -15,7 +15,8 @@
 // stack is bit-deterministic across worker counts and every job derives
 // its seeds from (campaign seed, workload seed, job index) alone, per-job
 // results are bit-identical at any job-concurrency level — the contract
-// the tests and bench_campaign verify.
+// CampaignScheduler.DeterministicAcrossJobConcurrency and the golden
+// campaign gate (--jobs 1 and --jobs 2) verify.
 //
 // Error isolation: a job whose pipeline throws is recorded as kFailed with
 // the exception text; the rest of the campaign completes normally.

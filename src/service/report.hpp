@@ -6,7 +6,7 @@
 // tooling can stream-append campaigns; CSV flattens to one row per
 // (job, predicted step) for spreadsheet/pandas use; the summary is a
 // TextTable plus a single JSON object with campaign-level throughput
-// (jobs/sec) — the numbers bench_campaign tracks across PRs.
+// (jobs/sec).
 #pragma once
 
 #include <iosfwd>
