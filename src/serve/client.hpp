@@ -1,8 +1,7 @@
 // LineClient: a deliberately dumb blocking client for the serve protocol —
-// connect, send a line, read a line. It exists so the serve tests, the load
-// generator in bench_serve and `essns_cli serve --request` all talk to the
-// server through the same few dozen lines instead of three ad-hoc socket
-// loops.
+// connect, send a line, read a line. It exists so the serve tests and
+// `essns_cli serve --request` talk to the server through the same few dozen
+// lines instead of ad-hoc socket loops.
 #pragma once
 
 #include <string>

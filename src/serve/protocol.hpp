@@ -27,9 +27,9 @@
 //                          completed horizon (the predict's before any)
 //     priority=<int>
 //     Same workload, same seed: the ground-truth prefix is unchanged, so
-//     the engine's shared cache serves the earlier steps warm — the
-//     steady-state speedup bench_serve measures. At a horizon the fire has
-//     already completed the answer is replayed from that job's record.
+//     the engine's shared cache serves the earlier steps warm. At a horizon
+//     the fire has already completed the answer is replayed from that
+//     job's record.
 //
 //   metrics    — one-line JSON scrape of the engine's MetricsRegistry
 //   stats      — queue/cache/tracking counters as key=value tokens

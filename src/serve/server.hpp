@@ -25,9 +25,8 @@
 // (service::JobRequest::resume): it generates the truth but runs only the
 // new step, cold, and answers ` resumed=1` with the cache counts of that
 // step alone. A job at any other horizon runs every step, its earlier ones
-// warm from the engine's shared cache (bench_serve measures the cold/warm
-// ratio). On completion a job's record replaces the fire's unless the fire
-// already holds one at a later horizon.
+// warm from the engine's shared cache. On completion a job's record
+// replaces the fire's unless the fire already holds one at a later horizon.
 //
 // Determinism: every serve job runs at index 0 with the server's campaign
 // seed, so its record is a pure function of (server seed, request
