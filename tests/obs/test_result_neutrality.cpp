@@ -2,8 +2,9 @@
 // campaign run with tracing + metrics enabled must produce bit-identical
 // results — quality, kign, evaluation counts, final maps — to the same
 // campaign with observability off, at every worker count and job
-// concurrency. CI runs this suite, so a span or counter that perturbs
-// results cannot land.
+// concurrency, and a single sweep's arrival times must be bit-identical
+// too. CI runs this suite, so a span or counter that perturbs results
+// cannot land.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,9 +13,12 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
+#include "firelib/propagator.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "service/campaign.hpp"
+#include "synth/ground_truth.hpp"
 #include "synth/workloads.hpp"
 
 namespace essns::obs {
@@ -129,6 +133,42 @@ TEST(ResultNeutrality, MetricsOnlyModeIsAlsoNeutral) {
   std::remove(metrics_path.c_str());
 
   expect_bit_identical(baseline, observed);
+}
+
+TEST(ResultNeutrality, SweepArrivalTimesMatchBitForBit) {
+  // The f64 ignition map itself, which the burned-cell results above round
+  // away: uniform and DEM sweeps continued from a ground-truth fire line,
+  // with a trace recorder and a metrics registry installed and without.
+  for (const synth::Workload& workload :
+       {synth::make_plains(32, 5), synth::make_hills(32, 5)}) {
+    SCOPED_TRACE(workload.name);
+    const firelib::FireEnvironment& env = workload.environment;
+    Rng truth_rng(5);
+    const synth::GroundTruth truth =
+        synth::generate_ground_truth(env, workload.truth_config, truth_rng);
+    const firelib::FireSpreadModel model;
+    const firelib::FirePropagator propagator(model);
+    Rng rng(2022);
+    for (int trial = 0; trial < 6; ++trial) {
+      const firelib::Scenario scenario =
+          firelib::ScenarioSpace::table1().sample(rng);
+      const firelib::IgnitionMap off = propagator.propagate(
+          env, scenario, truth.fire_lines[1], truth.time_of(2));
+      TraceRecorder recorder(1 << 10);
+      MetricsRegistry registry;
+      install_trace_recorder(&recorder);
+      install_metrics_registry(&registry);
+      const firelib::IgnitionMap on = propagator.propagate(
+          env, scenario, truth.fire_lines[1], truth.time_of(2));
+      install_trace_recorder(nullptr);
+      install_metrics_registry(nullptr);
+      EXPECT_GT(registry.counter("sweep.count").value(), 0u);
+      ASSERT_EQ(on.size(), off.size());
+      EXPECT_EQ(std::memcmp(on.data(), off.data(), off.size() * sizeof(double)),
+                0)
+          << "trial " << trial;
+    }
+  }
 }
 
 }  // namespace
