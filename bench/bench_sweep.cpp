@@ -1,33 +1,32 @@
 // EXP-B6 — sweep benchmark: the FirePropagator Dijkstra sweep (dial queue)
-// with the relax kernel the --simd mode selects against the scalar kernel,
-// single threaded, on the grid shapes that exercise both fast paths:
+// with the relax kernel the CPU picks against a sweep forced to the scalar
+// kernel, single threaded, on the grid shapes that exercise both fast
+// paths:
 //
 //   uniform   plains (travel-time-table inner loop, scenario-uniform fuels);
 //   dem       hills (per-cell wind/slope composition + fuel mosaic).
 //
-// Every timed scenario is first checked for bit-identical ignition maps —
-// the production sweep against the test-side reference propagator
-// (tests/firelib/reference_propagator.hpp: binary heap, per-pop behavior)
-// AND the --simd kernel against the scalar one — and the whole default
-// campaign catalog is checked both ways as well, from point ignitions and
-// from every ground-truth fire line to the next instant; any divergence
-// makes the binary exit nonzero, which is how CI enforces the
-// zero-divergence acceptance criterion.
+// The timed sweeps continue from the workload's last ground-truth fire line
+// with a successor to the next instant, as a job's Prediction Stage does,
+// so they start from a whole burned interior and a live front; the JSON
+// reports the mean pops per timed sweep. Every timed scenario is first
+// checked for bit-identical ignition maps — the production sweep against
+// the test-side reference propagator (tests/firelib/reference_propagator.hpp:
+// binary heap, per-pop behavior) AND against the forced-scalar sweep — and
+// the whole default campaign catalog is checked both ways as well, from
+// point ignitions and from every ground-truth fire line to the next
+// instant; any divergence makes the binary exit nonzero, which is how CI
+// enforces the zero-divergence acceptance criterion. On a host without
+// AVX2+FMA both sweeps run the scalar kernel and the ratio reads ~1.
 //
 // Flags:
 //   --quick        smaller grids/rounds (CI Debug job); every divergence
 //                  check still runs, but the arms last only milliseconds,
 //                  so no speedup ratio is reported
-//   --simd MODE    auto | avx2 | scalar — the kernel for the simd arms
-//                  (default auto). Forcing avx2 on a host without it skips
-//                  the run with a notice (exit 0, "skipped": true in JSON)
-//                  instead of silently benchmarking scalar-vs-scalar.
 //   --out PATH     JSON output path (default BENCH_sweep.json)
 //
-// The JSON carries hardware provenance (cores, detected ISA)
-// and the active settings, so numbers are never compared across hosts
-// blind. Plain main on purpose (no Google Benchmark) so the target always
-// builds.
+// The JSON carries hardware provenance (cores, detected ISA) and the kernel
+// the CPU picked, so numbers are never compared across hosts blind.
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -51,9 +50,10 @@ struct GridResult {
   std::string name;
   int rows = 0;
   int cols = 0;
-  double seconds = 0.0;         // --simd kernel
+  double seconds = 0.0;         // the CPU-picked kernel
   double scalar_seconds = 0.0;  // scalar kernel
   std::size_t cells_swept = 0;
+  double mean_pops = 0.0;       // live pops per timed sweep
   double simd_speedup() const {
     return seconds > 0.0 ? scalar_seconds / seconds : 0.0;
   }
@@ -63,7 +63,7 @@ struct GridResult {
 };
 
 /// Map divergences: the production sweep against the reference propagator,
-/// and the --simd kernel against the scalar one.
+/// and against the forced-scalar sweep.
 struct Divergences {
   std::size_t reference = 0;
   std::size_t simd = 0;
@@ -71,9 +71,7 @@ struct Divergences {
 
 /// The three sweeps every check compares, with their workspaces.
 struct Sweeps {
-  explicit Sweeps(simd::Mode mode)
-      : production(model), scalar(model), reference(model) {
-    production.set_simd_mode(mode);
+  Sweeps() : production(model), scalar(model), reference(model) {
     scalar.set_simd_mode(simd::Mode::kScalar);
   }
 
@@ -97,24 +95,31 @@ struct Sweeps {
   firelib::PropagationWorkspace production_ws, scalar_ws;
 };
 
-/// Time the --simd kernel against the scalar one on one workload,
-/// continuing from its first ground-truth fire line.
+/// Live pops the installed registry has counted so far.
+std::uint64_t cells_popped(obs::MetricsRegistry& metrics) {
+  return metrics.counter("sweep.cells_popped").value();
+}
+
+/// Time the CPU-picked kernel against the scalar one on one workload,
+/// continuing from its last ground-truth fire line with a successor.
 GridResult bench_grid(const std::string& name, const synth::Workload& workload,
-                      std::size_t scenarios, int rounds, simd::Mode mode,
+                      std::size_t scenarios, int rounds,
+                      obs::MetricsRegistry& metrics,
                       Divergences& divergences) {
   const firelib::FireEnvironment& env = workload.environment;
   Rng truth_rng(5);
   const synth::GroundTruth truth = synth::generate_ground_truth(
       env, workload.truth_config, truth_rng);
-  const firelib::IgnitionMap& start = truth.fire_lines[0];
-  const double horizon = truth.step_minutes;
+  const int line = truth.steps() - 1;
+  const firelib::IgnitionMap& start = truth.fire_lines[line];
+  const double horizon = truth.time_of(line + 1);
 
   const auto& space = firelib::ScenarioSpace::table1();
   Rng rng(2022);
   std::vector<firelib::Scenario> batch;
   for (std::size_t i = 0; i < scenarios; ++i) batch.push_back(space.sample(rng));
 
-  Sweeps sweeps(mode);
+  Sweeps sweeps;
   GridResult result;
   result.name = name;
   result.rows = env.rows();
@@ -124,12 +129,15 @@ GridResult bench_grid(const std::string& name, const synth::Workload& workload,
   for (const firelib::Scenario& scenario : batch)
     sweeps.check(env, scenario, start, horizon, divergences);
 
+  const std::uint64_t pops_before = cells_popped(metrics);
   Stopwatch watch;
   for (int round = 0; round < rounds; ++round)
     for (const firelib::Scenario& scenario : batch)
       sweeps.production.propagate(env, scenario, start, horizon,
                                   sweeps.production_ws);
   result.seconds = watch.elapsed_seconds();
+  result.mean_pops = static_cast<double>(cells_popped(metrics) - pops_before) /
+                     (static_cast<double>(batch.size()) * rounds);
   watch.reset();
   for (int round = 0; round < rounds; ++round)
     for (const firelib::Scenario& scenario : batch)
@@ -154,11 +162,10 @@ struct CatalogChecks {
 /// runs them, continuations from each fire line of the workload's ground
 /// truth to the next instant. Those start from a whole burned interior, the
 /// sweeps the seeding list and the DEM travel-time floor shape most.
-CatalogChecks check_default_catalog(simd::Mode mode,
-                                    Divergences& divergences) {
+CatalogChecks check_default_catalog(Divergences& divergences) {
   const std::vector<synth::Workload> catalog =
       synth::generate_catalog(synth::CatalogSpec{});
-  Sweeps sweeps(mode);
+  Sweeps sweeps;
   const auto& space = firelib::ScenarioSpace::table1();
   Rng rng(7);
   CatalogChecks checks;
@@ -188,19 +195,10 @@ CatalogChecks check_default_catalog(simd::Mode mode,
 
 int main(int argc, char** argv) {
   bool quick = false;
-  simd::Mode mode = simd::Mode::kAuto;
   const char* json_path = "BENCH_sweep.json";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       quick = true;
-    } else if (std::strcmp(argv[i], "--simd") == 0 && i + 1 < argc) {
-      const auto parsed = simd::parse_simd_mode(argv[++i]);
-      if (!parsed) {
-        std::fprintf(stderr, "--simd expects auto|avx2|scalar, got '%s'\n",
-                     argv[i]);
-        return 1;
-      }
-      mode = *parsed;
     } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       json_path = argv[++i];
     } else {
@@ -209,34 +207,11 @@ int main(int argc, char** argv) {
     }
   }
 
-  const simd::Isa resolved = simd::resolve(mode);
-  if (mode == simd::Mode::kAvx2 && resolved != simd::Isa::kAvx2) {
-    // Forced AVX2 on a host without it: a scalar-vs-scalar "comparison"
-    // would report nothing useful, so skip loudly instead (CI treats this
-    // exit 0 + marker as skipped, not passed).
-    std::printf(
-        "sweep benchmark SKIPPED: --simd avx2 requested but this host does "
-        "not support AVX2+FMA (detected: %s)\n",
-        simd::to_string(simd::detected_isa()));
-    std::FILE* out = std::fopen(json_path, "w");
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", json_path);
-      return 1;
-    }
-    std::fprintf(out, "{\n  \"benchmark\": \"sweep\",\n  \"skipped\": true,\n");
-    std::fprintf(out,
-                 "  \"skip_reason\": \"avx2 requested but unsupported\",\n");
-    std::fprintf(out, "  \"hardware\": {%s},\n",
-                 benchmain::hardware_json_fields().c_str());
-    std::fprintf(out, "  \"settings\": {\"simd_mode\": \"%s\"}\n}\n",
-                 simd::to_string(mode));
-    std::fclose(out);
-    std::printf("wrote %s\n", json_path);
-    return 0;
-  }
+  const simd::Isa resolved = simd::detected_isa();
 
   // Bench-wide metrics registry: the sweep counters (pops, pushes, stale
-  // pops, bucket re-drains) behind the timings land in the JSON below.
+  // pops, bucket re-drains) behind the timings land in the JSON below, and
+  // its pop counter gives each grid's mean pops per timed sweep.
   obs::MetricsRegistry metrics;
   obs::install_metrics_registry(&metrics);
 
@@ -251,21 +226,22 @@ int main(int argc, char** argv) {
   Divergences divergences;
   std::vector<GridResult> results;
   results.push_back(bench_grid("plains-uniform", synth::make_plains(grid),
-                               scenarios, rounds, mode, divergences));
+                               scenarios, rounds, metrics, divergences));
   results.push_back(bench_grid("hills-dem", synth::make_hills(grid), scenarios,
-                               rounds, mode, divergences));
+                               rounds, metrics, divergences));
   // Double-edge grid: a wider active front per sweep.
   results.push_back(bench_grid("plains-large", synth::make_plains(2 * grid),
-                               scenarios / 2, std::max(1, rounds / 4), mode,
+                               scenarios / 2, std::max(1, rounds / 4), metrics,
                                divergences));
   for (const GridResult& r : results) {
     std::printf("  %-14s %8.3fs %s  %8.3fs scalar", r.name.c_str(), r.seconds,
                 simd::to_string(resolved), r.scalar_seconds);
     if (!quick) std::printf("  %5.2fx simd", r.simd_speedup());
-    std::printf("  (%.3g cells/sec)\n", r.cells_per_second());
+    std::printf("  (%.3g cells/sec, %.0f pops/sweep)\n", r.cells_per_second(),
+                r.mean_pops);
   }
 
-  const CatalogChecks catalog = check_default_catalog(mode, divergences);
+  const CatalogChecks catalog = check_default_catalog(divergences);
   std::printf(
       "  default catalog: %zu workloads and %zu fire-line continuations "
       "checked, %zu reference / %zu simd divergences\n",
@@ -287,10 +263,8 @@ int main(int argc, char** argv) {
   std::fprintf(out, "  \"hardware\": {%s},\n",
                benchmain::hardware_json_fields().c_str());
   std::fprintf(out, "  %s,\n", benchmain::metrics_json_field().c_str());
-  std::fprintf(out,
-               "  \"settings\": {\"simd_mode\": \"%s\", "
-               "\"simd_active\": \"%s\"},\n",
-               simd::to_string(mode), simd::to_string(resolved));
+  std::fprintf(out, "  \"settings\": {\"simd_active\": \"%s\"},\n",
+               simd::to_string(resolved));
   std::fprintf(out, "  \"grids\": [\n");
   for (std::size_t i = 0; i < results.size(); ++i) {
     const GridResult& r = results[i];
@@ -300,8 +274,11 @@ int main(int argc, char** argv) {
                  r.name.c_str(), r.rows, r.cols, r.seconds, r.scalar_seconds);
     if (!quick)
       std::fprintf(out, "\"simd_speedup\": %.4f, ", r.simd_speedup());
-    std::fprintf(out, "\"cells_per_second\": %.1f}%s\n",
-                 r.cells_per_second(), i + 1 < results.size() ? "," : "");
+    std::fprintf(out,
+                 "\"cells_per_second\": %.1f, "
+                 "\"mean_pops_per_sweep\": %.1f}%s\n",
+                 r.cells_per_second(), r.mean_pops,
+                 i + 1 < results.size() ? "," : "");
   }
   std::fprintf(out, "  ],\n");
   std::fprintf(out, "  \"catalog_workloads_checked\": %zu,\n",

@@ -220,8 +220,8 @@ class FirePropagator {
   /// Select the relax kernel (default simd::Mode::kAuto): the
   /// uniform-topography inner loop runs the AVX2 8-lane kernel when the
   /// mode resolves to it, the scalar oracle otherwise. Bit-identical either
-  /// way (relax_kernel.hpp); requesting avx2 on a host without it falls
-  /// back to scalar. The DEM path (per-pop wind/slope composition, then a
+  /// way (relax_kernel.hpp); `auto` resolves to scalar on a host without
+  /// AVX2+FMA. The DEM path (per-pop wind/slope composition, then a
   /// travel-time floor per neighbour before the exact elliptical rate, not
   /// table lookups) always runs scalar.
   void set_simd_mode(simd::Mode mode) {

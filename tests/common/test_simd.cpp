@@ -5,33 +5,14 @@
 namespace essns::simd {
 namespace {
 
-TEST(SimdModeTest, ParseAcceptsTheThreeSpellings) {
-  EXPECT_EQ(parse_simd_mode("auto"), Mode::kAuto);
-  EXPECT_EQ(parse_simd_mode("avx2"), Mode::kAvx2);
-  EXPECT_EQ(parse_simd_mode("scalar"), Mode::kScalar);
-}
-
-TEST(SimdModeTest, ParseRejectsEverythingElse) {
-  EXPECT_EQ(parse_simd_mode(""), std::nullopt);
-  EXPECT_EQ(parse_simd_mode("AVX2"), std::nullopt);
-  EXPECT_EQ(parse_simd_mode("sse"), std::nullopt);
-  EXPECT_EQ(parse_simd_mode("auto "), std::nullopt);
-}
-
-TEST(SimdModeTest, ToStringRoundTrips) {
-  for (Mode mode : {Mode::kAuto, Mode::kAvx2, Mode::kScalar})
-    EXPECT_EQ(parse_simd_mode(to_string(mode)), mode);
-}
-
 TEST(SimdModeTest, ScalarModeAlwaysResolvesScalar) {
   EXPECT_EQ(resolve(Mode::kScalar), Isa::kScalar);
 }
 
-TEST(SimdModeTest, AutoAndAvx2ResolveToDetection) {
-  // Whatever the host supports, auto and avx2 must agree with detection —
-  // avx2 on an unsupporting host degrades to scalar, never traps.
+TEST(SimdModeTest, AutoResolvesToDetection) {
+  // Whatever the host supports, auto must agree with detection — scalar on
+  // an unsupporting host, never a trap.
   EXPECT_EQ(resolve(Mode::kAuto), detected_isa());
-  EXPECT_EQ(resolve(Mode::kAvx2), detected_isa());
 }
 
 TEST(SimdModeTest, DetectionIsStable) {

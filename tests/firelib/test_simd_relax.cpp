@@ -39,8 +39,8 @@ TEST(SimdRelaxKernelTest, ModeResolutionOnPropagator) {
   EXPECT_EQ(propagator.simd_isa(), simd::detected_isa());
   propagator.set_simd_mode(simd::Mode::kScalar);
   EXPECT_EQ(propagator.simd_isa(), simd::Isa::kScalar);
-  // Requesting avx2 on a host without it degrades to scalar, never traps.
-  propagator.set_simd_mode(simd::Mode::kAvx2);
+  // Back to auto: the CPU's kernel again (scalar on a host without AVX2).
+  propagator.set_simd_mode(simd::Mode::kAuto);
   EXPECT_EQ(propagator.simd_isa(), simd::detected_isa());
 }
 
@@ -98,7 +98,7 @@ void expect_simd_matches(const FireEnvironment& env) {
   FirePropagator scalar(model);
   scalar.set_simd_mode(simd::Mode::kScalar);
   FirePropagator vector(model);
-  vector.set_simd_mode(simd::Mode::kAvx2);
+  vector.set_simd_mode(simd::Mode::kAuto);
   const oracle::ReferencePropagator reference(model);
 
   const auto& space = ScenarioSpace::table1();
@@ -157,7 +157,7 @@ TEST(SimdRelaxSweepTest, TieHeavyCalmSpreadMatches) {
   FirePropagator scalar(model);
   scalar.set_simd_mode(simd::Mode::kScalar);
   FirePropagator vector(model);
-  vector.set_simd_mode(simd::Mode::kAvx2);
+  vector.set_simd_mode(simd::Mode::kAuto);
   const FireEnvironment env = uniform_env(41);
   const Scenario s = calm_scenario();
   const std::vector<CellIndex> many{
@@ -176,7 +176,7 @@ TEST(SimdRelaxSweepTest, DefaultCampaignCatalogIsBitIdentical) {
   FirePropagator scalar(model);
   scalar.set_simd_mode(simd::Mode::kScalar);
   FirePropagator vector(model);
-  vector.set_simd_mode(simd::Mode::kAvx2);
+  vector.set_simd_mode(simd::Mode::kAuto);
 
   const auto& space = ScenarioSpace::table1();
   Rng rng(2022);
