@@ -12,7 +12,8 @@
 //                            at --jobs 2 --workers 3 (same file);
 //   single-<method>.txt      the single-run table for ess-ns and
 //                            essim-monitor (hills, size 32, seed 3, 3
-//                            generations);
+//                            generations), at workers=1 and again at
+//                            workers=3 (same file);
 //   serve-transcript.txt     predict, replayed repredict and extension, each
 //                            response cut at " seconds=";
 //   truth-arrival-times.txt  the last ground-truth fire line of plains, hills
@@ -155,16 +156,28 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
-TEST(GoldenSingleRun, TablesMatch) {
+/// Both single-run tables at `workers` simulation workers, written under
+/// `dir` and compared with the one golden file per method: single-run
+/// output carries no timings, so it is the same at every worker count.
+void expect_single_run_tables(const std::string& workers,
+                              const std::string& dir) {
   for (const std::string method : {"ess-ns", "essim-monitor"}) {
     const RunResult run =
         run_cli({"method=" + method, "workload=hills", "size=32", "seed=3",
-                 "generations=3"});
+                 "generations=3", "workers=" + workers});
     ASSERT_EQ(run.exit_code, 0) << run.err;
     const std::string name = "single-" + method + ".txt";
-    write_file(kActualDir + "/" + name, run.out);
+    write_file(dir + "/" + name, run.out);
     expect_golden(name, run.out);
   }
+}
+
+TEST(GoldenSingleRun, TablesMatch) {
+  expect_single_run_tables("1", kActualDir);
+}
+
+TEST(GoldenSingleRun, TablesMatchAtThreeWorkers) {
+  expect_single_run_tables("3", kActualDir + "/workers3");
 }
 
 TEST(GoldenServe, TranscriptMatches) {
