@@ -12,8 +12,7 @@
 //
 // Reported (BENCH_cache.json): hit-rates (per-job and cache-global), live
 // bytes vs budget, evictions, and the campaign wall-clock speedup of
-// shared over off on the GA-shaped duplicate-heavy workload. Plain main on
-// purpose (no Google Benchmark) so the target always builds.
+// shared over off on the GA-shaped duplicate-heavy workload.
 #include <cstdio>
 #include <cstring>
 #include <memory>

@@ -24,8 +24,7 @@
 //
 // Every compared pair is also checked for bit-identical results before
 // timing is reported. Writes BENCH_hotpath.json; exits nonzero when an
-// equivalence check fails. Plain main on purpose (no Google Benchmark) so
-// the target always builds.
+// equivalence check fails.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>

@@ -13,29 +13,14 @@
 
 namespace essns::benchmain {
 
-/// Host facts every benchmark JSON should carry.
-struct HardwareInfo {
-  unsigned cores = 0;        ///< logical cpus the runtime reports
-  simd::Isa simd_isa = simd::Isa::kScalar;  ///< best ISA this host supports
-};
-
-inline HardwareInfo detect_hardware() {
-  HardwareInfo info;
-  info.cores = std::max(1u, std::thread::hardware_concurrency());
-  info.simd_isa = simd::detected_isa();
-  return info;
-}
-
-/// The provenance facts as JSON object *fields* (no surrounding braces), so
-/// the benches can splice them into their hand-written documents:
+/// The host's provenance — logical CPUs and the best SIMD ISA it supports —
+/// as JSON object *fields* (no surrounding braces), so the benches can
+/// splice them into their hand-written documents:
 ///   "cores": 64, "simd_detected": "avx2"
 inline std::string hardware_json_fields() {
-  const HardwareInfo info = detect_hardware();
-  std::string json;
-  json += "\"cores\": " + std::to_string(info.cores);
-  json += std::string(", \"simd_detected\": \"") +
-          simd::to_string(info.simd_isa) + "\"";
-  return json;
+  const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
+  return "\"cores\": " + std::to_string(cores) + ", \"simd_detected\": \"" +
+         simd::to_string(simd::detected_isa()) + "\"";
 }
 
 /// The currently installed metrics registry's scrape as one JSON object

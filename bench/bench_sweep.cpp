@@ -95,11 +95,6 @@ struct Sweeps {
   firelib::PropagationWorkspace production_ws, scalar_ws;
 };
 
-/// Live pops the installed registry has counted so far.
-std::uint64_t cells_popped(obs::MetricsRegistry& metrics) {
-  return metrics.counter("sweep.cells_popped").value();
-}
-
 /// Time the CPU-picked kernel against the scalar one on one workload,
 /// continuing from its last ground-truth fire line with a successor.
 GridResult bench_grid(const std::string& name, const synth::Workload& workload,
@@ -129,14 +124,15 @@ GridResult bench_grid(const std::string& name, const synth::Workload& workload,
   for (const firelib::Scenario& scenario : batch)
     sweeps.check(env, scenario, start, horizon, divergences);
 
-  const std::uint64_t pops_before = cells_popped(metrics);
+  obs::Counter& pops = metrics.counter("sweep.cells_popped");
+  const std::uint64_t pops_before = pops.value();
   Stopwatch watch;
   for (int round = 0; round < rounds; ++round)
     for (const firelib::Scenario& scenario : batch)
       sweeps.production.propagate(env, scenario, start, horizon,
                                   sweeps.production_ws);
   result.seconds = watch.elapsed_seconds();
-  result.mean_pops = static_cast<double>(cells_popped(metrics) - pops_before) /
+  result.mean_pops = static_cast<double>(pops.value() - pops_before) /
                      (static_cast<double>(batch.size()) * rounds);
   watch.reset();
   for (int round = 0; round < rounds; ++round)

@@ -154,8 +154,8 @@ struct JobRequest {
 /// function of (workload, campaign_seed, index, workers-independent spec)
 /// that every scheduled execution reproduces bit-for-bit. This is the
 /// oracle the engine and serve tests (and perfbench) compare scheduled
-/// results against. Job-level failures are recorded, not thrown. The relax kernel
-/// is the one the CPU supports (simd::Mode::kAuto). The job simulates on
+/// results against. Job-level failures are recorded, not thrown. The relax
+/// kernel is the one the CPU supports (simd::Mode::kAuto). The job simulates on
 /// `lanes` when given (an engine slot's pool of `workers` lanes), else on a
 /// job-local pool of `workers` lanes; the record is the same either way.
 ///
