@@ -6,15 +6,17 @@
 //                precomputed travel-time tables) vs the test-side reference
 //                propagator (binary heap, behavior + trig per pop);
 //   dem sweep    the same on the hills DEM workload at 64 and 96 cells:
-//                continuation sweeps seeded from a ground-truth fire line
-//                (the pipeline's shape), fast (spread base once per fuel
-//                model, terrain trig once per environment) vs reference;
-//                popped cells/sec, the firelib.cells_per_s of the trace;
+//                continuation sweeps from a ground-truth fire line's
+//                burned cells at its instant (the pipeline's shape), fast
+//                (spread base once per fuel model, terrain trig once per
+//                environment) vs reference; popped cells/sec, the
+//                firelib.cells_per_s of the trace;
 //   fitness      Eq. (3) evaluations/sec through SimulationService
 //                fitness_batch — the OS hot loop — new kernels (fast sweep +
 //                word-wise Eq. (3) on the sweep's burned cells + scenario
 //                cache) vs the reference propagator (no cache) scored by
-//                ess::jaccard on its packed burned cells, on a
+//                ess::jaccard on its packed burned cells, both from the
+//                observed outbreak line's burned cells at t_0, on a
 //                duplicate-heavy batch shaped like GA populations;
 //                reported twice: cache on (the shipping configuration) and
 //                cache off (isolating the pure kernel speedup);
@@ -94,10 +96,13 @@ int main(int argc, char** argv) {
   Rng truth_rng(5);
   const synth::GroundTruth truth = synth::generate_ground_truth(
       workload.environment, workload.truth_config, truth_rng);
-  const firelib::IgnitionMap& start = truth.fire_lines[0];
   ess::Observations observations(truth, false);
-  const ess::ScoringTarget& scoring = observations.digest().lines[1].scoring;
-  const double horizon = truth.step_minutes;
+  const ess::ObservationDigest& digest = observations.digest();
+  // Where the service's step 1 starts: line 0's burned cells at t_0.
+  const firelib::IgnitionMap start = firelib::burned_region(
+      digest.lines[0].scoring.real, digest.times[0]);
+  const ess::ScoringTarget& scoring = digest.lines[1].scoring;
+  const double horizon = digest.times[1];
 
   Rng rng(2022);
   const std::vector<firelib::Scenario> batch =
@@ -169,7 +174,10 @@ int main(int argc, char** argv) {
       Rng hills_rng(5);
       const synth::GroundTruth hills_truth = synth::generate_ground_truth(
           hills.environment, hills.truth_config, hills_rng);
-      const firelib::IgnitionMap& rfl = hills_truth.fire_lines[1];
+      const double rfl_instant = hills_truth.time_of(1);
+      const firelib::IgnitionMap rfl = firelib::burned_region(
+          firelib::burned_cells(hills_truth.fire_lines[1], rfl_instant),
+          rfl_instant);
       const double dem_horizon = hills_truth.time_of(2);
       DemTiming dem;
       dem.grid = dem_grid;

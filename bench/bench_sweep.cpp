@@ -7,9 +7,11 @@
 //   dem       hills (per-cell wind/slope composition + fuel mosaic).
 //
 // The timed sweeps continue from the workload's last ground-truth fire line
-// with a successor to the next instant, as a job's Prediction Stage does,
-// so they start from a whole burned interior and a live front; the JSON
-// reports the mean pops per timed sweep. Every timed scenario is first
+// to the next instant, as a job's Prediction Stage does: from the line's
+// burned cells at its instant (firelib::burned_region), so they start from
+// a live front around a settled interior; the JSON reports the mean pops
+// per timed sweep. The two arms alternate which runs first in each round,
+// so neither pays for running second. Every timed scenario is first
 // checked for bit-identical ignition maps — the production sweep against
 // the test-side reference propagator (tests/firelib/reference_propagator.hpp:
 // binary heap, per-pop behavior) AND against the forced-scalar sweep — and
@@ -95,8 +97,19 @@ struct Sweeps {
   firelib::PropagationWorkspace production_ws, scalar_ws;
 };
 
+/// What a prediction step continues from: line `line` of `truth` as the
+/// cells it had burned at its instant.
+firelib::IgnitionMap observed_start(const synth::GroundTruth& truth,
+                                    int line) {
+  const double instant = truth.time_of(line);
+  return firelib::burned_region(
+      firelib::burned_cells(truth.fire_lines[static_cast<std::size_t>(line)],
+                            instant),
+      instant);
+}
+
 /// Time the CPU-picked kernel against the scalar one on one workload,
-/// continuing from its last ground-truth fire line with a successor.
+/// continuing from its last ground-truth fire line to the next instant.
 GridResult bench_grid(const std::string& name, const synth::Workload& workload,
                       std::size_t scenarios, int rounds,
                       obs::MetricsRegistry& metrics,
@@ -106,7 +119,7 @@ GridResult bench_grid(const std::string& name, const synth::Workload& workload,
   const synth::GroundTruth truth = synth::generate_ground_truth(
       env, workload.truth_config, truth_rng);
   const int line = truth.steps() - 1;
-  const firelib::IgnitionMap& start = truth.fire_lines[line];
+  const firelib::IgnitionMap start = observed_start(truth, line);
   const double horizon = truth.time_of(line + 1);
 
   const auto& space = firelib::ScenarioSpace::table1();
@@ -124,21 +137,31 @@ GridResult bench_grid(const std::string& name, const synth::Workload& workload,
   for (const firelib::Scenario& scenario : batch)
     sweeps.check(env, scenario, start, horizon, divergences);
 
+  // One pass of the batch through one arm, in seconds.
+  const auto time_arm = [&](const firelib::FirePropagator& propagator,
+                            firelib::PropagationWorkspace& workspace) {
+    Stopwatch watch;
+    for (const firelib::Scenario& scenario : batch)
+      propagator.propagate(env, scenario, start, horizon, workspace);
+    return watch.elapsed_seconds();
+  };
   obs::Counter& pops = metrics.counter("sweep.cells_popped");
-  const std::uint64_t pops_before = pops.value();
-  Stopwatch watch;
-  for (int round = 0; round < rounds; ++round)
-    for (const firelib::Scenario& scenario : batch)
-      sweeps.production.propagate(env, scenario, start, horizon,
-                                  sweeps.production_ws);
-  result.seconds = watch.elapsed_seconds();
-  result.mean_pops = static_cast<double>(pops.value() - pops_before) /
+  std::uint64_t production_pops = 0;
+  for (int round = 0; round < rounds; ++round) {
+    // Even rounds run the CPU-picked arm first, odd rounds the scalar one.
+    for (const bool scalar_arm : {round % 2 == 1, round % 2 == 0}) {
+      if (scalar_arm) {
+        result.scalar_seconds += time_arm(sweeps.scalar, sweeps.scalar_ws);
+      } else {
+        const std::uint64_t pops_before = pops.value();
+        result.seconds +=
+            time_arm(sweeps.production, sweeps.production_ws);
+        production_pops += pops.value() - pops_before;
+      }
+    }
+  }
+  result.mean_pops = static_cast<double>(production_pops) /
                      (static_cast<double>(batch.size()) * rounds);
-  watch.reset();
-  for (int round = 0; round < rounds; ++round)
-    for (const firelib::Scenario& scenario : batch)
-      sweeps.scalar.propagate(env, scenario, start, horizon, sweeps.scalar_ws);
-  result.scalar_seconds = watch.elapsed_seconds();
   // Map-output throughput (cells of ignition map produced per second), kept
   // out of the timed loops so the measurements stay symmetric.
   result.cells_swept = static_cast<std::size_t>(env.rows()) *
@@ -156,8 +179,9 @@ struct CatalogChecks {
 /// Every workload of the default campaign catalog (the acceptance sweep):
 /// point ignitions, a handful of scenarios each; then, as a campaign job
 /// runs them, continuations from each fire line of the workload's ground
-/// truth to the next instant. Those start from a whole burned interior, the
-/// sweeps the seeding list and the DEM travel-time floor shape most.
+/// truth (its burned cells at its instant) to the next instant. Those start
+/// from a settled interior and a live front, the sweeps the start-cell list
+/// and the DEM travel-time floor shape most.
 CatalogChecks check_default_catalog(Divergences& divergences) {
   const std::vector<synth::Workload> catalog =
       synth::generate_catalog(synth::CatalogSpec{});
@@ -176,9 +200,10 @@ CatalogChecks check_default_catalog(Divergences& divergences) {
     Rng truth_rng(workload.seed);
     const synth::GroundTruth truth = synth::generate_truth(workload, truth_rng);
     for (int line = 0; line < truth.steps(); ++line) {
+      const firelib::IgnitionMap start = observed_start(truth, line);
       for (int trial = 0; trial < 3; ++trial) {
-        sweeps.check(env, space.sample(rng), truth.fire_lines[line],
-                     truth.time_of(line + 1), divergences);
+        sweeps.check(env, space.sample(rng), start, truth.time_of(line + 1),
+                     divergences);
         ++checks.continuations;
       }
     }

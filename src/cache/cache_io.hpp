@@ -19,8 +19,13 @@
 // i32 rows/cols, then ceil(rows*cols/64) u64 words; bits past the last cell
 // must be zero) and the fitness records. kEndFrame carries the entry count
 // and must be the final frame — truncation anywhere (mid-frame OR between
-// frames) is detected. Version 1 snapshots, which held f64 ignition maps,
-// are rejected with a version-mismatch WireError.
+// frames) is detected. Older snapshots are rejected with a version-mismatch
+// WireError: version 1 held f64 ignition maps, and version 2 held burned
+// cells of simulations that started from the truth's arrival times inside
+// each fire line. Since version 3 a simulation starts from the line's
+// burned cells at its instant, under keys that also carry that instant; a
+// version-2 entry would otherwise be served as a hit with an answer the
+// current code does not compute.
 //
 // Save and restore both stream frame by frame, so their memory is bounded
 // by one frame, not by the file.
@@ -48,7 +53,7 @@
 namespace essns::cache {
 
 inline constexpr std::uint32_t kCacheFileMagic = 0x45535343u;  // "CSSE" LE
-inline constexpr std::uint32_t kCacheFileVersion = 2;
+inline constexpr std::uint32_t kCacheFileVersion = 3;
 inline constexpr std::uint32_t kEntryFrame = 1;
 inline constexpr std::uint32_t kEndFrame = 2;
 /// Per-frame payload bound: one entry (key + one burned-cell record +

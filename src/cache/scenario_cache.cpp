@@ -115,9 +115,10 @@ std::uint64_t environment_fingerprint(const firelib::FireEnvironment& env) {
 
 std::uint64_t context_fingerprint(std::uint64_t environment_fingerprint,
                                   std::uint64_t start_fingerprint,
-                                  double end_time) {
+                                  double start_time, double end_time) {
   std::uint64_t hash = fnv1a(kFnvOffset, environment_fingerprint);
   hash = fnv1a(hash, start_fingerprint);
+  hash = fnv1a(hash, std::bit_cast<std::uint64_t>(start_time));
   hash = fnv1a(hash, std::bit_cast<std::uint64_t>(end_time));
   return hash;
 }

@@ -94,12 +94,15 @@ std::uint64_t map_fingerprint(const firelib::IgnitionMap& map);
 /// simulated on the wrong terrain.
 std::uint64_t environment_fingerprint(const firelib::FireEnvironment& env);
 
-/// Fingerprint of a simulation context: the environment's and start map's
-/// fingerprints and the end time's bit pattern — everything beyond the
-/// scenario that determines the simulation's burned cells.
+/// Fingerprint of a simulation context: the environment's and start line's
+/// fingerprints and the bit patterns of the line's instant and the end
+/// time — everything beyond the scenario that determines the simulation's
+/// burned cells. A simulation starts from the line's burned cells at its
+/// instant; the line's fingerprint fixes the cells, but a line that stopped
+/// growing reads the same at two instants, so the instant is keyed too.
 std::uint64_t context_fingerprint(std::uint64_t environment_fingerprint,
                                   std::uint64_t start_fingerprint,
-                                  double end_time);
+                                  double start_time, double end_time);
 
 /// One memoized Eq. (3) score: fitness is a pure function of (burned cells,
 /// target map, interval start), so it is cached per (target fingerprint,

@@ -26,12 +26,6 @@ double ScenarioEvaluator::evaluate_scenario(
   return service_.score(scenario, *observations_, line_);
 }
 
-firelib::IgnitionMap ScenarioEvaluator::simulate(
-    const firelib::Scenario& scenario, const firelib::IgnitionMap& start,
-    double end_time) {
-  return service_.simulate(scenario, start, end_time);
-}
-
 Grid<double> ScenarioEvaluator::burn_probability(
     const std::vector<firelib::Scenario>& scenarios,
     Observations& observations, int start_line, double end_time) {

@@ -53,19 +53,14 @@ class ScenarioEvaluator {
   /// Fitness of one scenario on the current step (calling thread).
   double evaluate_scenario(const firelib::Scenario& scenario);
 
-  /// Simulated ignition map of `scenario` from `start` (state at
-  /// `start_time`) to `end_time`, on the calling thread.
-  firelib::IgnitionMap simulate(const firelib::Scenario& scenario,
-                                const firelib::IgnitionMap& start,
-                                double end_time);
-
   /// Probability-of-ignition matrix of `scenarios` simulated from line
   /// `start_line` of `observations` to `end_time`: the Statistical Stage.
   /// When the line and `end_time` are the current step's start and end,
   /// scenarios the step's fitness batches simulated are counted from their
   /// recorded burned cells; the rest are simulated as one burned-cell batch
-  /// over the worker pool. Bit-identical to aggregating N simulate() maps
-  /// at any worker count and cache policy.
+  /// over the worker pool. Bit-identical to aggregating one sweep per
+  /// scenario from the line's burned region at its instant, at any worker
+  /// count and cache policy.
   Grid<double> burn_probability(const std::vector<firelib::Scenario>& scenarios,
                                 Observations& observations, int start_line,
                                 double end_time);

@@ -47,13 +47,6 @@ synth::GroundTruth materialize_truth(const synth::Workload& workload,
 
 Observations::Observations(const synth::GroundTruth& truth,
                            bool fingerprints)
-    : digest_(make_observation_digest(truth, fingerprints)),
-      lines_(&truth.fire_lines) {}
-
-const firelib::IgnitionMap& Observations::line(int k) const {
-  ESSNS_REQUIRE(k >= 0 && static_cast<std::size_t>(k) < lines_->size(),
-                "fire line index out of range");
-  return (*lines_)[static_cast<std::size_t>(k)];
-}
+    : digest_(make_observation_digest(truth, fingerprints)) {}
 
 }  // namespace essns::ess

@@ -1,19 +1,25 @@
 // Observation digest: what the prediction pipeline reads of the observed
 // fire lines (RFL_k), without the lines themselves.
 //
-// Every stage asks one of three things of a fire line: its content
-// fingerprint (shared-cache key material), the cells it had burned by its
-// own instant t_k (the Calibration Stage's target, the quality score's, and
-// the preburned set of the next interval), or the cells it had burned by
-// t_{k-1} (the preburned set of Eq. (3) over [t_{k-1}, t_k]). An
-// ObservationDigest holds exactly that per line — about 1 KiB at 64x64
-// against 32 KiB of f64 map — and is immutable once built.
+// An observer of a fire line sees which cells had burned by its instant
+// t_k, not when each of them ignited. Every stage asks one of three things
+// of a line: its content fingerprint (shared-cache key material), the cells
+// it had burned by t_k (the Calibration Stage's target, the quality
+// score's, the preburned set of the next interval, and the start of every
+// simulation from the line), or the cells it had burned by t_{k-1} (the
+// preburned set of Eq. (3) over [t_{k-1}, t_k]). An ObservationDigest holds
+// exactly that per line — about 1 KiB at 64x64 against 32 KiB of f64 map —
+// and is immutable once built.
 //
-// The dense lines matter only where a simulation starts from one.
-// Observations pairs a digest with them, borrowed from the ground truth it
-// was built from. It is the only way fire lines reach the simulation layer
-// (SimulationService, ScenarioEvaluator), which keys each batch's context by
-// the Observations object and a line index.
+// A simulation from line k starts from the region it had burned, every cell
+// at t_k (firelib::burned_region of `scoring.real` at `times[k]`). The
+// ground truth's lines hold no finite time past their instant, so that map
+// is the dense line with every finite cell set to t_k: the truth's hidden
+// arrival times never reach the predictor.
+//
+// Observations owns a digest. It is the only way fire lines reach the
+// simulation layer (SimulationService, ScenarioEvaluator), which keys each
+// batch's context by the Observations object and a line index.
 #pragma once
 
 #include <cstdint>
@@ -49,24 +55,18 @@ struct ObservationDigest {
 synth::GroundTruth materialize_truth(const synth::Workload& workload,
                                      std::uint64_t truth_seed);
 
-/// A digest together with the dense lines behind it.
+/// The digest of one ground truth's fire lines.
 class Observations {
  public:
-  /// Digest `truth`'s lines at their instants; the dense lines stay in
-  /// `truth`, which must outlive this object with its lines unchanged.
-  /// Fingerprints are computed only when asked for: the shared cache needs
-  /// them, the step cache never does.
+  /// Digest `truth`'s lines at their instants. Fingerprints are computed
+  /// only when asked for: the shared cache needs them, the step cache never
+  /// does.
   Observations(const synth::GroundTruth& truth, bool fingerprints);
-  Observations(const synth::GroundTruth&& truth, bool fingerprints) = delete;
 
   const ObservationDigest& digest() const { return digest_; }
 
-  /// Dense line k.
-  const firelib::IgnitionMap& line(int k) const;
-
  private:
   ObservationDigest digest_;
-  const std::vector<firelib::IgnitionMap>* lines_;
 };
 
 }  // namespace essns::ess

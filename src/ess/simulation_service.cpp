@@ -56,19 +56,15 @@ std::size_t SimulationService::cache_bytes() const {
   return 0;
 }
 
-firelib::IgnitionMap SimulationService::simulate(
-    const firelib::Scenario& scenario, const firelib::IgnitionMap& start,
-    double end_time) {
-  simulations_.fetch_add(1, std::memory_order_relaxed);
-  ESSNS_TRACE_SPAN("simulate");
-  return propagator_.propagate(*env_, scenario, start, end_time,
-                               workspaces_[0]);
-}
-
 void SimulationService::prepare_simulation() {
-  if (!context_.start_cells)
-    context_.start_cells =
-        firelib::start_cells(*context_.start, context_.end_time);
+  Context& c = context_;
+  if (c.start_cells) return;
+  c.start = firelib::burned_region(
+      c.observations->digest()
+          .lines[static_cast<std::size_t>(c.start_line)]
+          .scoring.real,
+      c.line_time);
+  c.start_cells = firelib::start_cells(c.start, c.end_time);
 }
 
 SimulationService::SimulationResult SimulationService::run_one(
@@ -76,8 +72,8 @@ SimulationService::SimulationResult SimulationService::run_one(
   simulations_.fetch_add(1, std::memory_order_relaxed);
   obs::SpanTimer sim_timer("simulate");
   firelib::PropagationWorkspace& space = workspaces_[workspace];
-  propagator_.propagate(*env_, scenario, *context_.start,
-                        *context_.start_cells, space);
+  propagator_.propagate(*env_, scenario, context_.start, *context_.start_cells,
+                        space);
   SimulationResult result;
   result.burned = space.last_burned();
   if (context_.scoring) result.fitness = jaccard(*context_.scoring, result.burned);
@@ -129,7 +125,7 @@ void SimulationService::enter_context(Observations& observations,
   c.scored = scored;
   c.start_time = start_time;
   c.end_time = end_time;
-  c.start = &observations.line(start_line);
+  c.line_time = digest.times[static_cast<std::size_t>(start_line)];
   const ObservedLine& start = digest.lines[static_cast<std::size_t>(start_line)];
   const ObservedLine* target =
       scored ? &digest.lines[static_cast<std::size_t>(start_line) + 1]
@@ -232,7 +228,8 @@ SimulationService::run_cached(
     if (!env_fingerprint_)
       env_fingerprint_ = cache::environment_fingerprint(*env_);
     key_context = cache::context_fingerprint(
-        *env_fingerprint_, context_.start_fingerprint, context_.end_time);
+        *env_fingerprint_, context_.start_fingerprint, context_.line_time,
+        context_.end_time);
     if (scored)
       query = {context_.target_fingerprint,
                std::bit_cast<std::uint64_t>(context_.start_time)};

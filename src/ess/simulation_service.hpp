@@ -26,12 +26,14 @@
 // never the f64 ignition map. Each batch runs in a context — (start line,
 // target line, interval) — that reads its fire lines from an observation
 // digest (ess/observation.hpp): the packed scoring target and, for the
-// shared cache, the lines' fingerprints. The dense start line is read only
-// when a batch has to simulate — its start cells are then listed once for
-// the context (firelib::start_cells) and every sweep seeds from that list —
-// so a batch the cache answers in full never touches it. A context is
-// identified by the Observations object and its line indices, whose lines
-// are immutable once digested.
+// shared cache, the lines' fingerprints. Every simulation starts from what
+// an observer saw of the start line k: the cells it had burned by t_k, all
+// at t_k (firelib::burned_region), whatever the context's start time. That
+// map and its start cells (firelib::start_cells) are built once for the
+// context, only when a batch has to simulate, and every sweep seeds from
+// them; the burned interior is settled and never queued. A context is
+// identified by the Observations object and its line indices, whose
+// digest is immutable.
 //
 // Scenario cache: duplicate genomes are common under GA crossover/elitism,
 // and re-simulating a byte-identical scenario over the same interval from
@@ -160,15 +162,10 @@ class SimulationService {
   /// the obs registry as `sweep.batch_dedup_hits`.
   std::size_t batch_dedup_hits() const { return batch_dedup_hits_; }
 
-  /// One simulation on the calling thread (master workspace).
-  firelib::IgnitionMap simulate(const firelib::Scenario& scenario,
-                                const firelib::IgnitionMap& start,
-                                double end_time);
-
   /// Burned-cell batch: simulate every scenario from line `start_line` of
   /// `observations` to `end_time`, returning the cells each burned by
-  /// end_time. Equal to packing N simulate() maps at end_time, bit for bit,
-  /// at any worker count.
+  /// end_time. Equal, bit for bit and at any worker count, to packing one
+  /// sweep per scenario from the line's burned region at its instant.
   std::vector<BurnedCells> simulate_batch(
       const std::vector<firelib::Scenario>& scenarios,
       Observations& observations, int start_line, double end_time);
@@ -201,21 +198,25 @@ class SimulationService {
     Observations* observations = nullptr;
     int start_line = 0;
     bool scored = false;  ///< scored against line start_line + 1
-    double start_time = 0.0;
+    double start_time = 0.0;  ///< of the interval; 0 when unscored
     double end_time = 0.0;
+    /// t_k of the start line: every simulation in the context starts from
+    /// the line's burned region at this instant, whatever start_time says.
+    double line_time = 0.0;
     /// Shared-cache key material; filled only under kShared.
     std::uint64_t start_fingerprint = 0;
     std::uint64_t target_fingerprint = 0;
     const ScoringTarget* scoring = nullptr;  ///< null without a target
-    const firelib::IgnitionMap* start = nullptr;  ///< the dense start line
-    /// The start line's start cells for end_time, built by
-    /// prepare_simulation() before the context's first simulation.
+    /// The start line's burned region at its instant and its start cells
+    /// for end_time, built by prepare_simulation() before the context's
+    /// first simulation.
+    firelib::IgnitionMap start;
     std::optional<firelib::StartCells> start_cells;
     bool valid = false;
   };
 
-  /// Build the current context's start cells unless it has them: on the
-  /// master thread, before any lane simulates in the context.
+  /// Build the current context's start map and cells unless it has them:
+  /// on the master thread, before any lane simulates in the context.
   void prepare_simulation();
   /// Simulate one scenario of the current context in workspace
   /// `workspace` (after prepare_simulation()).

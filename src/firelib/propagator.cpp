@@ -29,6 +29,9 @@ struct SweepCounters {
   /// Start cells left out of the queue because they could improve no
   /// neighbour (the uniform path's seed pruning).
   std::uint64_t seeds_pruned = 0;
+  /// Start cells left out of the queue on either path because every
+  /// neighbour was at or before them already (StartCells::settled).
+  std::uint64_t seeds_settled = 0;
   /// Travel-time table rows actually (re)built by the uniform fast path —
   /// zero on a warm repeat-scenario sweep thanks to the workspace memo.
   std::uint64_t tt_rows_built = 0;
@@ -292,19 +295,47 @@ BurnedCells burned_cells(const Grid<std::uint8_t>& mask) {
   return burned;
 }
 
+IgnitionMap burned_region(const BurnedCells& burned, double time_min) {
+  ESSNS_REQUIRE(std::isfinite(time_min) && time_min >= 0.0,
+                "a burned region's instant must be finite and non-negative");
+  IgnitionMap map(burned.rows, burned.cols, kNeverIgnited);
+  ESSNS_REQUIRE(burned.words.size() == burned_words(map.size()),
+                "burned cells do not match their dimensions");
+  double* times = map.data();
+  for (std::size_t w = 0; w < burned.words.size(); ++w)
+    for (std::uint64_t word = burned.words[w]; word != 0; word &= word - 1)
+      times[w * 64 + static_cast<std::size_t>(std::countr_zero(word))] =
+          time_min;
+  return map;
+}
+
 StartCells start_cells(const IgnitionMap& map, double horizon_min) {
   require_sweepable(map.size(), horizon_min);
   StartCells starts;
   starts.rows = map.rows();
   starts.cols = map.cols();
   starts.horizon_min = horizon_min;
-  const double* t = map.data();
-  for (std::size_t i = 0; i < map.size(); ++i) {
-    const double t0 = t[i];
-    if (!(t0 < kNeverIgnited)) continue;
-    ESSNS_REQUIRE(t0 >= 0.0, "initial ignition times must be non-negative");
-    (t0 <= horizon_min ? starts.seeds : starts.late)
-        .push_back(static_cast<std::uint32_t>(i));
+  // Whether no in-bounds neighbour of (r, c) is later than t0: relaxing the
+  // cell at t0 could then lower none of them, since times only fall.
+  const auto settled = [&map](int r, int c, double t0) {
+    for (const CellIndex& d : kEightNeighbours) {
+      const int nr = r + d.row;
+      const int nc = c + d.col;
+      if (map.in_bounds(nr, nc) && !(map(nr, nc) <= t0)) return false;
+    }
+    return true;
+  };
+  for (int r = 0; r < map.rows(); ++r) {
+    for (int c = 0; c < map.cols(); ++c) {
+      const double t0 = map(r, c);
+      if (!(t0 < kNeverIgnited)) continue;
+      ESSNS_REQUIRE(t0 >= 0.0, "initial ignition times must be non-negative");
+      const auto cell = static_cast<std::uint32_t>(map.index_of(r, c));
+      if (t0 > horizon_min)
+        starts.late.push_back(cell);
+      else
+        (settled(r, c, t0) ? starts.settled : starts.seeds).push_back(cell);
+    }
   }
   return starts;
 }
@@ -416,11 +447,12 @@ void FirePropagator::run_sweep(const FireEnvironment& env,
   const std::uint8_t* fuel = fuel_map ? fuel_map->data() : nullptr;
 
   // The burned-cell record is set at each live pop, and for a start cell
-  // the seeding leaves out. Every live pop is at or before the horizon
-  // (nothing later is pushed), and a cell that ends at or before it is
-  // popped live at least once (its final entry) unless it is a left-out
-  // start cell, so the bits are exactly the cells the clamped map reports
-  // burned by horizon_min. A re-pop of a cell sets a bit already set.
+  // the seeding leaves out (settled or pruned). Every live pop is at or
+  // before the horizon (nothing later is pushed), and a cell that ends at
+  // or before it is popped live at least once (its final entry) unless it
+  // is a left-out start cell, so the bits are exactly the cells the clamped
+  // map reports burned by horizon_min. A re-pop of a cell sets a bit
+  // already set.
   BurnedCells& burned = workspace.burned_;
   burned.rows = rows;
   burned.cols = cols;
@@ -430,11 +462,12 @@ void FirePropagator::run_sweep(const FireEnvironment& env,
     burned_words_data[cell >> 6] |= std::uint64_t{1} << (cell & 63);
   };
 
-  // Seed the queue with every start cell at or before the horizon (the late
-  // ones are clamped below) for which `can_move(t0, cell)` holds, then drain
-  // it through `relax`. A start cell that cannot improve any neighbour at
-  // seeding never can: times only fall during a sweep. Should its own time
-  // fall later, relax pushes it.
+  // Seed the queue with every unsettled start cell at or before the horizon
+  // (the late ones are clamped below) for which `can_move(t0, cell)` holds,
+  // then drain it through `relax`. A start cell that cannot improve any
+  // neighbour at seeding never can: times only fall during a sweep. Should
+  // its own time fall later, relax pushes it. Settled start cells are such
+  // cells by construction, so they are burned without the test.
   const auto sweep_with = [&](auto&& relax, auto&& can_move) {
     const auto pop = [&](double time, std::size_t cell, auto& queue) {
       mark_burned(cell);
@@ -444,6 +477,8 @@ void FirePropagator::run_sweep(const FireEnvironment& env,
                     workspace.bucket_head_, workspace.bucket_bits_,
                     workspace.cell_epoch_, workspace.dial_dirty_, horizon_min,
                     cells, counters);
+    for (const std::uint32_t cell : starts.settled) mark_burned(cell);
+    counters.seeds_settled = starts.settled.size();
     for (const std::uint32_t seed : starts.seeds) {
       const std::size_t cell = seed;
       const double t0 = t[cell];
@@ -655,8 +690,8 @@ void FirePropagator::run_sweep(const FireEnvironment& env,
           queue.push(arrival, nidx);
         }
       }
-      // Every start cell is seeded: a pruning test would pay apply_wind_slope
-      // per start cell, the cost of the pop it saves.
+      // Every unsettled start cell is seeded: a pruning test would pay
+      // apply_wind_slope per start cell, the cost of the pop it saves.
     }, [](double, std::size_t) { return true; });
   }
 
@@ -676,6 +711,7 @@ void FirePropagator::run_sweep(const FireEnvironment& env,
     obs::add_counter("sweep.stale_pops", counters.stale_pops);
     obs::add_counter("sweep.bucket_redrains", counters.bucket_redrains);
     obs::add_counter("sweep.seeds_pruned", counters.seeds_pruned);
+    obs::add_counter("sweep.seeds_settled", counters.seeds_settled);
     obs::add_counter("sweep.tt_table_rebuilds", counters.tt_rows_built);
     obs::add_counter("sweep.floor_rejects", counters.floor_rejects);
     obs::record_histogram("sweep.seconds", sweep_seconds);

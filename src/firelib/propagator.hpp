@@ -57,18 +57,28 @@ BurnedCells burned_cells(const IgnitionMap& map, double time_min);
 /// Pack the nonzero cells of a burned mask (e.g. a thresholded prediction).
 BurnedCells burned_cells(const Grid<std::uint8_t>& mask);
 
+/// The map of a fire known only by the cells it had burned at one instant,
+/// as an observed fire line is: `time_min` on every cell of `burned`,
+/// kNeverIgnited elsewhere. A prediction step continues from this map, not
+/// from the arrival times behind the observation.
+IgnitionMap burned_region(const BurnedCells& burned, double time_min);
+
 /// The start cells of a continuation sweep from one ignition map to one
-/// horizon, as row-major linear indices: `seeds` holds the finite start
-/// times at or before the horizon (the cells the sweep may queue), `late`
-/// the finite ones after it (reported never ignited unless the sweep lowers
-/// them to the horizon or below). Every simulation of a batch continues
-/// from the same map to the same horizon, so a caller builds this once and
-/// hands it to every sweep instead of each sweep scanning the map.
+/// horizon, as row-major linear indices. Of the finite start times at or
+/// before the horizon, `settled` holds those whose in-bounds neighbours are
+/// all at or before the cell's own time (it has no neighbour left to
+/// improve: the sweep marks it burned and never queues it) and `seeds` the
+/// rest (the cells the sweep may queue). `late` holds the finite ones after
+/// the horizon (reported never ignited unless the sweep lowers them to the
+/// horizon or below). Every simulation of a batch continues from the same
+/// map to the same horizon, so a caller builds this once and hands it to
+/// every sweep instead of each sweep scanning the map.
 struct StartCells {
   int rows = 0;
   int cols = 0;
   double horizon_min = 0.0;
   std::vector<std::uint32_t> seeds;
+  std::vector<std::uint32_t> settled;
   std::vector<std::uint32_t> late;
 };
 
@@ -183,15 +193,18 @@ class FirePropagator {
                         double horizon_min) const;
 
   /// Spread continuing from an existing ignition-time map: every finite cell
-  /// of `initial` is a source with its recorded time. This is how a
-  /// prediction step simulates forward from the real fire line RFL(t-1).
-  /// Horizon-clamp contract: finite initial times greater than `horizon_min`
-  /// are reported as kNeverIgnited in the output, exactly like cells the
-  /// sweep reaches beyond the horizon. On uniform topography only start
-  /// cells that can still improve a neighbour enter the queue (the burned
-  /// interior of a fire line costs no pop); the DEM path queues them all,
-  /// and rules out most of their relaxations with a travel-time floor
-  /// (TravelTimeFloor) before it pays for the exact spread rate.
+  /// of `initial` is a source with its recorded time. A prediction step
+  /// continues from the observed fire line RFL_k as the region it had
+  /// burned by t_k, every cell at t_k (burned_region), so its sweep starts
+  /// at t_k from the line's front. Horizon-clamp contract: finite initial
+  /// times greater than `horizon_min` are reported as kNeverIgnited in the
+  /// output, exactly like cells the sweep reaches beyond the horizon. A
+  /// start cell whose neighbours are all at or before its own time (the
+  /// burned interior of a flat line) is never queued (StartCells::settled).
+  /// Of the rest, on uniform topography only those that can still improve a
+  /// neighbour enter the queue; the DEM path queues them all, and rules out
+  /// most of their relaxations with a travel-time floor (TravelTimeFloor)
+  /// before it pays for the exact spread rate.
   IgnitionMap propagate(const FireEnvironment& env, const Scenario& scenario,
                         const IgnitionMap& initial, double horizon_min) const;
 

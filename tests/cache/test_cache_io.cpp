@@ -276,6 +276,31 @@ TEST(CacheIo, VersionOneSnapshotRejectedWithVersionMismatch) {
   EXPECT_EQ(target.stats().entries, 0u);
 }
 
+TEST(CacheIo, VersionTwoSnapshotRejectedWithVersionMismatch) {
+  // Version 2 has this layout, but its burned cells came from simulations
+  // that started from the truth's arrival times: served as hits, they would
+  // answer with results the current code does not compute.
+  std::vector<std::uint8_t> v2_entry = entry_head(2, 2);
+  BinaryWriter entry(v2_entry);
+  entry.u64(0b1011);  // the record's one word
+  entry.u64(0);       // no fitness records
+
+  SharedScenarioCache target(1 << 20);
+  try {
+    deserialize(target, snapshot_of(2, v2_entry));
+    FAIL() << "a version-2 snapshot loaded";
+  } catch (const WireError& error) {
+    EXPECT_NE(std::string(error.what()).find("version mismatch"),
+              std::string::npos)
+        << error.what();
+  }
+  EXPECT_EQ(target.stats().entries, 0u);
+  // The same frames under the current version restore.
+  EXPECT_EQ(deserialize(target, snapshot_of(kCacheFileVersion, v2_entry))
+                .restored,
+            1u);
+}
+
 TEST(CacheIo, BurnedCellsPastTheGridRejected) {
   // 3x7 = 21 cells in one word: bit 20 is the last cell, bit 21 lies past
   // the grid, where a reader indexing cells by set bits would overrun.

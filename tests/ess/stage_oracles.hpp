@@ -1,7 +1,9 @@
-// Test oracles for the fitness, Statistical and Calibration stages: the
-// straightforward per-map Eq. (3), burned-cell packing, aggregation and
-// per-candidate S_Kign loop the production kernels replaced. The
-// production code must match them bit for bit.
+// Test oracles for the simulation, fitness, Statistical and Calibration
+// stages: the flat start map and reference sweeps a simulation from an
+// observed fire line must equal, and the straightforward per-map Eq. (3),
+// burned-cell packing, aggregation and per-candidate S_Kign loop the
+// production kernels replaced. The production code must match them bit for
+// bit.
 #pragma once
 
 #include <cstdint>
@@ -14,8 +16,35 @@
 #include "ess/fitness.hpp"
 #include "ess/statistical.hpp"
 #include "firelib/propagator.hpp"
+#include "firelib/reference_propagator.hpp"
 
 namespace essns::ess::oracle {
+
+/// The map a simulation from an observed fire line starts from, flattened
+/// cell by cell from the dense line: its instant `time_min` on every finite
+/// cell, never ignited elsewhere.
+inline firelib::IgnitionMap flat_line(const firelib::IgnitionMap& line,
+                                      double time_min) {
+  firelib::IgnitionMap flat = line;
+  for (double& t : flat)
+    if (t < firelib::kNeverIgnited) t = time_min;
+  return flat;
+}
+
+/// One reference sweep (tests/firelib/reference_propagator.hpp) per
+/// scenario of `set` from `start` to `end_time`.
+inline std::vector<firelib::IgnitionMap> reference_maps(
+    const firelib::FireEnvironment& env,
+    const std::vector<firelib::Scenario>& set,
+    const firelib::IgnitionMap& start, double end_time) {
+  const firelib::FireSpreadModel model;
+  const firelib::oracle::ReferencePropagator reference(model);
+  std::vector<firelib::IgnitionMap> maps;
+  maps.reserve(set.size());
+  for (const firelib::Scenario& scenario : set)
+    maps.push_back(reference.propagate(env, scenario, start, end_time));
+  return maps;
+}
 
 /// The cells of `map` ignited at or before `time_min`, packed cell by cell
 /// from burned_mask.

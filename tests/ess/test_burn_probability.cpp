@@ -2,7 +2,8 @@
 // simulations recorded instead of re-simulating the solution set:
 // ScenarioEvaluator::burn_probability must run no simulation for scenarios
 // the current step evaluated, simulate everything else, and stay bit for bit
-// equal to aggregating freshly simulated maps (stage_oracles.hpp).
+// equal to aggregating reference sweeps from the observed line's flat start
+// (stage_oracles.hpp).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,20 +23,6 @@ namespace essns::ess {
 namespace {
 
 using cache::CachePolicy;
-
-/// The maps `set` burns from `start` to `end_time`, one simulate() each on an
-/// uncached service.
-std::vector<firelib::IgnitionMap> simulate_maps(
-    const firelib::FireEnvironment& env,
-    const std::vector<firelib::Scenario>& set,
-    const firelib::IgnitionMap& start, double end_time) {
-  SimulationService service(env);
-  service.set_cache_policy(CachePolicy::kOff);
-  std::vector<firelib::IgnitionMap> maps;
-  for (const firelib::Scenario& scenario : set)
-    maps.push_back(service.simulate(scenario, start, end_time));
-  return maps;
-}
 
 void expect_bitwise_equal(const Grid<double>& got, const Grid<double>& want) {
   ASSERT_EQ(got.rows(), want.rows());
@@ -59,17 +46,20 @@ class BurnProbabilityTest : public ::testing::Test {
         truth_(truth_of(workload_)),
         observations_(truth_, true) {}
 
-  const firelib::IgnitionMap& line(int i) const {
-    return truth_.fire_lines[static_cast<std::size_t>(i)];
+  /// Where a simulation from line i starts: its burned cells at t_i.
+  firelib::IgnitionMap line(int i) const {
+    return oracle::flat_line(truth_.fire_lines[static_cast<std::size_t>(i)],
+                             truth_.time_of(i));
   }
 
-  /// The pre-reuse Statistical Stage: simulate every map on an uncached
-  /// service, aggregate the maps.
+  /// The pre-reuse Statistical Stage: one reference sweep per scenario,
+  /// aggregated.
   Grid<double> oracle_probability(const std::vector<firelib::Scenario>& set,
                                   const firelib::IgnitionMap& start,
                                   double end_time) const {
     return oracle::aggregate_probability(
-        simulate_maps(workload_.environment, set, start, end_time), end_time);
+        oracle::reference_maps(workload_.environment, set, start, end_time),
+        end_time);
   }
 
   std::vector<firelib::Scenario> sample(int count, Rng& rng) const {
@@ -183,7 +173,7 @@ TEST_F(BurnProbabilityTest, FitnessBatchesReturnBurnedCellsOfSimulatedRequests) 
   batch.push_back(batch[3]);
   const double t1 = truth_.time_of(1);
   const std::vector<firelib::IgnitionMap> maps =
-      simulate_maps(workload_.environment, batch, line(0), t1);
+      oracle::reference_maps(workload_.environment, batch, line(0), t1);
   const auto expect_recorded = [&](const SimulationService& service) {
     const std::vector<const BurnedCells*> records =
         service.step_records(batch, observations_, 0, t1);
@@ -338,11 +328,16 @@ std::vector<StepReport> replica_pipeline(const firelib::FireEnvironment& env,
       scenarios.push_back(space.decode(ind.genome));
     const KignSearchResult kign = oracle::search_kign(
         oracle::aggregate_probability(
-            simulate_maps(env, scenarios, lines[un - 1], t_now), t_now),
+            oracle::reference_maps(env, scenarios,
+                                   oracle::flat_line(lines[un - 1], t_prev),
+                                   t_now),
+            t_now),
         firelib::burned_mask(lines[un], t_now),
         firelib::burned_mask(lines[un - 1], t_prev), 100);
     const Grid<double> next = oracle::aggregate_probability(
-        simulate_maps(env, scenarios, lines[un], t_next), t_next);
+        oracle::reference_maps(env, scenarios,
+                               oracle::flat_line(lines[un], t_now), t_next),
+        t_next);
     StepReport report;
     report.kign = kign.kign;
     report.calibration_fitness = kign.fitness;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/error.hpp"
 #include "synth/ground_truth.hpp"
 #include "synth/workloads.hpp"
@@ -131,13 +133,13 @@ TEST_F(EvaluatorTest, SetStepValidatesInterval) {
   EXPECT_THROW(evaluator.set_step(zero_length, 1), InvalidArgument);
 }
 
-TEST_F(EvaluatorTest, SimulateContinuesFromGivenState) {
+TEST_F(EvaluatorTest, BurnProbabilityContinuesFromTheLine) {
+  // The hidden scenario grows the outbreak cell of line 0 into a fire.
   ScenarioEvaluator evaluator(workload_.environment);
   evaluator.set_step(observations_, 1);
-  const auto map = evaluator.simulate(truth_.scenario_at[1],
-                                      truth_.fire_lines[0],
-                                      truth_.step_minutes);
-  EXPECT_GT(firelib::burned_count(map, truth_.step_minutes), 1u);
+  const Grid<double> probability = evaluator.burn_probability(
+      {truth_.scenario_at[1]}, observations_, 0, truth_.step_minutes);
+  EXPECT_GT(std::count(probability.begin(), probability.end(), 1.0), 1);
 }
 
 }  // namespace

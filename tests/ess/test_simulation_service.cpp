@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "common/error.hpp"
 #include "ess/fitness.hpp"
 #include "firelib/reference_propagator.hpp"
@@ -21,6 +23,11 @@ synth::GroundTruth truth_of(const synth::Workload& workload) {
 
 class SimulationServiceTest : public ::testing::Test {
  protected:
+  /// Where a simulation from line 0 starts: its burned cells at t_0.
+  firelib::IgnitionMap start_line() const {
+    return oracle::flat_line(truth_.fire_lines[0], truth_.time_of(0));
+  }
+
   SimulationServiceTest()
       : workload_(synth::make_plains(32)),
         truth_(truth_of(workload_)),
@@ -40,14 +47,12 @@ class SimulationServiceTest : public ::testing::Test {
 
 TEST_F(SimulationServiceTest, BatchEqualsSerialAcrossWorkerCounts) {
   // The reproducibility contract: simulate_batch must be bit-identical to
-  // packing N independent simulate() maps, at every worker count.
-  SimulationService reference(workload_.environment);
+  // packing N independent reference sweeps, at every worker count.
   std::vector<BurnedCells> expected;
-  for (const auto& scenario : scenarios_)
-    expected.push_back(oracle::pack_burned(
-        reference.simulate(scenario, truth_.fire_lines[0],
-                           truth_.step_minutes),
-        truth_.step_minutes));
+  for (const auto& map :
+       oracle::reference_maps(workload_.environment, scenarios_, start_line(),
+                              truth_.step_minutes))
+    expected.push_back(oracle::pack_burned(map, truth_.step_minutes));
 
   for (unsigned workers : {1u, 2u, 4u}) {
     SCOPED_TRACE(workers);
@@ -61,14 +66,12 @@ TEST_F(SimulationServiceTest, BatchEqualsSerialAcrossWorkerCounts) {
 }
 
 TEST_F(SimulationServiceTest, FitnessBatchMatchesScalarJaccard) {
-  SimulationService reference(workload_.environment);
   std::vector<double> expected;
-  for (const auto& scenario : scenarios_) {
-    const auto map = reference.simulate(scenario, truth_.fire_lines[0],
-                                        truth_.step_minutes);
+  for (const auto& map :
+       oracle::reference_maps(workload_.environment, scenarios_, start_line(),
+                              truth_.step_minutes))
     expected.push_back(oracle::jaccard_at(truth_.fire_lines[1], map,
                                           truth_.step_minutes, 0.0));
-  }
 
   for (unsigned workers : {1u, 2u, 4u}) {
     SCOPED_TRACE(workers);
@@ -92,9 +95,8 @@ TEST_F(SimulationServiceTest, FitnessBatchScoresAndRecordsBurnedCells) {
   const std::vector<firelib::Scenario> two(scenarios_.begin(),
                                            scenarios_.begin() + 2);
 
-  std::vector<firelib::IgnitionMap> maps;
-  for (const auto& scenario : two)
-    maps.push_back(service.simulate(scenario, truth_.fire_lines[0], end));
+  const std::vector<firelib::IgnitionMap> maps =
+      oracle::reference_maps(workload_.environment, two, start_line(), end);
 
   const auto scores = service.fitness_batch(two, observations_, 1);
   const auto records = service.step_records(two, observations_, 0, end);
@@ -118,7 +120,7 @@ TEST_F(SimulationServiceTest, CountsEverySimulation) {
   EXPECT_EQ(service.simulations_run(), 0u);
   service.simulate_batch(scenarios_, observations_, 0, truth_.step_minutes);
   EXPECT_EQ(service.simulations_run(), scenarios_.size());
-  service.simulate(scenarios_[0], truth_.fire_lines[0], truth_.step_minutes);
+  service.score(scenarios_[0], observations_, 1);
   EXPECT_EQ(service.simulations_run(), scenarios_.size() + 1);
 }
 
@@ -334,7 +336,7 @@ TEST_F(SimulationServiceTest, ReferenceKernelsMatchFastKernels) {
   ASSERT_EQ(got.size(), scenarios_.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
     const firelib::IgnitionMap map = reference.propagate(
-        workload_.environment, scenarios_[i], truth_.fire_lines[0], end);
+        workload_.environment, scenarios_[i], start_line(), end);
     EXPECT_EQ(got[i], oracle::jaccard_at(truth_.fire_lines[1], map, end, 0.0));
   }
 }
@@ -342,9 +344,10 @@ TEST_F(SimulationServiceTest, ReferenceKernelsMatchFastKernels) {
 TEST(SimulationServiceStartCells, BatchEqualsPerScenarioPropagateOnDem) {
   // Each context lists its start cells once and every lane's sweep seeds
   // from that list. Continuing from every fire line of a DEM truth, to the
-  // next instant and to one before the line's own last times (late start
-  // cells), a batch must equal one reference propagate per scenario, at
-  // every lane count; a new end time over the same line is a new list.
+  // next instant and to one before the line's own instant (every start
+  // cell late), a batch must equal one reference propagate per scenario
+  // from the line's flat start, at every lane count; a new end time over
+  // the same line is a new list.
   const synth::Workload workload = synth::make_hills(32);
   const synth::GroundTruth truth = truth_of(workload);
   Observations observations(truth, false);
@@ -373,11 +376,93 @@ TEST(SimulationServiceStartCells, BatchEqualsPerScenarioPropagateOnDem) {
           EXPECT_EQ(got[i], firelib::burned_cells(
                                 reference.propagate(
                                     workload.environment, scenarios[i],
-                                    truth.fire_lines[line], end_time),
+                                    oracle::flat_line(truth.fire_lines[line],
+                                                      truth.time_of(line)),
+                                    end_time),
                                 end_time));
       }
     }
   }
+}
+
+TEST(SimulationServiceStartMap, HoldsTheLinesBurnedCellsAtItsInstant) {
+  // A context's start map is line k's burned set, every cell at times[k]:
+  // any scenario burns exactly that set by t_k and nothing one ulp before
+  // it, whatever its spread. The burned region built from the digest equals
+  // the dense line with every finite cell set to t_k, noise included.
+  for (const synth::Workload& workload :
+       {synth::make_plains(32), synth::make_hills(32)}) {
+    SCOPED_TRACE(workload.name);
+    const synth::GroundTruth truth = truth_of(workload);
+    Observations observations(truth, false);
+    const ObservationDigest& digest = observations.digest();
+    Rng sample_rng(29);
+    std::vector<firelib::Scenario> scenarios;
+    for (int i = 0; i < 4; ++i)
+      scenarios.push_back(firelib::ScenarioSpace::table1().sample(sample_rng));
+    SimulationService service(workload.environment);
+    service.set_cache_policy(cache::CachePolicy::kOff);
+    for (int k = 0; k <= truth.steps(); ++k) {
+      SCOPED_TRACE(k);
+      const auto uk = static_cast<std::size_t>(k);
+      const double t_k = digest.times[uk];
+      const BurnedCells& line = digest.lines[uk].scoring.real;
+      EXPECT_EQ(firelib::burned_region(line, t_k),
+                oracle::flat_line(truth.fire_lines[uk], t_k));
+      for (const BurnedCells& burned :
+           service.simulate_batch(scenarios, observations, k, t_k))
+        EXPECT_EQ(burned, line);
+      if (k == 0) continue;  // t_0 = 0: no earlier horizon
+      const BurnedCells none{line.rows, line.cols,
+                             std::vector<std::uint64_t>(line.words.size(), 0)};
+      for (const BurnedCells& burned : service.simulate_batch(
+               scenarios, observations, k,
+               std::nextafter(t_k, 0.0)))
+        EXPECT_EQ(burned, none);
+    }
+  }
+}
+
+TEST(SimulationServiceStartMap, ScoredStepsContinueFromTheFlatLine) {
+  // The Optimization Stage's context starts at t_{k-1} from line k - 1's
+  // burned region, not from the truth's arrival times: every later step
+  // scores and records the burned cells of a reference sweep from the flat
+  // line, and for some scenario not those of a sweep from the dense line.
+  const synth::Workload workload = synth::make_plains(32);
+  const synth::GroundTruth truth = truth_of(workload);
+  Observations observations(truth, false);
+  // Most of the Table I space does not spread on plains; these do, at
+  // about the hidden fire's pace.
+  std::vector<firelib::Scenario> scenarios;
+  for (const double wind : {0.5, 0.8, 1.0, 1.25}) {
+    firelib::Scenario scenario = truth.scenario_at[1];
+    scenario.wind_speed *= wind;
+    scenarios.push_back(scenario);
+  }
+  SimulationService service(workload.environment);
+  std::size_t unlike_dense = 0;
+  for (int target = 2; target <= truth.steps(); ++target) {
+    SCOPED_TRACE(target);
+    const auto start = static_cast<std::size_t>(target - 1);
+    const double t_start = truth.time_of(target - 1);
+    const double t_end = truth.time_of(target);
+    const auto flat = oracle::reference_maps(
+        workload.environment, scenarios,
+        oracle::flat_line(truth.fire_lines[start], t_start), t_end);
+    const auto dense = oracle::reference_maps(
+        workload.environment, scenarios, truth.fire_lines[start], t_end);
+    const auto got = service.fitness_batch(scenarios, observations, target);
+    const auto records =
+        service.step_records(scenarios, observations, target - 1, t_end);
+    for (std::size_t i = 0; i < scenarios.size(); ++i) {
+      EXPECT_EQ(got[i], oracle::jaccard_at(truth.fire_lines[start + 1],
+                                           flat[i], t_end, t_start));
+      ASSERT_NE(records[i], nullptr);
+      EXPECT_EQ(*records[i], oracle::pack_burned(flat[i], t_end));
+      unlike_dense += !(*records[i] == oracle::pack_burned(dense[i], t_end));
+    }
+  }
+  EXPECT_GT(unlike_dense, 0u);
 }
 
 TEST_F(SimulationServiceTest, EmptyBatchIsANoOp) {

@@ -9,7 +9,9 @@
 //   campaign-<method>.jsonl  `essns_cli campaign ... timings=zero` over
 //                            plains/hills/rugged x steady/wind_shift, size
 //                            32, 4 steps, at --jobs 1 --workers 1 and again
-//                            at --jobs 2 --workers 3 (same file);
+//                            at --jobs 2 --workers 3 (same file; the CSV
+//                            report of the second run must equal the
+//                            first's byte for byte too);
 //   single-<method>.txt      the single-run table for ess-ns and
 //                            essim-monitor (hills, size 32, seed 3, 3
 //                            generations), at workers=1 and again at
@@ -123,25 +125,34 @@ TEST_P(GoldenCampaign, JsonlMatchesAtOneAndTwoJobSlots) {
   const std::string method = GetParam();
   const std::string name = "campaign-" + method + ".jsonl";
   // --jobs 2 --workers 3 gives each job one worker too, so the reports
-  // (which record workers per job) are the same file.
+  // (which record workers per job) are the same files.
   struct Slots {
     const char* jobs;
     const char* workers;
     std::string dir;
   };
+  std::string first_csv;
   for (const Slots& slots :
        {Slots{"1", "1", kActualDir}, Slots{"2", "3", kActualDir + "/jobs2"}}) {
     std::filesystem::create_directories(slots.dir);
     const std::string jsonl = slots.dir + "/" + name;
+    const std::string csv = slots.dir + "/campaign-" + method + ".csv";
     const RunResult run = run_cli(
         {"campaign", "--jobs", slots.jobs, "--workers", slots.workers,
          "terrains=plains,hills,rugged", "weather=steady,wind_shift",
          "ignitions=center", "sizes=32", "steps=4", "method=" + method,
-         "timings=zero", "jsonl=" + jsonl, "summary=none"});
+         "timings=zero", "jsonl=" + jsonl, "csv=" + csv, "summary=none"});
     ASSERT_EQ(run.exit_code, 0) << run.err;
     SCOPED_TRACE(std::string("--jobs ") + slots.jobs + " --workers " +
                  slots.workers);
     expect_golden(name, read_file(jsonl), /*jsonl=*/true);
+    const std::string report = read_file(csv);
+    ASSERT_FALSE(report.empty()) << "no CSV report at " << csv;
+    if (first_csv.empty())
+      first_csv = report;
+    else
+      EXPECT_EQ(first_difference(first_csv, report, /*jsonl=*/false), "")
+          << "the CSV report differs between the job slot settings";
   }
 }
 
