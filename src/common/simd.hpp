@@ -1,6 +1,6 @@
 // Runtime SIMD capability detection and the relax-kernel mode of the
-// propagator. Every production sweep runs `auto`; the propagator tests and
-// bench_sweep force `scalar` to compare the picked kernel with it.
+// propagator. Every production sweep runs `auto`; the propagator tests
+// force `scalar` to compare the picked kernel with it.
 //
 // The sweep's vectorized relax kernel (firelib/relax_kernel.hpp) is compiled
 // with per-function target attributes, so the binary always carries both the
@@ -43,10 +43,6 @@ inline Isa detected_isa() {
 /// Runtime dispatch: what `mode` runs on this host.
 inline Isa resolve(Mode mode) {
   return mode == Mode::kScalar ? Isa::kScalar : detected_isa();
-}
-
-inline const char* to_string(Isa isa) {
-  return isa == Isa::kAvx2 ? "avx2" : "scalar";
 }
 
 }  // namespace essns::simd

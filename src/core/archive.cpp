@@ -8,14 +8,10 @@
 namespace essns::core {
 
 NoveltyArchive::NoveltyArchive(ArchiveConfig config, std::uint64_t seed)
-    : config_(config), rng_(seed), threshold_(config.novelty_threshold) {
+    : config_(config), rng_(seed) {
   ESSNS_REQUIRE(config.policy == ArchivePolicy::kUnbounded ||
                     config.capacity > 0,
                 "bounded archive needs positive capacity");
-  ESSNS_REQUIRE(config.policy != ArchivePolicy::kAdaptiveThreshold ||
-                    (config.adapt_window > 0 && config.adapt_up > 1.0 &&
-                     config.adapt_down > 0.0 && config.adapt_down < 1.0),
-                "adaptive threshold needs window > 0, up > 1, down in (0,1)");
 }
 
 void NoveltyArchive::update(std::span<const ea::Individual> offspring) {
@@ -32,9 +28,6 @@ void NoveltyArchive::update(std::span<const ea::Individual> offspring) {
         break;
       case ArchivePolicy::kUnbounded:
         items_.push_back(ind);
-        break;
-      case ArchivePolicy::kAdaptiveThreshold:
-        adapt_after_candidate(insert_threshold(ind));
         break;
     }
   }
@@ -68,27 +61,11 @@ void NoveltyArchive::insert_random(const ea::Individual& ind) {
   items_[victim] = ind;
 }
 
-bool NoveltyArchive::insert_threshold(const ea::Individual& ind) {
-  if (ind.novelty <= threshold_) return false;
+void NoveltyArchive::insert_threshold(const ea::Individual& ind) {
+  if (ind.novelty <= config_.novelty_threshold) return;
   if (items_.size() >= config_.capacity)
     items_.erase(items_.begin());  // evict oldest
   items_.push_back(ind);
-  return true;
-}
-
-void NoveltyArchive::adapt_after_candidate(bool admitted) {
-  ++window_candidates_;
-  if (admitted) ++window_admissions_;
-  if (window_candidates_ < config_.adapt_window) return;
-  // Lehman & Stanley's dynamic rho_min: raise when admissions are frequent,
-  // lower when the archive has gone quiet.
-  if (window_admissions_ > config_.adapt_window / 4) {
-    threshold_ = threshold_ > 0.0 ? threshold_ * config_.adapt_up : 1e-3;
-  } else if (window_admissions_ == 0) {
-    threshold_ *= config_.adapt_down;
-  }
-  window_candidates_ = 0;
-  window_admissions_ = 0;
 }
 
 BestSet::BestSet(std::size_t capacity) : capacity_(capacity) {

@@ -20,21 +20,12 @@ enum class ArchivePolicy {
   kRandom,             ///< random replacement once full (Doncieux et al.)
   kThreshold,          ///< admit only novelty > threshold; evict oldest when full
   kUnbounded,          ///< keep everything (dynamic size; memory grows)
-  kAdaptiveThreshold,  ///< threshold self-tunes toward a target admission
-                       ///< rate (Lehman & Stanley's dynamic rho_min)
 };
 
 struct ArchiveConfig {
   ArchivePolicy policy = ArchivePolicy::kNoveltyRanked;
   std::size_t capacity = 64;        ///< ignored by kUnbounded
-  double novelty_threshold = 0.0;   ///< used by kThreshold / initial adaptive
-
-  // kAdaptiveThreshold tuning: after every `adapt_window` candidates, the
-  // threshold is raised by `adapt_up` when more than a quarter were admitted
-  // and lowered by `adapt_down` when none were.
-  std::size_t adapt_window = 32;
-  double adapt_up = 1.2;
-  double adapt_down = 0.95;
+  double novelty_threshold = 0.0;   ///< used by kThreshold
 };
 
 /// Archive of novel solutions. Stores copies of individuals with the novelty
@@ -55,22 +46,14 @@ class NoveltyArchive {
   /// Smallest archived novelty (the replacement frontier); 0 when empty.
   double min_novelty() const;
 
-  /// Current admission threshold (meaningful for the threshold policies;
-  /// tracks the adapted value under kAdaptiveThreshold).
-  double current_threshold() const { return threshold_; }
-
  private:
   void insert_novelty_ranked(const ea::Individual& ind);
   void insert_random(const ea::Individual& ind);
-  bool insert_threshold(const ea::Individual& ind);
-  void adapt_after_candidate(bool admitted);
+  void insert_threshold(const ea::Individual& ind);
 
   ArchiveConfig config_;
   std::vector<ea::Individual> items_;
   Rng rng_;
-  double threshold_ = 0.0;
-  std::size_t window_candidates_ = 0;
-  std::size_t window_admissions_ = 0;
 };
 
 /// bestSet: the collection of highest-fitness individuals accumulated over

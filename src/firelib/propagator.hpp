@@ -237,11 +237,7 @@ class FirePropagator {
   /// AVX2+FMA. The DEM path (per-pop wind/slope composition, then a
   /// travel-time floor per neighbour before the exact elliptical rate, not
   /// table lookups) always runs scalar.
-  void set_simd_mode(simd::Mode mode) {
-    simd_mode_ = mode;
-    simd_isa_ = simd::resolve(mode);
-  }
-  simd::Mode simd_mode() const { return simd_mode_; }
+  void set_simd_mode(simd::Mode mode) { simd_isa_ = simd::resolve(mode); }
   /// What the mode resolved to on this host (runtime dispatch result).
   simd::Isa simd_isa() const { return simd_isa_; }
 
@@ -253,7 +249,6 @@ class FirePropagator {
                  PropagationWorkspace& workspace) const;
 
   const FireSpreadModel* model_;
-  simd::Mode simd_mode_ = simd::Mode::kAuto;
   simd::Isa simd_isa_ = simd::resolve(simd::Mode::kAuto);
 };
 

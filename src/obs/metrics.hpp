@@ -1,9 +1,8 @@
 // Metrics half of the observability layer (src/obs/): a process-wide
 // registry of named counters and log-bucketed histograms, exported as JSON
-// (--metrics-out), spliced into every BENCH_*.json, and rendered as a text
-// summary table. This is the latency-percentile machinery the ROADMAP's
-// prediction server will scrape (p50/p90/p99 over sim.seconds,
-// pool.queue_wait_seconds, campaign.job_seconds, ...).
+// (--metrics-out and the serve `metrics` verb) and rendered as a text
+// summary table. This is the latency-percentile machinery (p50/p90/p99 over
+// sim.seconds, pool.queue_wait_seconds, campaign.job_seconds, ...).
 //
 // Concurrency model: counters and histogram buckets are striped over
 // cache-line-padded atomic slots; each thread picks a stripe once

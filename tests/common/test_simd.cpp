@@ -22,10 +22,5 @@ TEST(SimdModeTest, DetectionIsStable) {
   EXPECT_EQ(cpu_supports_avx2(), first == Isa::kAvx2);
 }
 
-TEST(SimdModeTest, IsaToString) {
-  EXPECT_STREQ(to_string(Isa::kScalar), "scalar");
-  EXPECT_STREQ(to_string(Isa::kAvx2), "avx2");
-}
-
 }  // namespace
 }  // namespace essns::simd

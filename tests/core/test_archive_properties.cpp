@@ -105,7 +105,6 @@ INSTANTIATE_TEST_SUITE_P(
         PolicyCase{ArchivePolicy::kRandom, 8, "random8"},
         PolicyCase{ArchivePolicy::kRandom, 64, "random64"},
         PolicyCase{ArchivePolicy::kThreshold, 16, "threshold16"},
-        PolicyCase{ArchivePolicy::kAdaptiveThreshold, 16, "adaptive16"},
         PolicyCase{ArchivePolicy::kUnbounded, 1, "unbounded"}),
     [](const ::testing::TestParamInfo<PolicyCase>& info) {
       return info.param.name;

@@ -13,6 +13,8 @@
 #include "firelib/propagator.hpp"
 #include "firelib/scenario.hpp"
 #include "reference_propagator.hpp"
+#include "synth/ground_truth.hpp"
+#include "synth/workloads.hpp"
 
 namespace essns::firelib::fixtures {
 
@@ -50,6 +52,31 @@ inline FireEnvironment dem_env(int size, bool with_fuel) {
     env.set_fuel_map(std::move(fuel));
   }
   return env;
+}
+
+/// One sweep a campaign job runs from a ground-truth fire line: the line's
+/// burned cells at its instant t_k, continued to t_{k+1}.
+struct FireLineStart {
+  IgnitionMap start;
+  double horizon = 0.0;
+};
+
+/// The continuation from every fire line of `workload`'s ground truth: a
+/// settled interior and a live front, the starts the settled list and the
+/// DEM travel-time floor shape most.
+inline std::vector<FireLineStart> fire_line_starts(
+    const synth::Workload& workload) {
+  Rng truth_rng(workload.seed);
+  const synth::GroundTruth truth = synth::generate_truth(workload, truth_rng);
+  std::vector<FireLineStart> starts;
+  for (int line = 0; line < truth.steps(); ++line) {
+    const IgnitionMap& observed =
+        truth.fire_lines[static_cast<std::size_t>(line)];
+    const double instant = truth.time_of(line);
+    starts.push_back({burned_region(burned_cells(observed, instant), instant),
+                      truth.time_of(line + 1)});
+  }
+  return starts;
 }
 
 /// Zero wind and zero slope: the 8-symmetric lattice then produces the most

@@ -27,6 +27,8 @@ namespace {
 
 using fixtures::calm_scenario;
 using fixtures::dem_env;
+using fixtures::fire_line_starts;
+using fixtures::FireLineStart;
 using fixtures::fuel_mosaic_env;
 using fixtures::uniform_env;
 
@@ -35,7 +37,6 @@ bool host_has_avx2() { return simd::detected_isa() == simd::Isa::kAvx2; }
 TEST(SimdRelaxKernelTest, ModeResolutionOnPropagator) {
   const FireSpreadModel model;
   FirePropagator propagator(model);
-  EXPECT_EQ(propagator.simd_mode(), simd::Mode::kAuto);
   EXPECT_EQ(propagator.simd_isa(), simd::detected_isa());
   propagator.set_simd_mode(simd::Mode::kScalar);
   EXPECT_EQ(propagator.simd_isa(), simd::Isa::kScalar);
@@ -180,6 +181,7 @@ TEST(SimdRelaxSweepTest, DefaultCampaignCatalogIsBitIdentical) {
 
   const auto& space = ScenarioSpace::table1();
   Rng rng(2022);
+  Rng line_rng(7);
   PropagationWorkspace scalar_ws, vector_ws;
   for (const synth::Workload& workload : catalog) {
     const FireEnvironment& env = workload.environment;
@@ -191,6 +193,20 @@ TEST(SimdRelaxSweepTest, DefaultCampaignCatalogIsBitIdentical) {
           scalar.propagate(env, scenario, ignition, horizon, scalar_ws),
           vector.propagate(env, scenario, ignition, horizon, vector_ws))
           << workload.name << " trial " << trial;
+    }
+    // Every ground-truth fire line to the next instant, as a job runs them.
+    const std::vector<FireLineStart> lines = fire_line_starts(workload);
+    ASSERT_FALSE(lines.empty());
+    for (std::size_t line = 0; line < lines.size(); ++line) {
+      const FireLineStart& from = lines[line];
+      for (int trial = 0; trial < 3; ++trial) {
+        const Scenario scenario = space.sample(line_rng);
+        ASSERT_EQ(scalar.propagate(env, scenario, from.start, from.horizon,
+                                   scalar_ws),
+                  vector.propagate(env, scenario, from.start, from.horizon,
+                                   vector_ws))
+            << workload.name << " line " << line << " trial " << trial;
+      }
     }
   }
 }

@@ -26,6 +26,8 @@ namespace {
 using fixtures::calm_scenario;
 using fixtures::dem_env;
 using fixtures::expect_matches_reference;
+using fixtures::fire_line_starts;
+using fixtures::FireLineStart;
 using fixtures::fuel_mosaic_env;
 using fixtures::uniform_env;
 
@@ -70,7 +72,8 @@ TEST(SweepQueueTest, DenormalHorizonMatches) {
 
 TEST(SweepQueueTest, DefaultCampaignCatalogIsBitIdentical) {
   // Acceptance sweep: every workload of the default campaign catalog,
-  // production against the oracle.
+  // production against the oracle, from a point ignition and from every
+  // ground-truth fire line to the next instant.
   const std::vector<synth::Workload> catalog =
       synth::generate_catalog(synth::CatalogSpec{});
   ASSERT_FALSE(catalog.empty());
@@ -81,6 +84,7 @@ TEST(SweepQueueTest, DefaultCampaignCatalogIsBitIdentical) {
 
   const auto& space = ScenarioSpace::table1();
   Rng rng(2022);
+  Rng line_rng(7);
   PropagationWorkspace workspace;
   for (const synth::Workload& workload : catalog) {
     const FireEnvironment& env = workload.environment;
@@ -92,6 +96,18 @@ TEST(SweepQueueTest, DefaultCampaignCatalogIsBitIdentical) {
                                      workspace),
                 reference.propagate(env, scenario, ignition, horizon))
           << workload.name << " trial " << trial;
+    }
+    const std::vector<FireLineStart> lines = fire_line_starts(workload);
+    ASSERT_FALSE(lines.empty());
+    for (std::size_t line = 0; line < lines.size(); ++line) {
+      const FireLineStart& from = lines[line];
+      for (int trial = 0; trial < 3; ++trial) {
+        const Scenario scenario = space.sample(line_rng);
+        ASSERT_EQ(production.propagate(env, scenario, from.start,
+                                       from.horizon, workspace),
+                  reference.propagate(env, scenario, from.start, from.horizon))
+            << workload.name << " line " << line << " trial " << trial;
+      }
     }
   }
 }

@@ -297,6 +297,31 @@ TEST(CampaignReport, ZeroTimingsRendersWallClockFieldsAsZero) {
   EXPECT_EQ(jsonl.str(), jsonl_again.str());
 }
 
+// Every step field of every job of `got` equals `want`'s bit for bit, not
+// approximately.
+void expect_steps_bit_identical(const CampaignResult& want,
+                                const CampaignResult& got) {
+  ASSERT_EQ(got.jobs.size(), want.jobs.size());
+  for (std::size_t i = 0; i < want.jobs.size(); ++i) {
+    SCOPED_TRACE("job " + std::to_string(i));
+    const JobRecord& a = want.jobs[i];
+    const JobRecord& b = got.jobs[i];
+    EXPECT_EQ(a.status, b.status);
+    ASSERT_EQ(a.result.steps.size(), b.result.steps.size());
+    for (std::size_t s = 0; s < a.result.steps.size(); ++s) {
+      EXPECT_EQ(a.result.steps[s].kign, b.result.steps[s].kign);
+      EXPECT_EQ(a.result.steps[s].calibration_fitness,
+                b.result.steps[s].calibration_fitness);
+      EXPECT_EQ(a.result.steps[s].best_os_fitness,
+                b.result.steps[s].best_os_fitness);
+      EXPECT_EQ(a.result.steps[s].prediction_quality,
+                b.result.steps[s].prediction_quality);
+      EXPECT_EQ(a.result.steps[s].os_evaluations,
+                b.result.steps[s].os_evaluations);
+    }
+  }
+}
+
 TEST(CampaignScheduler, SharedCacheBitIdenticalToOffAcrossConcurrency) {
   // The acceptance property of the shared cache: every cached value is a
   // byte-exact pure function of its key, so a campaign run with the shared
@@ -330,25 +355,7 @@ TEST(CampaignScheduler, SharedCacheBitIdenticalToOffAcrossConcurrency) {
                  " mem=" + std::to_string(c.mem_bytes));
     const CampaignResult shared =
         run_with(cache::CachePolicy::kShared, c.jobs, c.mem_bytes);
-    ASSERT_EQ(shared.jobs.size(), off.jobs.size());
-    for (std::size_t i = 0; i < off.jobs.size(); ++i) {
-      const JobRecord& a = off.jobs[i];
-      const JobRecord& b = shared.jobs[i];
-      EXPECT_EQ(a.status, b.status);
-      ASSERT_EQ(a.result.steps.size(), b.result.steps.size());
-      for (std::size_t s = 0; s < a.result.steps.size(); ++s) {
-        // Bit-identical, not approximately equal.
-        EXPECT_EQ(a.result.steps[s].kign, b.result.steps[s].kign);
-        EXPECT_EQ(a.result.steps[s].calibration_fitness,
-                  b.result.steps[s].calibration_fitness);
-        EXPECT_EQ(a.result.steps[s].best_os_fitness,
-                  b.result.steps[s].best_os_fitness);
-        EXPECT_EQ(a.result.steps[s].prediction_quality,
-                  b.result.steps[s].prediction_quality);
-        EXPECT_EQ(a.result.steps[s].os_evaluations,
-                  b.result.steps[s].os_evaluations);
-      }
-    }
+    expect_steps_bit_identical(off, shared);
     EXPECT_GT(shared.cache_hits(), 0u);
     EXPECT_LE(shared.shared_cache_stats.bytes, shared.cache_mem_bytes)
         << "shared cache must stay within its byte budget";
@@ -366,7 +373,7 @@ TEST(CampaignScheduler, SharedCacheBitIdenticalToOffAcrossConcurrency) {
 TEST(CampaignScheduler, InjectedSharedCacheWarmsAcrossCampaigns) {
   // A pre-warmed cache handed to a second identical campaign turns nearly
   // every simulation into a hit — the cross-campaign sharing the layer
-  // exists for.
+  // exists for — and the warm hits change no bit of any step.
   const auto workloads = tiny_workloads();
   CampaignConfig config = tiny_config();
   config.spec.cache_policy = cache::CachePolicy::kShared;
@@ -376,12 +383,12 @@ TEST(CampaignScheduler, InjectedSharedCacheWarmsAcrossCampaigns) {
   ASSERT_EQ(cold.succeeded(), workloads.size());
   const CampaignResult warm = CampaignScheduler(config).run(workloads);
   ASSERT_EQ(warm.succeeded(), workloads.size());
-
   EXPECT_GT(warm.cache_hit_rate(), cold.cache_hit_rate());
-  for (std::size_t i = 0; i < cold.jobs.size(); ++i)
-    EXPECT_EQ(cold.jobs[i].result.mean_quality(),
-              warm.jobs[i].result.mean_quality())
-        << "warm hits must not change results";
+
+  CampaignConfig off_config = tiny_config();
+  off_config.spec.cache_policy = cache::CachePolicy::kOff;
+  expect_steps_bit_identical(CampaignScheduler(off_config).run(workloads),
+                             warm);
 }
 
 TEST(CampaignReport, JsonEscapeHandlesSpecials) {
